@@ -20,11 +20,11 @@ from .distance import chinese_dist, english_dist, levenshtein_dist
 from .errors import ConfigError, FakewakeError, OracleFailure
 from .evolve import FuzzyArchive, bucket, run
 from .explain import (build_dataset, cross_validate, default_slots,
-                      explain_archive, group_factors, rank_decisive_units,
-                      _parse_word)
+                      dissimilarity_score, explain_archive, group_factors,
+                      rank_decisive_units, _parse_word)
 from .gbdt import train_gbdt
 from .genome import encode_chinese, encode_english, english_genome_length
-from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
+from .mitigate import (assemble_triple, evaluate, feature_matrix, fuzzy_rate,
                        screening_coverage, strengthen, train_original)
 from .oracle import ExternalOracle, SimulatedDetector
 from .phonemes import ALPHABET, g2p
@@ -176,7 +176,7 @@ def cmd_explain(args) -> int:
     wake_parsed = _parse_word(archive.wake_word, archive.language)
     grouping = group_factors(factor_sets, wake_parsed)
 
-    separation = _separation_report(archive, model, dataset, slots)
+    separation = _separation_report(archive, model, dataset)
     report = {
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
@@ -212,7 +212,7 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _separation_report(archive, model, dataset, slots) -> dict:
+def _separation_report(archive, model, dataset) -> dict:
     """Medians of the proxy dissimilarity score and the plain edit-distance
     baseline, per class."""
     fuzzy_scores, nonfuzzy_scores = [], []
@@ -221,8 +221,8 @@ def _separation_report(archive, model, dataset, slots) -> dict:
         wake_units = [s for s in archive.wake_word.split()]
     else:
         wake_units = g2p(archive.wake_word)
-    for sample in dataset.samples:
-        score = 1.0 - model.predict_proba(sample.features)
+    scores = dissimilarity_score(model, dataset.features)
+    for sample, score in zip(dataset.samples, scores.tolist()):
         units = (sample.word.split() if archive.language == "zh"
                  else g2p(sample.word))
         lev = levenshtein_dist(units, wake_units)
@@ -271,14 +271,14 @@ def cmd_mitigate(args) -> int:
 
     high = [s for s in fuzzy
             if archive.candidates[s.word].objectives.wake_rate >= 0.8]
-    high_rejected = (sum(1 for s in high
-                         if strengthened.predict(s.features) == 0)
-                     / len(high)) if high else None
+    high_rejected = (int(np.sum(strengthened.predict(feature_matrix(high))
+                                == 0)) / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
     dataset = build_dataset(archive, slots, seed=seed)
     proxy = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    ranked = rank_decisive_units(explain_archive(archive, proxy, slots))
+    ranked = rank_decisive_units(explain_archive(
+        archive, proxy, slots, beta=float(cfg.raw["explain"]["beta"])))
     fuzzy_words = [c.word for c in archive.sorted_candidates()]
     top_n = int(block["screening_top_n"])
     coverage = {

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ class Dataset:
     slots: int
     language: str
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
         return np.array([s.features for s in self.samples])
 
@@ -86,8 +87,10 @@ def build_dataset(archive: FuzzyArchive, slots: int, seed: int = 0) -> Dataset:
     return Dataset(samples, slots, archive.language)
 
 
-def dissimilarity_score(model: TreeEnsemble, features: np.ndarray) -> float:
-    """1 - confidence: high for words the proxy calls non-fuzzy."""
+def dissimilarity_score(model: TreeEnsemble,
+                        features: np.ndarray) -> float | np.ndarray:
+    """1 - confidence: high for words the proxy calls non-fuzzy; one score
+    per row when features is a matrix."""
     return 1.0 - model.predict_proba(features)
 
 
@@ -113,8 +116,7 @@ def cross_validate(dataset: Dataset, params: GBDTParams = GBDTParams(),
     for fold in range(folds):
         test = fold_of == fold
         model = train_gbdt(features[~test], labels[~test], params)
-        for row, want in zip(features[test], labels[test]):
-            correct += int(model.predict(row) == want)
+        correct += int(np.sum(model.predict(features[test]) == labels[test]))
     return correct / len(labels)
 
 
@@ -142,13 +144,10 @@ class DecisiveFactorSet:
     feature_indices: tuple[int, ...]   # the minimal top-contribution set
 
 
-def unit_map(word, slots: int) -> list[UnitRef]:
+def unit_map(word) -> list[UnitRef]:
     """Owning unit for each feature slot of a word's encoding."""
-    units = word_units(word)
-    refs = []
-    for pos, (kind, sym) in enumerate(units):
-        refs.append(UnitRef(kind, sym, pos))
-    return refs
+    return [UnitRef(kind, sym, pos)
+            for pos, (kind, sym) in enumerate(word_units(word))]
 
 
 def decisive_factors(explanation: ShapExplanation, units: list[UnitRef],
@@ -287,17 +286,20 @@ def rank_decisive_units(factor_sets: list[DecisiveFactorSet]) -> list[RankedUnit
 def explain_archive(archive: FuzzyArchive, model: TreeEnsemble, slots: int,
                     beta: float = 0.8) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
+    texts = [c.word for c in archive.sorted_candidates()]
+    if not texts:
+        return []
+    words = [_parse_word(text, archive.language) for text in texts]
+    feats = np.array([encode_features(word, slots) for word in words])
+    kept = np.flatnonzero(model.predict_proba(feats) >= 0.5)
+    explanations = shap_values(model, feats[kept])
     out = []
-    for cand in archive.sorted_candidates():
-        word = _parse_word(cand.word, archive.language)
-        feats = encode_features(word, slots)
-        if model.predict_proba(feats) < 0.5:
-            continue
-        explanation = shap_values(model, feats)
+    for row, i in enumerate(kept.tolist()):
         try:
-            fs = decisive_factors(explanation, unit_map(word, slots))
+            fs = decisive_factors(explanations.row(row), unit_map(words[i]),
+                                  beta)
         except NoPositiveContributions:
             continue
-        fs.word = cand.word
+        fs.word = texts[i]
         out.append(fs)
     return out

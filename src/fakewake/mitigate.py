@@ -4,7 +4,9 @@ negatives, plus the evaluation metrics.
 
 The reference detector is a tree ensemble over the same feature encoding the
 proxy classifier uses; the retraining logic and metrics carry over to any
-detector behind the same contract.
+detector behind the same contract: ``predict(features, threshold)`` takes a
+matrix with one encoded word per row and returns one 0/1 decision per row.
+The metrics stack a sample list into one matrix and call it once.
 """
 from __future__ import annotations
 
@@ -16,7 +18,8 @@ import numpy as np
 from .dataio import data_path
 from .embedding import encode_features, word_units
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
-                     ParseFailure, TooManyUnits)
+                     InvalidCombination, ParseFailure, TooManyUnits,
+                     UnknownSyllable)
 from .evolve import FuzzyArchive
 from .explain import RankedUnit, _parse_word
 from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
@@ -130,10 +133,14 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     return ConventionalDataset(train, test)
 
 
+def feature_matrix(samples: list[WordSample]) -> np.ndarray:
+    """The samples' feature vectors as the rows of one matrix."""
+    return np.array([s.features for s in samples])
+
+
 def _fit(samples: list[WordSample], params: GBDTParams) -> TreeEnsemble:
-    x = np.array([s.features for s in samples])
     y = np.array([s.label for s in samples])
-    return train_gbdt(x, y, params)
+    return train_gbdt(feature_matrix(samples), y, params)
 
 
 def train_original(conventional_train: list[WordSample],
@@ -166,8 +173,8 @@ def fuzzy_word_samples(archive: FuzzyArchive, slots: int) -> list[WordSample]:
 
 def load_collective(language: str, slots: int, limit: int | None = None,
                     path=None) -> list[WordSample]:
-    """The shipped dictionary as feature rows; words the encoder cannot
-    handle (too long for the slot budget) are skipped."""
+    """The shipped dictionary as feature rows; words that do not parse in
+    the language or are too long for the slot budget are skipped."""
     path = path or data_path("collective.txt")
     samples = []
     with open(path, encoding="utf-8") as fh:
@@ -177,7 +184,8 @@ def load_collective(language: str, slots: int, limit: int | None = None,
                 continue
             try:
                 samples.append(WordSample(word, _features(word, language, slots), 0))
-            except (TooManyUnits, ParseFailure, ValueError):
+            except (TooManyUnits, ParseFailure, UnknownSyllable,
+                    InvalidCombination, ValueError):
                 continue
             if limit is not None and len(samples) >= limit:
                 break
@@ -195,10 +203,10 @@ def evaluate(model: TreeEnsemble, test: list[WordSample],
     neg = [s for s in test if s.label == 0]
     if not pos or not neg:
         raise EmptyTestSet("test set needs both classes")
-    fp = sum(1 for s in neg
-             if model.predict(s.features, DECISION_THRESHOLD) == 1)
-    fn = sum(1 for s in pos
-             if model.predict(s.features, DECISION_THRESHOLD) == 0)
+    fp = int(np.sum(
+        model.predict(feature_matrix(neg), DECISION_THRESHOLD) == 1))
+    fn = int(np.sum(
+        model.predict(feature_matrix(pos), DECISION_THRESHOLD) == 0))
     return MitigationReport(
         false_positive_rate=fp / len(neg),
         false_negative_rate=fn / len(pos),
@@ -211,8 +219,8 @@ def fuzzy_rate(model: TreeEnsemble, collective: list[WordSample]) -> float:
     """Fraction of the collective dictionary the model wrongly accepts."""
     if not collective:
         raise EmptyCollective("empty collective dataset")
-    accepted = sum(1 for s in collective
-                   if model.predict(s.features, DECISION_THRESHOLD) == 1)
+    accepted = int(np.sum(
+        model.predict(feature_matrix(collective), DECISION_THRESHOLD) == 1))
     return accepted / len(collective)
 
 

@@ -4,6 +4,11 @@ Path-dependent formulation: absent features are marginalized by descending
 both branches weighted by training covers, so no background dataset is
 needed. Attributions live in margin (log-odds) space and satisfy
 ``base_value + sum(contributions) == margin(x)`` exactly.
+
+A matrix of samples is explained in one call. Per tree, the recursion runs
+once per distinct pattern of split decisions among the rows, and each row
+receives its pattern's terms in the recursion's order, so every row's
+contributions are bit-identical to those of a call on that row alone.
 """
 from __future__ import annotations
 
@@ -11,19 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
 from .gbdt import Tree, TreeEnsemble
 
 
 @dataclass(frozen=True)
 class ShapExplanation:
+    """Attributions of one sample, or of a batch: then ``contributions`` has
+    one row and ``margin`` one entry per sample."""
     contributions: np.ndarray   # one value per feature, margin space
     base_value: float
-    margin: float
+    margin: float | np.ndarray
 
     def check_identity(self, tol: float = 1e-9) -> bool:
-        return abs(self.base_value + float(self.contributions.sum())
-                   - self.margin) <= tol
+        gap = self.base_value + self.contributions.sum(axis=-1) - self.margin
+        return bool(np.all(np.abs(gap) <= tol))
+
+    def row(self, i: int) -> "ShapExplanation":
+        """The explanation of sample i of a batch."""
+        return ShapExplanation(self.contributions[i], self.base_value,
+                               float(self.margin[i]))
 
 
 class _Path:
@@ -98,20 +109,32 @@ def _unwound_sum(path: _Path, index: int) -> float:
     return total
 
 
-def _tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
+def _tree_terms(tree: Tree,
+                goes_left: list[bool]) -> tuple[tuple[int, ...], list[float]]:
+    """Path-dependent TreeSHAP of one tree for a sample that goes left at
+    node i iff ``goes_left[i]``: the features d and values v of its
+    ``phi[d] += v`` terms, in order. Hot branches come first, so the order
+    of the terms depends on the sample's decisions."""
+    feature, left, right = (tree.feature.tolist(), tree.left.tolist(),
+                            tree.right.tolist())
+    value, covers = tree.value.tolist(), tree.cover.tolist()
+    dims: list[int] = []
+    terms: list[float] = []
+
     def recurse(node: int, path: _Path, pz: float, po: float, pi: int):
         path = path.copy()
         _extend(path, pz, po, pi)
-        if tree.is_leaf(node):
+        if feature[node] < 0:
             for i in range(1, len(path.d)):
                 weight = _unwound_sum(path, i)
-                phi[path.d[i]] += weight * (path.o[i] - path.z[i]) * tree.value[node]
+                dims.append(path.d[i])
+                terms.append(weight * (path.o[i] - path.z[i]) * value[node])
             return
-        feat = tree.feature[node]
-        if x[feat] <= tree.threshold[node]:
-            hot, cold = tree.left[node], tree.right[node]
+        feat = feature[node]
+        if goes_left[node]:
+            hot, cold = left[node], right[node]
         else:
-            hot, cold = tree.right[node], tree.left[node]
+            hot, cold = right[node], left[node]
         iz = io = 1.0
         found = -1
         for i in range(1, len(path.d)):
@@ -121,22 +144,55 @@ def _tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
         if found >= 0:
             iz, io = path.z[found], path.o[found]
             path = _unwind(path, found)
-        cover = tree.cover[node]
-        recurse(hot, path, iz * tree.cover[hot] / cover, io, feat)
-        recurse(cold, path, iz * tree.cover[cold] / cover, 0.0, feat)
+        cover = covers[node]
+        recurse(hot, path, iz * covers[hot] / cover, io, feat)
+        recurse(cold, path, iz * covers[cold] / cover, 0.0, feat)
 
     recurse(0, _Path(), 1.0, 1.0, -1)
+    return tuple(dims), terms
+
+
+def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
+    """Add one tree's attributions for every row of x to the rows of phi.
+
+    The recursion reads a sample only through its decision at each internal
+    node, so it runs once per distinct decision pattern. The rows of
+    patterns whose terms name the same features in the same order then
+    receive their terms together, one term at a time, in the recursion's
+    order: every row sees exactly the additions a per-row run makes."""
+    inner = np.flatnonzero(tree.feature >= 0)
+    if not len(inner):
+        return      # a lone leaf attributes nothing
+    decisions = x[:, tree.feature[inner]] <= tree.threshold[inner]
+    patterns, pattern_of = np.unique(decisions, axis=0, return_inverse=True)
+    pattern_of = pattern_of.reshape(-1)    # its shape varies across numpy 2.x
+    goes_left = [False] * len(tree.feature)
+    by_dims: dict[tuple[int, ...], list[int]] = {}
+    values = []
+    for p, pattern in enumerate(patterns.tolist()):
+        for node, left in zip(inner.tolist(), pattern):
+            goes_left[node] = left
+        dims, terms = _tree_terms(tree, goes_left)
+        by_dims.setdefault(dims, []).append(p)
+        values.append(terms)
+    values = np.array(values)
+    for dims, members in by_dims.items():
+        rows = np.flatnonzero(np.isin(pattern_of, members))
+        row_values = values[pattern_of[rows]]
+        for j, d in enumerate(dims):
+            phi[rows, d] += row_values[:, j]
 
 
 def shap_values(model: TreeEnsemble, x: np.ndarray) -> ShapExplanation:
-    """Per-feature contributions for one sample, summed over all trees."""
+    """Per-feature contributions for one sample, summed over all trees; for
+    a matrix, one row of contributions and one margin per sample."""
+    margin = model.margin(x)    # checks the shape
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n_features,):
-        raise ShapeMismatch(f"expected {model.n_features} features, got {x.shape}")
-    phi = np.zeros(model.n_features)
+    rows = x.reshape(-1, model.n_features)
+    phi = np.zeros(rows.shape)
     base = model.base_score
     for tree in model.trees:
-        _tree_shap(tree, x, phi)
+        _add_tree_shap(tree, rows, phi)
         base += tree.expected_value()
-    return ShapExplanation(contributions=phi, base_value=base,
-                           margin=model.margin(x))
+    return ShapExplanation(contributions=phi[0] if x.ndim == 1 else phi,
+                           base_value=base, margin=margin)

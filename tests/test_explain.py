@@ -142,7 +142,7 @@ def test_decisive_requires_positive():
 
 
 def test_unit_map_positions():
-    refs = unit_map(LetterWord("alexa"), slots=14)
+    refs = unit_map(LetterWord("alexa"))
     assert [r.symbol for r in refs] == ["AH", "L", "EH", "K", "S", "AH"]
     assert [r.position for r in refs] == list(range(6))
 
@@ -211,6 +211,15 @@ def test_explain_archive_closed_loop(fixture_archive):
     assert sets
     ranked = rank_decisive_units(sets)
     assert ranked[0].symbol == "K"    # the simulator's hidden heavy unit
+
+
+def test_explain_archive_passes_beta(fixture_archive):
+    slots = default_slots("en", "alexa")
+    ds = build_dataset(fixture_archive, slots, seed=7)
+    model = train_gbdt(ds.features, ds.labels, GBDTParams(n_trees=20))
+    sets = explain_archive(fixture_archive, model, slots, beta=1.0)
+    assert sets
+    assert all(fs.beta == 1.0 for fs in sets)
 
 
 def test_dissimilarity_separation(fixture_archive):

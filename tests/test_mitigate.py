@@ -59,7 +59,7 @@ class StubModel:
         self.accept = accept
 
     def predict(self, features, threshold=0.5):
-        return int(self.accept)
+        return np.full(len(features), int(self.accept))
 
 
 def sample(word, label):
@@ -73,7 +73,7 @@ TEST_SET = [sample("alexa", 1), sample("alexa", 1),
 def test_evaluate_perfect_model():
     class Perfect:
         def predict(self, features, threshold=0.5):
-            return 1 if features.sum() > 0 else 0
+            return (features.sum(axis=1) > 0).astype(int)
 
     rows = [WordSample("p", np.ones(2), 1), WordSample("n", np.zeros(2), 0)]
     report = evaluate(Perfect(), rows)
@@ -127,6 +127,20 @@ def test_load_collective_empty(tmp_path):
     path.write_text("\n")
     with pytest.raises(EmptyCollective):
         load_collective("en", SLOTS, path=path)
+
+
+def test_load_collective_zh_skips_unparseable_lines(tmp_path):
+    path = tmp_path / "collective.txt"
+    path.write_text("aaeksa\nxiǎo dù\nhello world\nnǐ hǎo\n", encoding="utf-8")
+    rows = load_collective("zh", 4, path=path)
+    assert [r.word for r in rows] == ["xiǎo dù", "nǐ hǎo"]
+
+
+def test_load_collective_zh_english_only_is_empty(tmp_path):
+    path = tmp_path / "collective.txt"
+    path.write_text("aaeksa\nhello\nworld\n", encoding="utf-8")
+    with pytest.raises(EmptyCollective):
+        load_collective("zh", 4, path=path)
 
 
 def ranked_units(symbols):

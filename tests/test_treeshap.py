@@ -6,33 +6,34 @@ import pytest
 
 from fakewake.errors import ShapeMismatch
 from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
-from fakewake.treeshap import shap_values
+from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
 
 
 def random_tree(rng, n_features, depth):
     """Random binary tree with consistent integer covers."""
-    tree = Tree([], [], [], [], [], [])
+    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
+                             "value", "cover")}
 
     def build(d, cover):
-        idx = len(tree.feature)
-        tree.feature.append(-1)
-        tree.threshold.append(0.0)
-        tree.left.append(-1)
-        tree.right.append(-1)
-        tree.value.append(0.0)
-        tree.cover.append(cover)
+        idx = len(nodes["feature"])
+        nodes["feature"].append(-1)
+        nodes["threshold"].append(0.0)
+        nodes["left"].append(-1)
+        nodes["right"].append(-1)
+        nodes["value"].append(0.0)
+        nodes["cover"].append(cover)
         if d < depth and cover >= 2 and rng.random() < 0.85:
-            tree.feature[idx] = int(rng.integers(n_features))
-            tree.threshold[idx] = float(rng.normal())
+            nodes["feature"][idx] = int(rng.integers(n_features))
+            nodes["threshold"][idx] = float(rng.normal())
             left_cover = float(int(rng.integers(1, int(cover))))
-            tree.left[idx] = build(d + 1, left_cover)
-            tree.right[idx] = build(d + 1, cover - left_cover)
+            nodes["left"][idx] = build(d + 1, left_cover)
+            nodes["right"][idx] = build(d + 1, cover - left_cover)
         else:
-            tree.value[idx] = float(rng.normal())
+            nodes["value"][idx] = float(rng.normal())
         return idx
 
     build(0, float(int(rng.integers(20, 120))))
-    return tree
+    return Tree(**nodes)
 
 
 def conditional_expectation(tree, x, subset, node=0):
@@ -145,3 +146,71 @@ def test_shape_mismatch():
     ensemble = TreeEnsemble(base_score=0.0, n_features=4)
     with pytest.raises(ShapeMismatch):
         shap_values(ensemble, np.zeros(3))
+
+
+# The per-row recursion the batch path replaced, kept as the reference: it
+# reads x directly at every node. Batch results must equal it exactly.
+
+def loop_tree_shap(tree, x, phi):
+    def recurse(node, path, pz, po, pi):
+        path = path.copy()
+        _extend(path, pz, po, pi)
+        if tree.is_leaf(node):
+            for i in range(1, len(path.d)):
+                weight = _unwound_sum(path, i)
+                phi[path.d[i]] += weight * (path.o[i] - path.z[i]) \
+                    * float(tree.value[node])
+            return
+        feat = int(tree.feature[node])
+        if x[feat] <= tree.threshold[node]:
+            hot, cold = int(tree.left[node]), int(tree.right[node])
+        else:
+            hot, cold = int(tree.right[node]), int(tree.left[node])
+        iz = io = 1.0
+        found = -1
+        for i in range(1, len(path.d)):
+            if path.d[i] == feat:
+                found = i
+                break
+        if found >= 0:
+            iz, io = path.z[found], path.o[found]
+            path = _unwind(path, found)
+        cover = float(tree.cover[node])
+        recurse(hot, path, iz * float(tree.cover[hot]) / cover, io, feat)
+        recurse(cold, path, iz * float(tree.cover[cold]) / cover, 0.0, feat)
+
+    recurse(0, _Path(), 1.0, 1.0, -1)
+
+
+def test_batch_equals_per_row_recursion():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        ensemble = random_ensemble(rng)
+        f = ensemble.n_features
+        # coarse values so that many rows share every decision, plus
+        # exact duplicates and rows sitting on thresholds
+        rows = rng.normal(size=(30, f)).round(0)
+        thresholds = [t for tree in ensemble.trees
+                      for t in tree.threshold[tree.feature >= 0].tolist()]
+        if thresholds:
+            rows[:4] = rng.choice(thresholds, size=(4, f))
+        x = np.vstack([rows, rows[:6]])
+        batch = shap_values(ensemble, x)
+        margins = ensemble.margin(x)
+        for i, row in enumerate(x):
+            phi = np.zeros(f)
+            for tree in ensemble.trees:
+                loop_tree_shap(tree, row, phi)
+            assert batch.contributions[i].tolist() == phi.tolist()
+            single = shap_values(ensemble, row)
+            assert single.contributions.tolist() == phi.tolist()
+            assert single.base_value == batch.base_value
+            assert single.margin == batch.margin[i] == margins[i]
+        assert batch.check_identity(1e-9)
+
+
+def test_batch_of_no_rows():
+    ensemble = random_ensemble(np.random.default_rng(2), n_features=3)
+    batch = shap_values(ensemble, np.zeros((0, 3)))
+    assert batch.contributions.shape == (0, 3)
+    assert batch.margin.shape == (0,)
