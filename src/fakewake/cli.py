@@ -16,15 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, write_reference
+from .dataio import atomic_write, write_json
 from .distance import chinese_dist, english_dist, levenshtein_dist
 from .errors import ConfigError, FakewakeError, OracleFailure
 from .evolve import FuzzyArchive, bucket, run
 from .explain import (build_dataset, cross_validate, default_slots,
-                      dissimilarity_score, explain_archive, group_factors,
-                      rank_decisive_units, _parse_word)
+                      dissimilarity_score, explain_archive, feature_matrix,
+                      group_factors, rank_decisive_units, _parse_word)
 from .gbdt import train_gbdt
 from .genome import encode_chinese, encode_english, english_genome_length
-from .mitigate import (assemble_triple, evaluate, feature_matrix, fuzzy_rate,
+from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                        screening_coverage, strengthen, train_original)
 from .oracle import ExternalOracle, SimulatedDetector
 from .phonemes import ALPHABET, g2p
@@ -99,7 +100,7 @@ def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
     configured = cfg.raw["explain"]["slots"]
     if configured is not None:
         return int(configured)
-    return default_slots(language, wake_word)
+    return default_slots(language, wake_word, cfg.length_ratio)
 
 
 def _out_dir(args) -> Path:
@@ -113,9 +114,7 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed,
     doc = {"command": command, "seed": seed, "config": cfg.snapshot()}
     if extra:
         doc.update(extra)
-    with open(out / "run_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_json(out / "run_manifest.json", doc)
     write_reference(out / "config_reference.json")
 
 
@@ -130,7 +129,7 @@ def cmd_generate(args) -> int:
     try:
         archive = run(wake, cfg.wake_word, oracle, cfg.evolve_config(),
                       cfg.variation_config(), cfg.distance_config(), seed,
-                      oracle_spec=oracle_spec, threads=cfg.threads)
+                      oracle_spec=oracle_spec)
     except OracleFailure as exc:
         if exc.partial_archive is not None:
             exc.partial_archive.save(out / "archive.json")
@@ -140,7 +139,7 @@ def cmd_generate(args) -> int:
         if hasattr(oracle, "close"):
             oracle.close()
     archive.save(out / "archive.json")
-    with open(out / "summary.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "summary.tsv") as fh:
         fh.write("word\twake_rate\tbucket\tdissimilarity\n")
         for cand in archive.sorted_candidates():
             fh.write(f"{cand.word}\t{cand.objectives.wake_rate}"
@@ -162,16 +161,12 @@ def cmd_explain(args) -> int:
     seed = cfg.seed if cfg.seed is not None else archive.seed
     out = _out_dir(args)
     slots = _slots(cfg, archive.language, archive.wake_word)
-    params = cfg.explain_params()
-    beta = float(cfg.raw["explain"]["beta"])
     folds = int(cfg.raw["explain"]["folds"])
 
-    dataset = build_dataset(archive, slots, seed=seed)
-    model = train_gbdt(dataset.features, dataset.labels, params)
+    dataset, model, factor_sets = _proxy(cfg, archive, slots, seed)
     model.save(out / "model.json")
-    accuracy = cross_validate(dataset, params, folds=folds, seed=seed)
-
-    factor_sets = explain_archive(archive, model, slots, beta=beta)
+    accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
+                              seed=seed)
     ranked = rank_decisive_units(factor_sets)
     wake_parsed = _parse_word(archive.wake_word, archive.language)
     grouping = group_factors(factor_sets, wake_parsed)
@@ -181,7 +176,7 @@ def cmd_explain(args) -> int:
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
         "slots": slots,
-        "beta": beta,
+        "beta": float(cfg.raw["explain"]["beta"]),
         "explained_words": len(factor_sets),
         "difference_spread": grouping.spread,
         "mean_difference": grouping.mean_difference,
@@ -192,16 +187,14 @@ def cmd_explain(args) -> int:
             for u in ranked[:10]
         ],
     }
-    with open(out / "explain_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-    with open(out / "factors.tsv", "w", encoding="utf-8") as fh:
+    write_json(out / "explain_report.json", report)
+    with atomic_write(out / "factors.tsv") as fh:
         fh.write("word\tunit\tkind\tposition\tcontribution\tgroup\n")
         for entry in grouping.entries:
             fh.write(f"{entry.word}\t{entry.unit.symbol}\t{entry.unit.kind}"
                      f"\t{entry.unit.position}\t{entry.contribution}"
                      f"\t{entry.group.value}\n")
-    with open(out / "grouping.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(out / "grouping.tsv") as fh:
         fh.write("position\tgroup\tmean_contribution\tcount\n")
         for pos, grp, mean, count in grouping.position_table():
             fh.write(f"{pos}\t{grp}\t{mean}\t{count}\n")
@@ -210,6 +203,16 @@ def cmd_explain(args) -> int:
     print(f"cv accuracy {accuracy:.4f}; top unit "
           f"{ranked[0].symbol if ranked else 'n/a'} -> {out}")
     return EXIT_OK
+
+
+def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int):
+    """The explain proxy: its dataset, the model trained on it and the
+    decisive factors of the fuzzy words it classifies correctly."""
+    dataset = build_dataset(archive, slots, seed=seed)
+    model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
+    factor_sets = explain_archive(archive, model, slots,
+                                  beta=float(cfg.raw["explain"]["beta"]))
+    return dataset, model, factor_sets
 
 
 def _separation_report(archive, model, dataset) -> dict:
@@ -258,7 +261,8 @@ def cmd_mitigate(args) -> int:
         archive, slots, n_pos=int(block["n_pos"]), n_neg=int(block["n_neg"]),
         jitter=float(block["jitter"]), seed=seed,
         collective_path=block["collective_path"],
-        collective_limit=block["collective_limit"])
+        collective_limit=block["collective_limit"],
+        length_ratio=cfg.length_ratio)
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
 
@@ -275,10 +279,8 @@ def cmd_mitigate(args) -> int:
                                 == 0)) / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
-    dataset = build_dataset(archive, slots, seed=seed)
-    proxy = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    ranked = rank_decisive_units(explain_archive(
-        archive, proxy, slots, beta=float(cfg.raw["explain"]["beta"])))
+    _, _, factor_sets = _proxy(cfg, archive, slots, seed)
+    ranked = rank_decisive_units(factor_sets)
     fuzzy_words = [c.word for c in archive.sorted_candidates()]
     top_n = int(block["screening_top_n"])
     coverage = {
@@ -294,9 +296,7 @@ def cmd_mitigate(args) -> int:
         "collective_size": len(collective),
         "fuzzy_words": len(fuzzy),
     }
-    with open(out / "mitigation_report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    write_json(out / "mitigation_report.json", report)
     _write_mitigation_table(out / "mitigation_report.txt",
                             report_original, report_strengthened,
                             high_rejected, coverage)
@@ -319,7 +319,7 @@ def _write_mitigation_table(path, original, strengthened, high_rejected,
         ("accuracy", original.accuracy, strengthened.accuracy),
         ("fuzzy rate", original.fuzzy_rate, strengthened.fuzzy_rate),
     ]
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(f"{'metric':<22}{'original':>12}{'strengthened':>14}\n")
         for name, a, b in rows:
             fh.write(f"{name:<22}{a:>12.4f}{b:>14.4f}\n")
@@ -335,16 +335,15 @@ def _write_datasets(out: Path, conventional, fuzzy, collective):
     (data_dir / "conventional").mkdir(parents=True, exist_ok=True)
     for name, rows in (("train", conventional.train),
                        ("test", conventional.test)):
-        with open(data_dir / "conventional" / f"{name}.tsv", "w",
-                  encoding="utf-8") as fh:
+        with atomic_write(data_dir / "conventional" / f"{name}.tsv") as fh:
             fh.write("word\tlabel\n")
             for s in rows:
                 fh.write(f"{s.word}\t{s.label}\n")
-    with open(data_dir / "fuzzy.tsv", "w", encoding="utf-8") as fh:
+    with atomic_write(data_dir / "fuzzy.tsv") as fh:
         fh.write("word\tlabel\n")
         for s in fuzzy:
             fh.write(f"{s.word}\t{s.label}\n")
-    with open(data_dir / "collective.txt", "w", encoding="utf-8") as fh:
+    with atomic_write(data_dir / "collective.txt") as fh:
         for s in collective:
             fh.write(s.word + "\n")
 
@@ -394,8 +393,6 @@ def _overrides(args) -> dict:
         out["wake_word"] = args.wake_word
     if getattr(args, "seed", None) is not None:
         out["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        out["threads"] = args.threads
     oracle = getattr(args, "oracle", None)
     if oracle:
         if oracle == "sim":
@@ -423,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--language", choices=["en", "zh"])
         p.add_argument("--wake-word", dest="wake_word")
         p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
         if output:
             p.add_argument("--output", default="out",
                            help="output directory (default: ./out)")

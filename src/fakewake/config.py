@@ -8,20 +8,21 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from .dataio import write_json
 from .distance import DistanceConfig
 from .errors import ConfigError
 from .evolve import EvolveConfig
 from .gbdt import GBDTParams
 from .genome import LENGTH_RATIO, VariationConfig
+from .mitigate import DEFAULT_JITTER, DETECTOR_PARAMS, N_NEG, N_POS
 
 DEFAULTS: dict = {
     "language": "en",
     "wake_word": "alexa",
     "seed": None,
-    "threads": 1,
     "oracle": {
         "kind": "sim",
         "command": None,          # external oracle command line (kind=exec)
@@ -54,23 +55,15 @@ DEFAULTS: dict = {
     },
     "explain": {
         "slots": None,            # defaults from language and wake word
-        "n_trees": 100,
-        "depth": 3,
-        "learning_rate": 0.1,
-        "min_leaf": 2,
+        **asdict(GBDTParams()),
         "beta": 0.8,
         "folds": 10,
     },
     "mitigate": {
-        "n_pos": 296,
-        "n_neg": 399,
-        "jitter": 0.06,
-        "detector": {
-            "n_trees": 96,
-            "depth": 1,
-            "learning_rate": 0.5,
-            "min_leaf": 2,
-        },
+        "n_pos": N_POS,
+        "n_neg": N_NEG,
+        "jitter": DEFAULT_JITTER,
+        "detector": asdict(DETECTOR_PARAMS),
         "collective_path": None,  # defaults to the bundled list
         "collective_limit": None,
         "screening_top_n": 3,
@@ -131,10 +124,6 @@ class RunConfig:
         if self.raw["seed"] is None:
             raise ConfigError("this command requires an explicit seed")
         return int(self.raw["seed"])
-
-    @property
-    def threads(self) -> int:
-        return int(self.raw["threads"])
 
     # --- parameter blocks -------------------------------------------------
 
@@ -198,6 +187,4 @@ class RunConfig:
 
 def write_reference(path: str | Path):
     """The full default configuration, for documentation."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(DEFAULTS, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, DEFAULTS)

@@ -13,6 +13,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dataio import write_json
 from .distance import DistanceConfig, chinese_dist, english_dist
 from .errors import BelowFuzzyThreshold, OracleFailure
 from .genome import (ChineseGenome, Genome, VariationConfig, crossover,
@@ -194,10 +195,7 @@ class FuzzyArchive:
         return archive
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, ensure_ascii=False, indent=2,
-                      sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "FuzzyArchive":
@@ -229,12 +227,11 @@ def _dissimilarity(text: str, genome: Genome, wake_word: str,
 
 def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         cfg: EvolveConfig, variation: VariationConfig,
-        dist_cfg: DistanceConfig, seed: int, oracle_spec: str = "sim",
-        threads: int = 1) -> FuzzyArchive:
+        dist_cfg: DistanceConfig, seed: int,
+        oracle_spec: str = "sim") -> FuzzyArchive:
     """Search for fuzzy words of ``wake_text`` against ``oracle``.
 
-    Deterministic given (wake word, configs, seed, oracle seed); concurrency
-    only parallelizes oracle trials, never changes results.
+    Deterministic given (wake word, configs, seed, oracle seed).
     """
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
@@ -269,8 +266,6 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     for generation in range(1, cfg.generations + 1):
         scored: list[tuple[Genome, str, Objectives]] = []
         try:
-            if threads > 1:
-                _prefetch(population, evaluate, threads)
             for genome in population:
                 text = decode_text(genome)
                 obj = evaluate(text, genome)
@@ -325,19 +320,3 @@ def _record(archive: FuzzyArchive, genome: Genome, text: str, obj: Objectives,
         archive.rejected[text] = EvaluatedWord(
             text, obj.wake_rate, obj.dissimilarity, generation)
 
-
-def _prefetch(population, evaluate, threads: int):
-    """Warm the evaluation cache concurrently; deterministic because oracle
-    trial outcomes depend only on (word, trial index)."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    seen: dict[str, Genome] = {}
-    for genome in population:
-        text = decode_text(genome)
-        if text not in seen:
-            seen[text] = genome
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(evaluate, text, genome)
-                   for text, genome in seen.items()]
-        for future in futures:
-            future.result()

@@ -15,7 +15,7 @@ from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
                      TooFewSamples)
 from .evolve import FuzzyArchive
 from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from .genome import english_genome_length
+from .genome import LENGTH_RATIO, english_genome_length
 from .phonemes import LetterWord
 from .pinyin import parse_pinyin
 from .treeshap import ShapExplanation, shap_values
@@ -24,21 +24,24 @@ MAX_CLASS_RATIO = 3
 
 
 @dataclass(frozen=True)
-class LabeledSample:
+class WordSample:
     word: str
     features: np.ndarray
     label: int
 
 
+def feature_matrix(samples: list[WordSample]) -> np.ndarray:
+    """The samples' feature vectors as the rows of one matrix."""
+    return np.array([s.features for s in samples])
+
+
 @dataclass
 class Dataset:
-    samples: list[LabeledSample]
-    slots: int
-    language: str
+    samples: list[WordSample]
 
     @cached_property
     def features(self) -> np.ndarray:
-        return np.array([s.features for s in self.samples])
+        return feature_matrix(self.samples)
 
     @property
     def labels(self) -> np.ndarray:
@@ -52,13 +55,19 @@ def _parse_word(text: str, language: str):
     return parse_pinyin(text) if language == "zh" else LetterWord(text)
 
 
-def default_slots(language: str, wake_word: str) -> int:
+def encode_word(text: str, language: str, slots: int) -> np.ndarray:
+    """The feature vector of a word given as text."""
+    return encode_features(_parse_word(text, language), slots)
+
+
+def default_slots(language: str, wake_word: str,
+                  length_ratio: float = LENGTH_RATIO) -> int:
     """Feature slots: exact for Chinese (two units per character); for
     English, twice the search genome length, since no g2p rule emits more
     than two phonemes per letter."""
     if language == "zh":
         return 2 * len(wake_word.split())
-    return 2 * english_genome_length(wake_word)
+    return 2 * english_genome_length(wake_word, length_ratio)
 
 
 def build_dataset(archive: FuzzyArchive, slots: int, seed: int = 0) -> Dataset:
@@ -77,14 +86,10 @@ def build_dataset(archive: FuzzyArchive, slots: int, seed: int = 0) -> Dataset:
         keep = rng.choice(len(positives), MAX_CLASS_RATIO * len(negatives),
                           replace=False)
         positives = [positives[i] for i in sorted(keep)]
-    samples = []
-    for word in positives:
-        samples.append(LabeledSample(
-            word, encode_features(_parse_word(word, archive.language), slots), 1))
-    for word in negatives:
-        samples.append(LabeledSample(
-            word, encode_features(_parse_word(word, archive.language), slots), 0))
-    return Dataset(samples, slots, archive.language)
+    return Dataset([
+        WordSample(word, encode_word(word, archive.language, slots), label)
+        for words, label in ((positives, 1), (negatives, 0))
+        for word in words])
 
 
 def dissimilarity_score(model: TreeEnsemble,
@@ -289,15 +294,15 @@ def explain_archive(archive: FuzzyArchive, model: TreeEnsemble, slots: int,
     texts = [c.word for c in archive.sorted_candidates()]
     if not texts:
         return []
-    words = [_parse_word(text, archive.language) for text in texts]
-    feats = np.array([encode_features(word, slots) for word in words])
+    feats = np.array([encode_word(text, archive.language, slots)
+                      for text in texts])
     kept = np.flatnonzero(model.predict_proba(feats) >= 0.5)
     explanations = shap_values(model, feats[kept])
     out = []
     for row, i in enumerate(kept.tolist()):
+        units = unit_map(_parse_word(texts[i], archive.language))
         try:
-            fs = decisive_factors(explanations.row(row), unit_map(words[i]),
-                                  beta)
+            fs = decisive_factors(explanations.row(row), units, beta)
         except NoPositiveContributions:
             continue
         fs.word = texts[i]

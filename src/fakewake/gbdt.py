@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import write_json
 from .errors import DegenerateData, ShapeMismatch
 
 _REG_LAMBDA = 1.0   # L2 on leaf weights, keeps pure-leaf Newton steps finite
@@ -140,9 +141,7 @@ class TreeEnsemble:
         return ensemble
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "TreeEnsemble":

@@ -16,14 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import data_path
-from .embedding import encode_features, word_units
+from .embedding import word_units
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      InvalidCombination, ParseFailure, TooManyUnits,
                      UnknownSyllable)
 from .evolve import FuzzyArchive
-from .explain import RankedUnit, _parse_word
+from .explain import (RankedUnit, WordSample, _parse_word, encode_word,
+                      feature_matrix)
 from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from .genome import (ChineseGenome, EnglishGenome, decode_text,
+from .genome import (LENGTH_RATIO, ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
 
 DECISION_THRESHOLD = 0.5
@@ -35,12 +36,9 @@ DETECTOR_PARAMS = GBDTParams(n_trees=96, depth=1, learning_rate=0.5, min_leaf=2)
 
 DEFAULT_JITTER = 0.06
 
-
-@dataclass
-class WordSample:
-    word: str
-    features: np.ndarray
-    label: int
+# conventional dataset size per class: positives, negatives
+N_POS = 296
+N_NEG = 399
 
 
 @dataclass
@@ -63,13 +61,15 @@ class DatasetTriple:
         self.collective = [s for s in self.collective if s.word not in known]
 
 
-def assemble_triple(archive: FuzzyArchive, slots: int, n_pos: int = 296,
-                    n_neg: int = 399, jitter: float = DEFAULT_JITTER,
+def assemble_triple(archive: FuzzyArchive, slots: int, n_pos: int = N_POS,
+                    n_neg: int = N_NEG, jitter: float = DEFAULT_JITTER,
                     seed: int = 0, collective_path=None,
-                    collective_limit: int | None = None) -> DatasetTriple:
+                    collective_limit: int | None = None,
+                    length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
     conventional = synthesize_conventional(
         archive.wake_word, archive.language, slots,
-        n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed)
+        n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed,
+        length_ratio=length_ratio)
     fuzzy = fuzzy_word_samples(archive, slots)
     collective = load_collective(archive.language, slots,
                                  limit=collective_limit, path=collective_path)
@@ -92,21 +92,19 @@ class MitigationReport:
         }
 
 
-def _features(word_text: str, language: str, slots: int) -> np.ndarray:
-    return encode_features(_parse_word(word_text, language), slots)
-
-
 def synthesize_conventional(wake_word: str, language: str, slots: int,
-                            n_pos: int = 296, n_neg: int = 399,
+                            n_pos: int = N_POS, n_neg: int = N_NEG,
                             jitter: float = DEFAULT_JITTER, seed: int = 0,
+                            length_ratio: float = LENGTH_RATIO,
                             ) -> ConventionalDataset:
     """Positives: the wake word's features with Gaussian jitter emulating
-    speaker variation. Negatives: random valid words. Split 3/4 train per
-    class (ceiling), remainder test."""
+    speaker variation. Negatives: random valid words, as long as the search's
+    genomes (``length_ratio`` sizes English ones). Split 3/4 train per class
+    (ceiling), remainder test."""
     if n_pos < 8 or n_neg < 8:
         raise ValueError("need at least 8 samples per class")
     rng = np.random.default_rng(seed)
-    base = _features(wake_word, language, slots)
+    base = encode_word(wake_word, language, slots)
     # jitter only the occupied slots; padding stays exactly zero like any
     # real word encoding
     occupied = np.zeros(base.shape)
@@ -118,24 +116,19 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     ]
     kind = ChineseGenome if language == "zh" else EnglishGenome
     length = 3 * len(wake_word.split()) if language == "zh" \
-        else english_genome_length(wake_word)
+        else english_genome_length(wake_word, length_ratio)
     negatives = []
     while len(negatives) < n_neg:
         text = decode_text(random_genome(kind, length, rng))
         if not text or text == wake_word:
             continue
-        negatives.append(WordSample(text, _features(text, language, slots), 0))
+        negatives.append(WordSample(text, encode_word(text, language, slots), 0))
     train, test = [], []
     for grp in (positives, negatives):
         cut = math.ceil(3 * len(grp) / 4)
         train.extend(grp[:cut])
         test.extend(grp[cut:])
     return ConventionalDataset(train, test)
-
-
-def feature_matrix(samples: list[WordSample]) -> np.ndarray:
-    """The samples' feature vectors as the rows of one matrix."""
-    return np.array([s.features for s in samples])
 
 
 def _fit(samples: list[WordSample], params: GBDTParams) -> TreeEnsemble:
@@ -166,7 +159,7 @@ def strengthen(fuzzy: list[WordSample], conventional_train: list[WordSample],
 
 def fuzzy_word_samples(archive: FuzzyArchive, slots: int) -> list[WordSample]:
     return [
-        WordSample(c.word, _features(c.word, archive.language, slots), 0)
+        WordSample(c.word, encode_word(c.word, archive.language, slots), 0)
         for c in archive.sorted_candidates()
     ]
 
@@ -183,10 +176,11 @@ def load_collective(language: str, slots: int, limit: int | None = None,
             if not word:
                 continue
             try:
-                samples.append(WordSample(word, _features(word, language, slots), 0))
+                features = encode_word(word, language, slots)
             except (TooManyUnits, ParseFailure, UnknownSyllable,
                     InvalidCombination, ValueError):
                 continue
+            samples.append(WordSample(word, features, 0))
             if limit is not None and len(samples) >= limit:
                 break
     if not samples:
@@ -226,18 +220,13 @@ def fuzzy_rate(model: TreeEnsemble, collective: list[WordSample]) -> float:
 
 def screening_coverage(fuzzy_words: list[str], language: str,
                        ranked_units: list[RankedUnit], top_n: int) -> float:
-    """Fraction of fuzzy words containing at least one of the top-n decisive
-    units (same unit symbol at any position)."""
+    """Fraction of fuzzy words the screening decision escalates, that is
+    words containing at least one of the top-n decisive units (same unit
+    symbol at any position)."""
     if not fuzzy_words:
         return 0.0
-    top = {(u.kind, u.symbol) for u in ranked_units[:top_n]}
-    if not top:
-        return 0.0
-    hits = 0
-    for word in fuzzy_words:
-        units = set(word_units(_parse_word(word, language)))
-        if units & top:
-            hits += 1
+    hits = sum(should_escalate(word, language, ranked_units, top_n)
+               for word in fuzzy_words)
     return hits / len(fuzzy_words)
 
 

@@ -158,7 +158,7 @@ def desk_run():
     start = time.perf_counter()
     archive = run(wake, "alexa", detector,
                   EvolveConfig(population_size=100, generations=50, trials=10),
-                  VariationConfig(), DistanceConfig(), seed=7, threads=1)
+                  VariationConfig(), DistanceConfig(), seed=7)
     elapsed = time.perf_counter() - start
     return archive, elapsed
 

@@ -102,10 +102,27 @@ def test_invalid_wake_word_exits_2(tmp_path):
 
 def test_unknown_config_key_exits_2(tmp_path):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"wake_word": "alexa", "seed": 1,
-                                  "mystery": True}))
+    for extra in ({"mystery": True}, {"threads": 1}):
+        config.write_text(json.dumps({"wake_word": "alexa", "seed": 1,
+                                      **extra}))
+        assert main(["generate", "--config", str(config),
+                     "--output", str(tmp_path / "out")]) == 2
+
+
+def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
+    config = write_config(tmp_path / "config.json",
+                          variation={"length_ratio": 3.0},
+                          evolve={"population_size": 12, "generations": 4,
+                                  "trials": 5},
+                          explain={"n_trees": 10, "folds": 2},
+                          mitigate={"collective_limit": 200})
+    archive = str(tmp_path / "gen" / "archive.json")
     assert main(["generate", "--config", str(config),
-                 "--output", str(tmp_path / "out")]) == 2
+                 "--output", str(tmp_path / "gen")]) == 0
+    assert main(["explain", "--config", str(config), "--archive", archive,
+                 "--output", str(tmp_path / "exp")]) == 0
+    assert main(["mitigate", "--config", str(config), "--archive", archive,
+                 "--output", str(tmp_path / "mit")]) == 0
 
 
 def test_missing_archive_exits_2(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import shutil
 
 import pytest
@@ -29,3 +30,18 @@ def test_weight_rows_parsed():
     rows = dataio.read_weight_rows("phoneme_features.tsv")
     assert len(rows) == 1
     assert all(float(w) > 0 for w in rows[0])
+
+
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    dataio.write_json(path, {"run": 1})
+    before = path.read_bytes()
+
+    class Unserializable:
+        pass
+
+    with pytest.raises(TypeError):
+        dataio.write_json(path, {"a": 1, "z": Unserializable()})
+    assert path.read_bytes() == before
+    assert json.loads(before) == {"run": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -7,7 +7,7 @@ from fakewake.errors import BelowFuzzyThreshold, OracleFailure
 from fakewake.evolve import (Bucket, EvolveConfig, FuzzyArchive, Objectives,
                              bucket, dominates, non_dominated_front, run)
 from fakewake.genome import VariationConfig, encode_english
-from tests.conftest import make_detector, run_search
+from tests.conftest import run_search
 
 
 def brute_force_front(objectives):
@@ -122,18 +122,6 @@ def test_run_deterministic():
     b = run_search(seed=11, detector_seed=50, population_size=20,
                    generations=5, trials=5)
     assert a.to_json() == b.to_json()
-
-
-def test_threads_do_not_change_results():
-    det_a = make_detector(31)
-    det_b = make_detector(31)
-    wake = encode_english("alexa", 7)
-    cfg = EvolveConfig(population_size=16, generations=4, trials=5)
-    one = run(wake, "alexa", det_a, cfg, VariationConfig(), DistanceConfig(),
-              seed=2, threads=1)
-    four = run(wake, "alexa", det_b, cfg, VariationConfig(), DistanceConfig(),
-               seed=2, threads=4)
-    assert one.to_json() == four.to_json()
 
 
 class FlakyOracle:

@@ -4,7 +4,7 @@ import pytest
 from fakewake.errors import (EmptyClass, NoPositiveContributions,
                              TooFewSamples)
 from fakewake.evolve import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
-from fakewake.explain import (Dataset, LabeledSample, UnitRef, build_dataset,
+from fakewake.explain import (Dataset, WordSample, UnitRef, build_dataset,
                               cross_validate, decisive_factors, default_slots,
                               explain_archive, group_factors,
                               rank_decisive_units, unit_map)
@@ -65,27 +65,27 @@ def test_cross_validate_separable():
     rng = np.random.default_rng(0)
     samples = []
     for i in range(30):
-        samples.append(LabeledSample(f"p{i}", rng.normal(3.0, 0.2, 4), 1))
-        samples.append(LabeledSample(f"n{i}", rng.normal(-3.0, 0.2, 4), 0))
-    assert cross_validate(Dataset(samples, 2, "en"),
+        samples.append(WordSample(f"p{i}", rng.normal(3.0, 0.2, 4), 1))
+        samples.append(WordSample(f"n{i}", rng.normal(-3.0, 0.2, 4), 0))
+    assert cross_validate(Dataset(samples),
                           GBDTParams(n_trees=10), folds=10, seed=0) == 1.0
 
 
 def test_cross_validate_too_few():
-    samples = [LabeledSample("a", np.zeros(2), 1)] * 5 + \
-              [LabeledSample("b", np.ones(2), 0)] * 5
+    samples = [WordSample("a", np.zeros(2), 1)] * 5 + \
+              [WordSample("b", np.ones(2), 0)] * 5
     with pytest.raises(TooFewSamples):
-        cross_validate(Dataset(samples, 1, "en"), folds=10)
+        cross_validate(Dataset(samples), folds=10)
 
 
 def test_cross_validate_deterministic():
     rng = np.random.default_rng(1)
-    samples = [LabeledSample(str(i), rng.normal(size=3),
-                             int(rng.random() < 0.5)) for i in range(60)]
+    samples = [WordSample(str(i), rng.normal(size=3),
+                          int(rng.random() < 0.5)) for i in range(60)]
     labels = [s.label for s in samples]
     if len(set(labels)) == 1 or min(labels.count(0), labels.count(1)) < 10:
         pytest.skip("unlucky draw")
-    ds = Dataset(samples, 1, "en")
+    ds = Dataset(samples)
     assert cross_validate(ds, folds=10, seed=3) == \
         cross_validate(ds, folds=10, seed=3)
 

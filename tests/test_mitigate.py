@@ -156,6 +156,7 @@ def test_screening_coverage_monotone_and_full():
     assert values == sorted(values)
     assert values[-1] == 1.0
     assert screening_coverage(words, "en", ranked, 1) == pytest.approx(2 / 4)
+    assert screening_coverage(words, "en", [], 1) == 0.0
 
 
 def test_screening_symbol_at_any_position():
