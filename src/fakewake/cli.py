@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, write_reference
+from .config import RunConfig, checked, write_reference
 from .dataio import atomic_write, write_json
 from .distance import chinese_dist, english_dist, levenshtein_dist
 from .errors import ConfigError, FakewakeError, OracleFailure
@@ -27,7 +27,7 @@ from .gbdt import train_gbdt
 from .genome import encode_chinese, encode_english, english_genome_length
 from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                        screening_coverage, strengthen, train_original)
-from .oracle import ExternalOracle, SimulatedDetector
+from .oracle import ExternalOracle, SimulatedDetector, _parse_units
 from .phonemes import ALPHABET, g2p
 from .pinyin import parse_pinyin
 
@@ -69,38 +69,38 @@ def _build_oracle(cfg: RunConfig, seed: int):
         target = block["target"] or cfg.wake_word
         weights = block["unit_weights"]
         if weights is None and block["decisive_unit"] is not None:
-            from .oracle import _parse_units
-
             n = len(_parse_units(target, cfg.language))
-            heavy = int(block["decisive_unit"])
+            heavy = block["decisive_unit"]
             if not 0 <= heavy < n:
                 raise ConfigError(f"decisive_unit out of range 0..{n - 1}")
-            w = float(block["decisive_weight"])
+            w = block["decisive_weight"]
+            if not 0 <= w <= 1:
+                raise ConfigError("oracle.decisive_weight must be in [0, 1]")
             rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
             weights = [w if i == heavy else rest for i in range(n)]
         oracle_seed = block["seed"] if block["seed"] is not None else seed + 1000
-        det = SimulatedDetector(
-            target=target, language=cfg.language,
-            unit_weights=tuple(weights) if weights else None,
-            threshold=float(block["threshold"]),
-            temperature=float(block["temperature"]),
-            substitution_floor=float(block["substitution_floor"]),
-            seed=int(oracle_seed),
-        )
-        return det, "sim"
+        with checked("oracle"):
+            return SimulatedDetector(
+                target=target, language=cfg.language,
+                unit_weights=None if weights is None else tuple(weights),
+                threshold=block["threshold"],
+                temperature=block["temperature"],
+                substitution_floor=block["substitution_floor"],
+                seed=oracle_seed,
+            ), "sim"
     if kind == "exec":
         if not block["command"]:
             raise ConfigError("oracle kind 'exec' requires a command")
-        return (ExternalOracle(block["command"], float(block["timeout"])),
-                f"exec:{block['command']}")
+        with checked("oracle"):
+            return (ExternalOracle(block["command"], block["timeout"]),
+                    f"exec:{block['command']}")
     raise ConfigError(f"unknown oracle kind: {kind!r}")
 
 
 def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
-    configured = cfg.raw["explain"]["slots"]
-    if configured is not None:
-        return int(configured)
-    return default_slots(language, wake_word, cfg.length_ratio)
+    slots = cfg.raw["explain"]["slots"]
+    return slots if slots is not None else default_slots(
+        language, wake_word, cfg.length_ratio)
 
 
 def _out_dir(args) -> Path:
@@ -161,12 +161,12 @@ def cmd_explain(args) -> int:
     seed = cfg.seed if cfg.seed is not None else archive.seed
     out = _out_dir(args)
     slots = _slots(cfg, archive.language, archive.wake_word)
-    folds = int(cfg.raw["explain"]["folds"])
 
     dataset, model, factor_sets = _proxy(cfg, archive, slots, seed)
     model.save(out / "model.json")
-    accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
-                              seed=seed)
+    with checked("explain"):
+        accuracy = cross_validate(dataset, cfg.explain_params(),
+                                  folds=cfg.raw["explain"]["folds"], seed=seed)
     ranked = rank_decisive_units(factor_sets)
     wake_parsed = _parse_word(archive.wake_word, archive.language)
     grouping = group_factors(factor_sets, wake_parsed)
@@ -176,7 +176,7 @@ def cmd_explain(args) -> int:
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
         "slots": slots,
-        "beta": float(cfg.raw["explain"]["beta"]),
+        "beta": cfg.raw["explain"]["beta"],
         "explained_words": len(factor_sets),
         "difference_spread": grouping.spread,
         "mean_difference": grouping.mean_difference,
@@ -211,7 +211,7 @@ def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int):
     dataset = build_dataset(archive, slots, seed=seed)
     model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
     factor_sets = explain_archive(archive, model, slots,
-                                  beta=float(cfg.raw["explain"]["beta"]))
+                                  beta=cfg.raw["explain"]["beta"])
     return dataset, model, factor_sets
 
 
@@ -257,12 +257,13 @@ def cmd_mitigate(args) -> int:
     block = cfg.raw["mitigate"]
     params = cfg.detector_params()
 
-    triple = assemble_triple(
-        archive, slots, n_pos=int(block["n_pos"]), n_neg=int(block["n_neg"]),
-        jitter=float(block["jitter"]), seed=seed,
-        collective_path=block["collective_path"],
-        collective_limit=block["collective_limit"],
-        length_ratio=cfg.length_ratio)
+    with checked("mitigate"):
+        triple = assemble_triple(
+            archive, slots, n_pos=block["n_pos"], n_neg=block["n_neg"],
+            jitter=block["jitter"], seed=seed,
+            collective_path=block["collective_path"],
+            collective_limit=block["collective_limit"],
+            length_ratio=cfg.length_ratio)
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
 
@@ -282,10 +283,9 @@ def cmd_mitigate(args) -> int:
     _, _, factor_sets = _proxy(cfg, archive, slots, seed)
     ranked = rank_decisive_units(factor_sets)
     fuzzy_words = [c.word for c in archive.sorted_candidates()]
-    top_n = int(block["screening_top_n"])
     coverage = {
         str(n): screening_coverage(fuzzy_words, archive.language, ranked, n)
-        for n in range(1, top_n + 1)
+        for n in range(1, block["screening_top_n"] + 1)
     }
 
     report = {

@@ -1,14 +1,17 @@
 """Run configuration: JSON file plus command-line overrides.
 
-Every tunable in the pipeline lives here with its default; commands write
-the full resolved snapshot into their run manifest so any output can be
-reproduced bit-exactly.
+Every tunable in the pipeline lives here with its default, taken from the
+parameter dataclasses where one exists. Each value is checked once, at load,
+and converted to the type of its default (of its ``NULLABLE`` entry where
+the default is null); commands write the full resolved snapshot into their
+run manifest so any output can be reproduced bit-exactly.
 """
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dataio import write_json
@@ -18,6 +21,7 @@ from .evolve import EvolveConfig
 from .gbdt import GBDTParams
 from .genome import LENGTH_RATIO, VariationConfig
 from .mitigate import DEFAULT_JITTER, DETECTOR_PARAMS, N_NEG, N_POS
+from .oracle import SimulatedDetector
 
 DEFAULTS: dict = {
     "language": "en",
@@ -31,28 +35,13 @@ DEFAULTS: dict = {
         "unit_weights": None,     # explicit per-unit weights
         "decisive_unit": None,    # shortcut: index of one heavy unit
         "decisive_weight": 0.6,
-        "threshold": 0.7,
-        "temperature": 0.05,
-        "substitution_floor": 0.7,
+        **{f.name: f.default for f in fields(SimulatedDetector)
+           if f.name in ("threshold", "temperature", "substitution_floor")},
         "seed": None,             # defaults to global seed + 1000
     },
-    "evolve": {
-        "population_size": 100,
-        "generations": 50,
-        "fuzzy_threshold": 0.1,
-        "trials": 10,
-        "elitism": True,
-    },
-    "variation": {
-        "mutation_rate": 0.1,
-        "crossover_rate": 0.9,
-        "length_ratio": LENGTH_RATIO,
-    },
-    "distance": {
-        "normalizer": 100.0,
-        "space_cost": 1.0,
-        "tone_penalty": 1.0,
-    },
+    "evolve": asdict(EvolveConfig()),
+    "variation": {**asdict(VariationConfig()), "length_ratio": LENGTH_RATIO},
+    "distance": asdict(DistanceConfig()),
     "explain": {
         "slots": None,            # defaults from language and wake word
         **asdict(GBDTParams()),
@@ -70,17 +59,56 @@ DEFAULTS: dict = {
     },
 }
 
+# The type of each key whose default is null; list is a list of numbers.
+NULLABLE = {"seed": int, "oracle.seed": int, "oracle.decisive_unit": int,
+            "explain.slots": int, "mitigate.collective_limit": int,
+            "oracle.command": str, "oracle.target": str,
+            "mitigate.collective_path": str, "oracle.unit_weights": list}
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def _convert(value, kind: type, key: str):
+    """``value`` as ``kind``: numbers and numeric strings convert to a
+    number type (whole numbers only to int); bool and str keys take only
+    their own type; a list key takes a list of numbers."""
+    if kind is list and isinstance(value, list):
+        return [_convert(v, float, f"{key}[{i}]") for i, v in enumerate(value)]
+    if type(value) is kind:
+        return value
+    if kind in (int, float) and type(value) in (int, float, str):
+        with suppress(ValueError, OverflowError):
+            number = kind(value)
+            if number == float(value):
+                return number
+    raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
+
+
+def _merge(base: dict, override, path: str = "") -> dict:
+    if not isinstance(override, dict):
+        raise ConfigError(f"{path.rstrip('.') or 'config'} must be an "
+                          f"object, got {override!r}")
     out = copy.deepcopy(base)
     for key, value in override.items():
+        dotted = path + key
         if key not in base:
-            raise ConfigError(f"unknown config key: {path}{key}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, f"{path}{key}.")
+            raise ConfigError(f"unknown config key: {dotted}")
+        if isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, dotted + ".")
+        elif value is None and dotted in NULLABLE:
+            out[key] = None
         else:
-            out[key] = value
+            # values in base already have their default's type
+            out[key] = _convert(value, NULLABLE.get(dotted, type(base[key])),
+                                dotted)
     return out
+
+
+@contextmanager
+def checked(key: str):
+    """Report a ValueError raised while applying the values under ``key``
+    as a ConfigError naming it."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
 
 
 @dataclass
@@ -114,72 +142,51 @@ class RunConfig:
 
     @property
     def wake_word(self) -> str:
-        return self.raw["wake_word"]
+        word = self.raw["wake_word"]
+        if not word.strip():
+            raise ConfigError("wake_word must not be empty")
+        return word
 
     @property
     def seed(self) -> int | None:
-        return self.raw["seed"]
+        seed = self.raw["seed"]
+        if seed is not None and seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {seed}")
+        return seed
 
     def require_seed(self) -> int:
-        if self.raw["seed"] is None:
+        if self.seed is None:
             raise ConfigError("this command requires an explicit seed")
-        return int(self.raw["seed"])
+        return self.seed
 
     # --- parameter blocks -------------------------------------------------
 
+    def _build(self, cls, block: str):
+        """``cls`` from the like-named keys of the (dotted) config block."""
+        values = self.raw
+        for part in block.split("."):
+            values = values[part]
+        with checked(block):
+            return cls(**{f.name: values[f.name] for f in fields(cls)})
+
     def evolve_config(self) -> EvolveConfig:
-        b = self.raw["evolve"]
-        try:
-            return EvolveConfig(
-                population_size=int(b["population_size"]),
-                generations=int(b["generations"]),
-                fuzzy_threshold=float(b["fuzzy_threshold"]),
-                trials=int(b["trials"]),
-                elitism=bool(b["elitism"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build(EvolveConfig, "evolve")
 
     def variation_config(self) -> VariationConfig:
-        b = self.raw["variation"]
-        try:
-            return VariationConfig(
-                mutation_rate=float(b["mutation_rate"]),
-                crossover_rate=float(b["crossover_rate"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build(VariationConfig, "variation")
 
     @property
     def length_ratio(self) -> float:
-        return float(self.raw["variation"]["length_ratio"])
+        return self.raw["variation"]["length_ratio"]
 
     def distance_config(self) -> DistanceConfig:
-        b = self.raw["distance"]
-        try:
-            return DistanceConfig(
-                normalizer=float(b["normalizer"]),
-                space_cost=float(b["space_cost"]),
-                tone_penalty=float(b["tone_penalty"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return self._build(DistanceConfig, "distance")
 
     def explain_params(self) -> GBDTParams:
-        b = self.raw["explain"]
-        return GBDTParams(
-            n_trees=int(b["n_trees"]), depth=int(b["depth"]),
-            learning_rate=float(b["learning_rate"]),
-            min_leaf=int(b["min_leaf"]),
-        )
+        return self._build(GBDTParams, "explain")
 
     def detector_params(self) -> GBDTParams:
-        b = self.raw["mitigate"]["detector"]
-        return GBDTParams(
-            n_trees=int(b["n_trees"]), depth=int(b["depth"]),
-            learning_rate=float(b["learning_rate"]),
-            min_leaf=int(b["min_leaf"]),
-        )
+        return self._build(GBDTParams, "mitigate.detector")
 
     def snapshot(self) -> dict:
         return copy.deepcopy(self.raw)

@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
-from .errors import TooManyUnits, UnknownPhoneme
+from .errors import TooManyUnits
 from .phonemes import LetterWord, g2p, inventory, strip_boundaries
 from .pinyin import ChineseWord, Syllable, unit_tables
 
@@ -102,12 +102,6 @@ class EmbeddingTable:
 
     def final_vec(self, index: int) -> np.ndarray:
         return self.finals[unit_tables().final_by_index[index]]
-
-    def phoneme_vec(self, symbol: str) -> np.ndarray:
-        try:
-            return self.phonemes[symbol]
-        except KeyError:
-            raise UnknownPhoneme(symbol) from None
 
     def unit_vec(self, kind: str, symbol: str) -> np.ndarray:
         table = {"initial": self.initials, "final": self.finals,

@@ -8,7 +8,7 @@ unmutated, which keeps archive growth monotone.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -37,17 +37,6 @@ def dominates(a: Objectives, b: Objectives) -> bool:
     ge = a.wake_rate >= b.wake_rate and a.dissimilarity >= b.dissimilarity
     gt = a.wake_rate > b.wake_rate or a.dissimilarity > b.dissimilarity
     return ge and gt
-
-
-# test-mode hook: when true, every front computed inside run() is checked
-# against a quadratic scan
-VERIFY_FRONT = False
-
-
-def _front_scan(objectives: list[Objectives]) -> list[int]:
-    return [i for i, a in enumerate(objectives)
-            if not any(dominates(b, a) for j, b in enumerate(objectives)
-                       if j != i)]
 
 
 def non_dominated_front(objectives: list[Objectives]) -> list[int]:
@@ -216,6 +205,8 @@ class EvolveConfig:
             raise ValueError("population_size must be at least 4")
         if self.generations < 1:
             raise ValueError("generations must be at least 1")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
 
 
 def _dissimilarity(text: str, genome: Genome, wake_word: str,
@@ -236,12 +227,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
         wake_word=wake_text, language=wake_word.language, seed=seed,
-        config={"population_size": cfg.population_size,
-                "generations": cfg.generations,
-                "fuzzy_threshold": cfg.fuzzy_threshold,
-                "trials": cfg.trials, "elitism": cfg.elitism,
-                "mutation_rate": variation.mutation_rate,
-                "crossover_rate": variation.crossover_rate},
+        config={**asdict(cfg), **asdict(variation)},
         oracle_spec=oracle_spec,
     )
     cache: dict[str, Objectives] = {}
@@ -280,8 +266,6 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         _sync_query_count()
 
         front = non_dominated_front([obj for _, _, obj in scored])
-        if VERIFY_FRONT:
-            assert front == sorted(_front_scan([obj for _, _, obj in scored]))
         if len(front) >= 2:
             parents = [scored[i][0] for i in front]
         else:

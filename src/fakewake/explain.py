@@ -102,6 +102,8 @@ def dissimilarity_score(model: TreeEnsemble,
 def cross_validate(dataset: Dataset, params: GBDTParams = GBDTParams(),
                    folds: int = 10, seed: int = 0) -> float:
     """Mean accuracy over stratified folds with a seeded shuffle."""
+    if folds < 2:
+        raise ValueError("folds must be at least 2")
     labels = dataset.labels
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
@@ -294,13 +296,13 @@ def explain_archive(archive: FuzzyArchive, model: TreeEnsemble, slots: int,
     texts = [c.word for c in archive.sorted_candidates()]
     if not texts:
         return []
-    feats = np.array([encode_word(text, archive.language, slots)
-                      for text in texts])
+    words = [_parse_word(text, archive.language) for text in texts]
+    feats = np.array([encode_features(word, slots) for word in words])
     kept = np.flatnonzero(model.predict_proba(feats) >= 0.5)
     explanations = shap_values(model, feats[kept])
     out = []
     for row, i in enumerate(kept.tolist()):
-        units = unit_map(_parse_word(texts[i], archive.language))
+        units = unit_map(words[i])
         try:
             fs = decisive_factors(explanations.row(row), units, beta)
         except NoPositiveContributions:

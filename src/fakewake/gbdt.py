@@ -156,6 +156,12 @@ class GBDTParams:
     learning_rate: float = 0.1
     min_leaf: int = 2
 
+    def __post_init__(self):
+        if self.n_trees < 1 or self.depth < 1 or self.min_leaf < 1:
+            raise ValueError("n_trees, depth and min_leaf must be at least 1")
+        if not 0 < self.learning_rate <= 1:
+            raise ValueError("learning_rate must be in (0, 1]")
+
 
 def _find_split(xt: np.ndarray, sorted_rows: np.ndarray, grad: np.ndarray,
                 min_leaf: int) -> tuple[int, float] | None:

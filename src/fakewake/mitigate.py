@@ -102,7 +102,9 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     genomes (``length_ratio`` sizes English ones). Split 3/4 train per class
     (ceiling), remainder test."""
     if n_pos < 8 or n_neg < 8:
-        raise ValueError("need at least 8 samples per class")
+        raise ValueError("n_pos and n_neg must be at least 8")
+    if jitter < 0:
+        raise ValueError("jitter must be nonnegative")
     rng = np.random.default_rng(seed)
     base = encode_word(wake_word, language, slots)
     # jitter only the occupied slots; padding stays exactly zero like any
@@ -168,6 +170,8 @@ def load_collective(language: str, slots: int, limit: int | None = None,
                     path=None) -> list[WordSample]:
     """The shipped dictionary as feature rows; words that do not parse in
     the language or are too long for the slot budget are skipped."""
+    if limit is not None and limit < 1:
+        raise ValueError("collective_limit must be at least 1")
     path = path or data_path("collective.txt")
     samples = []
     with open(path, encoding="utf-8") as fh:

@@ -95,11 +95,11 @@ class SimulatedDetector:
             n = len(self._target_units)
             self.unit_weights = tuple(1.0 / n for _ in range(n))
         if len(self.unit_weights) != len(self._target_units):
-            raise ValueError("one weight per target unit required")
+            raise ValueError("unit_weights needs one weight per target unit")
         if any(w < 0 for w in self.unit_weights):
-            raise ValueError("weights must be nonnegative")
+            raise ValueError("unit_weights must be nonnegative")
         if abs(sum(self.unit_weights) - 1.0) > 1e-9:
-            raise ValueError("weights must sum to 1")
+            raise ValueError("unit_weights must sum to 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
@@ -140,10 +140,13 @@ class ExternalOracle:
 
     Wire protocol: one candidate word per line on stdin; one reply line on
     stdout, ``1`` for wake and ``0`` for no wake. Queries are serialized per
-    handle.
+    handle. A timeout stops the process, so a late reply cannot answer the
+    next query.
     """
 
     def __init__(self, command: str, timeout: float = 30.0):
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
         self.command = command
         self.timeout = timeout
         try:
@@ -175,6 +178,7 @@ class ExternalOracle:
             try:
                 line = self._lines.get(timeout=self.timeout)
             except queue.Empty:
+                self.close()
                 raise OracleTimeout(
                     f"no reply within {self.timeout}s for {word!r}") from None
             if line is None:
@@ -193,6 +197,7 @@ class ExternalOracle:
                 self._proc.wait(timeout=5)
             except subprocess.TimeoutExpired:
                 self._proc.kill()
+                self._proc.wait()
 
     def __enter__(self):
         return self

@@ -69,9 +69,6 @@ class PhonemeInventory:
         gaps = np.abs(mat[:, None, :] - mat[None, :, :]) / 2.0
         self._dist = gaps @ self.weights / self.weights.sum()
 
-    def __contains__(self, symbol: str) -> bool:
-        return symbol in self.phonemes
-
     def symbols(self) -> list[str]:
         return sorted(self.phonemes)
 

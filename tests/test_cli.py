@@ -125,6 +125,34 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
                  "--output", str(tmp_path / "mit")]) == 0
 
 
+@pytest.mark.parametrize("command, extra, key", [
+    ("explain", {"explain": {"folds": 0, "n_trees": 5}}, "folds"),
+    ("mitigate", {"mitigate": {"collective_limit": 0}}, "collective_limit"),
+    ("mitigate", {"mitigate": {"n_pos": 3}}, "n_pos"),
+    ("mitigate", {"mitigate": {"jitter": -1}}, "jitter"),
+    ("generate", {"evolve": {"trials": 0}}, "trials"),
+    ("generate", {"oracle": {"temperature": 0}}, "temperature"),
+    ("generate", {"oracle": {"decisive_unit": 3, "decisive_weight": 2}},
+     "decisive_weight"),
+    ("generate", {"oracle": {"unit_weights": [1]}}, "unit_weights"),
+    ("generate", {"oracle": {"kind": "exec", "command": "cat",
+                             "timeout": -1}}, "timeout"),
+    ("generate", {"seed": -5}, "seed"),
+    ("generate", {"wake_word": ""}, "wake_word"),
+    ("explain", {"explain": {"learning_rate": -1}}, "learning_rate"),
+])
+def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
+                                    extra, key):
+    root, _, out = small_run
+    config = write_config(tmp_path / "config.json", **extra)
+    argv = [command, "--config", str(config), "--output", str(tmp_path / "o")]
+    if command != "generate":
+        argv += ["--archive", str(out / "archive.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_missing_archive_exits_2(tmp_path):
     code = main(["explain", "--archive", str(tmp_path / "missing.json"),
                  "--output", str(tmp_path / "out"), "--seed", "1"])

@@ -1,0 +1,90 @@
+import json
+import re
+
+import pytest
+
+from fakewake.cli import main
+from fakewake.config import RunConfig
+from fakewake.distance import DistanceConfig
+from fakewake.errors import ConfigError
+from fakewake.evolve import EvolveConfig
+from fakewake.gbdt import GBDTParams
+from fakewake.genome import VariationConfig
+from fakewake.mitigate import DETECTOR_PARAMS
+from fakewake.oracle import SimulatedDetector
+
+
+@pytest.mark.parametrize("override, key", [
+    ({"explain": {"n_trees": "x"}}, "explain.n_trees"),
+    ({"mitigate": {"detector": {"depth": "x"}}}, "mitigate.detector.depth"),
+    ({"oracle": {"timeout": "x"}}, "oracle.timeout"),
+    ({"seed": "x"}, "seed"),
+    ({"explain": {"slots": "x"}}, "explain.slots"),
+    ({"oracle": {"unit_weights": ["a"]}}, "oracle.unit_weights[0]"),
+    ({"evolve": 5}, "evolve"),
+    ({"explain": {"learning_rate": None}}, "explain.learning_rate"),
+    ({"evolve": {"elitism": "false"}}, "evolve.elitism"),
+    ({"evolve": {"trials": 2.5}}, "evolve.trials"),
+    ({"evolve": {"trials": True}}, "evolve.trials"),
+    ({"wake_word": 5}, "wake_word"),
+])
+def test_malformed_value_names_key(override, key):
+    with pytest.raises(ConfigError, match="^" + re.escape(key)):
+        RunConfig.load(overrides=override)
+
+
+def test_config_must_be_an_object(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="config must be an object"):
+        RunConfig.load(path)
+
+
+def test_values_convert_to_the_default_type():
+    cfg = RunConfig.load(overrides={
+        "oracle": {"decisive_weight": 1, "unit_weights": [1, 0]},
+        "explain": {"n_trees": "50"},
+        "evolve": {"generations": 7.0},
+        "mitigate": {"collective_limit": "5"},
+    })
+    assert cfg.raw["oracle"]["decisive_weight"] == 1.0
+    assert type(cfg.raw["oracle"]["decisive_weight"]) is float
+    assert cfg.raw["oracle"]["unit_weights"] == [1.0, 0.0]
+    assert cfg.explain_params().n_trees == 50
+    assert type(cfg.evolve_config().generations) is int
+    assert cfg.raw["mitigate"]["collective_limit"] == 5
+
+
+def test_null_only_where_the_default_is_null():
+    nulls = {"seed": None, "oracle": {"target": None, "seed": None},
+             "mitigate": {"collective_limit": None}}
+    cfg = RunConfig.load(overrides=nulls)
+    assert cfg.seed is None and cfg.raw["oracle"]["target"] is None
+    assert cfg.raw["mitigate"]["collective_limit"] is None
+
+
+def test_blocks_default_to_their_dataclasses():
+    cfg = RunConfig.load()
+    assert cfg.evolve_config() == EvolveConfig()
+    assert cfg.variation_config() == VariationConfig()
+    assert cfg.distance_config() == DistanceConfig()
+    assert cfg.explain_params() == GBDTParams()
+    assert cfg.detector_params() == DETECTOR_PARAMS
+    sim = SimulatedDetector(target="alexa")
+    for key in ("threshold", "temperature", "substitution_floor"):
+        assert cfg.raw["oracle"][key] == getattr(sim, key)
+
+
+def test_dataclass_range_error_is_a_config_error():
+    cfg = RunConfig.load(overrides={"evolve": {"population_size": 2}})
+    with pytest.raises(ConfigError, match="^evolve: population_size"):
+        cfg.evolve_config()
+
+
+def test_malformed_value_exits_2(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"wake_word": "alexa", "seed": 1,
+                                  "explain": {"n_trees": "x"}}))
+    assert main(["generate", "--config", str(config),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert "explain.n_trees" in capsys.readouterr().err

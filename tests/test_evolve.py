@@ -175,12 +175,23 @@ def test_config_validation():
         EvolveConfig(population_size=3)
     with pytest.raises(ValueError):
         EvolveConfig(generations=0)
+    with pytest.raises(ValueError):
+        EvolveConfig(trials=0)
 
 
 def test_run_with_front_verification(monkeypatch):
     import fakewake.evolve as evolve_mod
 
-    monkeypatch.setattr(evolve_mod, "VERIFY_FRONT", True)
+    calls = []
+
+    def checked_front(objectives):
+        front = non_dominated_front(objectives)
+        assert front == sorted(brute_force_front(objectives))
+        calls.append(len(front))
+        return front
+
+    monkeypatch.setattr(evolve_mod, "non_dominated_front", checked_front)
     archive = run_search(seed=13, detector_seed=60, population_size=16,
                          generations=5, trials=5)
     assert archive.generations_run == 5
+    assert len(calls) == 5

@@ -164,6 +164,27 @@ def test_external_oracle_timeout(tmp_path):
             oracle.query("slow")
 
 
+def test_external_oracle_late_reply_is_not_misattributed(tmp_path):
+    # the first reply arrives after the timeout; it must not be read as
+    # the answer to the next query
+    path = tmp_path / "late.py"
+    path.write_text(textwrap.dedent("""
+        import sys, time
+        for n, line in enumerate(sys.stdin):
+            if n == 0:
+                time.sleep(0.4)
+            print("1" if n == 0 else "0")
+            sys.stdout.flush()
+    """))
+    with ExternalOracle(f"{sys.executable} {path}", timeout=0.2) as oracle:
+        with pytest.raises(OracleTimeout):
+            oracle.query("first")
+        for word in ("second", "third"):
+            with pytest.raises(OracleFailure) as excinfo:
+                oracle.query(word)
+            assert excinfo.type is OracleFailure
+
+
 def test_external_oracle_process_exit(tmp_path):
     with ExternalOracle(make_stub(tmp_path), timeout=2.0) as oracle:
         with pytest.raises(OracleFailure):
