@@ -26,7 +26,8 @@ from .explain import (build_dataset, cross_validate, default_slots,
 from .gbdt import train_gbdt
 from .genome import encode_chinese, encode_english, english_genome_length
 from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
-                       screening_coverage, strengthen, train_original)
+                       screening_coverage, strengthen, train_original,
+                       unit_set)
 from .oracle import ExternalOracle, SimulatedDetector, _parse_units
 from .phonemes import ALPHABET, g2p
 from .pinyin import parse_pinyin
@@ -125,11 +126,12 @@ def cmd_generate(args) -> int:
     seed = cfg.require_seed()
     out = _out_dir(args)
     wake = _wake_genome(cfg)
+    evolve_cfg = cfg.evolve_config()
+    variation, dist_cfg = cfg.variation_config(), cfg.distance_config()
     oracle, oracle_spec = _build_oracle(cfg, seed)
     try:
-        archive = run(wake, cfg.wake_word, oracle, cfg.evolve_config(),
-                      cfg.variation_config(), cfg.distance_config(), seed,
-                      oracle_spec=oracle_spec)
+        archive = run(wake, cfg.wake_word, oracle, evolve_cfg, variation,
+                      dist_cfg, seed, oracle_spec=oracle_spec)
     except OracleFailure as exc:
         if exc.partial_archive is not None:
             exc.partial_archive.save(out / "archive.json")
@@ -210,8 +212,9 @@ def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int):
     decisive factors of the fuzzy words it classifies correctly."""
     dataset = build_dataset(archive, slots, seed=seed)
     model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    factor_sets = explain_archive(archive, model, slots,
-                                  beta=cfg.raw["explain"]["beta"])
+    with checked("explain"):
+        factor_sets = explain_archive(archive, model, slots,
+                                      beta=cfg.raw["explain"]["beta"])
     return dataset, model, factor_sets
 
 
@@ -255,6 +258,8 @@ def cmd_mitigate(args) -> int:
     out = _out_dir(args)
     slots = _slots(cfg, archive.language, archive.wake_word)
     block = cfg.raw["mitigate"]
+    if block["screening_top_n"] < 1:
+        raise ConfigError("mitigate.screening_top_n must be at least 1")
     params = cfg.detector_params()
 
     with checked("mitigate"):
@@ -282,11 +287,10 @@ def cmd_mitigate(args) -> int:
     # screening coverage needs the proxy's decisive-unit ranking
     _, _, factor_sets = _proxy(cfg, archive, slots, seed)
     ranked = rank_decisive_units(factor_sets)
-    fuzzy_words = [c.word for c in archive.sorted_candidates()]
-    coverage = {
-        str(n): screening_coverage(fuzzy_words, archive.language, ranked, n)
-        for n in range(1, block["screening_top_n"] + 1)
-    }
+    unit_sets = [unit_set(c.word, archive.language)
+                 for c in archive.sorted_candidates()]
+    coverage = {str(n): screening_coverage(unit_sets, ranked, n)
+                for n in range(1, block["screening_top_n"] + 1)}
 
     report = {
         "original": report_original.to_json(),

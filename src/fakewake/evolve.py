@@ -19,8 +19,8 @@ from .errors import BelowFuzzyThreshold, OracleFailure
 from .genome import (ChineseGenome, Genome, VariationConfig, crossover,
                      decode_chinese, decode_text, mutate, seed_genomes)
 from .oracle import WakeOracle, estimate_wake_rate
-from .phonemes import g2p
-from .pinyin import parse_pinyin
+from .phonemes import PhonemeSequence, g2p
+from .pinyin import ChineseWord, parse_pinyin
 
 
 @dataclass(frozen=True)
@@ -207,13 +207,17 @@ class EvolveConfig:
             raise ValueError("generations must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if not 0.1 <= self.fuzzy_threshold <= 1:
+            # bucket() has no band below a wake rate of 0.1
+            raise ValueError("fuzzy_threshold must be in [0.1, 1]")
 
 
-def _dissimilarity(text: str, genome: Genome, wake_word: str,
+def _dissimilarity(text: str, genome: Genome,
+                   wake_units: PhonemeSequence | ChineseWord,
                    dist_cfg: DistanceConfig) -> float:
     if isinstance(genome, ChineseGenome):
-        return chinese_dist(decode_chinese(genome), parse_pinyin(wake_word), dist_cfg)
-    return english_dist(g2p(text), g2p(wake_word), dist_cfg)
+        return chinese_dist(decode_chinese(genome), wake_units, dist_cfg)
+    return english_dist(g2p(text), wake_units, dist_cfg)
 
 
 def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
@@ -231,6 +235,9 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         oracle_spec=oracle_spec,
     )
     cache: dict[str, Objectives] = {}
+    # parsed once; the distances do not modify their operands
+    wake_units = (parse_pinyin(wake_text) if isinstance(wake_word, ChineseGenome)
+                  else g2p(wake_text))
     population = seed_genomes(wake_word, cfg.population_size, variation, rng)
 
     def evaluate(text: str, genome: Genome) -> Objectives:
@@ -242,7 +249,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         else:
             report = estimate_wake_rate(oracle, text, cfg.trials)
             obj = Objectives(report.rate,
-                             _dissimilarity(text, genome, wake_text, dist_cfg))
+                             _dissimilarity(text, genome, wake_units, dist_cfg))
         cache[text] = obj
         return obj
 

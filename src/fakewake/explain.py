@@ -293,6 +293,8 @@ def rank_decisive_units(factor_sets: list[DecisiveFactorSet]) -> list[RankedUnit
 def explain_archive(archive: FuzzyArchive, model: TreeEnsemble, slots: int,
                     beta: float = 0.8) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
+    if not 0 < beta <= 1:
+        raise ValueError("beta must be in (0, 1]")
     texts = [c.word for c in archive.sorted_candidates()]
     if not texts:
         return []

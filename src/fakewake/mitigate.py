@@ -222,21 +222,26 @@ def fuzzy_rate(model: TreeEnsemble, collective: list[WordSample]) -> float:
     return accepted / len(collective)
 
 
-def screening_coverage(fuzzy_words: list[str], language: str,
+def unit_set(word: str, language: str) -> frozenset[tuple[str, str]]:
+    """The (kind, symbol) units of a word, what screening looks at."""
+    return frozenset(word_units(_parse_word(word, language)))
+
+
+def screening_coverage(unit_sets: list[frozenset[tuple[str, str]]],
                        ranked_units: list[RankedUnit], top_n: int) -> float:
-    """Fraction of fuzzy words the screening decision escalates, that is
-    words containing at least one of the top-n decisive units (same unit
-    symbol at any position)."""
-    if not fuzzy_words:
+    """Fraction of fuzzy words (given by their ``unit_set``) the screening
+    decision escalates, that is words containing at least one of the top-n
+    decisive units (same unit symbol at any position)."""
+    if not unit_sets:
         return 0.0
-    hits = sum(should_escalate(word, language, ranked_units, top_n)
-               for word in fuzzy_words)
-    return hits / len(fuzzy_words)
+    hits = sum(should_escalate(units, ranked_units, top_n)
+               for units in unit_sets)
+    return hits / len(unit_sets)
 
 
-def should_escalate(word: str, language: str,
+def should_escalate(units: frozenset[tuple[str, str]],
                     ranked_units: list[RankedUnit], top_n: int) -> bool:
-    """Screening decision: route words containing top decisive units to a
-    heavier recognizer."""
+    """Screening decision for a word given by its ``unit_set``: route words
+    containing top decisive units to a heavier recognizer."""
     top = {(u.kind, u.symbol) for u in ranked_units[:top_n]}
-    return bool(set(word_units(_parse_word(word, language))) & top)
+    return bool(units & top)

@@ -1,18 +1,22 @@
 """Black-box wake-detector abstraction.
 
-``WakeOracle`` is the minimal interface the search loop needs: one boolean
-trial per query. ``SimulatedDetector`` is a configurable stand-in with hidden
-per-unit weights for desk-scale experiments; ``ExternalOracle`` adapts any
-line-oriented subprocess (e.g. driving real hardware) to the same interface.
+``WakeOracle`` is the minimal interface the search loop needs: one query
+runs a word's activation trials and returns how many woke the detector.
+``SimulatedDetector`` is a configurable stand-in with hidden per-unit weights
+for desk-scale experiments; ``ExternalOracle`` adapts any line-oriented
+subprocess (e.g. driving real hardware) to the same interface.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-import queue
+import os
+import select
 import shlex
 import subprocess
 import threading
+import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -25,8 +29,8 @@ from .pinyin import parse_pinyin
 
 
 class WakeOracle(Protocol):
-    def query(self, word: str) -> bool:
-        """One activation trial for the given word text."""
+    def query(self, word: str, trials: int = 1) -> int:
+        """Wakes in ``trials`` activation trials of the given word text."""
 
 
 @dataclass(frozen=True)
@@ -44,8 +48,7 @@ def estimate_wake_rate(oracle: WakeOracle, word: str, k: int = 10) -> WakeRateRe
     """Wake rate over k independent trials."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    positives = sum(1 for _ in range(k) if oracle.query(word))
-    return WakeRateReport(word, k, positives)
+    return WakeRateReport(word, k, oracle.query(word, k))
 
 
 def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
@@ -85,6 +88,7 @@ class SimulatedDetector:
     substitution_floor: float = 0.7
     seed: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+    # word -> (wake probability, index of its next trial)
     _trial_counts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -127,21 +131,26 @@ class SimulatedDetector:
         z = (self.score(word) - self.threshold) / self.temperature
         return 1.0 / (1.0 + math.exp(-z))
 
-    def query(self, word: str) -> bool:
-        prob = self.wake_probability(word)
+    def query(self, word: str, trials: int = 1) -> int:
         with self._lock:
-            trial = self._trial_counts.get(word, 0)
-            self._trial_counts[word] = trial + 1
-        return bool(_trial_rng(self.seed, word, trial).random() < prob)
+            state = self._trial_counts.get(word)
+            prob, first = (state if state is not None
+                           else (self.wake_probability(word), 0))
+            self._trial_counts[word] = (prob, first + trials)
+        return sum(int(_trial_rng(self.seed, word, t).random() < prob)
+                   for t in range(first, first + trials))
 
 
 class ExternalOracle:
     """Adapter for an external detector process.
 
     Wire protocol: one candidate word per line on stdin; one reply line on
-    stdout, ``1`` for wake and ``0`` for no wake. Queries are serialized per
-    handle. A timeout stops the process, so a late reply cannot answer the
-    next query.
+    stdout, ``1`` for wake and ``0`` for no wake. A query's ``trials`` lines
+    go out in one write and are answered in order; each reply must arrive
+    within ``timeout`` seconds. Queries are serialized per handle. Any
+    failure (a timeout, the end of the output, a reply other than ``0`` or
+    ``1``) stops the process, so a reply that was never read cannot answer
+    a later query. Stdout is read with ``select``, so it must be a pipe.
     """
 
     def __init__(self, command: str, timeout: float = 30.0):
@@ -152,43 +161,48 @@ class ExternalOracle:
         try:
             self._proc = subprocess.Popen(
                 shlex.split(command), stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE, text=True, bufsize=1,
+                stdout=subprocess.PIPE,
             )
         except OSError as exc:
             raise OracleFailure(f"cannot start oracle process: {exc}") from exc
-        self._lines: queue.Queue = queue.Queue()
-        self._reader = threading.Thread(target=self._pump, daemon=True)
-        self._reader.start()
+        self._stdout = self._proc.stdout.fileno()
+        self._pending = b""           # read but not yet consumed
         self._lock = threading.Lock()
 
-    def _pump(self):
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(None)
-
-    def query(self, word: str) -> bool:
+    def query(self, word: str, trials: int = 1) -> int:
         with self._lock:
             if self._proc.poll() is not None:
                 raise OracleFailure("oracle process has exited")
             try:
-                self._proc.stdin.write(word + "\n")
+                self._proc.stdin.write(f"{word}\n".encode() * trials)
                 self._proc.stdin.flush()
-            except (BrokenPipeError, ValueError) as exc:
-                raise OracleFailure(f"cannot write to oracle: {exc}") from exc
-            try:
-                line = self._lines.get(timeout=self.timeout)
-            except queue.Empty:
+                return sum(self._reply(word) for _ in range(trials))
+            except BrokenPipeError as exc:
                 self.close()
+                raise OracleFailure(f"cannot write to oracle: {exc}") from exc
+            except BaseException:
+                # replies left unread must never answer a later query
+                self.close()
+                raise
+
+    def _reply(self, word: str) -> int:
+        """The next reply line as 1 (wake) or 0."""
+        deadline = time.monotonic() + self.timeout
+        while (end := self._pending.find(b"\n")) < 0:
+            wait = deadline - time.monotonic()
+            if wait <= 0 or not select.select([self._stdout], [], [], wait)[0]:
                 raise OracleTimeout(
-                    f"no reply within {self.timeout}s for {word!r}") from None
-            if line is None:
+                    f"no reply within {self.timeout}s for {word!r}")
+            chunk = os.read(self._stdout, 65536)
+            if not chunk:
                 raise OracleFailure("oracle process closed its output")
-            reply = line.strip()
-            if reply == "1":
-                return True
-            if reply == "0":
-                return False
-            raise ProtocolError(f"unexpected oracle reply: {reply!r}")
+            self._pending += chunk
+        reply = self._pending[:end].strip()
+        self._pending = self._pending[end + 1:]
+        if reply in (b"0", b"1"):
+            return int(reply == b"1")
+        raise ProtocolError(
+            f"unexpected oracle reply: {reply.decode(errors='replace')!r}")
 
     def close(self):
         if self._proc.poll() is None:
@@ -198,6 +212,9 @@ class ExternalOracle:
             except subprocess.TimeoutExpired:
                 self._proc.kill()
                 self._proc.wait()
+        for pipe in (self._proc.stdin, self._proc.stdout):
+            with suppress(OSError):
+                pipe.close()
 
     def __enter__(self):
         return self

@@ -25,7 +25,7 @@ from fakewake.genome import (ChineseGenome, VariationConfig, decode_chinese,
 from fakewake.mitigate import (evaluate, fuzzy_rate, fuzzy_word_samples,
                                load_collective, screening_coverage,
                                strengthen, synthesize_conventional,
-                               train_original)
+                               train_original, unit_set)
 from fakewake.oracle import SimulatedDetector
 from fakewake.phonemes import BOUNDARY, g2p, inventory, phoneme_distance
 from fakewake.treeshap import shap_values
@@ -253,8 +253,8 @@ def test_criterion_8_screening_coverage(desk_run):
     dataset = build_dataset(archive, SLOTS, seed=7)
     model = train_gbdt(dataset.features, dataset.labels)
     ranked = rank_decisive_units(explain_archive(archive, model, SLOTS))
-    fuzzy_words = [c.word for c in archive.sorted_candidates()]
-    top3 = screening_coverage(fuzzy_words, "en", ranked, 3)
+    fuzzy_words = [unit_set(c.word, "en") for c in archive.sorted_candidates()]
+    top3 = screening_coverage(fuzzy_words, ranked, 3)
 
     monotone = True
     for seed in (7, 8, 9):   # several corpora, including the fixture
@@ -269,8 +269,8 @@ def test_criterion_8_screening_coverage(desk_run):
         proxy = train_gbdt(ds.features, ds.labels)
         corpus_ranked = rank_decisive_units(
             explain_archive(corpus, proxy, SLOTS))
-        words = [c.word for c in corpus.sorted_candidates()]
-        series = [screening_coverage(words, "en", corpus_ranked, n)
+        words = [unit_set(c.word, "en") for c in corpus.sorted_candidates()]
+        series = [screening_coverage(words, corpus_ranked, n)
                   for n in range(1, 8)]
         monotone &= series == sorted(series)
     report(8, "screening-coverage", top3 >= 0.90 and monotone,

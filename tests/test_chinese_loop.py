@@ -9,7 +9,7 @@ from fakewake.explain import (build_dataset, cross_validate, default_slots,
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
 from fakewake.genome import VariationConfig, encode_chinese
-from fakewake.mitigate import screening_coverage
+from fakewake.mitigate import screening_coverage, unit_set
 from fakewake.oracle import SimulatedDetector, estimate_wake_rate
 from fakewake.pinyin import parse_pinyin
 
@@ -62,7 +62,7 @@ def test_zh_decisive_units_recover_heavy_final(zh_archive):
     groups = {e.group.value for e in grouping.entries}
     assert groups <= {"high", "medium", "low"}
 
-    words = [c.word for c in zh_archive.sorted_candidates()]
-    coverage = [screening_coverage(words, "zh", ranked, n) for n in (1, 2, 3)]
+    words = [unit_set(c.word, "zh") for c in zh_archive.sorted_candidates()]
+    coverage = [screening_coverage(words, ranked, n) for n in (1, 2, 3)]
     assert coverage == sorted(coverage)
     assert coverage[-1] >= 0.8

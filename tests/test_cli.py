@@ -131,6 +131,8 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
     ("mitigate", {"mitigate": {"n_pos": 3}}, "n_pos"),
     ("mitigate", {"mitigate": {"jitter": -1}}, "jitter"),
     ("generate", {"evolve": {"trials": 0}}, "trials"),
+    ("generate", {"evolve": {"fuzzy_threshold": 0}}, "fuzzy_threshold"),
+    ("generate", {"evolve": {"fuzzy_threshold": 2}}, "fuzzy_threshold"),
     ("generate", {"oracle": {"temperature": 0}}, "temperature"),
     ("generate", {"oracle": {"decisive_unit": 3, "decisive_weight": 2}},
      "decisive_weight"),
@@ -140,6 +142,12 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
     ("generate", {"seed": -5}, "seed"),
     ("generate", {"wake_word": ""}, "wake_word"),
     ("explain", {"explain": {"learning_rate": -1}}, "learning_rate"),
+    ("explain", {"explain": {"beta": 0, "n_trees": 5}}, "beta"),
+    ("explain", {"explain": {"beta": 1.5, "n_trees": 5}}, "beta"),
+    ("mitigate", {"explain": {"beta": 0, "n_trees": 5},
+                  "mitigate": {"collective_limit": 200}}, "beta"),
+    ("mitigate", {"mitigate": {"screening_top_n": -1}}, "screening_top_n"),
+    ("mitigate", {"mitigate": {"screening_top_n": 0}}, "screening_top_n"),
 ])
 def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
                                     extra, key):
@@ -151,6 +159,8 @@ def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
     capsys.readouterr()
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+    # generate rejects its config before the search writes anything
+    assert not (tmp_path / "o" / "archive.json").exists()
 
 
 def test_missing_archive_exits_2(tmp_path):

@@ -80,9 +80,9 @@ class ConstantOracle:
         self.value = value
         self.queries = 0
 
-    def query(self, word):
-        self.queries += 1
-        return self.value
+    def query(self, word, trials=1):
+        self.queries += trials
+        return trials if self.value else 0
 
 
 def small_run(oracle, seed=3, **kwargs):
@@ -125,16 +125,16 @@ def test_run_deterministic():
 
 
 class FlakyOracle:
-    """Fails after a fixed number of queries."""
+    """Fails after a fixed number of trials."""
 
     def __init__(self, budget):
         self.budget = budget
 
-    def query(self, word):
-        self.budget -= 1
+    def query(self, word, trials=1):
+        self.budget -= trials
         if self.budget < 0:
             raise OracleFailure("budget exhausted")
-        return True
+        return trials
 
 
 def test_oracle_failure_preserves_partial_archive():

@@ -9,7 +9,8 @@ from fakewake.mitigate import (DETECTOR_PARAMS, WordSample, evaluate,
                                fuzzy_rate, fuzzy_word_samples,
                                load_collective, screening_coverage,
                                should_escalate, strengthen,
-                               synthesize_conventional, train_original)
+                               synthesize_conventional, train_original,
+                               unit_set)
 
 SLOTS = default_slots("en", "alexa")
 
@@ -149,26 +150,34 @@ def ranked_units(symbols):
 
 
 def test_screening_coverage_monotone_and_full():
-    words = ["kit", "tok", "mop", "fun"]
+    words = [unit_set(w, "en") for w in ("kit", "tok", "mop", "fun")]
     ranked = ranked_units(["K", "M", "F", "T", "AA", "IH", "AH", "N", "P", "UH"])
-    values = [screening_coverage(words, "en", ranked, n)
+    values = [screening_coverage(words, ranked, n)
               for n in range(1, len(ranked) + 1)]
     assert values == sorted(values)
     assert values[-1] == 1.0
-    assert screening_coverage(words, "en", ranked, 1) == pytest.approx(2 / 4)
-    assert screening_coverage(words, "en", [], 1) == 0.0
+    assert screening_coverage(words, ranked, 1) == pytest.approx(2 / 4)
+    assert screening_coverage(words, [], 1) == 0.0
+    assert screening_coverage([], ranked, 1) == 0.0
 
 
 def test_screening_symbol_at_any_position():
     ranked = ranked_units(["K"])
-    assert screening_coverage(["akka"], "en", ranked, 1) == 1.0
-    assert screening_coverage(["mom"], "en", ranked, 1) == 0.0
+    assert screening_coverage([unit_set("akka", "en")], ranked, 1) == 1.0
+    assert screening_coverage([unit_set("mom", "en")], ranked, 1) == 0.0
 
 
 def test_should_escalate():
     ranked = ranked_units(["K"])
-    assert should_escalate("kit", "en", ranked, 1)
-    assert not should_escalate("mom", "en", ranked, 1)
+    assert should_escalate(unit_set("kit", "en"), ranked, 1)
+    assert not should_escalate(unit_set("mom", "en"), ranked, 1)
+
+
+def test_unit_set_keeps_kind_and_symbol():
+    assert unit_set("kit", "en") == {("phoneme", "K"), ("phoneme", "IH"),
+                                     ("phoneme", "T")}
+    zh = unit_set("xiǎo dù xiǎo dù", "zh")
+    assert ("final", "iao") in zh and ("initial", "d") in zh
 
 
 def test_closed_loop_mitigation(fixture_archive):

@@ -1,13 +1,15 @@
 import math
+import shlex
 import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakewake.embedding import embedding_table
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
-from fakewake.oracle import (ExternalOracle, SimulatedDetector,
+from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_rng,
                              estimate_wake_rate)
 
 
@@ -16,9 +18,9 @@ class AlwaysOracle:
         self.value = value
         self.queries = 0
 
-    def query(self, word):
-        self.queries += 1
-        return self.value
+    def query(self, word, trials=1):
+        self.queries += trials
+        return trials if self.value else 0
 
 
 def test_wake_rate_always_true():
@@ -121,8 +123,43 @@ def test_detector_weight_validation():
 
 def test_detector_parse_failure():
     det = SimulatedDetector(target="xiǎo dù", language="zh", seed=1)
-    with pytest.raises(ParseFailure):
-        det.query("not pinyin")
+    for _ in range(2):               # a failed word is not cached
+        with pytest.raises(ParseFailure):
+            det.query("not pinyin", 3)
+    assert "not pinyin" not in det._trial_counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(word=st.sampled_from(["aleksa", "alehsa", "alexu", "th th th k"]),
+       splits=st.lists(st.integers(1, 7), min_size=1, max_size=6))
+def test_detector_batch_equals_single_trials(word, splits):
+    total = sum(splits)
+    single = SimulatedDetector(target="alexa", seed=5)
+    outcomes = [single.query(word) for _ in range(total)]
+    # the per-trial draws the detector has always made
+    prob = single.wake_probability(word)
+    assert outcomes == [int(_trial_rng(5, word, t).random() < prob)
+                        for t in range(total)]
+    assert SimulatedDetector(target="alexa", seed=5).query(word, total) \
+        == sum(outcomes)
+    split = SimulatedDetector(target="alexa", seed=5)
+    start = 0
+    for n in splits:
+        assert split.query(word, n) == sum(outcomes[start:start + n])
+        start += n
+
+
+def test_detector_scores_each_word_once(monkeypatch):
+    scored = []
+    score = SimulatedDetector.score
+    monkeypatch.setattr(SimulatedDetector, "score",
+                        lambda self, word: scored.append(word)
+                        or score(self, word))
+    det = SimulatedDetector(target="alexa", seed=1)
+    for word in ["alexa", "alehsa", "alexa", "alehsa", "alexa"]:
+        det.query(word, 3)
+        det.query(word)
+    assert sorted(scored) == ["alehsa", "alexa"]
 
 
 STUB = textwrap.dedent("""
@@ -148,8 +185,49 @@ def make_stub(tmp_path, name="stub.py"):
 
 def test_external_oracle_wire_protocol(tmp_path):
     with ExternalOracle(make_stub(tmp_path)) as oracle:
-        assert oracle.query("ki") is True
-        assert oracle.query("ao") is False
+        assert oracle.query("ki") == 1
+        assert oracle.query("ao") == 0
+
+
+def test_external_oracle_counts_wakes_in_a_batch(tmp_path):
+    with ExternalOracle(make_stub(tmp_path)) as oracle:
+        assert oracle.query("ki", 5) == 5
+        assert oracle.query("ao", 3) == 0
+        assert oracle.query("ki") == 1
+
+
+def test_external_oracle_writes_batch_before_reading(tmp_path):
+    # answers 1 only if its first read returned all ten lines; ten short
+    # lines are far below PIPE_BUF, so one write arrives whole
+    path = tmp_path / "batch.py"
+    path.write_text(textwrap.dedent("""
+        import os
+        first = os.read(0, 65536).count(b"\\n")
+        os.write(1, (b"1\\n" if first == 10 else b"0\\n") * first)
+        while chunk := os.read(0, 65536):
+            os.write(1, b"0\\n" * chunk.count(b"\\n"))
+    """))
+    with ExternalOracle(f"{sys.executable} {path}", timeout=5.0) as oracle:
+        assert oracle.query("ki", 10) == 10
+
+
+@pytest.mark.parametrize("bad", ["yes", ""])
+def test_external_oracle_bad_reply_mid_batch(tmp_path, bad):
+    # the third reply of the batch is bad; the two after it must never be
+    # read as answers to a later query
+    path = tmp_path / "midbatch.py"
+    path.write_text(textwrap.dedent("""
+        import sys
+        for n, line in enumerate(sys.stdin):
+            print(sys.argv[1] if n == 2 else "1", flush=True)
+    """))
+    command = f"{sys.executable} {path} {shlex.quote(bad)}"
+    with ExternalOracle(command, timeout=5.0) as oracle:
+        with pytest.raises(ProtocolError):
+            oracle.query("ki", 5)
+        with pytest.raises(OracleFailure) as excinfo:
+            oracle.query("ki", 2)
+        assert excinfo.type is OracleFailure
 
 
 def test_external_oracle_protocol_error(tmp_path):
