@@ -131,8 +131,6 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
     ("mitigate", {"mitigate": {"n_pos": 3}}, "n_pos"),
     ("mitigate", {"mitigate": {"jitter": -1}}, "jitter"),
     ("generate", {"evolve": {"trials": 0}}, "trials"),
-    ("generate", {"evolve": {"fuzzy_threshold": 0}}, "fuzzy_threshold"),
-    ("generate", {"evolve": {"fuzzy_threshold": 2}}, "fuzzy_threshold"),
     ("generate", {"oracle": {"temperature": 0}}, "temperature"),
     ("generate", {"oracle": {"decisive_unit": 3, "decisive_weight": 2}},
      "decisive_weight"),
@@ -142,6 +140,8 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
     ("generate", {"seed": -5}, "seed"),
     ("generate", {"wake_word": ""}, "wake_word"),
     ("explain", {"explain": {"learning_rate": -1}}, "learning_rate"),
+    ("generate", {"evolve": {"fuzzy_threshold": 0}}, "fuzzy_threshold"),
+    ("generate", {"evolve": {"fuzzy_threshold": 2}}, "fuzzy_threshold"),
     ("explain", {"explain": {"beta": 0, "n_trees": 5}}, "beta"),
     ("explain", {"explain": {"beta": 1.5, "n_trees": 5}}, "beta"),
     ("mitigate", {"explain": {"beta": 0, "n_trees": 5},
