@@ -105,6 +105,8 @@ def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created. Commands call this only once every
+    check has passed, so a rejected config leaves no directory behind."""
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -124,12 +126,12 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed,
 def cmd_generate(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
-    out = _out_dir(args)
     wake = _wake_genome(cfg)
     evolve_cfg = cfg.evolve_config()
     variation, dist_cfg = cfg.variation_config(), cfg.distance_config()
     oracle, oracle_spec = _build_oracle(cfg, seed)
     try:
+        out = _out_dir(args)
         archive = run(wake, cfg.wake_word, oracle, evolve_cfg, variation,
                       dist_cfg, seed, oracle_spec=oracle_spec)
     except OracleFailure as exc:
@@ -161,11 +163,9 @@ def cmd_explain(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)
     seed = cfg.seed if cfg.seed is not None else archive.seed
-    out = _out_dir(args)
     slots = _slots(cfg, archive.language, archive.wake_word)
 
     dataset, model, factor_sets = _proxy(cfg, archive, slots, seed)
-    model.save(out / "model.json")
     with checked("explain"):
         accuracy = cross_validate(dataset, cfg.explain_params(),
                                   folds=cfg.raw["explain"]["folds"], seed=seed)
@@ -189,6 +189,8 @@ def cmd_explain(args) -> int:
             for u in ranked[:10]
         ],
     }
+    out = _out_dir(args)
+    model.save(out / "model.json")
     write_json(out / "explain_report.json", report)
     with atomic_write(out / "factors.tsv") as fh:
         fh.write("word\tunit\tkind\tposition\tcontribution\tgroup\n")
@@ -255,7 +257,6 @@ def cmd_mitigate(args) -> int:
     archive = _load_archive(args.archive)
     if not archive.candidates:
         raise ConfigError("archive has no fuzzy words")
-    out = _out_dir(args)
     slots = _slots(cfg, archive.language, archive.wake_word)
     block = cfg.raw["mitigate"]
     if block["screening_top_n"] < 1:
@@ -300,6 +301,7 @@ def cmd_mitigate(args) -> int:
         "collective_size": len(collective),
         "fuzzy_words": len(fuzzy),
     }
+    out = _out_dir(args)
     write_json(out / "mitigation_report.json", report)
     _write_mitigation_table(out / "mitigation_report.txt",
                             report_original, report_strengthened,

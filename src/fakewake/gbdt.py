@@ -9,9 +9,19 @@ internal nodes route ``x[feature] <= threshold`` to ``left``, else ``right``.
 arrays serve training, serialization, prediction and TreeSHAP.
 
 Training is exact greedy split finding: every feature column is sorted once
-per ``train_gbdt`` call, and each node searches all features at once over
-its rows in that presorted order. Prediction takes one sample or a matrix;
-the rows of a matrix walk each tree together, one level at a time.
+per ``train_gbdt`` call, and each node searches its live features at once
+over its rows in that presorted order. Two rules keep the search small
+without changing a single split:
+
+* a cut can only fall between two distinct sorted values with at least
+  ``min_leaf`` rows on each side, so the gain is computed at those valid
+  cuts only;
+* a feature with no valid cut at a node (a constant one, say) cannot get
+  one on any subset of the node's rows, so it is dropped for the node's
+  whole subtree.
+
+Prediction takes one sample or a matrix; the rows of a matrix walk each
+tree together, one level at a time.
 """
 from __future__ import annotations
 
@@ -163,61 +173,75 @@ class GBDTParams:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-def _find_split(xt: np.ndarray, sorted_rows: np.ndarray, grad: np.ndarray,
-                min_leaf: int) -> tuple[int, float] | None:
+def _find_split(live: np.ndarray, sorted_rows: np.ndarray,
+                sorted_x: np.ndarray, grad: np.ndarray, min_leaf: int):
     """Best (feature, threshold) of a node by residual variance reduction.
 
-    Row f of ``sorted_rows`` holds the node's rows in ascending order of
-    feature f (ties by row index); ``xt`` is the training matrix
-    transposed. A feature wins only with a strictly larger gain than every
-    feature before it.
+    Row j of ``sorted_rows`` holds the node's rows in ascending order of
+    feature ``live[j]`` (ties by row index) and row j of ``sorted_x`` their
+    values of that feature. A cut after sorted position i is valid when the
+    values on either side of it differ and each side keeps at least
+    ``min_leaf`` rows. The gain is computed at the valid cuts only; the
+    first feature with the largest gain wins, and within it the first
+    position.
+
+    Returns the three arrays narrowed to the features that have a valid
+    cut, and the split or None. A feature without one has a single value
+    on all its rows but at most ``min_leaf - 1`` at either end of its
+    order, so no subset of these rows can give it a cut: the whole subtree
+    of the node drops it.
     """
     n = sorted_rows.shape[1]
-    if n < 2:
-        return None
-    xs = np.take_along_axis(xt, sorted_rows, axis=1)
-    # candidate cut after position i (1-based count on the left)
-    counts = np.arange(1, n)
-    valid = (xs[:, 1:] != xs[:, :-1]) & (counts >= min_leaf) \
-        & (n - counts >= min_leaf)
-    del xs
+    # cuts after positions lo..hi-1 leave min_leaf rows on each side
+    lo, hi = min_leaf - 1, n - min_leaf
+    valid = sorted_x[:, lo + 1:hi + 1] != sorted_x[:, lo:hi]
+    has_cut = valid.any(axis=1)
+    if not has_cut.all():
+        live, sorted_rows, sorted_x, valid = (
+            a[has_cut] for a in (live, sorted_rows, sorted_x, valid))
+    # feature-major order, so the first maximum is the tie-break winner
+    feats, cuts = np.divmod(np.flatnonzero(valid), hi - lo)
+    if not len(feats):
+        return live, sorted_rows, sorted_x, None
+    cuts += lo
     prefix = np.cumsum(grad[sorted_rows], axis=1)
-    total = prefix[:, -1:]
-    left_sum = prefix[:, :-1]
+    total = prefix[:, -1]
+    left_sum = prefix[feats, cuts]
+    counts = cuts + 1   # rows left of the cut
     # gain = left_sum**2 / counts + right_sum**2 / (n - counts) - total**2 / n,
     # evaluated in place and in that order. total**2 is taken one numpy
     # scalar at a time: a scalar ** 2 goes through pow() and an array ** 2
     # through a multiply, which can differ in the last bit.
-    right_sum = total - left_sum
+    right_sum = total[feats] - left_sum
     gain = np.square(left_sum)
     gain /= counts
     np.square(right_sum, out=right_sum)
     right_sum /= n - counts
     gain += right_sum
-    gain -= np.array([t ** 2 for t in total[:, 0]])[:, None] / n
-    gain[~valid] = -np.inf
-    cut = np.argmax(gain, axis=1)
-    best = gain[np.arange(len(gain)), cut]
-    best = np.where(best > _MIN_GAIN, best, -np.inf)
-    feat = int(np.argmax(best))
-    if best[feat] == -np.inf:
-        return None
-    lo, hi = xt[feat, sorted_rows[feat, cut[feat]:cut[feat] + 2]]
-    return feat, (lo + hi) / 2.0
+    gain -= (np.array([t ** 2 for t in total]) / n)[feats]
+    best = int(np.argmax(gain))
+    if not gain[best] > _MIN_GAIN:
+        return live, sorted_rows, sorted_x, None
+    j, cut = feats[best], cuts[best]
+    low, high = sorted_x[j, cut:cut + 2]
+    return live, sorted_rows, sorted_x, (int(live[j]), (low + high) / 2.0)
 
 
-def _grow_tree(x: np.ndarray, xt: np.ndarray, order: np.ndarray,
+def _grow_tree(x: np.ndarray, order: np.ndarray, sorted_x: np.ndarray,
                grad: np.ndarray, hess: np.ndarray,
                params: GBDTParams) -> Tree:
-    """One tree on x; ``xt`` is x transposed and row f of ``order`` the
-    stable ascending sort of column f."""
+    """One tree on x; row f of ``order`` is the stable ascending sort of
+    column f and row f of ``sorted_x`` the column in that order."""
     nodes: dict[str, list] = {k: [] for k in
                               ("feature", "threshold", "left", "right",
                                "value", "cover")}
 
-    def build(rows: np.ndarray, sorted_rows: np.ndarray, depth: int) -> int:
-        # rows ascending; row f of sorted_rows: the same rows in the order
-        # of feature f, which is what a stable argsort of x[rows, f] gives
+    def build(rows: np.ndarray, live: np.ndarray, sorted_rows: np.ndarray,
+              sorted_x: np.ndarray, depth: int) -> int:
+        # rows ascending; row j of sorted_rows: the same rows in the order
+        # of feature live[j], which is what a stable argsort of
+        # x[rows, live[j]] gives, and row j of sorted_x their values.
+        # Both are None on the last level, which holds leaves only.
         node = len(nodes["feature"])
         for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
                            ("right", -1), ("value", 0.0)):
@@ -225,27 +249,29 @@ def _grow_tree(x: np.ndarray, xt: np.ndarray, order: np.ndarray,
         nodes["cover"].append(float(len(rows)))
         split = None
         if depth < params.depth and len(rows) >= 2 * params.min_leaf:
-            split = _find_split(xt, sorted_rows, grad, params.min_leaf)
+            live, sorted_rows, sorted_x, split = _find_split(
+                live, sorted_rows, sorted_x, grad, params.min_leaf)
         if split is None:
             nodes["value"][node] = params.learning_rate * float(
                 grad[rows].sum() / (hess[rows].sum() + _REG_LAMBDA))
             return node
         feat, threshold = split
         go_left = x[:, feat] <= threshold
-        to_left = go_left[sorted_rows]
-        n_feat, n_left = len(sorted_rows), int(to_left[0].sum())
         nodes["feature"][node] = feat
         nodes["threshold"][node] = threshold
-        nodes["left"][node] = build(
-            rows[go_left[rows]],
-            sorted_rows[to_left].reshape(n_feat, n_left), depth + 1)
-        nodes["right"][node] = build(
-            rows[~go_left[rows]],
-            sorted_rows[~to_left].reshape(n_feat, len(rows) - n_left),
-            depth + 1)
+        for side, goes in (("left", go_left), ("right", ~go_left)):
+            child = rows[goes[rows]]
+            child_sorted = child_x = None
+            if depth + 1 < params.depth:
+                keep = goes[sorted_rows].ravel()
+                shape = (len(live), len(child))
+                child_sorted = np.compress(keep, sorted_rows).reshape(shape)
+                child_x = np.compress(keep, sorted_x).reshape(shape)
+            nodes[side][node] = build(child, live, child_sorted, child_x,
+                                      depth + 1)
         return node
 
-    build(np.arange(len(x)), order, 0)
+    build(np.arange(len(x)), np.arange(len(order)), order, sorted_x, 0)
     return Tree(**nodes)
 
 
@@ -268,12 +294,13 @@ def train_gbdt(features: np.ndarray, labels: np.ndarray,
                             n_features=x.shape[1])
     xt = np.ascontiguousarray(x.T)
     order = np.argsort(xt, axis=1, kind="stable")
+    sorted_x = np.take_along_axis(xt, order, axis=1)
     margins = np.full(len(y), base)
     for _ in range(params.n_trees):
         prob = 1.0 / (1.0 + np.exp(-margins))
         grad = y - prob
         hess = prob * (1.0 - prob)
-        tree = _grow_tree(x, xt, order, grad, hess, params)
+        tree = _grow_tree(x, order, sorted_x, grad, hess, params)
         ensemble.trees.append(tree)
         margins += tree.predict(x)
     return ensemble

@@ -14,7 +14,6 @@ import os
 import select
 import shlex
 import subprocess
-import threading
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -87,7 +86,6 @@ class SimulatedDetector:
     temperature: float = 0.05
     substitution_floor: float = 0.7
     seed: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
     # word -> (wake probability, index of its next trial)
     _trial_counts: dict = field(default_factory=dict, repr=False)
 
@@ -132,11 +130,10 @@ class SimulatedDetector:
         return 1.0 / (1.0 + math.exp(-z))
 
     def query(self, word: str, trials: int = 1) -> int:
-        with self._lock:
-            state = self._trial_counts.get(word)
-            prob, first = (state if state is not None
-                           else (self.wake_probability(word), 0))
-            self._trial_counts[word] = (prob, first + trials)
+        state = self._trial_counts.get(word)
+        prob, first = (state if state is not None
+                       else (self.wake_probability(word), 0))
+        self._trial_counts[word] = (prob, first + trials)
         return sum(int(_trial_rng(self.seed, word, t).random() < prob)
                    for t in range(first, first + trials))
 
@@ -147,10 +144,11 @@ class ExternalOracle:
     Wire protocol: one candidate word per line on stdin; one reply line on
     stdout, ``1`` for wake and ``0`` for no wake. A query's ``trials`` lines
     go out in one write and are answered in order; each reply must arrive
-    within ``timeout`` seconds. Queries are serialized per handle. Any
-    failure (a timeout, the end of the output, a reply other than ``0`` or
-    ``1``) stops the process, so a reply that was never read cannot answer
-    a later query. Stdout is read with ``select``, so it must be a pipe.
+    within ``timeout`` seconds. A handle has no lock, so only one thread at
+    a time may query it. Any failure (a timeout, the end of the output, a
+    reply other than ``0`` or ``1``) stops the process, so a reply that
+    was never read cannot answer a later query. Stdout is read with
+    ``select``, so it must be a pipe.
     """
 
     def __init__(self, command: str, timeout: float = 30.0):
@@ -167,23 +165,21 @@ class ExternalOracle:
             raise OracleFailure(f"cannot start oracle process: {exc}") from exc
         self._stdout = self._proc.stdout.fileno()
         self._pending = b""           # read but not yet consumed
-        self._lock = threading.Lock()
 
     def query(self, word: str, trials: int = 1) -> int:
-        with self._lock:
-            if self._proc.poll() is not None:
-                raise OracleFailure("oracle process has exited")
-            try:
-                self._proc.stdin.write(f"{word}\n".encode() * trials)
-                self._proc.stdin.flush()
-                return sum(self._reply(word) for _ in range(trials))
-            except BrokenPipeError as exc:
-                self.close()
-                raise OracleFailure(f"cannot write to oracle: {exc}") from exc
-            except BaseException:
-                # replies left unread must never answer a later query
-                self.close()
-                raise
+        if self._proc.poll() is not None:
+            raise OracleFailure("oracle process has exited")
+        try:
+            self._proc.stdin.write(f"{word}\n".encode() * trials)
+            self._proc.stdin.flush()
+            return sum(self._reply(word) for _ in range(trials))
+        except BrokenPipeError as exc:
+            self.close()
+            raise OracleFailure(f"cannot write to oracle: {exc}") from exc
+        except BaseException:
+            # replies left unread must never answer a later query
+            self.close()
+            raise
 
     def _reply(self, word: str) -> int:
         """The next reply line as 1 (wake) or 0."""

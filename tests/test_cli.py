@@ -98,6 +98,7 @@ def test_generate_requires_seed(tmp_path):
 def test_invalid_wake_word_exits_2(tmp_path):
     assert main(["generate", "--language", "zh", "--wake-word", "xāng dù",
                  "--seed", "1", "--output", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_config_key_exits_2(tmp_path):
@@ -148,6 +149,9 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
                   "mitigate": {"collective_limit": 200}}, "beta"),
     ("mitigate", {"mitigate": {"screening_top_n": -1}}, "screening_top_n"),
     ("mitigate", {"mitigate": {"screening_top_n": 0}}, "screening_top_n"),
+    ("generate", {"variation": {"mutation_rate": 2}}, "mutation_rate"),
+    ("generate", {"distance": {"normalizer": 0}}, "normalizer"),
+    ("mitigate", {"mitigate": {"detector": {"depth": 0}}}, "depth"),
 ])
 def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
                                     extra, key):
@@ -159,14 +163,16 @@ def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
     capsys.readouterr()
     assert main(argv) == 2
     assert key in capsys.readouterr().err
-    # generate rejects its config before the search writes anything
-    assert not (tmp_path / "o" / "archive.json").exists()
+    # a rejected config leaves no output directory behind
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_archive_exits_2(tmp_path):
-    code = main(["explain", "--archive", str(tmp_path / "missing.json"),
-                 "--output", str(tmp_path / "out"), "--seed", "1"])
-    assert code == 2
+    for command in ("explain", "mitigate"):
+        code = main([command, "--archive", str(tmp_path / "missing.json"),
+                     "--output", str(tmp_path / "out"), "--seed", "1"])
+        assert code == 2
+        assert not (tmp_path / "out").exists()
 
 
 def test_dist_command(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fakewake.errors import DegenerateData, ShapeMismatch
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
@@ -200,18 +201,103 @@ def awkward_data(seed):
     return x, y
 
 
+def assert_grows_loop_trees(x, y, params):
+    """train_gbdt's trees equal the loop reference's, field by field."""
+    model = train_gbdt(x, y, params)
+    expected = loop_train(np.asarray(x, dtype=float),
+                          np.asarray(y, dtype=float), params)
+    assert len(model.trees) == len(expected)
+    for tree, ref in zip(model.trees, expected):
+        for key, values in ref.items():
+            assert getattr(tree, key).tolist() == values, key
+    return model
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_array_core_grows_the_loop_trees(seed):
     x, y = awkward_data(seed)
     for min_leaf in (1, 2, 5, len(y) // 2):
         params = GBDTParams(n_trees=4, depth=int(1 + seed % 4),
                             learning_rate=0.3, min_leaf=min_leaf)
-        model = train_gbdt(x, y, params)
-        expected = loop_train(x.astype(float), y.astype(float), params)
-        assert len(model.trees) == len(expected)
-        for tree, ref in zip(model.trees, expected):
-            for key, values in ref.items():
-                assert getattr(tree, key).tolist() == values, key
+        assert_grows_loop_trees(x, y, params)
+
+
+@pytest.mark.parametrize("ones_at_start", [True, False])
+def test_changes_near_the_ends_give_no_cut(ones_at_start):
+    """Column 0 changes value only within min_leaf - 1 rows of either end:
+    it is not constant, has no valid cut and is dropped at the root.
+    Columns 1 and 2 change exactly min_leaf rows from the start and from
+    the end, the first and the last valid cut."""
+    min_leaf, n = 4, 20
+    x = np.array([[0.0] * 3 + [1.0] * 14 + [2.0] * 3,
+                  [0.0] * 4 + [1.0] * 16,
+                  [0.0] * 16 + [1.0] * 4]).T
+    y = np.array([1] * 4 + [0] * 16) if ones_at_start \
+        else np.array([0] * 16 + [1] * 4)
+    model = assert_grows_loop_trees(
+        x, y, GBDTParams(n_trees=3, depth=3, learning_rate=0.3,
+                         min_leaf=min_leaf))
+    assert model.trees[0].feature[0] == (1 if ones_at_start else 2)
+    assert all(0 not in tree.feature.tolist() for tree in model.trees)
+
+
+def test_feature_constant_in_one_child_only():
+    """Column 1 varies at the root, which splits on column 0. It is
+    constant on the left child's rows, which then have no cut and become a
+    leaf, and it is the split of the right child."""
+    x = np.array([[0.0] * 8 + [1.0] * 8,
+                  [3.5] * 8 + list(range(8))]).T
+    y = np.array([0] * 8 + [0, 0, 1, 1, 1, 1, 1, 1])
+    model = assert_grows_loop_trees(
+        x, y, GBDTParams(n_trees=3, depth=2, learning_rate=0.3, min_leaf=1))
+    first = model.trees[0]
+    assert first.feature.tolist()[:2] == [0, -1]
+    assert first.feature[first.right[0]] == 1
+
+
+def test_gain_ties_go_to_the_first_feature_and_position():
+    """With balanced labels every gradient is exactly +-0.5, so the cuts
+    after 2 and after 6 rows tie within column 0, and column 1 (column 0
+    reversed, over palindromic labels) ties with it cut for cut."""
+    x = np.array([range(8), range(7, -1, -1)], dtype=float).T
+    y = np.array([1, 1, 0, 0, 0, 0, 1, 1])
+    model = assert_grows_loop_trees(
+        x, y, GBDTParams(n_trees=3, depth=2, learning_rate=0.3, min_leaf=1))
+    first = model.trees[0]
+    assert (first.feature[0], first.threshold[0]) == (0, 1.5)
+
+
+def test_node_without_any_cut_is_a_leaf():
+    """The root splits on column 0 (column 1 is a copy). Its left child has
+    every column constant, so it is a leaf although depth allows two more
+    levels. The right child's only value change (column 2) leaves one row
+    on a side: a cut at min_leaf 1, after which the five-row child has no
+    column left to cut, and no cut at min_leaf 2, so a leaf."""
+    column = [0.0] * 6 + [1.0] * 6
+    x = np.array([column, column, [0.0] * 11 + [1.0]]).T
+    y = np.array([0] * 6 + [0, 0, 1, 1, 1, 1])
+    for min_leaf, features in ((1, [0, -1, 2, -1, -1]), (2, [0, -1, -1])):
+        model = assert_grows_loop_trees(
+            x, y, GBDTParams(n_trees=2, depth=3, learning_rate=0.3,
+                             min_leaf=min_leaf))
+        assert model.trees[0].feature.tolist() == features
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_split_search_equals_loop_reference(data):
+    n = data.draw(st.integers(4, 24), label="rows")
+    f = data.draw(st.integers(1, 4), label="features")
+    x = np.array(data.draw(st.lists(
+        st.lists(st.integers(0, 3), min_size=f, max_size=f),
+        min_size=n, max_size=n), label="x"), dtype=float)
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                    max_size=n), label="y"))
+    assume(2 <= y.sum() <= n - 2)
+    params = GBDTParams(n_trees=2, depth=data.draw(st.integers(1, 4)),
+                        learning_rate=0.3,
+                        min_leaf=data.draw(st.integers(1, n // 2)))
+    assert_grows_loop_trees(x, y, params)
 
 
 def test_batch_predict_equals_row_walk():
