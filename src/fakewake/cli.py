@@ -164,11 +164,11 @@ def cmd_explain(args) -> int:
     archive = _load_archive(args.archive)
     seed = cfg.seed if cfg.seed is not None else archive.seed
     slots = _slots(cfg, archive.language, archive.wake_word)
+    folds, beta = cfg.explain_folds, cfg.explain_beta
 
-    dataset, model, factor_sets = _proxy(cfg, archive, slots, seed)
-    with checked("explain"):
-        accuracy = cross_validate(dataset, cfg.explain_params(),
-                                  folds=cfg.raw["explain"]["folds"], seed=seed)
+    dataset, model, factor_sets = _proxy(cfg, archive, slots, seed, beta)
+    accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
+                              seed=seed)
     ranked = rank_decisive_units(factor_sets)
     wake_parsed = _parse_word(archive.wake_word, archive.language)
     grouping = group_factors(factor_sets, wake_parsed)
@@ -178,7 +178,7 @@ def cmd_explain(args) -> int:
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
         "slots": slots,
-        "beta": cfg.raw["explain"]["beta"],
+        "beta": beta,
         "explained_words": len(factor_sets),
         "difference_spread": grouping.spread,
         "mean_difference": grouping.mean_difference,
@@ -209,14 +209,13 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int):
+def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int,
+           beta: float):
     """The explain proxy: its dataset, the model trained on it and the
     decisive factors of the fuzzy words it classifies correctly."""
     dataset = build_dataset(archive, slots, seed=seed)
     model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    with checked("explain"):
-        factor_sets = explain_archive(archive, model, slots,
-                                      beta=cfg.raw["explain"]["beta"])
+    factor_sets = explain_archive(archive, model, slots, beta=beta)
     return dataset, model, factor_sets
 
 
@@ -261,6 +260,7 @@ def cmd_mitigate(args) -> int:
     block = cfg.raw["mitigate"]
     if block["screening_top_n"] < 1:
         raise ConfigError("mitigate.screening_top_n must be at least 1")
+    beta = cfg.explain_beta
     params = cfg.detector_params()
 
     with checked("mitigate"):
@@ -286,7 +286,7 @@ def cmd_mitigate(args) -> int:
                                 == 0)) / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
-    _, _, factor_sets = _proxy(cfg, archive, slots, seed)
+    _, _, factor_sets = _proxy(cfg, archive, slots, seed, beta)
     ranked = rank_decisive_units(factor_sets)
     unit_sets = [unit_set(c.word, archive.language)
                  for c in archive.sorted_candidates()]

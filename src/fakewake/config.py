@@ -188,6 +188,22 @@ class RunConfig:
     def detector_params(self) -> GBDTParams:
         return self._build(GBDTParams, "mitigate.detector")
 
+    # read before the proxy is trained, so a bad value costs no training
+
+    @property
+    def explain_folds(self) -> int:
+        folds = self.raw["explain"]["folds"]
+        if folds < 2:
+            raise ConfigError(f"explain.folds must be at least 2, got {folds}")
+        return folds
+
+    @property
+    def explain_beta(self) -> float:
+        beta = self.raw["explain"]["beta"]
+        if not 0 < beta <= 1:
+            raise ConfigError(f"explain.beta must be in (0, 1], got {beta}")
+        return beta
+
     def snapshot(self) -> dict:
         return copy.deepcopy(self.raw)
 

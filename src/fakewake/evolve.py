@@ -2,8 +2,9 @@
 dissimilarity), variation, and the fuzzy-word archive.
 
 Evaluations are memoized per word text, so the oracle sees each distinct
-candidate at most once (k trials). The current front always survives
-unmutated, which keeps archive growth monotone.
+candidate at most once (k trials). Each generation's unseen words go to the
+oracle together, in order of first appearance. The current front always
+survives unmutated, which keeps archive growth monotone.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from .distance import DistanceConfig, chinese_dist, english_dist
 from .errors import BelowFuzzyThreshold, OracleFailure
 from .genome import (ChineseGenome, Genome, VariationConfig, crossover,
                      decode_chinese, decode_text, mutate, seed_genomes)
-from .oracle import WakeOracle, estimate_wake_rate
+from .oracle import WakeOracle, wake_counts
 from .phonemes import PhonemeSequence, g2p
 from .pinyin import ChineseWord, parse_pinyin
 
@@ -240,35 +241,40 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
                   else g2p(wake_text))
     population = seed_genomes(wake_word, cfg.population_size, variation, rng)
 
-    def evaluate(text: str, genome: Genome) -> Objectives:
-        hit = cache.get(text)
-        if hit is not None:
-            return hit
-        if not text:
-            obj = Objectives(0.0, 0.0)
-        else:
-            report = estimate_wake_rate(oracle, text, cfg.trials)
-            obj = Objectives(report.rate,
-                             _dissimilarity(text, genome, wake_units, dist_cfg))
-        cache[text] = obj
-        return obj
-
     def _sync_query_count():
         archive.query_count = cfg.trials * sum(1 for t in cache if t)
 
     for generation in range(1, cfg.generations + 1):
-        scored: list[tuple[Genome, str, Objectives]] = []
+        texts = [decode_text(genome) for genome in population]
+        unseen: dict[str, Genome] = {}
+        for genome, text in zip(population, texts):
+            if text in cache:
+                continue
+            if text:
+                unseen.setdefault(text, genome)
+            else:
+                cache[text] = Objectives(0.0, 0.0)
+        failure = None
         try:
-            for genome in population:
-                text = decode_text(genome)
-                obj = evaluate(text, genome)
-                scored.append((genome, text, obj))
-                _record(archive, genome, text, obj, generation, cfg)
+            counts = wake_counts(oracle, list(unseen), cfg.trials)
+            for (text, genome), wakes in zip(unseen.items(), counts):
+                cache[text] = Objectives(
+                    wakes / cfg.trials,
+                    _dissimilarity(text, genome, wake_units, dist_cfg))
         except OracleFailure as exc:
+            failure = exc
+        # after a failure, the population up to its first unevaluated word
+        scored: list[tuple[Genome, str, Objectives]] = []
+        for genome, text in zip(population, texts):
+            if text not in cache:
+                break
+            scored.append((genome, text, cache[text]))
+            _record(archive, genome, text, cache[text], generation, cfg)
+        if failure is not None:
             archive.generations_run = generation - 1
             _sync_query_count()
-            exc.partial_archive = archive
-            raise
+            failure.partial_archive = archive
+            raise failure
         archive.generations_run = generation
         _sync_query_count()
 

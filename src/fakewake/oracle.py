@@ -5,6 +5,15 @@ runs a word's activation trials and returns how many woke the detector.
 ``SimulatedDetector`` is a configurable stand-in with hidden per-unit weights
 for desk-scale experiments; ``ExternalOracle`` adapts any line-oriented
 subprocess (e.g. driving real hardware) to the same interface.
+
+The search loop asks for a generation's new words at once through
+``wake_counts``. An oracle with a ``query_many`` answers them in one call;
+any other, ``ExternalOracle`` included, is queried word by word, so the exec
+line protocol is the same as for single queries. ``SimulatedDetector`` seeds
+each trial from a hash of (seed, trial, word) and draws one uniform from
+``np.random.default_rng`` of that seed. ``query_many`` computes all of a
+batch's draws in one vectorised pass of the same integer arithmetic
+(``default_rng_random``), so its outcomes equal numpy's bit for bit.
 """
 from __future__ import annotations
 
@@ -17,7 +26,7 @@ import subprocess
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterator, Protocol
 
 import numpy as np
 
@@ -50,6 +59,22 @@ def estimate_wake_rate(oracle: WakeOracle, word: str, k: int = 10) -> WakeRateRe
     return WakeRateReport(word, k, oracle.query(word, k))
 
 
+def wake_counts(oracle: WakeOracle, words: list[str],
+                trials: int) -> Iterator[int]:
+    """Each word's wakes in ``trials`` trials, in order.
+
+    An oracle with a ``query_many`` answers every word in one call; any other
+    is queried word by word, so when it fails at a word the counts of the
+    words before it have been yielded.
+    """
+    query_many = getattr(oracle, "query_many", None)
+    if query_many is not None:
+        yield from query_many(words, trials)
+    else:
+        for word in words:
+            yield oracle.query(word, trials)
+
+
 def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
     try:
         if language == "zh":
@@ -61,11 +86,131 @@ def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
         raise ParseFailure(str(exc)) from exc
 
 
-def _trial_rng(seed: int, word: str, trial: int) -> np.random.Generator:
+def _trial_seed(seed: int, word: str, trial: int) -> int:
     digest = hashlib.blake2b(
         f"{seed}:{trial}:{word}".encode("utf-8"), digest_size=8
     ).digest()
-    return np.random.default_rng(int.from_bytes(digest, "big"))
+    return int.from_bytes(digest, "big")
+
+
+def _trial_rng(seed: int, word: str, trial: int) -> np.random.Generator:
+    return np.random.default_rng(_trial_seed(seed, word, trial))
+
+
+# --- default_rng(seed).random() for many 64-bit seeds at once ----------------
+# numpy seeds PCG64 through SeedSequence: a 4-word uint32 pool is hash-mixed
+# from the seed's two 32-bit words, and 8 words drawn from it form the PCG64
+# state and stream (O'Neill 2014). Every hash step xors and multiplies by a
+# constant that does not depend on the data, so the constants are listed here.
+# Python int operands keep the arrays' dtype (uint32 or uint64), which wraps.
+
+_M32 = 0xFFFFFFFF
+
+
+def _hash_constants(init: int, mult: int, steps: int):
+    """(xor, multiplier) columns of ``steps`` successive hash steps."""
+    xors, mults, h = [], [], init
+    for _ in range(steps):
+        xors.append(h)
+        h = h * mult & _M32
+        mults.append(h)
+    return (np.array(xors, dtype=np.uint32)[:, None],
+            np.array(mults, dtype=np.uint32)[:, None])
+
+
+# mix_entropy: one step per pool word, then 3 per source word (4 sources)
+_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+# generate_state(4, uint64): one step per output uint32
+_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _limbs(x: int) -> np.ndarray:
+    """The four 32-bit limbs of ``x`` mod 2**128, least significant first."""
+    return np.array([x >> (32 * i) & _M32 for i in range(4)],
+                    dtype=np.uint64)
+
+
+# Seeding steps the LCG, adds the state, steps again, and random() steps once
+# more: state = (inc + init) * MULT**2 + inc * (MULT + 1), mod 2**128.
+_MULT_SQ = _limbs(_PCG_MULT * _PCG_MULT)
+_MULT_PLUS_1 = _limbs(_PCG_MULT + 1)
+# Sum the 4x4 limb products a_i * b_j of a multiplication into columns: the
+# low half of a product goes to column i + j, the high half to i + j + 1.
+_LOW_COLUMN, _HIGH_COLUMN = (
+    np.array([[int(i + j + shift == k) for i in range(4) for j in range(4)]
+              for k in range(4)], dtype=np.uint64)
+    for shift in (0, 1))
+
+
+def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    words = (words ^ xor) * mult
+    return words ^ (words >> 16)
+
+
+def _times(limbs: np.ndarray, const: np.ndarray) -> np.ndarray:
+    """Column sums of ``limbs * const`` mod 2**128, each below 2**35."""
+    products = (limbs[:, None, :] * const[None, :, None]).reshape(16, -1)
+    columns = _HIGH_COLUMN @ (products >> 32)
+    products &= _M32
+    columns += _LOW_COLUMN @ products
+    return columns
+
+
+def _carry(limbs: np.ndarray) -> np.ndarray:
+    """Normalise column sums to 32-bit limbs, dropping the carry out."""
+    for i in range(3):
+        limbs[i + 1] += limbs[i] >> 32
+        limbs[i] &= _M32
+    limbs[3] &= _M32
+    return limbs
+
+
+def default_rng_random(seeds) -> np.ndarray:
+    """``[np.random.default_rng(s).random() for s in seeds]`` as a float64
+    array, bit for bit, for seeds in [0, 2**64)."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
+    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
+    pool[0] = seeds & _M32
+    pool[1] = seeds >> 32
+    pool = _hash(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        step = 4 + 3 * src
+        hashed = _hash(pool[src], _POOL_XOR[step:step + 3],
+                       _POOL_MUL[step:step + 3])
+        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
+        pool[dst] = mixed ^ (mixed >> 16)
+    words = _hash(np.concatenate([pool, pool]), _STATE_XOR,
+                  _STATE_MUL).astype(np.uint64)
+    # uint64 k of the state is words[2k] | words[2k + 1] << 32; the state
+    # is (u0 << 64 | u1) and the stream (u2 << 64 | u3), as 32-bit limbs
+    init = words[[2, 3, 0, 1]]
+    stream = words[[6, 7, 4, 5]]
+    inc = np.empty_like(stream)                      # (stream << 1) | 1
+    inc[0] = (stream[0] << 1 | 1) & _M32
+    inc[1:] = (stream[1:] << 1 | stream[:-1] >> 31) & _M32
+    state = _carry(_times(_carry(inc + init), _MULT_SQ)
+                   + _times(inc, _MULT_PLUS_1))
+    # XSL-RR output, then random()'s 53-bit double
+    upper = state[3] << 32 | state[2]
+    xored = upper ^ (state[1] << 32 | state[0])
+    rot = upper >> 58
+    out = xored >> rot | xored << ((64 - rot) & 63)
+    return (out >> 11).astype(np.float64) * 2.0**-53
+
+
+# SimulatedDetector.query_many draws in one vectorised pass from this many
+# draws on; fewer go through query word by word, because a pass costs about
+# 0.15 ms however small. Per draw, word by word / vectorised, with the words
+# already scored (2-vCPU Xeon VM, numpy 2.4.6): 1 draw 18 / 164 us, 10 draws
+# 16-22 / 20-24 us, 16 draws 23 / 12 us, 100 draws 15 / 3.0 us, 1,000 draws
+# 14 / 1.9 us.
+BATCH_MIN_DRAWS = 16
 
 
 @dataclass
@@ -129,13 +274,33 @@ class SimulatedDetector:
         z = (self.score(word) - self.threshold) / self.temperature
         return 1.0 / (1.0 + math.exp(-z))
 
-    def query(self, word: str, trials: int = 1) -> int:
+    def _next_trials(self, word: str, trials: int) -> tuple[float, int]:
+        """The word's wake probability and the index of the first of its
+        next ``trials`` trials, which this call counts as taken."""
         state = self._trial_counts.get(word)
         prob, first = (state if state is not None
                        else (self.wake_probability(word), 0))
         self._trial_counts[word] = (prob, first + trials)
+        return prob, first
+
+    def query(self, word: str, trials: int = 1) -> int:
+        prob, first = self._next_trials(word, trials)
         return sum(int(_trial_rng(self.seed, word, t).random() < prob)
                    for t in range(first, first + trials))
+
+    def query_many(self, words: list[str], trials: int = 1) -> list[int]:
+        """``[self.query(w, trials) for w in words]``, with the same results
+        and trial counters, drawing every trial in one vectorised pass."""
+        if len(words) * trials < BATCH_MIN_DRAWS:
+            return [self.query(w, trials) for w in words]
+        seeds, probs = [], []
+        for word in words:
+            prob, first = self._next_trials(word, trials)
+            seeds.extend(_trial_seed(self.seed, word, t)
+                         for t in range(first, first + trials))
+            probs.append(prob)
+        draws = default_rng_random(seeds).reshape(len(words), trials)
+        return (draws < np.array(probs)[:, None]).sum(axis=1).tolist()
 
 
 class ExternalOracle:

@@ -167,6 +167,31 @@ def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, explain, key", [
+    ("explain", {"folds": 1}, "explain.folds"),
+    ("explain", {"beta": 0}, "explain.beta"),
+    ("explain", {"beta": 1.5}, "explain.beta"),
+    ("mitigate", {"beta": 0}, "explain.beta"),
+    ("mitigate", {"beta": 1.5}, "explain.beta"),
+])
+def test_explain_keys_checked_before_training(small_run, tmp_path, capsys,
+                                              monkeypatch, command, explain,
+                                              key):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a model was trained before the config check")
+
+    monkeypatch.setattr("fakewake.cli.train_gbdt", no_training)
+    monkeypatch.setattr("fakewake.mitigate.train_gbdt", no_training)
+    root, _, out = small_run
+    config = write_config(tmp_path / "config.json", explain=explain)
+    capsys.readouterr()
+    assert main([command, "--config", str(config),
+                 "--archive", str(out / "archive.json"),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_archive_exits_2(tmp_path):
     for command in ("explain", "mitigate"):
         code = main([command, "--archive", str(tmp_path / "missing.json"),

@@ -1,13 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fakewake.distance import DistanceConfig
 from fakewake.errors import BelowFuzzyThreshold, OracleFailure
 from fakewake.evolve import (Bucket, EvolveConfig, FuzzyArchive, Objectives,
                              bucket, dominates, non_dominated_front, run)
 from fakewake.genome import VariationConfig, encode_english
-from tests.conftest import run_search
+from tests.conftest import make_detector, run_search
 
 
 def brute_force_front(objectives):
@@ -143,6 +145,71 @@ def test_oracle_failure_preserves_partial_archive():
     partial = excinfo.value.partial_archive
     assert partial is not None
     assert partial.candidates      # first generation archived something
+
+
+class QueriedWords(FlakyOracle):
+    """A FlakyOracle that never fails and records the words it is asked."""
+
+    def __init__(self):
+        super().__init__(10**9)
+        self.words = []
+
+    def query(self, word, trials=1):
+        self.words.append(word)
+        return super().query(word, trials)
+
+
+@functools.cache
+def uninterrupted_flaky_run():
+    """The run that the budgets below cut short: its archive JSON, the words
+    it queried in order, and its query_count after each generation."""
+    oracle = QueriedWords()
+    archive = small_run(oracle, generations=6)
+    counts = [0] + [small_run(QueriedWords(), generations=g).query_count
+                    for g in range(1, 7)]
+    return archive.to_json(), oracle.words, counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(budget=st.integers(1, 150))
+@example(budget=29)
+@example(budget=61)
+@example(budget=97)
+def test_oracle_failure_partial_archive_is_exact(budget):
+    with pytest.raises(OracleFailure) as excinfo:
+        small_run(FlakyOracle(budget), generations=6)
+    partial = excinfo.value.partial_archive.to_json()
+    full, queried, counts = uninterrupted_flaky_run()
+    assert counts[-1] > 150
+    # every word that finished its 5 trials counts; the failed one does not
+    done = budget // 5
+    assert partial["run"]["query_count"] == 5 * done
+    assert partial["run"]["generations_run"] == max(
+        g for g, n in enumerate(counts) if n <= 5 * done)
+    # exactly the words evaluated before the failure, as the full run has them
+    evaluated = set(queried[:done])
+    for key in ("candidates", "rejected"):
+        assert partial[key] == [c for c in full[key]
+                                if c["word"] in evaluated]
+
+
+class QueryOnly:
+    """Exposes only ``query``, so the search queries word by word."""
+
+    def __init__(self, oracle):
+        self.query = oracle.query
+
+
+@pytest.mark.parametrize("seed", [1, 4, 21])
+def test_batched_search_equals_per_word_search(seed):
+    def search(wrap):
+        detector = make_detector()
+        return run(encode_english("alexa", 7), "alexa", wrap(detector),
+                   EvolveConfig(population_size=16, generations=5, trials=5),
+                   VariationConfig(), DistanceConfig(), seed=seed)
+
+    batched = search(lambda d: d)
+    assert batched.to_json() == search(QueryOnly).to_json()
 
 
 def test_archive_roundtrip(tmp_path):

@@ -3,14 +3,17 @@ import shlex
 import sys
 import textwrap
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fakewake.embedding import embedding_table
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
-from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_rng,
-                             estimate_wake_rate)
+from fakewake.oracle import (BATCH_MIN_DRAWS, ExternalOracle,
+                             SimulatedDetector, _trial_rng,
+                             default_rng_random, estimate_wake_rate,
+                             wake_counts)
 
 
 class AlwaysOracle:
@@ -160,6 +163,72 @@ def test_detector_scores_each_word_once(monkeypatch):
         det.query(word, 3)
         det.query(word)
     assert sorted(scored) == ["alehsa", "alexa"]
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS),
+                min_size=1, max_size=3 * BATCH_MIN_DRAWS))
+@example(EDGE_SEEDS)
+@example([])
+def test_default_rng_random_matches_numpy(seeds):
+    assert default_rng_random(seeds).tolist() == \
+        [np.random.default_rng(s).random() for s in seeds]
+
+
+@settings(max_examples=40, deadline=None)
+@given(words=st.lists(st.sampled_from(["aleksa", "alehsa", "alexu",
+                                       "th th th k", "alexa"]),
+                      max_size=12),
+       trials=st.integers(1, 10),
+       before=st.sampled_from([None, "aleksa", "alexa"]))
+def test_query_many_equals_per_word_queries(words, trials, before):
+    batched = SimulatedDetector(target="alexa", seed=8)
+    single = SimulatedDetector(target="alexa", seed=8)
+    if before is not None:
+        assert batched.query(before, 3) == single.query(before, 3)
+    assert batched.query_many(words, trials) == \
+        [single.query(w, trials) for w in words]
+    assert batched._trial_counts == single._trial_counts
+
+
+def test_query_many_scores_each_word_once(monkeypatch):
+    scored = []
+    score = SimulatedDetector.score
+    monkeypatch.setattr(SimulatedDetector, "score",
+                        lambda self, word: scored.append(word)
+                        or score(self, word))
+    det = SimulatedDetector(target="alexa", seed=1)
+    det.query("alexa")
+    words = ["alexa", "alehsa", "alexu", "alehsa"] * 3
+    assert len(words) * 10 >= BATCH_MIN_DRAWS
+    det.query_many(words, 10)
+    assert sorted(scored) == ["alehsa", "alexa", "alexu"]
+
+
+class CallLog:
+    def __init__(self):
+        self.calls = []
+
+    def query(self, word, trials=1):
+        self.calls.append(("query", word, trials))
+        return trials
+
+
+class BatchCallLog(CallLog):
+    def query_many(self, words, trials=1):
+        self.calls.append(("query_many", list(words), trials))
+        return [trials] * len(words)
+
+
+def test_wake_counts_batches_only_where_the_oracle_can():
+    for oracle, calls in (
+            (CallLog(), [("query", "ki", 3), ("query", "ao", 3)]),
+            (BatchCallLog(), [("query_many", ["ki", "ao"], 3)])):
+        assert list(wake_counts(oracle, ["ki", "ao"], 3)) == [3, 3]
+        assert oracle.calls == calls
 
 
 STUB = textwrap.dedent("""
