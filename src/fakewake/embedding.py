@@ -97,6 +97,15 @@ class EmbeddingTable:
         self.phonemes = {s: v for s, v in zip(pho_syms, mds_embed(pho_dist))}
         self._phoneme_index = {s: i for i, s in enumerate(pho_syms)}
 
+        # kind -> its vectors, and its symbol index plus distance matrix
+        self._vectors = {"initial": self.initials, "final": self.finals,
+                         "phoneme": self.phonemes}
+        self._distances = {
+            "initial": (self._initial_index, self.initial_dist),
+            "final": (self._final_index, self.final_dist),
+            "phoneme": (self._phoneme_index, self.phoneme_dist),
+        }
+
     def initial_vec(self, index: int) -> np.ndarray:
         return self.initials[unit_tables().initial_by_index[index]]
 
@@ -104,17 +113,11 @@ class EmbeddingTable:
         return self.finals[unit_tables().final_by_index[index]]
 
     def unit_vec(self, kind: str, symbol: str) -> np.ndarray:
-        table = {"initial": self.initials, "final": self.finals,
-                 "phoneme": self.phonemes}[kind]
-        return table[symbol]
+        return self._vectors[kind][symbol]
 
     def unit_feature_distance(self, kind: str, a: str, b: str) -> float:
         """Feature-space distance between same-kind units, in [0, 1]."""
-        index, mat = {
-            "initial": (self._initial_index, self.initial_dist),
-            "final": (self._final_index, self.final_dist),
-            "phoneme": (self._phoneme_index, self.phoneme_dist),
-        }[kind]
+        index, mat = self._distances[kind]
         return float(mat[index[a], index[b]])
 
 
@@ -123,11 +126,25 @@ def embedding_table() -> EmbeddingTable:
     return EmbeddingTable()
 
 
-def character_distance(a: Syllable, b: Syllable, tone_penalty: float = 1.0) -> float:
-    """Embedding distance between two characters; tones add a flat penalty."""
+@lru_cache(maxsize=None)
+def _initial_gap(a: int, b: int) -> float:
     emb = embedding_table()
-    d = float(np.linalg.norm(emb.initial_vec(a.initial) - emb.initial_vec(b.initial)))
-    d += float(np.linalg.norm(emb.final_vec(a.final) - emb.final_vec(b.final)))
+    return float(np.linalg.norm(emb.initial_vec(a) - emb.initial_vec(b)))
+
+
+@lru_cache(maxsize=None)
+def _final_gap(a: int, b: int) -> float:
+    emb = embedding_table()
+    return float(np.linalg.norm(emb.final_vec(a) - emb.final_vec(b)))
+
+
+def character_distance(a: Syllable, b: Syllable, tone_penalty: float = 1.0) -> float:
+    """Embedding distance between two characters; tones add a flat penalty.
+
+    The two embedding gaps are memoised per index pair (at most 24 x 24 and
+    37 x 37 entries), filled lazily on first use."""
+    d = _initial_gap(a.initial, b.initial)
+    d += _final_gap(a.final, b.final)
     if a.tone != b.tone:
         d += tone_penalty
     return d

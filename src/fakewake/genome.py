@@ -3,18 +3,25 @@
 Chinese genomes hold (initial, final, tone) triples per character; English
 genomes hold one value per letter slot with 27 meaning space. All operators
 are pure functions of their inputs and the supplied RNG stream.
+
+A Chinese genome's text is rendered triple by triple through the memo of
+``pinyin.render_units``. Repair takes the nearest valid final of each
+(initial, invalid final) pair from a memo too, filled lazily on first use and
+bounded by the inventory: at most 24 x 37 pairs.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .embedding import embedding_table
 from .errors import AllSpaces, LengthMismatch
 from .phonemes import LetterWord
-from .pinyin import ChineseWord, Syllable, is_valid_pair, unit_tables
+from .pinyin import (ChineseWord, Syllable, is_valid_pair, render_units,
+                     unit_tables)
 
 N_INITIALS = 24   # index 0 is the zero initial
 N_FINALS = 37
@@ -124,34 +131,38 @@ def english_genome_length(wake_word: str, ratio: float = LENGTH_RATIO) -> int:
 
 def decode_text(genome: "Genome") -> str:
     """Word text for any genome; empty string for space-only English ones."""
-    from .pinyin import render_word
-
     if isinstance(genome, ChineseGenome):
-        return render_word(decode_chinese(genome))
+        return " ".join(map(render_units, genome[0::3], genome[1::3],
+                            genome[2::3]))
     try:
         return decode_english(genome).symbols
     except AllSpaces:
         return ""
 
 
-def repair_chinese(g: ChineseGenome) -> ChineseGenome:
-    """Replace each invalid final with the valid final (for that initial)
-    whose embedding is nearest; ties break to the lowest final index."""
-    table = unit_tables()
+@lru_cache(maxsize=None)
+def nearest_valid_final(initial: int, final: int) -> int:
+    """The valid final for ``initial`` whose embedding is nearest that of
+    ``final``; ties break to the lowest final index."""
     emb = embedding_table()
+    best, best_dist = None, None
+    target = emb.final_vec(final)
+    for cand in unit_tables().finals_for_initial[initial]:
+        d = float(np.linalg.norm(emb.final_vec(cand) - target))
+        if best is None or d < best_dist:
+            best, best_dist = cand, d
+    return best
+
+
+def repair_chinese(g: ChineseGenome) -> ChineseGenome:
+    """Replace each invalid final with ``nearest_valid_final`` for its
+    initial; a genome without one comes back as it is."""
     genes = list(g)
     for i in range(0, len(genes), 3):
         ini, fin = genes[i], genes[i + 1]
-        if is_valid_pair(ini, fin):
-            continue
-        best, best_dist = None, None
-        target = emb.final_vec(fin)
-        for cand in table.finals_for_initial[ini]:
-            d = float(np.linalg.norm(emb.final_vec(cand) - target))
-            if best is None or d < best_dist:
-                best, best_dist = cand, d
-        genes[i + 1] = best
-    return ChineseGenome(genes)
+        if not is_valid_pair(ini, fin):
+            genes[i + 1] = nearest_valid_final(ini, fin)
+    return g if genes == list(g) else ChineseGenome(genes)
 
 
 def _repaired(genome: Genome) -> Genome:

@@ -4,6 +4,15 @@ A syllable is an (initial, final, tone) triple over the shipped inventories:
 24 initial values (index 0 is the zero initial ``-``), 37 finals in
 lexicographic order, and tones 1-4. The written forms treat ``y``/``w`` as
 initials and use ``v`` for ``ü``.
+
+Both directions between text and triples are memoised, filled lazily on
+first use, because a run parses and renders the same few hundred syllables
+tens of thousands of times. ``render_units`` is keyed on the triple, so it
+holds at most 24 x 37 x 4 entries. ``parse_syllable`` is keyed on the text as
+given, so it holds one entry per distinct spelling in the input (digit or
+diacritic tone, case, NFC or NFD); each entry maps to the one shared frozen
+``Syllable``. Neither caches a failure: an invalid triple or a bad spelling
+raises on every call.
 """
 from __future__ import annotations
 
@@ -142,6 +151,7 @@ def _split_units(base: str) -> tuple[int, int]:
     raise UnknownSyllable(f"cannot decompose syllable {base!r}")
 
 
+@lru_cache(maxsize=None)
 def parse_syllable(text: str) -> Syllable:
     base, tone = _strip_tone(text.strip().lower())
     if tone is None:
@@ -185,11 +195,19 @@ def _mark_tone(base: str, tone: int) -> str:
     return unicodedata.normalize("NFC", marked)
 
 
-def render_syllable(s: Syllable) -> str:
+@lru_cache(maxsize=None)
+def render_units(initial: int, final: int, tone: int) -> str:
+    """Tone-marked spelling of the syllable (initial, final, tone); raises
+    like ``Syllable`` on an out-of-range or unpronounceable triple."""
+    Syllable(initial, final, tone)   # validates the triple
     table = unit_tables()
-    ini = table.initial_by_index[s.initial]
-    base = ("" if ini == ZERO_INITIAL else ini) + table.final_by_index[s.final]
-    return _mark_tone(base.replace("v", "ü"), s.tone)
+    ini = table.initial_by_index[initial]
+    base = ("" if ini == ZERO_INITIAL else ini) + table.final_by_index[final]
+    return _mark_tone(base.replace("v", "ü"), tone)
+
+
+def render_syllable(s: Syllable) -> str:
+    return render_units(s.initial, s.final, s.tone)
 
 
 def render_word(word: ChineseWord) -> str:

@@ -5,7 +5,7 @@ from fakewake.embedding import (character_distance, embedding_table,
                                 encode_features, mds_embed, word_units)
 from fakewake.errors import TooManyUnits
 from fakewake.phonemes import LetterWord, inventory
-from fakewake.pinyin import parse_pinyin
+from fakewake.pinyin import Syllable, parse_pinyin, unit_tables
 
 
 def test_mds_identical_points():
@@ -117,6 +117,21 @@ def test_character_distance_tone_penalty():
     assert character_distance(a, b, tone_penalty=1.0) == pytest.approx(1.0)
     assert character_distance(a, b, tone_penalty=0.5) == pytest.approx(0.5)
     assert character_distance(a, a) == 0.0
+
+
+def test_character_distance_memo_is_bit_identical():
+    emb = embedding_table()
+    pairs = sorted(unit_tables().valid_pairs)
+    rng = np.random.default_rng(12)
+    for _ in range(3000):
+        (ia, fa), (ib, fb) = (pairs[i] for i in rng.integers(len(pairs), size=2))
+        a, b = Syllable(ia, fa, 1), Syllable(ib, fb, int(rng.integers(1, 3)))
+        d = float(np.linalg.norm(emb.initial_vec(ia) - emb.initial_vec(ib)))
+        d += float(np.linalg.norm(emb.final_vec(fa) - emb.final_vec(fb)))
+        if b.tone != 1:
+            d += 0.7
+        assert character_distance(a, b, 0.7) == d
+        assert character_distance(a, b, 0.7) == d
 
 
 def test_unit_feature_distance_bounds():

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import fakewake.genome
 from fakewake.embedding import embedding_table
 from fakewake.errors import AllSpaces, InvalidCombination, LengthMismatch
 from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
                              crossover, decode_chinese, decode_english,
                              decode_text, encode_chinese, encode_english,
-                             english_genome_length, mutate, random_genome,
+                             english_genome_length, mutate,
+                             nearest_valid_final, random_genome,
                              repair_chinese, seed_genomes)
 from fakewake.pinyin import parse_pinyin, render_word, unit_tables
 
@@ -33,6 +35,17 @@ def test_decode_chinese_invalid_pair():
     bad[1] = T.final_index["ang"]          # x + ang is unpronounceable
     with pytest.raises(InvalidCombination):
         decode_chinese(ChineseGenome(bad))
+    for _ in range(3):                     # the render memo caches no failure
+        with pytest.raises(InvalidCombination):
+            decode_text(ChineseGenome(bad))
+
+
+def test_decode_text_matches_the_word_path():
+    rng = np.random.default_rng(4)
+    for length in (3, 12, 30):
+        for _ in range(100):
+            g = random_genome(ChineseGenome, length, rng)
+            assert decode_text(g) == render_word(decode_chinese(g))
 
 
 def test_decode_english_trims_and_collapses():
@@ -111,7 +124,7 @@ def test_crossover_length_mismatch():
 
 def test_repair_valid_unchanged():
     g = encode_chinese(parse_pinyin("xiǎo dù xiǎo dù"))
-    assert repair_chinese(g) == g
+    assert repair_chinese(g) is g
 
 
 def test_repair_nearest_final_from_embedding():
@@ -127,6 +140,59 @@ def test_repair_nearest_final_from_embedding():
     assert repaired[1] == expected
     assert repair_chinese(repaired) == repaired   # idempotent
     decode_chinese(repaired)
+
+
+def _nearest_by_loop(emb, initial, final):
+    """Reference repair: the lowest-indexed of the valid finals nearest
+    ``final``."""
+    target = emb.final_vec(final)
+    return min(T.finals_for_initial[initial],
+               key=lambda c: (float(np.linalg.norm(emb.final_vec(c) - target)),
+                              c))
+
+
+def _invalid_pairs():
+    return [(i, f) for i in range(24) for f in range(1, 38)
+            if (i, f) not in T.valid_pairs]
+
+
+def test_repair_memo_matches_the_loop_on_every_pair():
+    emb = embedding_table()
+    for ini, fin in _invalid_pairs():
+        expected = _nearest_by_loop(emb, ini, fin)
+        assert nearest_valid_final(ini, fin) == expected
+        assert nearest_valid_final(ini, fin) == expected
+        genome = ChineseGenome([ini, fin, 2, ini, fin, 4])
+        assert list(repair_chinese(genome)) == [ini, expected, 2,
+                                                ini, expected, 4]
+
+
+class _TiedFinals:
+    """Final embeddings on three points, so most repairs see exact ties."""
+
+    def final_vec(self, index):
+        return np.array([float(index % 3), 0.0])
+
+
+@pytest.fixture
+def tied_embedding(monkeypatch):
+    monkeypatch.setattr(fakewake.genome, "embedding_table", _TiedFinals)
+    nearest_valid_final.cache_clear()
+    yield _TiedFinals()
+    nearest_valid_final.cache_clear()
+
+
+def test_repair_memo_breaks_exact_ties_to_the_lowest_index(tied_embedding):
+    ties = 0
+    for ini, fin in _invalid_pairs():
+        target = tied_embedding.final_vec(fin)
+        gaps = [float(np.linalg.norm(tied_embedding.final_vec(c) - target))
+                for c in T.finals_for_initial[ini]]
+        ties += gaps.count(min(gaps)) > 1
+        expected = _nearest_by_loop(tied_embedding, ini, fin)
+        assert nearest_valid_final(ini, fin) == expected
+        assert nearest_valid_final(ini, fin) == expected
+    assert ties > 400
 
 
 def test_seed_genomes_partition():

@@ -1,17 +1,21 @@
-"""Pinned digests of ``generate``'s outputs.
+"""Pinned digests of the pipeline's outputs.
 
 Criterion 9 compares two runs of the same code, so a change that moves every
 run the same way passes it. These sha256 digests pin ``archive.json`` and
 ``summary.tsv`` of two configs to bytes written by an earlier version of the
 search (numpy 2.4.6, Python 3.11.7): any change to the search loop, the
-simulated detector's draws or the output format shows here.
+simulated detector's draws or the output format shows here. Criterion 9 runs
+only the English fixture, so the Mandarin ``explain`` and ``mitigate``
+outputs are pinned here too, on a reduced-cost config.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
 from fakewake.cli import main
+from fakewake.pinyin import Syllable, render_syllable, unit_tables
 
 ZH_CONFIG = {
     "wake_word": "xiǎo dù xiǎo dù",
@@ -48,3 +52,63 @@ def test_generate_outputs_match_golden_digests(language, fixture_config,
                  "--output", str(out)]) == 0
     for name, digest in GOLDEN[language].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
+# The zh loop on a small proxy (10 trees, 3 folds) and a seeded collective of
+# 300 distinct valid four-syllable words plus two lines that do not parse (an
+# unpronounceable pair, a syllable without tone), which mitigate skips.
+ZH_STAGE_GOLDEN = {
+    "explain": {
+        "model.json":
+            "02aa4b670f99a839af7e34d8658f1443b056066fb32623bdaf8a390e19802ba4",
+        "explain_report.json":
+            "6403547bf6b9e283c39e11881a4dfa8fde5776ab51a682b87bdf770ff2ea2523",
+        "factors.tsv":
+            "fc3f5fdc0ffcd8a749506d28eb28f1f0b4d89dfc668b9aedc7ad69e3d779f498",
+    },
+    "mitigate": {
+        "mitigation_report.json":
+            "cfcfc58b9c101e9b2454f7a979ca9b92b41064dc233089afda470879cb764c12",
+        "detector_original.json":
+            "ec90b7a45c252b805893d34b933f96402496f4fcdd0027e89d60f5095e5436c3",
+        "detector_strengthened.json":
+            "e51f02830bf2fa44ef0f1257a90b78f6332892b70eb17e6554c71218ab42b199",
+        "datasets/conventional/train.tsv":
+            "57ad9bf0c748e8ac99c71175cc7134a88b87e45ff03e309db5c9761f1da5dfdc",
+        "datasets/collective.txt":
+            "1c3b9f8482769f1cf0eca41e51b476dd99f59e3ba0107cc53f5f0932a97ae61d",
+    },
+}
+
+
+def _zh_collective(path, seed=31, size=300):
+    pairs = sorted(unit_tables().valid_pairs)
+    rng = random.Random(seed)
+    words = set()
+    while len(words) < size:
+        words.add(" ".join(
+            render_syllable(Syllable(*rng.choice(pairs), rng.randint(1, 4)))
+            for _ in range(4)))
+    lines = sorted(words) + ["xāng dù xiǎo dù", "xiao du xiao du"]
+    path.write_text("".join(w + "\n" for w in lines), encoding="utf-8")
+
+
+def test_zh_explain_and_mitigate_match_golden_digests(tmp_path):
+    collective = tmp_path / "collective.txt"
+    _zh_collective(collective)
+    config = tmp_path / "zh.json"
+    config.write_text(json.dumps({
+        **ZH_CONFIG,
+        "explain": {"folds": 3, "n_trees": 10},
+        "mitigate": {"collective_path": str(collective)},
+    }))
+    archive = tmp_path / "generate" / "archive.json"
+    assert main(["generate", "--config", str(config),
+                 "--output", str(archive.parent)]) == 0
+    for stage, files in ZH_STAGE_GOLDEN.items():
+        out = tmp_path / stage
+        assert main([stage, "--config", str(config), "--seed", "5",
+                     "--archive", str(archive), "--output", str(out)]) == 0
+        for name, digest in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, f"{stage}/{name}"

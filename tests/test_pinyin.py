@@ -1,9 +1,12 @@
+import itertools
+import unicodedata
+
 import pytest
 
 from fakewake.errors import InvalidCombination, UnknownSyllable
 from fakewake.pinyin import (ChineseWord, Syllable, parse_pinyin,
-                             parse_syllable, render_word, unit_tables,
-                             validate_syllable)
+                             parse_syllable, render_syllable, render_units,
+                             render_word, unit_tables, validate_syllable)
 
 T = unit_tables()
 
@@ -88,3 +91,76 @@ def test_invalid_syllable_object():
 def test_empty_input():
     with pytest.raises(UnknownSyllable):
         parse_pinyin("   ")
+
+
+ALL_TRIPLES = list(itertools.product(range(24), range(1, 38), range(1, 5)))
+
+
+def test_render_memo_matches_uncached_path_on_every_triple():
+    uncached = render_units.__wrapped__
+    for triple in ALL_TRIPLES:
+        if triple[:2] in T.valid_pairs:
+            text = uncached(*triple)
+            for _ in range(2):   # a miss, then a hit
+                assert render_units(*triple) == text
+            assert render_syllable(Syllable(*triple)) == text
+            assert parse_syllable(text) == Syllable(*triple)
+        else:
+            for _ in range(3):
+                with pytest.raises(InvalidCombination):
+                    render_units(*triple)
+
+
+@pytest.mark.parametrize("triple", [(24, 1, 1), (0, 0, 1), (0, 38, 1),
+                                    (1, 1, 0), (1, 1, 5)])
+def test_render_out_of_range_raises_every_call(triple):
+    for _ in range(3):
+        with pytest.raises(UnknownSyllable):
+            render_units(*triple)
+
+
+def _spellings(triple):
+    """Equivalent written forms of one valid syllable."""
+    ini, fin, tone = triple
+    canonical = render_units(*triple)
+    base = ("" if T.initial_by_index[ini] == "-"
+            else T.initial_by_index[ini]) + T.final_by_index[fin]
+    return canonical, [
+        base + str(tone),
+        base.replace("v", "ü") + str(tone),
+        (base + str(tone)).upper(),
+        canonical.upper(),
+        unicodedata.normalize("NFD", canonical),
+        unicodedata.normalize("NFD", canonical.upper()),
+        f"  {canonical}\t",
+        f" {base}{tone} ",
+    ]
+
+
+def test_equivalent_spellings_parse_to_the_canonical_syllable():
+    for triple in ALL_TRIPLES:
+        if triple[:2] not in T.valid_pairs:
+            continue
+        canonical, forms = _spellings(triple)
+        expected = parse_syllable(canonical)
+        assert expected == Syllable(*triple)
+        for form in forms:
+            assert parse_syllable.__wrapped__(form) == expected, form
+            assert parse_syllable(form) == expected, form
+            assert parse_syllable(form) is parse_syllable(form)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("xāng", InvalidCombination),
+    ("xang1", InvalidCombination),
+    ("xiao", UnknownSyllable),
+    ("xyz1", UnknownSyllable),
+    ("3", UnknownSyllable),
+    ("xiǎo3", UnknownSyllable),
+])
+def test_bad_spelling_raises_every_call(text, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            parse_syllable(text)
+        with pytest.raises(error):
+            parse_pinyin(f"xiǎo {text} dù")
