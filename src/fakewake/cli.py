@@ -46,15 +46,22 @@ def _load_archive(path) -> FuzzyArchive:
         raise ConfigError(f"archive file is not readable: {exc}") from exc
 
 
+def _check_letters(word: str, name: str) -> str:
+    """An English word as it is, or exit 2 naming its symbols outside a-z
+    and space (g2p would drop them without a word)."""
+    bad = set(word) - set(ALPHABET)
+    if bad:
+        raise ConfigError(
+            f"{name} has symbols outside a-z/space: {sorted(bad)}")
+    return word
+
+
 def _wake_genome(cfg: RunConfig):
     word = cfg.wake_word
     try:
         if cfg.language == "zh":
             return encode_chinese(parse_pinyin(word))
-        bad = set(word) - set(ALPHABET)
-        if bad:
-            raise ConfigError(
-                f"wake word has symbols outside a-z/space: {sorted(bad)}")
+        _check_letters(word, "wake word")
         length = english_genome_length(word, cfg.length_ratio)
         return encode_english(word, length)
     except ConfigError:
@@ -363,8 +370,9 @@ def cmd_dist(args) -> int:
         value = chinese_dist(parse_pinyin(args.word1), parse_pinyin(args.word2),
                              dist_cfg)
     else:
-        value = english_dist(g2p(args.word1.lower()), g2p(args.word2.lower()),
-                             dist_cfg)
+        words = [_check_letters(w.lower(), repr(w))
+                 for w in (args.word1, args.word2)]
+        value = english_dist(g2p(words[0]), g2p(words[1]), dist_cfg)
     print(value)
     return EXIT_OK
 
@@ -381,10 +389,8 @@ def cmd_validate(args) -> int:
             print(f"{text}\tinitial={tables.initial_by_index[syl.initial]}"
                   f"\tfinal={tables.final_by_index[syl.final]}\ttone={syl.tone}")
     else:
-        bad = set(word) - set(ALPHABET)
-        if bad:
-            raise ConfigError(f"symbols outside a-z/space: {sorted(bad)}")
-        phones = ["|" if p == " " else p for p in g2p(word)]
+        phones = ["|" if p == " " else p
+                  for p in g2p(_check_letters(word, repr(word)))]
         print(f"{word}\tphonemes={' '.join(phones)}")
     return EXIT_OK
 

@@ -8,7 +8,9 @@ needed. Attributions live in margin (log-odds) space and satisfy
 A matrix of samples is explained in one call. Per tree, the recursion runs
 once per distinct pattern of split decisions among the rows, and each row
 receives its pattern's terms in the recursion's order, so every row's
-contributions are bit-identical to those of a call on that row alone.
+contributions are bit-identical to those of a call on that row alone. The
+patterns are told apart by integer codes, 31 decisions at a time, so a tree
+of any depth groups its rows with a 1-D ``np.unique``.
 """
 from __future__ import annotations
 
@@ -152,20 +154,34 @@ def _tree_terms(tree: Tree,
     return tuple(dims), terms
 
 
+_PACK = 31   # decisions per chunk of a pattern code
+
+
 def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
     """Add one tree's attributions for every row of x to the rows of phi.
 
     The recursion reads a sample only through its decision at each internal
-    node, so it runs once per distinct decision pattern. The rows of
-    patterns whose terms name the same features in the same order then
-    receive their terms together, one term at a time, in the recursion's
-    order: every row sees exactly the additions a per-row run makes."""
+    node, so it runs once per distinct decision pattern, in any order: no
+    row of phi gets additions from two patterns. The rows of patterns whose
+    terms name the same features in the same order then receive their terms
+    together, one term at a time, in the recursion's order: every row sees
+    exactly the additions a per-row run makes."""
     inner = np.flatnonzero(tree.feature >= 0)
     if not len(inner):
         return      # a lone leaf attributes nothing
     decisions = x[:, tree.feature[inner]] <= tree.threshold[inner]
-    patterns, pattern_of = np.unique(decisions, axis=0, return_inverse=True)
-    pattern_of = pattern_of.reshape(-1)    # its shape varies across numpy 2.x
+    # each row's pattern as an integer code: the decisions go into the code
+    # _PACK nodes at a time, and the codes are renumbered densely (below the
+    # row count) after each chunk so the next one fits in an int64
+    pattern_of = np.zeros(len(x), dtype=np.int64)
+    for start in range(0, len(inner), _PACK):
+        chunk = decisions[:, start:start + _PACK]
+        bits = chunk.astype(np.int64) @ (
+            1 << np.arange(chunk.shape[1], dtype=np.int64))
+        _, first, pattern_of = np.unique(
+            pattern_of << chunk.shape[1] | bits,
+            return_index=True, return_inverse=True)
+    patterns = decisions[first]
     goes_left = [False] * len(tree.feature)
     by_dims: dict[tuple[int, ...], list[int]] = {}
     values = []

@@ -210,6 +210,22 @@ def test_dist_command(capsys):
     assert float(capsys.readouterr().out.strip()) > 0
 
 
+@pytest.mark.parametrize("word1, word2, bad", [
+    ("alexa", "al3xa!", "['!', '3']"),
+    ("Al-exa", "alexa", "['-']"),
+    ("alexa", "alèxa", "['è']"),
+])
+def test_dist_rejects_symbols_outside_the_alphabet(word1, word2, bad, capsys):
+    """English words are lowercased, then every symbol must be a-z or
+    space: g2p would drop any other one and print a distance anyway."""
+    assert main(["dist", word1, word2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"symbols outside a-z/space: {bad}" in captured.err
+    assert main(["dist", "ALEXA", "alexa"]) == 0
+    assert float(capsys.readouterr().out.strip()) == 0.0
+
+
 def test_validate_command(capsys):
     assert main(["validate", "--language", "zh", "xiǎo ài tóng xué"]) == 0
     out = capsys.readouterr().out

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fakewake import gbdt
 from fakewake.errors import DegenerateData, ShapeMismatch
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
 
@@ -176,8 +179,15 @@ def loop_predict_one(tree, row):
     return tree["value"][node]
 
 
+def loop_base(y):
+    """train_gbdt's base score. math.log, as there: np.log can differ in the
+    last bit (it does on awkward_data(0)), which moves later leaf values."""
+    pos = float(y.sum())
+    return math.log(pos / (len(y) - pos))
+
+
 def loop_train(x, y, params):
-    base = np.log(y.sum() / (len(y) - y.sum()))
+    base = loop_base(y)
     margins = np.full(len(y), base)
     trees = []
     for _ in range(params.n_trees):
@@ -206,6 +216,7 @@ def assert_grows_loop_trees(x, y, params):
     model = train_gbdt(x, y, params)
     expected = loop_train(np.asarray(x, dtype=float),
                           np.asarray(y, dtype=float), params)
+    assert model.base_score == loop_base(np.asarray(y, dtype=float))
     assert len(model.trees) == len(expected)
     for tree, ref in zip(model.trees, expected):
         for key, values in ref.items():
@@ -315,3 +326,111 @@ def test_batch_predict_equals_row_walk():
     proba = model.predict_proba(probe)
     assert proba.tolist() == [model.predict_proba(row) for row in probe]
     assert model.predict(probe).tolist() == [model.predict(row) for row in probe]
+
+
+# ------------------------------------------------ the per-call shape memo
+
+class MemoSpy:
+    """Counts the shapes train_gbdt builds, keeps its memos and checks each
+    tree's leaf-routed margin update against ``tree.predict``."""
+
+    def __init__(self, monkeypatch):
+        self.shapes = 0
+        self.memos = []
+        self.trees = 0
+        spy = self
+        shape_init = gbdt._Shape.__init__
+        memo_init = gbdt._ShapeMemo.__init__
+        grow = gbdt._grow_tree
+
+        def count_shape(shape, rows):
+            spy.shapes += 1
+            shape_init(shape, rows)
+
+        def keep_memo(memo, *args):
+            memo_init(memo, *args)
+            spy.memos.append(memo)
+
+        def checked_grow(memo, grad, hess, update):
+            tree = grow(memo, grad, hess, update)
+            assert update.tolist() == tree.predict(memo.xt.T).tolist()
+            spy.trees += 1
+            return tree
+
+        monkeypatch.setattr(gbdt._Shape, "__init__", count_shape)
+        monkeypatch.setattr(gbdt._ShapeMemo, "__init__", keep_memo)
+        monkeypatch.setattr(gbdt, "_grow_tree", checked_grow)
+
+
+def split_paths(model):
+    """The distinct paths of (feature, threshold, side) splits from the
+    root to the nodes of all the trees."""
+    paths = set()
+    for tree in model.trees:
+        stack = [(0, ())]
+        while stack:
+            node, path = stack.pop()
+            paths.add(path)
+            if tree.feature[node] >= 0:
+                split = (int(tree.feature[node]), float(tree.threshold[node]))
+                stack += [(int(tree.left[node]), path + (split, "left")),
+                          (int(tree.right[node]), path + (split, "right"))]
+    return paths
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_memo_reuses_shapes_and_grows_the_loop_trees(seed, monkeypatch):
+    """20 trees at depths 1 to 5 reach the same row sets again and again:
+    the memo builds one shape per distinct path of splits, fewer than the
+    nodes searched, and every tree still equals the loop reference's."""
+    x, y = awkward_data(seed)
+    for depth in range(1, 6):
+        spy = MemoSpy(monkeypatch)
+        params = GBDTParams(n_trees=20, depth=depth, learning_rate=0.3,
+                            min_leaf=1 + seed % 3)
+        model = assert_grows_loop_trees(x, y, params)
+        nodes = sum(len(tree.feature) for tree in model.trees)
+        assert spy.trees == 20
+        assert spy.shapes == len(split_paths(model)) < nodes
+        assert len(spy.memos) == 1 and spy.memos[0].root is not None
+
+
+def test_leaf_routed_update_at_midpoints_that_round():
+    """Neighbouring floats whose midpoint rounds to the lower value (1.0
+    and the next float) or to the upper one (the next two floats): training
+    and predict route the rows with the same ``<=`` test either way."""
+    one = 1.0
+    up1 = np.nextafter(one, 2.0)
+    up2 = np.nextafter(up1, 2.0)
+    assert (one + up1) / 2.0 == one and (up1 + up2) / 2.0 == up2
+    x = np.array([[one] * 6 + [up1] * 6 + [up2] * 6,
+                  [0.0, 1.0, 2.0] * 6]).T
+    y = np.array([0] * 6 + [1] * 6 + [0] * 3 + [1] * 3)
+    for min_leaf in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            spy = MemoSpy(mp)
+            assert_grows_loop_trees(
+                x, y, GBDTParams(n_trees=8, depth=3, learning_rate=0.5,
+                                 min_leaf=min_leaf))
+        assert spy.trees == 8
+
+
+def noise_data(rows=1000, features=20, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(rows, features)), rng.integers(0, 2, size=rows)
+
+
+def test_memo_stays_within_its_budget(monkeypatch):
+    """On continuous noise nearly every node has a row set of its own, and
+    10 trees would keep more than MEMO_BYTES of shapes: the memo holds at
+    most MEMO_BYTES, and the trees equal those grown with no bound."""
+    x, y = noise_data()
+    params = GBDTParams(n_trees=10, depth=3)
+    spy = MemoSpy(monkeypatch)
+    bounded = train_gbdt(x, y, params)
+    budget = gbdt.MEMO_BYTES
+    assert 0 < spy.memos[-1].nbytes <= budget
+    monkeypatch.setattr(gbdt, "MEMO_BYTES", 2**62)
+    unbounded = train_gbdt(x, y, params)
+    assert spy.memos[-1].nbytes > budget
+    assert bounded.to_json() == unbounded.to_json()

@@ -4,9 +4,10 @@ Criterion 9 compares two runs of the same code, so a change that moves every
 run the same way passes it. These sha256 digests pin ``archive.json`` and
 ``summary.tsv`` of two configs to bytes written by an earlier version of the
 search (numpy 2.4.6, Python 3.11.7): any change to the search loop, the
-simulated detector's draws or the output format shows here. Criterion 9 runs
-only the English fixture, so the Mandarin ``explain`` and ``mitigate``
-outputs are pinned here too, on a reduced-cost config.
+simulated detector's draws or the output format shows here. The ``explain``
+and ``mitigate`` outputs of both languages are pinned too, on reduced-cost
+proxies; a deeper English proxy makes tree training reach the same nodes
+again and again within one call.
 """
 import hashlib
 import json
@@ -112,3 +113,76 @@ def test_zh_explain_and_mitigate_match_golden_digests(tmp_path):
         for name, digest in files.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, f"{stage}/{name}"
+
+
+# The English fixture on a small proxy (10 trees, 3 folds), and on a deeper
+# one (20 trees of depth 5, min_leaf 1, and depth-3 detectors with min_leaf
+# 1) whose trees keep reaching the same row sets several levels down.
+EN_STAGE_CONFIGS = {
+    "reduced": {"explain": {"folds": 3, "n_trees": 10}},
+    "deep": {"explain": {"folds": 3, "n_trees": 20, "depth": 5, "min_leaf": 1},
+             "mitigate": {"detector": {"depth": 3, "min_leaf": 1}}},
+}
+
+EN_STAGE_GOLDEN = {
+    "reduced": {
+        "explain": {
+            "model.json":
+                "028d1044d9559014f2b0951b8461f3bb8e137eb0221cd0d4982c577cd24a870c",
+            "explain_report.json":
+                "32f794a9aa0a0599dfe33ef7a4659d9a39386e2bc3d64a49b4493c06a80fdb9f",
+            "factors.tsv":
+                "4edb62d784fc2e69544d8d995dd6827b8850c16d2a40b8637d4048956e17edef",
+        },
+        "mitigate": {
+            "mitigation_report.json":
+                "be916c19dd553c158c483c26beabf5094e97d6315f35fb67141b383720c09db0",
+            "detector_original.json":
+                "a20e829ec0432cce5975040e30a02e5dcb72ce3105cdaca833b91dfb9da051c0",
+            "detector_strengthened.json":
+                "f0a0ac67c36265a450db65a0410d16d0d796d5c8bf1da1396b776814ab0d0584",
+        },
+    },
+    "deep": {
+        "explain": {
+            "model.json":
+                "4bea0f175618ac1a441cc936dcaaf09ae26c2c130f86d3ba142ce6976b7a3642",
+            "explain_report.json":
+                "7799e508172510e2361114b42ade71052eb149814f1938a56977e6a286e14d87",
+            "factors.tsv":
+                "cc487da3e9988af522ca602bc22dda5a3fffc3d8d83674a73a5fa6672ebdc927",
+        },
+        "mitigate": {
+            "mitigation_report.json":
+                "5ac9d69edb2b285420258cf0a73b57f7c979eb641845a5459cbae6640b0c0dfa",
+            "detector_original.json":
+                "dddd74cf743b0c00eabf314378a6fa9ff181f478c748543339507fbba08682ec",
+            "detector_strengthened.json":
+                "048b68d85af65fe3bdae3ddecd5307cbbb9ca65b5cd1e409903c70bce49d6d2b",
+        },
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def en_archive(fixture_config, tmp_path_factory):
+    out = tmp_path_factory.mktemp("en_generate")
+    assert main(["generate", "--config", str(fixture_config),
+                 "--output", str(out)]) == 0
+    return out / "archive.json"
+
+
+@pytest.mark.parametrize("proxy", sorted(EN_STAGE_CONFIGS))
+def test_en_explain_and_mitigate_match_golden_digests(proxy, en_archive,
+                                                      fixture_config,
+                                                      tmp_path):
+    config = tmp_path / "en.json"
+    config.write_text(json.dumps({**json.loads(fixture_config.read_text()),
+                                  **EN_STAGE_CONFIGS[proxy]}))
+    for stage, files in EN_STAGE_GOLDEN[proxy].items():
+        out = tmp_path / stage
+        assert main([stage, "--config", str(config), "--seed", "5",
+                     "--archive", str(en_archive), "--output", str(out)]) == 0
+        for name, digest in files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, f"{proxy}/{stage}/{name}"

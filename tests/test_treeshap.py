@@ -214,3 +214,71 @@ def test_batch_of_no_rows():
     batch = shap_values(ensemble, np.zeros((0, 3)))
     assert batch.contributions.shape == (0, 3)
     assert batch.margin.shape == (0,)
+
+
+def test_batch_equals_per_row_recursion_on_deep_trees():
+    """Trees with more than 62 internal nodes: the rows' decision codes are
+    built from three chunks of up to 31 decisions."""
+    rng = np.random.default_rng(11)
+    ensemble = TreeEnsemble(base_score=0.5, n_features=3)
+    while len(ensemble.trees) < 3:
+        tree = random_tree(rng, 3, 9)
+        if (tree.feature >= 0).sum() > 2 * 31:
+            ensemble.trees.append(tree)
+    rows = rng.normal(size=(50, 3)).round(1)
+    x = np.vstack([rows, rows[:10]])
+    batch = shap_values(ensemble, x)
+    for i, row in enumerate(x):
+        phi = np.zeros(3)
+        for tree in ensemble.trees:
+            loop_tree_shap(tree, row, phi)
+        assert batch.contributions[i].tolist() == phi.tolist()
+    assert batch.check_identity(1e-9)
+
+
+def search_tree(nodes, rng, feature, lo, hi, depth):
+    """Append, in pre-order, a full tree of the given depth that splits
+    integer values lo..hi-1 of one feature in halves; covers count the
+    values under each node."""
+    node = len(nodes["feature"])
+    for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                       ("right", -1), ("value", 0.0)):
+        nodes[key].append(blank)
+    nodes["cover"].append(float(hi - lo))
+    if depth == 0:
+        nodes["value"][node] = float(rng.normal())
+        return node
+    mid = (lo + hi) // 2
+    nodes["feature"][node] = feature
+    nodes["threshold"][node] = mid - 0.5
+    nodes["left"][node] = search_tree(nodes, rng, feature, lo, mid, depth - 1)
+    nodes["right"][node] = search_tree(nodes, rng, feature, mid, hi,
+                                       depth - 1)
+    return node
+
+
+def test_rows_that_differ_only_in_the_first_decisions():
+    """95 internal nodes: the root on feature 1, 31 nodes on feature 0 right
+    after it in pre-order, then 63 on feature 1. Rows with feature 1 at 0
+    share every decision from node 32 on and differ only among the first
+    32, which a code that kept all 95 bits in one int64 would lose."""
+    rng = np.random.default_rng(4)
+    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
+                             "value", "cover")}
+    nodes["feature"].append(1)
+    nodes["threshold"].append(0.5)
+    for key in ("left", "right", "value"):
+        nodes[key].append(0.0 if key == "value" else -1)
+    nodes["cover"].append(96.0)
+    nodes["left"][0] = search_tree(nodes, rng, 0, 0, 32, 5)
+    nodes["right"][0] = search_tree(nodes, rng, 1, 0, 64, 6)
+    tree = Tree(**nodes)
+    assert (tree.feature >= 0).sum() == 95
+    ensemble = TreeEnsemble(base_score=0.0, n_features=2, trees=[tree])
+    x = np.array([[v, 0.0] for v in range(32)]
+                 + [[v % 32, v] for v in range(1, 64, 5)], dtype=float)
+    batch = shap_values(ensemble, x)
+    for i, row in enumerate(x):
+        phi = np.zeros(2)
+        loop_tree_shap(tree, row, phi)
+        assert batch.contributions[i].tolist() == phi.tolist()
