@@ -20,9 +20,10 @@ from .dataio import atomic_write, write_json
 from .distance import chinese_dist, english_dist, levenshtein_dist
 from .errors import ConfigError, FakewakeError, OracleFailure
 from .evolve import FuzzyArchive, bucket, run
-from .explain import (build_dataset, cross_validate, default_slots,
-                      dissimilarity_score, explain_archive, feature_matrix,
-                      group_factors, rank_decisive_units, _parse_word)
+from .explain import (ArchiveWords, build_dataset, cross_validate,
+                      default_slots, dissimilarity_score, explain_archive,
+                      feature_matrix, group_factors, parse_text,
+                      rank_decisive_units, _parse_word)
 from .gbdt import train_gbdt
 from .genome import encode_chinese, encode_english, english_genome_length
 from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
@@ -173,7 +174,8 @@ def cmd_explain(args) -> int:
     slots = _slots(cfg, archive.language, archive.wake_word)
     folds, beta = cfg.explain_folds, cfg.explain_beta
 
-    dataset, model, factor_sets = _proxy(cfg, archive, slots, seed, beta)
+    words = ArchiveWords(archive, slots)
+    dataset, model, factor_sets = _proxy(cfg, words, seed, beta)
     accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
                               seed=seed)
     ranked = rank_decisive_units(factor_sets)
@@ -216,30 +218,25 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _proxy(cfg: RunConfig, archive: FuzzyArchive, slots: int, seed: int,
-           beta: float):
+def _proxy(cfg: RunConfig, words: ArchiveWords, seed: int, beta: float):
     """The explain proxy: its dataset, the model trained on it and the
     decisive factors of the fuzzy words it classifies correctly."""
-    dataset = build_dataset(archive, slots, seed=seed)
+    dataset = build_dataset(words, seed=seed)
     model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    factor_sets = explain_archive(archive, model, slots, beta=beta)
+    factor_sets = explain_archive(words, model, beta=beta)
     return dataset, model, factor_sets
 
 
 def _separation_report(archive, model, dataset) -> dict:
     """Medians of the proxy dissimilarity score and the plain edit-distance
-    baseline, per class."""
+    baseline over pronunciations, per class."""
     fuzzy_scores, nonfuzzy_scores = [], []
     fuzzy_lev, nonfuzzy_lev = [], []
-    if archive.language == "zh":
-        wake_units = [s for s in archive.wake_word.split()]
-    else:
-        wake_units = g2p(archive.wake_word)
+    _, wake = parse_text(archive.wake_word, archive.language)
     scores = dissimilarity_score(model, dataset.features)
-    for sample, score in zip(dataset.samples, scores.tolist()):
-        units = (sample.word.split() if archive.language == "zh"
-                 else g2p(sample.word))
-        lev = levenshtein_dist(units, wake_units)
+    for sample, spoken, score in zip(dataset.samples, dataset.pronunciations,
+                                     scores.tolist()):
+        lev = levenshtein_dist(spoken, wake)
         if sample.label == 1:
             fuzzy_scores.append(score)
             fuzzy_lev.append(lev)
@@ -270,9 +267,10 @@ def cmd_mitigate(args) -> int:
     beta = cfg.explain_beta
     params = cfg.detector_params()
 
+    words = ArchiveWords(archive, slots)
     with checked("mitigate"):
         triple = assemble_triple(
-            archive, slots, n_pos=block["n_pos"], n_neg=block["n_neg"],
+            words, n_pos=block["n_pos"], n_neg=block["n_neg"],
             jitter=block["jitter"], seed=seed,
             collective_path=block["collective_path"],
             collective_limit=block["collective_limit"],
@@ -293,10 +291,9 @@ def cmd_mitigate(args) -> int:
                                 == 0)) / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
-    _, _, factor_sets = _proxy(cfg, archive, slots, seed, beta)
+    _, _, factor_sets = _proxy(cfg, words, seed, beta)
     ranked = rank_decisive_units(factor_sets)
-    unit_sets = [unit_set(c.word, archive.language)
-                 for c in archive.sorted_candidates()]
+    unit_sets = [unit_set(units) for units in words.fuzzy.units]
     coverage = {str(n): screening_coverage(unit_sets, ranked, n)
                 for n in range(1, block["screening_top_n"] + 1)}
 

@@ -8,13 +8,16 @@ phoneme coordinates stay at the natural scale of their [0,1] distances.
 """
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
 from .errors import TooManyUnits
-from .phonemes import LetterWord, g2p, inventory, strip_boundaries
+from .phonemes import (BOUNDARY, LetterWord, PhonemeSequence, g2p,
+                       inventory)
 from .pinyin import ChineseWord, Syllable, unit_tables
 
 UNIT_SCALE = 25.0
@@ -105,6 +108,20 @@ class EmbeddingTable:
             "final": (self._final_index, self.final_dist),
             "phoneme": (self._phoneme_index, self.phoneme_dist),
         }
+        # every unit's vector stacked into one table, row 0 the zero padding;
+        # ``units[kind][symbol]`` is the one (kind, symbol) tuple that all
+        # unit lists share (``word_units`` makes its own only for a symbol
+        # the table lacks, which encoding then rejects as before)
+        self.unit_row: dict[tuple[str, str], int] = {}
+        self.units: dict[str, dict[str, tuple[str, str]]] = {}
+        stacked = [np.zeros(2)]
+        for kind, vectors in self._vectors.items():
+            units = self.units[kind] = {}
+            for sym, vec in vectors.items():
+                unit = units[sym] = (kind, sym)
+                self.unit_row[unit] = len(stacked)
+                stacked.append(vec)
+        self.unit_vectors = np.array(stacked)
 
     def initial_vec(self, index: int) -> np.ndarray:
         return self.initials[unit_tables().initial_by_index[index]]
@@ -154,24 +171,50 @@ def word_units(word: ChineseWord | LetterWord) -> list[tuple[str, str]]:
     """The (kind, symbol) unit sequence a word contributes to the feature
     encoding: [initial, final] per character for Chinese (tone excluded),
     g2p phonemes for English."""
-    table = unit_tables()
     if isinstance(word, ChineseWord):
+        table = unit_tables()
+        shared = embedding_table().units
+        initials, finals = shared["initial"], shared["final"]
         units = []
         for syl in word.syllables:
-            units.append(("initial", table.initial_by_index[syl.initial]))
-            units.append(("final", table.final_by_index[syl.final]))
+            ini = table.initial_by_index[syl.initial]
+            fin = table.final_by_index[syl.final]
+            units.append(initials.get(ini) or ("initial", ini))
+            units.append(finals.get(fin) or ("final", fin))
         return units
-    return [("phoneme", p) for p in strip_boundaries(g2p(word))]
+    return phoneme_units(g2p(word))
+
+
+def phoneme_units(phones: PhonemeSequence) -> list[tuple[str, str]]:
+    """The units of an English pronunciation: its phonemes, without the
+    word boundaries."""
+    shared = embedding_table().units["phoneme"]
+    return [shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY]
+
+
+def encode_units(words: Iterable[list[tuple[str, str]]],
+                 slots: int) -> np.ndarray:
+    """The feature matrix of a word list given by each word's units: row i
+    holds the 2-D embeddings of word i's units concatenated in order,
+    zero-padded to 2 * slots values. Raises ``TooManyUnits`` at the first
+    word with more than ``slots`` units. ``words`` is read once, so it can
+    be a generator that parses each word as it is needed."""
+    emb = embedding_table()
+    unit_row = emb.unit_row
+    # two bytes per slot (a row past 65535 raises OverflowError): a list
+    # of Python ints left the process larger after each command
+    rows = array("H")
+    count = 0
+    for units in words:
+        if len(units) > slots:
+            raise TooManyUnits(f"{len(units)} units exceed {slots} slots")
+        rows.extend([unit_row[unit] for unit in units])
+        rows.extend([0] * (slots - len(units)))
+        count += 1
+    gathered = emb.unit_vectors[np.frombuffer(rows, dtype=np.uint16)]
+    return gathered.reshape(count, 2 * slots)
 
 
 def encode_features(word: ChineseWord | LetterWord, slots: int) -> np.ndarray:
-    """Per-unit 2-D embeddings concatenated in order, zero-padded to
-    2 * slots values."""
-    units = word_units(word)
-    if len(units) > slots:
-        raise TooManyUnits(f"{len(units)} units exceed {slots} slots")
-    emb = embedding_table()
-    out = np.zeros(2 * slots)
-    for i, (kind, sym) in enumerate(units):
-        out[2 * i:2 * i + 2] = emb.unit_vec(kind, sym)
-    return out
+    """The feature vector of one word (see ``encode_units``)."""
+    return encode_units([word_units(word)], slots)[0]

@@ -4,19 +4,19 @@ grouping against the wake word.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .embedding import embedding_table, encode_features, word_units
+from .embedding import embedding_table, encode_units, phoneme_units, word_units
 from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
                      TooFewSamples)
 from .evolve import FuzzyArchive
 from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from .genome import LENGTH_RATIO, english_genome_length
-from .phonemes import LetterWord
+from .phonemes import LetterWord, g2p
 from .pinyin import parse_pinyin
 from .treeshap import ShapExplanation, shap_values
 
@@ -37,7 +37,10 @@ def feature_matrix(samples: list[WordSample]) -> np.ndarray:
 
 @dataclass
 class Dataset:
+    """Labelled samples; ``pronunciations[i]`` is sample i's pronunciation
+    (see ``parse_text``) when the samples were read from text."""
     samples: list[WordSample]
+    pronunciations: list[list[str]] = field(default_factory=list)
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -55,9 +58,63 @@ def _parse_word(text: str, language: str):
     return parse_pinyin(text) if language == "zh" else LetterWord(text)
 
 
-def encode_word(text: str, language: str, slots: int) -> np.ndarray:
-    """The feature vector of a word given as text."""
-    return encode_features(_parse_word(text, language), slots)
+def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
+                                                  list[str]]:
+    """A word given as text, parsed once: its units (``word_units``) and
+    its pronunciation, the sequence the edit-distance baseline compares
+    (the g2p phonemes with word boundaries for English, the syllables for
+    Chinese)."""
+    if language == "zh":
+        return word_units(parse_pinyin(text)), text.split()
+    phones = g2p(LetterWord(text))
+    return phoneme_units(phones), phones
+
+
+@dataclass
+class ParsedWords:
+    """A word list parsed and encoded once: word i is ``texts[i]``, with
+    the ``units[i]`` and ``pronunciations[i]`` of ``parse_text`` and the
+    feature row ``features[i]``."""
+    texts: list[str]
+    units: list[list[tuple[str, str]]]
+    pronunciations: list[list[str]]
+    features: np.ndarray
+
+    def take(self, rows: list[int]) -> "ParsedWords":
+        """The words at ``rows``, in that order."""
+        return ParsedWords([self.texts[i] for i in rows],
+                           [self.units[i] for i in rows],
+                           [self.pronunciations[i] for i in rows],
+                           self.features[rows])
+
+    def samples(self, label: int) -> list[WordSample]:
+        """One sample per word; its features are a row of ``features``."""
+        return [WordSample(text, row, label)
+                for text, row in zip(self.texts, self.features)]
+
+
+def parse_words(texts: list[str], language: str, slots: int) -> ParsedWords:
+    """Parse each text once and encode the list as one matrix."""
+    parsed = [parse_text(text, language) for text in texts]
+    units = [u for u, _ in parsed]
+    return ParsedWords(list(texts), units, [p for _, p in parsed],
+                       encode_units(units, slots))
+
+
+class ArchiveWords:
+    """An archive's words as one command reads them, each parsed and
+    encoded at most once. ``fuzzy`` holds the fuzzy words in
+    ``sorted_candidates`` order, parsed on first use; ``build_dataset``
+    parses the never-woke words it keeps."""
+
+    def __init__(self, archive: FuzzyArchive, slots: int):
+        self.archive = archive
+        self.slots = slots
+
+    @cached_property
+    def fuzzy(self) -> ParsedWords:
+        return parse_words([c.word for c in self.archive.sorted_candidates()],
+                           self.archive.language, self.slots)
 
 
 def default_slots(language: str, wake_word: str,
@@ -70,26 +127,28 @@ def default_slots(language: str, wake_word: str,
     return 2 * english_genome_length(wake_word, length_ratio)
 
 
-def build_dataset(archive: FuzzyArchive, slots: int, seed: int = 0) -> Dataset:
+def build_dataset(words: ArchiveWords, seed: int = 0) -> Dataset:
     """Fuzzy words as positives, the run's never-woke words as negatives,
     class ratio capped by seeded downsampling of the larger class."""
-    positives = [c.word for c in archive.sorted_candidates()]
+    archive = words.archive
+    n_pos = len(archive.candidates)
     negatives = sorted(archive.rejected)
-    if not positives or not negatives:
+    if not n_pos or not negatives:
         raise EmptyClass("need both fuzzy and non-fuzzy words")
     rng = np.random.default_rng(seed)
-    if len(negatives) > MAX_CLASS_RATIO * len(positives):
-        keep = rng.choice(len(negatives), MAX_CLASS_RATIO * len(positives),
+    positives = range(n_pos)
+    if len(negatives) > MAX_CLASS_RATIO * n_pos:
+        keep = rng.choice(len(negatives), MAX_CLASS_RATIO * n_pos,
                           replace=False)
         negatives = [negatives[i] for i in sorted(keep)]
-    elif len(positives) > MAX_CLASS_RATIO * len(negatives):
-        keep = rng.choice(len(positives), MAX_CLASS_RATIO * len(negatives),
+    elif n_pos > MAX_CLASS_RATIO * len(negatives):
+        keep = rng.choice(n_pos, MAX_CLASS_RATIO * len(negatives),
                           replace=False)
-        positives = [positives[i] for i in sorted(keep)]
-    return Dataset([
-        WordSample(word, encode_word(word, archive.language, slots), label)
-        for words, label in ((positives, 1), (negatives, 0))
-        for word in words])
+        positives = sorted(keep.tolist())
+    pos = words.fuzzy.take(list(positives))
+    neg = parse_words(negatives, archive.language, words.slots)
+    return Dataset(pos.samples(1) + neg.samples(0),
+                   pos.pronunciations + neg.pronunciations)
 
 
 def dissimilarity_score(model: TreeEnsemble,
@@ -151,10 +210,10 @@ class DecisiveFactorSet:
     feature_indices: tuple[int, ...]   # the minimal top-contribution set
 
 
-def unit_map(word) -> list[UnitRef]:
-    """Owning unit for each feature slot of a word's encoding."""
-    return [UnitRef(kind, sym, pos)
-            for pos, (kind, sym) in enumerate(word_units(word))]
+def unit_map(units: list[tuple[str, str]]) -> list[UnitRef]:
+    """Owning unit for each feature slot of the encoding of a word with
+    these (kind, symbol) units."""
+    return [UnitRef(kind, sym, pos) for pos, (kind, sym) in enumerate(units)]
 
 
 def decisive_factors(explanation: ShapExplanation, units: list[UnitRef],
@@ -290,25 +349,23 @@ def rank_decisive_units(factor_sets: list[DecisiveFactorSet]) -> list[RankedUnit
     return ranked
 
 
-def explain_archive(archive: FuzzyArchive, model: TreeEnsemble, slots: int,
+def explain_archive(words: ArchiveWords, model: TreeEnsemble,
                     beta: float = 0.8) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")
-    texts = [c.word for c in archive.sorted_candidates()]
-    if not texts:
+    fuzzy = words.fuzzy
+    if not fuzzy.texts:
         return []
-    words = [_parse_word(text, archive.language) for text in texts]
-    feats = np.array([encode_features(word, slots) for word in words])
-    kept = np.flatnonzero(model.predict_proba(feats) >= 0.5)
-    explanations = shap_values(model, feats[kept])
+    kept = np.flatnonzero(model.predict_proba(fuzzy.features) >= 0.5)
+    explanations = shap_values(model, fuzzy.features[kept])
     out = []
     for row, i in enumerate(kept.tolist()):
-        units = unit_map(words[i])
         try:
-            fs = decisive_factors(explanations.row(row), units, beta)
+            fs = decisive_factors(explanations.row(row),
+                                  unit_map(fuzzy.units[i]), beta)
         except NoPositiveContributions:
             continue
-        fs.word = texts[i]
+        fs.word = fuzzy.texts[i]
         out.append(fs)
     return out

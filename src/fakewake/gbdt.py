@@ -86,12 +86,14 @@ class Tree:
 
     def expected_value(self) -> float:
         """Cover-weighted mean output (the empty-coalition expectation)."""
-        def walk(node: int) -> float:
-            if self.is_leaf(node):
-                return self.value[node]
-            wl = self.cover[self.left[node]] / self.cover[node]
-            return wl * walk(self.left[node]) + (1 - wl) * walk(self.right[node])
-        return walk(0)
+        return self._mean_below(0)
+
+    def _mean_below(self, node: int) -> float:
+        if self.is_leaf(node):
+            return self.value[node]
+        wl = self.cover[self.left[node]] / self.cover[node]
+        return (wl * self._mean_below(self.left[node])
+                + (1 - wl) * self._mean_below(self.right[node]))
 
 
 @dataclass
@@ -206,7 +208,8 @@ class _Shape:
     valid cuts, feature-major: for cut k, the live index ``feats[k]``, the
     position ``flat[k]`` in ``sorted_rows.ravel()`` it falls after, the
     ``counts[k]`` rows left of it and its ``thresholds[k]``, the midpoint of
-    the two values it falls between. ``children`` maps a cut index to the
+    the two values it falls between, or the lower value where the midpoint
+    rounds up to the upper one. ``children`` maps a cut index to the
     child shapes of that split; ``kept`` says whether the memo holds the
     shape.
     """
@@ -248,7 +251,11 @@ class _Shape:
         self.live, self.sorted_rows, self.feats = live, sorted_rows, feats
         self.flat = feats * n + cuts
         self.counts = cuts + 1
-        self.thresholds = (low[valid] + high[valid]) / 2.0
+        low, high = low[valid], high[valid]
+        mid = (low + high) / 2.0
+        # between neighbouring floats the midpoint can round up to the
+        # upper value; the lower one then splits the rows at the cut
+        self.thresholds = np.where(mid == high, low, mid)
         self.nbytes += sum(a.nbytes for a in (
             live, sorted_rows, feats, self.flat, self.counts,
             self.thresholds))

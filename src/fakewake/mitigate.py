@@ -16,13 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import data_path
-from .embedding import word_units
+from .embedding import encode_units
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
-                     InvalidCombination, ParseFailure, TooManyUnits,
-                     UnknownSyllable)
-from .evolve import FuzzyArchive
-from .explain import (RankedUnit, WordSample, _parse_word, encode_word,
-                      feature_matrix)
+                     InvalidCombination, ParseFailure, UnknownSyllable)
+from .explain import (ArchiveWords, RankedUnit, WordSample, feature_matrix,
+                      parse_text, parse_words)
 from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from .genome import (LENGTH_RATIO, ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
@@ -61,17 +59,18 @@ class DatasetTriple:
         self.collective = [s for s in self.collective if s.word not in known]
 
 
-def assemble_triple(archive: FuzzyArchive, slots: int, n_pos: int = N_POS,
+def assemble_triple(words: ArchiveWords, n_pos: int = N_POS,
                     n_neg: int = N_NEG, jitter: float = DEFAULT_JITTER,
                     seed: int = 0, collective_path=None,
                     collective_limit: int | None = None,
                     length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
+    archive = words.archive
     conventional = synthesize_conventional(
-        archive.wake_word, archive.language, slots,
+        archive.wake_word, archive.language, words.slots,
         n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed,
         length_ratio=length_ratio)
-    fuzzy = fuzzy_word_samples(archive, slots)
-    collective = load_collective(archive.language, slots,
+    fuzzy = fuzzy_word_samples(words)
+    collective = load_collective(archive.language, words.slots,
                                  limit=collective_limit, path=collective_path)
     return DatasetTriple(conventional, fuzzy, collective)
 
@@ -106,11 +105,12 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     if jitter < 0:
         raise ValueError("jitter must be nonnegative")
     rng = np.random.default_rng(seed)
-    base = encode_word(wake_word, language, slots)
+    units, _ = parse_text(wake_word, language)
+    base = encode_units([units], slots)[0]
     # jitter only the occupied slots; padding stays exactly zero like any
     # real word encoding
     occupied = np.zeros(base.shape)
-    occupied[:2 * len(word_units(_parse_word(wake_word, language)))] = 1.0
+    occupied[:2 * len(units)] = 1.0
     positives = [
         WordSample(wake_word,
                    base + occupied * rng.normal(0.0, jitter, size=base.shape), 1)
@@ -119,12 +119,13 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     kind = ChineseGenome if language == "zh" else EnglishGenome
     length = 3 * len(wake_word.split()) if language == "zh" \
         else english_genome_length(wake_word, length_ratio)
-    negatives = []
-    while len(negatives) < n_neg:
+    texts = []
+    while len(texts) < n_neg:
         text = decode_text(random_genome(kind, length, rng))
         if not text or text == wake_word:
             continue
-        negatives.append(WordSample(text, encode_word(text, language, slots), 0))
+        texts.append(text)
+    negatives = parse_words(texts, language, slots).samples(0)
     train, test = [], []
     for grp in (positives, negatives):
         cut = math.ceil(3 * len(grp) / 4)
@@ -159,11 +160,8 @@ def strengthen(fuzzy: list[WordSample], conventional_train: list[WordSample],
     return _fit(pos * repeats + neg + fuzzy, params)
 
 
-def fuzzy_word_samples(archive: FuzzyArchive, slots: int) -> list[WordSample]:
-    return [
-        WordSample(c.word, encode_word(c.word, archive.language, slots), 0)
-        for c in archive.sorted_candidates()
-    ]
+def fuzzy_word_samples(words: ArchiveWords) -> list[WordSample]:
+    return words.fuzzy.samples(0)
 
 
 def load_collective(language: str, slots: int, limit: int | None = None,
@@ -173,23 +171,32 @@ def load_collective(language: str, slots: int, limit: int | None = None,
     if limit is not None and limit < 1:
         raise ValueError("collective_limit must be at least 1")
     path = path or data_path("collective.txt")
-    samples = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word:
-                continue
-            try:
-                features = encode_word(word, language, slots)
-            except (TooManyUnits, ParseFailure, UnknownSyllable,
-                    InvalidCombination, ValueError):
-                continue
-            samples.append(WordSample(word, features, 0))
-            if limit is not None and len(samples) >= limit:
-                break
-    if not samples:
+    texts: list[str] = []
+
+    def usable_units():
+        # each usable line's units, parsed as the encoder reads them, so
+        # that no more than one line's units are alive at a time
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                word = line.strip()
+                if not word:
+                    continue
+                try:
+                    units, _ = parse_text(word, language)
+                except (ParseFailure, UnknownSyllable, InvalidCombination,
+                        ValueError):
+                    continue
+                if len(units) > slots:
+                    continue
+                texts.append(word)
+                yield units
+                if limit is not None and len(texts) >= limit:
+                    return
+
+    features = encode_units(usable_units(), slots)
+    if not texts:
         raise EmptyCollective(f"no usable words in {path}")
-    return samples
+    return [WordSample(text, row, 0) for text, row in zip(texts, features)]
 
 
 def evaluate(model: TreeEnsemble, test: list[WordSample],
@@ -222,9 +229,10 @@ def fuzzy_rate(model: TreeEnsemble, collective: list[WordSample]) -> float:
     return accepted / len(collective)
 
 
-def unit_set(word: str, language: str) -> frozenset[tuple[str, str]]:
-    """The (kind, symbol) units of a word, what screening looks at."""
-    return frozenset(word_units(_parse_word(word, language)))
+def unit_set(units: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+    """The distinct (kind, symbol) units of a word's unit sequence, what
+    screening looks at."""
+    return frozenset(units)
 
 
 def screening_coverage(unit_sets: list[frozenset[tuple[str, str]]],

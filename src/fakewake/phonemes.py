@@ -8,6 +8,7 @@ pronunciation. Word boundaries are kept as ``BOUNDARY`` markers.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from .errors import UnknownPhoneme
 BOUNDARY = " "
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz" + BOUNDARY
+_ALPHABET_SET = frozenset(ALPHABET)
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class LetterWord:
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("a letter word needs at least one symbol")
-        bad = set(self.symbols) - set(ALPHABET)
+        bad = set(self.symbols) - _ALPHABET_SET
         if bad:
             raise ValueError(f"symbols outside the alphabet: {sorted(bad)}")
 
@@ -50,7 +52,11 @@ PhonemeSequence = list
 
 
 class PhonemeInventory:
-    """Immutable after load: all pairwise distances precomputed."""
+    """Immutable after load: all pairwise distances precomputed.
+
+    ``index`` maps each symbol to its row of ``rows``, the distance matrix
+    as lists of Python floats (``rows[index[p]][index[q]]`` is the distance
+    between p and q), which a pure-Python loop reads without unboxing."""
 
     def __init__(self):
         rows = read_tsv("phoneme_features.tsv")
@@ -64,10 +70,11 @@ class PhonemeInventory:
                 raise ValueError(f"feature row length mismatch for {sym}")
             self.phonemes[sym] = Phoneme(sym, values)
             feats.append(values)
-        self._index = {sym: i for i, sym in enumerate(self.phonemes)}
+        self.index = {sym: i for i, sym in enumerate(self.phonemes)}
         mat = np.asarray(feats, dtype=float)
         gaps = np.abs(mat[:, None, :] - mat[None, :, :]) / 2.0
         self._dist = gaps @ self.weights / self.weights.sum()
+        self.rows: list[list[float]] = self._dist.tolist()
 
     def symbols(self) -> list[str]:
         return sorted(self.phonemes)
@@ -75,18 +82,18 @@ class PhonemeInventory:
     def distance(self, p: str, q: str) -> float:
         """Weighted Hamming distance over feature vectors, normalized to [0,1]."""
         try:
-            i = self._index[p]
+            i = self.index[p]
         except KeyError:
             raise UnknownPhoneme(p) from None
         try:
-            j = self._index[q]
+            j = self.index[q]
         except KeyError:
             raise UnknownPhoneme(q) from None
-        return float(self._dist[i, j])
+        return self.rows[i][j]
 
     def distance_matrix(self) -> tuple[list[str], np.ndarray]:
         syms = self.symbols()
-        idx = [self._index[s] for s in syms]
+        idx = [self.index[s] for s in syms]
         return syms, self._dist[np.ix_(idx, idx)].copy()
 
 
@@ -100,7 +107,13 @@ def phoneme_distance(p: str, q: str) -> float:
 
 
 class G2P:
-    """Lexicon lookup with longest-match rule fallback."""
+    """Lexicon lookup with longest-match rule fallback.
+
+    Outside the lexicon a token is read left to right by one compiled
+    pattern: every rule grapheme in an alternation, longest first, then a
+    one-character catch-all. The first alternative that matches at a
+    position is the longest rule grapheme there; a character no rule starts
+    with is consumed by the catch-all and contributes nothing."""
 
     def __init__(self):
         self.lexicon = {
@@ -114,25 +127,20 @@ class G2P:
             if prev is None or cand < prev:
                 rules[grapheme] = cand
         self.rules = rules
-        self.max_grapheme = max(len(g) for g in rules)
+        self._phones = {g: tuple(phones) for g, (_, phones) in rules.items()}
+        graphemes = sorted((g for g in rules if g), key=lambda g: (-len(g), g))
+        self._pattern = re.compile(
+            "|".join([*map(re.escape, graphemes), "(?s:.)"]))
 
     def token(self, token: str) -> list[str]:
         if token in self.lexicon:
             return list(self.lexicon[token])
         phones: list[str] = []
-        i = 0
-        while i < len(token):
-            match = None
-            for width in range(min(self.max_grapheme, len(token) - i), 0, -1):
-                grapheme = token[i:i + width]
-                if grapheme in self.rules:
-                    match = grapheme
-                    break
-            if match is None:
-                i += 1  # unmatched symbol contributes nothing
-                continue
-            phones.extend(self.rules[match][1])
-            i += len(match)
+        rule = self._phones.get
+        for grapheme in self._pattern.findall(token):
+            match = rule(grapheme)
+            if match:
+                phones.extend(match)
         return phones
 
     def word(self, word: LetterWord | str) -> PhonemeSequence:
@@ -155,6 +163,3 @@ def g2p(word: LetterWord | str) -> PhonemeSequence:
     """Deterministic pronunciation of a letter string; empty input -> []."""
     return g2p_converter().word(word)
 
-
-def strip_boundaries(seq: PhonemeSequence) -> list[str]:
-    return [p for p in seq if p != BOUNDARY]

@@ -122,8 +122,12 @@ def _tree_terms(tree: Tree,
     value, covers = tree.value.tolist(), tree.cover.tolist()
     dims: list[int] = []
     terms: list[float] = []
-
-    def recurse(node: int, path: _Path, pz: float, po: float, pi: int):
+    # depth first, hot child before cold: (node, parent path, pz, po, pi).
+    # A node copies its parent's path before extending it, so both children
+    # can share the parent's.
+    stack = [(0, _Path(), 1.0, 1.0, -1)]
+    while stack:
+        node, path, pz, po, pi = stack.pop()
         path = path.copy()
         _extend(path, pz, po, pi)
         if feature[node] < 0:
@@ -131,7 +135,7 @@ def _tree_terms(tree: Tree,
                 weight = _unwound_sum(path, i)
                 dims.append(path.d[i])
                 terms.append(weight * (path.o[i] - path.z[i]) * value[node])
-            return
+            continue
         feat = feature[node]
         if goes_left[node]:
             hot, cold = left[node], right[node]
@@ -147,10 +151,8 @@ def _tree_terms(tree: Tree,
             iz, io = path.z[found], path.o[found]
             path = _unwind(path, found)
         cover = covers[node]
-        recurse(hot, path, iz * covers[hot] / cover, io, feat)
-        recurse(cold, path, iz * covers[cold] / cover, 0.0, feat)
-
-    recurse(0, _Path(), 1.0, 1.0, -1)
+        stack.append((cold, path, iz * covers[cold] / cover, 0.0, feat))
+        stack.append((hot, path, iz * covers[hot] / cover, io, feat))
     return tuple(dims), terms
 
 

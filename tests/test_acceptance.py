@@ -16,8 +16,9 @@ from fakewake.cli import main as cli_main
 from fakewake.distance import DistanceConfig, chinese_dist, english_dist
 from fakewake.evolve import (EvolveConfig, Objectives, non_dominated_front,
                              run)
-from fakewake.explain import (build_dataset, cross_validate, default_slots,
-                              explain_archive, rank_decisive_units)
+from fakewake.explain import (ArchiveWords, build_dataset, cross_validate,
+                              default_slots, explain_archive,
+                              rank_decisive_units)
 from fakewake.gbdt import train_gbdt
 from fakewake.genome import (ChineseGenome, VariationConfig, decode_chinese,
                              encode_english, english_genome_length,
@@ -176,7 +177,7 @@ def test_criterion_4_generation_desk_scale(desk_run):
 
 def test_criterion_5_proxy_classifier(desk_run):
     archive, _ = desk_run
-    dataset = build_dataset(archive, SLOTS, seed=7)
+    dataset = build_dataset(ArchiveWords(archive, SLOTS), seed=7)
     accuracy = cross_validate(dataset, folds=10, seed=7)
     report(5, "proxy-classifier", accuracy >= 0.80,
            f"10-fold cv accuracy {accuracy:.4f} >= 0.80 "
@@ -192,10 +193,10 @@ def test_criterion_6_closed_loop_explanation():
         wake = encode_english("alexa", english_genome_length("alexa"))
         archive = run(wake, "alexa", detector, EvolveConfig(),
                       VariationConfig(), DistanceConfig(), seed=seed)
-        dataset = build_dataset(archive, SLOTS, seed=seed)
+        words = ArchiveWords(archive, SLOTS)
+        dataset = build_dataset(words, seed=seed)
         model = train_gbdt(dataset.features, dataset.labels)
-        ranked = rank_decisive_units(
-            explain_archive(archive, model, SLOTS, beta=0.8))
+        ranked = rank_decisive_units(explain_archive(words, model, beta=0.8))
         top3 = [u.symbol for u in ranked[:3]]
         hits += "K" in top3
     report(6, "closed-loop-explanation", hits >= 8,
@@ -209,7 +210,7 @@ def mitigation_run(desk_run):
     start = time.perf_counter()
     conventional = synthesize_conventional("alexa", "en", SLOTS, seed=7)
     original = train_original(conventional.train)
-    fuzzy = fuzzy_word_samples(archive, SLOTS)
+    fuzzy = fuzzy_word_samples(ArchiveWords(archive, SLOTS))
     strengthened = strengthen(fuzzy, conventional.train)
     collective = load_collective("en", SLOTS)
     known = ({s.word for s in conventional.train}
@@ -250,10 +251,11 @@ def test_criterion_7_mitigation(mitigation_run):
 
 def test_criterion_8_screening_coverage(desk_run):
     archive, _ = desk_run
-    dataset = build_dataset(archive, SLOTS, seed=7)
+    fixture = ArchiveWords(archive, SLOTS)
+    dataset = build_dataset(fixture, seed=7)
     model = train_gbdt(dataset.features, dataset.labels)
-    ranked = rank_decisive_units(explain_archive(archive, model, SLOTS))
-    fuzzy_words = [unit_set(c.word, "en") for c in archive.sorted_candidates()]
+    ranked = rank_decisive_units(explain_archive(fixture, model))
+    fuzzy_words = [unit_set(units) for units in fixture.fuzzy.units]
     top3 = screening_coverage(fuzzy_words, ranked, 3)
 
     monotone = True
@@ -265,11 +267,12 @@ def test_criterion_8_screening_coverage(desk_run):
         corpus = run(wake, "alexa", detector, EvolveConfig(),
                      VariationConfig(), DistanceConfig(), seed=seed) \
             if seed != 7 else archive
-        ds = build_dataset(corpus, SLOTS, seed=seed)
+        corpus_words = ArchiveWords(corpus, SLOTS)
+        ds = build_dataset(corpus_words, seed=seed)
         proxy = train_gbdt(ds.features, ds.labels)
         corpus_ranked = rank_decisive_units(
-            explain_archive(corpus, proxy, SLOTS))
-        words = [unit_set(c.word, "en") for c in corpus.sorted_candidates()]
+            explain_archive(corpus_words, proxy))
+        words = [unit_set(units) for units in corpus_words.fuzzy.units]
         series = [screening_coverage(words, corpus_ranked, n)
                   for n in range(1, 8)]
         monotone &= series == sorted(series)

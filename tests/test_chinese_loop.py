@@ -4,7 +4,7 @@ import pytest
 
 from fakewake.distance import DistanceConfig
 from fakewake.evolve import EvolveConfig, run
-from fakewake.explain import (build_dataset, cross_validate, default_slots,
+from fakewake.explain import (ArchiveWords, build_dataset, cross_validate, default_slots,
                               explain_archive, group_factors,
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
@@ -47,11 +47,12 @@ def test_zh_archive_contents(zh_archive):
 def test_zh_decisive_units_recover_heavy_final(zh_archive):
     slots = default_slots("zh", WAKE)
     assert slots == 8
-    dataset = build_dataset(zh_archive, slots, seed=9)
+    zh_words = ArchiveWords(zh_archive, slots)
+    dataset = build_dataset(zh_words, seed=9)
     model = train_gbdt(dataset.features, dataset.labels)
     accuracy = cross_validate(dataset, folds=5, seed=9)
     assert accuracy >= 0.8
-    sets = explain_archive(zh_archive, model, slots)
+    sets = explain_archive(zh_words, model)
     ranked = rank_decisive_units(sets)
     assert ranked, "no decisive units extracted"
     top3 = {(u.kind, u.symbol) for u in ranked[:3]}
@@ -62,7 +63,7 @@ def test_zh_decisive_units_recover_heavy_final(zh_archive):
     groups = {e.group.value for e in grouping.entries}
     assert groups <= {"high", "medium", "low"}
 
-    words = [unit_set(c.word, "zh") for c in zh_archive.sorted_candidates()]
+    words = [unit_set(units) for units in zh_words.fuzzy.units]
     coverage = [screening_coverage(words, ranked, n) for n in (1, 2, 3)]
     assert coverage == sorted(coverage)
     assert coverage[-1] >= 0.8

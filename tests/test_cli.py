@@ -210,6 +210,20 @@ def test_dist_command(capsys):
     assert float(capsys.readouterr().out.strip()) > 0
 
 
+@pytest.mark.parametrize("word1, word2, printed", [
+    ("alexa", "ileksur", "0.023809523809523808"),
+    ("alexa", "alexa", "0.0"),
+    ("hey siri", "hay sorry", "0.11746031746031746"),
+    ("alexa", "a lexa", "0.10622710622710622"),
+])
+def test_dist_prints_pinned_english_values(word1, word2, printed, capsys):
+    """English distances end to end, pinned to the values of the per-cell
+    distance loop: a pair, an identical pair, two multi-word phrases, and
+    a boundary against a phoneme."""
+    assert main(["dist", word1, word2]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
 @pytest.mark.parametrize("word1, word2, bad", [
     ("alexa", "al3xa!", "['!', '3']"),
     ("Al-exa", "alexa", "['-']"),
@@ -268,3 +282,99 @@ def test_bad_oracle_flag_exits_2(tmp_path):
     config = write_config(tmp_path / "config.json")
     assert main(["generate", "--config", str(config), "--oracle", "nova",
                  "--output", str(tmp_path / "out")]) == 2
+
+
+class ParseSpy:
+    """Wraps the parsers (``g2p``, ``parse_pinyin``) and the batch encoder
+    wherever a fakewake module binds them: records each parsed word's text
+    and the number of rows each encoder call returns."""
+
+    def __init__(self, monkeypatch):
+        from fakewake import embedding, phonemes, pinyin
+        self.texts: list[str] = []
+        self.rows = 0
+        modules = [m for n, m in sys.modules.items()
+                   if n == "fakewake" or n.startswith("fakewake.")]
+        for original, wrapper in (
+                (phonemes.g2p, self._parsing(phonemes.g2p)),
+                (pinyin.parse_pinyin, self._parsing(pinyin.parse_pinyin)),
+                (embedding.encode_units, self._encoding(embedding.encode_units))):
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, wrapper)
+
+    def _parsing(self, fn):
+        def wrapper(word, *args, **kwargs):
+            self.texts.append(getattr(word, "symbols", word))
+            return fn(word, *args, **kwargs)
+        return wrapper
+
+    def _encoding(self, fn):
+        def wrapper(*args, **kwargs):
+            matrix = fn(*args, **kwargs)
+            self.rows += len(matrix)
+            return matrix
+        return wrapper
+
+
+def capture(monkeypatch, module, name, found):
+    """Wrap ``module.name`` to append each result to ``found``."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        found.append(original(*args, **kwargs))
+        return found[-1]
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
+                                                   monkeypatch):
+    """explain parses and encodes each archive word it reads once: every
+    fuzzy word and the never-woke words of the dataset. mitigate does the
+    same, plus each collective line once (and its own conventional words).
+    The wake word is parsed on its own and is left out of the counts."""
+    from collections import Counter
+
+    from fakewake import cli, mitigate
+    from fakewake.dataio import data_path
+
+    root, config, out = small_run
+    archive = FuzzyArchive.load(out / "archive.json")
+    fuzzy = Counter(list(archive.candidates))
+    assert archive.wake_word not in fuzzy
+    assert archive.wake_word not in archive.rejected
+
+    def run(command, found):
+        with pytest.MonkeyPatch.context() as mp:
+            for (module, name), results in found.items():
+                capture(mp, module, name, results)
+            spy = ParseSpy(mp)
+            assert main([command, "--config", str(config),
+                         "--archive", str(out / "archive.json"),
+                         "--output", str(tmp_path / command)]) == 0
+        return Counter(t for t in spy.texts if t != archive.wake_word), \
+            spy.rows
+
+    datasets = []
+    parsed, rows = run("explain", {(cli, "build_dataset"): datasets})
+    negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)
+    assert set(negatives) <= set(archive.rejected)
+    assert parsed == fuzzy + negatives
+    assert rows == len(archive.candidates) + sum(negatives.values())
+
+    datasets, conventional, collective = [], [], []
+    parsed, rows = run("mitigate", {
+        (cli, "build_dataset"): datasets,
+        (mitigate, "synthesize_conventional"): conventional,
+        (mitigate, "load_collective"): collective})
+    negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)
+    made = Counter(s.word for s in conventional[0].train + conventional[0].test
+                   if s.label == 0)
+    with open(data_path("collective.txt"), encoding="utf-8") as fh:
+        lines = Counter(line.strip() for line in fh if line.strip())
+    expected = fuzzy + negatives + made + lines
+    expected.pop(archive.wake_word, None)
+    assert parsed == expected
+    assert rows == (len(archive.candidates) + sum(negatives.values())
+                    + sum(made.values()) + 1 + len(collective[0]))

@@ -3,12 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
                                levenshtein_dist)
 from fakewake.embedding import character_distance
-from fakewake.errors import BothEmpty, LengthMismatch
+from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from fakewake.genome import ChineseGenome, random_genome
 from fakewake.phonemes import BOUNDARY, g2p, inventory, phoneme_distance
 from fakewake.pinyin import parse_pinyin
@@ -68,6 +68,64 @@ def test_english_append_monotone(w1, w2, p):
     before = english_dist(w1, w2) * (len(w1) + len(w2))
     after = english_dist(w1 + [p], w2 + [p]) * (len(w1) + len(w2) + 2)
     assert after <= before + 1e-12
+
+
+def loop_english(w1, w2, cfg=DistanceConfig()):
+    """english_dist before the inventory's cost rows: one distance lookup
+    per cell of the alignment table. The cost rows must reproduce it
+    exactly, errors included."""
+    def unit(a, b):
+        if a == b:
+            return 0.0
+        if a == BOUNDARY or b == BOUNDARY:
+            return cfg.space_cost
+        return phoneme_distance(a, b)
+
+    m, n = len(w1), len(w2)
+    prev = [float(j) for j in range(n + 1)]
+    for i in range(1, m + 1):
+        cur = [float(i)] + [0.0] * n
+        for j in range(1, n + 1):
+            sub = prev[j - 1] + 2.0 * unit(w1[i - 1], w2[j - 1])
+            cur[j] = min(sub, prev[j] + 1.0, cur[j - 1] + 1.0)
+        prev = cur
+    return prev[n] / (m + n)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except UnknownPhoneme as exc:
+        return ("UnknownPhoneme", str(exc))
+
+
+seq_with_unknown = st.lists(st.sampled_from(SYMS + [BOUNDARY, "QQ", "XX"]),
+                            max_size=7)
+
+
+@given(seq_with_unknown, seq_with_unknown, st.sampled_from([1.0, 0.5, 0.3]))
+@settings(max_examples=300, deadline=None)
+def test_english_equals_per_cell_loop(w1, w2, space_cost):
+    assume(w1 or w2)
+    cfg = DistanceConfig(space_cost=space_cost)
+    assert outcome(english_dist, w1, w2, cfg) == \
+        outcome(loop_english, w1, w2, cfg)
+
+
+def test_english_unknown_phoneme_in_either_sequence():
+    known = g2p("alexa")
+    for w1, w2 in ((known + ["QQ"], known), (known, ["QQ"] + known),
+                   (["QQ", BOUNDARY], ["K"]), (["K"], [BOUNDARY, "QQ"]),
+                   # the first pair that needs a distance names w1's
+                   # symbol before w2's
+                   (["QQ"], ["XX"]), (["K", "XX"], ["QQ"])):
+        with pytest.raises(UnknownPhoneme) as exc:
+            english_dist(w1, w2)
+        assert str(exc.value) == "QQ"
+    # an unknown symbol is only looked up against a different one
+    assert english_dist(["QQ"], ["QQ"]) == 0.0
+    assert english_dist(["QQ"], [BOUNDARY], DistanceConfig(space_cost=0.3)) \
+        == 0.3
 
 
 def test_english_identity():

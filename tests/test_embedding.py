@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from fakewake.dataio import data_path
 from fakewake.embedding import (character_distance, embedding_table,
-                                encode_features, mds_embed, word_units)
+                                encode_features, encode_units, mds_embed,
+                                word_units)
 from fakewake.errors import TooManyUnits
 from fakewake.phonemes import LetterWord, inventory
-from fakewake.pinyin import Syllable, parse_pinyin, unit_tables
+from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
+                             unit_tables)
 
 
 def test_mds_identical_points():
@@ -103,6 +106,79 @@ def test_encode_features_padding_trailing():
 def test_encode_features_too_many_units():
     with pytest.raises(TooManyUnits):
         encode_features(LetterWord("alexa"), 2)
+
+
+# ------------------------------------------------ per-word reference
+# encode_features' body before the batch encoder: one zero vector per word,
+# filled a unit at a time. The batch encoder must reproduce it byte for byte.
+
+def per_word_encoding(word, slots):
+    units = word_units(word)
+    if len(units) > slots:
+        raise TooManyUnits(f"{len(units)} units exceed {slots} slots")
+    emb = embedding_table()
+    out = np.zeros(2 * slots)
+    for i, (kind, sym) in enumerate(units):
+        out[2 * i:2 * i + 2] = emb.unit_vec(kind, sym)
+    return out
+
+
+def english_words(count=400):
+    with open(data_path("collective.txt"), encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    return [LetterWord(w) for w in lines[:count]
+            + ["alexa", "hey siri", " ", "  a  b "]]
+
+
+def chinese_words(count=200, syllables=4):
+    pairs = sorted(unit_tables().valid_pairs)
+    rng = np.random.default_rng(4)
+    words = []
+    for _ in range(count):
+        n = int(rng.integers(1, syllables + 1))
+        picks = rng.integers(len(pairs), size=n)
+        words.append(parse_pinyin(" ".join(
+            render_syllable(Syllable(*pairs[k], int(rng.integers(1, 5))))
+            for k in picks)))
+    return words
+
+
+@pytest.mark.parametrize("language, slots", [("en", 20), ("en", 14),
+                                             ("zh", 8), ("zh", 11)])
+def test_batch_encoder_equals_per_word_encoding(language, slots):
+    words = english_words() if language == "en" else chinese_words()
+    words = [w for w in words if len(word_units(w)) <= slots]
+    matrix = encode_units([word_units(w) for w in words], slots)
+    assert matrix.shape == (len(words), 2 * slots)
+    assert matrix.dtype == np.float64
+    for word, row in zip(words, matrix):
+        expected = per_word_encoding(word, slots).tobytes()
+        assert row.tobytes() == expected
+        assert encode_features(word, slots).tobytes() == expected
+
+
+def test_batch_encoder_pads_and_encodes_the_all_space_word():
+    words = [LetterWord(" "), LetterWord("kit"), LetterWord("   ")]
+    matrix = encode_units([word_units(w) for w in words], 4)
+    assert matrix.shape == (3, 8)
+    assert matrix[[0, 2]].tobytes() == np.zeros((2, 8)).tobytes()
+    assert np.all(matrix[1, 6:] == 0) and np.all(matrix[1, :6] != 0)
+    assert matrix[1].tobytes() == per_word_encoding(words[1], 4).tobytes()
+
+
+def test_batch_encoder_of_no_words():
+    assert encode_units([], 5).shape == (0, 10)
+
+
+def test_batch_encoder_too_many_units_at_the_same_word():
+    words = [LetterWord(w) for w in ("kit", "mop", "alexa", "alexander")]
+    with pytest.raises(TooManyUnits) as batch:
+        encode_units([word_units(w) for w in words], 5)
+    first = next(w for w in words if len(word_units(w)) > 5)
+    with pytest.raises(TooManyUnits) as single:
+        per_word_encoding(first, 5)
+    assert str(batch.value) == str(single.value) == "6 units exceed 5 slots"
+    assert len(word_units(words[-1])) > 6
 
 
 def test_word_units_chinese_excludes_tone():

@@ -4,10 +4,12 @@ import pytest
 from fakewake.errors import (EmptyClass, NoPositiveContributions,
                              TooFewSamples)
 from fakewake.evolve import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
-from fakewake.explain import (Dataset, WordSample, UnitRef, build_dataset,
+from fakewake.explain import (ArchiveWords, Dataset, WordSample, UnitRef,
+                              build_dataset,
                               cross_validate, decisive_factors, default_slots,
                               explain_archive, group_factors,
                               rank_decisive_units, unit_map)
+from fakewake.embedding import word_units
 from fakewake.gbdt import GBDTParams, train_gbdt
 from fakewake.phonemes import LetterWord
 from fakewake.treeshap import ShapExplanation
@@ -26,7 +28,7 @@ def make_archive(fuzzy, rejected, language="en"):
 
 def test_build_dataset_preserves_labels():
     archive = make_archive(["kaf", "kef"], ["mop", "nip"])
-    ds = build_dataset(archive, slots=8)
+    ds = build_dataset(ArchiveWords(archive, 8))
     assert len(ds.samples) == 4
     assert ds.count(1) == 2 and ds.count(0) == 2
     assert ds.features.shape == (4, 16)
@@ -36,7 +38,7 @@ def test_build_dataset_caps_ratio():
     fuzzy = [f"ka{c}" for c in "bdfgm"]
     rejected = [f"{a}o{b}" for a in "bcdfglmnprstvz" for b in "bdgklmnprstz"][:100]
     archive = make_archive(fuzzy, rejected)
-    ds = build_dataset(archive, slots=8, seed=1)
+    ds = build_dataset(ArchiveWords(archive, 8), seed=1)
     assert ds.count(1) == 5
     assert ds.count(0) == 15
 
@@ -44,16 +46,16 @@ def test_build_dataset_caps_ratio():
 def test_build_dataset_caps_positives_too():
     fuzzy = [f"ka{c}" for c in "bdfgmlnprstvz"][:12]
     archive = make_archive(fuzzy, ["mop"])
-    ds = build_dataset(archive, slots=8, seed=1)
+    ds = build_dataset(ArchiveWords(archive, 8), seed=1)
     assert ds.count(0) == 1
     assert ds.count(1) == 3
 
 
 def test_build_dataset_requires_both_classes():
     with pytest.raises(EmptyClass):
-        build_dataset(make_archive(["kaf"], []), slots=8)
+        build_dataset(ArchiveWords(make_archive(["kaf"], []), 8))
     with pytest.raises(EmptyClass):
-        build_dataset(make_archive([], ["mop"]), slots=8)
+        build_dataset(ArchiveWords(make_archive([], ["mop"]), 8))
 
 
 def test_default_slots():
@@ -142,7 +144,7 @@ def test_decisive_requires_positive():
 
 
 def test_unit_map_positions():
-    refs = unit_map(LetterWord("alexa"))
+    refs = unit_map(word_units(LetterWord("alexa")))
     assert [r.symbol for r in refs] == ["AH", "L", "EH", "K", "S", "AH"]
     assert [r.position for r in refs] == list(range(6))
 
@@ -205,9 +207,10 @@ def test_rank_decisive_units_orders_by_contribution():
 
 def test_explain_archive_closed_loop(fixture_archive):
     slots = default_slots("en", "alexa")
-    ds = build_dataset(fixture_archive, slots, seed=7)
+    words = ArchiveWords(fixture_archive, slots)
+    ds = build_dataset(words, seed=7)
     model = train_gbdt(ds.features, ds.labels)
-    sets = explain_archive(fixture_archive, model, slots)
+    sets = explain_archive(words, model)
     assert sets
     ranked = rank_decisive_units(sets)
     assert ranked[0].symbol == "K"    # the simulator's hidden heavy unit
@@ -215,9 +218,10 @@ def test_explain_archive_closed_loop(fixture_archive):
 
 def test_explain_archive_passes_beta(fixture_archive):
     slots = default_slots("en", "alexa")
-    ds = build_dataset(fixture_archive, slots, seed=7)
+    words = ArchiveWords(fixture_archive, slots)
+    ds = build_dataset(words, seed=7)
     model = train_gbdt(ds.features, ds.labels, GBDTParams(n_trees=20))
-    sets = explain_archive(fixture_archive, model, slots, beta=1.0)
+    sets = explain_archive(words, model, beta=1.0)
     assert sets
     assert all(fs.beta == 1.0 for fs in sets)
 
@@ -225,7 +229,7 @@ def test_explain_archive_passes_beta(fixture_archive):
 def test_dissimilarity_separation(fixture_archive):
     """Non-fuzzy words score higher dissimilarity (1 - confidence)."""
     slots = default_slots("en", "alexa")
-    ds = build_dataset(fixture_archive, slots, seed=7)
+    ds = build_dataset(ArchiveWords(fixture_archive, slots), seed=7)
     labels = ds.labels
     split = len(labels) // 2
     train = np.arange(len(labels)) % 2 == 0

@@ -127,7 +127,9 @@ def loop_best_split(x_col, grad, order, min_leaf):
     best = int(np.argmax(gain))
     if gain[best] <= 1e-12:
         return None
-    return float(gain[best]), (xs[best] + xs[best + 1]) / 2.0
+    low, high = xs[best], xs[best + 1]
+    mid = (low + high) / 2.0
+    return float(gain[best]), (low if mid == high else mid)
 
 
 def loop_grow_tree(x, grad, hess, params):
@@ -398,7 +400,9 @@ def test_memo_reuses_shapes_and_grows_the_loop_trees(seed, monkeypatch):
 def test_leaf_routed_update_at_midpoints_that_round():
     """Neighbouring floats whose midpoint rounds to the lower value (1.0
     and the next float) or to the upper one (the next two floats): training
-    and predict route the rows with the same ``<=`` test either way."""
+    and predict route the rows with the same ``<=`` test either way. Where
+    the midpoint rounds up, the threshold is the lower value, so the split
+    falls exactly at the cut and no leaf gets fewer than min_leaf rows."""
     one = 1.0
     up1 = np.nextafter(one, 2.0)
     up2 = np.nextafter(up1, 2.0)
@@ -409,10 +413,13 @@ def test_leaf_routed_update_at_midpoints_that_round():
     for min_leaf in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             spy = MemoSpy(mp)
-            assert_grows_loop_trees(
+            model = assert_grows_loop_trees(
                 x, y, GBDTParams(n_trees=8, depth=3, learning_rate=0.5,
                                  min_leaf=min_leaf))
         assert spy.trees == 8
+        for tree in model.trees:
+            leaves = tree.feature < 0
+            assert tree.cover[leaves].min() >= min_leaf
 
 
 def noise_data(rows=1000, features=20, seed=3):

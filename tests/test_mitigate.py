@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from fakewake.errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet)
-from fakewake.explain import (RankedUnit, build_dataset, default_slots,
-                              explain_archive, rank_decisive_units)
+from fakewake.explain import (ArchiveWords, RankedUnit, build_dataset,
+                              default_slots, explain_archive, parse_text,
+                              rank_decisive_units)
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from fakewake.mitigate import (DETECTOR_PARAMS, WordSample, evaluate,
                                fuzzy_rate, fuzzy_word_samples,
@@ -13,6 +14,10 @@ from fakewake.mitigate import (DETECTOR_PARAMS, WordSample, evaluate,
                                unit_set)
 
 SLOTS = default_slots("en", "alexa")
+
+
+def units(text, language="en"):
+    return parse_text(text, language)[0]
 
 
 def test_synthesize_shapes_and_split():
@@ -150,7 +155,7 @@ def ranked_units(symbols):
 
 
 def test_screening_coverage_monotone_and_full():
-    words = [unit_set(w, "en") for w in ("kit", "tok", "mop", "fun")]
+    words = [unit_set(units(w)) for w in ("kit", "tok", "mop", "fun")]
     ranked = ranked_units(["K", "M", "F", "T", "AA", "IH", "AH", "N", "P", "UH"])
     values = [screening_coverage(words, ranked, n)
               for n in range(1, len(ranked) + 1)]
@@ -163,27 +168,27 @@ def test_screening_coverage_monotone_and_full():
 
 def test_screening_symbol_at_any_position():
     ranked = ranked_units(["K"])
-    assert screening_coverage([unit_set("akka", "en")], ranked, 1) == 1.0
-    assert screening_coverage([unit_set("mom", "en")], ranked, 1) == 0.0
+    assert screening_coverage([unit_set(units("akka"))], ranked, 1) == 1.0
+    assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
 
 
 def test_should_escalate():
     ranked = ranked_units(["K"])
-    assert should_escalate(unit_set("kit", "en"), ranked, 1)
-    assert not should_escalate(unit_set("mom", "en"), ranked, 1)
+    assert should_escalate(unit_set(units("kit")), ranked, 1)
+    assert not should_escalate(unit_set(units("mom")), ranked, 1)
 
 
 def test_unit_set_keeps_kind_and_symbol():
-    assert unit_set("kit", "en") == {("phoneme", "K"), ("phoneme", "IH"),
+    assert unit_set(units("kit")) == {("phoneme", "K"), ("phoneme", "IH"),
                                      ("phoneme", "T")}
-    zh = unit_set("xiǎo dù xiǎo dù", "zh")
+    zh = unit_set(units("xiǎo dù xiǎo dù", "zh"))
     assert ("final", "iao") in zh and ("initial", "d") in zh
 
 
 def test_closed_loop_mitigation(fixture_archive):
     conv = synthesize_conventional("alexa", "en", SLOTS, seed=7)
     original = train_original(conv.train)
-    fuzzy = fuzzy_word_samples(fixture_archive, SLOTS)
+    fuzzy = fuzzy_word_samples(ArchiveWords(fixture_archive, SLOTS))
     strengthened = strengthen(fuzzy, conv.train)
     collective = load_collective("en", SLOTS)
     known = {s.word for s in conv.train} | {s.word for s in conv.test} | \

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from fakewake.dataio import data_path
 from fakewake.errors import UnknownPhoneme
-from fakewake.phonemes import (BOUNDARY, LetterWord, g2p, g2p_converter,
-                               inventory, phoneme_distance)
+from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, LetterWord, g2p,
+                               g2p_converter, inventory, phoneme_distance)
 
 INV = inventory()
 SYMBOLS = INV.symbols()
@@ -92,3 +93,77 @@ def test_single_letters_all_covered():
     conv = g2p_converter()
     for letter in "abcdefghijklmnopqrstuvwxyz":
         assert letter in conv.rules
+
+
+def test_cost_rows_are_the_distance_matrix():
+    for p in SYMBOLS:
+        row = INV.rows[INV.index[p]]
+        assert row[INV.index[p]] == 0.0
+        for q in SYMBOLS:
+            assert type(row[INV.index[q]]) is float
+            assert row[INV.index[q]] == phoneme_distance(p, q)
+
+
+# ------------------------------------------------ width-loop reference
+# G2P.token before the compiled pattern: at each position, try the rule
+# graphemes by width from the longest rule down; a character no rule
+# matches contributes nothing. The pattern must reproduce it exactly.
+
+def width_loop_token(conv, token):
+    if token in conv.lexicon:
+        return list(conv.lexicon[token])
+    max_grapheme = max(len(g) for g in conv.rules)
+    phones = []
+    i = 0
+    while i < len(token):
+        match = None
+        for width in range(min(max_grapheme, len(token) - i), 0, -1):
+            grapheme = token[i:i + width]
+            if grapheme in conv.rules:
+                match = grapheme
+                break
+        if match is None:
+            i += 1
+            continue
+        phones.extend(conv.rules[match][1])
+        i += len(match)
+    return phones
+
+
+@pytest.fixture(scope="module")
+def rules_only():
+    """A converter that reads every token by the rules."""
+    conv = G2P()
+    conv.lexicon = {}
+    return conv
+
+
+def test_token_equals_width_loop_on_lexicon_and_collective(rules_only):
+    conv = g2p_converter()
+    tokens = set(conv.lexicon)
+    with open(data_path("collective.txt"), encoding="utf-8") as fh:
+        lines = [line.strip() for line in fh]
+    for line in lines:
+        tokens.update(line.split())
+    for token in sorted(tokens) + lines:
+        assert conv.token(token) == width_loop_token(conv, token), token
+        assert rules_only.token(token) == \
+            width_loop_token(rules_only, token), token
+    for line in lines[:500]:
+        if line:
+            assert g2p(line) == g2p(LetterWord(line))
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=ALPHABET, max_size=24))
+def test_token_equals_width_loop_on_letter_strings(rules_only, text):
+    assert rules_only.token(text) == width_loop_token(rules_only, text)
+    for token in text.split():
+        assert g2p_converter().token(token) == \
+            width_loop_token(g2p_converter(), token)
+
+
+def test_token_skips_characters_no_rule_starts():
+    conv = g2p_converter()
+    for text in ("a-b", "ab3c", "x\ny", "é", ""):
+        assert conv.token(text) == width_loop_token(conv, text)

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 from math import factorial
 
@@ -282,3 +283,36 @@ def test_rows_that_differ_only_in_the_first_decisions():
         phi = np.zeros(2)
         loop_tree_shap(tree, row, phi)
         assert batch.contributions[i].tolist() == phi.tolist()
+
+
+def mean_below(tree, node=0):
+    """The recursive walk ``Tree.expected_value`` replaced."""
+    if tree.is_leaf(node):
+        return tree.value[node]
+    wl = tree.cover[tree.left[node]] / tree.cover[node]
+    return (wl * mean_below(tree, tree.left[node])
+            + (1 - wl) * mean_below(tree, tree.right[node]))
+
+
+def test_expected_value_equals_recursive_walk():
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        tree = random_tree(rng, 4, int(rng.integers(0, 7)))
+        assert tree.expected_value() == mean_below(tree)
+
+
+def test_shap_values_leaves_no_reference_cycles():
+    """Neither the TreeSHAP walk nor ``Tree.expected_value`` builds a
+    self-referencing closure: with the cyclic collector off, one call
+    leaves nothing for it to reclaim."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(60, 4))
+    y = (x[:, 0] + x[:, 1] > 0).astype(int)
+    model = train_gbdt(x, y, GBDTParams(n_trees=5, depth=3))
+    gc.collect()
+    gc.disable()
+    try:
+        shap_values(model, x[:10])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
