@@ -1,0 +1,141 @@
+"""The fuzzy-word archive and its record types.
+
+``FuzzyArchive`` holds what a search found: the fuzzy words with their
+objectives (wake rate, dissimilarity), the words that never woke the
+detector, and the run's settings. It reads and writes ``archive.json``;
+``bucket`` bands a wake rate for the summary table.
+"""
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from enum import Enum
+
+from .dataio import write_json
+from .errors import BelowFuzzyThreshold
+
+
+@dataclass(frozen=True)
+class Objectives:
+    wake_rate: float
+    dissimilarity: float
+
+
+class Bucket(str, Enum):
+    LOW = "low"
+    MEDIUM = "medium"
+    HIGH = "high"
+
+
+def bucket(rate: float) -> Bucket:
+    """Wake-rate band: low [0.1, 0.3], medium [0.4, 0.7], high [0.8, 1.0].
+
+    Rates are multiples of 1/k; values of k that fall between bands round to
+    the nearest decile.
+    """
+    if not 0 <= rate <= 1:
+        raise ValueError(f"rate out of range: {rate}")
+    decile = round(rate * 10)
+    if decile < 1 or rate < 0.1:
+        raise BelowFuzzyThreshold(f"rate {rate} is below the fuzzy floor")
+    if decile <= 3:
+        return Bucket.LOW
+    if decile <= 7:
+        return Bucket.MEDIUM
+    return Bucket.HIGH
+
+
+@dataclass(frozen=True)
+class FuzzyCandidate:
+    word: str
+    genome: tuple[int, ...]
+    objectives: Objectives
+    generation_found: int
+
+
+@dataclass
+class EvaluatedWord:
+    word: str
+    wake_rate: float
+    dissimilarity: float
+    generation: int
+
+
+@dataclass
+class FuzzyArchive:
+    wake_word: str
+    language: str
+    seed: int
+    config: dict
+    oracle_spec: str
+    candidates: dict[str, FuzzyCandidate] = field(default_factory=dict)
+    rejected: dict[str, EvaluatedWord] = field(default_factory=dict)
+    query_count: int = 0
+    generations_run: int = 0
+
+    def add(self, cand: FuzzyCandidate):
+        if cand.word not in self.candidates:
+            self.candidates[cand.word] = cand
+
+    def sorted_candidates(self) -> list[FuzzyCandidate]:
+        return sorted(self.candidates.values(),
+                      key=lambda c: (-c.objectives.dissimilarity, c.word))
+
+    def to_json(self) -> dict:
+        return {
+            "run": {
+                "wake_word": self.wake_word,
+                "language": self.language,
+                "seed": self.seed,
+                "config": self.config,
+                "oracle": self.oracle_spec,
+                "query_count": self.query_count,
+                "generations_run": self.generations_run,
+            },
+            "candidates": [
+                {
+                    "word": c.word,
+                    "genome": list(c.genome),
+                    "wake_rate": c.objectives.wake_rate,
+                    "dissimilarity": c.objectives.dissimilarity,
+                    "generation": c.generation_found,
+                }
+                for c in self.sorted_candidates()
+            ],
+            "rejected": [
+                {
+                    "word": r.word,
+                    "wake_rate": r.wake_rate,
+                    "dissimilarity": r.dissimilarity,
+                    "generation": r.generation,
+                }
+                for r in sorted(self.rejected.values(), key=lambda r: r.word)
+            ],
+        }
+
+    @classmethod
+    def from_json(cls, payload: dict) -> "FuzzyArchive":
+        run = payload["run"]
+        archive = cls(wake_word=run["wake_word"], language=run["language"],
+                      seed=run["seed"], config=run["config"],
+                      oracle_spec=run["oracle"],
+                      query_count=run.get("query_count", 0),
+                      generations_run=run.get("generations_run", 0))
+        for c in payload["candidates"]:
+            archive.candidates[c["word"]] = FuzzyCandidate(
+                word=c["word"], genome=tuple(c["genome"]),
+                objectives=Objectives(c["wake_rate"], c["dissimilarity"]),
+                generation_found=c["generation"],
+            )
+        for r in payload.get("rejected", []):
+            archive.rejected[r["word"]] = EvaluatedWord(
+                r["word"], r["wake_rate"], r["dissimilarity"], r["generation"])
+        return archive
+
+    def save(self, path):
+        write_json(path, self.to_json())
+
+    @classmethod
+    def load(cls, path) -> "FuzzyArchive":
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_json(json.load(fh))

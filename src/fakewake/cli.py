@@ -5,6 +5,9 @@ extract decisive factors), mitigate (screening coverage and detector
 strengthening), dist (ad-hoc distance between two words), validate (check a
 word against the language). Exit codes: 0 success, 2 configuration error,
 3 oracle failure.
+
+Importing this module loads only the configuration; each subcommand imports
+the pipeline modules it runs when it starts.
 """
 from __future__ import annotations
 
@@ -13,32 +16,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import RunConfig, checked, write_reference
 from .dataio import atomic_write, write_json
-from .distance import chinese_dist, english_dist, levenshtein_dist
 from .errors import ConfigError, FakewakeError, OracleFailure
-from .evolve import FuzzyArchive, bucket, run
-from .explain import (ArchiveWords, build_dataset, cross_validate,
-                      default_slots, dissimilarity_score, explain_archive,
-                      feature_matrix, group_factors, parse_text,
-                      rank_decisive_units, _parse_word)
-from .gbdt import train_gbdt
-from .genome import encode_chinese, encode_english, english_genome_length
-from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
-                       screening_coverage, strengthen, train_original,
-                       unit_set)
-from .oracle import ExternalOracle, SimulatedDetector, _parse_units
-from .phonemes import ALPHABET, g2p
-from .pinyin import parse_pinyin
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
 
-def _load_archive(path) -> FuzzyArchive:
+def _load_archive(path):
+    from .archive import FuzzyArchive
+
     try:
         return FuzzyArchive.load(path)
     except FileNotFoundError as exc:
@@ -50,6 +39,8 @@ def _load_archive(path) -> FuzzyArchive:
 def _check_letters(word: str, name: str) -> str:
     """An English word as it is, or exit 2 naming its symbols outside a-z
     and space (g2p would drop them without a word)."""
+    from .phonemes import ALPHABET
+
     bad = set(word) - set(ALPHABET)
     if bad:
         raise ConfigError(
@@ -58,6 +49,9 @@ def _check_letters(word: str, name: str) -> str:
 
 
 def _wake_genome(cfg: RunConfig):
+    from .genome import encode_chinese, encode_english, english_genome_length
+    from .pinyin import parse_pinyin
+
     word = cfg.wake_word
     try:
         if cfg.language == "zh":
@@ -72,6 +66,8 @@ def _wake_genome(cfg: RunConfig):
 
 
 def _build_oracle(cfg: RunConfig, seed: int):
+    from .oracle import ExternalOracle, SimulatedDetector, _parse_units
+
     block = cfg.raw["oracle"]
     kind = block["kind"]
     if kind == "sim":
@@ -107,6 +103,8 @@ def _build_oracle(cfg: RunConfig, seed: int):
 
 
 def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
+    from .explain import default_slots
+
     slots = cfg.raw["explain"]["slots"]
     return slots if slots is not None else default_slots(
         language, wake_word, cfg.length_ratio)
@@ -132,6 +130,9 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed,
 # ------------------------------------------------------------------ generate
 
 def cmd_generate(args) -> int:
+    from .archive import bucket
+    from .evolve import run
+
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     wake = _wake_genome(cfg)
@@ -168,6 +169,9 @@ def cmd_generate(args) -> int:
 # ------------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
+    from .explain import (ArchiveWords, cross_validate, group_factors,
+                          rank_decisive_units, _parse_word)
+
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)
     seed = cfg.seed if cfg.seed is not None else archive.seed
@@ -218,9 +222,13 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _proxy(cfg: RunConfig, words: ArchiveWords, seed: int, beta: float):
+def _proxy(cfg: RunConfig, words, seed: int, beta: float):
     """The explain proxy: its dataset, the model trained on it and the
-    decisive factors of the fuzzy words it classifies correctly."""
+    decisive factors of the fuzzy words (an ``ArchiveWords``) it classifies
+    correctly."""
+    from .explain import build_dataset, explain_archive
+    from .gbdt import train_gbdt
+
     dataset = build_dataset(words, seed=seed)
     model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
     factor_sets = explain_archive(words, model, beta=beta)
@@ -230,6 +238,11 @@ def _proxy(cfg: RunConfig, words: ArchiveWords, seed: int, beta: float):
 def _separation_report(archive, model, dataset) -> dict:
     """Medians of the proxy dissimilarity score and the plain edit-distance
     baseline over pronunciations, per class."""
+    import numpy as np
+
+    from .distance import levenshtein_dist
+    from .explain import dissimilarity_score, parse_text
+
     fuzzy_scores, nonfuzzy_scores = [], []
     fuzzy_lev, nonfuzzy_lev = [], []
     _, wake = parse_text(archive.wake_word, archive.language)
@@ -255,6 +268,13 @@ def _separation_report(archive, model, dataset) -> dict:
 # ------------------------------------------------------------------ mitigate
 
 def cmd_mitigate(args) -> int:
+    import numpy as np
+
+    from .explain import ArchiveWords, feature_matrix, rank_decisive_units
+    from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
+                           screening_coverage, strengthen, train_original,
+                           unit_set)
+
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     archive = _load_archive(args.archive)
@@ -361,6 +381,10 @@ def _write_datasets(out: Path, conventional, fuzzy, collective):
 # ---------------------------------------------------------------- dist etc.
 
 def cmd_dist(args) -> int:
+    from .distance import chinese_dist, english_dist
+    from .phonemes import g2p
+    from .pinyin import parse_pinyin
+
     cfg = RunConfig.load(args.config, _overrides(args))
     dist_cfg = cfg.distance_config()
     if cfg.language == "zh":
@@ -375,12 +399,13 @@ def cmd_dist(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .phonemes import g2p
+    from .pinyin import parse_pinyin, unit_tables
+
     cfg = RunConfig.load(args.config, _overrides(args))
     word = args.word
     if cfg.language == "zh":
         parsed = parse_pinyin(word)
-        from .pinyin import unit_tables
-
         tables = unit_tables()
         for syl, text in zip(parsed.syllables, word.split()):
             print(f"{text}\tinitial={tables.initial_by_index[syl.initial]}"

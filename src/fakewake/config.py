@@ -1,10 +1,12 @@
 """Run configuration: JSON file plus command-line overrides.
 
-Every tunable in the pipeline lives here with its default, taken from the
-parameter dataclasses where one exists. Each value is checked once, at load,
-and converted to the type of its default (of its ``NULLABLE`` entry where
-the default is null); commands write the full resolved snapshot into their
-run manifest so any output can be reproduced bit-exactly.
+Every tunable in the pipeline lives here with its default. The defaults come
+from ``params``, the parameter dataclasses and default constants that the
+pipeline modules use too, so reading a configuration loads no part of the
+pipeline. Each value is checked once, at load, and converted to the type of
+its default (of its ``NULLABLE`` entry where the default is null); commands
+write the full resolved snapshot into their run manifest so any output can
+be reproduced bit-exactly.
 """
 from __future__ import annotations
 
@@ -15,13 +17,11 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dataio import write_json
-from .distance import DistanceConfig
 from .errors import ConfigError
-from .evolve import EvolveConfig
-from .gbdt import GBDTParams
-from .genome import LENGTH_RATIO, VariationConfig
-from .mitigate import DEFAULT_JITTER, DETECTOR_PARAMS, N_NEG, N_POS
-from .oracle import SimulatedDetector
+from .params import (DEFAULT_JITTER, DETECTOR_PARAMS, LENGTH_RATIO, N_NEG,
+                     N_POS, SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE,
+                     SIM_THRESHOLD, DistanceConfig, EvolveConfig, GBDTParams,
+                     VariationConfig)
 
 DEFAULTS: dict = {
     "language": "en",
@@ -35,8 +35,9 @@ DEFAULTS: dict = {
         "unit_weights": None,     # explicit per-unit weights
         "decisive_unit": None,    # shortcut: index of one heavy unit
         "decisive_weight": 0.6,
-        **{f.name: f.default for f in fields(SimulatedDetector)
-           if f.name in ("threshold", "temperature", "substitution_floor")},
+        "threshold": SIM_THRESHOLD,
+        "temperature": SIM_TEMPERATURE,
+        "substitution_floor": SIM_SUBSTITUTION_FLOOR,
         "seed": None,             # defaults to global seed + 1000
     },
     "evolve": asdict(EvolveConfig()),

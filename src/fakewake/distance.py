@@ -8,25 +8,12 @@ phoneme distance, normalized by the combined length; bounded in [0,1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .embedding import character_distance
 from .errors import BothEmpty, LengthMismatch, UnknownPhoneme
+from .params import DistanceConfig
 from .phonemes import BOUNDARY, PhonemeInventory, PhonemeSequence, inventory
 from .pinyin import ChineseWord
-
-
-@dataclass(frozen=True)
-class DistanceConfig:
-    normalizer: float = 100.0      # divisor inside tanh for Chinese characters
-    space_cost: float = 1.0        # boundary-vs-phoneme substitution base cost
-    tone_penalty: float = 1.0      # flat character-distance charge per tone mismatch
-
-    def __post_init__(self):
-        if self.normalizer <= 0:
-            raise ValueError("normalizer must be positive")
-        if not 0 < self.space_cost <= 1:
-            raise ValueError("space_cost must be in (0, 1]")
 
 
 def chinese_dist(w1: ChineseWord, w2: ChineseWord,

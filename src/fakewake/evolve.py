@@ -1,5 +1,5 @@
 """Multi-objective search loop: Pareto selection over (wake rate,
-dissimilarity), variation, and the fuzzy-word archive.
+dissimilarity) and variation, filling a ``FuzzyArchive``.
 
 Evaluations are memoized per word text, so the oracle sees each distinct
 candidate at most once (k trials). Each generation's unseen words go to the
@@ -8,36 +8,19 @@ survives unmutated, which keeps archive growth monotone.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
-from enum import Enum
+from dataclasses import asdict
 
 import numpy as np
 
-from .dataio import write_json
-from .distance import DistanceConfig, chinese_dist, english_dist
-from .errors import BelowFuzzyThreshold, OracleFailure
-from .genome import (ChineseGenome, Genome, VariationConfig, crossover,
-                     decode_chinese, decode_text, mutate, seed_genomes)
+from .archive import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
+from .distance import chinese_dist, english_dist
+from .errors import OracleFailure
+from .genome import (ChineseGenome, Genome, crossover, decode_chinese,
+                     decode_text, mutate, seed_genomes)
 from .oracle import WakeOracle, wake_counts
+from .params import DistanceConfig, EvolveConfig, VariationConfig
 from .phonemes import PhonemeSequence, g2p
 from .pinyin import ChineseWord, parse_pinyin
-
-
-@dataclass(frozen=True)
-class Objectives:
-    wake_rate: float
-    dissimilarity: float
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.wake_rate, self.dissimilarity)
-
-
-def dominates(a: Objectives, b: Objectives) -> bool:
-    """Strict Pareto dominance under maximization."""
-    ge = a.wake_rate >= b.wake_rate and a.dissimilarity >= b.dissimilarity
-    gt = a.wake_rate > b.wake_rate or a.dissimilarity > b.dissimilarity
-    return ge and gt
 
 
 def non_dominated_front(objectives: list[Objectives]) -> list[int]:
@@ -71,146 +54,6 @@ def non_dominated_front(objectives: list[Objectives]) -> list[int]:
         best_strict = max(best_strict, group_max)
         pos = group_end
     return sorted(front)
-
-
-class Bucket(str, Enum):
-    LOW = "low"
-    MEDIUM = "medium"
-    HIGH = "high"
-
-
-def bucket(rate: float) -> Bucket:
-    """Wake-rate band: low [0.1, 0.3], medium [0.4, 0.7], high [0.8, 1.0].
-
-    Rates are multiples of 1/k; values of k that fall between bands round to
-    the nearest decile.
-    """
-    if not 0 <= rate <= 1:
-        raise ValueError(f"rate out of range: {rate}")
-    decile = round(rate * 10)
-    if decile < 1 or rate < 0.1:
-        raise BelowFuzzyThreshold(f"rate {rate} is below the fuzzy floor")
-    if decile <= 3:
-        return Bucket.LOW
-    if decile <= 7:
-        return Bucket.MEDIUM
-    return Bucket.HIGH
-
-
-@dataclass(frozen=True)
-class FuzzyCandidate:
-    word: str
-    genome: tuple[int, ...]
-    objectives: Objectives
-    generation_found: int
-
-
-@dataclass
-class EvaluatedWord:
-    word: str
-    wake_rate: float
-    dissimilarity: float
-    generation: int
-
-
-@dataclass
-class FuzzyArchive:
-    wake_word: str
-    language: str
-    seed: int
-    config: dict
-    oracle_spec: str
-    candidates: dict[str, FuzzyCandidate] = field(default_factory=dict)
-    rejected: dict[str, EvaluatedWord] = field(default_factory=dict)
-    query_count: int = 0
-    generations_run: int = 0
-
-    def add(self, cand: FuzzyCandidate):
-        if cand.word not in self.candidates:
-            self.candidates[cand.word] = cand
-
-    def sorted_candidates(self) -> list[FuzzyCandidate]:
-        return sorted(self.candidates.values(),
-                      key=lambda c: (-c.objectives.dissimilarity, c.word))
-
-    def to_json(self) -> dict:
-        return {
-            "run": {
-                "wake_word": self.wake_word,
-                "language": self.language,
-                "seed": self.seed,
-                "config": self.config,
-                "oracle": self.oracle_spec,
-                "query_count": self.query_count,
-                "generations_run": self.generations_run,
-            },
-            "candidates": [
-                {
-                    "word": c.word,
-                    "genome": list(c.genome),
-                    "wake_rate": c.objectives.wake_rate,
-                    "dissimilarity": c.objectives.dissimilarity,
-                    "generation": c.generation_found,
-                }
-                for c in self.sorted_candidates()
-            ],
-            "rejected": [
-                {
-                    "word": r.word,
-                    "wake_rate": r.wake_rate,
-                    "dissimilarity": r.dissimilarity,
-                    "generation": r.generation,
-                }
-                for r in sorted(self.rejected.values(), key=lambda r: r.word)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FuzzyArchive":
-        run = payload["run"]
-        archive = cls(wake_word=run["wake_word"], language=run["language"],
-                      seed=run["seed"], config=run["config"],
-                      oracle_spec=run["oracle"],
-                      query_count=run.get("query_count", 0),
-                      generations_run=run.get("generations_run", 0))
-        for c in payload["candidates"]:
-            archive.candidates[c["word"]] = FuzzyCandidate(
-                word=c["word"], genome=tuple(c["genome"]),
-                objectives=Objectives(c["wake_rate"], c["dissimilarity"]),
-                generation_found=c["generation"],
-            )
-        for r in payload.get("rejected", []):
-            archive.rejected[r["word"]] = EvaluatedWord(
-                r["word"], r["wake_rate"], r["dissimilarity"], r["generation"])
-        return archive
-
-    def save(self, path):
-        write_json(path, self.to_json())
-
-    @classmethod
-    def load(cls, path) -> "FuzzyArchive":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
-
-
-@dataclass(frozen=True)
-class EvolveConfig:
-    population_size: int = 100
-    generations: int = 50
-    fuzzy_threshold: float = 0.1
-    trials: int = 10
-    elitism: bool = True
-
-    def __post_init__(self):
-        if self.population_size < 4:
-            raise ValueError("population_size must be at least 4")
-        if self.generations < 1:
-            raise ValueError("generations must be at least 1")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not 0.1 <= self.fuzzy_threshold <= 1:
-            # bucket() has no band below a wake rate of 0.1
-            raise ValueError("fuzzy_threshold must be in [0.1, 1]")
 
 
 def _dissimilarity(text: str, genome: Genome,

@@ -10,12 +10,13 @@ from functools import cached_property
 
 import numpy as np
 
+from .archive import FuzzyArchive
 from .embedding import embedding_table, encode_units, phoneme_units, word_units
 from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
                      TooFewSamples)
-from .evolve import FuzzyArchive
-from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from .genome import LENGTH_RATIO, english_genome_length
+from .gbdt import TreeEnsemble, train_gbdt
+from .genome import english_genome_length
+from .params import LENGTH_RATIO, GBDTParams
 from .phonemes import LetterWord, g2p
 from .pinyin import parse_pinyin
 from .treeshap import ShapExplanation, shap_values

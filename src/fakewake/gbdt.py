@@ -45,6 +45,7 @@ import numpy as np
 
 from .dataio import write_json
 from .errors import DegenerateData, ShapeMismatch
+from .params import GBDTParams
 
 _REG_LAMBDA = 1.0   # L2 on leaf weights, keeps pure-leaf Newton steps finite
 _MIN_GAIN = 1e-12
@@ -171,20 +172,6 @@ class TreeEnsemble:
     def load(cls, path) -> "TreeEnsemble":
         with open(path, encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
-
-
-@dataclass(frozen=True)
-class GBDTParams:
-    n_trees: int = 100
-    depth: int = 3
-    learning_rate: float = 0.1
-    min_leaf: int = 2
-
-    def __post_init__(self):
-        if self.n_trees < 1 or self.depth < 1 or self.min_leaf < 1:
-            raise ValueError("n_trees, depth and min_leaf must be at least 1")
-        if not 0 < self.learning_rate <= 1:
-            raise ValueError("learning_rate must be in (0, 1]")
 
 
 # Bytes of arrays the shapes of one train_gbdt call may hold (each shape's

@@ -12,13 +12,13 @@ bounded by the inventory: at most 24 x 37 pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .embedding import embedding_table
 from .errors import AllSpaces, LengthMismatch
+from .params import LENGTH_RATIO, VariationConfig
 from .phonemes import LetterWord
 from .pinyin import (ChineseWord, Syllable, is_valid_pair, render_units,
                      unit_tables)
@@ -27,21 +27,6 @@ N_INITIALS = 24   # index 0 is the zero initial
 N_FINALS = 37
 N_TONES = 4
 N_LETTERS = 27    # 1..26 -> a..z, 27 -> space
-
-LENGTH_RATIO = 1.5
-
-
-@dataclass(frozen=True)
-class VariationConfig:
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.9
-
-    def __post_init__(self):
-        if not 0 <= self.mutation_rate <= 1:
-            raise ValueError("mutation_rate must be in [0, 1]")
-        if not 0 <= self.crossover_rate <= 1:
-            raise ValueError("crossover_rate must be in [0, 1]")
-
 
 class ChineseGenome(tuple):
     """3n genes: per character initial 0..23, final 1..37, tone 1..4."""

@@ -21,22 +21,13 @@ from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      InvalidCombination, ParseFailure, UnknownSyllable)
 from .explain import (ArchiveWords, RankedUnit, WordSample, feature_matrix,
                       parse_text, parse_words)
-from .gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from .genome import (LENGTH_RATIO, ChineseGenome, EnglishGenome, decode_text,
+from .gbdt import TreeEnsemble, train_gbdt
+from .genome import (ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
+from .params import (DEFAULT_JITTER, DETECTOR_PARAMS, LENGTH_RATIO, N_NEG,
+                     N_POS, GBDTParams)
 
 DECISION_THRESHOLD = 0.5
-
-# Shallow stumps emulate a lightweight keyword spotter: the original model
-# generalizes loosely around the wake word (the vulnerability under study),
-# and gains tight boundaries only where retraining negatives demand them.
-DETECTOR_PARAMS = GBDTParams(n_trees=96, depth=1, learning_rate=0.5, min_leaf=2)
-
-DEFAULT_JITTER = 0.06
-
-# conventional dataset size per class: positives, negatives
-N_POS = 296
-N_NEG = 399
 
 
 @dataclass

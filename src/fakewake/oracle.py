@@ -32,6 +32,7 @@ import numpy as np
 
 from .embedding import embedding_table, word_units
 from .errors import OracleFailure, OracleTimeout, ParseFailure, ProtocolError
+from .params import SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE, SIM_THRESHOLD
 from .phonemes import ALPHABET, LetterWord
 from .pinyin import parse_pinyin
 
@@ -39,24 +40,6 @@ from .pinyin import parse_pinyin
 class WakeOracle(Protocol):
     def query(self, word: str, trials: int = 1) -> int:
         """Wakes in ``trials`` activation trials of the given word text."""
-
-
-@dataclass(frozen=True)
-class WakeRateReport:
-    word: str
-    trials: int
-    positives: int
-
-    @property
-    def rate(self) -> float:
-        return self.positives / self.trials
-
-
-def estimate_wake_rate(oracle: WakeOracle, word: str, k: int = 10) -> WakeRateReport:
-    """Wake rate over k independent trials."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    return WakeRateReport(word, k, oracle.query(word, k))
 
 
 def wake_counts(oracle: WakeOracle, words: list[str],
@@ -227,9 +210,9 @@ class SimulatedDetector:
     target: str
     language: str = "en"
     unit_weights: tuple[float, ...] | None = None
-    threshold: float = 0.7
-    temperature: float = 0.05
-    substitution_floor: float = 0.7
+    threshold: float = SIM_THRESHOLD
+    temperature: float = SIM_TEMPERATURE
+    substitution_floor: float = SIM_SUBSTITUTION_FLOOR
     seed: int = 0
     # word -> (wake probability, index of its next trial)
     _trial_counts: dict = field(default_factory=dict, repr=False)

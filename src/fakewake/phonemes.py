@@ -102,10 +102,6 @@ def inventory() -> PhonemeInventory:
     return PhonemeInventory()
 
 
-def phoneme_distance(p: str, q: str) -> float:
-    return inventory().distance(p, q)
-
-
 class G2P:
     """Lexicon lookup with longest-match rule fallback.
 

@@ -100,14 +100,6 @@ def unit_tables() -> UnitTables:
     return UnitTables()
 
 
-def validate_syllable(initial: int, final: int) -> bool:
-    """True iff the (initial, final) pair is in the shipped validity table."""
-    table = unit_tables()
-    if initial not in table.initial_by_index or final not in table.final_by_index:
-        raise UnknownSyllable(f"unit index out of range: ({initial}, {final})")
-    return (initial, final) in table.valid_pairs
-
-
 def is_valid_pair(initial: int, final: int) -> bool:
     return (initial, final) in unit_tables().valid_pairs
 
@@ -208,7 +200,3 @@ def render_units(initial: int, final: int, tone: int) -> str:
 
 def render_syllable(s: Syllable) -> str:
     return render_units(s.initial, s.final, s.tone)
-
-
-def render_word(word: ChineseWord) -> str:
-    return " ".join(render_syllable(s) for s in word.syllables)

@@ -29,10 +29,6 @@ class ShapExplanation:
     base_value: float
     margin: float | np.ndarray
 
-    def check_identity(self, tol: float = 1e-9) -> bool:
-        gap = self.base_value + self.contributions.sum(axis=-1) - self.margin
-        return bool(np.all(np.abs(gap) <= tol))
-
     def row(self, i: int) -> "ShapExplanation":
         """The explanation of sample i of a batch."""
         return ShapExplanation(self.contributions[i], self.base_value,

@@ -28,7 +28,7 @@ from fakewake.mitigate import (evaluate, fuzzy_rate, fuzzy_word_samples,
                                strengthen, synthesize_conventional,
                                train_original, unit_set)
 from fakewake.oracle import SimulatedDetector
-from fakewake.phonemes import BOUNDARY, g2p, inventory, phoneme_distance
+from fakewake.phonemes import BOUNDARY, inventory
 from fakewake.treeshap import shap_values
 from tests.conftest import ALEXA_WEIGHTS
 from tests.test_treeshap import brute_force_shap, random_ensemble
@@ -50,7 +50,7 @@ def _brute_force_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return phoneme_distance(a, b)
+        return inventory().distance(a, b)
 
     m, n = len(w1), len(w2)
     best = math.inf

@@ -10,7 +10,7 @@ from fakewake.explain import (ArchiveWords, build_dataset, cross_validate, defau
 from fakewake.gbdt import train_gbdt
 from fakewake.genome import VariationConfig, encode_chinese
 from fakewake.mitigate import screening_coverage, unit_set
-from fakewake.oracle import SimulatedDetector, estimate_wake_rate
+from fakewake.oracle import SimulatedDetector
 from fakewake.pinyin import parse_pinyin
 
 WAKE = "xiǎo dù xiǎo dù"
@@ -32,7 +32,7 @@ def test_zh_detector_scores():
     detector = SimulatedDetector(target=WAKE, language="zh",
                                  unit_weights=WEIGHTS, seed=2024)
     assert detector.score(WAKE) == pytest.approx(1.0)
-    assert estimate_wake_rate(detector, WAKE, 10).rate >= 0.9
+    assert detector.query(WAKE, 10) >= 9
     assert detector.score("tiān māo jīng líng") < 0.5
 
 

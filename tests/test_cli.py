@@ -1,10 +1,12 @@
+import importlib
 import json
+import pkgutil
 import sys
 
 import pytest
 
+from fakewake.archive import FuzzyArchive
 from fakewake.cli import main
-from fakewake.evolve import FuzzyArchive
 
 
 def write_config(path, **extra):
@@ -177,11 +179,14 @@ def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
 def test_explain_keys_checked_before_training(small_run, tmp_path, capsys,
                                               monkeypatch, command, explain,
                                               key):
+    from fakewake import gbdt, mitigate
+
     def no_training(*args, **kwargs):
         raise AssertionError("a model was trained before the config check")
 
-    monkeypatch.setattr("fakewake.cli.train_gbdt", no_training)
-    monkeypatch.setattr("fakewake.mitigate.train_gbdt", no_training)
+    # the commands import train_gbdt when they run, so they read these
+    monkeypatch.setattr(gbdt, "train_gbdt", no_training)
+    monkeypatch.setattr(mitigate, "train_gbdt", no_training)
     root, _, out = small_run
     config = write_config(tmp_path / "config.json", explain=explain)
     capsys.readouterr()
@@ -287,10 +292,15 @@ def test_bad_oracle_flag_exits_2(tmp_path):
 class ParseSpy:
     """Wraps the parsers (``g2p``, ``parse_pinyin``) and the batch encoder
     wherever a fakewake module binds them: records each parsed word's text
-    and the number of rows each encoder call returns."""
+    and the number of rows each encoder call returns. Every module of the
+    package is imported first: one loaded while the spy is installed would
+    bind a wrapper and keep it."""
 
     def __init__(self, monkeypatch):
+        import fakewake
         from fakewake import embedding, phonemes, pinyin
+        for info in pkgutil.iter_modules(fakewake.__path__):
+            importlib.import_module(f"fakewake.{info.name}")
         self.texts: list[str] = []
         self.rows = 0
         modules = [m for n, m in sys.modules.items()
@@ -336,7 +346,7 @@ def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
     The wake word is parsed on its own and is left out of the counts."""
     from collections import Counter
 
-    from fakewake import cli, mitigate
+    from fakewake import explain, mitigate
     from fakewake.dataio import data_path
 
     root, config, out = small_run
@@ -357,7 +367,7 @@ def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
             spy.rows
 
     datasets = []
-    parsed, rows = run("explain", {(cli, "build_dataset"): datasets})
+    parsed, rows = run("explain", {(explain, "build_dataset"): datasets})
     negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)
     assert set(negatives) <= set(archive.rejected)
     assert parsed == fuzzy + negatives
@@ -365,7 +375,7 @@ def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
 
     datasets, conventional, collective = [], [], []
     parsed, rows = run("mitigate", {
-        (cli, "build_dataset"): datasets,
+        (explain, "build_dataset"): datasets,
         (mitigate, "synthesize_conventional"): conventional,
         (mitigate, "load_collective"): collective})
     negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)

@@ -10,7 +10,7 @@ from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
 from fakewake.embedding import character_distance
 from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from fakewake.genome import ChineseGenome, random_genome
-from fakewake.phonemes import BOUNDARY, g2p, inventory, phoneme_distance
+from fakewake.phonemes import BOUNDARY, g2p, inventory
 from fakewake.pinyin import parse_pinyin
 
 SYMS = inventory().symbols()
@@ -25,7 +25,7 @@ def brute_force_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return phoneme_distance(a, b)
+        return inventory().distance(a, b)
 
     best = math.inf
     for k in range(min(m, n) + 1):
@@ -79,7 +79,7 @@ def loop_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return phoneme_distance(a, b)
+        return inventory().distance(a, b)
 
     m, n = len(w1), len(w2)
     prev = [float(j) for j in range(n + 1)]
@@ -138,7 +138,7 @@ def test_english_single_deletion():
 
 
 def test_english_substitution_arithmetic():
-    d = phoneme_distance("S", "Z")
+    d = inventory().distance("S", "Z")
     assert english_dist(["S"], ["Z"]) == pytest.approx(min(2 * d, 2.0) / 2)
 
 

@@ -10,7 +10,8 @@ from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
                              english_genome_length, mutate,
                              nearest_valid_final, random_genome,
                              repair_chinese, seed_genomes)
-from fakewake.pinyin import parse_pinyin, render_word, unit_tables
+from fakewake.pinyin import parse_pinyin, unit_tables
+from tests.test_pinyin import render_word
 
 T = unit_tables()
 CFG = VariationConfig()

@@ -7,7 +7,8 @@ search (numpy 2.4.6, Python 3.11.7): any change to the search loop, the
 simulated detector's draws or the output format shows here. The ``explain``
 and ``mitigate`` outputs of both languages are pinned too, on reduced-cost
 proxies; a deeper English proxy makes tree training reach the same nodes
-again and again within one call.
+again and again within one call. ``config_reference.json`` pins every
+default of the run configuration.
 """
 import hashlib
 import json
@@ -16,6 +17,7 @@ import random
 import pytest
 
 from fakewake.cli import main
+from fakewake.config import write_reference
 from fakewake.pinyin import Syllable, render_syllable, unit_tables
 
 ZH_CONFIG = {
@@ -39,6 +41,17 @@ GOLDEN = {
             "627dee3d21840eed3a3e9f3e6b52762df046cb9d6442ebd2db7d7240102fd381",
     },
 }
+
+
+CONFIG_REFERENCE = \
+    "4c241d3a3a63389a562dc2c391266344c0e8f52846310fedb77d007b50591cbb"
+
+
+def test_config_reference_matches_golden_digest(tmp_path):
+    write_reference(tmp_path / "config_reference.json")
+    digest = hashlib.sha256(
+        (tmp_path / "config_reference.json").read_bytes()).hexdigest()
+    assert digest == CONFIG_REFERENCE
 
 
 @pytest.mark.parametrize("language", ["en", "zh"])

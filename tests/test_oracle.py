@@ -12,8 +12,7 @@ from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
 from fakewake.oracle import (BATCH_MIN_DRAWS, ExternalOracle,
                              SimulatedDetector, _trial_rng,
-                             default_rng_random, estimate_wake_rate,
-                             wake_counts)
+                             default_rng_random, wake_counts)
 
 
 class AlwaysOracle:
@@ -27,18 +26,13 @@ class AlwaysOracle:
 
 
 def test_wake_rate_always_true():
-    report = estimate_wake_rate(AlwaysOracle(True), "alexa", 10)
-    assert report.rate == 1.0
-    assert report.trials == 10
+    oracle = AlwaysOracle(True)
+    assert list(wake_counts(oracle, ["alexa", "lexa"], 10)) == [10, 10]
+    assert oracle.queries == 20
 
 
 def test_wake_rate_always_false():
-    assert estimate_wake_rate(AlwaysOracle(False), "alexa", 10).rate == 0.0
-
-
-def test_wake_rate_requires_trials():
-    with pytest.raises(ValueError):
-        estimate_wake_rate(AlwaysOracle(True), "alexa", 0)
+    assert list(wake_counts(AlwaysOracle(False), ["alexa"], 10)) == [0]
 
 
 def logistic(z):
@@ -54,7 +48,7 @@ def test_detector_self_score():
 
 def test_detector_self_rate_high():
     det = SimulatedDetector(target="alexa", seed=1)
-    assert estimate_wake_rate(det, "alexa", 10).rate >= 0.9
+    assert det.query("alexa", 10) >= 9
 
 
 def test_detector_max_weight_unit_closed_form():

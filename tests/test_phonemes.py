@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from fakewake.dataio import data_path
 from fakewake.errors import UnknownPhoneme
 from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, LetterWord, g2p,
-                               g2p_converter, inventory, phoneme_distance)
+                               g2p_converter, inventory)
 
 INV = inventory()
 SYMBOLS = INV.symbols()
@@ -18,13 +18,13 @@ def test_inventory_size():
 
 def test_distance_identity():
     for sym in SYMBOLS:
-        assert phoneme_distance(sym, sym) == 0.0
+        assert INV.distance(sym, sym) == 0.0
 
 
 @given(st.sampled_from(SYMBOLS), st.sampled_from(SYMBOLS))
 def test_distance_symmetric_bounded(p, q):
-    d = phoneme_distance(p, q)
-    assert d == phoneme_distance(q, p)
+    d = INV.distance(p, q)
+    assert d == INV.distance(q, p)
     assert 0.0 <= d <= 1.0
 
 
@@ -36,12 +36,12 @@ def test_distance_maximal_for_opposite_vectors():
 
 
 def test_voicing_smaller_than_class_change():
-    assert 0 < phoneme_distance("S", "Z") < phoneme_distance("S", "AA")
+    assert 0 < INV.distance("S", "Z") < INV.distance("S", "AA")
 
 
 def test_unknown_phoneme():
     with pytest.raises(UnknownPhoneme):
-        phoneme_distance("S", "QQ")
+        INV.distance("S", "QQ")
 
 
 def test_g2p_empty():
@@ -101,7 +101,7 @@ def test_cost_rows_are_the_distance_matrix():
         assert row[INV.index[p]] == 0.0
         for q in SYMBOLS:
             assert type(row[INV.index[q]]) is float
-            assert row[INV.index[q]] == phoneme_distance(p, q)
+            assert row[INV.index[q]] == INV.distance(p, q)
 
 
 # ------------------------------------------------ width-loop reference

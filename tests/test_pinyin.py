@@ -4,11 +4,16 @@ import unicodedata
 import pytest
 
 from fakewake.errors import InvalidCombination, UnknownSyllable
-from fakewake.pinyin import (ChineseWord, Syllable, parse_pinyin,
-                             parse_syllable, render_syllable, render_units,
-                             render_word, unit_tables, validate_syllable)
+from fakewake.pinyin import (ChineseWord, Syllable, is_valid_pair,
+                             parse_pinyin, parse_syllable, render_syllable,
+                             render_units, unit_tables)
 
 T = unit_tables()
+
+
+def render_word(word):
+    """The word's syllables rendered one by one, joined by spaces."""
+    return " ".join(render_syllable(s) for s in word.syllables)
 
 
 def units(syllable):
@@ -52,14 +57,15 @@ def test_garbage_rejected():
 
 
 def test_validate_pairs():
-    assert validate_syllable(T.initial_index["x"], T.final_index["iao"])
-    assert not validate_syllable(T.initial_index["x"], T.final_index["ang"])
-    assert validate_syllable(0, T.final_index["ai"])
+    assert is_valid_pair(T.initial_index["x"], T.final_index["iao"])
+    assert not is_valid_pair(T.initial_index["x"], T.final_index["ang"])
+    assert is_valid_pair(0, T.final_index["ai"])
 
 
 def test_validate_out_of_range():
+    assert not is_valid_pair(99, 1)
     with pytest.raises(UnknownSyllable):
-        validate_syllable(99, 1)
+        Syllable(99, 1, 1)
 
 
 def test_inventory_sizes():

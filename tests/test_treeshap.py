@@ -10,6 +10,14 @@ from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
 from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
 
 
+def identity_holds(explanation):
+    """Local accuracy: base value plus contributions is the margin (within
+    1e-9), for one row or for every row of a batch."""
+    gap = (explanation.base_value + explanation.contributions.sum(axis=-1)
+           - explanation.margin)
+    return bool(np.all(np.abs(gap) <= 1e-9))
+
+
 def random_tree(rng, n_features, depth):
     """Random binary tree with consistent integer covers."""
     nodes = {k: [] for k in ("feature", "threshold", "left", "right",
@@ -104,7 +112,7 @@ def test_identity_holds():
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
         explanation = shap_values(ensemble, x)
-        assert explanation.check_identity(1e-9)
+        assert identity_holds(explanation)
 
 
 def test_matches_brute_force_random_ensembles():
@@ -130,7 +138,7 @@ def test_repeated_feature_on_path():
         explanation = shap_values(ensemble, x)
         expected = brute_force_shap(ensemble, x)
         assert np.allclose(explanation.contributions, expected, atol=1e-12)
-        assert explanation.check_identity(1e-9)
+        assert identity_holds(explanation)
 
 
 def test_trained_model_attributions():
@@ -139,7 +147,7 @@ def test_trained_model_attributions():
     y = (x[:, 2] > 0).astype(int)
     model = train_gbdt(x, y, GBDTParams(n_trees=10, depth=2))
     explanation = shap_values(model, x[0])
-    assert explanation.check_identity(1e-9)
+    assert identity_holds(explanation)
     assert np.argmax(np.abs(explanation.contributions)) == 2
 
 
@@ -207,7 +215,7 @@ def test_batch_equals_per_row_recursion():
             assert single.contributions.tolist() == phi.tolist()
             assert single.base_value == batch.base_value
             assert single.margin == batch.margin[i] == margins[i]
-        assert batch.check_identity(1e-9)
+        assert identity_holds(batch)
 
 
 def test_batch_of_no_rows():
@@ -234,7 +242,7 @@ def test_batch_equals_per_row_recursion_on_deep_trees():
         for tree in ensemble.trees:
             loop_tree_shap(tree, row, phi)
         assert batch.contributions[i].tolist() == phi.tolist()
-    assert batch.check_identity(1e-9)
+    assert identity_holds(batch)
 
 
 def search_tree(nodes, rng, feature, lo, hi, depth):
