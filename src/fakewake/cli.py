@@ -170,7 +170,7 @@ def cmd_generate(args) -> int:
 
 def cmd_explain(args) -> int:
     from .explain import (ArchiveWords, cross_validate, group_factors,
-                          rank_decisive_units, _parse_word)
+                          parse_text, rank_decisive_units)
 
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)
@@ -183,10 +183,10 @@ def cmd_explain(args) -> int:
     accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
                               seed=seed)
     ranked = rank_decisive_units(factor_sets)
-    wake_parsed = _parse_word(archive.wake_word, archive.language)
-    grouping = group_factors(factor_sets, wake_parsed)
+    wake_units, wake_spoken = parse_text(archive.wake_word, archive.language)
+    grouping = group_factors(factor_sets, wake_units)
 
-    separation = _separation_report(archive, model, dataset)
+    separation = _separation_report(model, dataset, wake_spoken)
     report = {
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
@@ -235,42 +235,36 @@ def _proxy(cfg: RunConfig, words, seed: int, beta: float):
     return dataset, model, factor_sets
 
 
-def _separation_report(archive, model, dataset) -> dict:
+def _separation_report(model, dataset, wake_spoken) -> dict:
     """Medians of the proxy dissimilarity score and the plain edit-distance
-    baseline over pronunciations, per class."""
+    baseline over pronunciations (``wake_spoken`` is the wake word's), per
+    class."""
     import numpy as np
 
     from .distance import levenshtein_dist
-    from .explain import dissimilarity_score, parse_text
+    from .explain import dissimilarity_score
 
-    fuzzy_scores, nonfuzzy_scores = [], []
-    fuzzy_lev, nonfuzzy_lev = [], []
-    _, wake = parse_text(archive.wake_word, archive.language)
     scores = dissimilarity_score(model, dataset.features)
-    for sample, spoken, score in zip(dataset.samples, dataset.pronunciations,
-                                     scores.tolist()):
-        lev = levenshtein_dist(spoken, wake)
-        if sample.label == 1:
-            fuzzy_scores.append(score)
-            fuzzy_lev.append(lev)
-        else:
-            nonfuzzy_scores.append(score)
-            nonfuzzy_lev.append(lev)
-    med = lambda xs: float(np.median(xs)) if xs else None
+    lev = np.array([levenshtein_dist(spoken, wake_spoken)
+                    for spoken in dataset.pronunciations])
+    fuzzy = dataset.labels == 1
+    med = lambda xs: float(np.median(xs)) if xs.size else None
     return {
-        "dissimilarity_score": {"fuzzy_median": med(fuzzy_scores),
-                                "non_fuzzy_median": med(nonfuzzy_scores)},
-        "levenshtein": {"fuzzy_median": med(fuzzy_lev),
-                        "non_fuzzy_median": med(nonfuzzy_lev)},
+        "dissimilarity_score": {"fuzzy_median": med(scores[fuzzy]),
+                                "non_fuzzy_median": med(scores[~fuzzy])},
+        "levenshtein": {"fuzzy_median": med(lev[fuzzy]),
+                        "non_fuzzy_median": med(lev[~fuzzy])},
     }
 
 
 # ------------------------------------------------------------------ mitigate
 
 def cmd_mitigate(args) -> int:
+    from dataclasses import asdict
+
     import numpy as np
 
-    from .explain import ArchiveWords, feature_matrix, rank_decisive_units
+    from .explain import ArchiveWords, rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                            screening_coverage, strengthen, train_original,
                            unit_set)
@@ -305,10 +299,10 @@ def cmd_mitigate(args) -> int:
     report_strengthened = evaluate(strengthened, conventional.test,
                                    fuzzy_rate(strengthened, collective))
 
-    high = [s for s in fuzzy
-            if archive.candidates[s.word].objectives.wake_rate >= 0.8]
-    high_rejected = (int(np.sum(strengthened.predict(feature_matrix(high))
-                                == 0)) / len(high)) if high else None
+    high = fuzzy.take([archive.candidates[text].objectives.wake_rate >= 0.8
+                       for text in fuzzy.texts])
+    high_rejected = (int(np.sum(strengthened.predict(high.features) == 0))
+                     / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
     _, _, factor_sets = _proxy(cfg, words, seed, beta)
@@ -318,8 +312,8 @@ def cmd_mitigate(args) -> int:
                 for n in range(1, block["screening_top_n"] + 1)}
 
     report = {
-        "original": report_original.to_json(),
-        "strengthened": report_strengthened.to_json(),
+        "original": asdict(report_original),
+        "strengthened": asdict(report_strengthened),
         "high_wake_rate_rejected": high_rejected,
         "screening_coverage": coverage,
         "collective_size": len(collective),
@@ -363,19 +357,18 @@ def _write_mitigation_table(path, original, strengthened, high_rejected,
 def _write_datasets(out: Path, conventional, fuzzy, collective):
     data_dir = out / "datasets"
     (data_dir / "conventional").mkdir(parents=True, exist_ok=True)
-    for name, rows in (("train", conventional.train),
-                       ("test", conventional.test)):
-        with atomic_write(data_dir / "conventional" / f"{name}.tsv") as fh:
+    for path, rows in ((data_dir / "conventional" / "train.tsv",
+                        conventional.train),
+                       (data_dir / "conventional" / "test.tsv",
+                        conventional.test),
+                       (data_dir / "fuzzy.tsv", fuzzy)):
+        with atomic_write(path) as fh:
             fh.write("word\tlabel\n")
-            for s in rows:
-                fh.write(f"{s.word}\t{s.label}\n")
-    with atomic_write(data_dir / "fuzzy.tsv") as fh:
-        fh.write("word\tlabel\n")
-        for s in fuzzy:
-            fh.write(f"{s.word}\t{s.label}\n")
+            for text, label in zip(rows.texts, rows.labels.tolist()):
+                fh.write(f"{text}\t{label}\n")
     with atomic_write(data_dir / "collective.txt") as fh:
-        for s in collective:
-            fh.write(s.word + "\n")
+        for text in collective.texts:
+            fh.write(text + "\n")
 
 
 # ---------------------------------------------------------------- dist etc.

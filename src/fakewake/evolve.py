@@ -82,7 +82,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     # parsed once; the distances do not modify their operands
     wake_units = (parse_pinyin(wake_text) if isinstance(wake_word, ChineseGenome)
                   else g2p(wake_text))
-    population = seed_genomes(wake_word, cfg.population_size, variation, rng)
+    population = seed_genomes(wake_word, cfg.population_size, rng)
 
     def _sync_query_count():
         archive.query_count = cfg.trials * sum(1 for t in cache if t)
@@ -140,7 +140,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
             j = int(rng.integers(len(parents)))
             p1, p2 = parents[i], parents[j]
             if rng.random() < variation.crossover_rate:
-                c1, c2 = crossover(p1, p2, variation, rng)
+                c1, c2 = crossover(p1, p2, rng)
             else:
                 c1, c2 = p1, p2
             for child in (c1, c2):

@@ -1,10 +1,15 @@
 """Interpretability pipeline: proxy-classifier datasets, dissimilarity
 scores, decisive-factor extraction from attributions, and similarity
 grouping against the wake word.
+
+Every labelled set, here and in ``mitigate``, is one ``Dataset``: the
+words' texts, one feature matrix with a row per word, one label array and,
+when read from text, the pronunciations. Sets are cut with ``take`` and
+joined with ``Dataset.concat``; models read ``features`` directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -24,39 +29,47 @@ from .treeshap import ShapExplanation, shap_values
 MAX_CLASS_RATIO = 3
 
 
-@dataclass(frozen=True)
-class WordSample:
-    word: str
-    features: np.ndarray
-    label: int
-
-
-def feature_matrix(samples: list[WordSample]) -> np.ndarray:
-    """The samples' feature vectors as the rows of one matrix."""
-    return np.array([s.features for s in samples])
-
-
 @dataclass
 class Dataset:
-    """Labelled samples; ``pronunciations[i]`` is sample i's pronunciation
-    (see ``parse_text``) when the samples were read from text."""
-    samples: list[WordSample]
-    pronunciations: list[list[str]] = field(default_factory=list)
+    """Labelled words as one matrix: word i is ``texts[i]``, with the
+    feature row ``features[i]`` and the label ``labels[i]``.
+    ``pronunciations[i]`` is its pronunciation (see ``parse_text``) when
+    every word of the set was read from text, else ``pronunciations`` is
+    None."""
+    texts: list[str]
+    features: np.ndarray
+    labels: np.ndarray
+    pronunciations: list[list[str]] | None = None
 
-    @cached_property
-    def features(self) -> np.ndarray:
-        return feature_matrix(self.samples)
+    def __len__(self) -> int:
+        return len(self.texts)
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([s.label for s in self.samples])
+    def take(self, rows) -> "Dataset":
+        """The words at ``rows`` (indices or a boolean mask), in order."""
+        rows = np.asarray(rows)
+        rows = np.flatnonzero(rows) if rows.dtype == bool \
+            else rows.astype(np.intp)
+        picked = rows.tolist()
+        return Dataset(
+            [self.texts[i] for i in picked], self.features[rows],
+            self.labels[rows],
+            None if self.pronunciations is None
+            else [self.pronunciations[i] for i in picked])
 
     def count(self, label: int) -> int:
-        return sum(1 for s in self.samples if s.label == label)
+        return int(np.count_nonzero(self.labels == label))
 
-
-def _parse_word(text: str, language: str):
-    return parse_pinyin(text) if language == "zh" else LetterWord(text)
+    @staticmethod
+    def concat(parts: list["Dataset"]) -> "Dataset":
+        """The parts' words one after another; pronunciations are kept
+        only when every part has them."""
+        pronunciations = None
+        if all(p.pronunciations is not None for p in parts):
+            pronunciations = [x for p in parts for x in p.pronunciations]
+        return Dataset([t for p in parts for t in p.texts],
+                       np.concatenate([p.features for p in parts]),
+                       np.concatenate([p.labels for p in parts]),
+                       pronunciations)
 
 
 def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
@@ -88,10 +101,11 @@ class ParsedWords:
                            [self.pronunciations[i] for i in rows],
                            self.features[rows])
 
-    def samples(self, label: int) -> list[WordSample]:
-        """One sample per word; its features are a row of ``features``."""
-        return [WordSample(text, row, label)
-                for text, row in zip(self.texts, self.features)]
+    def labelled(self, label: int) -> Dataset:
+        """The words as a ``Dataset``, every one labelled ``label``."""
+        return Dataset(self.texts, self.features,
+                       np.full(len(self.texts), label, dtype=int),
+                       self.pronunciations)
 
 
 def parse_words(texts: list[str], language: str, slots: int) -> ParsedWords:
@@ -148,8 +162,7 @@ def build_dataset(words: ArchiveWords, seed: int = 0) -> Dataset:
         positives = sorted(keep.tolist())
     pos = words.fuzzy.take(list(positives))
     neg = parse_words(negatives, archive.language, words.slots)
-    return Dataset(pos.samples(1) + neg.samples(0),
-                   pos.pronunciations + neg.pronunciations)
+    return Dataset.concat([pos.labelled(1), neg.labelled(0)])
 
 
 def dissimilarity_score(model: TreeEnsemble,
@@ -278,9 +291,10 @@ class FactorGrouping:
 
 
 def group_factors(factor_sets: list[DecisiveFactorSet],
-                  wake_word) -> FactorGrouping:
+                  wake_units: list[tuple[str, str]]) -> FactorGrouping:
     """Classify each decisive factor by how far its embedding sits from the
-    same-position wake-word unit, relative to the corpus of differences.
+    same-position unit of the wake word (given by its units, the first
+    item of ``parse_text``), relative to the corpus of differences.
 
     Differences are centered on the corpus mean; within one standard
     deviation above the mean (or anywhere below) is high similarity, within
@@ -288,7 +302,6 @@ def group_factors(factor_sets: list[DecisiveFactorSet],
     convention.
     """
     emb = embedding_table()
-    wake_units = word_units(wake_word)
     raw: list[tuple[DecisiveFactorSet, DecisiveFactor, float | None]] = []
     for fs in factor_sets:
         for factor in fs.factors:

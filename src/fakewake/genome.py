@@ -166,7 +166,7 @@ def mutate(g: Genome, cfg: VariationConfig, rng: np.random.Generator) -> Genome:
     return _repaired(type(g)(genes))
 
 
-def crossover(g1: Genome, g2: Genome, cfg: VariationConfig,
+def crossover(g1: Genome, g2: Genome,
               rng: np.random.Generator) -> tuple[Genome, Genome]:
     """Single-point crossover at a uniform cut in 1..len-1."""
     if len(g1) != len(g2) or type(g1) is not type(g2):
@@ -190,7 +190,7 @@ def random_genome(kind: type, length: int, rng: np.random.Generator) -> Genome:
     return EnglishGenome(rng.integers(1, N_LETTERS + 1, size=length))
 
 
-def seed_genomes(wake_word: Genome, count: int, cfg: VariationConfig,
+def seed_genomes(wake_word: Genome, count: int,
                  rng: np.random.Generator) -> list[Genome]:
     """Initial population: the wake word, near perturbations of it, and
     uniform random individuals."""

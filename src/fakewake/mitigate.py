@@ -6,7 +6,9 @@ The reference detector is a tree ensemble over the same feature encoding the
 proxy classifier uses; the retraining logic and metrics carry over to any
 detector behind the same contract: ``predict(features, threshold)`` takes a
 matrix with one encoded word per row and returns one 0/1 decision per row.
-The metrics stack a sample list into one matrix and call it once.
+Every set here is one ``explain.Dataset``; training and the metrics pass
+its ``features`` matrix, or rows of it cut by ``take``, to the detector in
+one call.
 """
 from __future__ import annotations
 
@@ -19,8 +21,8 @@ from .dataio import data_path
 from .embedding import encode_units
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      InvalidCombination, ParseFailure, UnknownSyllable)
-from .explain import (ArchiveWords, RankedUnit, WordSample, feature_matrix,
-                      parse_text, parse_words)
+from .explain import (ArchiveWords, Dataset, RankedUnit, parse_text,
+                      parse_words)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import (ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
@@ -32,22 +34,22 @@ DECISION_THRESHOLD = 0.5
 
 @dataclass
 class ConventionalDataset:
-    train: list[WordSample]
-    test: list[WordSample]
+    train: Dataset
+    test: Dataset
 
 
 @dataclass
 class DatasetTriple:
     conventional: ConventionalDataset
-    fuzzy: list[WordSample]              # archive words, labeled negative
-    collective: list[WordSample]         # large dictionary, unlabeled usage
+    fuzzy: Dataset                       # archive words, labeled negative
+    collective: Dataset                  # large dictionary, unlabeled usage
 
     def __post_init__(self):
         # collective stays disjoint from the other two by word text
-        known = {s.word for s in self.conventional.train}
-        known |= {s.word for s in self.conventional.test}
-        known |= {s.word for s in self.fuzzy}
-        self.collective = [s for s in self.collective if s.word not in known]
+        known = {*self.conventional.train.texts,
+                 *self.conventional.test.texts, *self.fuzzy.texts}
+        self.collective = self.collective.take(
+            [text not in known for text in self.collective.texts])
 
 
 def assemble_triple(words: ArchiveWords, n_pos: int = N_POS,
@@ -60,7 +62,7 @@ def assemble_triple(words: ArchiveWords, n_pos: int = N_POS,
         archive.wake_word, archive.language, words.slots,
         n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed,
         length_ratio=length_ratio)
-    fuzzy = fuzzy_word_samples(words)
+    fuzzy = words.fuzzy.labelled(0)
     collective = load_collective(archive.language, words.slots,
                                  limit=collective_limit, path=collective_path)
     return DatasetTriple(conventional, fuzzy, collective)
@@ -72,14 +74,6 @@ class MitigationReport:
     false_negative_rate: float
     accuracy: float
     fuzzy_rate: float
-
-    def to_json(self) -> dict:
-        return {
-            "false_positive_rate": self.false_positive_rate,
-            "false_negative_rate": self.false_negative_rate,
-            "accuracy": self.accuracy,
-            "fuzzy_rate": self.fuzzy_rate,
-        }
 
 
 def synthesize_conventional(wake_word: str, language: str, slots: int,
@@ -102,11 +96,10 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     # real word encoding
     occupied = np.zeros(base.shape)
     occupied[:2 * len(units)] = 1.0
-    positives = [
-        WordSample(wake_word,
-                   base + occupied * rng.normal(0.0, jitter, size=base.shape), 1)
-        for _ in range(n_pos)
-    ]
+    # one draw reads the stream row by row, as n_pos one-row draws would
+    noise = rng.normal(0.0, jitter, size=(n_pos, base.size))
+    positives = Dataset([wake_word] * n_pos, base + occupied * noise,
+                        np.ones(n_pos, dtype=int))
     kind = ChineseGenome if language == "zh" else EnglishGenome
     length = 3 * len(wake_word.split()) if language == "zh" \
         else english_genome_length(wake_word, length_ratio)
@@ -116,26 +109,22 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
         if not text or text == wake_word:
             continue
         texts.append(text)
-    negatives = parse_words(texts, language, slots).samples(0)
+    negatives = parse_words(texts, language, slots).labelled(0)
     train, test = [], []
     for grp in (positives, negatives):
         cut = math.ceil(3 * len(grp) / 4)
-        train.extend(grp[:cut])
-        test.extend(grp[cut:])
-    return ConventionalDataset(train, test)
+        train.append(grp.take(range(cut)))
+        test.append(grp.take(range(cut, len(grp))))
+    return ConventionalDataset(Dataset.concat(train), Dataset.concat(test))
 
 
-def _fit(samples: list[WordSample], params: GBDTParams) -> TreeEnsemble:
-    y = np.array([s.label for s in samples])
-    return train_gbdt(feature_matrix(samples), y, params)
-
-
-def train_original(conventional_train: list[WordSample],
+def train_original(conventional_train: Dataset,
                    params: GBDTParams = DETECTOR_PARAMS) -> TreeEnsemble:
-    return _fit(conventional_train, params)
+    return train_gbdt(conventional_train.features, conventional_train.labels,
+                      params)
 
 
-def strengthen(fuzzy: list[WordSample], conventional_train: list[WordSample],
+def strengthen(fuzzy: Dataset, conventional_train: Dataset,
                params: GBDTParams = DETECTOR_PARAMS) -> TreeEnsemble:
     """Retrain from scratch on the conventional training set plus the fuzzy
     words as negatives, same hyperparameters.
@@ -145,20 +134,19 @@ def strengthen(fuzzy: list[WordSample], conventional_train: list[WordSample],
     prior."""
     if not fuzzy:
         raise EmptyFuzzySet("no fuzzy words to strengthen with")
-    pos = [s for s in conventional_train if s.label == 1]
-    neg = [s for s in conventional_train if s.label == 0]
+    labels = conventional_train.labels
+    pos = conventional_train.take(labels == 1)
+    neg = conventional_train.take(labels == 0)
     repeats = max(1, round((len(neg) + len(fuzzy)) / max(len(neg), 1)))
-    return _fit(pos * repeats + neg + fuzzy, params)
-
-
-def fuzzy_word_samples(words: ArchiveWords) -> list[WordSample]:
-    return words.fuzzy.samples(0)
+    rows = Dataset.concat([pos] * repeats + [neg, fuzzy])
+    return train_gbdt(rows.features, rows.labels, params)
 
 
 def load_collective(language: str, slots: int, limit: int | None = None,
-                    path=None) -> list[WordSample]:
-    """The shipped dictionary as feature rows; words that do not parse in
-    the language or are too long for the slot budget are skipped."""
+                    path=None) -> Dataset:
+    """The shipped dictionary as feature rows, all labelled 0; words that
+    do not parse in the language or are too long for the slot budget are
+    skipped."""
     if limit is not None and limit < 1:
         raise ValueError("collective_limit must be at least 1")
     path = path or data_path("collective.txt")
@@ -187,36 +175,35 @@ def load_collective(language: str, slots: int, limit: int | None = None,
     features = encode_units(usable_units(), slots)
     if not texts:
         raise EmptyCollective(f"no usable words in {path}")
-    return [WordSample(text, row, 0) for text, row in zip(texts, features)]
+    return Dataset(texts, features, np.zeros(len(texts), dtype=int))
 
 
-def evaluate(model: TreeEnsemble, test: list[WordSample],
+def evaluate(model: TreeEnsemble, test: Dataset,
              fuzzy_rate_value: float = 0.0) -> MitigationReport:
     """Confusion-matrix rates at the 0.5 decision threshold."""
     if not test:
         raise EmptyTestSet("empty test set")
-    pos = [s for s in test if s.label == 1]
-    neg = [s for s in test if s.label == 0]
-    if not pos or not neg:
+    n_pos, n_neg = test.count(1), test.count(0)
+    if not n_pos or not n_neg:
         raise EmptyTestSet("test set needs both classes")
-    fp = int(np.sum(
-        model.predict(feature_matrix(neg), DECISION_THRESHOLD) == 1))
-    fn = int(np.sum(
-        model.predict(feature_matrix(pos), DECISION_THRESHOLD) == 0))
+    predicted = model.predict(test.features, DECISION_THRESHOLD)
+    positive = test.labels == 1
+    fp = int(np.sum(predicted[~positive] == 1))
+    fn = int(np.sum(predicted[positive] == 0))
     return MitigationReport(
-        false_positive_rate=fp / len(neg),
-        false_negative_rate=fn / len(pos),
+        false_positive_rate=fp / n_neg,
+        false_negative_rate=fn / n_pos,
         accuracy=1.0 - (fp + fn) / len(test),
         fuzzy_rate=fuzzy_rate_value,
     )
 
 
-def fuzzy_rate(model: TreeEnsemble, collective: list[WordSample]) -> float:
+def fuzzy_rate(model: TreeEnsemble, collective: Dataset) -> float:
     """Fraction of the collective dictionary the model wrongly accepts."""
     if not collective:
         raise EmptyCollective("empty collective dataset")
     accepted = int(np.sum(
-        model.predict(feature_matrix(collective), DECISION_THRESHOLD) == 1))
+        model.predict(collective.features, DECISION_THRESHOLD) == 1))
     return accepted / len(collective)
 
 
@@ -229,18 +216,11 @@ def unit_set(units: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
 def screening_coverage(unit_sets: list[frozenset[tuple[str, str]]],
                        ranked_units: list[RankedUnit], top_n: int) -> float:
     """Fraction of fuzzy words (given by their ``unit_set``) the screening
-    decision escalates, that is words containing at least one of the top-n
-    decisive units (same unit symbol at any position)."""
+    decision escalates to a heavier recognizer, that is words containing at
+    least one of the top-n decisive units (same unit symbol at any
+    position)."""
     if not unit_sets:
         return 0.0
-    hits = sum(should_escalate(units, ranked_units, top_n)
-               for units in unit_sets)
-    return hits / len(unit_sets)
-
-
-def should_escalate(units: frozenset[tuple[str, str]],
-                    ranked_units: list[RankedUnit], top_n: int) -> bool:
-    """Screening decision for a word given by its ``unit_set``: route words
-    containing top decisive units to a heavier recognizer."""
     top = {(u.kind, u.symbol) for u in ranked_units[:top_n]}
-    return bool(units & top)
+    hits = sum(bool(units & top) for units in unit_sets)
+    return hits / len(unit_sets)

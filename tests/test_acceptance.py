@@ -23,9 +23,8 @@ from fakewake.gbdt import train_gbdt
 from fakewake.genome import (ChineseGenome, VariationConfig, decode_chinese,
                              encode_english, english_genome_length,
                              random_genome)
-from fakewake.mitigate import (evaluate, fuzzy_rate, fuzzy_word_samples,
-                               load_collective, screening_coverage,
-                               strengthen, synthesize_conventional,
+from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
+                               screening_coverage, strengthen,
                                train_original, unit_set)
 from fakewake.oracle import SimulatedDetector
 from fakewake.phonemes import BOUNDARY, inventory
@@ -208,15 +207,11 @@ def test_criterion_6_closed_loop_explanation():
 def mitigation_run(desk_run):
     archive, _ = desk_run
     start = time.perf_counter()
-    conventional = synthesize_conventional("alexa", "en", SLOTS, seed=7)
+    triple = assemble_triple(ArchiveWords(archive, SLOTS), seed=7)
+    conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
+                                       triple.collective)
     original = train_original(conventional.train)
-    fuzzy = fuzzy_word_samples(ArchiveWords(archive, SLOTS))
     strengthened = strengthen(fuzzy, conventional.train)
-    collective = load_collective("en", SLOTS)
-    known = ({s.word for s in conventional.train}
-             | {s.word for s in conventional.test}
-             | {s.word for s in fuzzy})
-    collective = [s for s in collective if s.word not in known]
     fr_original = fuzzy_rate(original, collective)
     fr_strengthened = fuzzy_rate(strengthened, collective)
     report_original = evaluate(original, conventional.test, fr_original)
@@ -232,10 +227,10 @@ def mitigation_run(desk_run):
 def test_criterion_7_mitigation(mitigation_run):
     m = mitigation_run
     archive = m["archive"]
-    high = [s for s in m["fuzzy"]
-            if archive.candidates[s.word].objectives.wake_rate >= 0.8]
-    rejected = sum(1 for s in high
-                   if m["strengthened"].predict(s.features) == 0) / len(high)
+    high = m["fuzzy"].take([archive.candidates[text].objectives.wake_rate
+                            >= 0.8 for text in m["fuzzy"].texts])
+    rejected = int(np.sum(m["strengthened"].predict(high.features) == 0)) \
+        / len(high)
     ratio_ok = (m["fr_original"] > 0
                 and m["fr_strengthened"] <= 0.2 * m["fr_original"])
     acc_ok = (m["report_strengthened"].accuracy

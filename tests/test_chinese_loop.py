@@ -5,7 +5,7 @@ import pytest
 from fakewake.distance import DistanceConfig
 from fakewake.evolve import EvolveConfig, run
 from fakewake.explain import (ArchiveWords, build_dataset, cross_validate, default_slots,
-                              explain_archive, group_factors,
+                              explain_archive, group_factors, parse_text,
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
 from fakewake.genome import VariationConfig, encode_chinese
@@ -58,7 +58,7 @@ def test_zh_decisive_units_recover_heavy_final(zh_archive):
     top3 = {(u.kind, u.symbol) for u in ranked[:3]}
     assert ("final", "iao") in top3
 
-    grouping = group_factors(sets, parse_pinyin(WAKE))
+    grouping = group_factors(sets, parse_text(WAKE, "zh")[0])
     assert grouping.entries
     groups = {e.group.value for e in grouping.entries}
     assert groups <= {"high", "medium", "low"}

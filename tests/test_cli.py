@@ -368,7 +368,7 @@ def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
 
     datasets = []
     parsed, rows = run("explain", {(explain, "build_dataset"): datasets})
-    negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)
+    negatives = Counter(datasets[0].take(datasets[0].labels == 0).texts)
     assert set(negatives) <= set(archive.rejected)
     assert parsed == fuzzy + negatives
     assert rows == len(archive.candidates) + sum(negatives.values())
@@ -378,9 +378,10 @@ def test_each_archive_word_parsed_and_encoded_once(small_run, tmp_path,
         (explain, "build_dataset"): datasets,
         (mitigate, "synthesize_conventional"): conventional,
         (mitigate, "load_collective"): collective})
-    negatives = Counter(s.word for s in datasets[0].samples if s.label == 0)
-    made = Counter(s.word for s in conventional[0].train + conventional[0].test
-                   if s.label == 0)
+    negatives = Counter(datasets[0].take(datasets[0].labels == 0).texts)
+    made = Counter(text for part in (conventional[0].train,
+                                     conventional[0].test)
+                   for text in part.take(part.labels == 0).texts)
     with open(data_path("collective.txt"), encoding="utf-8") as fh:
         lines = Counter(line.strip() for line in fh if line.strip())
     expected = fuzzy + negatives + made + lines

@@ -4,10 +4,10 @@ import pytest
 from fakewake.errors import (EmptyClass, NoPositiveContributions,
                              TooFewSamples)
 from fakewake.evolve import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
-from fakewake.explain import (ArchiveWords, Dataset, WordSample, UnitRef,
+from fakewake.explain import (ArchiveWords, Dataset, UnitRef,
                               build_dataset,
                               cross_validate, decisive_factors, default_slots,
-                              explain_archive, group_factors,
+                              explain_archive, group_factors, parse_text,
                               rank_decisive_units, unit_map)
 from fakewake.embedding import word_units
 from fakewake.gbdt import GBDTParams, train_gbdt
@@ -29,7 +29,7 @@ def make_archive(fuzzy, rejected, language="en"):
 def test_build_dataset_preserves_labels():
     archive = make_archive(["kaf", "kef"], ["mop", "nip"])
     ds = build_dataset(ArchiveWords(archive, 8))
-    assert len(ds.samples) == 4
+    assert len(ds) == 4
     assert ds.count(1) == 2 and ds.count(0) == 2
     assert ds.features.shape == (4, 16)
 
@@ -65,29 +65,34 @@ def test_default_slots():
 
 def test_cross_validate_separable():
     rng = np.random.default_rng(0)
-    samples = []
+    texts, rows, labels = [], [], []
     for i in range(30):
-        samples.append(WordSample(f"p{i}", rng.normal(3.0, 0.2, 4), 1))
-        samples.append(WordSample(f"n{i}", rng.normal(-3.0, 0.2, 4), 0))
-    assert cross_validate(Dataset(samples),
-                          GBDTParams(n_trees=10), folds=10, seed=0) == 1.0
+        texts += [f"p{i}", f"n{i}"]
+        rows += [rng.normal(3.0, 0.2, 4), rng.normal(-3.0, 0.2, 4)]
+        labels += [1, 0]
+    ds = Dataset(texts, np.array(rows), np.array(labels))
+    assert cross_validate(ds, GBDTParams(n_trees=10), folds=10,
+                          seed=0) == 1.0
 
 
 def test_cross_validate_too_few():
-    samples = [WordSample("a", np.zeros(2), 1)] * 5 + \
-              [WordSample("b", np.ones(2), 0)] * 5
+    ds = Dataset(["a"] * 5 + ["b"] * 5,
+                 np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 5),
+                 np.array([1] * 5 + [0] * 5))
     with pytest.raises(TooFewSamples):
-        cross_validate(Dataset(samples), folds=10)
+        cross_validate(ds, folds=10)
 
 
 def test_cross_validate_deterministic():
     rng = np.random.default_rng(1)
-    samples = [WordSample(str(i), rng.normal(size=3),
-                          int(rng.random() < 0.5)) for i in range(60)]
-    labels = [s.label for s in samples]
+    rows, labels = [], []
+    for _ in range(60):
+        rows.append(rng.normal(size=3))
+        labels.append(int(rng.random() < 0.5))
     if len(set(labels)) == 1 or min(labels.count(0), labels.count(1)) < 10:
         pytest.skip("unlucky draw")
-    ds = Dataset(samples)
+    ds = Dataset([str(i) for i in range(60)], np.array(rows),
+                 np.array(labels))
     assert cross_validate(ds, folds=10, seed=3) == \
         cross_validate(ds, folds=10, seed=3)
 
@@ -160,7 +165,7 @@ def grouped_set(word, factors):
 def test_group_factors_identical_unit_high():
     from fakewake.explain import DecisiveFactor
 
-    wake = LetterWord("alexa")
+    wake = parse_text("alexa", "en")[0]
     fs = grouped_set("kalexa", [
         DecisiveFactor(UnitRef("phoneme", "AH", 0), 1.0),   # same as wake
         DecisiveFactor(UnitRef("phoneme", "K", 3), 2.0),    # same as wake
@@ -172,7 +177,7 @@ def test_group_factors_identical_unit_high():
 def test_group_factors_all_equal_differences_high():
     from fakewake.explain import DecisiveFactor
 
-    wake = LetterWord("alexa")
+    wake = parse_text("alexa", "en")[0]
     sets = [grouped_set(w, [DecisiveFactor(UnitRef("phoneme", "IY", 0), 1.0)])
             for w in ("a", "b", "c")]
     grouping = group_factors(sets, wake)
@@ -183,7 +188,7 @@ def test_group_factors_all_equal_differences_high():
 def test_group_factors_past_wake_word_low():
     from fakewake.explain import DecisiveFactor
 
-    wake = LetterWord("alexa")
+    wake = parse_text("alexa", "en")[0]
     fs = grouped_set("longword", [DecisiveFactor(UnitRef("phoneme", "K", 11), 1.0)])
     grouping = group_factors([fs], wake)
     assert grouping.entries[0].group.value == "low"

@@ -54,15 +54,14 @@ def test_deterministic_training():
 
 
 def test_noise_labels_near_chance_cv():
-    from fakewake.explain import Dataset, WordSample, cross_validate
+    from fakewake.explain import Dataset, cross_validate
 
     rng = np.random.default_rng(8)
     x = rng.normal(size=(120, 6))
     y = rng.integers(0, 2, size=120)
     while y.sum() < 10 or y.sum() > 110:
         y = rng.integers(0, 2, size=120)
-    samples = [WordSample(str(i), x[i], int(y[i])) for i in range(120)]
-    acc = cross_validate(Dataset(samples),
+    acc = cross_validate(Dataset([str(i) for i in range(120)], x, y),
                          GBDTParams(n_trees=20), folds=10, seed=8)
     assert 0.35 <= acc <= 0.65
 

@@ -102,7 +102,7 @@ def test_crossover_produces_known_recombinations():
     g2 = encode_english("olive")
     children = set()
     for seed in range(40):
-        c1, c2 = crossover(g1, g2, CFG, np.random.default_rng(seed))
+        c1, c2 = crossover(g1, g2, np.random.default_rng(seed))
         children.add(decode_english(c1).symbols)
         children.add(decode_english(c2).symbols)
         # per-position gene multisets preserved
@@ -113,13 +113,13 @@ def test_crossover_produces_known_recombinations():
 
 def test_crossover_self_identity():
     g = encode_english("alexa")
-    c1, c2 = crossover(g, g, CFG, np.random.default_rng(1))
+    c1, c2 = crossover(g, g, np.random.default_rng(1))
     assert c1 == g and c2 == g
 
 
 def test_crossover_length_mismatch():
     with pytest.raises(LengthMismatch):
-        crossover(encode_english("ab"), encode_english("abc"), CFG,
+        crossover(encode_english("ab"), encode_english("abc"),
                   np.random.default_rng(0))
 
 
@@ -199,7 +199,7 @@ def test_repair_memo_breaks_exact_ties_to_the_lowest_index(tied_embedding):
 def test_seed_genomes_partition():
     wake = encode_english("alexa", 7)
     rng = np.random.default_rng(7)
-    pop = seed_genomes(wake, 3, CFG, rng)
+    pop = seed_genomes(wake, 3, rng)
     assert len(pop) == 3
     assert pop[0] == wake
     # second member: a perturbation within two genes
@@ -209,7 +209,7 @@ def test_seed_genomes_partition():
 def test_seed_genomes_perturbation_budget():
     wake = encode_chinese(parse_pinyin("xiǎo dù xiǎo dù"))
     rng = np.random.default_rng(3)
-    pop = seed_genomes(wake, 21, CFG, rng)
+    pop = seed_genomes(wake, 21, rng)
     n_perturbed = 10   # ceil((21 - 1) / 2)
     for member in pop[1:1 + n_perturbed]:
         assert sum(a != b for a, b in zip(member, wake)) <= 2
@@ -218,12 +218,12 @@ def test_seed_genomes_perturbation_budget():
 
 def test_seed_genomes_deterministic():
     wake = encode_english("alexa", 7)
-    a = seed_genomes(wake, 12, CFG, np.random.default_rng(5))
-    b = seed_genomes(wake, 12, CFG, np.random.default_rng(5))
+    a = seed_genomes(wake, 12, np.random.default_rng(5))
+    b = seed_genomes(wake, 12, np.random.default_rng(5))
     assert a == b
 
 
 def test_seed_genomes_minimum():
     with pytest.raises(ValueError):
-        seed_genomes(encode_english("alexa", 7), 2, CFG,
+        seed_genomes(encode_english("alexa", 7), 2,
                      np.random.default_rng(0))

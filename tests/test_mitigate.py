@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from fakewake.errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet)
-from fakewake.explain import (ArchiveWords, RankedUnit, build_dataset,
-                              default_slots, explain_archive, parse_text,
-                              rank_decisive_units)
+from fakewake.embedding import encode_units
+from fakewake.explain import (ArchiveWords, Dataset, RankedUnit,
+                              build_dataset, default_slots, explain_archive,
+                              parse_text, rank_decisive_units)
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from fakewake.mitigate import (DETECTOR_PARAMS, WordSample, evaluate,
-                               fuzzy_rate, fuzzy_word_samples,
-                               load_collective, screening_coverage,
-                               should_escalate, strengthen,
+from fakewake.mitigate import (DETECTOR_PARAMS, assemble_triple, evaluate,
+                               fuzzy_rate, load_collective,
+                               screening_coverage, strengthen,
                                synthesize_conventional, train_original,
                                unit_set)
+from tests.test_explain import make_archive
 
 SLOTS = default_slots("en", "alexa")
 
@@ -22,35 +23,35 @@ def units(text, language="en"):
 
 def test_synthesize_shapes_and_split():
     conv = synthesize_conventional("alexa", "en", SLOTS, seed=0)
-    train_pos = [s for s in conv.train if s.label == 1]
-    train_neg = [s for s in conv.train if s.label == 0]
-    test_pos = [s for s in conv.test if s.label == 1]
-    test_neg = [s for s in conv.test if s.label == 0]
-    assert len(train_pos) == 222 and len(test_pos) == 74     # ceil(3*296/4)
-    assert len(train_neg) == 300 and len(test_neg) == 99     # ceil(3*399/4)
-    for s in conv.train + conv.test:
-        assert s.features.shape == (2 * SLOTS,)
+    # ceil(3 * 296 / 4) and ceil(3 * 399 / 4)
+    assert conv.train.count(1) == 222 and conv.test.count(1) == 74
+    assert conv.train.count(0) == 300 and conv.test.count(0) == 99
+    for part in (conv.train, conv.test):
+        assert part.features.shape == (len(part), 2 * SLOTS)
+        assert len(part.texts) == len(part.labels) == len(part)
 
 
 def test_synthesize_zero_jitter_identical_positives():
     conv = synthesize_conventional("alexa", "en", SLOTS, jitter=0.0, seed=0)
-    pos = [s.features for s in conv.train + conv.test if s.label == 1]
+    pos = np.concatenate([part.features[part.labels == 1]
+                          for part in (conv.train, conv.test)])
     for row in pos[1:]:
         assert np.array_equal(row, pos[0])
 
 
 def test_synthesize_jitter_only_occupied_slots():
     conv = synthesize_conventional("alexa", "en", SLOTS, seed=0)
-    pos = [s.features for s in conv.train if s.label == 1]
-    for row in pos:
-        assert np.all(row[12:] == 0.0)    # alexa has 6 units = 12 features
+    pos = conv.train.features[conv.train.labels == 1]
+    assert np.all(pos[:, 12:] == 0.0)    # alexa has 6 units = 12 features
 
 
 def test_synthesize_deterministic():
     a = synthesize_conventional("alexa", "en", SLOTS, seed=5)
     b = synthesize_conventional("alexa", "en", SLOTS, seed=5)
-    for x, y in zip(a.train + a.test, b.train + b.test):
-        assert x.word == y.word and np.array_equal(x.features, y.features)
+    for x, y in ((a.train, b.train), (a.test, b.test)):
+        assert x.texts == y.texts
+        assert np.array_equal(x.features, y.features)
+        assert np.array_equal(x.labels, y.labels)
 
 
 def test_synthesize_minimums():
@@ -68,12 +69,13 @@ class StubModel:
         return np.full(len(features), int(self.accept))
 
 
-def sample(word, label):
-    return WordSample(word, np.zeros(4), label)
+def labelled(words, labels):
+    """Words with all-zero feature rows and the given labels."""
+    return Dataset(list(words), np.zeros((len(words), 4)),
+                   np.array(labels, dtype=int))
 
 
-TEST_SET = [sample("alexa", 1), sample("alexa", 1),
-            sample("mop", 0), sample("nib", 0), sample("tor", 0)]
+TEST_SET = labelled(["alexa", "alexa", "mop", "nib", "tor"], [1, 1, 0, 0, 0])
 
 
 def test_evaluate_perfect_model():
@@ -81,7 +83,8 @@ def test_evaluate_perfect_model():
         def predict(self, features, threshold=0.5):
             return (features.sum(axis=1) > 0).astype(int)
 
-    rows = [WordSample("p", np.ones(2), 1), WordSample("n", np.zeros(2), 0)]
+    rows = Dataset(["p", "n"], np.array([[1.0, 1.0], [0.0, 0.0]]),
+                   np.array([1, 0]))
     report = evaluate(Perfect(), rows)
     assert report.false_positive_rate == 0.0
     assert report.false_negative_rate == 0.0
@@ -103,29 +106,30 @@ def test_evaluate_accuracy_identity():
 
 def test_evaluate_needs_both_classes():
     with pytest.raises(EmptyTestSet):
-        evaluate(StubModel(True), [])
+        evaluate(StubModel(True), labelled([], []))
     with pytest.raises(EmptyTestSet):
-        evaluate(StubModel(True), [sample("a", 1)])
+        evaluate(StubModel(True), labelled(["a"], [1]))
 
 
 def test_fuzzy_rate_trivial_models():
-    collective = [sample(w, 0) for w in ("a", "b", "c")]
+    collective = labelled(["a", "b", "c"], [0, 0, 0])
     assert fuzzy_rate(StubModel(False), collective) == 0.0
     assert fuzzy_rate(StubModel(True), collective) == 1.0
     with pytest.raises(EmptyCollective):
-        fuzzy_rate(StubModel(True), [])
+        fuzzy_rate(StubModel(True), labelled([], []))
 
 
 def test_strengthen_requires_fuzzy():
     with pytest.raises(EmptyFuzzySet):
-        strengthen([], [sample("a", 1), sample("b", 0)])
+        strengthen(labelled([], []), labelled(["a", "b"], [1, 0]))
 
 
 def test_load_collective_skips_unencodable(tmp_path):
     path = tmp_path / "collective.txt"
     path.write_text("good\nxxxxxxxxxxxxxxxxxxxxxx\nfine\n")
     rows = load_collective("en", SLOTS, path=path)
-    assert [r.word for r in rows] == ["good", "fine"]
+    assert rows.texts == ["good", "fine"]
+    assert rows.labels.tolist() == [0, 0]
 
 
 def test_load_collective_empty(tmp_path):
@@ -139,7 +143,7 @@ def test_load_collective_zh_skips_unparseable_lines(tmp_path):
     path = tmp_path / "collective.txt"
     path.write_text("aaeksa\nxiǎo dù\nhello world\nnǐ hǎo\n", encoding="utf-8")
     rows = load_collective("zh", 4, path=path)
-    assert [r.word for r in rows] == ["xiǎo dù", "nǐ hǎo"]
+    assert rows.texts == ["xiǎo dù", "nǐ hǎo"]
 
 
 def test_load_collective_zh_english_only_is_empty(tmp_path):
@@ -168,14 +172,9 @@ def test_screening_coverage_monotone_and_full():
 
 def test_screening_symbol_at_any_position():
     ranked = ranked_units(["K"])
-    assert screening_coverage([unit_set(units("akka"))], ranked, 1) == 1.0
+    for word in ("kit", "akka"):
+        assert screening_coverage([unit_set(units(word))], ranked, 1) == 1.0
     assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
-
-
-def test_should_escalate():
-    ranked = ranked_units(["K"])
-    assert should_escalate(unit_set(units("kit")), ranked, 1)
-    assert not should_escalate(unit_set(units("mom")), ranked, 1)
 
 
 def test_unit_set_keeps_kind_and_symbol():
@@ -185,15 +184,35 @@ def test_unit_set_keeps_kind_and_symbol():
     assert ("final", "iao") in zh and ("initial", "d") in zh
 
 
+def test_assemble_triple_drops_known_words(tmp_path):
+    """The collective loses the wake word, the fuzzy words and the
+    conventional words; the rest keep their file order and encodings."""
+    words = ArchiveWords(make_archive(["kaf", "kef"], ["mop"]), SLOTS)
+    conv = synthesize_conventional("alexa", "en", SLOTS, seed=3)
+    made = next(text for text in conv.train.take(conv.train.labels == 0).texts
+                if text == text.strip())
+    fresh = ["tiger", "banana", "mop", "pillow"]
+    assert not {*fresh} & {*conv.train.texts, *conv.test.texts}
+    path = tmp_path / "collective.txt"
+    path.write_text("\n".join(["tiger", "alexa", "banana", "kaf", made,
+                               "mop", "pillow"]) + "\n")
+
+    triple = assemble_triple(words, seed=3, collective_path=path)
+    assert sorted(triple.fuzzy.texts) == ["kaf", "kef"]
+    assert triple.fuzzy.labels.tolist() == [0, 0]
+    assert triple.collective.texts == fresh
+    assert len(triple.collective) == len(fresh)
+    expected = encode_units([units(w) for w in fresh], SLOTS)
+    assert np.array_equal(triple.collective.features, expected)
+    assert triple.collective.labels.tolist() == [0] * len(fresh)
+
+
 def test_closed_loop_mitigation(fixture_archive):
-    conv = synthesize_conventional("alexa", "en", SLOTS, seed=7)
+    triple = assemble_triple(ArchiveWords(fixture_archive, SLOTS), seed=7)
+    conv, fuzzy, collective = (triple.conventional, triple.fuzzy,
+                               triple.collective)
     original = train_original(conv.train)
-    fuzzy = fuzzy_word_samples(ArchiveWords(fixture_archive, SLOTS))
     strengthened = strengthen(fuzzy, conv.train)
-    collective = load_collective("en", SLOTS)
-    known = {s.word for s in conv.train} | {s.word for s in conv.test} | \
-        {s.word for s in fuzzy}
-    collective = [s for s in collective if s.word not in known]
 
     fr_original = fuzzy_rate(original, collective)
     fr_strengthened = fuzzy_rate(strengthened, collective)
@@ -205,7 +224,7 @@ def test_closed_loop_mitigation(fixture_archive):
     assert report_o.accuracy >= 0.95
     assert report_s.accuracy >= report_o.accuracy - 0.01
 
-    high = [s for s in fuzzy
-            if fixture_archive.candidates[s.word].objectives.wake_rate >= 0.8]
-    rejected = sum(1 for s in high if strengthened.predict(s.features) == 0)
+    high = fuzzy.take([fixture_archive.candidates[text].objectives.wake_rate
+                       >= 0.8 for text in fuzzy.texts])
+    rejected = int(np.sum(strengthened.predict(high.features) == 0))
     assert rejected / len(high) >= 0.97
