@@ -172,8 +172,15 @@ def test_screening_coverage_monotone_and_full():
 
 def test_screening_symbol_at_any_position():
     ranked = ranked_units(["K"])
-    for word in ("kit", "akka"):
-        assert screening_coverage([unit_set(units(word))], ranked, 1) == 1.0
+    assert screening_coverage([unit_set(units("akka"))], ranked, 1) == 1.0
+    assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
+
+
+def test_should_escalate():
+    """The screening decision for one word: escalate iff it holds a top-n
+    decisive unit."""
+    ranked = ranked_units(["K"])
+    assert screening_coverage([unit_set(units("kit"))], ranked, 1) == 1.0
     assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
 
 
