@@ -61,6 +61,14 @@ class EvaluatedWord:
     generation: int
 
 
+def _check_types(word, *numbers):
+    """Raise TypeError unless ``word`` is text and each of ``numbers`` a
+    number."""
+    if type(word) is not str or any(type(n) not in (int, float)
+                                    for n in numbers):
+        raise TypeError(f"malformed entry: {(word, *numbers)!r}")
+
+
 @dataclass
 class FuzzyArchive:
     wake_word: str
@@ -115,19 +123,28 @@ class FuzzyArchive:
 
     @classmethod
     def from_json(cls, payload: dict) -> "FuzzyArchive":
+        """The archive a parsed ``archive.json`` holds; a document of
+        another shape raises KeyError, TypeError or ValueError."""
         run = payload["run"]
+        if run["language"] not in ("en", "zh"):
+            raise ValueError(f"unknown language {run['language']!r}")
+        if type(run["seed"]) is not int or run["seed"] < 0:
+            raise ValueError(f"seed {run['seed']!r} is not a nonnegative int")
+        _check_types(run["wake_word"])
         archive = cls(wake_word=run["wake_word"], language=run["language"],
                       seed=run["seed"], config=run["config"],
                       oracle_spec=run["oracle"],
                       query_count=run.get("query_count", 0),
                       generations_run=run.get("generations_run", 0))
         for c in payload["candidates"]:
+            _check_types(c["word"], c["wake_rate"], c["dissimilarity"])
             archive.candidates[c["word"]] = FuzzyCandidate(
                 word=c["word"], genome=tuple(c["genome"]),
                 objectives=Objectives(c["wake_rate"], c["dissimilarity"]),
                 generation_found=c["generation"],
             )
         for r in payload.get("rejected", []):
+            _check_types(r["word"], r["wake_rate"], r["dissimilarity"])
             archive.rejected[r["word"]] = EvaluatedWord(
                 r["word"], r["wake_rate"], r["dissimilarity"], r["generation"])
         return archive

@@ -12,7 +12,6 @@ the pipeline modules it runs when it starts.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,8 +31,9 @@ def _load_archive(path):
         return FuzzyArchive.load(path)
     except FileNotFoundError as exc:
         raise ConfigError(f"archive not found: {path}") from exc
-    except (json.JSONDecodeError, KeyError) as exc:
-        raise ConfigError(f"archive file is not readable: {exc}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"archive {path} is not readable: {exc!r}") \
+            from exc
 
 
 def _check_letters(word: str, name: str) -> str:
@@ -169,8 +169,9 @@ def cmd_generate(args) -> int:
 # ------------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
+    from .embedding import parse_text
     from .explain import (ArchiveWords, cross_validate, group_factors,
-                          parse_text, rank_decisive_units)
+                          rank_decisive_units)
 
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)

@@ -126,8 +126,10 @@ class RunConfig:
                     doc = _merge(doc, json.load(fh))
             except FileNotFoundError as exc:
                 raise ConfigError(f"config file not found: {path}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            except (OSError, ValueError) as exc:
+                # a directory, bytes that are not UTF-8, text that is not JSON
+                raise ConfigError(
+                    f"config file is not readable: {exc}") from exc
         if overrides:
             doc = _merge(doc, overrides)
         return cls(doc)

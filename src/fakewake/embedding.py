@@ -1,6 +1,7 @@
 """2-D unit embeddings via classical multidimensional scaling, the feature
-encoding used by all classifiers, and the per-character distance for the
-Chinese objective.
+encoding used by all classifiers, the per-character distance for the
+Chinese objective, and ``parse_text``, the one reading of a word's text as
+its units and pronunciation.
 
 Initial/final coordinates are scaled by ``UNIT_SCALE`` so character distances
 land in the working range of the tanh normalization (constant A = 100);
@@ -18,7 +19,7 @@ from .dataio import read_tsv, read_weight_rows
 from .errors import TooManyUnits
 from .phonemes import (BOUNDARY, LetterWord, PhonemeSequence, g2p,
                        inventory)
-from .pinyin import ChineseWord, Syllable, unit_tables
+from .pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
 
 UNIT_SCALE = 25.0
 
@@ -190,6 +191,19 @@ def phoneme_units(phones: PhonemeSequence) -> list[tuple[str, str]]:
     word boundaries."""
     shared = embedding_table().units["phoneme"]
     return [shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY]
+
+
+def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
+                                                  list[str]]:
+    """A word given as text, parsed once: its units (``word_units``) and
+    its pronunciation, the sequence the edit-distance baseline compares
+    (the g2p phonemes with word boundaries for English, the syllables for
+    Chinese). Text that does not parse raises ``UnknownSyllable`` or
+    ``InvalidCombination`` (Chinese) or ``ValueError`` (English)."""
+    if language == "zh":
+        return word_units(parse_pinyin(text)), text.split()
+    phones = g2p(LetterWord(text))
+    return phoneme_units(phones), phones
 
 
 def encode_units(words: Iterable[list[tuple[str, str]]],

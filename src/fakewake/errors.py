@@ -62,7 +62,8 @@ class OracleTimeout(OracleFailure):
 
 
 class ParseFailure(FakewakeError):
-    """Queried word is not parseable in the detector's language."""
+    """A word's text does not parse in its language (a queried word in the
+    detector's, an archive word in the archive's)."""
 
 
 # --- evolve ------------------------------------------------------------------

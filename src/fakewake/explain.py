@@ -4,8 +4,9 @@ grouping against the wake word.
 
 Every labelled set, here and in ``mitigate``, is one ``Dataset``: the
 words' texts, one feature matrix with a row per word, one label array and,
-when read from text, the pronunciations. Sets are cut with ``take`` and
-joined with ``Dataset.concat``; models read ``features`` directly.
+when read from text by ``parse_words``, each word's pronunciation and
+units. Sets are cut with ``take`` and joined with ``Dataset.concat``;
+models read ``features`` directly.
 """
 from __future__ import annotations
 
@@ -16,15 +17,13 @@ from functools import cached_property
 import numpy as np
 
 from .archive import FuzzyArchive
-from .embedding import embedding_table, encode_units, phoneme_units, word_units
-from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
-                     TooFewSamples)
+from .embedding import embedding_table, encode_units, parse_text
+from .errors import (DegenerateData, EmptyClass, FakewakeError,
+                     NoPositiveContributions, ParseFailure, TooFewSamples)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
 from .params import LENGTH_RATIO, GBDTParams
-from .phonemes import LetterWord, g2p
-from .pinyin import parse_pinyin
-from .treeshap import ShapExplanation, shap_values
+from .treeshap import shap_values
 
 MAX_CLASS_RATIO = 3
 
@@ -32,14 +31,15 @@ MAX_CLASS_RATIO = 3
 @dataclass
 class Dataset:
     """Labelled words as one matrix: word i is ``texts[i]``, with the
-    feature row ``features[i]`` and the label ``labels[i]``.
-    ``pronunciations[i]`` is its pronunciation (see ``parse_text``) when
-    every word of the set was read from text, else ``pronunciations`` is
+    feature row ``features[i]`` and the label ``labels[i]``. When every
+    word of the set was read from text, ``pronunciations[i]`` and
+    ``units[i]`` are what ``parse_text`` gave for it; otherwise they are
     None."""
     texts: list[str]
     features: np.ndarray
     labels: np.ndarray
     pronunciations: list[list[str]] | None = None
+    units: list[list[tuple[str, str]]] | None = None
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -50,86 +50,62 @@ class Dataset:
         rows = np.flatnonzero(rows) if rows.dtype == bool \
             else rows.astype(np.intp)
         picked = rows.tolist()
-        return Dataset(
-            [self.texts[i] for i in picked], self.features[rows],
-            self.labels[rows],
-            None if self.pronunciations is None
-            else [self.pronunciations[i] for i in picked])
+        pick = lambda items: None if items is None \
+            else [items[i] for i in picked]
+        return Dataset(pick(self.texts), self.features[rows],
+                       self.labels[rows], pick(self.pronunciations),
+                       pick(self.units))
 
     def count(self, label: int) -> int:
         return int(np.count_nonzero(self.labels == label))
 
     @staticmethod
     def concat(parts: list["Dataset"]) -> "Dataset":
-        """The parts' words one after another; pronunciations are kept
-        only when every part has them."""
-        pronunciations = None
-        if all(p.pronunciations is not None for p in parts):
-            pronunciations = [x for p in parts for x in p.pronunciations]
-        return Dataset([t for p in parts for t in p.texts],
+        """The parts' words one after another; pronunciations and units
+        are kept only when every part has them."""
+        def joined(name):
+            lists = [getattr(p, name) for p in parts]
+            if any(items is None for items in lists):
+                return None
+            return [x for items in lists for x in items]
+        return Dataset(joined("texts"),
                        np.concatenate([p.features for p in parts]),
                        np.concatenate([p.labels for p in parts]),
-                       pronunciations)
+                       joined("pronunciations"), joined("units"))
 
 
-def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
-                                                  list[str]]:
-    """A word given as text, parsed once: its units (``word_units``) and
-    its pronunciation, the sequence the edit-distance baseline compares
-    (the g2p phonemes with word boundaries for English, the syllables for
-    Chinese)."""
-    if language == "zh":
-        return word_units(parse_pinyin(text)), text.split()
-    phones = g2p(LetterWord(text))
-    return phoneme_units(phones), phones
-
-
-@dataclass
-class ParsedWords:
-    """A word list parsed and encoded once: word i is ``texts[i]``, with
-    the ``units[i]`` and ``pronunciations[i]`` of ``parse_text`` and the
-    feature row ``features[i]``."""
-    texts: list[str]
-    units: list[list[tuple[str, str]]]
-    pronunciations: list[list[str]]
-    features: np.ndarray
-
-    def take(self, rows: list[int]) -> "ParsedWords":
-        """The words at ``rows``, in that order."""
-        return ParsedWords([self.texts[i] for i in rows],
-                           [self.units[i] for i in rows],
-                           [self.pronunciations[i] for i in rows],
-                           self.features[rows])
-
-    def labelled(self, label: int) -> Dataset:
-        """The words as a ``Dataset``, every one labelled ``label``."""
-        return Dataset(self.texts, self.features,
-                       np.full(len(self.texts), label, dtype=int),
-                       self.pronunciations)
-
-
-def parse_words(texts: list[str], language: str, slots: int) -> ParsedWords:
-    """Parse each text once and encode the list as one matrix."""
-    parsed = [parse_text(text, language) for text in texts]
+def parse_words(texts: list[str], language: str, slots: int,
+                label: int) -> Dataset:
+    """Parse each text once and encode the list as one matrix, every word
+    labelled ``label``. A text that does not parse raises
+    ``ParseFailure`` naming it."""
+    parsed = []
+    for text in texts:
+        try:
+            parsed.append(parse_text(text, language))
+        except (FakewakeError, ValueError) as exc:
+            raise ParseFailure(
+                f"{text!r} does not parse as {language}: {exc}") from exc
     units = [u for u, _ in parsed]
-    return ParsedWords(list(texts), units, [p for _, p in parsed],
-                       encode_units(units, slots))
+    return Dataset(list(texts), encode_units(units, slots),
+                   np.full(len(units), label, dtype=int),
+                   [p for _, p in parsed], units)
 
 
 class ArchiveWords:
     """An archive's words as one command reads them, each parsed and
     encoded at most once. ``fuzzy`` holds the fuzzy words in
-    ``sorted_candidates`` order, parsed on first use; ``build_dataset``
-    parses the never-woke words it keeps."""
+    ``sorted_candidates`` order, labelled 1 and parsed on first use;
+    ``build_dataset`` parses the never-woke words it keeps."""
 
     def __init__(self, archive: FuzzyArchive, slots: int):
         self.archive = archive
         self.slots = slots
 
     @cached_property
-    def fuzzy(self) -> ParsedWords:
+    def fuzzy(self) -> Dataset:
         return parse_words([c.word for c in self.archive.sorted_candidates()],
-                           self.archive.language, self.slots)
+                           self.archive.language, self.slots, 1)
 
 
 def default_slots(language: str, wake_word: str,
@@ -160,15 +136,15 @@ def build_dataset(words: ArchiveWords, seed: int = 0) -> Dataset:
         keep = rng.choice(n_pos, MAX_CLASS_RATIO * len(negatives),
                           replace=False)
         positives = sorted(keep.tolist())
-    pos = words.fuzzy.take(list(positives))
-    neg = parse_words(negatives, archive.language, words.slots)
-    return Dataset.concat([pos.labelled(1), neg.labelled(0)])
+    return Dataset.concat([
+        words.fuzzy.take(list(positives)),
+        parse_words(negatives, archive.language, words.slots, 0)])
 
 
 def dissimilarity_score(model: TreeEnsemble,
-                        features: np.ndarray) -> float | np.ndarray:
-    """1 - confidence: high for words the proxy calls non-fuzzy; one score
-    per row when features is a matrix."""
+                        features: np.ndarray) -> np.ndarray:
+    """1 - confidence, one score per row of the feature matrix: high for
+    words the proxy calls non-fuzzy."""
     return 1.0 - model.predict_proba(features)
 
 
@@ -230,11 +206,11 @@ def unit_map(units: list[tuple[str, str]]) -> list[UnitRef]:
     return [UnitRef(kind, sym, pos) for pos, (kind, sym) in enumerate(units)]
 
 
-def decisive_factors(explanation: ShapExplanation, units: list[UnitRef],
+def decisive_factors(phi: np.ndarray, units: list[UnitRef],
                      beta: float = 0.8) -> DecisiveFactorSet:
     """Units owning features of the shortest positive-contribution prefix
-    whose share of all positive contributions reaches beta."""
-    phi = explanation.contributions
+    whose share of all positive contributions reaches beta, given one
+    word's contributions ``phi`` (a row of ``shap_values``)."""
     positive = [(j, float(phi[j])) for j in range(len(phi)) if phi[j] > 0]
     if not positive:
         raise NoPositiveContributions("no feature pushes toward fuzzy")
@@ -372,12 +348,11 @@ def explain_archive(words: ArchiveWords, model: TreeEnsemble,
     if not fuzzy.texts:
         return []
     kept = np.flatnonzero(model.predict_proba(fuzzy.features) >= 0.5)
-    explanations = shap_values(model, fuzzy.features[kept])
+    contributions = shap_values(model, fuzzy.features[kept]).contributions
     out = []
-    for row, i in enumerate(kept.tolist()):
+    for phi, i in zip(contributions, kept.tolist()):
         try:
-            fs = decisive_factors(explanations.row(row),
-                                  unit_map(fuzzy.units[i]), beta)
+            fs = decisive_factors(phi, unit_map(fuzzy.units[i]), beta)
         except NoPositiveContributions:
             continue
         fs.word = fuzzy.texts[i]

@@ -32,8 +32,8 @@ that, a new shape serves only the tree that built it. After each tree the
 margins move by the leaf values of the rows training sent to each leaf,
 which is what ``predict`` gives: both route with ``x[:, f] <= threshold``.
 
-Prediction takes one sample or a matrix; the rows of a matrix walk each
-tree together, one level at a time.
+Prediction takes a matrix with one sample per row and ``n_features``
+columns; the rows walk each tree together, one level at a time.
 """
 from __future__ import annotations
 
@@ -104,35 +104,29 @@ class TreeEnsemble:
     learning_rate: float = 0.1
     n_features: int = 0
 
-    def margin(self, x: np.ndarray) -> float | np.ndarray:
-        """Log-odds of one sample, or of each row of a matrix."""
+    def margin(self, x: np.ndarray) -> np.ndarray:
+        """Log-odds of each row of the matrix x."""
         x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n_features:
-            raise ShapeMismatch(
-                f"expected {self.n_features} features, got {x.shape}")
-        rows = x.reshape(-1, self.n_features)
+        if x.ndim != 2 or x.shape[1] != self.n_features:
+            raise ShapeMismatch(f"expected a matrix of {self.n_features} "
+                                f"features per row, got shape {x.shape}")
         # trees add one after another from zero and the base score comes
         # last, the same additions as base + sum(per-tree values)
-        total = np.zeros(len(rows))
+        total = np.zeros(len(x))
         for tree in self.trees:
-            total += tree.predict(rows)
-        margins = self.base_score + total
-        return float(margins[0]) if x.ndim == 1 else margins
+            total += tree.predict(x)
+        return self.base_score + total
 
-    def predict_proba(self, x: np.ndarray) -> float | np.ndarray:
-        """Confidence that x belongs to the positive class; one value per
-        row when x is a matrix."""
-        margin = self.margin(x)
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Confidence that each row of the matrix x belongs to the positive
+        class."""
         # math.exp per value: np.exp may differ in the last bit
-        if isinstance(margin, float):
-            return 1.0 / (1.0 + math.exp(-margin))
-        return np.array([1.0 / (1.0 + math.exp(-m)) for m in margin.tolist()])
+        return np.array([1.0 / (1.0 + math.exp(-m))
+                         for m in self.margin(x).tolist()])
 
-    def predict(self, x: np.ndarray, threshold: float = 0.5) -> int | np.ndarray:
-        proba = self.predict_proba(x)
-        if isinstance(proba, float):
-            return int(proba >= threshold)
-        return (proba >= threshold).astype(int)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        """1 for each row of x whose confidence is at least 0.5, else 0."""
+        return (self.predict_proba(x) >= 0.5).astype(int)
 
     def to_json(self) -> dict:
         return {

@@ -4,32 +4,29 @@ negatives, plus the evaluation metrics.
 
 The reference detector is a tree ensemble over the same feature encoding the
 proxy classifier uses; the retraining logic and metrics carry over to any
-detector behind the same contract: ``predict(features, threshold)`` takes a
-matrix with one encoded word per row and returns one 0/1 decision per row.
-Every set here is one ``explain.Dataset``; training and the metrics pass
-its ``features`` matrix, or rows of it cut by ``take``, to the detector in
-one call.
+detector behind the same contract: ``predict(features)`` takes a matrix
+with one encoded word per row and returns one 0/1 decision per row, 1 where
+the wake probability is at least 0.5. Every set here is one
+``explain.Dataset``; training and the metrics pass its ``features`` matrix,
+or rows of it cut by ``take``, to the detector in one call.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataio import data_path
-from .embedding import encode_units
+from .embedding import encode_units, parse_text
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
-                     InvalidCombination, ParseFailure, UnknownSyllable)
-from .explain import (ArchiveWords, Dataset, RankedUnit, parse_text,
-                      parse_words)
+                     InvalidCombination, UnknownSyllable)
+from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import (ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
 from .params import (DEFAULT_JITTER, DETECTOR_PARAMS, LENGTH_RATIO, N_NEG,
                      N_POS, GBDTParams)
-
-DECISION_THRESHOLD = 0.5
 
 
 @dataclass
@@ -62,7 +59,8 @@ def assemble_triple(words: ArchiveWords, n_pos: int = N_POS,
         archive.wake_word, archive.language, words.slots,
         n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed,
         length_ratio=length_ratio)
-    fuzzy = words.fuzzy.labelled(0)
+    fuzzy = replace(words.fuzzy,
+                    labels=np.zeros(len(words.fuzzy), dtype=int))
     collective = load_collective(archive.language, words.slots,
                                  limit=collective_limit, path=collective_path)
     return DatasetTriple(conventional, fuzzy, collective)
@@ -109,7 +107,7 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
         if not text or text == wake_word:
             continue
         texts.append(text)
-    negatives = parse_words(texts, language, slots).labelled(0)
+    negatives = parse_words(texts, language, slots, 0)
     train, test = [], []
     for grp in (positives, negatives):
         cut = math.ceil(3 * len(grp) / 4)
@@ -162,8 +160,7 @@ def load_collective(language: str, slots: int, limit: int | None = None,
                     continue
                 try:
                     units, _ = parse_text(word, language)
-                except (ParseFailure, UnknownSyllable, InvalidCombination,
-                        ValueError):
+                except (UnknownSyllable, InvalidCombination, ValueError):
                     continue
                 if len(units) > slots:
                     continue
@@ -186,7 +183,7 @@ def evaluate(model: TreeEnsemble, test: Dataset,
     n_pos, n_neg = test.count(1), test.count(0)
     if not n_pos or not n_neg:
         raise EmptyTestSet("test set needs both classes")
-    predicted = model.predict(test.features, DECISION_THRESHOLD)
+    predicted = model.predict(test.features)
     positive = test.labels == 1
     fp = int(np.sum(predicted[~positive] == 1))
     fn = int(np.sum(predicted[positive] == 0))
@@ -202,8 +199,7 @@ def fuzzy_rate(model: TreeEnsemble, collective: Dataset) -> float:
     """Fraction of the collective dictionary the model wrongly accepts."""
     if not collective:
         raise EmptyCollective("empty collective dataset")
-    accepted = int(np.sum(
-        model.predict(collective.features, DECISION_THRESHOLD) == 1))
+    accepted = int(np.sum(model.predict(collective.features) == 1))
     return accepted / len(collective)
 
 

@@ -30,11 +30,10 @@ from typing import Iterator, Protocol
 
 import numpy as np
 
-from .embedding import embedding_table, word_units
-from .errors import OracleFailure, OracleTimeout, ParseFailure, ProtocolError
+from .embedding import embedding_table, parse_text
+from .errors import (FakewakeError, OracleFailure, OracleTimeout,
+                     ParseFailure, ProtocolError)
 from .params import SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE, SIM_THRESHOLD
-from .phonemes import ALPHABET, LetterWord
-from .pinyin import parse_pinyin
 
 
 class WakeOracle(Protocol):
@@ -59,13 +58,12 @@ def wake_counts(oracle: WakeOracle, words: list[str],
 
 
 def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
+    """The units of ``parse_text``; an empty English word has none."""
+    if not word and language != "zh":
+        return []
     try:
-        if language == "zh":
-            return word_units(parse_pinyin(word))
-        if set(word) - set(ALPHABET):
-            raise ValueError(f"symbols outside the alphabet in {word!r}")
-        return word_units(LetterWord(word)) if word.strip() else []
-    except Exception as exc:
+        return parse_text(word, language)[0]
+    except (FakewakeError, ValueError) as exc:
         raise ParseFailure(str(exc)) from exc
 
 

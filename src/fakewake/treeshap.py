@@ -5,12 +5,13 @@ both branches weighted by training covers, so no background dataset is
 needed. Attributions live in margin (log-odds) space and satisfy
 ``base_value + sum(contributions) == margin(x)`` exactly.
 
-A matrix of samples is explained in one call. Per tree, the recursion runs
-once per distinct pattern of split decisions among the rows, and each row
-receives its pattern's terms in the recursion's order, so every row's
-contributions are bit-identical to those of a call on that row alone. The
-patterns are told apart by integer codes, 31 decisions at a time, so a tree
-of any depth groups its rows with a 1-D ``np.unique``.
+The samples come as a matrix, one per row, explained in one call. Per
+tree, the recursion runs once per distinct pattern of split decisions among
+the rows, and each row receives its pattern's terms in the recursion's
+order, so every row's contributions are bit-identical to those of a call on
+a one-row matrix of that row alone. The patterns are told apart by integer
+codes, 31 decisions at a time, so a tree of any depth groups its rows with
+a 1-D ``np.unique``.
 """
 from __future__ import annotations
 
@@ -23,16 +24,12 @@ from .gbdt import Tree, TreeEnsemble
 
 @dataclass(frozen=True)
 class ShapExplanation:
-    """Attributions of one sample, or of a batch: then ``contributions`` has
-    one row and ``margin`` one entry per sample."""
-    contributions: np.ndarray   # one value per feature, margin space
+    """Attributions of a matrix of samples: sample i has the row
+    ``contributions[i]`` (one value per feature, margin space) and the
+    margin ``margin[i]``."""
+    contributions: np.ndarray
     base_value: float
-    margin: float | np.ndarray
-
-    def row(self, i: int) -> "ShapExplanation":
-        """The explanation of sample i of a batch."""
-        return ShapExplanation(self.contributions[i], self.base_value,
-                               float(self.margin[i]))
+    margin: np.ndarray
 
 
 class _Path:
@@ -198,15 +195,13 @@ def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
 
 
 def shap_values(model: TreeEnsemble, x: np.ndarray) -> ShapExplanation:
-    """Per-feature contributions for one sample, summed over all trees; for
-    a matrix, one row of contributions and one margin per sample."""
+    """Per-feature contributions of each row of the matrix x, summed over
+    all trees, and each row's margin."""
     margin = model.margin(x)    # checks the shape
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, model.n_features)
-    phi = np.zeros(rows.shape)
+    phi = np.zeros(x.shape)
     base = model.base_score
     for tree in model.trees:
-        _add_tree_shap(tree, rows, phi)
+        _add_tree_shap(tree, x, phi)
         base += tree.expected_value()
-    return ShapExplanation(contributions=phi[0] if x.ndim == 1 else phi,
-                           base_value=base, margin=margin)
+    return ShapExplanation(contributions=phi, base_value=base, margin=margin)

@@ -133,15 +133,15 @@ def test_criterion_3_shapley_exactness():
     for _ in range(50):
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x)
+        explanation = shap_values(ensemble, x[None])
         expected = brute_force_shap(ensemble, x)
         worst_shap = max(worst_shap,
-                         float(np.max(np.abs(explanation.contributions
+                         float(np.max(np.abs(explanation.contributions[0]
                                              - expected))))
         worst_identity = max(worst_identity,
                              abs(explanation.base_value
-                                 + explanation.contributions.sum()
-                                 - explanation.margin))
+                                 + explanation.contributions[0].sum()
+                                 - explanation.margin[0]))
     report(3, "shapley-exactness",
            worst_shap <= 1e-9 and worst_identity <= 1e-9,
            f"max |shap err| {worst_shap:.2e}, max identity err "

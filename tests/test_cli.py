@@ -205,6 +205,72 @@ def test_missing_archive_exits_2(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+def _content(content):
+    """Write ``content`` (text, bytes, or None for a directory)."""
+    def make(path, archive):
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+    return make
+
+
+def _archive_with(edit):
+    """Write the run's archive after ``edit`` changed its JSON document."""
+    def make(path, archive):
+        edit(archive)
+        path.write_text(json.dumps(archive))
+    return make
+
+
+@pytest.mark.parametrize("command", ["explain", "mitigate"])
+@pytest.mark.parametrize("option, make", [
+    ("archive", _content("[]")),
+    ("archive", _content("null")),
+    ("archive", _content('"x"')),
+    ("archive", _content('{"run": 5}')),
+    ("archive", _content(None)),
+    ("config", _content(None)),
+    ("archive", _content(b"\xff\xfe{}")),
+    ("config", _content(b"\xff\xfe{}")),
+    ("archive", _archive_with(
+        lambda doc: doc["candidates"][0].update(wake_rate="high"))),
+    ("archive", _archive_with(lambda doc: doc["run"].update(language="fr"))),
+    ("archive", _archive_with(lambda doc: doc["run"].update(seed="x"))),
+    ("archive", _archive_with(lambda doc: doc["run"].update(seed=-1))),
+], ids=["list", "null", "string", "run-not-object", "archive-directory",
+        "config-directory", "archive-not-utf8", "config-not-utf8",
+        "wake-rate-string", "unknown-language", "seed-string",
+        "seed-negative"])
+def test_malformed_input_file_exits_2(small_run, tmp_path, command, option,
+                                      make):
+    root, config, out = small_run
+    paths = {"archive": out / "archive.json", "config": config}
+    paths[option] = tmp_path / "bad"
+    make(paths[option], json.loads((out / "archive.json").read_text()))
+    assert main([command, "--config", str(paths["config"]),
+                 "--archive", str(paths["archive"]),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "mitigate"])
+def test_unparseable_archive_word_exits_2(small_run, tmp_path, capsys,
+                                          command):
+    root, config, out = small_run
+    doc = json.loads((out / "archive.json").read_text())
+    doc["candidates"][0]["word"] = "al3xa"
+    archive = tmp_path / "archive.json"
+    archive.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--archive", str(archive),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert "al3xa" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_dist_command(capsys):
     assert main(["dist", "alexa", "alexa"]) == 0
     assert float(capsys.readouterr().out.strip()) == 0.0

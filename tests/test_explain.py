@@ -7,12 +7,11 @@ from fakewake.evolve import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objecti
 from fakewake.explain import (ArchiveWords, Dataset, UnitRef,
                               build_dataset,
                               cross_validate, decisive_factors, default_slots,
-                              explain_archive, group_factors, parse_text,
-                              rank_decisive_units, unit_map)
-from fakewake.embedding import word_units
+                              dissimilarity_score, explain_archive,
+                              group_factors, rank_decisive_units, unit_map)
+from fakewake.embedding import parse_text, word_units
 from fakewake.gbdt import GBDTParams, train_gbdt
 from fakewake.phonemes import LetterWord
-from fakewake.treeshap import ShapExplanation
 
 
 def make_archive(fuzzy, rejected, language="en"):
@@ -97,10 +96,9 @@ def test_cross_validate_deterministic():
         cross_validate(ds, folds=10, seed=3)
 
 
-def explanation(phi):
-    phi = np.asarray(phi, dtype=float)
-    return ShapExplanation(contributions=phi, base_value=0.0,
-                           margin=float(phi.sum()))
+def contributions(phi):
+    """One word's row of contributions, as ``shap_values`` gives it."""
+    return np.asarray(phi, dtype=float)
 
 
 def units_for(n):
@@ -109,13 +107,13 @@ def units_for(n):
 
 def test_decisive_prefix_example():
     # features 0..3 with positive contributions 0.5 0.3 0.1 0.1
-    fs = decisive_factors(explanation([0.5, 0.3, 0.1, 0.1]), units_for(2),
+    fs = decisive_factors(contributions([0.5, 0.3, 0.1, 0.1]), units_for(2),
                           beta=0.8)
     assert fs.feature_indices == (0, 1)
 
 
 def test_decisive_beta_one_takes_all_positive():
-    fs = decisive_factors(explanation([0.5, 0.3, -0.2, 0.1]), units_for(2),
+    fs = decisive_factors(contributions([0.5, 0.3, -0.2, 0.1]), units_for(2),
                           beta=1.0)
     assert fs.feature_indices == (0, 1, 3)
 
@@ -126,7 +124,7 @@ def test_decisive_prefix_minimality():
         phi = rng.normal(size=10)
         if not np.any(phi > 0):
             continue
-        fs = decisive_factors(explanation(phi), units_for(5), beta=0.8)
+        fs = decisive_factors(contributions(phi), units_for(5), beta=0.8)
         total = phi[phi > 0].sum()
         share = phi[list(fs.feature_indices)].sum() / total
         assert share >= 0.8
@@ -137,7 +135,7 @@ def test_decisive_prefix_minimality():
 
 def test_decisive_unit_aggregation():
     # both features of unit 0 in the decisive set: contributions summed
-    fs = decisive_factors(explanation([0.6, 0.35, 0.05, 0.0]), units_for(2),
+    fs = decisive_factors(contributions([0.6, 0.35, 0.05, 0.0]), units_for(2),
                           beta=0.9)
     assert fs.factors[0].unit.position == 0
     assert fs.factors[0].contribution == pytest.approx(0.95)
@@ -145,7 +143,7 @@ def test_decisive_unit_aggregation():
 
 def test_decisive_requires_positive():
     with pytest.raises(NoPositiveContributions):
-        decisive_factors(explanation([-0.5, -0.1, 0.0]), units_for(2))
+        decisive_factors(contributions([-0.5, -0.1, 0.0]), units_for(2))
 
 
 def test_unit_map_positions():
@@ -239,8 +237,6 @@ def test_dissimilarity_separation(fixture_archive):
     split = len(labels) // 2
     train = np.arange(len(labels)) % 2 == 0
     model = train_gbdt(ds.features[train], labels[train])
-    fuzzy_scores, nonfuzzy_scores = [], []
-    for row, label in zip(ds.features[~train], labels[~train]):
-        score = 1.0 - model.predict_proba(row)
-        (fuzzy_scores if label == 1 else nonfuzzy_scores).append(score)
-    assert np.median(nonfuzzy_scores) > np.median(fuzzy_scores)
+    scores = dissimilarity_score(model, ds.features[~train])
+    fuzzy = labels[~train] == 1
+    assert np.median(scores[~fuzzy]) > np.median(scores[fuzzy])

@@ -13,13 +13,13 @@ def test_separable_1d_perfect_train_accuracy():
     x = np.array([[v] for v in range(20)], dtype=float)
     y = np.array([0] * 10 + [1] * 10)
     model = train_gbdt(x, y, GBDTParams(n_trees=20, depth=1))
-    preds = [model.predict(row) for row in x]
+    preds = [int(model.predict(row[None])[0]) for row in x]
     assert preds == list(y)
 
 
 def test_empty_ensemble_probability_half():
     model = TreeEnsemble(base_score=0.0, n_features=3)
-    assert model.predict_proba(np.zeros(3)) == 0.5
+    assert model.predict_proba(np.zeros((1, 3))).tolist() == [0.5]
 
 
 def test_base_score_is_log_odds():
@@ -41,7 +41,9 @@ def test_degenerate_single_class():
 def test_shape_mismatch():
     model = TreeEnsemble(base_score=0.0, n_features=3)
     with pytest.raises(ShapeMismatch):
-        model.predict_proba(np.zeros(5))
+        model.predict_proba(np.zeros((1, 5)))
+    with pytest.raises(ShapeMismatch):      # one sample, not a matrix
+        model.predict_proba(np.zeros(3))
 
 
 def test_deterministic_training():
@@ -86,7 +88,8 @@ def test_serialization_roundtrip(tmp_path):
     loaded = TreeEnsemble.load(path)
     assert loaded.to_json() == model.to_json()
     for row in x[:5]:
-        assert loaded.predict_proba(row) == model.predict_proba(row)
+        assert loaded.predict_proba(row[None]).tolist() \
+            == model.predict_proba(row[None]).tolist()
 
 
 def test_monotone_leaf_raise():
@@ -94,15 +97,16 @@ def test_monotone_leaf_raise():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
     model = train_gbdt(x, y, GBDTParams(n_trees=2, depth=1))
-    sample = np.array([3.0])
-    before = model.predict_proba(sample)
+    sample = np.array([[3.0]])
+    before = model.predict_proba(sample)[0]
     tree = model.trees[0]
     node = 0
     while not tree.is_leaf(node):
-        node = tree.right[node] if sample[tree.feature[node]] > tree.threshold[node] \
+        node = tree.right[node] \
+            if sample[0, tree.feature[node]] > tree.threshold[node] \
             else tree.left[node]
     tree.value[node] += 1.0
-    assert model.predict_proba(sample) > before
+    assert model.predict_proba(sample)[0] > before
 
 
 # ------------------------------------------------ loop references
@@ -323,10 +327,12 @@ def test_batch_predict_equals_row_walk():
     for row, margin in zip(probe, margins.tolist()):
         walk = model.base_score + sum(loop_predict_one(t, row) for t in trees)
         assert margin == walk
-        assert model.margin(row) == walk
+        assert model.margin(row[None]).tolist() == [walk]
     proba = model.predict_proba(probe)
-    assert proba.tolist() == [model.predict_proba(row) for row in probe]
-    assert model.predict(probe).tolist() == [model.predict(row) for row in probe]
+    assert proba.tolist() == [model.predict_proba(row[None])[0]
+                              for row in probe]
+    assert model.predict(probe).tolist() == [model.predict(row[None])[0]
+                                             for row in probe]
 
 
 # ------------------------------------------------ the per-call shape memo

@@ -79,16 +79,24 @@ ZH_STAGE_GOLDEN = {
             "6403547bf6b9e283c39e11881a4dfa8fde5776ab51a682b87bdf770ff2ea2523",
         "factors.tsv":
             "fc3f5fdc0ffcd8a749506d28eb28f1f0b4d89dfc668b9aedc7ad69e3d779f498",
+        "grouping.tsv":
+            "f14550f8485191b2efa49943c9eea586cd39b2b0a0f9c63d18560299013ed475",
     },
     "mitigate": {
         "mitigation_report.json":
             "cfcfc58b9c101e9b2454f7a979ca9b92b41064dc233089afda470879cb764c12",
+        "mitigation_report.txt":
+            "467e1b19d2133a4b64d29f8f3c6c28eaef6879bbbb9a9bad4bea89ee57bc9277",
         "detector_original.json":
             "ec90b7a45c252b805893d34b933f96402496f4fcdd0027e89d60f5095e5436c3",
         "detector_strengthened.json":
             "e51f02830bf2fa44ef0f1257a90b78f6332892b70eb17e6554c71218ab42b199",
         "datasets/conventional/train.tsv":
             "57ad9bf0c748e8ac99c71175cc7134a88b87e45ff03e309db5c9761f1da5dfdc",
+        "datasets/conventional/test.tsv":
+            "8eb2edee22426f3d8531d6c93357ad29820287f7d3ca9709b437f344b80a09a7",
+        "datasets/fuzzy.tsv":
+            "7d2effd7bf4fc9a93368150ff0d5c48668e7096fb5e6667c5b0ba5ee180076d2",
         "datasets/collective.txt":
             "1c3b9f8482769f1cf0eca41e51b476dd99f59e3ba0107cc53f5f0932a97ae61d",
     },
@@ -137,6 +145,19 @@ EN_STAGE_CONFIGS = {
              "mitigate": {"detector": {"depth": 3, "min_leaf": 1}}},
 }
 
+# The detector settings do not reach the datasets, so both proxies write the
+# same ones.
+EN_DATASETS = {
+    "datasets/conventional/train.tsv":
+        "9544177f36b9724d2f7ed6bcc986fc52180a60892a70400143f5fa3027d031c8",
+    "datasets/conventional/test.tsv":
+        "8c4fba58fb3c334cc9b97abac38c151a7c1928157ad5f1410e66abe2cb260d24",
+    "datasets/fuzzy.tsv":
+        "51338c72b75308207dfc39135597085e9d786504f041c09deac226f92b913025",
+    "datasets/collective.txt":
+        "02a30b76e43cd467051780e116ff69d66226882d4e9a03b5d825582abbfa5d0e",
+}
+
 EN_STAGE_GOLDEN = {
     "reduced": {
         "explain": {
@@ -146,14 +167,19 @@ EN_STAGE_GOLDEN = {
                 "32f794a9aa0a0599dfe33ef7a4659d9a39386e2bc3d64a49b4493c06a80fdb9f",
             "factors.tsv":
                 "4edb62d784fc2e69544d8d995dd6827b8850c16d2a40b8637d4048956e17edef",
+            "grouping.tsv":
+                "69da5da6f7c129af2489f251555d79021792a880475d892f0f4504c0dbdf394e",
         },
         "mitigate": {
             "mitigation_report.json":
                 "be916c19dd553c158c483c26beabf5094e97d6315f35fb67141b383720c09db0",
+            "mitigation_report.txt":
+                "43ebbc1caae63d89ecbae1f78cfae8e820b1490cf5383f5f6197303523204914",
             "detector_original.json":
                 "a20e829ec0432cce5975040e30a02e5dcb72ce3105cdaca833b91dfb9da051c0",
             "detector_strengthened.json":
                 "f0a0ac67c36265a450db65a0410d16d0d796d5c8bf1da1396b776814ab0d0584",
+            **EN_DATASETS,
         },
     },
     "deep": {
@@ -164,14 +190,19 @@ EN_STAGE_GOLDEN = {
                 "7799e508172510e2361114b42ade71052eb149814f1938a56977e6a286e14d87",
             "factors.tsv":
                 "cc487da3e9988af522ca602bc22dda5a3fffc3d8d83674a73a5fa6672ebdc927",
+            "grouping.tsv":
+                "0e68cb22f06f86970b329574aa45b0d93d4b513a365c372caf3ebbb25a40e93a",
         },
         "mitigate": {
             "mitigation_report.json":
                 "5ac9d69edb2b285420258cf0a73b57f7c979eb641845a5459cbae6640b0c0dfa",
+            "mitigation_report.txt":
+                "614bcfb7efaf9d4290131070fa794a09fe7858b9d5532e59503b1094fd793edc",
             "detector_original.json":
                 "dddd74cf743b0c00eabf314378a6fa9ff181f478c748543339507fbba08682ec",
             "detector_strengthened.json":
                 "048b68d85af65fe3bdae3ddecd5307cbbb9ca65b5cd1e409903c70bce49d6d2b",
+            **EN_DATASETS,
         },
     },
 }

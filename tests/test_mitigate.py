@@ -65,7 +65,7 @@ class StubModel:
     def __init__(self, accept):
         self.accept = accept
 
-    def predict(self, features, threshold=0.5):
+    def predict(self, features):
         return np.full(len(features), int(self.accept))
 
 
@@ -80,7 +80,7 @@ TEST_SET = labelled(["alexa", "alexa", "mop", "nib", "tor"], [1, 1, 0, 0, 0])
 
 def test_evaluate_perfect_model():
     class Perfect:
-        def predict(self, features, threshold=0.5):
+        def predict(self, features):
             return (features.sum(axis=1) > 0).astype(int)
 
     rows = Dataset(["p", "n"], np.array([[1.0, 1.0], [0.0, 0.0]]),
@@ -126,7 +126,7 @@ def test_strengthen_requires_fuzzy():
 
 def test_load_collective_skips_unencodable(tmp_path):
     path = tmp_path / "collective.txt"
-    path.write_text("good\nxxxxxxxxxxxxxxxxxxxxxx\nfine\n")
+    path.write_text("good\nxxxxxxxxxxxxxxxxxxxxxx\nHello\ndon't\nfine\n")
     rows = load_collective("en", SLOTS, path=path)
     assert rows.texts == ["good", "fine"]
     assert rows.labels.tolist() == [0, 0]

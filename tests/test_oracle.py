@@ -126,6 +126,21 @@ def test_detector_parse_failure():
     assert "not pinyin" not in det._trial_counts
 
 
+def test_detector_english_parse_rules():
+    """A symbol outside a-z and space fails to parse, and the word is not
+    cached; an empty word, or one of spaces alone, has no units."""
+    det = SimulatedDetector(target="alexa", seed=1)
+    for word in ["Alexa", "alexa!"]:
+        for _ in range(2):
+            with pytest.raises(ParseFailure):
+                det.query(word, 3)
+        assert word not in det._trial_counts
+    assert det.score("") == 0.0
+    assert det.score("   ") == 0.0
+    with pytest.raises(ParseFailure):
+        SimulatedDetector(target="")
+
+
 @settings(max_examples=60, deadline=None)
 @given(word=st.sampled_from(["aleksa", "alehsa", "alexu", "th th th k"]),
        splits=st.lists(st.integers(1, 7), min_size=1, max_size=6))

@@ -12,8 +12,8 @@ from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
 
 def identity_holds(explanation):
     """Local accuracy: base value plus contributions is the margin (within
-    1e-9), for one row or for every row of a batch."""
-    gap = (explanation.base_value + explanation.contributions.sum(axis=-1)
+    1e-9), for every row."""
+    gap = (explanation.base_value + explanation.contributions.sum(axis=1)
            - explanation.margin)
     return bool(np.all(np.abs(gap) <= 1e-9))
 
@@ -98,11 +98,11 @@ def test_single_stump_closed_form():
                 left=[1, -1, -1], right=[2, -1, -1],
                 value=[0.0, -2.0, 3.0], cover=[10.0, 5.0, 5.0])
     ensemble = TreeEnsemble(trees=[tree], base_score=0.0, n_features=3)
-    x = np.array([0.0, 1.0, 0.0])          # routes right
+    x = np.array([[0.0, 1.0, 0.0]])        # routes right
     explanation = shap_values(ensemble, x)
-    assert explanation.contributions[1] == pytest.approx(3.0 - 0.5)
-    assert explanation.contributions[0] == 0.0
-    assert explanation.contributions[2] == 0.0
+    assert explanation.contributions[0, 1] == pytest.approx(3.0 - 0.5)
+    assert explanation.contributions[0, 0] == 0.0
+    assert explanation.contributions[0, 2] == 0.0
     assert explanation.base_value == pytest.approx(0.5)
 
 
@@ -111,7 +111,7 @@ def test_identity_holds():
     for _ in range(10):
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x)
+        explanation = shap_values(ensemble, x[None])
         assert identity_holds(explanation)
 
 
@@ -120,9 +120,9 @@ def test_matches_brute_force_random_ensembles():
     for _ in range(15):
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x)
+        explanation = shap_values(ensemble, x[None])
         expected = brute_force_shap(ensemble, x)
-        assert np.max(np.abs(explanation.contributions - expected)) <= 1e-9
+        assert np.max(np.abs(explanation.contributions[0] - expected)) <= 1e-9
 
 
 def test_repeated_feature_on_path():
@@ -135,9 +135,9 @@ def test_repeated_feature_on_path():
     ensemble = TreeEnsemble(trees=[tree], base_score=0.0, n_features=2)
     for x0 in (-2.0, -0.5, 1.0):
         x = np.array([x0, 0.0])
-        explanation = shap_values(ensemble, x)
+        explanation = shap_values(ensemble, x[None])
         expected = brute_force_shap(ensemble, x)
-        assert np.allclose(explanation.contributions, expected, atol=1e-12)
+        assert np.allclose(explanation.contributions[0], expected, atol=1e-12)
         assert identity_holds(explanation)
 
 
@@ -146,15 +146,17 @@ def test_trained_model_attributions():
     x = rng.normal(size=(80, 6))
     y = (x[:, 2] > 0).astype(int)
     model = train_gbdt(x, y, GBDTParams(n_trees=10, depth=2))
-    explanation = shap_values(model, x[0])
+    explanation = shap_values(model, x[:1])
     assert identity_holds(explanation)
-    assert np.argmax(np.abs(explanation.contributions)) == 2
+    assert np.argmax(np.abs(explanation.contributions[0])) == 2
 
 
 def test_shape_mismatch():
     ensemble = TreeEnsemble(base_score=0.0, n_features=4)
     with pytest.raises(ShapeMismatch):
-        shap_values(ensemble, np.zeros(3))
+        shap_values(ensemble, np.zeros((1, 3)))
+    with pytest.raises(ShapeMismatch):      # one sample, not a matrix
+        shap_values(ensemble, np.zeros(4))
 
 
 # The per-row recursion the batch path replaced, kept as the reference: it
@@ -211,10 +213,10 @@ def test_batch_equals_per_row_recursion():
             for tree in ensemble.trees:
                 loop_tree_shap(tree, row, phi)
             assert batch.contributions[i].tolist() == phi.tolist()
-            single = shap_values(ensemble, row)
-            assert single.contributions.tolist() == phi.tolist()
+            single = shap_values(ensemble, row[None])
+            assert single.contributions[0].tolist() == phi.tolist()
             assert single.base_value == batch.base_value
-            assert single.margin == batch.margin[i] == margins[i]
+            assert single.margin[0] == batch.margin[i] == margins[i]
         assert identity_holds(batch)
 
 
