@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
                                levenshtein_dist)
@@ -195,6 +195,40 @@ def test_config_validation():
         DistanceConfig(space_cost=0.0)
     with pytest.raises(ValueError):
         DistanceConfig(space_cost=1.5)
+
+
+def integer_levenshtein(s1, s2):
+    """levenshtein_dist before the shared alignment: integer cells."""
+    m, n = len(s1), len(s2)
+    if m + n == 0:
+        raise BothEmpty("cannot compare two empty sequences")
+    prev = list(range(n + 1))
+    for i in range(1, m + 1):
+        cur = [i] + [0] * n
+        for j in range(1, n + 1):
+            sub = prev[j - 1] + (0 if s1[i - 1] == s2[j - 1] else 2)
+            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
+        prev = cur
+    return prev[n] / (m + n)
+
+
+lev_seq = st.lists(st.sampled_from(SYMS[:5] + [BOUNDARY, "xiǎo", "dù"]),
+                   max_size=9) | st.text(alphabet="ab ", max_size=9)
+
+
+@given(lev_seq, lev_seq)
+@settings(max_examples=300, deadline=None)
+@example([], [])
+@example([], [BOUNDARY])
+@example([BOUNDARY, BOUNDARY], [])
+@example("", "")
+def test_levenshtein_equals_the_integer_recurrence(s1, s2):
+    def outcome(fn):
+        try:
+            return fn(s1, s2)
+        except BothEmpty as exc:
+            return ("BothEmpty", str(exc))
+    assert outcome(levenshtein_dist) == outcome(integer_levenshtein)
 
 
 def test_levenshtein_baseline():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fakewake.dataio import data_path
-from fakewake.embedding import (character_distance, embedding_table,
-                                encode_features, encode_units, mds_embed,
-                                word_units)
+from fakewake.dataio import data_path, read_tsv, read_weight_rows
+from fakewake.embedding import (UNIT_SCALE, character_distance,
+                                embedding_table, encode_features,
+                                encode_units, mds_embed, word_units)
 from fakewake.errors import TooManyUnits
 from fakewake.phonemes import LetterWord, inventory
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
@@ -216,3 +216,88 @@ def test_unit_feature_distance_bounds():
     d = emb.unit_feature_distance("final", "a", "an")
     d2 = emb.unit_feature_distance("final", "a", "o")
     assert 0 < d < d2 <= 1.0
+
+
+# ------------------------------------------------ per-kind table reference
+# EmbeddingTable's build before the one unit table: per kind, a symbol ->
+# vector dict and an (index, distance matrix) pair, each filled by its own
+# loop. The unit table must reproduce every vector and distance bit for bit.
+
+def per_kind_tables():
+    """kind -> (symbol -> vector, symbol -> index, distance matrix)."""
+    symbols = {"initial": [], "final": []}
+    features = {"initial": [], "final": []}
+    for row in read_tsv("pinyin_unit_features.tsv"):
+        kind = "initial" if row[0] == "initial" else "final"
+        symbols[kind].append(row[1])
+        features[kind].append(np.array([int(v) for v in row[2:]],
+                                       dtype=float))
+    weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+    tables = {}
+    for kind, weights in zip(("initial", "final"), weight_rows):
+        weights = np.array([float(w) for w in weights[1:]])
+        syms, feats = symbols[kind], features[kind]
+        dist = np.zeros((len(syms), len(syms)))
+        for i in range(len(syms)):
+            for j in range(i + 1, len(syms)):
+                gaps = np.abs(feats[i] - feats[j]) / 2.0
+                dist[i, j] = dist[j, i] = float(np.dot(weights, gaps)
+                                                / weights.sum())
+        vectors = {s: v * UNIT_SCALE for s, v in zip(syms, mds_embed(dist))}
+        tables[kind] = vectors, {s: i for i, s in enumerate(syms)}, dist
+    syms, dist = inventory().distance_matrix()
+    tables["phoneme"] = ({s: v for s, v in zip(syms, mds_embed(dist))},
+                         {s: i for i, s in enumerate(syms)}, dist)
+    return tables
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return per_kind_tables()
+
+
+def test_unit_table_equals_the_per_kind_build(reference):
+    emb = embedding_table()
+    assert emb.unit_vectors.shape == (101, 2)
+    assert emb.unit_vectors[0].tobytes() == np.zeros(2).tobytes()
+    for kind, (vectors, index, dist) in reference.items():
+        assert list(emb.units[kind]) == list(vectors)
+        for a, vec in vectors.items():
+            assert emb.unit_vec(kind, a).tobytes() == vec.tobytes()
+            assert emb.unit_vectors[emb.unit_row[kind, a]].tobytes() == \
+                vec.tobytes()
+            for b in vectors:
+                assert emb.unit_feature_distance(kind, a, b) == \
+                    float(dist[index[a], index[b]])
+
+
+def reference_character_distance(reference, a, b, tone_penalty):
+    tables = unit_tables()
+    initials, finals = reference["initial"][0], reference["final"][0]
+    d = float(np.linalg.norm(initials[tables.initial_by_index[a.initial]]
+                             - initials[tables.initial_by_index[b.initial]]))
+    d += float(np.linalg.norm(finals[tables.final_by_index[a.final]]
+                              - finals[tables.final_by_index[b.final]]))
+    if a.tone != b.tone:
+        d += tone_penalty
+    return d
+
+
+def test_character_distance_equals_the_per_kind_build(reference):
+    """Every initial pair and every pair of the finals that some initial
+    takes, each in a valid syllable."""
+    pairs = sorted(unit_tables().valid_pairs)
+    final_of, initial_of = {}, {}
+    for ini, fin in pairs:
+        final_of.setdefault(ini, fin)
+        initial_of.setdefault(fin, ini)
+    assert len(final_of) == 24 and len(initial_of) == 34
+    cases = [((ia, final_of[ia]), (ib, final_of[ib]))
+             for ia in final_of for ib in final_of]
+    cases += [((initial_of[fa], fa), (initial_of[fb], fb))
+              for fa in initial_of for fb in initial_of]
+    for (ia, fa), (ib, fb) in cases:
+        for tone, penalty in ((1, 1.0), (3, 0.7)):
+            a, b = Syllable(ia, fa, 1), Syllable(ib, fb, tone)
+            expected = reference_character_distance(reference, a, b, penalty)
+            assert character_distance(a, b, penalty) == expected

@@ -76,6 +76,56 @@ def test_genome_range_validation():
         ChineseGenome([1, 1])
 
 
+def test_genome_range_bounds():
+    """Each gene's range, ends included, with the message naming it."""
+    for pos, (name, lo, hi) in enumerate((("initial", 0, 23),
+                                          ("final", 1, 37),
+                                          ("tone", 1, 4))):
+        for value in (lo, hi):
+            genes = [0, 1, 1]
+            genes[pos] = value
+            assert list(ChineseGenome(genes)) == genes
+        for value in (lo - 1, hi + 1):
+            genes = [0, 1, 1, 0, 1, 1]
+            genes[3 + pos] = value
+            with pytest.raises(ValueError, match=f"^{name} gene out of "
+                                                 f"range: {value}$"):
+                ChineseGenome(genes)
+            assert ChineseGenome([0, 1, 1]).gene_range(3 + pos) == (lo, hi)
+    for value in (1, 27):
+        EnglishGenome([value, 1])
+    for value in (0, 28):
+        with pytest.raises(ValueError,
+                           match=f"^letter gene out of range: {value}$"):
+            EnglishGenome([1, value])
+    assert EnglishGenome([1]).gene_range(5) == (1, 27)
+
+
+def inline_random_genome(kind, length, rng):
+    """random_genome before the gene table: its ranges written inline."""
+    if kind is ChineseGenome:
+        genes = []
+        for i in range(length):
+            lo, hi = (0, 23) if i % 3 == 0 else \
+                     (1, 37) if i % 3 == 1 else (1, 4)
+            genes.append(int(rng.integers(lo, hi + 1)))
+        return repair_chinese(ChineseGenome(genes))
+    return EnglishGenome(rng.integers(1, 28, size=length))
+
+
+@pytest.mark.parametrize("kind, length", [(ChineseGenome, 3),
+                                          (ChineseGenome, 12),
+                                          (EnglishGenome, 1),
+                                          (EnglishGenome, 7)])
+def test_random_genome_equals_the_inline_ranges(kind, length):
+    for seed in range(25):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(20):
+            assert random_genome(kind, length, ours) == \
+                inline_random_genome(kind, length, ref)
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 def test_mutate_rate_zero_identity():
     rng = np.random.default_rng(0)
     g = encode_english("alexa", 7)
