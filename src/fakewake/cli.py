@@ -114,7 +114,11 @@ def _out_dir(args) -> Path:
     """The output directory, created. Commands call this only once every
     check has passed, so a rejected config leaves no directory behind."""
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{exc.strerror}") from exc
     return out
 
 

@@ -18,8 +18,9 @@ from pathlib import Path
 
 from .dataio import write_json
 from .errors import ConfigError
-from .params import (DEFAULT_JITTER, DETECTOR_PARAMS, LENGTH_RATIO, N_NEG,
-                     N_POS, SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE,
+from .params import (DEFAULT_BETA, DEFAULT_FOLDS, DEFAULT_JITTER,
+                     DEFAULT_ORACLE_TIMEOUT, DETECTOR_PARAMS, LENGTH_RATIO,
+                     N_NEG, N_POS, SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE,
                      SIM_THRESHOLD, DistanceConfig, EvolveConfig, GBDTParams,
                      VariationConfig)
 
@@ -30,7 +31,7 @@ DEFAULTS: dict = {
     "oracle": {
         "kind": "sim",
         "command": None,          # external oracle command line (kind=exec)
-        "timeout": 30.0,
+        "timeout": DEFAULT_ORACLE_TIMEOUT,
         "target": None,           # defaults to the wake word
         "unit_weights": None,     # explicit per-unit weights
         "decisive_unit": None,    # shortcut: index of one heavy unit
@@ -46,8 +47,8 @@ DEFAULTS: dict = {
     "explain": {
         "slots": None,            # defaults from language and wake word
         **asdict(GBDTParams()),
-        "beta": 0.8,
-        "folds": 10,
+        "beta": DEFAULT_BETA,
+        "folds": DEFAULT_FOLDS,
     },
     "mitigate": {
         "n_pos": N_POS,

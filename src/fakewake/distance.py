@@ -53,19 +53,17 @@ def _cost_row(inv: PhonemeInventory, a: str, w2: PhonemeSequence,
     return costs
 
 
-def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
-                 cfg: DistanceConfig = DistanceConfig()) -> float:
-    """Minimum (deletions + insertions + 2 * substitution distances) / (m+n).
-    Each cell takes the first least of the substitution, deletion and
-    insertion paths, as ``min`` did."""
-    m, n = len(w1), len(w2)
+def _alignment(m: int, n: int, cost_rows) -> float:
+    """Minimum (deletions + insertions + substitution costs) / (m + n) of
+    aligning an m-symbol sequence with an n-symbol one, where row i of
+    ``cost_rows`` (read one row at a time, as the table reaches it) holds
+    the costs of substituting symbol i for each of the n. Each cell takes
+    the first least of the substitution, deletion and insertion paths, as
+    ``min`` did."""
     if m + n == 0:
         raise BothEmpty("cannot compare two empty sequences")
-    inv = inventory()
-    cols = [None if b == BOUNDARY else inv.index.get(b) for b in w2]
     prev = [float(j) for j in range(n + 1)]
-    for i in range(1, m + 1):
-        costs = _cost_row(inv, w1[i - 1], w2, cols, cfg.space_cost)
+    for i, costs in enumerate(cost_rows, 1):
         left = float(i)
         cur = [left]
         for diag, up, cost in zip(prev, prev[1:], costs):
@@ -82,20 +80,21 @@ def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
     return prev[n] / (m + n)
 
 
+def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
+                 cfg: DistanceConfig = DistanceConfig()) -> float:
+    """Minimum (deletions + insertions + 2 * substitution distances) / (m+n)."""
+    inv = inventory()
+    cols = [None if b == BOUNDARY else inv.index.get(b) for b in w2]
+    space = cfg.space_cost
+    return _alignment(len(w1), len(w2),
+                      (_cost_row(inv, a, w2, cols, space) for a in w1))
+
+
 def levenshtein_dist(s1, s2) -> float:
     """Plain uniform-cost edit distance over symbols, normalized by m+n.
 
     Baseline for the separation report; substitution costs 2 so the value is
     comparable with the phoneme-weighted objective.
     """
-    m, n = len(s1), len(s2)
-    if m + n == 0:
-        raise BothEmpty("cannot compare two empty sequences")
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (0 if s1[i - 1] == s2[j - 1] else 2)
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[n] / (m + n)
+    return _alignment(len(s1), len(s2),
+                      ([0.0 if a == b else 2.0 for b in s2] for a in s1))

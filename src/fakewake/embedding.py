@@ -68,70 +68,53 @@ def _feature_distance_matrix(symbols, feats, weights):
 
 
 class EmbeddingTable:
-    """unit symbol -> 2-D vector, per kind (initial / final / phoneme)."""
+    """Every unit's 2-D vector in one table, and per kind (initial / final /
+    phoneme) the feature-space distances between its units."""
 
     def __init__(self):
-        ini_syms, ini_feats, fin_syms, fin_feats = [], [], [], []
-        weight_rows = read_weight_rows("pinyin_unit_features.tsv")
-        ini_weights = np.array([float(w) for w in weight_rows[0][1:]])
-        fin_weights = np.array([float(w) for w in weight_rows[1][1:]])
+        symbols = {"initial": [], "final": []}
+        features = {"initial": [], "final": []}
         for row in read_tsv("pinyin_unit_features.tsv"):
-            kind, sym, values = row[0], row[1], [int(v) for v in row[2:]]
-            if kind == "initial":
-                ini_syms.append(sym)
-                ini_feats.append(np.array(values, dtype=float))
-            else:
-                fin_syms.append(sym)
-                fin_feats.append(np.array(values, dtype=float))
+            kind = "initial" if row[0] == "initial" else "final"
+            symbols[kind].append(row[1])
+            features[kind].append(np.array([int(v) for v in row[2:]],
+                                           dtype=float))
+        weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+        # kind -> (its symbols, distance matrix, vectors)
+        built = {}
+        for kind, weights in zip(symbols, weight_rows):
+            weights = np.array([float(w) for w in weights[1:]])
+            dist = _feature_distance_matrix(symbols[kind], features[kind],
+                                            weights)
+            built[kind] = symbols[kind], dist, mds_embed(dist) * UNIT_SCALE
+        pho_syms, pho_dist = inventory().distance_matrix()
+        built["phoneme"] = pho_syms, pho_dist, mds_embed(pho_dist)
 
-        self.initial_dist = _feature_distance_matrix(ini_syms, ini_feats, ini_weights)
-        self.final_dist = _feature_distance_matrix(fin_syms, fin_feats, fin_weights)
-        self.initials = {
-            s: v * UNIT_SCALE for s, v in zip(ini_syms, mds_embed(self.initial_dist))
-        }
-        self.finals = {
-            s: v * UNIT_SCALE for s, v in zip(fin_syms, mds_embed(self.final_dist))
-        }
-        self._initial_index = {s: i for i, s in enumerate(ini_syms)}
-        self._final_index = {s: i for i, s in enumerate(fin_syms)}
-
-        inv = inventory()
-        pho_syms, pho_dist = inv.distance_matrix()
-        self.phoneme_dist = pho_dist
-        self.phonemes = {s: v for s, v in zip(pho_syms, mds_embed(pho_dist))}
-        self._phoneme_index = {s: i for i, s in enumerate(pho_syms)}
-
-        # kind -> its vectors, and its symbol index plus distance matrix
-        self._vectors = {"initial": self.initials, "final": self.finals,
-                         "phoneme": self.phonemes}
-        self._distances = {
-            "initial": (self._initial_index, self.initial_dist),
-            "final": (self._final_index, self.final_dist),
-            "phoneme": (self._phoneme_index, self.phoneme_dist),
-        }
+        # kind -> its symbol index plus distance matrix
+        self._distances: dict[str, tuple[dict[str, int], np.ndarray]] = {}
         # every unit's vector stacked into one table, row 0 the zero padding;
         # ``units[kind][symbol]`` is the one (kind, symbol) tuple that all
         # unit lists share (``word_units`` makes its own only for a symbol
         # the table lacks, which encoding then rejects as before)
         self.unit_row: dict[tuple[str, str], int] = {}
         self.units: dict[str, dict[str, tuple[str, str]]] = {}
-        stacked = [np.zeros(2)]
-        for kind, vectors in self._vectors.items():
+        stacked = [np.zeros((1, 2))]
+        for kind, (syms, dist, vectors) in built.items():
+            self._distances[kind] = {s: i for i, s in enumerate(syms)}, dist
             units = self.units[kind] = {}
-            for sym, vec in vectors.items():
+            for sym in syms:
                 unit = units[sym] = (kind, sym)
-                self.unit_row[unit] = len(stacked)
-                stacked.append(vec)
-        self.unit_vectors = np.array(stacked)
-
-    def initial_vec(self, index: int) -> np.ndarray:
-        return self.initials[unit_tables().initial_by_index[index]]
-
-    def final_vec(self, index: int) -> np.ndarray:
-        return self.finals[unit_tables().final_by_index[index]]
+                self.unit_row[unit] = len(self.unit_row) + 1
+            stacked.append(vectors)
+        self.unit_vectors = np.concatenate(stacked)
 
     def unit_vec(self, kind: str, symbol: str) -> np.ndarray:
-        return self._vectors[kind][symbol]
+        return self.unit_vectors[self.unit_row[kind, symbol]]
+
+    def unit_gap(self, kind: str, a: str, b: str) -> float:
+        """Embedding distance between same-kind units."""
+        return float(np.linalg.norm(self.unit_vec(kind, a)
+                                    - self.unit_vec(kind, b)))
 
     def unit_feature_distance(self, kind: str, a: str, b: str) -> float:
         """Feature-space distance between same-kind units, in [0, 1]."""
@@ -145,15 +128,12 @@ def embedding_table() -> EmbeddingTable:
 
 
 @lru_cache(maxsize=None)
-def _initial_gap(a: int, b: int) -> float:
-    emb = embedding_table()
-    return float(np.linalg.norm(emb.initial_vec(a) - emb.initial_vec(b)))
-
-
-@lru_cache(maxsize=None)
-def _final_gap(a: int, b: int) -> float:
-    emb = embedding_table()
-    return float(np.linalg.norm(emb.final_vec(a) - emb.final_vec(b)))
+def _index_gap(kind: str, a: int, b: int) -> float:
+    """``unit_gap`` between an initial or final pair given by index."""
+    tables = unit_tables()
+    symbol = (tables.initial_by_index if kind == "initial"
+              else tables.final_by_index)
+    return embedding_table().unit_gap(kind, symbol[a], symbol[b])
 
 
 def character_distance(a: Syllable, b: Syllable, tone_penalty: float = 1.0) -> float:
@@ -161,8 +141,8 @@ def character_distance(a: Syllable, b: Syllable, tone_penalty: float = 1.0) -> f
 
     The two embedding gaps are memoised per index pair (at most 24 x 24 and
     37 x 37 entries), filled lazily on first use."""
-    d = _initial_gap(a.initial, b.initial)
-    d += _final_gap(a.final, b.final)
+    d = _index_gap("initial", a.initial, b.initial)
+    d += _index_gap("final", a.final, b.final)
     if a.tone != b.tone:
         d += tone_penalty
     return d

@@ -37,12 +37,6 @@ class BothEmpty(FakewakeError):
     """Both phoneme sequences are empty; the distance denominator vanishes."""
 
 
-# --- genome ------------------------------------------------------------------
-
-class AllSpaces(FakewakeError):
-    """An English genome decoding to nothing but spaces."""
-
-
 # --- oracle ------------------------------------------------------------------
 
 class OracleFailure(FakewakeError):

@@ -22,7 +22,7 @@ from .errors import (DegenerateData, EmptyClass, FakewakeError,
                      NoPositiveContributions, ParseFailure, TooFewSamples)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
-from .params import LENGTH_RATIO, GBDTParams
+from .params import DEFAULT_BETA, DEFAULT_FOLDS, LENGTH_RATIO, GBDTParams
 from .treeshap import shap_values
 
 MAX_CLASS_RATIO = 3
@@ -149,7 +149,7 @@ def dissimilarity_score(model: TreeEnsemble,
 
 
 def cross_validate(dataset: Dataset, params: GBDTParams = GBDTParams(),
-                   folds: int = 10, seed: int = 0) -> float:
+                   folds: int = DEFAULT_FOLDS, seed: int = 0) -> float:
     """Mean accuracy over stratified folds with a seeded shuffle."""
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -196,7 +196,6 @@ class DecisiveFactor:
 class DecisiveFactorSet:
     word: str
     factors: list[DecisiveFactor]
-    beta: float
     feature_indices: tuple[int, ...]   # the minimal top-contribution set
 
 
@@ -207,7 +206,7 @@ def unit_map(units: list[tuple[str, str]]) -> list[UnitRef]:
 
 
 def decisive_factors(phi: np.ndarray, units: list[UnitRef],
-                     beta: float = 0.8) -> DecisiveFactorSet:
+                     beta: float = DEFAULT_BETA) -> DecisiveFactorSet:
     """Units owning features of the shortest positive-contribution prefix
     whose share of all positive contributions reaches beta, given one
     word's contributions ``phi`` (a row of ``shap_values``)."""
@@ -231,7 +230,7 @@ def decisive_factors(phi: np.ndarray, units: list[UnitRef],
     factors = [DecisiveFactor(units[slot], contribution)
                for slot, contribution in sorted(
                    per_unit.items(), key=lambda kv: (-kv[1], kv[0]))]
-    return DecisiveFactorSet(word="", factors=factors, beta=beta,
+    return DecisiveFactorSet(word="", factors=factors,
                              feature_indices=tuple(chosen))
 
 
@@ -246,7 +245,6 @@ class GroupedFactor:
     word: str
     unit: UnitRef
     contribution: float
-    difference: float | None   # None when the position is past the wake word
     group: SimilarityGroup
 
 
@@ -289,9 +287,7 @@ def group_factors(factor_sets: list[DecisiveFactorSet],
             if kind != factor.unit.kind:
                 raw.append((fs, factor, None))
                 continue
-            diff = float(np.linalg.norm(
-                emb.unit_vec(kind, factor.unit.symbol)
-                - emb.unit_vec(kind, wake_sym)))
+            diff = emb.unit_gap(kind, factor.unit.symbol, wake_sym)
             raw.append((fs, factor, diff))
     diffs = [d for _, _, d in raw if d is not None]
     if diffs:
@@ -312,7 +308,7 @@ def group_factors(factor_sets: list[DecisiveFactorSet],
             else:
                 group = SimilarityGroup.LOW
         entries.append(GroupedFactor(fs.word, factor.unit,
-                                     factor.contribution, diff, group))
+                                     factor.contribution, group))
     return FactorGrouping(entries, spread, mean)
 
 
@@ -340,7 +336,7 @@ def rank_decisive_units(factor_sets: list[DecisiveFactorSet]) -> list[RankedUnit
 
 
 def explain_archive(words: ArchiveWords, model: TreeEnsemble,
-                    beta: float = 0.8) -> list[DecisiveFactorSet]:
+                    beta: float = DEFAULT_BETA) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")

@@ -17,60 +17,57 @@ from functools import lru_cache
 import numpy as np
 
 from .embedding import embedding_table
-from .errors import AllSpaces, LengthMismatch
+from .errors import LengthMismatch
 from .params import LENGTH_RATIO, VariationConfig
-from .phonemes import LetterWord
+from .phonemes import ALPHABET
 from .pinyin import (ChineseWord, Syllable, is_valid_pair, render_units,
                      unit_tables)
 
-N_INITIALS = 24   # index 0 is the zero initial
-N_FINALS = 37
-N_TONES = 4
-N_LETTERS = 27    # 1..26 -> a..z, 27 -> space
 
 class ChineseGenome(tuple):
-    """3n genes: per character initial 0..23, final 1..37, tone 1..4."""
+    """3n genes: per character an initial, a final and a tone."""
 
     language = "zh"
+    # (lowest, highest) value of the initial (0 is the zero initial), final
+    # and tone genes
+    RANGES = ((0, 23), (1, 37), (1, 4))
 
     def __new__(cls, genes):
         genes = tuple(int(g) for g in genes)
         if not genes or len(genes) % 3:
             raise ValueError("Chinese genome length must be a positive multiple of 3")
+        (ini_lo, ini_hi), (fin_lo, fin_hi), (tone_lo, tone_hi) = cls.RANGES
         for ini, fin, tone in _triples(genes):
-            if not 0 <= ini < N_INITIALS:
+            if not ini_lo <= ini <= ini_hi:
                 raise ValueError(f"initial gene out of range: {ini}")
-            if not 1 <= fin <= N_FINALS:
+            if not fin_lo <= fin <= fin_hi:
                 raise ValueError(f"final gene out of range: {fin}")
-            if not 1 <= tone <= N_TONES:
+            if not tone_lo <= tone <= tone_hi:
                 raise ValueError(f"tone gene out of range: {tone}")
         return super().__new__(cls, genes)
 
     def gene_range(self, position: int) -> tuple[int, int]:
-        kind = position % 3
-        if kind == 0:
-            return 0, N_INITIALS - 1
-        if kind == 1:
-            return 1, N_FINALS
-        return 1, N_TONES
+        return self.RANGES[position % 3]
 
 
 class EnglishGenome(tuple):
-    """L genes, each in 1..27."""
+    """L genes, each a letter of ``ALPHABET``: 1..26 -> a..z, 27 -> space."""
 
     language = "en"
+    RANGE = (1, len(ALPHABET))
 
     def __new__(cls, genes):
         genes = tuple(int(g) for g in genes)
         if not genes:
             raise ValueError("English genome must be nonempty")
+        lo, hi = cls.RANGE
         for g in genes:
-            if not 1 <= g <= N_LETTERS:
+            if not lo <= g <= hi:
                 raise ValueError(f"letter gene out of range: {g}")
         return super().__new__(cls, genes)
 
     def gene_range(self, position: int) -> tuple[int, int]:
-        return 1, N_LETTERS
+        return self.RANGE
 
 
 Genome = ChineseGenome | EnglishGenome
@@ -91,23 +88,14 @@ def encode_chinese(word: ChineseWord) -> ChineseGenome:
     return ChineseGenome(genes)
 
 
-def decode_english(g: EnglishGenome) -> LetterWord:
-    chars = "".join(" " if v == N_LETTERS else chr(ord("a") + v - 1) for v in g)
-    text = " ".join(chars.split())
-    if not text:
-        raise AllSpaces("genome decodes to spaces only")
-    return LetterWord(text)
-
-
 def encode_english(text: str, length: int | None = None) -> EnglishGenome:
     """Letters to genes, right-padded with spaces to ``length`` when given."""
     if length is None:
         length = len(text)
     if len(text) > length:
         raise LengthMismatch(f"{text!r} longer than genome length {length}")
-    genes = [N_LETTERS if c == " " else ord(c) - ord("a") + 1 for c in text]
-    genes.extend([N_LETTERS] * (length - len(text)))
-    return EnglishGenome(genes)
+    # a symbol outside the alphabet becomes gene 0, which the genome rejects
+    return EnglishGenome([ALPHABET.find(c) + 1 for c in text.ljust(length)])
 
 
 def english_genome_length(wake_word: str, ratio: float = LENGTH_RATIO) -> int:
@@ -115,14 +103,12 @@ def english_genome_length(wake_word: str, ratio: float = LENGTH_RATIO) -> int:
 
 
 def decode_text(genome: "Genome") -> str:
-    """Word text for any genome; empty string for space-only English ones."""
+    """Word text for any genome: English spaces trimmed and collapsed, an
+    empty string for a space-only English one."""
     if isinstance(genome, ChineseGenome):
         return " ".join(map(render_units, genome[0::3], genome[1::3],
                             genome[2::3]))
-    try:
-        return decode_english(genome).symbols
-    except AllSpaces:
-        return ""
+    return " ".join("".join([ALPHABET[g - 1] for g in genome]).split())
 
 
 @lru_cache(maxsize=None)
@@ -130,10 +116,12 @@ def nearest_valid_final(initial: int, final: int) -> int:
     """The valid final for ``initial`` whose embedding is nearest that of
     ``final``; ties break to the lowest final index."""
     emb = embedding_table()
+    tables = unit_tables()
+    symbol = tables.final_by_index
+    target = symbol[final]
     best, best_dist = None, None
-    target = emb.final_vec(final)
-    for cand in unit_tables().finals_for_initial[initial]:
-        d = float(np.linalg.norm(emb.final_vec(cand) - target))
+    for cand in tables.finals_for_initial[initial]:
+        d = emb.unit_gap("final", symbol[cand], target)
         if best is None or d < best_dist:
             best, best_dist = cand, d
     return best
@@ -181,13 +169,12 @@ def crossover(g1: Genome, g2: Genome,
 
 def random_genome(kind: type, length: int, rng: np.random.Generator) -> Genome:
     if kind is ChineseGenome:
-        genes = []
-        for i in range(length):
-            lo, hi = (0, N_INITIALS - 1) if i % 3 == 0 else \
-                     (1, N_FINALS) if i % 3 == 1 else (1, N_TONES)
-            genes.append(int(rng.integers(lo, hi + 1)))
+        ranges = ChineseGenome.RANGES
+        genes = [int(rng.integers(lo, hi + 1))
+                 for lo, hi in (ranges[i % 3] for i in range(length))]
         return repair_chinese(ChineseGenome(genes))
-    return EnglishGenome(rng.integers(1, N_LETTERS + 1, size=length))
+    lo, hi = EnglishGenome.RANGE
+    return EnglishGenome(rng.integers(lo, hi + 1, size=length))
 
 
 def seed_genomes(wake_word: Genome, count: int,

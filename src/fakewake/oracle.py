@@ -33,7 +33,8 @@ import numpy as np
 from .embedding import embedding_table, parse_text
 from .errors import (FakewakeError, OracleFailure, OracleTimeout,
                      ParseFailure, ProtocolError)
-from .params import SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE, SIM_THRESHOLD
+from .params import (DEFAULT_ORACLE_TIMEOUT, SIM_SUBSTITUTION_FLOOR,
+                     SIM_TEMPERATURE, SIM_THRESHOLD)
 
 
 class WakeOracle(Protocol):
@@ -185,15 +186,6 @@ def default_rng_random(seeds) -> np.ndarray:
     return (out >> 11).astype(np.float64) * 2.0**-53
 
 
-# SimulatedDetector.query_many draws in one vectorised pass from this many
-# draws on; fewer go through query word by word, because a pass costs about
-# 0.15 ms however small. Per draw, word by word / vectorised, with the words
-# already scored (2-vCPU Xeon VM, numpy 2.4.6): 1 draw 18 / 164 us, 10 draws
-# 16-22 / 20-24 us, 16 draws 23 / 12 us, 100 draws 15 / 3.0 us, 1,000 draws
-# 14 / 1.9 us.
-BATCH_MIN_DRAWS = 16
-
-
 @dataclass
 class SimulatedDetector:
     """Positional-template detector with hidden decisive weights.
@@ -272,8 +264,6 @@ class SimulatedDetector:
     def query_many(self, words: list[str], trials: int = 1) -> list[int]:
         """``[self.query(w, trials) for w in words]``, with the same results
         and trial counters, drawing every trial in one vectorised pass."""
-        if len(words) * trials < BATCH_MIN_DRAWS:
-            return [self.query(w, trials) for w in words]
         seeds, probs = [], []
         for word in words:
             prob, first = self._next_trials(word, trials)
@@ -297,7 +287,8 @@ class ExternalOracle:
     ``select``, so it must be a pipe.
     """
 
-    def __init__(self, command: str, timeout: float = 30.0):
+    def __init__(self, command: str,
+                 timeout: float = DEFAULT_ORACLE_TIMEOUT):
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         self.command = command

@@ -86,6 +86,12 @@ DETECTOR_PARAMS = GBDTParams(n_trees=96, depth=1, learning_rate=0.5, min_leaf=2)
 
 DEFAULT_JITTER = 0.06
 
+# share of the positive contributions a decisive-factor set covers
+DEFAULT_BETA = 0.8
+DEFAULT_FOLDS = 10
+# seconds an external oracle may take for one reply
+DEFAULT_ORACLE_TIMEOUT = 30.0
+
 # conventional dataset size per class: positives, negatives
 N_POS = 296
 N_NEG = 399

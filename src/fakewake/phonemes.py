@@ -24,12 +24,6 @@ _ALPHABET_SET = frozenset(ALPHABET)
 
 
 @dataclass(frozen=True)
-class Phoneme:
-    symbol: str
-    features: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class LetterWord:
     """A candidate word over the 27-symbol alphabet (a-z and space)."""
 
@@ -62,22 +56,21 @@ class PhonemeInventory:
         rows = read_tsv("phoneme_features.tsv")
         weights = read_weight_rows("phoneme_features.tsv")[0]
         self.weights = np.array([float(w) for w in weights])
-        self.phonemes: dict[str, Phoneme] = {}
-        feats = []
+        syms, feats = [], []
         for row in rows:
             sym, values = row[0], tuple(int(v) for v in row[1:])
             if len(values) != len(self.weights):
                 raise ValueError(f"feature row length mismatch for {sym}")
-            self.phonemes[sym] = Phoneme(sym, values)
+            syms.append(sym)
             feats.append(values)
-        self.index = {sym: i for i, sym in enumerate(self.phonemes)}
+        self.index = {sym: i for i, sym in enumerate(syms)}
         mat = np.asarray(feats, dtype=float)
         gaps = np.abs(mat[:, None, :] - mat[None, :, :]) / 2.0
         self._dist = gaps @ self.weights / self.weights.sum()
         self.rows: list[list[float]] = self._dist.tolist()
 
     def symbols(self) -> list[str]:
-        return sorted(self.phonemes)
+        return sorted(self.index)
 
     def distance(self, p: str, q: str) -> float:
         """Weighted Hamming distance over feature vectors, normalized to [0,1]."""

@@ -205,6 +205,28 @@ def test_missing_archive_exits_2(tmp_path):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["generate", "explain", "mitigate"])
+@pytest.mark.parametrize("output", ["afile", "afile/sub"])
+def test_output_path_that_cannot_be_a_directory_exits_2(small_run, tmp_path,
+                                                         capsys, command,
+                                                         output):
+    root, _, out = small_run
+    config = write_config(tmp_path / "config.json",
+                          explain={"n_trees": 5},
+                          mitigate={"collective_limit": 200})
+    (tmp_path / "afile").write_text("kept\n")
+    argv = [command, "--config", str(config),
+            "--output", str(tmp_path / output)]
+    if command != "generate":
+        argv += ["--archive", str(out / "archive.json")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory")
+    assert str(tmp_path / output) in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def _content(content):
     """Write ``content`` (text, bytes, or None for a directory)."""
     def make(path, archive):

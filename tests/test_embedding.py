@@ -66,7 +66,7 @@ def test_phoneme_embedding_correlation():
     emb = embedding_table()
     inv = inventory()
     syms, dist = inv.distance_matrix()
-    coords = np.array([emb.phonemes[s] for s in syms])
+    coords = np.array([emb.unit_vec("phoneme", s) for s in syms])
     rebuilt = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
     upper = np.triu_indices(len(syms), k=1)
     r = np.corrcoef(dist[upper], rebuilt[upper])[0, 1]
@@ -75,12 +75,12 @@ def test_phoneme_embedding_correlation():
 
 def test_every_unit_embedded():
     emb = embedding_table()
-    assert len(emb.initials) == 24
-    assert len(emb.finals) == 37
-    assert len(emb.phonemes) == 39
-    for table in (emb.initials, emb.finals, emb.phonemes):
-        for vec in table.values():
-            assert vec.shape == (2,)
+    assert len(emb.units["initial"]) == 24
+    assert len(emb.units["final"]) == 37
+    assert len(emb.units["phoneme"]) == 39
+    for kind, units in emb.units.items():
+        for sym in units:
+            assert emb.unit_vec(kind, sym).shape == (2,)
 
 
 def test_encode_features_chinese_shape():
@@ -197,13 +197,18 @@ def test_character_distance_tone_penalty():
 
 def test_character_distance_memo_is_bit_identical():
     emb = embedding_table()
-    pairs = sorted(unit_tables().valid_pairs)
+    tables = unit_tables()
+    pairs = sorted(tables.valid_pairs)
     rng = np.random.default_rng(12)
     for _ in range(3000):
         (ia, fa), (ib, fb) = (pairs[i] for i in rng.integers(len(pairs), size=2))
         a, b = Syllable(ia, fa, 1), Syllable(ib, fb, int(rng.integers(1, 3)))
-        d = float(np.linalg.norm(emb.initial_vec(ia) - emb.initial_vec(ib)))
-        d += float(np.linalg.norm(emb.final_vec(fa) - emb.final_vec(fb)))
+        ini_a, ini_b = (tables.initial_by_index[i] for i in (ia, ib))
+        fin_a, fin_b = (tables.final_by_index[f] for f in (fa, fb))
+        d = float(np.linalg.norm(emb.unit_vec("initial", ini_a)
+                                 - emb.unit_vec("initial", ini_b)))
+        d += float(np.linalg.norm(emb.unit_vec("final", fin_a)
+                                  - emb.unit_vec("final", fin_b)))
         if b.tone != 1:
             d += 0.7
         assert character_distance(a, b, 0.7) == d
@@ -266,9 +271,11 @@ def test_unit_table_equals_the_per_kind_build(reference):
             assert emb.unit_vec(kind, a).tobytes() == vec.tobytes()
             assert emb.unit_vectors[emb.unit_row[kind, a]].tobytes() == \
                 vec.tobytes()
-            for b in vectors:
+            for b, other in vectors.items():
                 assert emb.unit_feature_distance(kind, a, b) == \
                     float(dist[index[a], index[b]])
+                assert emb.unit_gap(kind, a, b) == \
+                    float(np.linalg.norm(vec - other))
 
 
 def reference_character_distance(reference, a, b, tone_penalty):

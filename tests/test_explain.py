@@ -155,8 +155,7 @@ def test_unit_map_positions():
 def grouped_set(word, factors):
     from fakewake.explain import DecisiveFactorSet
 
-    fs = DecisiveFactorSet(word=word, factors=factors, beta=0.8,
-                           feature_indices=())
+    fs = DecisiveFactorSet(word=word, factors=factors, feature_indices=())
     return fs
 
 
@@ -190,7 +189,8 @@ def test_group_factors_past_wake_word_low():
     fs = grouped_set("longword", [DecisiveFactor(UnitRef("phoneme", "K", 11), 1.0)])
     grouping = group_factors([fs], wake)
     assert grouping.entries[0].group.value == "low"
-    assert grouping.entries[0].difference is None
+    # the position has no wake-word unit, so no difference enters the corpus
+    assert grouping.spread == grouping.mean_difference == 0.0
 
 
 def test_rank_decisive_units_orders_by_contribution():
@@ -226,7 +226,13 @@ def test_explain_archive_passes_beta(fixture_archive):
     model = train_gbdt(ds.features, ds.labels, GBDTParams(n_trees=20))
     sets = explain_archive(words, model, beta=1.0)
     assert sets
-    assert all(fs.beta == 1.0 for fs in sets)
+    # at beta 1 each set keeps every positive contribution, more than at 0.1
+    smaller = explain_archive(words, model, beta=0.1)
+    assert [fs.word for fs in sets] == [fs.word for fs in smaller]
+    for fs, few in zip(sets, smaller):
+        assert set(few.feature_indices) <= set(fs.feature_indices)
+    assert sum(len(fs.feature_indices) for fs in sets) > \
+        sum(len(fs.feature_indices) for fs in smaller)
 
 
 def test_dissimilarity_separation(fixture_archive):

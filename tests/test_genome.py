@@ -3,9 +3,9 @@ import pytest
 
 import fakewake.genome
 from fakewake.embedding import embedding_table
-from fakewake.errors import AllSpaces, InvalidCombination, LengthMismatch
+from fakewake.errors import InvalidCombination, LengthMismatch
 from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
-                             crossover, decode_chinese, decode_english,
+                             crossover, decode_chinese,
                              decode_text, encode_chinese, encode_english,
                              english_genome_length, mutate,
                              nearest_valid_final, random_genome,
@@ -51,14 +51,13 @@ def test_decode_text_matches_the_word_path():
 
 def test_decode_english_trims_and_collapses():
     g = encode_english("alexa", 7)
-    assert decode_english(g).symbols == "alexa"
+    assert decode_text(g) == "alexa"
     spaced = EnglishGenome([27, 8, 5, 25, 27, 27, 19, 9, 18, 9, 27, 27])
-    assert decode_english(spaced).symbols == "hey siri"
+    assert decode_text(spaced) == "hey siri"
 
 
 def test_decode_english_all_spaces():
-    with pytest.raises(AllSpaces):
-        decode_english(EnglishGenome([27] * 7))
+    assert decode_text(EnglishGenome([27])) == ""
     assert decode_text(EnglishGenome([27] * 7)) == ""
 
 
@@ -74,6 +73,8 @@ def test_genome_range_validation():
         ChineseGenome([24, 1, 1])
     with pytest.raises(ValueError):
         ChineseGenome([1, 1])
+    with pytest.raises(ValueError):
+        encode_english("Alexa")
 
 
 def test_genome_range_bounds():
@@ -153,8 +154,8 @@ def test_crossover_produces_known_recombinations():
     children = set()
     for seed in range(40):
         c1, c2 = crossover(g1, g2, np.random.default_rng(seed))
-        children.add(decode_english(c1).symbols)
-        children.add(decode_english(c2).symbols)
+        children.add(decode_text(c1))
+        children.add(decode_text(c2))
         # per-position gene multisets preserved
         for i in range(len(g1)):
             assert {c1[i], c2[i]} == {g1[i], g2[i]}
@@ -183,22 +184,27 @@ def test_repair_nearest_final_from_embedding():
     ang = T.final_index["ang"]
     genome = ChineseGenome([x, ang, 1, x, ang, 1, x, ang, 1, x, ang, 1])
     repaired = repair_chinese(genome)
-    emb = embedding_table()
-    target = emb.final_vec(ang)
+    final_vec = table_final_vec(embedding_table())
+    target = final_vec(ang)
     candidates = T.finals_for_initial[x]
-    gaps = [float(np.linalg.norm(emb.final_vec(f) - target)) for f in candidates]
+    gaps = [float(np.linalg.norm(final_vec(f) - target)) for f in candidates]
     expected = candidates[int(np.argmin(gaps))]
     assert repaired[1] == expected
     assert repair_chinese(repaired) == repaired   # idempotent
     decode_chinese(repaired)
 
 
-def _nearest_by_loop(emb, initial, final):
+def table_final_vec(emb):
+    """The embedding of a final given by its index."""
+    return lambda index: emb.unit_vec("final", T.final_by_index[index])
+
+
+def _nearest_by_loop(final_vec, initial, final):
     """Reference repair: the lowest-indexed of the valid finals nearest
-    ``final``."""
-    target = emb.final_vec(final)
+    ``final``, with ``final_vec`` the embedding of a final's index."""
+    target = final_vec(final)
     return min(T.finals_for_initial[initial],
-               key=lambda c: (float(np.linalg.norm(emb.final_vec(c) - target)),
+               key=lambda c: (float(np.linalg.norm(final_vec(c) - target)),
                               c))
 
 
@@ -208,9 +214,9 @@ def _invalid_pairs():
 
 
 def test_repair_memo_matches_the_loop_on_every_pair():
-    emb = embedding_table()
+    final_vec = table_final_vec(embedding_table())
     for ini, fin in _invalid_pairs():
-        expected = _nearest_by_loop(emb, ini, fin)
+        expected = _nearest_by_loop(final_vec, ini, fin)
         assert nearest_valid_final(ini, fin) == expected
         assert nearest_valid_final(ini, fin) == expected
         genome = ChineseGenome([ini, fin, 2, ini, fin, 4])
@@ -223,6 +229,11 @@ class _TiedFinals:
 
     def final_vec(self, index):
         return np.array([float(index % 3), 0.0])
+
+    def unit_gap(self, kind, a, b):
+        assert kind == "final"
+        return float(np.linalg.norm(self.final_vec(T.final_index[a])
+                                    - self.final_vec(T.final_index[b])))
 
 
 @pytest.fixture
@@ -240,7 +251,7 @@ def test_repair_memo_breaks_exact_ties_to_the_lowest_index(tied_embedding):
         gaps = [float(np.linalg.norm(tied_embedding.final_vec(c) - target))
                 for c in T.finals_for_initial[ini]]
         ties += gaps.count(min(gaps)) > 1
-        expected = _nearest_by_loop(tied_embedding, ini, fin)
+        expected = _nearest_by_loop(tied_embedding.final_vec, ini, fin)
         assert nearest_valid_final(ini, fin) == expected
         assert nearest_valid_final(ini, fin) == expected
     assert ties > 400

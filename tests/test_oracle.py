@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from fakewake.embedding import embedding_table
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
-from fakewake.oracle import (BATCH_MIN_DRAWS, ExternalOracle,
-                             SimulatedDetector, _trial_rng,
+from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_rng,
                              default_rng_random, wake_counts)
 
 
@@ -179,7 +178,7 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS),
-                min_size=1, max_size=3 * BATCH_MIN_DRAWS))
+                min_size=1, max_size=48))
 @example(EDGE_SEEDS)
 @example([])
 def test_default_rng_random_matches_numpy(seeds):
@@ -193,6 +192,9 @@ def test_default_rng_random_matches_numpy(seeds):
                       max_size=12),
        trials=st.integers(1, 10),
        before=st.sampled_from([None, "aleksa", "alexa"]))
+@example(words=["alexa"], trials=1, before=None)
+@example(words=["aleksa"], trials=1, before="aleksa")
+@example(words=[], trials=3, before="alexa")
 def test_query_many_equals_per_word_queries(words, trials, before):
     batched = SimulatedDetector(target="alexa", seed=8)
     single = SimulatedDetector(target="alexa", seed=8)
@@ -212,7 +214,6 @@ def test_query_many_scores_each_word_once(monkeypatch):
     det = SimulatedDetector(target="alexa", seed=1)
     det.query("alexa")
     words = ["alexa", "alehsa", "alexu", "alehsa"] * 3
-    assert len(words) * 10 >= BATCH_MIN_DRAWS
     det.query_many(words, 10)
     assert sorted(scored) == ["alehsa", "alexa", "alexu"]
 

@@ -83,10 +83,10 @@ def test_all_rules_emit_known_phonemes():
     conv = g2p_converter()
     for grapheme, (_, phones) in conv.rules.items():
         for p in phones:
-            assert p in INV.phonemes, (grapheme, p)
+            assert p in INV.index, (grapheme, p)
     for token, phones in conv.lexicon.items():
         for p in phones:
-            assert p in INV.phonemes, (token, p)
+            assert p in INV.index, (token, p)
 
 
 def test_single_letters_all_covered():
