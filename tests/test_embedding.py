@@ -195,22 +195,13 @@ def test_character_distance_tone_penalty():
     assert character_distance(a, a) == 0.0
 
 
-def test_character_distance_memo_is_bit_identical():
-    emb = embedding_table()
-    tables = unit_tables()
-    pairs = sorted(tables.valid_pairs)
+def test_character_distance_memo_is_bit_identical(reference):
+    pairs = sorted(unit_tables().valid_pairs)
     rng = np.random.default_rng(12)
     for _ in range(3000):
         (ia, fa), (ib, fb) = (pairs[i] for i in rng.integers(len(pairs), size=2))
         a, b = Syllable(ia, fa, 1), Syllable(ib, fb, int(rng.integers(1, 3)))
-        ini_a, ini_b = (tables.initial_by_index[i] for i in (ia, ib))
-        fin_a, fin_b = (tables.final_by_index[f] for f in (fa, fb))
-        d = float(np.linalg.norm(emb.unit_vec("initial", ini_a)
-                                 - emb.unit_vec("initial", ini_b)))
-        d += float(np.linalg.norm(emb.unit_vec("final", fin_a)
-                                  - emb.unit_vec("final", fin_b)))
-        if b.tone != 1:
-            d += 0.7
+        d = reference_character_distance(reference, a, b, 0.7)
         assert character_distance(a, b, 0.7) == d
         assert character_distance(a, b, 0.7) == d
 
