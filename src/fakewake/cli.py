@@ -12,6 +12,7 @@ the pipeline modules it runs when it starts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -108,6 +109,18 @@ def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
     slots = cfg.raw["explain"]["slots"]
     return slots if slots is not None else default_slots(
         language, wake_word, cfg.length_ratio)
+
+
+def _check_output(path: str):
+    """Exit 2 before any work when ``--output`` cannot become a directory:
+    it must be one, or be absent with a directory as its nearest existing
+    ancestor. Creates nothing; ``_out_dir`` does, after every other check."""
+    out = Path(path)
+    # lexists: a dangling symlink exists here and is no directory
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError(f"cannot create output directory {out}: "
+                          f"{existing} is not a directory")
 
 
 def _out_dir(args) -> Path:
@@ -490,6 +503,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "output"):
+            _check_output(args.output)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -33,7 +33,12 @@ margins move by the leaf values of the rows training sent to each leaf,
 which is what ``predict`` gives: both route with ``x[:, f] <= threshold``.
 
 Prediction takes a matrix with one sample per row and ``n_features``
-columns; the rows walk each tree together, one level at a time.
+columns and routes it through each tree node by node: the root compares one
+column for all the rows, each internal node splits only the rows that
+reached it, and each leaf writes its value into its rows. Every row meets
+the same ``x[row, f] <= threshold`` tests as a walk of that row alone, so it
+gets the same leaf value, and ``margin`` adds the trees' values one tree
+after another, exactly as the per-row sum does.
 """
 from __future__ import annotations
 
@@ -72,18 +77,30 @@ class Tree:
         return bool(self.feature[node] < 0)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of the matrix x; the rows still moving
-        descend one level per step."""
-        node = np.zeros(len(x), dtype=np.int64)
-        moving = np.arange(len(x))
-        while moving.size:
-            at = node[moving]
-            feat = self.feature[at]
-            inner = feat >= 0
-            moving, at, feat = moving[inner], at[inner], feat[inner]
-            go_left = x[moving, feat] <= self.threshold[at]
-            node[moving] = np.where(go_left, self.left[at], self.right[at])
-        return self.value[node]
+        """Leaf value of each row of the matrix x. The root compares one
+        column for all the rows, every other internal node splits only the
+        rows that reached it, and each leaf writes its value into its
+        rows."""
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        out = np.empty(len(x))
+        if feature[0] < 0:
+            out.fill(self.value[0])     # a lone leaf
+            return out
+        go = x[:, feature[0]] <= threshold[0]
+        # depth first: (node, the rows that reach it)
+        stack = [(right[0], np.flatnonzero(~go)),
+                 (left[0], np.flatnonzero(go))]
+        while stack:
+            node, rows = stack.pop()
+            f = feature[node]
+            if f < 0:
+                out[rows] = self.value[node]
+                continue
+            go = x[:, f][rows] <= threshold[node]
+            stack.append((right[node], rows.compress(~go)))
+            stack.append((left[node], rows.compress(go)))
+        return out
 
     def expected_value(self) -> float:
         """Cover-weighted mean output (the empty-coalition expectation)."""

@@ -12,6 +12,19 @@ order, so every row's contributions are bit-identical to those of a call on
 a one-row matrix of that row alone. The patterns are told apart by integer
 codes, 31 decisions at a time, so a tree of any depth groups its rows with
 a 1-D ``np.unique``.
+
+The recursion reads a tree's ``feature``, ``left``, ``right`` and ``cover``
+and the decision pattern, and a leaf's ``value`` only as the last factor of
+each of its terms, ``weight * (o - z) * value``. So one call memoises each
+(structure, pattern)'s terms as (feature, ``weight * (o - z)``, leaf) and
+multiplies by the tree's own leaf values afterwards, the same two
+multiplications in the same order: boosted trees grown on one dataset
+often share a structure and differ only in their values (the 50 trees of
+the en proxy have two structures, the zh one 19), and those trees share
+the recursion. The memo lives for one ``shap_values`` call. Each group of
+rows whose terms name the same features in the same order receives them in
+one ``np.add.at``, which applies the additions to each cell one at a time
+in term order, as a per-term loop does.
 """
 from __future__ import annotations
 
@@ -104,17 +117,20 @@ def _unwound_sum(path: _Path, index: int) -> float:
     return total
 
 
-def _tree_terms(tree: Tree,
-                goes_left: list[bool]) -> tuple[tuple[int, ...], list[float]]:
+def _tree_terms(tree: Tree, goes_left: list[bool]
+                ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """Path-dependent TreeSHAP of one tree for a sample that goes left at
-    node i iff ``goes_left[i]``: the features d and values v of its
-    ``phi[d] += v`` terms, in order. Hot branches come first, so the order
-    of the terms depends on the sample's decisions."""
+    node i iff ``goes_left[i]``: the features d, factors c and leaves l of
+    its ``phi[d] += c * value[l]`` terms, in order. Hot branches come first,
+    so the order of the terms depends on the sample's decisions. Only the
+    tree's ``feature``, ``left``, ``right`` and ``cover`` are read, never
+    its ``value``."""
     feature, left, right = (tree.feature.tolist(), tree.left.tolist(),
                             tree.right.tolist())
-    value, covers = tree.value.tolist(), tree.cover.tolist()
+    covers = tree.cover.tolist()
     dims: list[int] = []
-    terms: list[float] = []
+    factors: list[float] = []
+    leaves: list[int] = []
     # depth first, hot child before cold: (node, parent path, pz, po, pi).
     # A node copies its parent's path before extending it, so both children
     # can share the parent's.
@@ -127,7 +143,8 @@ def _tree_terms(tree: Tree,
             for i in range(1, len(path.d)):
                 weight = _unwound_sum(path, i)
                 dims.append(path.d[i])
-                terms.append(weight * (path.o[i] - path.z[i]) * value[node])
+                factors.append(weight * (path.o[i] - path.z[i]))
+                leaves.append(node)
             continue
         feat = feature[node]
         if goes_left[node]:
@@ -146,24 +163,27 @@ def _tree_terms(tree: Tree,
         cover = covers[node]
         stack.append((cold, path, iz * covers[cold] / cover, 0.0, feat))
         stack.append((hot, path, iz * covers[hot] / cover, io, feat))
-    return tuple(dims), terms
+    return tuple(dims), np.array(factors), np.array(leaves, dtype=np.int64)
 
 
 _PACK = 31   # decisions per chunk of a pattern code
 
 
-def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
+def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray,
+                   terms_of: dict):
     """Add one tree's attributions for every row of x to the rows of phi.
 
     The recursion reads a sample only through its decision at each internal
     node, so it runs once per distinct decision pattern, in any order: no
-    row of phi gets additions from two patterns. The rows of patterns whose
-    terms name the same features in the same order then receive their terms
-    together, one term at a time, in the recursion's order: every row sees
-    exactly the additions a per-row run makes."""
+    row of phi gets additions from two patterns. Its terms are looked up in
+    ``terms_of`` by the tree's structure and the pattern, and computed and
+    stored there on a miss. The rows of patterns whose terms name the same
+    features in the same order then receive their terms together in one
+    ``np.add.at``, which adds each cell's terms in the recursion's order:
+    every row sees exactly the additions a per-row run makes."""
     inner = np.flatnonzero(tree.feature >= 0)
-    if not len(inner):
-        return      # a lone leaf attributes nothing
+    if not len(inner) or not len(x):
+        return      # a lone leaf attributes nothing; no rows, nothing to add
     decisions = x[:, tree.feature[inner]] <= tree.threshold[inner]
     # each row's pattern as an integer code: the decisions go into the code
     # _PACK nodes at a time, and the codes are renumbered densely (below the
@@ -177,21 +197,35 @@ def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray):
             pattern_of << chunk.shape[1] | bits,
             return_index=True, return_inverse=True)
     patterns = decisions[first]
+    structure = (tree.feature.tobytes(), tree.left.tobytes(),
+                 tree.right.tobytes(), tree.cover.tobytes())
     goes_left = [False] * len(tree.feature)
-    by_dims: dict[tuple[int, ...], list[int]] = {}
-    values = []
-    for p, pattern in enumerate(patterns.tolist()):
-        for node, left in zip(inner.tolist(), pattern):
-            goes_left[node] = left
-        dims, terms = _tree_terms(tree, goes_left)
-        by_dims.setdefault(dims, []).append(p)
-        values.append(terms)
-    values = np.array(values)
-    for dims, members in by_dims.items():
-        rows = np.flatnonzero(np.isin(pattern_of, members))
-        row_values = values[pattern_of[rows]]
-        for j, d in enumerate(dims):
-            phi[rows, d] += row_values[:, j]
+    group_of: dict[tuple[int, ...], int] = {}   # dims -> group number
+    group = np.empty(len(patterns), dtype=np.int64)
+    factors, leaves = [], []
+    for p, pattern in enumerate(patterns):
+        key = (structure, pattern.tobytes())
+        terms = terms_of.get(key)
+        if terms is None:
+            for node, left in zip(inner.tolist(), pattern.tolist()):
+                goes_left[node] = left
+            terms = terms_of[key] = _tree_terms(tree, goes_left)
+        dims, pattern_factors, pattern_leaves = terms
+        group[p] = group_of.setdefault(dims, len(group_of))
+        factors.append(pattern_factors)
+        leaves.append(pattern_leaves)
+    # (weight * (o - z)) * value, the product a per-row run takes
+    values = np.array(factors) * tree.value[np.array(leaves)]
+    group_of_row = group[pattern_of]
+    # one add.at per group on the flat view of phi (C-contiguous, as
+    # shap_values makes it): cell (r, d) is r * width + d, and the cells are
+    # visited row by row, each row's terms in order. A 1-D index takes
+    # numpy's fast path.
+    flat, width = phi.reshape(-1), phi.shape[1]
+    for dims, g in group_of.items():
+        rows = np.flatnonzero(group_of_row == g)
+        cells = rows[:, None] * width + np.array(dims)
+        np.add.at(flat, cells.ravel(), values[pattern_of[rows]].ravel())
 
 
 def shap_values(model: TreeEnsemble, x: np.ndarray) -> ShapExplanation:
@@ -201,7 +235,10 @@ def shap_values(model: TreeEnsemble, x: np.ndarray) -> ShapExplanation:
     x = np.asarray(x, dtype=float)
     phi = np.zeros(x.shape)
     base = model.base_score
+    # the terms of each (tree structure, decision pattern), for this call:
+    # trees of one ensemble often share a structure and differ in value
+    terms_of: dict = {}
     for tree in model.trees:
-        _add_tree_shap(tree, x, phi)
+        _add_tree_shap(tree, x, phi, terms_of)
         base += tree.expected_value()
     return ShapExplanation(contributions=phi, base_value=base, margin=margin)

@@ -208,13 +208,27 @@ def test_missing_archive_exits_2(tmp_path):
 @pytest.mark.parametrize("command", ["generate", "explain", "mitigate"])
 @pytest.mark.parametrize("output", ["afile", "afile/sub"])
 def test_output_path_that_cannot_be_a_directory_exits_2(small_run, tmp_path,
-                                                         capsys, command,
-                                                         output):
+                                                         capsys, monkeypatch,
+                                                         command, output):
+    """The path is checked before any work: no model is trained and nothing
+    is created."""
+    from fakewake import explain, gbdt, mitigate
+
+    trained = []
+
+    def counting(*args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    train = gbdt.train_gbdt
+    for module in (gbdt, explain, mitigate):
+        monkeypatch.setattr(module, "train_gbdt", counting)
     root, _, out = small_run
     config = write_config(tmp_path / "config.json",
                           explain={"n_trees": 5},
                           mitigate={"collective_limit": 200})
     (tmp_path / "afile").write_text("kept\n")
+    before = sorted(tmp_path.rglob("*"))
     argv = [command, "--config", str(config),
             "--output", str(tmp_path / output)]
     if command != "generate":
@@ -225,6 +239,8 @@ def test_output_path_that_cannot_be_a_directory_exits_2(small_run, tmp_path,
     assert err.startswith("config error: cannot create output directory")
     assert str(tmp_path / output) in err
     assert (tmp_path / "afile").read_text() == "kept\n"
+    assert trained == []
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def _content(content):

@@ -335,6 +335,103 @@ def test_batch_predict_equals_row_walk():
                                              for row in probe]
 
 
+def level_walk(tree, x):
+    """The level-at-a-time walk ``Tree.predict`` replaced, kept as a second
+    exact reference: the rows still moving descend one level per step."""
+    node = np.zeros(len(x), dtype=np.int64)
+    moving = np.arange(len(x))
+    while moving.size:
+        at = node[moving]
+        feat = tree.feature[at]
+        inner = feat >= 0
+        moving, at, feat = moving[inner], at[inner], feat[inner]
+        go_left = x[moving, feat] <= tree.threshold[at]
+        node[moving] = np.where(go_left, tree.left[at], tree.right[at])
+    return tree.value[node]
+
+
+def draw_tree(data, n_features, cuts):
+    """A tree in pre-order splitting on thresholds from ``cuts``: up to 7
+    levels, either full or with each node split by a coin, so lone leaves,
+    stumps and deep trees all come up."""
+    depth = data.draw(st.integers(0, 7), label="depth")
+    full = data.draw(st.booleans(), label="full")
+    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
+                             "value", "cover")}
+
+    def build(level):
+        node = len(nodes["feature"])
+        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                           ("right", -1), ("value", 0.0), ("cover", 1.0)):
+            nodes[key].append(blank)
+        if level < depth and (full or data.draw(st.booleans())):
+            nodes["feature"][node] = data.draw(
+                st.integers(0, n_features - 1))
+            nodes["threshold"][node] = data.draw(st.sampled_from(cuts))
+            nodes["left"][node] = build(level + 1)
+            nodes["right"][node] = build(level + 1)
+        else:
+            nodes["value"][node] = data.draw(st.floats(-4, 4))
+        return node
+
+    build(0)
+    return gbdt.Tree(**nodes)
+
+
+def assert_predicts_row_walks(model, x):
+    """Each tree's leaf values equal the per-row walk's and the level
+    walk's, and margin and predict_proba equal the per-row sums, bit for
+    bit."""
+    trees = model.to_json()["trees"]
+    for tree, ref in zip(model.trees, trees):
+        walked = [loop_predict_one(ref, row) for row in x]
+        assert tree.predict(x).tolist() == walked
+        assert level_walk(tree, x).tolist() == walked
+    walks = [model.base_score + sum(loop_predict_one(t, row) for t in trees)
+             for row in x]
+    assert model.margin(x).tolist() == walks
+    assert model.predict_proba(x).tolist() == [1.0 / (1.0 + math.exp(-m))
+                                               for m in walks]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_node_routing_equals_row_walks(data):
+    """Rows hold thresholds themselves, NaN (every comparison false: it
+    goes right) and +-inf, some rows twice, and there may be no rows."""
+    f = data.draw(st.integers(1, 4), label="features")
+    cuts = data.draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+                     label="cuts")
+    model = TreeEnsemble(base_score=data.draw(st.floats(-2, 2)),
+                         n_features=f)
+    for _ in range(data.draw(st.integers(0, 5), label="trees")):
+        model.trees.append(draw_tree(data, f, cuts))
+    pool = cuts + [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0]
+    rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=f,
+                                       max_size=f), max_size=12),
+                     label="rows")
+    x = np.array(rows, dtype=float).reshape(len(rows), f)
+    x = np.vstack([x, x[:data.draw(st.integers(0, len(x)))]])
+    assert_predicts_row_walks(model, x)
+
+
+def test_stump_ensemble_on_thousands_of_rows():
+    """The shape of a detector scoring the collective: 96 stumps on 5,600
+    rows of 28 coarse columns, so many rows sit on the thresholds."""
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=(5600, 28)).round(1)
+    model = TreeEnsemble(base_score=-0.25, n_features=28)
+    for _ in range(96):
+        feature = int(rng.integers(28))
+        model.trees.append(gbdt.Tree(
+            feature=[feature, -1, -1],
+            threshold=[float(rng.choice(x[:, feature])), 0.0, 0.0],
+            left=[1, -1, -1], right=[2, -1, -1],
+            value=[0.0, *rng.normal(scale=0.5, size=2)],
+            cover=[2.0, 1.0, 1.0]))
+    assert_predicts_row_walks(model, x)
+
+
 # ------------------------------------------------ the per-call shape memo
 
 class MemoSpy:

@@ -5,6 +5,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+from fakewake import treeshap
 from fakewake.errors import ShapeMismatch
 from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
 from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
@@ -293,6 +294,95 @@ def test_rows_that_differ_only_in_the_first_decisions():
         phi = np.zeros(2)
         loop_tree_shap(tree, row, phi)
         assert batch.contributions[i].tolist() == phi.tolist()
+
+
+def assert_equals_per_row_recursion(ensemble, x):
+    batch = shap_values(ensemble, x)
+    for i, row in enumerate(x):
+        phi = np.zeros(ensemble.n_features)
+        for tree in ensemble.trees:
+            loop_tree_shap(tree, row, phi)
+        assert batch.contributions[i].tolist() == phi.tolist()
+
+
+def with_values(tree, rng):
+    """The tree with fresh leaf values and the same structure."""
+    value = np.where(tree.feature < 0, rng.normal(size=len(tree.value)), 0.0)
+    return Tree(tree.feature, tree.threshold, tree.left, tree.right, value,
+                tree.cover)
+
+
+def test_trees_sharing_a_structure_keep_their_own_values():
+    """Trees with the same feature, left, right and cover share the
+    recursion's terms within a call, and each still multiplies them by its
+    own leaf values."""
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        shapes = [random_tree(rng, 4, int(rng.integers(1, 5)))
+                  for _ in range(2)]
+        ensemble = TreeEnsemble(base_score=0.0, n_features=4, trees=[
+            with_values(shapes[int(rng.integers(2))], rng)
+            for _ in range(6)])
+        rows = rng.normal(size=(25, 4)).round(0)
+        assert_equals_per_row_recursion(ensemble, np.vstack([rows, rows[:5]]))
+
+
+# A stump on feature 0 with a spare leaf 3 and a second tree that differs
+# from it in one array only. The rows take the same decisions in both, so
+# a memo key without that array would hand the second tree the first one's
+# terms.
+STUMP = dict(feature=[0, -1, -1, -1], threshold=[0.5, 0.0, 0.0, 0.0],
+             left=[1, -1, -1, -1], right=[2, -1, -1, -1],
+             value=[0.0, -1.0, 2.0, 4.0], cover=[10.0, 4.0, 6.0, 4.0])
+
+
+@pytest.mark.parametrize("key, changed", [
+    ("feature", [1, -1, -1, -1]),
+    ("left", [3, -1, -1, -1]),
+    ("right", [3, -1, -1, -1]),
+    ("cover", [10.0, 7.0, 3.0, 4.0]),
+])
+def test_trees_differing_in_one_structure_array(key, changed):
+    first = Tree(**STUMP)
+    second = Tree(**{**STUMP, key: changed})
+    x = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5], [1.0, 1.0]])
+    for trees in ([first, second], [second, first]):
+        ensemble = TreeEnsemble(base_score=0.0, n_features=2, trees=trees)
+        assert_equals_per_row_recursion(ensemble, x)
+
+
+def test_tree_terms_run_once_per_structure_and_pattern(monkeypatch):
+    """Within one call the recursion runs once per distinct (structure,
+    decision pattern); the next call starts from nothing."""
+    rng = np.random.default_rng(8)
+    shapes = [random_tree(rng, 3, 3) for _ in range(3)]
+    ensemble = TreeEnsemble(base_score=0.0, n_features=3, trees=[
+        with_values(shapes[i % 3], rng) for i in range(12)])
+    x = rng.normal(size=(40, 3)).round(0)
+    distinct, per_tree = set(), 0
+    for tree in ensemble.trees:
+        inner = tree.feature >= 0
+        if inner.any():
+            structure = tuple(getattr(tree, k).tobytes() for k in
+                              ("feature", "left", "right", "cover"))
+            decisions = x[:, tree.feature[inner]] <= tree.threshold[inner]
+            patterns = {row.tobytes() for row in decisions}
+            per_tree += len(patterns)
+            distinct |= {(structure, pattern) for pattern in patterns}
+    runs = []
+    terms = treeshap._tree_terms
+
+    def counted(tree, goes_left):
+        runs.append(1)
+        return terms(tree, goes_left)
+
+    monkeypatch.setattr(treeshap, "_tree_terms", counted)
+    first = shap_values(ensemble, x)
+    assert len(runs) == len(distinct) < per_tree
+    second = shap_values(ensemble, x)
+    assert len(runs) == 2 * len(distinct)
+    assert second.contributions.tolist() == first.contributions.tolist()
+    assert_equals_per_row_recursion(ensemble, x)
 
 
 def mean_below(tree, node=0):
