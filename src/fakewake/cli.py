@@ -18,7 +18,8 @@ from pathlib import Path
 
 from .config import RunConfig, checked, write_reference
 from .dataio import atomic_write, write_json
-from .errors import ConfigError, FakewakeError, OracleFailure
+from .errors import (BelowFuzzyThreshold, ConfigError, FakewakeError,
+                     OracleFailure)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -163,8 +164,7 @@ def cmd_generate(args) -> int:
     except OracleFailure as exc:
         if exc.partial_archive is not None:
             exc.partial_archive.save(out / "archive.json")
-        print(f"oracle failure: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+        raise
     finally:
         if hasattr(oracle, "close"):
             oracle.close()
@@ -282,6 +282,7 @@ def cmd_mitigate(args) -> int:
 
     import numpy as np
 
+    from .archive import Bucket, bucket
     from .explain import ArchiveWords, rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                            screening_coverage, strengthen, train_original,
@@ -299,14 +300,25 @@ def cmd_mitigate(args) -> int:
     beta = cfg.explain_beta
     params = cfg.detector_params()
 
+    # which fuzzy words, in the order of ``words.fuzzy``, summary.tsv
+    # bands as high
+    try:
+        is_high = [bucket(cand.objectives.wake_rate) is Bucket.HIGH
+                   for cand in archive.sorted_candidates()]
+    except (ValueError, BelowFuzzyThreshold) as exc:
+        raise ConfigError(f"archive {args.archive}: {exc}") from exc
+
     words = ArchiveWords(archive, slots)
-    with checked("mitigate"):
-        triple = assemble_triple(
-            words, n_pos=block["n_pos"], n_neg=block["n_neg"],
-            jitter=block["jitter"], seed=seed,
-            collective_path=block["collective_path"],
-            collective_limit=block["collective_limit"],
-            length_ratio=cfg.length_ratio)
+    try:
+        with checked("mitigate"):
+            triple = assemble_triple(
+                words, n_pos=block["n_pos"], n_neg=block["n_neg"],
+                jitter=block["jitter"], seed=seed,
+                collective_path=block["collective_path"],
+                collective_limit=block["collective_limit"],
+                length_ratio=cfg.length_ratio)
+    except OSError as exc:
+        raise ConfigError(f"mitigate.collective_path: {exc}") from exc
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
 
@@ -317,8 +329,7 @@ def cmd_mitigate(args) -> int:
     report_strengthened = evaluate(strengthened, conventional.test,
                                    fuzzy_rate(strengthened, collective))
 
-    high = fuzzy.take([archive.candidates[text].objectives.wake_rate >= 0.8
-                       for text in fuzzy.texts])
+    high = fuzzy.take(is_high)
     high_rejected = (int(np.sum(strengthened.predict(high.features) == 0))
                      / len(high)) if high else None
 

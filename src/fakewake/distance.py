@@ -12,7 +12,7 @@ import math
 from .embedding import character_distance
 from .errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from .params import DistanceConfig
-from .phonemes import BOUNDARY, PhonemeInventory, PhonemeSequence, inventory
+from .phonemes import BOUNDARY, PhonemeSequence, inventory
 from .pinyin import ChineseWord
 
 
@@ -26,7 +26,7 @@ def chinese_dist(w1: ChineseWord, w2: ChineseWord,
     return total / len(w1)
 
 
-def _cost_row(inv: PhonemeInventory, a: str, w2: PhonemeSequence,
+def _cost_row(inv, a: str, w2: PhonemeSequence,
               cols: list[int | None], space_cost: float) -> list[float]:
     """Twice the cost of substituting ``a`` for each symbol of ``w2`` (whose
     inventory columns are ``cols``, None for a boundary or an unknown

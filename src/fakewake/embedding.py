@@ -17,8 +17,8 @@ import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
 from .errors import TooManyUnits
-from .phonemes import (BOUNDARY, LetterWord, PhonemeSequence, g2p,
-                       inventory)
+from .phonemes import (BOUNDARY, FeatureTable, LetterWord, PhonemeSequence,
+                       g2p, inventory)
 from .pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
 
 UNIT_SCALE = 25.0
@@ -57,19 +57,10 @@ def mds_embed(dist: np.ndarray) -> np.ndarray:
     return coords
 
 
-def _feature_distance_matrix(symbols, feats, weights):
-    k = len(symbols)
-    mat = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            gaps = np.abs(feats[i] - feats[j]) / 2.0
-            mat[i, j] = mat[j, i] = float(np.dot(weights, gaps) / weights.sum())
-    return mat
-
-
 class EmbeddingTable:
     """Every unit's 2-D vector in one table, and per kind (initial / final /
-    phoneme) the feature-space distances between its units."""
+    phoneme) the ``FeatureTable`` of feature-space distances between its
+    units."""
 
     def __init__(self):
         symbols = {"initial": [], "final": []}
@@ -77,21 +68,13 @@ class EmbeddingTable:
         for row in read_tsv("pinyin_unit_features.tsv"):
             kind = "initial" if row[0] == "initial" else "final"
             symbols[kind].append(row[1])
-            features[kind].append(np.array([int(v) for v in row[2:]],
-                                           dtype=float))
+            features[kind].append(row[2:])
         weight_rows = read_weight_rows("pinyin_unit_features.tsv")
-        # kind -> (its symbols, distance matrix, vectors)
-        built = {}
-        for kind, weights in zip(symbols, weight_rows):
-            weights = np.array([float(w) for w in weights[1:]])
-            dist = _feature_distance_matrix(symbols[kind], features[kind],
-                                            weights)
-            built[kind] = symbols[kind], dist, mds_embed(dist) * UNIT_SCALE
-        pho_syms, pho_dist = inventory().distance_matrix()
-        built["phoneme"] = pho_syms, pho_dist, mds_embed(pho_dist)
+        self.tables: dict[str, FeatureTable] = {
+            kind: FeatureTable(symbols[kind], features[kind], weights[1:])
+            for kind, weights in zip(symbols, weight_rows)}
+        self.tables["phoneme"] = inventory()
 
-        # kind -> its symbol index plus distance matrix
-        self._distances: dict[str, tuple[dict[str, int], np.ndarray]] = {}
         # every unit's vector stacked into one table, row 0 the zero padding;
         # ``units[kind][symbol]`` is the one (kind, symbol) tuple that all
         # unit lists share (``word_units`` makes its own only for a symbol
@@ -99,13 +82,14 @@ class EmbeddingTable:
         self.unit_row: dict[tuple[str, str], int] = {}
         self.units: dict[str, dict[str, tuple[str, str]]] = {}
         stacked = [np.zeros((1, 2))]
-        for kind, (syms, dist, vectors) in built.items():
-            self._distances[kind] = {s: i for i, s in enumerate(syms)}, dist
+        for kind, table in self.tables.items():
+            vectors = mds_embed(table.matrix)
+            stacked.append(vectors if kind == "phoneme"
+                           else vectors * UNIT_SCALE)
             units = self.units[kind] = {}
-            for sym in syms:
+            for sym in table.index:
                 unit = units[sym] = (kind, sym)
                 self.unit_row[unit] = len(self.unit_row) + 1
-            stacked.append(vectors)
         self.unit_vectors = np.concatenate(stacked)
 
     def unit_vec(self, kind: str, symbol: str) -> np.ndarray:
@@ -118,8 +102,8 @@ class EmbeddingTable:
 
     def unit_feature_distance(self, kind: str, a: str, b: str) -> float:
         """Feature-space distance between same-kind units, in [0, 1]."""
-        index, mat = self._distances[kind]
-        return float(mat[index[a], index[b]])
+        table = self.tables[kind]
+        return table.rows[table.index[a]][table.index[b]]
 
 
 @lru_cache(maxsize=None)

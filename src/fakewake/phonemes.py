@@ -1,8 +1,10 @@
-"""Phoneme inventory, articulatory feature distance, and letter-to-phoneme
-conversion.
+"""Feature-distance tables of phonetic units, the phoneme inventory, and
+letter-to-phoneme conversion.
 
 The inventory is a general-American set of 39 symbols with ternary
-articulatory features (+1 present / 0 unmarked / -1 absent). Conversion is
+articulatory features (+1 present / 0 unmarked / -1 absent); its
+``FeatureTable`` and those of the pinyin initials and finals (built in
+``embedding``) hold every pairwise feature distance. Conversion is
 lexicon-first with a rule fallback so any letter string gets a deterministic
 pronunciation. Word boundaries are kept as ``BOUNDARY`` markers.
 """
@@ -45,35 +47,37 @@ class LetterWord:
 PhonemeSequence = list
 
 
-class PhonemeInventory:
-    """Immutable after load: all pairwise distances precomputed.
+class FeatureTable:
+    """One unit kind's symbols and every pairwise feature distance: the
+    weighted Hamming distance between ternary feature rows, normalized to
+    [0, 1].
 
-    ``index`` maps each symbol to its row of ``rows``, the distance matrix
-    as lists of Python floats (``rows[index[p]][index[q]]`` is the distance
-    between p and q), which a pure-Python loop reads without unboxing."""
+    ``index`` maps each symbol to its position in the given order. The
+    distances are held as ``matrix``, a numpy array, and as ``rows``, the
+    same values as lists of Python floats (``rows[index[p]][index[q]]`` is
+    the distance between p and q), which a pure-Python loop reads without
+    unboxing."""
 
-    def __init__(self):
-        rows = read_tsv("phoneme_features.tsv")
-        weights = read_weight_rows("phoneme_features.tsv")[0]
+    def __init__(self, symbols, features, weights):
         self.weights = np.array([float(w) for w in weights])
-        syms, feats = [], []
-        for row in rows:
-            sym, values = row[0], tuple(int(v) for v in row[1:])
+        self.index = {sym: i for i, sym in enumerate(symbols)}
+        feats = []
+        for sym, row in zip(symbols, features):
+            values = [int(v) for v in row]
             if len(values) != len(self.weights):
                 raise ValueError(f"feature row length mismatch for {sym}")
-            syms.append(sym)
             feats.append(values)
-        self.index = {sym: i for i, sym in enumerate(syms)}
         mat = np.asarray(feats, dtype=float)
         gaps = np.abs(mat[:, None, :] - mat[None, :, :]) / 2.0
-        self._dist = gaps @ self.weights / self.weights.sum()
-        self.rows: list[list[float]] = self._dist.tolist()
+        self.matrix = gaps @ self.weights / self.weights.sum()
+        self.rows: list[list[float]] = self.matrix.tolist()
 
     def symbols(self) -> list[str]:
         return sorted(self.index)
 
     def distance(self, p: str, q: str) -> float:
-        """Weighted Hamming distance over feature vectors, normalized to [0,1]."""
+        """The distance between p and q; a symbol the table lacks raises
+        ``UnknownPhoneme``."""
         try:
             i = self.index[p]
         except KeyError:
@@ -84,15 +88,13 @@ class PhonemeInventory:
             raise UnknownPhoneme(q) from None
         return self.rows[i][j]
 
-    def distance_matrix(self) -> tuple[list[str], np.ndarray]:
-        syms = self.symbols()
-        idx = [self.index[s] for s in syms]
-        return syms, self._dist[np.ix_(idx, idx)].copy()
-
 
 @lru_cache(maxsize=None)
-def inventory() -> PhonemeInventory:
-    return PhonemeInventory()
+def inventory() -> FeatureTable:
+    """The phoneme table, its rows in symbol order."""
+    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
+    return FeatureTable([row[0] for row in rows], [row[1:] for row in rows],
+                        read_weight_rows("phoneme_features.tsv")[0])
 
 
 class G2P:

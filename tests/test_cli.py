@@ -294,6 +294,61 @@ def test_malformed_input_file_exits_2(small_run, tmp_path, command, option,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("make", [lambda path: path,
+                                  lambda path: path.mkdir() or path],
+                         ids=["missing-file", "directory"])
+def test_unreadable_collective_path_exits_2(small_run, tmp_path, capsys,
+                                            make):
+    root, _, out = small_run
+    collective = make(tmp_path / "collective")
+    config = write_config(tmp_path / "config.json",
+                          mitigate={"collective_path": str(collective)})
+    capsys.readouterr()
+    assert main(["mitigate", "--config", str(config),
+                 "--archive", str(out / "archive.json"),
+                 "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mitigate.collective_path: ")
+    assert str(collective) in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("rate", [0.05, 1.5])
+def test_archive_wake_rate_outside_the_bands_exits_2(small_run, tmp_path,
+                                                     capsys, rate):
+    """mitigate bands each fuzzy word's wake rate as summary.tsv does; a
+    rate no band holds is a malformed archive."""
+    root, config, out = small_run
+    doc = json.loads((out / "archive.json").read_text())
+    doc["candidates"][0]["wake_rate"] = rate
+    archive = tmp_path / "archive.json"
+    archive.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["mitigate", "--config", str(config),
+                 "--archive", str(archive),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert str(rate) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_high_wake_rate_words_are_the_high_bucket(fixture_archive,
+                                                  fixture_config, tmp_path):
+    """A wake rate of 0.75 (6 of 8 trials) is in summary.tsv's high band,
+    so mitigate counts every fuzzy word of such an archive as high."""
+    doc = fixture_archive.to_json()
+    for cand in doc["candidates"]:
+        cand["wake_rate"] = 0.75
+    archive = tmp_path / "archive.json"
+    archive.write_text(json.dumps(doc))
+    out = tmp_path / "mit"
+    assert main(["mitigate", "--config", str(fixture_config),
+                 "--archive", str(archive), "--output", str(out)]) == 0
+    report = json.loads((out / "mitigation_report.json").read_text())
+    assert isinstance(report["high_wake_rate_rejected"], float)
+    assert "high-wake-rate fuzzy words rejected: " in \
+        (out / "mitigation_report.txt").read_text()
+
+
 @pytest.mark.parametrize("command", ["explain", "mitigate"])
 def test_unparseable_archive_word_exits_2(small_run, tmp_path, capsys,
                                           command):
@@ -376,15 +431,21 @@ def test_external_oracle_generate(tmp_path):
     assert all("k" in c.word for c in archive.candidates.values())
 
 
-def test_external_oracle_failure_exits_3(tmp_path):
+def test_external_oracle_failure_exits_3(tmp_path, capsys):
     stub = tmp_path / "stub.py"
     stub.write_text("import sys; sys.exit(0)\n")
     config = write_config(tmp_path / "config.json")
     out = tmp_path / "out"
+    capsys.readouterr()
     code = main(["generate", "--config", str(config),
                  "--oracle", f"exec:{sys.executable} {stub}",
                  "--output", str(out)])
     assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len([line for line in err
+                if line.startswith("oracle failure:")]) == 1
+    partial = json.loads((out / "archive.json").read_text())
+    assert partial["run"]["generations_run"] == 0
 
 
 def test_bad_oracle_flag_exits_2(tmp_path):

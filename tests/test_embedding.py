@@ -1,8 +1,10 @@
+import shutil
+
 import numpy as np
 import pytest
 
-from fakewake.dataio import data_path, read_tsv, read_weight_rows
-from fakewake.embedding import (UNIT_SCALE, character_distance,
+from fakewake.dataio import data_dir, data_path, read_tsv, read_weight_rows
+from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
                                 embedding_table, encode_features,
                                 encode_units, mds_embed, word_units)
 from fakewake.errors import TooManyUnits
@@ -65,7 +67,8 @@ def test_mds_rejects_asymmetric():
 def test_phoneme_embedding_correlation():
     emb = embedding_table()
     inv = inventory()
-    syms, dist = inv.distance_matrix()
+    syms = inv.symbols()
+    dist = np.array([[inv.distance(a, b) for b in syms] for a in syms])
     coords = np.array([emb.unit_vec("phoneme", s) for s in syms])
     rebuilt = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
     upper = np.triu_indices(len(syms), k=1)
@@ -219,6 +222,17 @@ def test_unit_feature_distance_bounds():
 # vector dict and an (index, distance matrix) pair, each filled by its own
 # loop. The unit table must reproduce every vector and distance bit for bit.
 
+def pairwise_distances(feats, weights):
+    """Weighted Hamming distances between feature rows, a pair at a time."""
+    dist = np.zeros((len(feats), len(feats)))
+    for i in range(len(feats)):
+        for j in range(i + 1, len(feats)):
+            gaps = np.abs(feats[i] - feats[j]) / 2.0
+            dist[i, j] = dist[j, i] = float(np.dot(weights, gaps)
+                                            / weights.sum())
+    return dist
+
+
 def per_kind_tables():
     """kind -> (symbol -> vector, symbol -> index, distance matrix)."""
     symbols = {"initial": [], "final": []}
@@ -232,16 +246,17 @@ def per_kind_tables():
     tables = {}
     for kind, weights in zip(("initial", "final"), weight_rows):
         weights = np.array([float(w) for w in weights[1:]])
-        syms, feats = symbols[kind], features[kind]
-        dist = np.zeros((len(syms), len(syms)))
-        for i in range(len(syms)):
-            for j in range(i + 1, len(syms)):
-                gaps = np.abs(feats[i] - feats[j]) / 2.0
-                dist[i, j] = dist[j, i] = float(np.dot(weights, gaps)
-                                                / weights.sum())
+        syms = symbols[kind]
+        dist = pairwise_distances(features[kind], weights)
         vectors = {s: v * UNIT_SCALE for s, v in zip(syms, mds_embed(dist))}
         tables[kind] = vectors, {s: i for i, s in enumerate(syms)}, dist
-    syms, dist = inventory().distance_matrix()
+    # phonemes in symbol order, whatever the order of the file's rows
+    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
+    syms = [row[0] for row in rows]
+    feats = [np.array([int(v) for v in row[1:]], dtype=float) for row in rows]
+    weights = np.array([float(w) for w in
+                        read_weight_rows("phoneme_features.tsv")[0]])
+    dist = pairwise_distances(feats, weights)
     tables["phoneme"] = ({s: v for s, v in zip(syms, mds_embed(dist))},
                          {s: i for i, s in enumerate(syms)}, dist)
     return tables
@@ -267,6 +282,47 @@ def test_unit_table_equals_the_per_kind_build(reference):
                     float(dist[index[a], index[b]])
                 assert emb.unit_gap(kind, a, b) == \
                     float(np.linalg.norm(vec - other))
+
+
+@pytest.fixture
+def fresh_tables():
+    """Clears the cached phoneme and unit tables before and after a test
+    that loads them from another data directory."""
+    def clear():
+        inventory.cache_clear()
+        embedding_table.cache_clear()
+        _index_gap.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
+                                           fresh_tables):
+    """The phoneme table and its embedding come out the same when the
+    feature file lists the phonemes in reverse order."""
+    syms = inventory().symbols()
+    distances = {(p, q): inventory().distance(p, q)
+                 for p in syms for q in syms}
+    vectors = {p: embedding_table().unit_vec("phoneme", p).tobytes()
+               for p in syms}
+    alt = tmp_path / "data"
+    shutil.copytree(data_dir(), alt)
+    table = alt / "phoneme_features.tsv"
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    comments = [line for line in lines if line.startswith("#")]
+    rows = [line for line in lines if line.strip()
+            and not line.startswith("#")]
+    table.write_text("".join(comments + rows[::-1]), encoding="utf-8")
+    monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
+    inventory.cache_clear()
+    embedding_table.cache_clear()
+    assert [row[0] for row in read_tsv("phoneme_features.tsv")] == syms[::-1]
+    assert list(inventory().index) == syms
+    for (p, q), d in distances.items():
+        assert inventory().distance(p, q) == d
+    for p, vec in vectors.items():
+        assert embedding_table().unit_vec("phoneme", p).tobytes() == vec
 
 
 def reference_character_distance(reference, a, b, tone_penalty):
