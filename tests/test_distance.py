@@ -9,7 +9,8 @@ from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
                                levenshtein_dist)
 from fakewake.embedding import character_distance
 from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
-from fakewake.genome import ChineseGenome, random_genome
+from fakewake.genome import (ChineseGenome, decode_chinese, decode_text,
+                             random_genome, repair_chinese)
 from fakewake.phonemes import BOUNDARY, g2p, inventory
 from fakewake.pinyin import parse_pinyin
 
@@ -186,6 +187,32 @@ def test_chinese_symmetric_bounded_random():
         d = chinese_dist(w1, w2)
         assert d == pytest.approx(chinese_dist(w2, w1), abs=1e-12)
         assert 0.0 <= d < 1.0
+
+
+def chinese_genes(characters):
+    """Genes of ``characters`` characters, each gene drawn from its range."""
+    triple = st.tuples(*(st.integers(lo, hi)
+                         for lo, hi in ChineseGenome.RANGES))
+    return st.lists(triple, min_size=characters, max_size=characters).map(
+        lambda triples: [gene for t in triples for gene in t])
+
+
+@given(st.data(), st.integers(1, 6),
+       st.floats(1.0, 200.0), st.floats(0.0, 2.0))
+@settings(max_examples=100, deadline=None)
+def test_chinese_dist_of_the_decoded_text_equals_the_genome_word(
+        data, characters, normalizer, tone_penalty):
+    """The search may score a Mandarin candidate from its text: parsing
+    the text of a repaired genome gives the genome's own syllables, so the
+    distance to any wake word is the same float."""
+    genes = chinese_genes(characters)
+    g = repair_chinese(ChineseGenome(data.draw(genes)))
+    wake = repair_chinese(ChineseGenome(data.draw(genes)))
+    cfg = DistanceConfig(normalizer=normalizer, tone_penalty=tone_penalty)
+    parsed = parse_pinyin(decode_text(g))
+    assert parsed == decode_chinese(g)
+    assert chinese_dist(parsed, decode_chinese(wake), cfg) == \
+        chinese_dist(decode_chinese(g), decode_chinese(wake), cfg)
 
 
 def test_config_validation():

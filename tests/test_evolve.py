@@ -9,7 +9,7 @@ from fakewake.errors import BelowFuzzyThreshold, OracleFailure
 from fakewake.archive import Bucket, bucket
 from fakewake.evolve import (EvolveConfig, FuzzyArchive, Objectives,
                              non_dominated_front, run)
-from fakewake.genome import VariationConfig, encode_english
+from fakewake.genome import VariationConfig, decode_text, encode_english
 from tests.conftest import make_detector, run_search
 
 
@@ -217,6 +217,46 @@ def test_batched_search_equals_per_word_search(seed):
 
     batched = search(lambda d: d)
     assert batched.to_json() == search(QueryOnly).to_json()
+
+
+class VowelOracle:
+    """Wakes on every trial of a vowel; records the words it is asked."""
+
+    def __init__(self):
+        self.words = []
+
+    def query(self, word, trials=1):
+        self.words.append(word)
+        return trials if word in {"a", "e", "i", "o", "u"} else 0
+
+
+@pytest.mark.parametrize("seed", [2, 6, 8])
+def test_one_letter_search_never_queries_the_empty_word(monkeypatch, seed):
+    """A one-gene English genome is all spaces when its gene is the space,
+    and decodes to "". That word is scored (0, 0) without a query: the
+    oracle is asked each nonempty word once, and the query count is the
+    trials of exactly the words it was asked."""
+    import fakewake.evolve as evolve_mod
+
+    empty = []
+
+    def spy(genome):
+        text = decode_text(genome)
+        if not text:
+            empty.append(genome)
+        return text
+
+    monkeypatch.setattr(evolve_mod, "decode_text", spy)
+    oracle = VowelOracle()
+    archive = run(encode_english("a", 1), "a", oracle,
+                  EvolveConfig(population_size=12, generations=6, trials=3),
+                  VariationConfig(), DistanceConfig(), seed=seed)
+    assert empty                      # the seed does reach an empty word
+    assert "" not in oracle.words
+    assert len(oracle.words) == len(set(oracle.words))
+    assert archive.query_count == 3 * len(oracle.words)
+    assert archive.candidates
+    assert "" not in archive.candidates and "" not in archive.rejected
 
 
 def test_archive_roundtrip(tmp_path):

@@ -103,6 +103,9 @@ ALL_TRIPLES = list(itertools.product(range(24), range(1, 38), range(1, 5)))
 
 
 def test_render_memo_matches_uncached_path_on_every_triple():
+    """Every valid triple renders the same with and without the memo, and
+    its rendering parses back to it, so a Mandarin genome's text determines
+    its syllables."""
     uncached = render_units.__wrapped__
     for triple in ALL_TRIPLES:
         if triple[:2] in T.valid_pairs:
@@ -111,6 +114,7 @@ def test_render_memo_matches_uncached_path_on_every_triple():
                 assert render_units(*triple) == text
             assert render_syllable(Syllable(*triple)) == text
             assert parse_syllable(text) == Syllable(*triple)
+            assert parse_pinyin(text).syllables == (Syllable(*triple),)
         else:
             for _ in range(3):
                 with pytest.raises(InvalidCombination):
