@@ -124,7 +124,8 @@ class FuzzyArchive:
     @classmethod
     def from_json(cls, payload: dict) -> "FuzzyArchive":
         """The archive a parsed ``archive.json`` holds; a document of
-        another shape raises KeyError, TypeError or ValueError."""
+        another shape raises KeyError, TypeError or ValueError, and so does
+        a candidate whose wake rate no ``bucket`` band holds."""
         run = payload["run"]
         if run["language"] not in ("en", "zh"):
             raise ValueError(f"unknown language {run['language']!r}")
@@ -138,6 +139,11 @@ class FuzzyArchive:
                       generations_run=run.get("generations_run", 0))
         for c in payload["candidates"]:
             _check_types(c["word"], c["wake_rate"], c["dissimilarity"])
+            try:
+                bucket(c["wake_rate"])
+            except (ValueError, BelowFuzzyThreshold) as exc:
+                raise ValueError(f"candidate {c['word']!r} has wake rate "
+                                 f"{c['wake_rate']}, in no band") from exc
             archive.candidates[c["word"]] = FuzzyCandidate(
                 word=c["word"], genome=tuple(c["genome"]),
                 objectives=Objectives(c["wake_rate"], c["dissimilarity"]),

@@ -18,8 +18,7 @@ from pathlib import Path
 
 from .config import RunConfig, checked, write_reference
 from .dataio import atomic_write, write_json
-from .errors import (BelowFuzzyThreshold, ConfigError, FakewakeError,
-                     OracleFailure)
+from .errors import ConfigError, FakewakeError, OracleFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -125,30 +124,34 @@ def _check_output(path: str):
 
 
 def _out_dir(args) -> Path:
-    """The output directory, created. Commands call this only once every
-    check has passed, so a rejected config leaves no directory behind."""
+    """The output directory, created, without the manifest of an earlier
+    run. Commands call this only once every check has passed, so a rejected
+    config leaves no directory behind, and write the manifest last, so a
+    directory without one holds an unfinished run."""
     out = Path(args.output)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: "
                           f"{exc.strerror}") from exc
+    (out / "run_manifest.json").unlink(missing_ok=True)
     return out
 
 
 def _write_manifest(out: Path, command: str, cfg: RunConfig, seed,
                     extra: dict | None = None):
+    """The command's last writes: the reference config, then the manifest
+    that marks the directory's outputs complete."""
     doc = {"command": command, "seed": seed, "config": cfg.snapshot()}
     if extra:
         doc.update(extra)
-    write_json(out / "run_manifest.json", doc)
     write_reference(out / "config_reference.json")
+    write_json(out / "run_manifest.json", doc)
 
 
 # ------------------------------------------------------------------ generate
 
 def cmd_generate(args) -> int:
-    from .archive import bucket
     from .evolve import run
 
     cfg = RunConfig.load(args.config, _overrides(args))
@@ -162,12 +165,27 @@ def cmd_generate(args) -> int:
         archive = run(wake, cfg.wake_word, oracle, evolve_cfg, variation,
                       dist_cfg, seed, oracle_spec=oracle_spec)
     except OracleFailure as exc:
+        # the archive of every word answered before the failure; no manifest
         if exc.partial_archive is not None:
-            exc.partial_archive.save(out / "archive.json")
+            _write_archive(out, exc.partial_archive)
         raise
     finally:
         if hasattr(oracle, "close"):
             oracle.close()
+    _write_archive(out, archive)
+    _write_manifest(out, "generate", cfg, seed,
+                    {"query_count": archive.query_count,
+                     "archived": len(archive.candidates)})
+    print(f"{len(archive.candidates)} fuzzy words archived "
+          f"({archive.query_count} oracle queries) -> {out}")
+    return EXIT_OK
+
+
+def _write_archive(out: Path, archive):
+    """``archive.json`` and ``summary.tsv``, its candidates by dissimilarity
+    descending."""
+    from .archive import bucket
+
     archive.save(out / "archive.json")
     with atomic_write(out / "summary.tsv") as fh:
         fh.write("word\twake_rate\tbucket\tdissimilarity\n")
@@ -175,12 +193,6 @@ def cmd_generate(args) -> int:
             fh.write(f"{cand.word}\t{cand.objectives.wake_rate}"
                      f"\t{bucket(cand.objectives.wake_rate).value}"
                      f"\t{cand.objectives.dissimilarity}\n")
-    _write_manifest(out, "generate", cfg, seed,
-                    {"query_count": archive.query_count,
-                     "archived": len(archive.candidates)})
-    print(f"{len(archive.candidates)} fuzzy words archived "
-          f"({archive.query_count} oracle queries) -> {out}")
-    return EXIT_OK
 
 
 # ------------------------------------------------------------------- explain
@@ -302,11 +314,8 @@ def cmd_mitigate(args) -> int:
 
     # which fuzzy words, in the order of ``words.fuzzy``, summary.tsv
     # bands as high
-    try:
-        is_high = [bucket(cand.objectives.wake_rate) is Bucket.HIGH
-                   for cand in archive.sorted_candidates()]
-    except (ValueError, BelowFuzzyThreshold) as exc:
-        raise ConfigError(f"archive {args.archive}: {exc}") from exc
+    is_high = [bucket(cand.objectives.wake_rate) is Bucket.HIGH
+               for cand in archive.sorted_candidates()]
 
     words = ArchiveWords(archive, slots)
     try:

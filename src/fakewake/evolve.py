@@ -8,6 +8,7 @@ survives unmutated, which keeps archive growth monotone.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -15,8 +16,7 @@ import numpy as np
 from .archive import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
 from .distance import chinese_dist, english_dist
 from .errors import OracleFailure
-from .genome import (ChineseGenome, Genome, crossover, decode_chinese,
-                     decode_text, mutate, seed_genomes)
+from .genome import Genome, crossover, decode_text, mutate, seed_genomes
 from .oracle import WakeOracle, wake_counts
 from .params import DistanceConfig, EvolveConfig, VariationConfig
 from .phonemes import PhonemeSequence, g2p
@@ -27,9 +27,9 @@ def non_dominated_front(objectives: list[Objectives]) -> list[int]:
     """Indices of all non-dominated members, ascending.
 
     Sort-and-scan: order by wake rate descending (dissimilarity descending
-    within ties); a point survives iff its dissimilarity strictly exceeds the
-    best seen at strictly higher wake rates and it maximizes dissimilarity
-    within its own wake-rate tie group.
+    within ties); a point survives iff it maximizes dissimilarity within its
+    wake-rate tie group and that maximum strictly exceeds the best seen at
+    strictly higher wake rates.
     """
     if not objectives:
         raise ValueError("empty population")
@@ -37,30 +37,22 @@ def non_dominated_front(objectives: list[Objectives]) -> list[int]:
                    key=lambda i: (-objectives[i].wake_rate,
                                   -objectives[i].dissimilarity))
     front: list[int] = []
-    best_strict = -np.inf
-    pos = 0
-    while pos < len(order):
-        group_end = pos
-        wake = objectives[order[pos]].wake_rate
-        while (group_end < len(order)
-               and objectives[order[group_end]].wake_rate == wake):
-            group_end += 1
-        group = order[pos:group_end]
+    best = -np.inf
+    for _, group in itertools.groupby(
+            order, key=lambda i: objectives[i].wake_rate):
+        group = list(group)
         group_max = objectives[group[0]].dissimilarity
-        for i in group:
-            d = objectives[i].dissimilarity
-            if d == group_max and d > best_strict:
-                front.append(i)
-        best_strict = max(best_strict, group_max)
-        pos = group_end
+        if group_max > best:
+            front.extend(i for i in group
+                         if objectives[i].dissimilarity == group_max)
+            best = group_max
     return sorted(front)
 
 
-def _dissimilarity(text: str, genome: Genome,
-                   wake_units: PhonemeSequence | ChineseWord,
+def _dissimilarity(text: str, wake_units: PhonemeSequence | ChineseWord,
                    dist_cfg: DistanceConfig) -> float:
-    if isinstance(genome, ChineseGenome):
-        return chinese_dist(decode_chinese(genome), wake_units, dist_cfg)
+    if isinstance(wake_units, ChineseWord):
+        return chinese_dist(parse_pinyin(text), wake_units, dist_cfg)
     return english_dist(g2p(text), wake_units, dist_cfg)
 
 
@@ -70,7 +62,10 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         oracle_spec: str = "sim") -> FuzzyArchive:
     """Search for fuzzy words of ``wake_text`` against ``oracle``.
 
-    Deterministic given (wake word, configs, seed, oracle seed).
+    Deterministic given (wake word, configs, seed, oracle seed). When the
+    oracle fails, the ``OracleFailure`` carries the archive of every word
+    answered before it, and ``generations_run`` counts the complete
+    generations.
     """
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
@@ -78,58 +73,43 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         config={**asdict(cfg), **asdict(variation)},
         oracle_spec=oracle_spec,
     )
-    cache: dict[str, Objectives] = {}
+    # an all-space English genome decodes to "", which is never queried
+    cache: dict[str, Objectives] = {"": Objectives(0.0, 0.0)}
     # parsed once; the distances do not modify their operands
-    wake_units = (parse_pinyin(wake_text) if isinstance(wake_word, ChineseGenome)
+    wake_units = (parse_pinyin(wake_text) if wake_word.language == "zh"
                   else g2p(wake_text))
     population = seed_genomes(wake_word, cfg.population_size, rng)
 
-    def _sync_query_count():
-        archive.query_count = cfg.trials * sum(1 for t in cache if t)
-
     for generation in range(1, cfg.generations + 1):
         texts = [decode_text(genome) for genome in population]
-        unseen: dict[str, Genome] = {}
-        for genome, text in zip(population, texts):
-            if text in cache:
-                continue
-            if text:
-                unseen.setdefault(text, genome)
-            else:
-                cache[text] = Objectives(0.0, 0.0)
-        failure = None
+        unseen = list(dict.fromkeys(t for t in texts if t not in cache))
         try:
-            counts = wake_counts(oracle, list(unseen), cfg.trials)
-            for (text, genome), wakes in zip(unseen.items(), counts):
+            for text, wakes in zip(unseen, wake_counts(oracle, unseen,
+                                                       cfg.trials)):
                 cache[text] = Objectives(
                     wakes / cfg.trials,
-                    _dissimilarity(text, genome, wake_units, dist_cfg))
+                    _dissimilarity(text, wake_units, dist_cfg))
+                archive.query_count += cfg.trials
         except OracleFailure as exc:
-            failure = exc
-        # after a failure, the population up to its first unevaluated word
-        scored: list[tuple[Genome, str, Objectives]] = []
-        for genome, text in zip(population, texts):
-            if text not in cache:
-                break
-            scored.append((genome, text, cache[text]))
-            _record(archive, genome, text, cache[text], generation, cfg)
-        if failure is not None:
-            archive.generations_run = generation - 1
-            _sync_query_count()
-            failure.partial_archive = archive
-            raise failure
+            exc.partial_archive = archive
+            raise
+        finally:
+            # after a failure, the population up to its first unanswered word
+            for genome, text in zip(population, texts):
+                if text not in cache:
+                    break
+                _record(archive, genome, text, cache[text], generation, cfg)
         archive.generations_run = generation
-        _sync_query_count()
 
-        front = non_dominated_front([obj for _, _, obj in scored])
+        objectives = [cache[text] for text in texts]
+        front = non_dominated_front(objectives)
         if len(front) >= 2:
-            parents = [scored[i][0] for i in front]
+            parents = [population[i] for i in front]
         else:
-            ranked = sorted(range(len(scored)),
-                            key=lambda i: (-scored[i][2].wake_rate,
-                                           -scored[i][2].dissimilarity,
-                                           i))
-            parents = [scored[i][0] for i in ranked[:2]]
+            ranked = sorted(range(len(objectives)),
+                            key=lambda i: (-objectives[i].wake_rate,
+                                           -objectives[i].dissimilarity))
+            parents = [population[i] for i in ranked[:2]]
         if generation == cfg.generations:
             break
 

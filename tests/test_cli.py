@@ -1,7 +1,10 @@
+import hashlib
 import importlib
 import json
 import pkgutil
+import shutil
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -313,22 +316,24 @@ def test_unreadable_collective_path_exits_2(small_run, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("rate", [0.05, 1.5])
+@pytest.mark.parametrize("rate", [0.05, 1.5, 5.0])
 def test_archive_wake_rate_outside_the_bands_exits_2(small_run, tmp_path,
                                                      capsys, rate):
-    """mitigate bands each fuzzy word's wake rate as summary.tsv does; a
-    rate no band holds is a malformed archive."""
+    """summary.tsv bands each fuzzy word's wake rate; a rate no band holds
+    is a malformed archive, for every command that reads one."""
     root, config, out = small_run
     doc = json.loads((out / "archive.json").read_text())
     doc["candidates"][0]["wake_rate"] = rate
     archive = tmp_path / "archive.json"
     archive.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["mitigate", "--config", str(config),
-                 "--archive", str(archive),
-                 "--output", str(tmp_path / "o")]) == 2
-    assert str(rate) in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    for command in ("explain", "mitigate"):
+        capsys.readouterr()
+        assert main([command, "--config", str(config),
+                     "--archive", str(archive),
+                     "--output", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(rate) in err and doc["candidates"][0]["word"] in err
+        assert not (tmp_path / "o").exists()
 
 
 def test_high_wake_rate_words_are_the_high_bucket(fixture_archive,
@@ -448,6 +453,109 @@ def test_external_oracle_failure_exits_3(tmp_path, capsys):
     assert partial["run"]["generations_run"] == 0
 
 
+def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(small_run,
+                                                           tmp_path):
+    """A re-run whose oracle fails replaces the archive with its partial
+    one. The directory then holds that archive, its own summary and no
+    manifest: nothing in it describes the earlier, complete run."""
+    root, config, out = small_run
+    d = tmp_path / "d"
+    assert main(["generate", "--config", str(config),
+                 "--output", str(d)]) == 0
+    assert (d / "summary.tsv").read_text().count("\n") > 1
+    assert main(["generate", "--config", str(config), "--oracle", "exec:false",
+                 "--output", str(d)]) == 3
+    assert not (d / "run_manifest.json").exists()
+    partial = FuzzyArchive.load(d / "archive.json")
+    assert partial.generations_run == 0 and not partial.candidates
+    assert (d / "summary.tsv").read_text() == \
+        "word\twake_rate\tbucket\tdissimilarity\n"
+
+
+class InjectedFault(Exception):
+    """Raised in place of one output write."""
+
+
+def rebind(monkeypatch, original, replacement):
+    """Put ``replacement`` wherever a fakewake module binds ``original``.
+    Every module of the package is imported first: one loaded while the
+    replacement is in place would bind it and keep it."""
+    import fakewake
+    for info in pkgutil.iter_modules(fakewake.__path__):
+        importlib.import_module(f"fakewake.{info.name}")
+    for name, module in list(sys.modules.items()):
+        if name == "fakewake" or name.startswith("fakewake."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def fail_write(monkeypatch, k):
+    """Make the ``k``-th ``atomic_write`` of the process raise
+    ``InjectedFault`` instead of opening its file; returns the list of
+    paths the writes were for."""
+    from fakewake import dataio
+    original = dataio.atomic_write
+    paths = []
+
+    @contextmanager
+    def failing(path):
+        paths.append(path)
+        if len(paths) == k:
+            raise InjectedFault(path)
+        with original(path) as fh:
+            yield fh
+
+    rebind(monkeypatch, original, failing)
+    return paths
+
+
+def digests(tree):
+    return {str(p.relative_to(tree)): hashlib.sha256(p.read_bytes()).digest()
+            for p in sorted(tree.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("command, writes", [("generate", 4), ("explain", 6),
+                                             ("mitigate", 10)])
+def test_interrupted_command_leaves_no_manifest_beside_other_files(
+        small_run, tmp_path, monkeypatch, command, writes):
+    """Each of a command's writes fails in turn, in a directory that holds
+    an earlier run (another seed) of the same command. Afterwards either
+    the directory has no manifest, or every file in it is the clean
+    run's."""
+    root, _, out = small_run
+    config = write_config(tmp_path / "config.json",
+                          explain={"n_trees": 5, "folds": 2},
+                          mitigate={"collective_limit": 200,
+                                    "detector": {"n_trees": 10}})
+
+    def argv(seed, output):
+        args = [command, "--config", str(config), "--seed", str(seed),
+                "--output", str(output)]
+        if command != "generate":
+            args += ["--archive", str(out / "archive.json")]
+        return args
+
+    assert main(argv(3, tmp_path / "clean")) == 0
+    assert main(argv(4, tmp_path / "earlier")) == 0
+    clean = digests(tmp_path / "clean")
+    assert clean != digests(tmp_path / "earlier")
+    for k in range(1, writes + 2):
+        d = tmp_path / f"fail-{k}"
+        shutil.copytree(tmp_path / "earlier", d)
+        with monkeypatch.context() as mp:
+            paths = fail_write(mp, k)
+            if k <= writes:
+                with pytest.raises(InjectedFault):
+                    main(argv(3, d))
+            else:
+                assert main(argv(3, d)) == 0
+        assert len(paths) == min(k, writes)
+        if (d / "run_manifest.json").exists():
+            assert digests(d) == clean, f"write {k} failed"
+    assert paths[-1].name == "run_manifest.json"
+
+
 def test_bad_oracle_flag_exits_2(tmp_path):
     config = write_config(tmp_path / "config.json")
     assert main(["generate", "--config", str(config), "--oracle", "nova",
@@ -457,27 +565,17 @@ def test_bad_oracle_flag_exits_2(tmp_path):
 class ParseSpy:
     """Wraps the parsers (``g2p``, ``parse_pinyin``) and the batch encoder
     wherever a fakewake module binds them: records each parsed word's text
-    and the number of rows each encoder call returns. Every module of the
-    package is imported first: one loaded while the spy is installed would
-    bind a wrapper and keep it."""
+    and the number of rows each encoder call returns."""
 
     def __init__(self, monkeypatch):
-        import fakewake
         from fakewake import embedding, phonemes, pinyin
-        for info in pkgutil.iter_modules(fakewake.__path__):
-            importlib.import_module(f"fakewake.{info.name}")
         self.texts: list[str] = []
         self.rows = 0
-        modules = [m for n, m in sys.modules.items()
-                   if n == "fakewake" or n.startswith("fakewake.")]
         for original, wrapper in (
                 (phonemes.g2p, self._parsing(phonemes.g2p)),
                 (pinyin.parse_pinyin, self._parsing(pinyin.parse_pinyin)),
                 (embedding.encode_units, self._encoding(embedding.encode_units))):
-            for module in modules:
-                for key, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, key, wrapper)
+            rebind(monkeypatch, original, wrapper)
 
     def _parsing(self, fn):
         def wrapper(word, *args, **kwargs):
