@@ -69,6 +69,13 @@ def _check_types(word, *numbers):
         raise TypeError(f"malformed entry: {(word, *numbers)!r}")
 
 
+def _check_canonical(word: str):
+    """Raise ValueError unless ``word`` has single spaces between its parts
+    and no other whitespace, which would split a row of a TSV output."""
+    if " ".join(word.split()) != word:
+        raise ValueError(f"word {word!r} is not in canonical form")
+
+
 @dataclass
 class FuzzyArchive:
     wake_word: str
@@ -124,8 +131,9 @@ class FuzzyArchive:
     @classmethod
     def from_json(cls, payload: dict) -> "FuzzyArchive":
         """The archive a parsed ``archive.json`` holds; a document of
-        another shape raises KeyError, TypeError or ValueError, and so does
-        a candidate whose wake rate no ``bucket`` band holds."""
+        another shape raises KeyError, TypeError or ValueError, and so do
+        a candidate whose wake rate no ``bucket`` band holds and a word not
+        in canonical form."""
         run = payload["run"]
         if run["language"] not in ("en", "zh"):
             raise ValueError(f"unknown language {run['language']!r}")
@@ -139,6 +147,7 @@ class FuzzyArchive:
                       generations_run=run.get("generations_run", 0))
         for c in payload["candidates"]:
             _check_types(c["word"], c["wake_rate"], c["dissimilarity"])
+            _check_canonical(c["word"])
             try:
                 bucket(c["wake_rate"])
             except (ValueError, BelowFuzzyThreshold) as exc:
@@ -151,6 +160,7 @@ class FuzzyArchive:
             )
         for r in payload.get("rejected", []):
             _check_types(r["word"], r["wake_rate"], r["dissimilarity"])
+            _check_canonical(r["word"])
             archive.rejected[r["word"]] = EvaluatedWord(
                 r["word"], r["wake_rate"], r["dissimilarity"], r["generation"])
         return archive

@@ -69,44 +69,35 @@ def _wake_genome(cfg: RunConfig):
 def _build_oracle(cfg: RunConfig, seed: int):
     from .oracle import ExternalOracle, SimulatedDetector, _parse_units
 
-    block = cfg.raw["oracle"]
-    kind = block["kind"]
-    if kind == "sim":
-        target = block["target"] or cfg.wake_word
-        weights = block["unit_weights"]
-        if weights is None and block["decisive_unit"] is not None:
-            n = len(_parse_units(target, cfg.language))
-            heavy = block["decisive_unit"]
-            if not 0 <= heavy < n:
-                raise ConfigError(f"decisive_unit out of range 0..{n - 1}")
-            w = block["decisive_weight"]
-            if not 0 <= w <= 1:
-                raise ConfigError("oracle.decisive_weight must be in [0, 1]")
-            rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
-            weights = [w if i == heavy else rest for i in range(n)]
-        oracle_seed = block["seed"] if block["seed"] is not None else seed + 1000
+    block = cfg.oracle
+    if block.kind == "exec":
         with checked("oracle"):
-            return SimulatedDetector(
-                target=target, language=cfg.language,
-                unit_weights=None if weights is None else tuple(weights),
-                threshold=block["threshold"],
-                temperature=block["temperature"],
-                substitution_floor=block["substitution_floor"],
-                seed=oracle_seed,
-            ), "sim"
-    if kind == "exec":
-        if not block["command"]:
-            raise ConfigError("oracle kind 'exec' requires a command")
-        with checked("oracle"):
-            return (ExternalOracle(block["command"], block["timeout"]),
-                    f"exec:{block['command']}")
-    raise ConfigError(f"unknown oracle kind: {kind!r}")
+            return (ExternalOracle(block.command, block.timeout),
+                    f"exec:{block.command}")
+    target = block.target or cfg.wake_word
+    weights = block.unit_weights
+    if weights is None and block.decisive_unit is not None:
+        n = len(_parse_units(target, cfg.language))
+        heavy = block.decisive_unit
+        if not 0 <= heavy < n:
+            raise ConfigError(f"decisive_unit out of range 0..{n - 1}")
+        w = block.decisive_weight
+        rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
+        weights = [w if i == heavy else rest for i in range(n)]
+    oracle_seed = block.seed if block.seed is not None else seed + 1000
+    with checked("oracle"):
+        return SimulatedDetector(
+            target=target, language=cfg.language,
+            unit_weights=None if weights is None else tuple(weights),
+            threshold=block.threshold, temperature=block.temperature,
+            substitution_floor=block.substitution_floor, seed=oracle_seed,
+        ), "sim"
 
 
 def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
     from .explain import default_slots
 
-    slots = cfg.raw["explain"]["slots"]
+    slots = cfg.explain.slots
     return slots if slots is not None else default_slots(
         language, wake_word, cfg.length_ratio)
 
@@ -157,13 +148,11 @@ def cmd_generate(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     wake = _wake_genome(cfg)
-    evolve_cfg = cfg.evolve_config()
-    variation, dist_cfg = cfg.variation_config(), cfg.distance_config()
     oracle, oracle_spec = _build_oracle(cfg, seed)
     try:
         out = _out_dir(args)
-        archive = run(wake, cfg.wake_word, oracle, evolve_cfg, variation,
-                      dist_cfg, seed, oracle_spec=oracle_spec)
+        archive = run(wake, cfg.wake_word, oracle, cfg.evolve, cfg.variation,
+                      cfg.distance, seed, oracle_spec=oracle_spec)
     except OracleFailure as exc:
         # the archive of every word answered before the failure; no manifest
         if exc.partial_archive is not None:
@@ -206,11 +195,10 @@ def cmd_explain(args) -> int:
     archive = _load_archive(args.archive)
     seed = cfg.seed if cfg.seed is not None else archive.seed
     slots = _slots(cfg, archive.language, archive.wake_word)
-    folds, beta = cfg.explain_folds, cfg.explain_beta
 
     words = ArchiveWords(archive, slots)
-    dataset, model, factor_sets = _proxy(cfg, words, seed, beta)
-    accuracy = cross_validate(dataset, cfg.explain_params(), folds=folds,
+    dataset, model, factor_sets = _proxy(cfg, words, seed)
+    accuracy = cross_validate(dataset, cfg.proxy, folds=cfg.explain.folds,
                               seed=seed)
     ranked = rank_decisive_units(factor_sets)
     wake_units, wake_spoken = parse_text(archive.wake_word, archive.language)
@@ -221,7 +209,7 @@ def cmd_explain(args) -> int:
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
         "slots": slots,
-        "beta": beta,
+        "beta": cfg.explain.beta,
         "explained_words": len(factor_sets),
         "difference_spread": grouping.spread,
         "mean_difference": grouping.mean_difference,
@@ -252,7 +240,7 @@ def cmd_explain(args) -> int:
     return EXIT_OK
 
 
-def _proxy(cfg: RunConfig, words, seed: int, beta: float):
+def _proxy(cfg: RunConfig, words, seed: int):
     """The explain proxy: its dataset, the model trained on it and the
     decisive factors of the fuzzy words (an ``ArchiveWords``) it classifies
     correctly."""
@@ -260,8 +248,8 @@ def _proxy(cfg: RunConfig, words, seed: int, beta: float):
     from .gbdt import train_gbdt
 
     dataset = build_dataset(words, seed=seed)
-    model = train_gbdt(dataset.features, dataset.labels, cfg.explain_params())
-    factor_sets = explain_archive(words, model, beta=beta)
+    model = train_gbdt(dataset.features, dataset.labels, cfg.proxy)
+    factor_sets = explain_archive(words, model, beta=cfg.explain.beta)
     return dataset, model, factor_sets
 
 
@@ -306,11 +294,7 @@ def cmd_mitigate(args) -> int:
     if not archive.candidates:
         raise ConfigError("archive has no fuzzy words")
     slots = _slots(cfg, archive.language, archive.wake_word)
-    block = cfg.raw["mitigate"]
-    if block["screening_top_n"] < 1:
-        raise ConfigError("mitigate.screening_top_n must be at least 1")
-    beta = cfg.explain_beta
-    params = cfg.detector_params()
+    block, params = cfg.mitigate, cfg.detector
 
     # which fuzzy words, in the order of ``words.fuzzy``, summary.tsv
     # bands as high
@@ -321,10 +305,10 @@ def cmd_mitigate(args) -> int:
     try:
         with checked("mitigate"):
             triple = assemble_triple(
-                words, n_pos=block["n_pos"], n_neg=block["n_neg"],
-                jitter=block["jitter"], seed=seed,
-                collective_path=block["collective_path"],
-                collective_limit=block["collective_limit"],
+                words, n_pos=block.n_pos, n_neg=block.n_neg,
+                jitter=block.jitter, seed=seed,
+                collective_path=block.collective_path,
+                collective_limit=block.collective_limit,
                 length_ratio=cfg.length_ratio)
     except OSError as exc:
         raise ConfigError(f"mitigate.collective_path: {exc}") from exc
@@ -343,11 +327,11 @@ def cmd_mitigate(args) -> int:
                      / len(high)) if high else None
 
     # screening coverage needs the proxy's decisive-unit ranking
-    _, _, factor_sets = _proxy(cfg, words, seed, beta)
+    _, _, factor_sets = _proxy(cfg, words, seed)
     ranked = rank_decisive_units(factor_sets)
     unit_sets = [unit_set(units) for units in words.fuzzy.units]
     coverage = {str(n): screening_coverage(unit_sets, ranked, n)
-                for n in range(1, block["screening_top_n"] + 1)}
+                for n in range(1, block.screening_top_n + 1)}
 
     report = {
         "original": asdict(report_original),
@@ -417,14 +401,13 @@ def cmd_dist(args) -> int:
     from .pinyin import parse_pinyin
 
     cfg = RunConfig.load(args.config, _overrides(args))
-    dist_cfg = cfg.distance_config()
     if cfg.language == "zh":
         value = chinese_dist(parse_pinyin(args.word1), parse_pinyin(args.word2),
-                             dist_cfg)
+                             cfg.distance)
     else:
         words = [_check_letters(w.lower(), repr(w))
                  for w in (args.word1, args.word2)]
-        value = english_dist(g2p(words[0]), g2p(words[1]), dist_cfg)
+        value = english_dist(g2p(words[0]), g2p(words[1]), cfg.distance)
     print(value)
     return EXIT_OK
 

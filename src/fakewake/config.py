@@ -1,12 +1,14 @@
 """Run configuration: JSON file plus command-line overrides.
 
-Every tunable in the pipeline lives here with its default. The defaults come
-from ``params``, the parameter dataclasses and default constants that the
-pipeline modules use too, so reading a configuration loads no part of the
-pipeline. Each value is checked once, at load, and converted to the type of
-its default (of its ``NULLABLE`` entry where the default is null); commands
-write the full resolved snapshot into their run manifest so any output can
-be reproduced bit-exactly.
+Every tunable in the pipeline lives here with its default. Each block is a
+checked dataclass of ``params`` (the types and defaults the pipeline
+modules use too), so reading a configuration loads no part of the pipeline,
+and ``DEFAULTS`` is built from those dataclasses. ``RunConfig.load`` checks
+each value's type and converts it to the type of its default (of its
+``NULLABLE`` entry where the default is null), then builds every block
+once, so a value out of range fails the load whatever the command.
+Commands read the built blocks and write the full resolved snapshot into
+their run manifest so any output can be reproduced bit-exactly.
 """
 from __future__ import annotations
 
@@ -18,47 +20,22 @@ from pathlib import Path
 
 from .dataio import write_json
 from .errors import ConfigError
-from .params import (DEFAULT_BETA, DEFAULT_FOLDS, DEFAULT_JITTER,
-                     DEFAULT_ORACLE_TIMEOUT, DETECTOR_PARAMS, LENGTH_RATIO,
-                     N_NEG, N_POS, SIM_SUBSTITUTION_FLOOR, SIM_TEMPERATURE,
-                     SIM_THRESHOLD, DistanceConfig, EvolveConfig, GBDTParams,
-                     VariationConfig)
+from .params import (DETECTOR_PARAMS, LENGTH_RATIO, DistanceConfig,
+                     EvolveConfig, ExplainConfig, GBDTParams, MitigateConfig,
+                     OracleConfig, VariationConfig)
 
 DEFAULTS: dict = {
     "language": "en",
     "wake_word": "alexa",
     "seed": None,
-    "oracle": {
-        "kind": "sim",
-        "command": None,          # external oracle command line (kind=exec)
-        "timeout": DEFAULT_ORACLE_TIMEOUT,
-        "target": None,           # defaults to the wake word
-        "unit_weights": None,     # explicit per-unit weights
-        "decisive_unit": None,    # shortcut: index of one heavy unit
-        "decisive_weight": 0.6,
-        "threshold": SIM_THRESHOLD,
-        "temperature": SIM_TEMPERATURE,
-        "substitution_floor": SIM_SUBSTITUTION_FLOOR,
-        "seed": None,             # defaults to global seed + 1000
-    },
+    "oracle": asdict(OracleConfig()),
     "evolve": asdict(EvolveConfig()),
     "variation": {**asdict(VariationConfig()), "length_ratio": LENGTH_RATIO},
     "distance": asdict(DistanceConfig()),
-    "explain": {
-        "slots": None,            # defaults from language and wake word
-        **asdict(GBDTParams()),
-        "beta": DEFAULT_BETA,
-        "folds": DEFAULT_FOLDS,
-    },
-    "mitigate": {
-        "n_pos": N_POS,
-        "n_neg": N_NEG,
-        "jitter": DEFAULT_JITTER,
-        "detector": asdict(DETECTOR_PARAMS),
-        "collective_path": None,  # defaults to the bundled list
-        "collective_limit": None,
-        "screening_top_n": 3,
-    },
+    # one block feeds both the proxy's GBDTParams and ExplainConfig
+    "explain": {**asdict(ExplainConfig()), **asdict(GBDTParams())},
+    "mitigate": {**asdict(MitigateConfig()),
+                 "detector": asdict(DETECTOR_PARAMS)},
 }
 
 # The type of each key whose default is null; list is a list of numbers.
@@ -115,7 +92,43 @@ def checked(key: str):
 
 @dataclass
 class RunConfig:
+    """A loaded configuration: ``raw``, the resolved document a manifest
+    snapshots, checked and built once into the plain ``language``,
+    ``wake_word``, ``seed`` and ``length_ratio`` and the blocks: ``oracle``,
+    ``evolve``, ``variation``, ``distance``, ``explain``, ``proxy`` (the
+    explain keys of ``GBDTParams``), ``mitigate`` and ``detector``."""
+
     raw: dict = field(default_factory=lambda: copy.deepcopy(DEFAULTS))
+
+    def __post_init__(self):
+        raw = self.raw
+        self.language = raw["language"]
+        if self.language not in ("en", "zh"):
+            raise ConfigError(
+                f"language must be 'en' or 'zh', got {self.language!r}")
+        self.wake_word = raw["wake_word"]
+        if not self.wake_word.strip():
+            raise ConfigError("wake_word must not be empty")
+        self.seed = raw["seed"]
+        if self.seed is not None and self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        self.length_ratio = raw["variation"]["length_ratio"]
+        self.oracle = self._build(OracleConfig, "oracle")
+        self.evolve = self._build(EvolveConfig, "evolve")
+        self.variation = self._build(VariationConfig, "variation")
+        self.distance = self._build(DistanceConfig, "distance")
+        self.explain = self._build(ExplainConfig, "explain")
+        self.proxy = self._build(GBDTParams, "explain")
+        self.mitigate = self._build(MitigateConfig, "mitigate")
+        self.detector = self._build(GBDTParams, "mitigate.detector")
+
+    def _build(self, cls, block: str):
+        """``cls`` from the like-named keys of the (dotted) config block."""
+        values = self.raw
+        for part in block.split("."):
+            values = values[part]
+        with checked(block):
+            return cls(**{f.name: values[f.name] for f in fields(cls)})
 
     @classmethod
     def load(cls, path: str | Path | None = None,
@@ -135,78 +148,10 @@ class RunConfig:
             doc = _merge(doc, overrides)
         return cls(doc)
 
-    # --- plain fields ----------------------------------------------------
-
-    @property
-    def language(self) -> str:
-        lang = self.raw["language"]
-        if lang not in ("en", "zh"):
-            raise ConfigError(f"language must be 'en' or 'zh', got {lang!r}")
-        return lang
-
-    @property
-    def wake_word(self) -> str:
-        word = self.raw["wake_word"]
-        if not word.strip():
-            raise ConfigError("wake_word must not be empty")
-        return word
-
-    @property
-    def seed(self) -> int | None:
-        seed = self.raw["seed"]
-        if seed is not None and seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {seed}")
-        return seed
-
     def require_seed(self) -> int:
         if self.seed is None:
             raise ConfigError("this command requires an explicit seed")
         return self.seed
-
-    # --- parameter blocks -------------------------------------------------
-
-    def _build(self, cls, block: str):
-        """``cls`` from the like-named keys of the (dotted) config block."""
-        values = self.raw
-        for part in block.split("."):
-            values = values[part]
-        with checked(block):
-            return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-    def evolve_config(self) -> EvolveConfig:
-        return self._build(EvolveConfig, "evolve")
-
-    def variation_config(self) -> VariationConfig:
-        return self._build(VariationConfig, "variation")
-
-    @property
-    def length_ratio(self) -> float:
-        return self.raw["variation"]["length_ratio"]
-
-    def distance_config(self) -> DistanceConfig:
-        return self._build(DistanceConfig, "distance")
-
-    def explain_params(self) -> GBDTParams:
-        return self._build(GBDTParams, "explain")
-
-    def detector_params(self) -> GBDTParams:
-        return self._build(GBDTParams, "mitigate.detector")
-
-    # read before the proxy is trained, so a bad value costs no training
-
-    @property
-    def explain_folds(self) -> int:
-        folds = self.raw["explain"]["folds"]
-        if folds < 2:
-            raise ConfigError(f"explain.folds must be at least 2, got {folds}")
-        return folds
-
-    @property
-    def explain_beta(self) -> float:
-        beta = self.raw["explain"]["beta"]
-        if not 0 < beta <= 1:
-            raise ConfigError(f"explain.beta must be in (0, 1], got {beta}")
-        return beta
 
     def snapshot(self) -> dict:
         return copy.deepcopy(self.raw)

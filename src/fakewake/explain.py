@@ -22,7 +22,7 @@ from .errors import (DegenerateData, EmptyClass, FakewakeError,
                      NoPositiveContributions, ParseFailure, TooFewSamples)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
-from .params import DEFAULT_BETA, DEFAULT_FOLDS, LENGTH_RATIO, GBDTParams
+from .params import LENGTH_RATIO, ExplainConfig, GBDTParams
 from .treeshap import shap_values
 
 MAX_CLASS_RATIO = 3
@@ -149,7 +149,7 @@ def dissimilarity_score(model: TreeEnsemble,
 
 
 def cross_validate(dataset: Dataset, params: GBDTParams = GBDTParams(),
-                   folds: int = DEFAULT_FOLDS, seed: int = 0) -> float:
+                   folds: int = ExplainConfig.folds, seed: int = 0) -> float:
     """Mean accuracy over stratified folds with a seeded shuffle."""
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -206,7 +206,7 @@ def unit_map(units: list[tuple[str, str]]) -> list[UnitRef]:
 
 
 def decisive_factors(phi: np.ndarray, units: list[UnitRef],
-                     beta: float = DEFAULT_BETA) -> DecisiveFactorSet:
+                     beta: float = ExplainConfig.beta) -> DecisiveFactorSet:
     """Units owning features of the shortest positive-contribution prefix
     whose share of all positive contributions reaches beta, given one
     word's contributions ``phi`` (a row of ``shap_values``)."""
@@ -336,7 +336,8 @@ def rank_decisive_units(factor_sets: list[DecisiveFactorSet]) -> list[RankedUnit
 
 
 def explain_archive(words: ArchiveWords, model: TreeEnsemble,
-                    beta: float = DEFAULT_BETA) -> list[DecisiveFactorSet]:
+                    beta: float = ExplainConfig.beta,
+                    ) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
     if not 0 < beta <= 1:
         raise ValueError("beta must be in (0, 1]")

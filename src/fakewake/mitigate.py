@@ -25,8 +25,7 @@ from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import (ChineseGenome, EnglishGenome, decode_text,
                      english_genome_length, random_genome)
-from .params import (DEFAULT_JITTER, DETECTOR_PARAMS, LENGTH_RATIO, N_NEG,
-                     N_POS, GBDTParams)
+from .params import DETECTOR_PARAMS, LENGTH_RATIO, GBDTParams, MitigateConfig
 
 
 @dataclass
@@ -49,8 +48,10 @@ class DatasetTriple:
             [text not in known for text in self.collective.texts])
 
 
-def assemble_triple(words: ArchiveWords, n_pos: int = N_POS,
-                    n_neg: int = N_NEG, jitter: float = DEFAULT_JITTER,
+def assemble_triple(words: ArchiveWords,
+                    n_pos: int = MitigateConfig.n_pos,
+                    n_neg: int = MitigateConfig.n_neg,
+                    jitter: float = MitigateConfig.jitter,
                     seed: int = 0, collective_path=None,
                     collective_limit: int | None = None,
                     length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
@@ -75,8 +76,10 @@ class MitigationReport:
 
 
 def synthesize_conventional(wake_word: str, language: str, slots: int,
-                            n_pos: int = N_POS, n_neg: int = N_NEG,
-                            jitter: float = DEFAULT_JITTER, seed: int = 0,
+                            n_pos: int = MitigateConfig.n_pos,
+                            n_neg: int = MitigateConfig.n_neg,
+                            jitter: float = MitigateConfig.jitter,
+                            seed: int = 0,
                             length_ratio: float = LENGTH_RATIO,
                             ) -> ConventionalDataset:
     """Positives: the wake word's features with Gaussian jitter emulating

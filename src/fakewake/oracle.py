@@ -33,8 +33,7 @@ import numpy as np
 from .embedding import embedding_table, parse_text
 from .errors import (FakewakeError, OracleFailure, OracleTimeout,
                      ParseFailure, ProtocolError)
-from .params import (DEFAULT_ORACLE_TIMEOUT, SIM_SUBSTITUTION_FLOOR,
-                     SIM_TEMPERATURE, SIM_THRESHOLD)
+from .params import OracleConfig
 
 
 class WakeOracle(Protocol):
@@ -200,9 +199,9 @@ class SimulatedDetector:
     target: str
     language: str = "en"
     unit_weights: tuple[float, ...] | None = None
-    threshold: float = SIM_THRESHOLD
-    temperature: float = SIM_TEMPERATURE
-    substitution_floor: float = SIM_SUBSTITUTION_FLOOR
+    threshold: float = OracleConfig.threshold
+    temperature: float = OracleConfig.temperature
+    substitution_floor: float = OracleConfig.substitution_floor
     seed: int = 0
     # word -> (wake probability, index of its next trial)
     _trial_counts: dict = field(default_factory=dict, repr=False)
@@ -283,12 +282,15 @@ class ExternalOracle:
     within ``timeout`` seconds. A handle has no lock, so only one thread at
     a time may query it. Any failure (a timeout, the end of the output, a
     reply other than ``0`` or ``1``) stops the process, so a reply that
-    was never read cannot answer a later query. Stdout is read with
-    ``select``, so it must be a pipe.
+    was never read cannot answer a later query. Output waiting when a query
+    starts answers no query and is a protocol error; a surplus reply that
+    arrives only after that check is read as an answer to the new query,
+    which the protocol cannot tell apart. Stdout is read with ``select``,
+    so it must be a pipe.
     """
 
     def __init__(self, command: str,
-                 timeout: float = DEFAULT_ORACLE_TIMEOUT):
+                 timeout: float = OracleConfig.timeout):
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         self.command = command
@@ -307,6 +309,7 @@ class ExternalOracle:
         if self._proc.poll() is not None:
             raise OracleFailure("oracle process has exited")
         try:
+            self._check_idle()
             self._proc.stdin.write(f"{word}\n".encode() * trials)
             self._proc.stdin.flush()
             return sum(self._reply(word) for _ in range(trials))
@@ -317,6 +320,16 @@ class ExternalOracle:
             # replies left unread must never answer a later query
             self.close()
             raise
+
+    def _check_idle(self):
+        """Raise if output is waiting that no query asked for."""
+        if not self._pending and select.select([self._stdout], [], [], 0)[0]:
+            self._pending = os.read(self._stdout, 65536)
+            if not self._pending:
+                raise OracleFailure("oracle process closed its output")
+        if self._pending:
+            raise ProtocolError(f"oracle replied to no query: "
+                                f"{self._pending.decode(errors='replace')!r}")
 
     def _reply(self, word: str) -> int:
         """The next reply line as 1 (wake) or 0."""

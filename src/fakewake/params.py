@@ -1,8 +1,11 @@
 """Parameter dataclasses and the defaults of the run configuration.
 
-Every default ``config.DEFAULTS`` reads lives here, in a module that imports
-nothing of the pipeline, so that reading the configuration loads none of it.
-The pipeline modules take their parameter types and defaults from here too.
+Each config block is a frozen dataclass whose fields are its keys, with
+their defaults, and whose ``__post_init__`` checks their ranges;
+``GBDTParams`` holds the ``explain`` keys of the proxy and the
+``mitigate.detector`` block. The module imports nothing of the pipeline,
+so reading the configuration loads none of it; the pipeline modules take
+their parameter types and defaults from here too.
 """
 from __future__ import annotations
 
@@ -72,26 +75,63 @@ class GBDTParams:
             raise ValueError("learning_rate must be in (0, 1]")
 
 
-# The simulated wake detector: a trial wakes with probability
-# logistic((score - threshold) / temperature), and any unit substitution
-# costs at least the floor.
-SIM_THRESHOLD = 0.7
-SIM_TEMPERATURE = 0.05
-SIM_SUBSTITUTION_FLOOR = 0.7
-
 # Shallow stumps emulate a lightweight keyword spotter: the original model
 # generalizes loosely around the wake word (the vulnerability under study),
 # and gains tight boundaries only where retraining negatives demand them.
 DETECTOR_PARAMS = GBDTParams(n_trees=96, depth=1, learning_rate=0.5, min_leaf=2)
 
-DEFAULT_JITTER = 0.06
 
-# share of the positive contributions a decisive-factor set covers
-DEFAULT_BETA = 0.8
-DEFAULT_FOLDS = 10
-# seconds an external oracle may take for one reply
-DEFAULT_ORACLE_TIMEOUT = 30.0
+@dataclass(frozen=True)
+class OracleConfig:
+    """The simulated detector (``sim``) wakes in a trial with probability
+    logistic((score - threshold) / temperature), and any unit substitution
+    costs at least the floor; ``exec`` runs an external command."""
+    kind: str = "sim"
+    command: str | None = None        # external oracle command line (exec)
+    timeout: float = 30.0             # seconds for one exec oracle reply
+    target: str | None = None         # defaults to the wake word
+    unit_weights: list[float] | None = None   # explicit per-unit weights
+    decisive_unit: int | None = None  # shortcut: index of one heavy unit
+    decisive_weight: float = 0.6
+    threshold: float = 0.7
+    temperature: float = 0.05
+    substitution_floor: float = 0.7
+    seed: int | None = None           # defaults to global seed + 1000
 
-# conventional dataset size per class: positives, negatives
-N_POS = 296
-N_NEG = 399
+    def __post_init__(self):
+        if self.kind not in ("sim", "exec"):
+            raise ValueError(
+                f"kind must be 'sim' or 'exec', got {self.kind!r}")
+        if self.kind == "exec" and not self.command:
+            raise ValueError("kind 'exec' requires a command")
+        if not 0 <= self.decisive_weight <= 1:
+            raise ValueError("decisive_weight must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class ExplainConfig:
+    slots: int | None = None    # defaults from language and wake word
+    beta: float = 0.8           # share of positive contributions factors cover
+    folds: int = 10
+
+    def __post_init__(self):
+        if self.slots is not None and self.slots < 1:
+            raise ValueError("slots must be at least 1")
+        if not 0 < self.beta <= 1:
+            raise ValueError("beta must be in (0, 1]")
+        if self.folds < 2:
+            raise ValueError("folds must be at least 2")
+
+
+@dataclass(frozen=True)
+class MitigateConfig:
+    n_pos: int = 296            # conventional dataset size per class
+    n_neg: int = 399
+    jitter: float = 0.06
+    collective_path: str | None = None  # defaults to the bundled list
+    collective_limit: int | None = None
+    screening_top_n: int = 3
+
+    def __post_init__(self):
+        if self.screening_top_n < 1:
+            raise ValueError("screening_top_n must be at least 1")

@@ -35,6 +35,27 @@ def small_run(tmp_path_factory):
     return root, config, out
 
 
+@pytest.fixture(scope="module")
+def zh_run(tmp_path_factory):
+    """A small Mandarin run, with a collective of two-syllable words."""
+    root = tmp_path_factory.mktemp("cli-zh")
+    collective = root / "collective.txt"
+    collective.write_text(
+        "tiān māo\nxiǎo ài\nnǐ hǎo\nxiǎo lǒng\ndà jiā\nmíng tiān\n"
+        "xiè xiè\nzǎo shàng\njīng líng\ntóng xué\n", encoding="utf-8")
+    config = write_config(
+        root / "config.json", wake_word="xiǎo dù", language="zh", seed=9,
+        oracle={"decisive_unit": 1, "decisive_weight": 0.6, "seed": 2024},
+        evolve={"population_size": 20, "generations": 4, "trials": 5},
+        explain={"n_trees": 5, "folds": 2},
+        mitigate={"n_pos": 40, "n_neg": 40,
+                  "collective_path": str(collective)})
+    out = root / "gen"
+    assert main(["generate", "--config", str(config),
+                 "--output", str(out)]) == 0
+    return root, config, out
+
+
 def test_generate_outputs(small_run):
     root, config, out = small_run
     assert (out / "archive.json").exists()
@@ -131,7 +152,7 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
                  "--output", str(tmp_path / "mit")]) == 0
 
 
-@pytest.mark.parametrize("command, extra, key", [
+OUT_OF_RANGE = [
     ("explain", {"explain": {"folds": 0, "n_trees": 5}}, "folds"),
     ("mitigate", {"mitigate": {"collective_limit": 0}}, "collective_limit"),
     ("mitigate", {"mitigate": {"n_pos": 3}}, "n_pos"),
@@ -157,9 +178,17 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
     ("generate", {"variation": {"mutation_rate": 2}}, "mutation_rate"),
     ("generate", {"distance": {"normalizer": 0}}, "normalizer"),
     ("mitigate", {"mitigate": {"detector": {"depth": 0}}}, "depth"),
-])
-def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
-                                    extra, key):
+    ("generate", {"explain": {"slots": -4}}, "slots"),
+    ("generate", {"explain": {"slots": 0}}, "slots"),
+]
+# keys whose range a library function checks, in the command that calls it
+LIBRARY_CHECKED = {"n_pos", "jitter", "collective_limit", "temperature",
+                   "unit_weights", "timeout"}
+
+
+def assert_rejected(small_run, tmp_path, capsys, command, extra, key):
+    """``command`` on the small config plus ``extra`` exits 2, names
+    ``key`` and creates no output directory."""
     root, _, out = small_run
     config = write_config(tmp_path / "config.json", **extra)
     argv = [command, "--config", str(config), "--output", str(tmp_path / "o")]
@@ -172,13 +201,31 @@ def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, extra, key", OUT_OF_RANGE)
+def test_out_of_range_value_exits_2(small_run, tmp_path, capsys, command,
+                                    extra, key):
+    assert_rejected(small_run, tmp_path, capsys, command, extra, key)
+
+
+@pytest.mark.parametrize("command", ["generate", "explain", "mitigate"])
+@pytest.mark.parametrize("extra, key", [
+    (extra, key) for _, extra, key in OUT_OF_RANGE
+    if key not in LIBRARY_CHECKED])
+def test_config_checks_run_in_every_command(small_run, tmp_path, capsys,
+                                            command, extra, key):
+    """Every block is checked at load, whichever command reads it."""
+    assert_rejected(small_run, tmp_path, capsys, command, extra, key)
+
+
 @pytest.mark.parametrize("command, explain, key", [
-    ("explain", {"folds": 1}, "explain.folds"),
-    ("explain", {"beta": 0}, "explain.beta"),
-    ("explain", {"beta": 1.5}, "explain.beta"),
-    ("mitigate", {"beta": 0}, "explain.beta"),
-    ("mitigate", {"beta": 1.5}, "explain.beta"),
-])
+    ("explain", {"folds": 1}, "explain: folds"),
+    ("explain", {"beta": 0}, "explain: beta"),
+    ("explain", {"beta": 1.5}, "explain: beta"),
+    ("mitigate", {"beta": 0}, "explain: beta"),
+    ("mitigate", {"beta": 1.5}, "explain: beta"),
+], ids=["explain-explain0-explain.folds", "explain-explain1-explain.beta",
+        "explain-explain2-explain.beta", "mitigate-explain3-explain.beta",
+        "mitigate-explain4-explain.beta"])
 def test_explain_keys_checked_before_training(small_run, tmp_path, capsys,
                                               monkeypatch, command, explain,
                                               key):
@@ -281,13 +328,21 @@ def _archive_with(edit):
     ("archive", _archive_with(lambda doc: doc["run"].update(language="fr"))),
     ("archive", _archive_with(lambda doc: doc["run"].update(seed="x"))),
     ("archive", _archive_with(lambda doc: doc["run"].update(seed=-1))),
+    # a word that parses but would split a row of summary.tsv or fuzzy.tsv
+    ("zh-archive", _archive_with(lambda doc: doc["candidates"][0].update(
+        word=doc["candidates"][0]["word"].replace(" ", "\t", 1)))),
+    ("zh-archive", _archive_with(lambda doc: doc["rejected"][0].update(
+        word=doc["rejected"][0]["word"].replace(" ", "\n", 1)))),
 ], ids=["list", "null", "string", "run-not-object", "archive-directory",
         "config-directory", "archive-not-utf8", "config-not-utf8",
         "wake-rate-string", "unknown-language", "seed-string",
-        "seed-negative"])
-def test_malformed_input_file_exits_2(small_run, tmp_path, command, option,
-                                      make):
+        "seed-negative", "zh-word-tab", "zh-word-newline"])
+def test_malformed_input_file_exits_2(small_run, tmp_path, request, command,
+                                      option, make):
     root, config, out = small_run
+    if option == "zh-archive":
+        root, config, out = request.getfixturevalue("zh_run")
+        option = "archive"
     paths = {"archive": out / "archive.json", "config": config}
     paths[option] = tmp_path / "bad"
     make(paths[option], json.loads((out / "archive.json").read_text()))
@@ -451,6 +506,22 @@ def test_external_oracle_failure_exits_3(tmp_path, capsys):
                 if line.startswith("oracle failure:")]) == 1
     partial = json.loads((out / "archive.json").read_text())
     assert partial["run"]["generations_run"] == 0
+
+
+def test_external_oracle_surplus_reply_exits_3(tmp_path, capsys):
+    stub = tmp_path / "double.py"
+    stub.write_text(
+        "import sys\n"
+        "for line in sys.stdin:\n"
+        "    reply = '1' if 'k' in line else '0'\n"
+        "    print(reply, reply, sep='\\n', flush=True)\n")
+    config = write_config(tmp_path / "config.json")
+    capsys.readouterr()
+    assert main(["generate", "--config", str(config),
+                 "--oracle", f"exec:{sys.executable} {stub}",
+                 "--output", str(tmp_path / "out")]) == 3
+    assert "replied to no query" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_manifest.json").exists()
 
 
 def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(small_run,

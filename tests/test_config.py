@@ -12,6 +12,7 @@ from fakewake.gbdt import GBDTParams
 from fakewake.genome import VariationConfig
 from fakewake.mitigate import DETECTOR_PARAMS
 from fakewake.oracle import SimulatedDetector
+from fakewake.params import ExplainConfig, MitigateConfig, OracleConfig
 
 
 @pytest.mark.parametrize("override, key", [
@@ -50,8 +51,8 @@ def test_values_convert_to_the_default_type():
     assert cfg.raw["oracle"]["decisive_weight"] == 1.0
     assert type(cfg.raw["oracle"]["decisive_weight"]) is float
     assert cfg.raw["oracle"]["unit_weights"] == [1.0, 0.0]
-    assert cfg.explain_params().n_trees == 50
-    assert type(cfg.evolve_config().generations) is int
+    assert cfg.proxy.n_trees == 50
+    assert type(cfg.evolve.generations) is int
     assert cfg.raw["mitigate"]["collective_limit"] == 5
 
 
@@ -65,20 +66,22 @@ def test_null_only_where_the_default_is_null():
 
 def test_blocks_default_to_their_dataclasses():
     cfg = RunConfig.load()
-    assert cfg.evolve_config() == EvolveConfig()
-    assert cfg.variation_config() == VariationConfig()
-    assert cfg.distance_config() == DistanceConfig()
-    assert cfg.explain_params() == GBDTParams()
-    assert cfg.detector_params() == DETECTOR_PARAMS
+    assert cfg.evolve == EvolveConfig()
+    assert cfg.variation == VariationConfig()
+    assert cfg.distance == DistanceConfig()
+    assert cfg.proxy == GBDTParams()
+    assert cfg.detector == DETECTOR_PARAMS
+    assert cfg.oracle == OracleConfig()
+    assert cfg.explain == ExplainConfig()
+    assert cfg.mitigate == MitigateConfig()
     sim = SimulatedDetector(target="alexa")
     for key in ("threshold", "temperature", "substitution_floor"):
-        assert cfg.raw["oracle"][key] == getattr(sim, key)
+        assert getattr(cfg.oracle, key) == getattr(sim, key)
 
 
 def test_dataclass_range_error_is_a_config_error():
-    cfg = RunConfig.load(overrides={"evolve": {"population_size": 2}})
     with pytest.raises(ConfigError, match="^evolve: population_size"):
-        cfg.evolve_config()
+        RunConfig.load(overrides={"evolve": {"population_size": 2}})
 
 
 def test_malformed_value_exits_2(tmp_path, capsys):

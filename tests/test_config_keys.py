@@ -6,6 +6,8 @@ is listed with the reason. The English base runs ``generate`` once; its
 archive is the one ``explain`` and ``mitigate`` read in every row.
 """
 import copy
+import dataclasses
+import functools
 import json
 import shlex
 import sys
@@ -13,7 +15,7 @@ import sys
 import pytest
 
 from fakewake.cli import main
-from fakewake.config import write_reference
+from fakewake.config import RunConfig, write_reference
 
 EN = {
     "wake_word": "alexa", "language": "en", "seed": 3,
@@ -130,6 +132,37 @@ def test_every_reference_key_is_in_one_table(tmp_path):
     reference = json.loads((tmp_path / "config_reference.json").read_text())
     assert not set(LIVE) & set(CANNOT)
     assert set(LIVE) | set(CANNOT) == set(leaf_keys(reference))
+
+
+# RunConfig attribute built from a block -> that block
+BUILT = {"oracle": "oracle", "evolve": "evolve", "variation": "variation",
+         "distance": "distance", "explain": "explain", "proxy": "explain",
+         "mitigate": "mitigate", "detector": "mitigate.detector"}
+# key no block holds -> the RunConfig attribute that reads it
+PLAIN = {"language": "language", "wake_word": "wake_word", "seed": "seed",
+         "variation.length_ratio": "length_ratio"}
+
+
+def test_every_reference_key_is_read_once(tmp_path):
+    """Each leaf key of config_reference.json is a field of exactly one
+    block RunConfig builds, or a plain attribute listed with its reader,
+    and the default configuration holds the reference's values."""
+    write_reference(tmp_path / "config_reference.json")
+    reference = json.loads((tmp_path / "config_reference.json").read_text())
+    value = lambda key: functools.reduce(dict.get, key.split("."), reference)
+    cfg = RunConfig.load()
+    owners = {}
+    for attr, block in BUILT.items():
+        built = getattr(cfg, attr)
+        for f in dataclasses.fields(built):
+            key = f"{block}.{f.name}"
+            owners.setdefault(key, []).append(attr)
+            assert getattr(built, f.name) == value(key), key
+    assert all(len(attrs) == 1 for attrs in owners.values()), owners
+    assert not set(owners) & set(PLAIN)
+    assert set(owners) | set(PLAIN) == set(leaf_keys(reference))
+    for key, attr in PLAIN.items():
+        assert getattr(cfg, attr) == value(key), key
 
 
 @pytest.fixture(scope="module")

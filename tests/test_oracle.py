@@ -342,6 +342,27 @@ def test_external_oracle_late_reply_is_not_misattributed(tmp_path):
             assert excinfo.type is OracleFailure
 
 
+DOUBLE = textwrap.dedent("""
+    import os, sys
+    for line in sys.stdin:
+        os.write(1, (b"1\\n" if "k" in line else b"0\\n") * 2)
+""")
+
+
+def test_external_oracle_unrequested_reply_is_a_protocol_error(tmp_path):
+    # every reply comes twice, in one write; the surplus reply to "ki" must
+    # never answer the query for "zzz", which the stub never wakes on
+    path = tmp_path / "double.py"
+    path.write_text(DOUBLE)
+    with ExternalOracle(f"{sys.executable} {path}", timeout=5.0) as oracle:
+        assert oracle.query("ki") == 1
+        with pytest.raises(ProtocolError, match="replied to no query"):
+            oracle.query("zzz", 3)
+        with pytest.raises(OracleFailure) as excinfo:
+            oracle.query("zzz")
+        assert excinfo.type is OracleFailure
+
+
 def test_external_oracle_process_exit(tmp_path):
     with ExternalOracle(make_stub(tmp_path), timeout=2.0) as oracle:
         with pytest.raises(OracleFailure):
