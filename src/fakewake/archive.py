@@ -132,14 +132,17 @@ class FuzzyArchive:
     def from_json(cls, payload: dict) -> "FuzzyArchive":
         """The archive a parsed ``archive.json`` holds; a document of
         another shape raises KeyError, TypeError or ValueError, and so do
-        a candidate whose wake rate no ``bucket`` band holds and a word not
-        in canonical form."""
+        a candidate whose wake rate no ``bucket`` band holds, a word not in
+        canonical form and an empty wake word."""
         run = payload["run"]
         if run["language"] not in ("en", "zh"):
             raise ValueError(f"unknown language {run['language']!r}")
         if type(run["seed"]) is not int or run["seed"] < 0:
             raise ValueError(f"seed {run['seed']!r} is not a nonnegative int")
         _check_types(run["wake_word"])
+        _check_canonical(run["wake_word"])
+        if not run["wake_word"]:
+            raise ValueError("the wake word is empty")
         archive = cls(wake_word=run["wake_word"], language=run["language"],
                       seed=run["seed"], config=run["config"],
                       oracle_spec=run["oracle"],

@@ -37,31 +37,18 @@ def _load_archive(path):
             from exc
 
 
-def _check_letters(word: str, name: str) -> str:
-    """An English word as it is, or exit 2 naming its symbols outside a-z
-    and space (g2p would drop them without a word)."""
-    from .phonemes import ALPHABET
-
-    bad = set(word) - set(ALPHABET)
-    if bad:
-        raise ConfigError(
-            f"{name} has symbols outside a-z/space: {sorted(bad)}")
-    return word
-
-
 def _wake_genome(cfg: RunConfig):
     from .genome import encode_chinese, encode_english, english_genome_length
+    from .phonemes import LetterWord
     from .pinyin import parse_pinyin
 
     word = cfg.wake_word
     try:
         if cfg.language == "zh":
             return encode_chinese(parse_pinyin(word))
-        _check_letters(word, "wake word")
+        LetterWord(word)   # symbols outside a-z/space fail here
         length = english_genome_length(word, cfg.length_ratio)
         return encode_english(word, length)
-    except ConfigError:
-        raise
     except FakewakeError as exc:
         raise ConfigError(f"wake word not parseable: {exc}") from exc
 
@@ -193,6 +180,7 @@ def cmd_explain(args) -> int:
 
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)
+    wake_units, wake_spoken = parse_text(archive.wake_word, archive.language)
     seed = cfg.seed if cfg.seed is not None else archive.seed
     slots = _slots(cfg, archive.language, archive.wake_word)
 
@@ -201,7 +189,6 @@ def cmd_explain(args) -> int:
     accuracy = cross_validate(dataset, cfg.proxy, folds=cfg.explain.folds,
                               seed=seed)
     ranked = rank_decisive_units(factor_sets)
-    wake_units, wake_spoken = parse_text(archive.wake_word, archive.language)
     grouping = group_factors(factor_sets, wake_units)
 
     separation = _separation_report(model, dataset, wake_spoken)
@@ -283,6 +270,7 @@ def cmd_mitigate(args) -> int:
     import numpy as np
 
     from .archive import Bucket, bucket
+    from .embedding import parse_text
     from .explain import ArchiveWords, rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                            screening_coverage, strengthen, train_original,
@@ -291,6 +279,7 @@ def cmd_mitigate(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     archive = _load_archive(args.archive)
+    parse_text(archive.wake_word, archive.language)   # fails before any work
     if not archive.candidates:
         raise ConfigError("archive has no fuzzy words")
     slots = _slots(cfg, archive.language, archive.wake_word)
@@ -397,7 +386,7 @@ def _write_datasets(out: Path, conventional, fuzzy, collective):
 
 def cmd_dist(args) -> int:
     from .distance import chinese_dist, english_dist
-    from .phonemes import g2p
+    from .phonemes import LetterWord, g2p
     from .pinyin import parse_pinyin
 
     cfg = RunConfig.load(args.config, _overrides(args))
@@ -405,15 +394,14 @@ def cmd_dist(args) -> int:
         value = chinese_dist(parse_pinyin(args.word1), parse_pinyin(args.word2),
                              cfg.distance)
     else:
-        words = [_check_letters(w.lower(), repr(w))
-                 for w in (args.word1, args.word2)]
+        words = [LetterWord(w.lower()) for w in (args.word1, args.word2)]
         value = english_dist(g2p(words[0]), g2p(words[1]), cfg.distance)
     print(value)
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    from .phonemes import g2p
+    from .phonemes import LetterWord, g2p
     from .pinyin import parse_pinyin, unit_tables
 
     cfg = RunConfig.load(args.config, _overrides(args))
@@ -425,8 +413,7 @@ def cmd_validate(args) -> int:
             print(f"{text}\tinitial={tables.initial_by_index[syl.initial]}"
                   f"\tfinal={tables.final_by_index[syl.final]}\ttone={syl.tone}")
     else:
-        phones = ["|" if p == " " else p
-                  for p in g2p(_check_letters(word, repr(word)))]
+        phones = ["|" if p == " " else p for p in g2p(LetterWord(word))]
         print(f"{word}\tphonemes={' '.join(phones)}")
     return EXIT_OK
 

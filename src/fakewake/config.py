@@ -106,13 +106,19 @@ class RunConfig:
         if self.language not in ("en", "zh"):
             raise ConfigError(
                 f"language must be 'en' or 'zh', got {self.language!r}")
-        self.wake_word = raw["wake_word"]
-        if not self.wake_word.strip():
-            raise ConfigError("wake_word must not be empty")
+        self.wake_word = word = raw["wake_word"]
+        # the canonical form an archive's wake word must have
+        if not word or " ".join(word.split()) != word:
+            raise ConfigError("wake_word must be nonempty with single spaces "
+                              f"between its parts, got {word!r}")
         self.seed = raw["seed"]
         if self.seed is not None and self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         self.length_ratio = raw["variation"]["length_ratio"]
+        # below 1 the wake word never fits its genome; nan fails too
+        if not 1 <= self.length_ratio <= 10:
+            raise ConfigError("variation: length_ratio must be in [1, 10], "
+                              f"got {self.length_ratio}")
         self.oracle = self._build(OracleConfig, "oracle")
         self.evolve = self._build(EvolveConfig, "evolve")
         self.variation = self._build(VariationConfig, "variation")

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
-from .errors import TooManyUnits
+from .errors import ParseFailure, TooManyUnits
 from .phonemes import (BOUNDARY, FeatureTable, LetterWord, PhonemeSequence,
                        g2p, inventory)
 from .pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
@@ -162,11 +162,14 @@ def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
     """A word given as text, parsed once: its units (``word_units``) and
     its pronunciation, the sequence the edit-distance baseline compares
     (the g2p phonemes with word boundaries for English, the syllables for
-    Chinese). Text that does not parse raises ``UnknownSyllable`` or
-    ``InvalidCombination`` (Chinese) or ``ValueError`` (English)."""
-    if language == "zh":
-        return word_units(parse_pinyin(text)), text.split()
-    phones = g2p(LetterWord(text))
+    Chinese). Text that does not parse raises ``ParseFailure`` naming it."""
+    try:
+        if language == "zh":
+            return word_units(parse_pinyin(text)), text.split()
+        phones = g2p(LetterWord(text))
+    except ParseFailure as exc:
+        raise ParseFailure(
+            f"{text!r} does not parse as {language}: {exc}") from exc
     return phoneme_units(phones), phones
 
 

@@ -11,11 +11,16 @@ class ConfigError(FakewakeError):
 
 # --- phonetics ---------------------------------------------------------------
 
-class UnknownSyllable(FakewakeError):
+class ParseFailure(FakewakeError):
+    """A word's text does not parse in its language: ``LetterWord`` raises
+    it, pinyin parsing its subclasses, ``parse_text`` one naming the text."""
+
+
+class UnknownSyllable(ParseFailure):
     """Pinyin text that cannot be decomposed into initial + final + tone."""
 
 
-class InvalidCombination(FakewakeError):
+class InvalidCombination(ParseFailure):
     """An (initial, final) pair outside the shipped validity table."""
 
 
@@ -53,11 +58,6 @@ class ProtocolError(OracleFailure):
 
 class OracleTimeout(OracleFailure):
     """The external oracle did not reply within the configured timeout."""
-
-
-class ParseFailure(FakewakeError):
-    """A word's text does not parse in its language (a queried word in the
-    detector's, an archive word in the archive's)."""
 
 
 # --- evolve ------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from .archive import FuzzyArchive
 from .embedding import embedding_table, encode_units, parse_text
-from .errors import (DegenerateData, EmptyClass, FakewakeError,
-                     NoPositiveContributions, ParseFailure, TooFewSamples)
+from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
+                     TooFewSamples)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
 from .params import LENGTH_RATIO, ExplainConfig, GBDTParams
@@ -79,13 +79,7 @@ def parse_words(texts: list[str], language: str, slots: int,
     """Parse each text once and encode the list as one matrix, every word
     labelled ``label``. A text that does not parse raises
     ``ParseFailure`` naming it."""
-    parsed = []
-    for text in texts:
-        try:
-            parsed.append(parse_text(text, language))
-        except (FakewakeError, ValueError) as exc:
-            raise ParseFailure(
-                f"{text!r} does not parse as {language}: {exc}") from exc
+    parsed = [parse_text(text, language) for text in texts]
     units = [u for u, _ in parsed]
     return Dataset(list(texts), encode_units(units, slots),
                    np.full(len(units), label, dtype=int),

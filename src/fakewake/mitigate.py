@@ -20,7 +20,7 @@ import numpy as np
 from .dataio import data_path
 from .embedding import encode_units, parse_text
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
-                     InvalidCombination, UnknownSyllable)
+                     ParseFailure)
 from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import (ChineseGenome, EnglishGenome, decode_text,
@@ -163,7 +163,7 @@ def load_collective(language: str, slots: int, limit: int | None = None,
                     continue
                 try:
                     units, _ = parse_text(word, language)
-                except (UnknownSyllable, InvalidCombination, ValueError):
+                except ParseFailure:
                     continue
                 if len(units) > slots:
                     continue

@@ -31,8 +31,7 @@ from typing import Iterator, Protocol
 import numpy as np
 
 from .embedding import embedding_table, parse_text
-from .errors import (FakewakeError, OracleFailure, OracleTimeout,
-                     ParseFailure, ProtocolError)
+from .errors import OracleFailure, OracleTimeout, ParseFailure, ProtocolError
 from .params import OracleConfig
 
 
@@ -61,10 +60,7 @@ def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
     """The units of ``parse_text``; an empty English word has none."""
     if not word and language != "zh":
         return []
-    try:
-        return parse_text(word, language)[0]
-    except (FakewakeError, ValueError) as exc:
-        raise ParseFailure(str(exc)) from exc
+    return parse_text(word, language)[0]
 
 
 def _trial_seed(seed: int, word: str, trial: int) -> int:

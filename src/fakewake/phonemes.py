@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
-from .errors import UnknownPhoneme
+from .errors import ParseFailure, UnknownPhoneme
 
 BOUNDARY = " "
 
@@ -33,10 +33,10 @@ class LetterWord:
 
     def __post_init__(self):
         if not self.symbols:
-            raise ValueError("a letter word needs at least one symbol")
+            raise ParseFailure("a letter word needs at least one symbol")
         bad = set(self.symbols) - _ALPHABET_SET
         if bad:
-            raise ValueError(f"symbols outside the alphabet: {sorted(bad)}")
+            raise ParseFailure(f"symbols outside a-z/space: {sorted(bad)}")
 
     def __len__(self) -> int:
         return len(self.symbols)

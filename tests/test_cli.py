@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import json
+import math
 import pkgutil
 import shutil
 import sys
@@ -180,6 +181,10 @@ OUT_OF_RANGE = [
     ("mitigate", {"mitigate": {"detector": {"depth": 0}}}, "depth"),
     ("generate", {"explain": {"slots": -4}}, "slots"),
     ("generate", {"explain": {"slots": 0}}, "slots"),
+    ("generate", {"variation": {"length_ratio": 0.5}}, "length_ratio"),
+    ("generate", {"variation": {"length_ratio": 1e20}}, "length_ratio"),
+    ("generate", {"variation": {"length_ratio": math.inf}}, "length_ratio"),
+    ("generate", {"wake_word": " alexa"}, "wake_word"),
 ]
 # keys whose range a library function checks, in the command that calls it
 LIBRARY_CHECKED = {"n_pos", "jitter", "collective_limit", "temperature",
@@ -313,6 +318,19 @@ def _archive_with(edit):
     return make
 
 
+def _wake_word(word):
+    """Write the run's archive with ``word`` as its wake word."""
+    return _archive_with(lambda doc: doc["run"].update(wake_word=word))
+
+
+# (archive option, wake word): archive wake words that do not parse in the
+# archive's language, or are not in canonical form
+BAD_WAKE_WORDS = [("archive", "ALEXA"), ("archive", "alexa1"),
+                  ("archive", "  "), ("zh-archive", "xiao")]
+BAD_WAKE_WORD_IDS = ["wake-word-upper", "wake-word-digit", "wake-word-blank",
+                     "zh-wake-word-toneless"]
+
+
 @pytest.mark.parametrize("command", ["explain", "mitigate"])
 @pytest.mark.parametrize("option, make", [
     ("archive", _content("[]")),
@@ -333,10 +351,12 @@ def _archive_with(edit):
         word=doc["candidates"][0]["word"].replace(" ", "\t", 1)))),
     ("zh-archive", _archive_with(lambda doc: doc["rejected"][0].update(
         word=doc["rejected"][0]["word"].replace(" ", "\n", 1)))),
+    *[(option, _wake_word(word)) for option, word in BAD_WAKE_WORDS],
 ], ids=["list", "null", "string", "run-not-object", "archive-directory",
         "config-directory", "archive-not-utf8", "config-not-utf8",
         "wake-rate-string", "unknown-language", "seed-string",
-        "seed-negative", "zh-word-tab", "zh-word-newline"])
+        "seed-negative", "zh-word-tab", "zh-word-newline",
+        *BAD_WAKE_WORD_IDS])
 def test_malformed_input_file_exits_2(small_run, tmp_path, request, command,
                                       option, make):
     root, config, out = small_run
@@ -349,6 +369,37 @@ def test_malformed_input_file_exits_2(small_run, tmp_path, request, command,
     assert main([command, "--config", str(paths["config"]),
                  "--archive", str(paths["archive"]),
                  "--output", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "mitigate"])
+@pytest.mark.parametrize("option, word", BAD_WAKE_WORDS,
+                         ids=BAD_WAKE_WORD_IDS)
+def test_archive_wake_word_is_checked_first(small_run, tmp_path, request,
+                                            capsys, monkeypatch, command,
+                                            option, word):
+    """A wake word that does not parse exits 2 naming it, before any
+    model is trained."""
+    from fakewake import explain, gbdt, mitigate
+
+    trained = []
+
+    def counting(*args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    train = gbdt.train_gbdt
+    for module in (gbdt, explain, mitigate):
+        monkeypatch.setattr(module, "train_gbdt", counting)
+    root, config, out = request.getfixturevalue(
+        "zh_run" if option == "zh-archive" else "small_run")
+    archive = tmp_path / "archive.json"
+    _wake_word(word)(archive, json.loads((out / "archive.json").read_text()))
+    capsys.readouterr()
+    assert main([command, "--config", str(config), "--archive", str(archive),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert repr(word) in capsys.readouterr().err
+    assert trained == []
     assert not (tmp_path / "o").exists()
 
 

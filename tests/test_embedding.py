@@ -2,13 +2,15 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakewake.dataio import data_dir, data_path, read_tsv, read_weight_rows
 from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
                                 embedding_table, encode_features,
-                                encode_units, mds_embed, word_units)
-from fakewake.errors import TooManyUnits
-from fakewake.phonemes import LetterWord, inventory
+                                encode_units, mds_embed, parse_text,
+                                word_units)
+from fakewake.errors import ParseFailure, TooManyUnits
+from fakewake.phonemes import ALPHABET, LetterWord, inventory
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              unit_tables)
 
@@ -355,3 +357,21 @@ def test_character_distance_equals_the_per_kind_build(reference):
             a, b = Syllable(ia, fa, 1), Syllable(ib, fb, tone)
             expected = reference_character_distance(reference, a, b, penalty)
             assert character_distance(a, b, penalty) == expected
+
+
+# pinyin letters, tone marks (precomposed and combining), digits and space
+PINYIN_LIKE = ("abcdefghijklmnopqrstuvwxyzüāáǎàēéěèīíǐìōóǒòūúǔùǖǘǚǜ"
+               "\u0304\u0301\u030c\u0300\u0308012345 \t")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | st.text(alphabet=PINYIN_LIKE)
+       | st.text(alphabet=ALPHABET + "A1-"))
+def test_parse_text_fails_only_with_parse_failure(text):
+    """Any text either parses or raises ``ParseFailure`` naming it, in
+    both languages."""
+    for language in ("en", "zh"):
+        try:
+            parse_text(text, language)
+        except ParseFailure as exc:
+            assert repr(text) in str(exc)

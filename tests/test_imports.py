@@ -89,3 +89,6 @@ def test_proxy_commands_load_no_search(run_dir, command):
 def test_word_commands_load_no_proxy(argv):
     modules = run_main(argv)
     assert not modules & {"gbdt", "explain"}
+    if argv[0] == "validate":
+        # validate reads a word with phonemes and pinyin alone
+        assert "embedding" not in modules

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakewake.dataio import data_path
-from fakewake.errors import UnknownPhoneme
+from fakewake.errors import ParseFailure, UnknownPhoneme
 from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, LetterWord, g2p,
                                g2p_converter, inventory)
 
@@ -72,9 +72,9 @@ def test_g2p_deterministic():
 
 
 def test_letterword_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseFailure):
         LetterWord("")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseFailure):
         LetterWord("héllo")
     assert len(LetterWord("hey siri")) == 8
 
