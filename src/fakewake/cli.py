@@ -58,15 +58,14 @@ def _build_oracle(cfg: RunConfig, seed: int):
 
     block = cfg.oracle
     if block.kind == "exec":
-        with checked("oracle"):
-            return (ExternalOracle(block.command, block.timeout),
-                    f"exec:{block.command}")
+        return (ExternalOracle(block.command, block.timeout),
+                f"exec:{block.command}")
     target = block.target or cfg.wake_word
     weights = block.unit_weights
     if weights is None and block.decisive_unit is not None:
         n = len(_parse_units(target, cfg.language))
         heavy = block.decisive_unit
-        if not 0 <= heavy < n:
+        if heavy >= n:   # the block checks that it is nonnegative
             raise ConfigError(f"decisive_unit out of range 0..{n - 1}")
         w = block.decisive_weight
         rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
@@ -174,17 +173,16 @@ def _write_archive(out: Path, archive):
 # ------------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
-    from .embedding import parse_text
     from .explain import (ArchiveWords, cross_validate, group_factors,
                           rank_decisive_units)
 
     cfg = RunConfig.load(args.config, _overrides(args))
     archive = _load_archive(args.archive)
-    wake_units, wake_spoken = parse_text(archive.wake_word, archive.language)
-    seed = cfg.seed if cfg.seed is not None else archive.seed
     slots = _slots(cfg, archive.language, archive.wake_word)
-
     words = ArchiveWords(archive, slots)
+    wake_units, wake_spoken = words.wake   # fails before any work
+    seed = cfg.seed if cfg.seed is not None else archive.seed
+
     dataset, model, factor_sets = _proxy(cfg, words, seed)
     accuracy = cross_validate(dataset, cfg.proxy, folds=cfg.explain.folds,
                               seed=seed)
@@ -270,7 +268,6 @@ def cmd_mitigate(args) -> int:
     import numpy as np
 
     from .archive import Bucket, bucket
-    from .embedding import parse_text
     from .explain import ArchiveWords, rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                            screening_coverage, strengthen, train_original,
@@ -279,10 +276,8 @@ def cmd_mitigate(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     archive = _load_archive(args.archive)
-    parse_text(archive.wake_word, archive.language)   # fails before any work
     if not archive.candidates:
         raise ConfigError("archive has no fuzzy words")
-    slots = _slots(cfg, archive.language, archive.wake_word)
     block, params = cfg.mitigate, cfg.detector
 
     # which fuzzy words, in the order of ``words.fuzzy``, summary.tsv
@@ -290,16 +285,12 @@ def cmd_mitigate(args) -> int:
     is_high = [bucket(cand.objectives.wake_rate) is Bucket.HIGH
                for cand in archive.sorted_candidates()]
 
-    words = ArchiveWords(archive, slots)
+    words = ArchiveWords(archive, _slots(cfg, archive.language,
+                                         archive.wake_word))
     try:
-        with checked("mitigate"):
-            triple = assemble_triple(
-                words, n_pos=block.n_pos, n_neg=block.n_neg,
-                jitter=block.jitter, seed=seed,
-                collective_path=block.collective_path,
-                collective_limit=block.collective_limit,
-                length_ratio=cfg.length_ratio)
-    except OSError as exc:
+        # parses the wake word first, so a bad one fails before any work
+        triple = assemble_triple(words, block, seed, cfg.length_ratio)
+    except (OSError, UnicodeDecodeError) as exc:   # or not UTF-8
         raise ConfigError(f"mitigate.collective_path: {exc}") from exc
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
@@ -394,7 +385,7 @@ def cmd_dist(args) -> int:
         value = chinese_dist(parse_pinyin(args.word1), parse_pinyin(args.word2),
                              cfg.distance)
     else:
-        words = [LetterWord(w.lower()) for w in (args.word1, args.word2)]
+        words = [LetterWord(w) for w in (args.word1, args.word2)]
         value = english_dist(g2p(words[0]), g2p(words[1]), cfg.distance)
     print(value)
     return EXIT_OK

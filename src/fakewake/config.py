@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .dataio import write_json
 from .errors import ConfigError
@@ -38,24 +40,30 @@ DEFAULTS: dict = {
                  "detector": asdict(DETECTOR_PARAMS)},
 }
 
-# The type of each key whose default is null; list is a list of numbers.
-NULLABLE = {"seed": int, "oracle.seed": int, "oracle.decisive_unit": int,
-            "explain.slots": int, "mitigate.collective_limit": int,
-            "oracle.command": str, "oracle.target": str,
-            "mitigate.collective_path": str, "oracle.unit_weights": list}
+# The type of each key whose default is null, the T of its field's
+# ``T | None``; list is a list of numbers.
+NULLABLE = {"seed": int, **{
+    f"{block}.{name}": get_origin(kind) or kind
+    for block, cls in (("oracle", OracleConfig), ("explain", ExplainConfig),
+                       ("mitigate", MitigateConfig))
+    for name, hint in get_type_hints(cls).items()
+    if type(None) in get_args(hint)
+    for kind in get_args(hint) if kind is not type(None)}}
+
 
 def _convert(value, kind: type, key: str):
-    """``value`` as ``kind``: numbers and numeric strings convert to a
-    number type (whole numbers only to int); bool and str keys take only
+    """``value`` as ``kind``: finite numbers and numeric strings convert to
+    a number type (whole numbers only to int); bool and str keys take only
     their own type; a list key takes a list of numbers."""
     if kind is list and isinstance(value, list):
         return [_convert(v, float, f"{key}[{i}]") for i, v in enumerate(value)]
-    if type(value) is kind:
+    if type(value) is kind and kind is not float:
         return value
     if kind in (int, float) and type(value) in (int, float, str):
         with suppress(ValueError, OverflowError):
             number = kind(value)
-            if number == float(value):
+            # json reads NaN and Infinity; nan != nan
+            if number == float(value) and math.isfinite(number):
                 return number
     raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 

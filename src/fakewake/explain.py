@@ -88,13 +88,17 @@ def parse_words(texts: list[str], language: str, slots: int,
 
 class ArchiveWords:
     """An archive's words as one command reads them, each parsed and
-    encoded at most once. ``fuzzy`` holds the fuzzy words in
-    ``sorted_candidates`` order, labelled 1 and parsed on first use;
-    ``build_dataset`` parses the never-woke words it keeps."""
+    encoded at most once, on first use: ``wake`` is the wake word's parse;
+    ``fuzzy`` holds the fuzzy words in ``sorted_candidates`` order, labelled
+    1; ``build_dataset`` parses the never-woke words it keeps."""
 
     def __init__(self, archive: FuzzyArchive, slots: int):
         self.archive = archive
         self.slots = slots
+
+    @cached_property
+    def wake(self) -> tuple[list[tuple[str, str]], list[str]]:
+        return parse_text(self.archive.wake_word, self.archive.language)
 
     @cached_property
     def fuzzy(self) -> Dataset:
@@ -145,8 +149,6 @@ def dissimilarity_score(model: TreeEnsemble,
 def cross_validate(dataset: Dataset, params: GBDTParams = GBDTParams(),
                    folds: int = ExplainConfig.folds, seed: int = 0) -> float:
     """Mean accuracy over stratified folds with a seeded shuffle."""
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
     labels = dataset.labels
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
@@ -333,8 +335,6 @@ def explain_archive(words: ArchiveWords, model: TreeEnsemble,
                     beta: float = ExplainConfig.beta,
                     ) -> list[DecisiveFactorSet]:
     """Decisive factors of every fuzzy word the proxy classifies correctly."""
-    if not 0 < beta <= 1:
-        raise ValueError("beta must be in (0, 1]")
     fuzzy = words.fuzzy
     if not fuzzy.texts:
         return []

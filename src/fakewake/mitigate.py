@@ -48,22 +48,17 @@ class DatasetTriple:
             [text not in known for text in self.collective.texts])
 
 
-def assemble_triple(words: ArchiveWords,
-                    n_pos: int = MitigateConfig.n_pos,
-                    n_neg: int = MitigateConfig.n_neg,
-                    jitter: float = MitigateConfig.jitter,
-                    seed: int = 0, collective_path=None,
-                    collective_limit: int | None = None,
+def assemble_triple(words: ArchiveWords, block: MitigateConfig, seed: int = 0,
                     length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
     archive = words.archive
     conventional = synthesize_conventional(
-        archive.wake_word, archive.language, words.slots,
-        n_pos=n_pos, n_neg=n_neg, jitter=jitter, seed=seed,
-        length_ratio=length_ratio)
+        archive.wake_word, words.wake[0], archive.language, words.slots,
+        block, seed=seed, length_ratio=length_ratio)
     fuzzy = replace(words.fuzzy,
                     labels=np.zeros(len(words.fuzzy), dtype=int))
     collective = load_collective(archive.language, words.slots,
-                                 limit=collective_limit, path=collective_path)
+                                 limit=block.collective_limit,
+                                 path=block.collective_path)
     return DatasetTriple(conventional, fuzzy, collective)
 
 
@@ -75,30 +70,23 @@ class MitigationReport:
     fuzzy_rate: float
 
 
-def synthesize_conventional(wake_word: str, language: str, slots: int,
-                            n_pos: int = MitigateConfig.n_pos,
-                            n_neg: int = MitigateConfig.n_neg,
-                            jitter: float = MitigateConfig.jitter,
-                            seed: int = 0,
-                            length_ratio: float = LENGTH_RATIO,
+def synthesize_conventional(wake_word: str, wake_units: list[tuple[str, str]],
+                            language: str, slots: int, block: MitigateConfig,
+                            seed: int = 0, length_ratio: float = LENGTH_RATIO,
                             ) -> ConventionalDataset:
-    """Positives: the wake word's features with Gaussian jitter emulating
-    speaker variation. Negatives: random valid words, as long as the search's
-    genomes (``length_ratio`` sizes English ones). Split 3/4 train per class
-    (ceiling), remainder test."""
-    if n_pos < 8 or n_neg < 8:
-        raise ValueError("n_pos and n_neg must be at least 8")
-    if jitter < 0:
-        raise ValueError("jitter must be nonnegative")
+    """Positives: the features of the wake word's ``wake_units`` with Gaussian
+    jitter emulating speaker variation. Negatives: random valid words, as
+    long as the search's genomes (``length_ratio`` sizes English ones).
+    Split 3/4 train per class (ceiling), remainder test."""
+    n_pos, n_neg = block.n_pos, block.n_neg
     rng = np.random.default_rng(seed)
-    units, _ = parse_text(wake_word, language)
-    base = encode_units([units], slots)[0]
+    base = encode_units([wake_units], slots)[0]
     # jitter only the occupied slots; padding stays exactly zero like any
     # real word encoding
     occupied = np.zeros(base.shape)
-    occupied[:2 * len(units)] = 1.0
+    occupied[:2 * len(wake_units)] = 1.0
     # one draw reads the stream row by row, as n_pos one-row draws would
-    noise = rng.normal(0.0, jitter, size=(n_pos, base.size))
+    noise = rng.normal(0.0, block.jitter, size=(n_pos, base.size))
     positives = Dataset([wake_word] * n_pos, base + occupied * noise,
                         np.ones(n_pos, dtype=int))
     kind = ChineseGenome if language == "zh" else EnglishGenome
@@ -148,8 +136,6 @@ def load_collective(language: str, slots: int, limit: int | None = None,
     """The shipped dictionary as feature rows, all labelled 0; words that
     do not parse in the language or are too long for the slot budget are
     skipped."""
-    if limit is not None and limit < 1:
-        raise ValueError("collective_limit must be at least 1")
     path = path or data_path("collective.txt")
     texts: list[str] = []
 

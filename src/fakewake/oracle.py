@@ -211,12 +211,6 @@ class SimulatedDetector:
             self.unit_weights = tuple(1.0 / n for _ in range(n))
         if len(self.unit_weights) != len(self._target_units):
             raise ValueError("unit_weights needs one weight per target unit")
-        if any(w < 0 for w in self.unit_weights):
-            raise ValueError("unit_weights must be nonnegative")
-        if abs(sum(self.unit_weights) - 1.0) > 1e-9:
-            raise ValueError("unit_weights must sum to 1")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
 
     def score(self, word: str) -> float:
         units = _parse_units(word, self.language)
@@ -287,8 +281,6 @@ class ExternalOracle:
 
     def __init__(self, command: str,
                  timeout: float = OracleConfig.timeout):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
         self.command = command
         self.timeout = timeout
         try:

@@ -102,10 +102,26 @@ class OracleConfig:
         if self.kind not in ("sim", "exec"):
             raise ValueError(
                 f"kind must be 'sim' or 'exec', got {self.kind!r}")
-        if self.kind == "exec" and not self.command:
-            raise ValueError("kind 'exec' requires a command")
+        if self.kind == "exec":
+            import shlex   # only an exec oracle needs it
+            # the argv ExternalOracle starts; unbalanced quotes fail here
+            if not shlex.split(self.command or "") or "\0" in self.command:
+                raise ValueError("kind 'exec' requires a command line, got "
+                                 f"{self.command!r}")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.temperature <= 0:
+            raise ValueError("temperature must be positive")
+        if self.decisive_unit is not None and self.decisive_unit < 0:
+            raise ValueError("decisive_unit must be nonnegative")
         if not 0 <= self.decisive_weight <= 1:
             raise ValueError("decisive_weight must be in [0, 1]")
+        if self.unit_weights is not None:
+            # the count needs the target, which SimulatedDetector parses
+            if any(w < 0 for w in self.unit_weights):
+                raise ValueError("unit_weights must be nonnegative")
+            if abs(sum(self.unit_weights) - 1.0) > 1e-9:
+                raise ValueError("unit_weights must sum to 1")
 
 
 @dataclass(frozen=True)
@@ -133,5 +149,11 @@ class MitigateConfig:
     screening_top_n: int = 3
 
     def __post_init__(self):
+        if self.n_pos < 8 or self.n_neg < 8:
+            raise ValueError("n_pos and n_neg must be at least 8")
+        if self.jitter < 0:
+            raise ValueError("jitter must be nonnegative")
+        if self.collective_limit is not None and self.collective_limit < 1:
+            raise ValueError("collective_limit must be at least 1")
         if self.screening_top_n < 1:
             raise ValueError("screening_top_n must be at least 1")

@@ -27,6 +27,7 @@ from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
                                screening_coverage, strengthen,
                                train_original, unit_set)
 from fakewake.oracle import SimulatedDetector
+from fakewake.params import MitigateConfig
 from fakewake.phonemes import BOUNDARY, inventory
 from fakewake.treeshap import shap_values
 from tests.conftest import ALEXA_WEIGHTS
@@ -207,7 +208,8 @@ def test_criterion_6_closed_loop_explanation():
 def mitigation_run(desk_run):
     archive, _ = desk_run
     start = time.perf_counter()
-    triple = assemble_triple(ArchiveWords(archive, SLOTS), seed=7)
+    triple = assemble_triple(ArchiveWords(archive, SLOTS),
+                             MitigateConfig(), seed=7)
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
     original = train_original(conventional.train)

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from fakewake.cli import main
-from fakewake.config import RunConfig
+from fakewake.config import DEFAULTS, NULLABLE, RunConfig
 from fakewake.distance import DistanceConfig
 from fakewake.errors import ConfigError
 from fakewake.evolve import EvolveConfig
@@ -28,6 +28,11 @@ from fakewake.params import ExplainConfig, MitigateConfig, OracleConfig
     ({"evolve": {"trials": 2.5}}, "evolve.trials"),
     ({"evolve": {"trials": True}}, "evolve.trials"),
     ({"wake_word": 5}, "wake_word"),
+    ({"oracle": {"unit_weights": [1, float("nan")]}},
+     "oracle.unit_weights[1]"),
+    ({"oracle": {"threshold": "-inf"}}, "oracle.threshold"),
+    ({"oracle": {"substitution_floor": float("inf")}},
+     "oracle.substitution_floor"),
 ])
 def test_malformed_value_names_key(override, key):
     with pytest.raises(ConfigError, match="^" + re.escape(key)):
@@ -62,6 +67,18 @@ def test_null_only_where_the_default_is_null():
     cfg = RunConfig.load(overrides=nulls)
     assert cfg.seed is None and cfg.raw["oracle"]["target"] is None
     assert cfg.raw["mitigate"]["collective_limit"] is None
+
+
+def test_nullable_names_the_null_defaults():
+    def nulls(block, prefix=""):
+        for key, value in block.items():
+            if isinstance(value, dict):
+                yield from nulls(value, f"{prefix}{key}.")
+            elif value is None:
+                yield prefix + key
+    assert set(NULLABLE) == set(nulls(DEFAULTS))
+    assert NULLABLE["oracle.unit_weights"] is list
+    assert NULLABLE["mitigate.collective_path"] is str
 
 
 def test_blocks_default_to_their_dataclasses():

@@ -12,17 +12,24 @@ from fakewake.mitigate import (DETECTOR_PARAMS, assemble_triple, evaluate,
                                screening_coverage, strengthen,
                                synthesize_conventional, train_original,
                                unit_set)
+from fakewake.params import MitigateConfig
 from tests.test_explain import make_archive
 
 SLOTS = default_slots("en", "alexa")
+BLOCK = MitigateConfig()
 
 
 def units(text, language="en"):
     return parse_text(text, language)[0]
 
 
+def synthesize(block=BLOCK, seed=0):
+    return synthesize_conventional("alexa", units("alexa"), "en", SLOTS,
+                                   block, seed=seed)
+
+
 def test_synthesize_shapes_and_split():
-    conv = synthesize_conventional("alexa", "en", SLOTS, seed=0)
+    conv = synthesize()
     # ceil(3 * 296 / 4) and ceil(3 * 399 / 4)
     assert conv.train.count(1) == 222 and conv.test.count(1) == 74
     assert conv.train.count(0) == 300 and conv.test.count(0) == 99
@@ -32,7 +39,7 @@ def test_synthesize_shapes_and_split():
 
 
 def test_synthesize_zero_jitter_identical_positives():
-    conv = synthesize_conventional("alexa", "en", SLOTS, jitter=0.0, seed=0)
+    conv = synthesize(MitigateConfig(jitter=0.0))
     pos = np.concatenate([part.features[part.labels == 1]
                           for part in (conv.train, conv.test)])
     for row in pos[1:]:
@@ -40,14 +47,14 @@ def test_synthesize_zero_jitter_identical_positives():
 
 
 def test_synthesize_jitter_only_occupied_slots():
-    conv = synthesize_conventional("alexa", "en", SLOTS, seed=0)
+    conv = synthesize()
     pos = conv.train.features[conv.train.labels == 1]
     assert np.all(pos[:, 12:] == 0.0)    # alexa has 6 units = 12 features
 
 
 def test_synthesize_deterministic():
-    a = synthesize_conventional("alexa", "en", SLOTS, seed=5)
-    b = synthesize_conventional("alexa", "en", SLOTS, seed=5)
+    a = synthesize(seed=5)
+    b = synthesize(seed=5)
     for x, y in ((a.train, b.train), (a.test, b.test)):
         assert x.texts == y.texts
         assert np.array_equal(x.features, y.features)
@@ -55,8 +62,9 @@ def test_synthesize_deterministic():
 
 
 def test_synthesize_minimums():
+    """The block rejects class sizes too small to split and jitter."""
     with pytest.raises(ValueError):
-        synthesize_conventional("alexa", "en", SLOTS, n_pos=4)
+        MitigateConfig(n_pos=4)
 
 
 class StubModel:
@@ -195,7 +203,7 @@ def test_assemble_triple_drops_known_words(tmp_path):
     """The collective loses the wake word, the fuzzy words and the
     conventional words; the rest keep their file order and encodings."""
     words = ArchiveWords(make_archive(["kaf", "kef"], ["mop"]), SLOTS)
-    conv = synthesize_conventional("alexa", "en", SLOTS, seed=3)
+    conv = synthesize(seed=3)
     made = next(text for text in conv.train.take(conv.train.labels == 0).texts
                 if text == text.strip())
     fresh = ["tiger", "banana", "mop", "pillow"]
@@ -204,7 +212,8 @@ def test_assemble_triple_drops_known_words(tmp_path):
     path.write_text("\n".join(["tiger", "alexa", "banana", "kaf", made,
                                "mop", "pillow"]) + "\n")
 
-    triple = assemble_triple(words, seed=3, collective_path=path)
+    triple = assemble_triple(
+        words, MitigateConfig(collective_path=str(path)), seed=3)
     assert sorted(triple.fuzzy.texts) == ["kaf", "kef"]
     assert triple.fuzzy.labels.tolist() == [0, 0]
     assert triple.collective.texts == fresh
@@ -215,7 +224,8 @@ def test_assemble_triple_drops_known_words(tmp_path):
 
 
 def test_closed_loop_mitigation(fixture_archive):
-    triple = assemble_triple(ArchiveWords(fixture_archive, SLOTS), seed=7)
+    triple = assemble_triple(ArchiveWords(fixture_archive, SLOTS), BLOCK,
+                             seed=7)
     conv, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                triple.collective)
     original = train_original(conv.train)

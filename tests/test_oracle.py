@@ -12,6 +12,7 @@ from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
 from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_rng,
                              default_rng_random, wake_counts)
+from fakewake.params import OracleConfig
 
 
 class AlwaysOracle:
@@ -110,11 +111,12 @@ def test_detector_wake_probability_monotone_in_similarity():
 
 
 def test_detector_weight_validation():
+    """The detector checks the weight count, which needs its target; the
+    block checks the sum."""
     with pytest.raises(ValueError):
         SimulatedDetector(target="alexa", unit_weights=(0.5, 0.5))
     with pytest.raises(ValueError):
-        SimulatedDetector(target="alexa",
-                          unit_weights=(0.5, 0.2, 0.1, 0.1, 0.05, 0.2))
+        OracleConfig(unit_weights=[0.5, 0.2, 0.1, 0.1, 0.05, 0.2])
 
 
 def test_detector_parse_failure():
