@@ -244,12 +244,11 @@ def _separation_report(model, dataset, wake_spoken) -> dict:
     class."""
     import numpy as np
 
-    from .distance import levenshtein_dist
+    from .distance import levenshtein_many
     from .explain import dissimilarity_score
 
     scores = dissimilarity_score(model, dataset.features)
-    lev = np.array([levenshtein_dist(spoken, wake_spoken)
-                    for spoken in dataset.pronunciations])
+    lev = levenshtein_many(dataset.pronunciations, wake_spoken)
     fuzzy = dataset.labels == 1
     med = lambda xs: float(np.median(xs)) if xs.size else None
     return {

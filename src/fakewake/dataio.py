@@ -70,6 +70,6 @@ def atomic_write(path):
 
 def write_json(path, doc):
     """``doc`` as indented JSON with sorted keys and a trailing newline."""
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
     with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+        fh.write(text + "\n")

@@ -8,6 +8,9 @@ phoneme distance, normalized by the combined length; bounded in [0,1].
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+
+import numpy as np
 
 from .embedding import character_distance
 from .errors import BothEmpty, LengthMismatch, UnknownPhoneme
@@ -90,11 +93,42 @@ def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
                       (_cost_row(inv, a, w2, cols, space) for a in w1))
 
 
-def levenshtein_dist(s1, s2) -> float:
-    """Plain uniform-cost edit distance over symbols, normalized by m+n.
+def levenshtein_many(seqs: Sequence[Sequence],
+                     target: Sequence) -> np.ndarray:
+    """Plain uniform-cost edit distance of each sequence to ``target``,
+    normalized by the combined length: the baseline of the separation
+    report. Substitution costs 2, so the value is comparable with the
+    phoneme-weighted objective. A pair of empty sequences raises
+    ``BothEmpty``.
 
-    Baseline for the separation report; substitution costs 2 so the value is
-    comparable with the phoneme-weighted objective.
-    """
-    return _alignment(len(s1), len(s2),
-                      ([0.0 if a == b else 2.0 for b in s2] for a in s1))
+    One table for all the sequences: each cell of row i takes the same
+    additions and comparisons as in ``_alignment``, for every sequence at
+    once, and a sequence's value is read at its last row. Every cell holds
+    a whole number, so each sum is exact."""
+    n = len(target)
+    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
+    if n == 0 and not lengths.all():
+        raise BothEmpty("cannot compare two empty sequences")
+    # symbols as codes, equal where the symbols are: the target's distinct
+    # ones 0, 1, ..., any other -1
+    code = {sym: k for k, sym in enumerate(dict.fromkeys(target))}
+    want = np.array([code[sym] for sym in target], dtype=np.int64)
+    width = int(lengths.max(initial=0))
+    symbols = np.full((len(seqs), width), -1, dtype=np.int64)
+    symbols[np.arange(width) < lengths[:, None]] = [
+        code.get(sym, -1) for s in seqs for sym in s]
+    prev = np.tile(np.arange(n + 1, dtype=float), (len(seqs), 1))
+    cur = np.empty_like(prev)
+    last = np.where(lengths == 0, float(n), 0.0)
+    for i in range(1, width + 1):
+        # best = diag + cost, then the up path if it is smaller
+        best = np.where(symbols[:, i - 1, None] == want, 0.0, 2.0)
+        best += prev[:, :-1]
+        np.minimum(best, prev[:, 1:] + 1.0, out=best)
+        cur[:, 0] = i
+        for j in range(1, n + 1):   # then the left path
+            np.minimum(best[:, j - 1], cur[:, j - 1] + 1.0, out=cur[:, j])
+        ends = lengths == i
+        last[ends] = cur[ends, n]
+        prev, cur = cur, prev
+    return last / (lengths + n)

@@ -1,7 +1,8 @@
 """2-D unit embeddings via classical multidimensional scaling, the feature
 encoding used by all classifiers, the per-character distance for the
-Chinese objective, and ``parse_text``, the one reading of a word's text as
-its units and pronunciation.
+Chinese objective, ``parse_text``, the one reading of a word's text as its
+units and pronunciation, and ``read_words``, the same reading of a whole
+word list at once.
 
 Initial/final coordinates are scaled by ``UNIT_SCALE`` so character distances
 land in the working range of the tanh normalization (constant A = 100);
@@ -9,17 +10,20 @@ phoneme coordinates stay at the natural scale of their [0,1] distances.
 """
 from __future__ import annotations
 
+import re
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
 from .dataio import read_tsv, read_weight_rows
-from .errors import ParseFailure, TooManyUnits
-from .phonemes import (BOUNDARY, FeatureTable, LetterWord, PhonemeSequence,
-                       g2p, inventory)
-from .pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
+from .errors import ParseFailure, TooManyUnits, UnknownSyllable
+from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
+                       PhonemeSequence, g2p, g2p_converter, inventory)
+from .pinyin import (ChineseWord, Syllable, parse_pinyin, parse_syllable,
+                     unit_tables)
 
 UNIT_SCALE = 25.0
 
@@ -157,6 +161,12 @@ def phoneme_units(phones: PhonemeSequence) -> list[tuple[str, str]]:
     return [shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY]
 
 
+def _unparsed(text: str, language: str, exc: ParseFailure) -> ParseFailure:
+    failure = ParseFailure(f"{text!r} does not parse as {language}: {exc}")
+    failure.__cause__ = exc
+    return failure
+
+
 def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
                                                   list[str]]:
     """A word given as text, parsed once: its units (``word_units``) and
@@ -168,32 +178,165 @@ def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
             return word_units(parse_pinyin(text)), text.split()
         phones = g2p(LetterWord(text))
     except ParseFailure as exc:
-        raise ParseFailure(
-            f"{text!r} does not parse as {language}: {exc}") from exc
+        raise _unparsed(text, language, exc) from exc
     return phoneme_units(phones), phones
+
+
+class Piece:
+    """A run of a pronunciation that reads the same in every word: one rule
+    grapheme's or lexicon token's phonemes, a word boundary, or one
+    syllable. ``phones`` is its part of the pronunciation, ``units`` its
+    units and ``rows`` their rows of ``EmbeddingTable.unit_vectors``."""
+
+    __slots__ = ("phones", "units", "rows")
+
+    def __init__(self, phones: tuple[str, ...],
+                 units: tuple[tuple[str, str], ...]):
+        unit_row = embedding_table().unit_row
+        self.phones, self.units = phones, units
+        self.rows = tuple(unit_row[unit] for unit in units)
+
+
+# Texts one English findall reads: bounds what a block holds at once
+READ_BLOCK = 1024
+
+_LETTERS = re.compile(f"[{re.escape(ALPHABET)}]+")
+
+
+def read_words(texts: Iterable[str], language: str,
+               ) -> Iterator[tuple[str, list[Piece] | ParseFailure]]:
+    """``parse_text`` of every text of a list, read at once: yields each
+    text with its pieces, whose phones, units and rows, joined in order,
+    are its pronunciation, its units and their rows; or with the
+    ``ParseFailure`` that ``parse_text`` raises for it.
+
+    Each rule grapheme, lexicon token and syllable becomes a ``Piece``
+    once per call. English texts are read in blocks of ``READ_BLOCK``:
+    the distinct out-of-lexicon tokens of a block go through one
+    ``findall`` of the g2p pattern, joined by newlines. No rule grapheme
+    holds a newline, so the catch-all matches each one alone and the
+    matches split back token by token. ``texts`` is read lazily, one
+    block ahead at most."""
+    if language == "zh":
+        return _read_pinyin(texts)
+    return _read_letters(texts)
+
+
+def _read_letters(texts: Iterable[str]):
+    converter = g2p_converter()
+    findall = converter._pattern.findall
+
+    def piece(phones) -> Piece:
+        return Piece(tuple(phones), tuple(phoneme_units(phones)))
+
+    entries = {token: [piece(phones)]
+               for token, phones in converter.lexicon.items()}
+    # what each match of the pattern reads as: a rule grapheme its piece,
+    # a letter no rule starts with (the catch-all's match) nothing, as the
+    # newline between two tokens, which no token's pieces include
+    graphemes = {g: piece(phones) for g, phones in converter._phones.items()}
+    nothing = Piece((), ())
+    for letter in ALPHABET + "\n":
+        graphemes.setdefault(letter, nothing)
+    boundary = Piece((BOUNDARY,), ())
+    texts = iter(texts)
+    while block := list(islice(texts, READ_BLOCK)):
+        # each token of the block and its pieces, None until read
+        words, pieces_of, fresh = [], {}, []
+        for text in block:
+            if not _LETTERS.fullmatch(text):
+                try:
+                    LetterWord(text)
+                except ParseFailure as exc:
+                    words.append(_unparsed(text, "en", exc))
+                    continue
+            tokens = text.split()
+            for token in tokens:
+                if token in pieces_of:
+                    continue
+                pieces_of[token] = entries.get(token)
+                if pieces_of[token] is None:
+                    fresh.append(token)
+            words.append(tokens)
+        # each fresh token's matches end at the newline after it
+        matches = findall("\n".join([*fresh, ""]))
+        read = list(map(graphemes.__getitem__, matches))
+        start = 0
+        for token in fresh:
+            end = matches.index("\n", start)
+            pieces_of[token] = read[start:end]
+            start = end + 1
+        for text, tokens in zip(block, words):
+            if isinstance(tokens, ParseFailure):
+                yield text, tokens
+            else:
+                pieces = []
+                for k, token in enumerate(tokens):
+                    if k:
+                        pieces.append(boundary)
+                    pieces += pieces_of[token]
+                yield text, pieces
+
+
+def _read_pinyin(texts: Iterable[str]):
+    syllables: dict[str, Piece | ParseFailure] = {}
+
+    def piece(part: str) -> Piece | ParseFailure:
+        try:
+            word = ChineseWord((parse_syllable(part),))
+        except ParseFailure as exc:
+            return exc
+        return Piece((part,), tuple(word_units(word)))
+
+    for text in texts:
+        parts = text.split()
+        if not parts:
+            yield text, _unparsed(text, "zh",
+                                  UnknownSyllable("empty pinyin text"))
+            continue
+        pieces = []
+        for part in parts:
+            read = syllables.get(part)
+            if read is None:
+                read = syllables[part] = piece(part)
+            if isinstance(read, ParseFailure):
+                pieces = _unparsed(text, "zh", read)
+                break
+            pieces.append(read)
+        yield text, pieces
+
+
+def encode_rows(words: Iterable[Sequence[int]], slots: int) -> np.ndarray:
+    """The feature matrix of a word list given by the rows of each word's
+    units in ``EmbeddingTable.unit_vectors``: row i holds the 2-D
+    embeddings of word i's units concatenated in order, zero-padded to
+    2 * slots values. Raises ``TooManyUnits`` at the first word with more
+    than ``slots`` units. ``words`` is read once, so it can be a generator
+    that parses each word as it is needed."""
+    # two bytes per slot (a row past 65535 raises OverflowError): a list
+    # of Python ints left the process larger after each command
+    rows = array("H")
+    zeros = bytes(2 * slots)
+    count = 0
+    for word in words:
+        units = len(word)
+        if units > slots:
+            raise TooManyUnits(f"{units} units exceed {slots} slots")
+        rows.extend(word)
+        rows.frombytes(zeros[2 * units:])
+        count += 1
+    gathered = embedding_table().unit_vectors[
+        np.frombuffer(rows, dtype=np.uint16)]
+    return gathered.reshape(count, 2 * slots)
 
 
 def encode_units(words: Iterable[list[tuple[str, str]]],
                  slots: int) -> np.ndarray:
-    """The feature matrix of a word list given by each word's units: row i
-    holds the 2-D embeddings of word i's units concatenated in order,
-    zero-padded to 2 * slots values. Raises ``TooManyUnits`` at the first
-    word with more than ``slots`` units. ``words`` is read once, so it can
-    be a generator that parses each word as it is needed."""
-    emb = embedding_table()
-    unit_row = emb.unit_row
-    # two bytes per slot (a row past 65535 raises OverflowError): a list
-    # of Python ints left the process larger after each command
-    rows = array("H")
-    count = 0
-    for units in words:
-        if len(units) > slots:
-            raise TooManyUnits(f"{len(units)} units exceed {slots} slots")
-        rows.extend([unit_row[unit] for unit in units])
-        rows.extend([0] * (slots - len(units)))
-        count += 1
-    gathered = emb.unit_vectors[np.frombuffer(rows, dtype=np.uint16)]
-    return gathered.reshape(count, 2 * slots)
+    """The feature matrix of a word list given by each word's units (see
+    ``encode_rows``)."""
+    unit_row = embedding_table().unit_row
+    return encode_rows(([unit_row[unit] for unit in units]
+                        for units in words), slots)
 
 
 def encode_features(word: ChineseWord | LetterWord, slots: int) -> np.ndarray:

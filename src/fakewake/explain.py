@@ -17,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .archive import FuzzyArchive
-from .embedding import embedding_table, encode_units, parse_text
+from .embedding import embedding_table, encode_rows, parse_text, read_words
 from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
-                     TooFewSamples)
+                     ParseFailure, TooFewSamples)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
 from .params import LENGTH_RATIO, ExplainConfig, GBDTParams
@@ -76,14 +76,19 @@ class Dataset:
 
 def parse_words(texts: list[str], language: str, slots: int,
                 label: int) -> Dataset:
-    """Parse each text once and encode the list as one matrix, every word
-    labelled ``label``. A text that does not parse raises
-    ``ParseFailure`` naming it."""
-    parsed = [parse_text(text, language) for text in texts]
-    units = [u for u, _ in parsed]
-    return Dataset(list(texts), encode_units(units, slots),
-                   np.full(len(units), label, dtype=int),
-                   [p for _, p in parsed], units)
+    """Parse the texts at once (``read_words``) and encode the list as one
+    matrix, every word labelled ``label``. The first text that does not
+    parse raises the ``ParseFailure`` naming it."""
+    pronunciations, units, rows = [], [], []
+    for _, pieces in read_words(texts, language):
+        if isinstance(pieces, ParseFailure):
+            raise pieces
+        pronunciations.append([p for piece in pieces for p in piece.phones])
+        units.append([u for piece in pieces for u in piece.units])
+        rows.append([r for piece in pieces for r in piece.rows])
+    return Dataset(list(texts), encode_rows(rows, slots),
+                   np.full(len(units), label, dtype=int), pronunciations,
+                   units)
 
 
 class ArchiveWords:

@@ -187,8 +187,8 @@ class TreeEnsemble:
 
 # Bytes of arrays the shapes of one train_gbdt call may hold (each shape's
 # own arrays, summed). The memo needs 0.52 MB on the en proxy (683 x 28, 50
-# or 100 trees of depth 3) and 1.27 MB on the zh one (878 x 16, 50 trees),
-# 2.54 MB at 100 zh trees, so the budget holds the default proxies with room
+# or 100 trees of depth 3) and 1.26 MB on the zh one (878 x 16, 50 trees),
+# 2.51 MB at 100 zh trees, so the budget holds the default proxies with room
 # to spare. On 2000 x 30 continuous noise, 100 trees of depth 3 would keep
 # 1,003 shapes and 321 MB, nearly all of them reached once; under the
 # budget they keep 37 shapes, 7.8 MB, and train no slower than the search
@@ -205,15 +205,15 @@ class _Shape:
     the rows in the stable ascending order of feature ``live[j]``) and its
     valid cuts, feature-major: for cut k, the live index ``feats[k]``, the
     position ``flat[k]`` in ``sorted_rows.ravel()`` it falls after, the
-    ``counts[k]`` rows left of it and its ``thresholds[k]``, the midpoint of
-    the two values it falls between, or the lower value where the midpoint
-    rounds up to the upper one. ``children`` maps a cut index to the
-    child shapes of that split; ``kept`` says whether the memo holds the
-    shape.
+    ``counts[k]`` rows left of it, the ``rest[k]`` right of it and its
+    ``thresholds[k]``, the midpoint of the two values it falls between, or
+    the lower value where the midpoint rounds up to the upper one.
+    ``children`` maps a cut index to the child shapes of that split;
+    ``kept`` says whether the memo holds the shape.
     """
 
     __slots__ = ("rows", "live", "sorted_rows", "feats", "flat", "counts",
-                 "thresholds", "children", "kept", "nbytes")
+                 "rest", "thresholds", "children", "kept", "nbytes")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
@@ -249,13 +249,14 @@ class _Shape:
         self.live, self.sorted_rows, self.feats = live, sorted_rows, feats
         self.flat = feats * n + cuts
         self.counts = cuts + 1
+        self.rest = n - self.counts
         low, high = low[valid], high[valid]
         mid = (low + high) / 2.0
         # between neighbouring floats the midpoint can round up to the
         # upper value; the lower one then splits the rows at the cut
         self.thresholds = np.where(mid == high, low, mid)
         self.nbytes += sum(a.nbytes for a in (
-            live, sorted_rows, feats, self.flat, self.counts,
+            live, sorted_rows, feats, self.flat, self.counts, self.rest,
             self.thresholds))
 
     def best_cut(self, grad: np.ndarray) -> int | None:
@@ -264,21 +265,26 @@ class _Shape:
         feature and then the first position), or None when no cut gains."""
         if self.feats is None:
             return None
-        feats, counts, n = self.feats, self.counts, len(self.rows)
-        prefix = np.cumsum(grad[self.sorted_rows], axis=1)
+        feats, n = self.feats, len(self.rows)
+        prefix = grad.take(self.sorted_rows)
+        np.cumsum(prefix, axis=1, out=prefix)
         total = prefix[:, -1]
-        left_sum = prefix.take(self.flat)
         # gain = left_sum**2 / counts + right_sum**2 / (n - counts) - total**2 / n,
-        # evaluated in place and in that order. total**2 is taken one numpy
-        # scalar at a time: a scalar ** 2 goes through pow() and an array
-        # ** 2 through a multiply, which can differ in the last bit.
-        right_sum = total[feats] - left_sum
-        gain = np.square(left_sum)
-        gain /= counts
+        # evaluated in place and in that order. total**2 is taken one Python
+        # float at a time: a scalar ** 2 goes through pow() and an array
+        # ** 2 or np.square through a multiply, which can differ in the
+        # last bit. gain starts as left_sum.
+        gain = prefix.take(self.flat)
+        right_sum = total.take(feats)
+        right_sum -= gain
+        np.square(gain, out=gain)
+        gain /= self.counts
         np.square(right_sum, out=right_sum)
-        right_sum /= n - counts
+        right_sum /= self.rest
         gain += right_sum
-        gain -= (np.array([t ** 2 for t in total]) / n)[feats]
+        squares = np.array([t ** 2 for t in total.tolist()])
+        squares /= n
+        gain -= squares.take(feats)
         best = int(np.argmax(gain))
         return best if gain[best] > _MIN_GAIN else None
 
@@ -355,36 +361,36 @@ def _grow_tree(memo: _ShapeMemo, grad: np.ndarray, hess: np.ndarray,
     """One tree on the memo's rows. Each row's leaf value goes into
     ``update``, at the leaf training sent the row to."""
     params = memo.params
-    nodes: dict[str, list] = {k: [] for k in
-                              ("feature", "threshold", "left", "right",
-                               "value", "cover")}
+    feature, threshold, left, right, value, cover = [], [], [], [], [], []
     # a stack, not a recursive closure: that would be a reference cycle
     # keeping the memo alive until the garbage collector runs. Left on top,
     # so nodes are numbered in pre-order.
-    stack = [(memo.root_shape(), 0, -1, "left")]
+    stack = [(memo.root_shape(), 0, None, 0)]
     while stack:
-        shape, depth, parent, side = stack.pop()
-        node = len(nodes["feature"])
-        if parent >= 0:
-            nodes[side][parent] = node
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                           ("right", -1), ("value", 0.0)):
-            nodes[key].append(blank)
+        shape, depth, side, parent = stack.pop()
+        node = len(feature)
+        if side is not None:
+            side[parent] = node
         rows = shape.rows
-        nodes["cover"].append(float(len(rows)))
+        cover.append(float(len(rows)))
+        left.append(-1)
+        right.append(-1)
         cut = shape.best_cut(grad)
         if cut is None:
-            value = params.learning_rate * float(
+            leaf = params.learning_rate * float(
                 grad[rows].sum() / (hess[rows].sum() + _REG_LAMBDA))
-            nodes["value"][node] = value
-            update[rows] = value
+            feature.append(-1)
+            threshold.append(0.0)
+            value.append(leaf)
+            update[rows] = leaf
             continue
-        nodes["feature"][node] = int(shape.live[shape.feats[cut]])
-        nodes["threshold"][node] = shape.thresholds[cut]
-        left, right = memo.children(shape, cut, depth)
-        stack.append((right, depth + 1, node, "right"))
-        stack.append((left, depth + 1, node, "left"))
-    return Tree(**nodes)
+        feature.append(int(shape.live[shape.feats[cut]]))
+        threshold.append(shape.thresholds[cut])
+        value.append(0.0)
+        lo, hi = memo.children(shape, cut, depth)
+        stack.append((hi, depth + 1, right, node))
+        stack.append((lo, depth + 1, left, node))
+    return Tree(feature, threshold, left, right, value, cover)
 
 
 def train_gbdt(features: np.ndarray, labels: np.ndarray,

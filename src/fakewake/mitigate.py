@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import data_path
-from .embedding import encode_units, parse_text
+from .embedding import encode_rows, encode_units, read_words
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      ParseFailure)
 from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
@@ -139,26 +139,23 @@ def load_collective(language: str, slots: int, limit: int | None = None,
     path = path or data_path("collective.txt")
     texts: list[str] = []
 
-    def usable_units():
-        # each usable line's units, parsed as the encoder reads them, so
-        # that no more than one line's units are alive at a time
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                word = line.strip()
-                if not word:
-                    continue
-                try:
-                    units, _ = parse_text(word, language)
-                except ParseFailure:
-                    continue
-                if len(units) > slots:
-                    continue
-                texts.append(word)
-                yield units
-                if limit is not None and len(texts) >= limit:
-                    return
+    def usable_rows(lines):
+        # each usable line's unit rows, read as the encoder takes them, so
+        # that no more than one line's rows are alive at a time
+        for text, pieces in read_words(lines, language):
+            if isinstance(pieces, ParseFailure):
+                continue
+            rows = [r for piece in pieces for r in piece.rows]
+            if len(rows) > slots:
+                continue
+            texts.append(text)
+            yield rows
+            if limit is not None and len(texts) >= limit:
+                return
 
-    features = encode_units(usable_units(), slots)
+    with open(path, encoding="utf-8") as fh:
+        features = encode_rows(
+            usable_rows(word for word in map(str.strip, fh) if word), slots)
     if not texts:
         raise EmptyCollective(f"no usable words in {path}")
     return Dataset(texts, features, np.zeros(len(texts), dtype=int))

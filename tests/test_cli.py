@@ -715,8 +715,9 @@ def test_bad_oracle_flag_exits_2(tmp_path):
 
 
 class ParseSpy:
-    """Wraps the parsers (``g2p``, ``parse_pinyin``) and the batch encoder
-    wherever a fakewake module binds them: records each parsed word's text
+    """Wraps the parsers (``g2p``, ``parse_pinyin``, the batch reader
+    ``read_words``) and the encoder wherever a fakewake module binds them:
+    records each parsed word's text, or each text the batch reader reads,
     and the number of rows each encoder call returns."""
 
     def __init__(self, monkeypatch):
@@ -726,13 +727,24 @@ class ParseSpy:
         for original, wrapper in (
                 (phonemes.g2p, self._parsing(phonemes.g2p)),
                 (pinyin.parse_pinyin, self._parsing(pinyin.parse_pinyin)),
-                (embedding.encode_units, self._encoding(embedding.encode_units))):
+                (embedding.read_words, self._reading(embedding.read_words)),
+                (embedding.encode_rows,
+                 self._encoding(embedding.encode_rows))):
             rebind(monkeypatch, original, wrapper)
 
     def _parsing(self, fn):
         def wrapper(word, *args, **kwargs):
             self.texts.append(getattr(word, "symbols", word))
             return fn(word, *args, **kwargs)
+        return wrapper
+
+    def _reading(self, fn):
+        def wrapper(texts, *args, **kwargs):
+            def read():
+                for text in texts:
+                    self.texts.append(text)
+                    yield text
+            return fn(read(), *args, **kwargs)
         return wrapper
 
     def _encoding(self, fn):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
-                               levenshtein_dist)
+from fakewake.distance import (DistanceConfig, _alignment, chinese_dist,
+                               english_dist, levenshtein_many)
 from fakewake.embedding import character_distance
 from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from fakewake.genome import (ChineseGenome, decode_chinese, decode_text,
@@ -224,6 +224,14 @@ def test_config_validation():
         DistanceConfig(space_cost=1.5)
 
 
+def levenshtein_dist(s1, s2) -> float:
+    """The scalar edit-distance baseline, the reference of
+    ``levenshtein_many``: the shared alignment with substitutions of
+    unequal symbols costing 2."""
+    return _alignment(len(s1), len(s2),
+                      ([0.0 if a == b else 2.0 for b in s2] for a in s1))
+
+
 def integer_levenshtein(s1, s2):
     """levenshtein_dist before the shared alignment: integer cells."""
     m, n = len(s1), len(s2)
@@ -258,8 +266,33 @@ def test_levenshtein_equals_the_integer_recurrence(s1, s2):
     assert outcome(levenshtein_dist) == outcome(integer_levenshtein)
 
 
+@given(st.lists(lev_seq, max_size=8), lev_seq)
+@settings(max_examples=300, deadline=None)
+@example([], [])
+@example([[]], [])
+@example([[], [BOUNDARY]], [])
+@example([[BOUNDARY], []], [BOUNDARY])
+@example([[BOUNDARY, "dù"], ["dù", BOUNDARY, BOUNDARY]], [BOUNDARY, "dù"])
+@example(["ab ", "", " ba"], "a b")
+def test_levenshtein_many_equals_the_scalar_baseline(seqs, target):
+    """Bit for bit, and the same ``BothEmpty`` when some sequence and the
+    target are both empty."""
+    def outcome(fn):
+        try:
+            return fn()
+        except BothEmpty as exc:
+            return ("BothEmpty", str(exc))
+    batch = outcome(lambda: levenshtein_many(seqs, target))
+    scalar = outcome(lambda: [levenshtein_dist(s, target) for s in seqs])
+    if isinstance(batch, np.ndarray):
+        assert batch.dtype == np.float64 and batch.shape == (len(seqs),)
+        batch = batch.tolist()
+    assert batch == scalar
+
+
 def test_levenshtein_baseline():
-    assert levenshtein_dist("abc", "abc") == 0.0
-    assert levenshtein_dist("abc", "abd") == pytest.approx(2 / 6)
+    assert levenshtein_many(["abc", "abd"], "abc").tolist() == \
+        [0.0, pytest.approx(2 / 6)]
+    assert levenshtein_many([], "").shape == (0,)
     with pytest.raises(BothEmpty):
-        levenshtein_dist("", "")
+        levenshtein_many(["a", ""], "")

@@ -2,17 +2,19 @@ import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fakewake.dataio import data_dir, data_path, read_tsv, read_weight_rows
+from fakewake import embedding
 from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
                                 embedding_table, encode_features,
                                 encode_units, mds_embed, parse_text,
-                                word_units)
+                                read_words, word_units)
 from fakewake.errors import ParseFailure, TooManyUnits
 from fakewake.phonemes import ALPHABET, LetterWord, inventory
+from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
-                             unit_tables)
+                             render_units, unit_tables)
 
 
 def test_mds_identical_points():
@@ -375,3 +377,94 @@ def test_parse_text_fails_only_with_parse_failure(text):
             parse_text(text, language)
         except ParseFailure as exc:
             assert repr(text) in str(exc)
+
+
+# ------------------------------------------------ batch reader
+# read_words and parse_words against one parse_text per text
+
+LEXICON = [token for token, _ in read_tsv("lexicon.tsv")]
+SYLLABLES = sorted({render_units(ini, fin, tone)
+                    for ini, fin in sorted(unit_tables().valid_pairs)[::7]
+                    for tone in (1, 3, 4)})
+
+english_text = (
+    st.text(alphabet=ALPHABET, max_size=12)
+    | st.text(alphabet=ALPHABET + "A1\t", max_size=8)
+    | st.lists(st.sampled_from(LEXICON + ["alexa", "qu", "tion", "eigh"]),
+               max_size=3).map(" ".join))
+chinese_text = (
+    st.lists(st.sampled_from(SYLLABLES + ["xiao", "ni3", "DU4", "qqq1",
+                                          "nǚ", "ǎ"]),
+             max_size=4).map(" ".join)
+    | st.text(alphabet=PINYIN_LIKE, max_size=10))
+some_text = english_text | chinese_text
+
+
+def scalar_read(text, language):
+    try:
+        units, spoken = parse_text(text, language)
+    except ParseFailure as exc:
+        return type(exc), str(exc)
+    unit_row = embedding_table().unit_row
+    return units, spoken, [unit_row[unit] for unit in units]
+
+
+def batch_read(pieces):
+    if isinstance(pieces, ParseFailure):
+        return type(pieces), str(pieces)
+    return ([u for piece in pieces for u in piece.units],
+            [p for piece in pieces for p in piece.phones],
+            [r for piece in pieces for r in piece.rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(some_text, max_size=12), st.sampled_from(["en", "zh"]),
+       st.integers(1, 5))
+@example(["", " ", "  a  b ", "Alexa", "a1", "a\tb", "alexa", "alexa"],
+         "en", 3)
+@example(["", "   ", "xiǎo dù", "xiao du", "xiǎo\tdù", "xiǎo qqq1",
+          "ni3"], "zh", 2)
+def test_read_words_equals_parse_text(texts, language, block):
+    """Every text, across block boundaries and repeated texts: the same
+    units, pronunciation and unit rows as ``parse_text``, or the same
+    ``ParseFailure`` message."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(embedding, "READ_BLOCK", block)
+        read = list(read_words(iter(texts), language))
+    assert [text for text, _ in read] == texts
+    for text, pieces in read:
+        assert batch_read(pieces) == scalar_read(text, language)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(some_text, max_size=10), st.sampled_from(["en", "zh"]))
+@example(["alexa", "Alexa", "a1"], "en")
+@example(["xiǎo dù", "", "xiao"], "zh")
+def test_parse_words_equals_per_text_parse(texts, language):
+    """The dataset ``parse_text`` and ``encode_units`` give, or the
+    ``ParseFailure`` of the first text that does not parse."""
+    slots = 40
+    try:
+        parsed = [parse_text(text, language) for text in texts]
+    except ParseFailure as exc:
+        with pytest.raises(ParseFailure) as batch:
+            parse_words(texts, language, slots, 1)
+        assert str(batch.value) == str(exc)
+        return
+    dataset = parse_words(texts, language, slots, 1)
+    assert dataset.texts == texts
+    assert dataset.units == [units for units, _ in parsed]
+    assert dataset.pronunciations == [spoken for _, spoken in parsed]
+    expected = encode_units([units for units, _ in parsed], slots)
+    assert dataset.features.tobytes() == expected.tobytes()
+    assert dataset.features.shape == (len(texts), 2 * slots)
+    assert dataset.labels.tolist() == [1] * len(texts)
+
+
+def test_parse_words_too_many_units_after_every_parse():
+    """Parsing comes first: a bad text later in the list wins over a word
+    too long for the slots; without one, the encoder's ``TooManyUnits``."""
+    with pytest.raises(ParseFailure, match="'Kit'"):
+        parse_words(["alexander", "Kit"], "en", 5, 0)
+    with pytest.raises(TooManyUnits, match="exceed 5 slots"):
+        parse_words(["kit", "alexander"], "en", 5, 0)

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fakewake.errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet)
+from fakewake.dataio import data_path
+from fakewake.errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
+                             ParseFailure)
 from fakewake.embedding import encode_units
 from fakewake.explain import (ArchiveWords, Dataset, RankedUnit,
                               build_dataset, default_slots, explain_archive,
@@ -159,6 +161,64 @@ def test_load_collective_zh_english_only_is_empty(tmp_path):
     path.write_text("aaeksa\nhello\nworld\n", encoding="utf-8")
     with pytest.raises(EmptyCollective):
         load_collective("zh", 4, path=path)
+
+
+def per_line_collective(path, language, slots, limit=None):
+    """load_collective before the batch reader: one ``parse_text`` per
+    stripped non-blank line, skipping what does not parse or fit."""
+    texts, parsed = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            word = line.strip()
+            if not word:
+                continue
+            try:
+                word_units, _ = parse_text(word, language)
+            except ParseFailure:
+                continue
+            if len(word_units) > slots:
+                continue
+            texts.append(word)
+            parsed.append(word_units)
+            if limit is not None and len(texts) >= limit:
+                break
+    return texts, encode_units(parsed, slots)
+
+
+CRAFTED = ("\r\n  kit \r\n\nHello\n\tmop\t\nfoo bar\nfoo\tbar\n"
+           "xxxxxxxxxxxxxxxxxxxxxx\nxiǎo dù\r\n nǐ hǎo \nxiao du\nqqq1\n"
+           "xiǎo\tdù\nNǏ HǍO\n hǎo\nkit\n \nalexa\ndon't\n")
+
+
+@pytest.mark.parametrize("language, slots", [("en", SLOTS), ("en", 6),
+                                             ("zh", 4), ("zh", 2)])
+@pytest.mark.parametrize("limit", [None, 3])
+@pytest.mark.parametrize("block", [1, 4, 1024])
+def test_load_collective_equals_the_per_line_reference(
+        tmp_path, monkeypatch, language, slots, limit, block):
+    """Blank lines, CRLF, surrounding spaces, tabs, uppercase, words too
+    long for the slots, bad syllables and ``limit``, across blocks."""
+    from fakewake import embedding
+    monkeypatch.setattr(embedding, "READ_BLOCK", block)
+    path = tmp_path / "collective.txt"
+    path.write_bytes(CRAFTED.encode("utf-8"))
+    texts, features = per_line_collective(path, language, slots, limit)
+    assert texts
+    rows = load_collective(language, slots, limit=limit, path=path)
+    assert rows.texts == texts
+    assert rows.features.tobytes() == features.tobytes()
+    assert rows.features.shape == features.shape
+    assert rows.labels.tolist() == [0] * len(texts)
+
+
+@pytest.mark.parametrize("limit", [None, 700])
+def test_load_collective_bundled_equals_the_per_line_reference(limit):
+    path = data_path("collective.txt")
+    texts, features = per_line_collective(path, "en", SLOTS, limit)
+    rows = load_collective("en", SLOTS, limit=limit)
+    assert rows.texts == texts
+    assert rows.features.tobytes() == features.tobytes()
+    assert len(texts) == (limit or 5600)
 
 
 def ranked_units(symbols):
