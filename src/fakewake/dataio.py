@@ -9,9 +9,15 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from itertools import islice
 from pathlib import Path
 
 _BUNDLED = Path(__file__).parent / "data"
+# json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), in chunks
+_JSON = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
+# encoder chunks joined per write: as fast as one write of the whole text,
+# without holding every chunk of a large document at once
+_JSON_GROUP = 1024
 
 
 def data_dir() -> Path:
@@ -70,6 +76,8 @@ def atomic_write(path):
 
 def write_json(path, doc):
     """``doc`` as indented JSON with sorted keys and a trailing newline."""
-    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    chunks = _JSON.iterencode(doc)
     with atomic_write(path) as fh:
-        fh.write(text + "\n")
+        while group := list(islice(chunks, _JSON_GROUP)):
+            fh.write("".join(group))
+        fh.write("\n")

@@ -20,8 +20,7 @@ from .embedding import embedding_table
 from .errors import LengthMismatch
 from .params import LENGTH_RATIO, VariationConfig
 from .phonemes import ALPHABET
-from .pinyin import (ChineseWord, Syllable, is_valid_pair, render_units,
-                     unit_tables)
+from .pinyin import ChineseWord, is_valid_pair, render_units, unit_tables
 
 
 class ChineseGenome(tuple):
@@ -75,10 +74,6 @@ Genome = ChineseGenome | EnglishGenome
 
 def _triples(genes):
     return ((genes[i], genes[i + 1], genes[i + 2]) for i in range(0, len(genes), 3))
-
-
-def decode_chinese(g: ChineseGenome) -> ChineseWord:
-    return ChineseWord(tuple(Syllable(ini, fin, tone) for ini, fin, tone in _triples(g)))
 
 
 def encode_chinese(word: ChineseWord) -> ChineseGenome:

@@ -10,19 +10,19 @@ The search loop asks for a generation's new words at once through
 ``wake_counts``. An oracle with a ``query_many`` answers them in one call;
 any other, ``ExternalOracle`` included, is queried word by word, so the exec
 line protocol is the same as for single queries. ``SimulatedDetector`` seeds
-each trial from a hash of (seed, trial, word) and draws one uniform from
-``np.random.default_rng`` of that seed. ``query_many`` computes all of a
-batch's draws in one vectorised pass of the same integer arithmetic
-(``default_rng_random``), so its outcomes equal numpy's bit for bit.
+each trial from a hash of (seed, trial, word) and draws the first uniform of
+``np.random.default_rng`` of that seed. ``query`` computes each draw with
+numpy's integer arithmetic in plain Python (``first_random``), and
+``query_many`` computes all of a batch's draws in one vectorised pass of it
+(``default_rng_random``), so both equal numpy's outcomes bit for bit without
+building a generator. ``ExternalOracle`` imports the process modules it needs
+when it is built, so the simulated detector loads none of them.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import os
-import select
-import shlex
-import subprocess
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -70,39 +70,78 @@ def _trial_seed(seed: int, word: str, trial: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def _trial_rng(seed: int, word: str, trial: int) -> np.random.Generator:
-    return np.random.default_rng(_trial_seed(seed, word, trial))
-
-
-# --- default_rng(seed).random() for many 64-bit seeds at once ----------------
+# --- default_rng(seed).random() without a Generator ---------------------------
 # numpy seeds PCG64 through SeedSequence: a 4-word uint32 pool is hash-mixed
 # from the seed's two 32-bit words, and 8 words drawn from it form the PCG64
 # state and stream (O'Neill 2014). Every hash step xors and multiplies by a
-# constant that does not depend on the data, so the constants are listed here.
+# constant that does not depend on the data, so the constants are listed here,
+# once for the scalar draw and the vectorised one. In the vectorised one,
 # Python int operands keep the arrays' dtype (uint32 or uint64), which wraps.
 
 _M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
 
 
-def _hash_constants(init: int, mult: int, steps: int):
-    """(xor, multiplier) columns of ``steps`` successive hash steps."""
-    xors, mults, h = [], [], init
+def _hash_steps(init: int, mult: int, steps: int) -> tuple[tuple[int, int], ...]:
+    """(xor, multiplier) of ``steps`` successive hash steps."""
+    pairs, h = [], init
     for _ in range(steps):
-        xors.append(h)
-        h = h * mult & _M32
-        mults.append(h)
-    return (np.array(xors, dtype=np.uint32)[:, None],
-            np.array(mults, dtype=np.uint32)[:, None])
+        product = h * mult & _M32
+        pairs.append((h, product))
+        h = product
+    return tuple(pairs)
 
 
 # mix_entropy: one step per pool word, then 3 per source word (4 sources)
-_POOL_XOR, _POOL_MUL = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+# the (source, destination) pool words of each of the 12 mixing steps
+_MIX_STEPS = tuple(zip(((src, dst) for src in range(4) for dst in range(4)
+                        if dst != src), _POOL_STEPS[4:]))
 # generate_state(4, uint64): one step per output uint32
-_STATE_XOR, _STATE_MUL = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Seeding steps the LCG, adds the state, steps again, and random() steps once
+# more: state = (inc + init) * MULT**2 + inc * (MULT + 1), mod 2**128.
+_PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _M128
+_PCG_MULT_PLUS_1 = _PCG_MULT + 1
+
+
+def first_random(seed: int) -> float:
+    """``np.random.default_rng(seed).random()``, bit for bit, for a seed in
+    [0, 2**64)."""
+    # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
+    pool = []
+    for word, (xor, mult) in zip((seed & _M32, seed >> 32, 0, 0), _POOL_STEPS):
+        word = (word ^ xor) * mult & _M32
+        pool.append(word ^ word >> 16)
+    for (src, dst), (xor, mult) in _MIX_STEPS:
+        hashed = (pool[src] ^ xor) * mult & _M32
+        mixed = _MIX_L * pool[dst] - _MIX_R * (hashed ^ hashed >> 16) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+    words = []
+    for word, (xor, mult) in zip(pool + pool, _STATE_STEPS):
+        word = (word ^ xor) * mult & _M32
+        words.append(word ^ word >> 16)
+    # uint64 k is words[2k] | words[2k + 1] << 32; the state is (u0 << 64 |
+    # u1) and the stream (u2 << 64 | u3), whose increment is (stream << 1) | 1
+    init = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 | 1
+    state = (inc + init) * _PCG_MULT_SQ + inc * _PCG_MULT_PLUS_1 & _M128
+    # XSL-RR output, then random()'s 53-bit double
+    upper = state >> 64
+    xored = upper ^ state & _M64
+    rot = upper >> 58
+    return ((xored >> rot | xored << (64 - rot) & _M64) >> 11) * 2.0**-53
+
+
+# The same arithmetic for many seeds at once, on rows of uint32 and uint64
+# arrays; a 128-bit number is four rows of 32-bit limbs.
+_POOL_XOR, _POOL_MUL = np.array(_POOL_STEPS, dtype=np.uint32).T[..., None]
+_STATE_XOR, _STATE_MUL = np.array(_STATE_STEPS, dtype=np.uint32).T[..., None]
 
 
 def _limbs(x: int) -> np.ndarray:
@@ -111,10 +150,8 @@ def _limbs(x: int) -> np.ndarray:
                     dtype=np.uint64)
 
 
-# Seeding steps the LCG, adds the state, steps again, and random() steps once
-# more: state = (inc + init) * MULT**2 + inc * (MULT + 1), mod 2**128.
-_MULT_SQ = _limbs(_PCG_MULT * _PCG_MULT)
-_MULT_PLUS_1 = _limbs(_PCG_MULT + 1)
+_MULT_SQ_LIMBS = _limbs(_PCG_MULT_SQ)
+_MULT_PLUS_1_LIMBS = _limbs(_PCG_MULT_PLUS_1)
 # Sum the 4x4 limb products a_i * b_j of a multiplication into columns: the
 # low half of a product goes to column i + j, the high half to i + j + 1.
 _LOW_COLUMN, _HIGH_COLUMN = (
@@ -171,8 +208,8 @@ def default_rng_random(seeds) -> np.ndarray:
     inc = np.empty_like(stream)                      # (stream << 1) | 1
     inc[0] = (stream[0] << 1 | 1) & _M32
     inc[1:] = (stream[1:] << 1 | stream[:-1] >> 31) & _M32
-    state = _carry(_times(_carry(inc + init), _MULT_SQ)
-                   + _times(inc, _MULT_PLUS_1))
+    state = _carry(_times(_carry(inc + init), _MULT_SQ_LIMBS)
+                   + _times(inc, _MULT_PLUS_1_LIMBS))
     # XSL-RR output, then random()'s 53-bit double
     upper = state[3] << 32 | state[2]
     xored = upper ^ (state[1] << 32 | state[0])
@@ -247,7 +284,7 @@ class SimulatedDetector:
 
     def query(self, word: str, trials: int = 1) -> int:
         prob, first = self._next_trials(word, trials)
-        return sum(int(_trial_rng(self.seed, word, t).random() < prob)
+        return sum(first_random(_trial_seed(self.seed, word, t)) < prob
                    for t in range(first, first + trials))
 
     def query_many(self, words: list[str], trials: int = 1) -> list[int]:
@@ -281,6 +318,8 @@ class ExternalOracle:
 
     def __init__(self, command: str,
                  timeout: float = OracleConfig.timeout):
+        import shlex        # only an exec oracle needs the process modules
+        import subprocess
         self.command = command
         self.timeout = timeout
         try:
@@ -311,6 +350,7 @@ class ExternalOracle:
 
     def _check_idle(self):
         """Raise if output is waiting that no query asked for."""
+        import select
         if not self._pending and select.select([self._stdout], [], [], 0)[0]:
             self._pending = os.read(self._stdout, 65536)
             if not self._pending:
@@ -321,6 +361,7 @@ class ExternalOracle:
 
     def _reply(self, word: str) -> int:
         """The next reply line as 1 (wake) or 0."""
+        import select
         deadline = time.monotonic() + self.timeout
         while (end := self._pending.find(b"\n")) < 0:
             wait = deadline - time.monotonic()
@@ -339,6 +380,7 @@ class ExternalOracle:
             f"unexpected oracle reply: {reply.decode(errors='replace')!r}")
 
     def close(self):
+        import subprocess
         if self._proc.poll() is None:
             self._proc.terminate()
             try:

@@ -20,9 +20,8 @@ from fakewake.explain import (ArchiveWords, build_dataset, cross_validate,
                               default_slots, explain_archive,
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
-from fakewake.genome import (ChineseGenome, VariationConfig, decode_chinese,
-                             encode_english, english_genome_length,
-                             random_genome)
+from fakewake.genome import (ChineseGenome, VariationConfig, encode_english,
+                             english_genome_length, random_genome)
 from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
                                screening_coverage, strengthen,
                                train_original, unit_set)
@@ -31,6 +30,7 @@ from fakewake.params import MitigateConfig
 from fakewake.phonemes import BOUNDARY, inventory
 from fakewake.treeshap import shap_values
 from tests.conftest import ALEXA_WEIGHTS
+from tests.test_genome import decode_chinese
 from tests.test_treeshap import brute_force_shap, random_ensemble
 
 SLOTS = default_slots("en", "alexa")

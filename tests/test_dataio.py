@@ -2,8 +2,15 @@ import json
 import shutil
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakewake import dataio
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=6),
+    max_leaves=40)
 
 
 def test_bundled_data_resolves():
@@ -45,3 +52,16 @@ def test_interrupted_write_keeps_previous_file(tmp_path):
     assert path.read_bytes() == before
     assert json.loads(before) == {"run": 1}
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=JSON_DOCS, group=st.integers(1, 9))
+def test_write_json_bytes_equal_one_dumps(tmp_path_factory, doc, group):
+    """Whatever the number of encoder chunks per write, the file holds the
+    bytes of one ``json.dumps`` and a newline."""
+    path = tmp_path_factory.mktemp("json") / "doc.json"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_JSON_GROUP", group)
+        dataio.write_json(path, doc)
+    text = json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)
+    assert path.read_bytes() == (text + "\n").encode("utf-8")

@@ -9,10 +9,11 @@ from fakewake.distance import (DistanceConfig, _alignment, chinese_dist,
                                english_dist, levenshtein_many)
 from fakewake.embedding import character_distance
 from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
-from fakewake.genome import (ChineseGenome, decode_chinese, decode_text,
-                             random_genome, repair_chinese)
+from fakewake.genome import (ChineseGenome, decode_text, random_genome,
+                             repair_chinese)
 from fakewake.phonemes import BOUNDARY, g2p, inventory
 from fakewake.pinyin import parse_pinyin
+from tests.test_genome import decode_chinese
 
 SYMS = inventory().symbols()
 
@@ -182,7 +183,6 @@ def test_chinese_symmetric_bounded_random():
     for _ in range(100):
         g1 = random_genome(ChineseGenome, 12, rng)
         g2 = random_genome(ChineseGenome, 12, rng)
-        from fakewake.genome import decode_chinese
         w1, w2 = decode_chinese(g1), decode_chinese(g2)
         d = chinese_dist(w1, w2)
         assert d == pytest.approx(chinese_dist(w2, w1), abs=1e-12)

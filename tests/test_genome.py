@@ -5,16 +5,22 @@ import fakewake.genome
 from fakewake.embedding import embedding_table
 from fakewake.errors import InvalidCombination, LengthMismatch
 from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
-                             crossover, decode_chinese,
-                             decode_text, encode_chinese, encode_english,
-                             english_genome_length, mutate,
+                             crossover, decode_text, encode_chinese,
+                             encode_english, english_genome_length, mutate,
                              nearest_valid_final, random_genome,
                              repair_chinese, seed_genomes)
-from fakewake.pinyin import parse_pinyin, unit_tables
+from fakewake.pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
 from tests.test_pinyin import render_word
 
 T = unit_tables()
 CFG = VariationConfig()
+
+
+def decode_chinese(g: ChineseGenome) -> ChineseWord:
+    """The genome's word, one syllable per (initial, final, tone) triple;
+    an unpronounceable pair raises ``InvalidCombination``."""
+    return ChineseWord(tuple(Syllable(*g[i:i + 3])
+                             for i in range(0, len(g), 3)))
 
 
 def test_decode_chinese_baidu():

@@ -22,15 +22,14 @@ PIPELINE = {"gbdt", "treeshap", "explain", "mitigate", "evolve", "genome",
 
 
 def loaded(code: str) -> set[str]:
-    """The fakewake modules (without the package prefix) and the top-level
-    modules that a fresh interpreter holds after running ``code``."""
+    """The modules that a fresh interpreter holds after running ``code``,
+    the fakewake ones without the package prefix."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
     names = json.loads(proc.stdout.splitlines()[-1])
-    return {n.removeprefix("fakewake.") for n in names if "." not in n
-            or n.startswith("fakewake.")}
+    return {n.removeprefix("fakewake.") for n in names}
 
 
 def run_main(argv) -> set[str]:
@@ -67,7 +66,18 @@ def test_generate_loads_no_proxy(run_dir):
     modules = run_main(["generate", "--config", str(config),
                         "--output", str(root / "generate")])
     assert {"evolve", "oracle"} <= modules
-    assert not modules & {"gbdt", "treeshap", "explain", "mitigate"}
+    # the default oracle is the simulated detector
+    assert not modules & {"gbdt", "treeshap", "explain", "mitigate",
+                          "subprocess", "select", "shlex"}
+
+
+def test_simulated_detector_loads_no_process_modules():
+    """Only the exec adapter needs the process modules, and the simulated
+    detector draws its trials without ``numpy.random``."""
+    modules = loaded("from fakewake.oracle import SimulatedDetector\n"
+                     "SimulatedDetector(target='alexa', seed=1).query('alexa')")
+    assert "oracle" in modules
+    assert not modules & {"subprocess", "select", "shlex", "numpy.random"}
 
 
 @pytest.mark.parametrize("command", ["explain", "mitigate"])

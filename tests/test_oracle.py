@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from fakewake.embedding import embedding_table
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
-from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_rng,
-                             default_rng_random, wake_counts)
+from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_seed,
+                             default_rng_random, first_random, wake_counts)
 from fakewake.params import OracleConfig
 
 
@@ -151,8 +151,9 @@ def test_detector_batch_equals_single_trials(word, splits):
     outcomes = [single.query(word) for _ in range(total)]
     # the per-trial draws the detector has always made
     prob = single.wake_probability(word)
-    assert outcomes == [int(_trial_rng(5, word, t).random() < prob)
-                        for t in range(total)]
+    assert outcomes == [
+        int(np.random.default_rng(_trial_seed(5, word, t)).random() < prob)
+        for t in range(total)]
     assert SimulatedDetector(target="alexa", seed=5).query(word, total) \
         == sum(outcomes)
     split = SimulatedDetector(target="alexa", seed=5)
@@ -186,6 +187,16 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 def test_default_rng_random_matches_numpy(seeds):
     assert default_rng_random(seeds).tolist() == \
         [np.random.default_rng(s).random() for s in seeds]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(EDGE_SEEDS),
+                min_size=1, max_size=48))
+@example(EDGE_SEEDS)
+def test_first_random_matches_numpy(seeds):
+    draws = [first_random(s) for s in seeds]
+    assert draws == [np.random.default_rng(s).random() for s in seeds]
+    assert draws == default_rng_random(seeds).tolist()
 
 
 @settings(max_examples=40, deadline=None)
