@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .embedding import character_distance
 from .errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from .params import DistanceConfig
 from .phonemes import BOUNDARY, PhonemeSequence, inventory
 from .pinyin import ChineseWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def chinese_dist(w1: ChineseWord, w2: ChineseWord,
@@ -105,6 +107,8 @@ def levenshtein_many(seqs: Sequence[Sequence],
     additions and comparisons as in ``_alignment``, for every sequence at
     once, and a sequence's value is read at its last row. Every cell holds
     a whole number, so each sum is exact."""
+    import numpy as np
+
     n = len(target)
     lengths = np.array([len(s) for s in seqs], dtype=np.int64)
     if n == 0 and not lengths.all():

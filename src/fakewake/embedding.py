@@ -7,16 +7,19 @@ word list at once.
 Initial/final coordinates are scaled by ``UNIT_SCALE`` so character distances
 land in the working range of the tanh normalization (constant A = 100);
 phoneme coordinates stay at the natural scale of their [0,1] distances.
+
+Parsing words needs no numpy: only the functions that make arrays
+(``mds_embed``, ``EmbeddingTable.unit_vectors`` and ``unit_gap``,
+``encode_rows``) import it.
 """
 from __future__ import annotations
 
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dataio import read_tsv, read_weight_rows
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
@@ -25,19 +28,25 @@ from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
 from .pinyin import (ChineseWord, Syllable, parse_pinyin, parse_syllable,
                      unit_tables)
 
+if TYPE_CHECKING:
+    import numpy as np
+
 UNIT_SCALE = 25.0
 
 _SIGN_TOL = 1e-12
 
 
-def mds_embed(dist: np.ndarray) -> np.ndarray:
-    """Classical MDS of a symmetric distance matrix into k x 2 coordinates.
+def mds_embed(dist) -> np.ndarray:
+    """Classical MDS of a symmetric distance matrix (an array or a list of
+    rows) into k x 2 coordinates.
 
     Double centering followed by the top-2 eigenpairs, coordinates scaled by
     the square root of each eigenvalue. Dimensions with non-positive
     eigenvalues degenerate to zero columns. Column signs are fixed so the
     first nonzero coordinate of each dimension is nonnegative.
     """
+    import numpy as np
+
     dist = np.asarray(dist, dtype=float)
     k = dist.shape[0]
     if dist.shape != (k, k):
@@ -64,7 +73,7 @@ def mds_embed(dist: np.ndarray) -> np.ndarray:
 class EmbeddingTable:
     """Every unit's 2-D vector in one table, and per kind (initial / final /
     phoneme) the ``FeatureTable`` of feature-space distances between its
-    units."""
+    units. The vectors are derived on first use; the rest needs no numpy."""
 
     def __init__(self):
         symbols = {"initial": [], "final": []}
@@ -79,28 +88,38 @@ class EmbeddingTable:
             for kind, weights in zip(symbols, weight_rows)}
         self.tables["phoneme"] = inventory()
 
-        # every unit's vector stacked into one table, row 0 the zero padding;
+        # each unit's row of ``unit_vectors``, row 0 the zero padding;
         # ``units[kind][symbol]`` is the one (kind, symbol) tuple that all
         # unit lists share (``word_units`` makes its own only for a symbol
         # the table lacks, which encoding then rejects as before)
         self.unit_row: dict[tuple[str, str], int] = {}
         self.units: dict[str, dict[str, tuple[str, str]]] = {}
-        stacked = [np.zeros((1, 2))]
         for kind, table in self.tables.items():
-            vectors = mds_embed(table.matrix)
-            stacked.append(vectors if kind == "phoneme"
-                           else vectors * UNIT_SCALE)
             units = self.units[kind] = {}
             for sym in table.index:
                 unit = units[sym] = (kind, sym)
                 self.unit_row[unit] = len(self.unit_row) + 1
-        self.unit_vectors = np.concatenate(stacked)
+
+    @cached_property
+    def unit_vectors(self) -> np.ndarray:
+        """Every unit's 2-D vector stacked into one table, in the order of
+        ``unit_row``, after a zero row; MDS runs on the first use."""
+        import numpy as np
+
+        stacked = [np.zeros((1, 2))]
+        for kind, table in self.tables.items():
+            vectors = mds_embed(table.rows)
+            stacked.append(vectors if kind == "phoneme"
+                           else vectors * UNIT_SCALE)
+        return np.concatenate(stacked)
 
     def unit_vec(self, kind: str, symbol: str) -> np.ndarray:
         return self.unit_vectors[self.unit_row[kind, symbol]]
 
     def unit_gap(self, kind: str, a: str, b: str) -> float:
         """Embedding distance between same-kind units."""
+        import numpy as np
+
         return float(np.linalg.norm(self.unit_vec(kind, a)
                                     - self.unit_vec(kind, b)))
 
@@ -313,6 +332,8 @@ def encode_rows(words: Iterable[Sequence[int]], slots: int) -> np.ndarray:
     2 * slots values. Raises ``TooManyUnits`` at the first word with more
     than ``slots`` units. ``words`` is read once, so it can be a generator
     that parses each word as it is needed."""
+    import numpy as np
+
     # two bytes per slot (a row past 65535 raises OverflowError): a list
     # of Python ints left the process larger after each command
     rows = array("H")

@@ -15,8 +15,9 @@ each trial from a hash of (seed, trial, word) and draws the first uniform of
 numpy's integer arithmetic in plain Python (``first_random``), and
 ``query_many`` computes all of a batch's draws in one vectorised pass of it
 (``default_rng_random``), so both equal numpy's outcomes bit for bit without
-building a generator. ``ExternalOracle`` imports the process modules it needs
-when it is built, so the simulated detector loads none of them.
+building a generator. Only ``query_many`` and ``default_rng_random`` import
+numpy, and ``ExternalOracle`` imports the process modules it needs when it
+is built, so a process that only answers ``query`` loads none of them.
 """
 from __future__ import annotations
 
@@ -26,13 +27,16 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
-
-import numpy as np
+from functools import lru_cache
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterator, Protocol
 
 from .embedding import embedding_table, parse_text
 from .errors import OracleFailure, OracleTimeout, ParseFailure, ProtocolError
 from .params import OracleConfig
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class WakeOracle(Protocol):
@@ -140,24 +144,33 @@ def first_random(seed: int) -> float:
 
 # The same arithmetic for many seeds at once, on rows of uint32 and uint64
 # arrays; a 128-bit number is four rows of 32-bit limbs.
-_POOL_XOR, _POOL_MUL = np.array(_POOL_STEPS, dtype=np.uint32).T[..., None]
-_STATE_XOR, _STATE_MUL = np.array(_STATE_STEPS, dtype=np.uint32).T[..., None]
+@lru_cache(maxsize=None)
+def _batch_constants() -> SimpleNamespace:
+    """The constant arrays of ``default_rng_random``, built on its first
+    call."""
+    import numpy as np
 
+    def limbs(x: int) -> np.ndarray:
+        """The four 32-bit limbs of ``x`` mod 2**128, least significant
+        first."""
+        return np.array([x >> (32 * i) & _M32 for i in range(4)],
+                        dtype=np.uint64)
 
-def _limbs(x: int) -> np.ndarray:
-    """The four 32-bit limbs of ``x`` mod 2**128, least significant first."""
-    return np.array([x >> (32 * i) & _M32 for i in range(4)],
-                    dtype=np.uint64)
-
-
-_MULT_SQ_LIMBS = _limbs(_PCG_MULT_SQ)
-_MULT_PLUS_1_LIMBS = _limbs(_PCG_MULT_PLUS_1)
-# Sum the 4x4 limb products a_i * b_j of a multiplication into columns: the
-# low half of a product goes to column i + j, the high half to i + j + 1.
-_LOW_COLUMN, _HIGH_COLUMN = (
-    np.array([[int(i + j + shift == k) for i in range(4) for j in range(4)]
-              for k in range(4)], dtype=np.uint64)
-    for shift in (0, 1))
+    pool_xor, pool_mul = np.array(_POOL_STEPS, dtype=np.uint32).T[..., None]
+    state_xor, state_mul = np.array(_STATE_STEPS,
+                                    dtype=np.uint32).T[..., None]
+    # Sum the 4x4 limb products a_i * b_j of a multiplication into columns:
+    # the low half of a product goes to column i + j, the high half to
+    # i + j + 1.
+    low, high = (
+        np.array([[int(i + j + shift == k) for i in range(4)
+                   for j in range(4)] for k in range(4)], dtype=np.uint64)
+        for shift in (0, 1))
+    return SimpleNamespace(
+        pool_xor=pool_xor, pool_mul=pool_mul, state_xor=state_xor,
+        state_mul=state_mul, mult_sq=limbs(_PCG_MULT_SQ),
+        mult_plus_1=limbs(_PCG_MULT_PLUS_1), low_column=low,
+        high_column=high)
 
 
 def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -167,10 +180,11 @@ def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
 
 def _times(limbs: np.ndarray, const: np.ndarray) -> np.ndarray:
     """Column sums of ``limbs * const`` mod 2**128, each below 2**35."""
+    tables = _batch_constants()
     products = (limbs[:, None, :] * const[None, :, None]).reshape(16, -1)
-    columns = _HIGH_COLUMN @ (products >> 32)
+    columns = tables.high_column @ (products >> 32)
     products &= _M32
-    columns += _LOW_COLUMN @ products
+    columns += tables.low_column @ products
     return columns
 
 
@@ -186,21 +200,24 @@ def _carry(limbs: np.ndarray) -> np.ndarray:
 def default_rng_random(seeds) -> np.ndarray:
     """``[np.random.default_rng(s).random() for s in seeds]`` as a float64
     array, bit for bit, for seeds in [0, 2**64)."""
+    import numpy as np
+
+    tables = _batch_constants()
     seeds = np.asarray(seeds, dtype=np.uint64)
     # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
     pool = np.zeros((4, len(seeds)), dtype=np.uint32)
     pool[0] = seeds & _M32
     pool[1] = seeds >> 32
-    pool = _hash(pool, _POOL_XOR[:4], _POOL_MUL[:4])
+    pool = _hash(pool, tables.pool_xor[:4], tables.pool_mul[:4])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
         step = 4 + 3 * src
-        hashed = _hash(pool[src], _POOL_XOR[step:step + 3],
-                       _POOL_MUL[step:step + 3])
+        hashed = _hash(pool[src], tables.pool_xor[step:step + 3],
+                       tables.pool_mul[step:step + 3])
         mixed = _MIX_L * pool[dst] - _MIX_R * hashed
         pool[dst] = mixed ^ (mixed >> 16)
-    words = _hash(np.concatenate([pool, pool]), _STATE_XOR,
-                  _STATE_MUL).astype(np.uint64)
+    words = _hash(np.concatenate([pool, pool]), tables.state_xor,
+                  tables.state_mul).astype(np.uint64)
     # uint64 k of the state is words[2k] | words[2k + 1] << 32; the state
     # is (u0 << 64 | u1) and the stream (u2 << 64 | u3), as 32-bit limbs
     init = words[[2, 3, 0, 1]]
@@ -208,8 +225,8 @@ def default_rng_random(seeds) -> np.ndarray:
     inc = np.empty_like(stream)                      # (stream << 1) | 1
     inc[0] = (stream[0] << 1 | 1) & _M32
     inc[1:] = (stream[1:] << 1 | stream[:-1] >> 31) & _M32
-    state = _carry(_times(_carry(inc + init), _MULT_SQ_LIMBS)
-                   + _times(inc, _MULT_PLUS_1_LIMBS))
+    state = _carry(_times(_carry(inc + init), tables.mult_sq)
+                   + _times(inc, tables.mult_plus_1))
     # XSL-RR output, then random()'s 53-bit double
     upper = state[3] << 32 | state[2]
     xored = upper ^ (state[1] << 32 | state[0])
@@ -290,6 +307,8 @@ class SimulatedDetector:
     def query_many(self, words: list[str], trials: int = 1) -> list[int]:
         """``[self.query(w, trials) for w in words]``, with the same results
         and trial counters, drawing every trial in one vectorised pass."""
+        import numpy as np
+
         seeds, probs = [], []
         for word in words:
             prob, first = self._next_trials(word, trials)

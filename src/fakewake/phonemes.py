@@ -13,8 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from operator import mul, sub
 
 from .dataio import read_tsv, read_weight_rows
 from .errors import ParseFailure, UnknownPhoneme
@@ -52,14 +51,14 @@ class FeatureTable:
     weighted Hamming distance between ternary feature rows, normalized to
     [0, 1].
 
-    ``index`` maps each symbol to its position in the given order. The
-    distances are held as ``matrix``, a numpy array, and as ``rows``, the
-    same values as lists of Python floats (``rows[index[p]][index[q]]`` is
-    the distance between p and q), which a pure-Python loop reads without
-    unboxing."""
+    ``index`` maps each symbol to its position in the given order, and
+    ``rows[index[p]][index[q]]`` is the distance between p and q. Features
+    and weights are integers, so each distance is one exact integer sum of
+    |x - y| * w over the features, divided once by 2 * sum(w): the same
+    double as numpy's ``|x - y| / 2.0 @ w / sum(w)``, bit for bit."""
 
     def __init__(self, symbols, features, weights):
-        self.weights = np.array([float(w) for w in weights])
+        self.weights = [int(w) for w in weights]
         self.index = {sym: i for i, sym in enumerate(symbols)}
         feats = []
         for sym, row in zip(symbols, features):
@@ -67,10 +66,15 @@ class FeatureTable:
             if len(values) != len(self.weights):
                 raise ValueError(f"feature row length mismatch for {sym}")
             feats.append(values)
-        mat = np.asarray(feats, dtype=float)
-        gaps = np.abs(mat[:, None, :] - mat[None, :, :]) / 2.0
-        self.matrix = gaps @ self.weights / self.weights.sum()
-        self.rows: list[list[float]] = self.matrix.tolist()
+        scale = 2 * sum(self.weights)
+        # the upper triangle, mirrored; the diagonal stays 0.0
+        self.rows: list[list[float]] = [[0.0] * len(feats) for _ in feats]
+        for i, x in enumerate(feats):
+            row = self.rows[i]
+            for j in range(i + 1, len(feats)):
+                gap = sum(map(mul, map(abs, map(sub, x, feats[j])),
+                              self.weights))
+                row[j] = self.rows[j][i] = gap / scale
 
     def symbols(self) -> list[str]:
         return sorted(self.index)

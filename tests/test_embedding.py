@@ -15,6 +15,7 @@ from fakewake.phonemes import ALPHABET, LetterWord, inventory
 from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
+from tests.test_phonemes import bits, numpy_rows
 
 
 def test_mds_identical_points():
@@ -269,6 +270,23 @@ def per_kind_tables():
 @pytest.fixture(scope="module")
 def reference():
     return per_kind_tables()
+
+
+def test_unit_feature_rows_equal_the_numpy_matrix():
+    symbols = {"initial": [], "final": []}
+    features = {"initial": [], "final": []}
+    for row in read_tsv("pinyin_unit_features.tsv"):
+        kind = "initial" if row[0] == "initial" else "final"
+        symbols[kind].append(row[1])
+        features[kind].append(row[2:])
+    weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+    emb = embedding_table()
+    for kind, weights in zip(("initial", "final"), weight_rows):
+        table = emb.tables[kind]
+        assert list(table.index) == symbols[kind]
+        assert bits(table.rows) == bits(numpy_rows(features[kind],
+                                                   weights[1:]))
+    assert emb.tables["phoneme"] is inventory()
 
 
 def test_unit_table_equals_the_per_kind_build(reference):

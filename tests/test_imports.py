@@ -14,6 +14,8 @@ import pytest
 
 import fakewake
 from fakewake.cli import main
+from fakewake.embedding import parse_text
+from fakewake.oracle import SimulatedDetector
 
 SRC = str(Path(fakewake.__file__).resolve().parents[1])
 
@@ -73,11 +75,63 @@ def test_generate_loads_no_proxy(run_dir):
 
 def test_simulated_detector_loads_no_process_modules():
     """Only the exec adapter needs the process modules, and the simulated
-    detector draws its trials without ``numpy.random``."""
-    modules = loaded("from fakewake.oracle import SimulatedDetector\n"
-                     "SimulatedDetector(target='alexa', seed=1).query('alexa')")
-    assert "oracle" in modules
-    assert not modules & {"subprocess", "select", "shlex", "numpy.random"}
+    detector answers ``query`` in plain Python."""
+    modules = loaded(
+        "from fakewake.oracle import SimulatedDetector\n"
+        "SimulatedDetector(target='alexa', seed=1).query('alexa', 3)\n"
+        "SimulatedDetector(target='xiǎo dù', language='zh', seed=2)"
+        ".query('xiǎo tù', 3)")
+    assert {"oracle", "embedding"} <= modules
+    assert not modules & {"subprocess", "select", "shlex", "numpy"}
+
+
+def test_word_layer_loads_no_numpy():
+    """Only the functions that make arrays import numpy."""
+    modules = loaded(
+        "from fakewake.embedding import embedding_table, parse_text, "
+        "read_words\n"
+        "embedding_table()\n"
+        "parse_text('alexa', 'en'), parse_text('xiǎo dù', 'zh')\n"
+        "list(read_words(['alexa', 'hey siri', 'ALEXA'], 'en'))\n"
+        "list(read_words(['xiǎo dù', 'xx'], 'zh'))")
+    assert {"embedding", "phonemes", "pinyin"} <= modules
+    assert "numpy" not in modules
+
+
+STUB = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_stub.py"
+STUB_CASES = {
+    "en": ("alexa", 3, ["alexa", "alexis", "alexa", "lexa", "", "hey siri",
+                        "alexa"]),
+    "zh": ("xiǎo dù xiǎo dù", 1, ["xiǎo dù xiǎo dù", "xiǎo tù xiǎo dù",
+                                  "xiǎo dù xiǎo dù", "dà dù", "xiǎo dù"]),
+}
+
+
+@pytest.mark.parametrize("language", sorted(STUB_CASES))
+def test_exec_stub_starts_without_numpy(language):
+    """The exec-oracle stub imports no numpy module, and answers each line
+    as ``SimulatedDetector.query`` does."""
+    wake, unit, lines = STUB_CASES[language]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", str(STUB), "--language",
+         language, "--wake-word", wake, "--decisive-unit", str(unit),
+         "--decisive-weight", "0.6", "--seed", "77"],
+        input="".join(line + "\n" for line in lines), capture_output=True,
+        encoding="utf-8", env=dict(os.environ, PYTHONIOENCODING="utf-8"),
+        check=True)
+    imported = [line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line]
+    assert "fakewake.oracle" in imported
+    assert not [name for name in imported
+                if name.split(".")[0] == "numpy"]
+    n = len(parse_text(wake, language)[0])
+    detector = SimulatedDetector(
+        target=wake, language=language, seed=77,
+        unit_weights=tuple(0.6 if i == unit else (1.0 - 0.6) / (n - 1)
+                           for i in range(n)))
+    assert proc.stdout.splitlines() == [str(detector.query(line))
+                                        for line in lines]
 
 
 @pytest.mark.parametrize("command", ["explain", "mitigate"])
@@ -102,3 +156,7 @@ def test_word_commands_load_no_proxy(argv):
     if argv[0] == "validate":
         # validate reads a word with phonemes and pinyin alone
         assert "embedding" not in modules
+    if argv[:3] != ["dist", "--language", "zh"]:
+        # only a Mandarin distance needs the unit vectors, and with them
+        # numpy
+        assert "numpy" not in modules

@@ -1,12 +1,13 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fakewake.dataio import data_path
+from fakewake.dataio import data_path, read_tsv, read_weight_rows
 from fakewake.errors import ParseFailure, UnknownPhoneme
-from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, LetterWord, g2p,
-                               g2p_converter, inventory)
+from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, FeatureTable,
+                               LetterWord, g2p, g2p_converter, inventory)
 
 INV = inventory()
 SYMBOLS = INV.symbols()
@@ -32,7 +33,41 @@ def test_distance_maximal_for_opposite_vectors():
     # vectors at +1 and -1 on every feature are at distance exactly 1
     weights = INV.weights
     gaps = [1.0] * len(weights)
-    assert sum(w * g for w, g in zip(weights, gaps)) / weights.sum() == 1.0
+    assert sum(w * g for w, g in zip(weights, gaps)) / sum(weights) == 1.0
+    opposite = FeatureTable(["p", "q"], [[1] * len(weights),
+                                         [-1] * len(weights)], weights)
+    assert opposite.distance("p", "q") == 1.0
+
+
+def numpy_rows(features, weights) -> list[list[float]]:
+    """The distance matrix as numpy computed it when the table held one."""
+    m = np.asarray([[int(v) for v in row] for row in features], dtype=float)
+    w = np.array([float(x) for x in weights])
+    return (np.abs(m[:, None] - m[None]) / 2.0 @ w / w.sum()).tolist()
+
+
+def bits(rows) -> list[list[str]]:
+    """Each value's exact bits, so that 0.0 and -0.0 differ."""
+    return [[value.hex() for value in row] for row in rows]
+
+
+def test_rows_equal_the_numpy_matrix():
+    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
+    weights = read_weight_rows("phoneme_features.tsv")[0]
+    assert bits(INV.rows) == bits(numpy_rows([row[1:] for row in rows],
+                                             weights))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 20).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+             min_size=1, max_size=12),
+    st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))))
+def test_rows_equal_the_numpy_matrix_on_random_tables(table):
+    features, weights = table
+    symbols = [f"s{i}" for i in range(len(features))]
+    rows = FeatureTable(symbols, features, weights).rows
+    assert bits(rows) == bits(numpy_rows(features, weights))
 
 
 def test_voicing_smaller_than_class_change():
