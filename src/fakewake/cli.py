@@ -4,7 +4,8 @@ Subcommands: generate (search for fuzzy words), explain (train the proxy and
 extract decisive factors), mitigate (screening coverage and detector
 strengthening), dist (ad-hoc distance between two words), validate (check a
 word against the language). Exit codes: 0 success, 2 configuration error,
-3 oracle failure.
+3 oracle failure, 130 (SIGINT) or 143 (SIGTERM) for an interrupted
+``generate``.
 
 Importing this module loads only the configuration; each subcommand imports
 the pipeline modules it runs when it starts.
@@ -23,6 +24,8 @@ from .errors import ConfigError, FakewakeError, OracleFailure
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
+EXIT_INTERRUPTED = 128 + 2    # SIGINT
+EXIT_TERMINATED = 128 + 15    # SIGTERM
 
 
 def _load_archive(path):
@@ -128,23 +131,43 @@ def _write_manifest(out: Path, command: str, cfg: RunConfig, seed,
 
 # ------------------------------------------------------------------ generate
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the search as an interrupt."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def cmd_generate(args) -> int:
+    import signal
+
     from .evolve import run
 
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     wake = _wake_genome(cfg)
     oracle, oracle_spec = _build_oracle(cfg, seed)
+    sigterm = signal.signal(signal.SIGTERM, _terminate)
     try:
         out = _out_dir(args)
         archive = run(wake, cfg.wake_word, oracle, cfg.evolve, cfg.variation,
                       cfg.distance, seed, oracle_spec=oracle_spec)
-    except OracleFailure as exc:
-        # the archive of every word answered before the failure; no manifest
-        if exc.partial_archive is not None:
-            _write_archive(out, exc.partial_archive)
-        raise
+    except (OracleFailure, KeyboardInterrupt) as exc:
+        # the archive of every word answered before the stop; no manifest
+        partial = getattr(exc, "partial_archive", None)
+        if partial is not None:
+            _write_archive(out, partial)
+        if isinstance(exc, OracleFailure):
+            raise
+        print("interrupted: " + (
+            f"{len(partial.candidates)} fuzzy words archived "
+            f"({partial.query_count} oracle queries) -> {out}"
+            if partial is not None else "nothing archived"), file=sys.stderr)
+        return (EXIT_TERMINATED if isinstance(exc, _Terminated)
+                else EXIT_INTERRUPTED)
     finally:
+        signal.signal(signal.SIGTERM, sigterm)
         if hasattr(oracle, "close"):
             oracle.close()
     _write_archive(out, archive)

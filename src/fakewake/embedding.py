@@ -1,8 +1,10 @@
 """2-D unit embeddings via classical multidimensional scaling, the feature
 encoding used by all classifiers, the per-character distance for the
-Chinese objective, ``parse_text``, the one reading of a word's text as its
-units and pronunciation, and ``read_words``, the same reading of a whole
-word list at once.
+Chinese objective, and ``read_words``, the one reading of word texts as
+their units and pronunciations (``parse_text`` reads one text with it).
+Each language's reader tables are built once per process: the ``G2P`` run
+table of English ``Piece``s on the first read, and a syllable's piece on
+its spelling's first parse.
 
 Initial/final coordinates are scaled by ``UNIT_SCALE`` so character distances
 land in the working range of the tanh normalization (constant A = 100);
@@ -18,15 +20,13 @@ import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .dataio import read_tsv, read_weight_rows
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
-                       PhonemeSequence, g2p, g2p_converter, inventory)
-from .pinyin import (ChineseWord, Syllable, parse_pinyin, parse_syllable,
-                     unit_tables)
+                       g2p_converter, inventory)
+from .pinyin import ChineseWord, Syllable, parse_syllable, unit_tables
 
 if TYPE_CHECKING:
     import numpy as np
@@ -158,47 +158,33 @@ def character_distance(a: Syllable, b: Syllable, tone_penalty: float = 1.0) -> f
 def word_units(word: ChineseWord | LetterWord) -> list[tuple[str, str]]:
     """The (kind, symbol) unit sequence a word contributes to the feature
     encoding: [initial, final] per character for Chinese (tone excluded),
-    g2p phonemes for English."""
-    if isinstance(word, ChineseWord):
-        table = unit_tables()
-        shared = embedding_table().units
-        initials, finals = shared["initial"], shared["final"]
-        units = []
-        for syl in word.syllables:
-            ini = table.initial_by_index[syl.initial]
-            fin = table.final_by_index[syl.final]
-            units.append(initials.get(ini) or ("initial", ini))
-            units.append(finals.get(fin) or ("final", fin))
-        return units
-    return phoneme_units(g2p(word))
-
-
-def phoneme_units(phones: PhonemeSequence) -> list[tuple[str, str]]:
-    """The units of an English pronunciation: its phonemes, without the
-    word boundaries."""
-    shared = embedding_table().units["phoneme"]
-    return [shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY]
-
-
-def _unparsed(text: str, language: str, exc: ParseFailure) -> ParseFailure:
-    failure = ParseFailure(f"{text!r} does not parse as {language}: {exc}")
-    failure.__cause__ = exc
-    return failure
+    the phonemes ``parse_text`` reads for English."""
+    if isinstance(word, LetterWord):
+        return parse_text(word.symbols, "en")[0]
+    table = unit_tables()
+    shared = embedding_table().units
+    initials, finals = shared["initial"], shared["final"]
+    units = []
+    for syl in word.syllables:
+        ini = table.initial_by_index[syl.initial]
+        fin = table.final_by_index[syl.final]
+        units.append(initials.get(ini) or ("initial", ini))
+        units.append(finals.get(fin) or ("final", fin))
+    return units
 
 
 def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
                                                   list[str]]:
-    """A word given as text, parsed once: its units (``word_units``) and
-    its pronunciation, the sequence the edit-distance baseline compares
-    (the g2p phonemes with word boundaries for English, the syllables for
-    Chinese). Text that does not parse raises ``ParseFailure`` naming it."""
-    try:
-        if language == "zh":
-            return word_units(parse_pinyin(text)), text.split()
-        phones = g2p(LetterWord(text))
-    except ParseFailure as exc:
-        raise _unparsed(text, language, exc) from exc
-    return phoneme_units(phones), phones
+    """A word given as text, parsed once (``read_words`` of that one text):
+    its units (``word_units``) and its pronunciation, the sequence the
+    edit-distance baseline compares (the g2p phonemes with word boundaries
+    for English, the syllables for Chinese). Text that does not parse
+    raises ``ParseFailure`` naming it."""
+    [(_, pieces)] = read_words((text,), language)
+    if isinstance(pieces, ParseFailure):
+        raise pieces
+    return ([unit for piece in pieces for unit in piece.units],
+            [phone for piece in pieces for phone in piece.phones])
 
 
 class Piece:
@@ -216,112 +202,58 @@ class Piece:
         self.rows = tuple(unit_row[unit] for unit in units)
 
 
-# Texts one English findall reads: bounds what a block holds at once
-READ_BLOCK = 1024
+@lru_cache(maxsize=None)
+def _letter_pieces():
+    """The ``G2P`` run table of ``Piece``s: a run's phonemes, without the
+    word boundary, are its units."""
+    shared = embedding_table().units["phoneme"]
+    return g2p_converter().runs(lambda phones: Piece(phones, tuple(
+        shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY)))
+
+
+@lru_cache(maxsize=None)
+def _syllable(part: str) -> Piece:
+    """The piece of one syllable spelling; one that does not parse raises,
+    on every call, as ``parse_syllable`` does."""
+    return Piece((part,), tuple(word_units(
+        ChineseWord((parse_syllable(part),)))))
+
 
 _LETTERS = re.compile(f"[{re.escape(ALPHABET)}]+")
 
 
-def read_words(texts: Iterable[str], language: str,
-               ) -> Iterator[tuple[str, list[Piece] | ParseFailure]]:
-    """``parse_text`` of every text of a list, read at once: yields each
-    text with its pieces, whose phones, units and rows, joined in order,
-    are its pronunciation, its units and their rows; or with the
-    ``ParseFailure`` that ``parse_text`` raises for it.
-
-    Each rule grapheme, lexicon token and syllable becomes a ``Piece``
-    once per call. English texts are read in blocks of ``READ_BLOCK``:
-    the distinct out-of-lexicon tokens of a block go through one
-    ``findall`` of the g2p pattern, joined by newlines. No rule grapheme
-    holds a newline, so the catch-all matches each one alone and the
-    matches split back token by token. ``texts`` is read lazily, one
-    block ahead at most."""
+def _read(text: str, language: str) -> list[Piece]:
+    """One text's pieces; text that does not parse raises ``ParseFailure``."""
     if language == "zh":
-        return _read_pinyin(texts)
-    return _read_letters(texts)
-
-
-def _read_letters(texts: Iterable[str]):
-    converter = g2p_converter()
-    findall = converter._pattern.findall
-
-    def piece(phones) -> Piece:
-        return Piece(tuple(phones), tuple(phoneme_units(phones)))
-
-    entries = {token: [piece(phones)]
-               for token, phones in converter.lexicon.items()}
-    # what each match of the pattern reads as: a rule grapheme its piece,
-    # a letter no rule starts with (the catch-all's match) nothing, as the
-    # newline between two tokens, which no token's pieces include
-    graphemes = {g: piece(phones) for g, phones in converter._phones.items()}
-    nothing = Piece((), ())
-    for letter in ALPHABET + "\n":
-        graphemes.setdefault(letter, nothing)
-    boundary = Piece((BOUNDARY,), ())
-    texts = iter(texts)
-    while block := list(islice(texts, READ_BLOCK)):
-        # each token of the block and its pieces, None until read
-        words, pieces_of, fresh = [], {}, []
-        for text in block:
-            if not _LETTERS.fullmatch(text):
-                try:
-                    LetterWord(text)
-                except ParseFailure as exc:
-                    words.append(_unparsed(text, "en", exc))
-                    continue
-            tokens = text.split()
-            for token in tokens:
-                if token in pieces_of:
-                    continue
-                pieces_of[token] = entries.get(token)
-                if pieces_of[token] is None:
-                    fresh.append(token)
-            words.append(tokens)
-        # each fresh token's matches end at the newline after it
-        matches = findall("\n".join([*fresh, ""]))
-        read = list(map(graphemes.__getitem__, matches))
-        start = 0
-        for token in fresh:
-            end = matches.index("\n", start)
-            pieces_of[token] = read[start:end]
-            start = end + 1
-        for text, tokens in zip(block, words):
-            if isinstance(tokens, ParseFailure):
-                yield text, tokens
-            else:
-                pieces = []
-                for k, token in enumerate(tokens):
-                    if k:
-                        pieces.append(boundary)
-                    pieces += pieces_of[token]
-                yield text, pieces
-
-
-def _read_pinyin(texts: Iterable[str]):
-    syllables: dict[str, Piece | ParseFailure] = {}
-
-    def piece(part: str) -> Piece | ParseFailure:
-        try:
-            word = ChineseWord((parse_syllable(part),))
-        except ParseFailure as exc:
-            return exc
-        return Piece((part,), tuple(word_units(word)))
-
-    for text in texts:
         parts = text.split()
         if not parts:
-            yield text, _unparsed(text, "zh",
-                                  UnknownSyllable("empty pinyin text"))
-            continue
-        pieces = []
-        for part in parts:
-            read = syllables.get(part)
-            if read is None:
-                read = syllables[part] = piece(part)
-            if isinstance(read, ParseFailure):
-                pieces = _unparsed(text, "zh", read)
-                break
-            pieces.append(read)
+            raise UnknownSyllable("empty pinyin text")
+        return [_syllable(part) for part in parts]
+    if not _LETTERS.fullmatch(text):
+        LetterWord(text)   # raises for a symbol outside a-z/space or ""
+    pieces: list[Piece] = []
+    g2p_converter().read(text, _letter_pieces(), pieces.append)
+    return pieces
+
+
+def read_words(texts: Iterable[str], language: str,
+               ) -> Iterator[tuple[str, list[Piece] | ParseFailure]]:
+    """Every text of a list read in turn: yields each text with its
+    pieces, whose phones, units and rows, joined in order, are its
+    pronunciation, its units and their rows; or with a ``ParseFailure``
+    naming the text.
+
+    Each rule grapheme, lexicon token and syllable spelling that parses is
+    one ``Piece`` per process: the English ones are built on the first
+    English read, a syllable's on its spelling's first parse; a failure is
+    not memoised. ``texts`` is read lazily, one text at a time."""
+    for text in texts:
+        try:
+            pieces = _read(text, language)
+        except ParseFailure as exc:
+            pieces = ParseFailure(
+                f"{text!r} does not parse as {language}: {exc}")
+            pieces.__cause__ = exc
         yield text, pieces
 
 

@@ -13,7 +13,8 @@ class ConfigError(FakewakeError):
 
 class ParseFailure(FakewakeError):
     """A word's text does not parse in its language: ``LetterWord`` raises
-    it, pinyin parsing its subclasses, ``parse_text`` one naming the text."""
+    it, pinyin parsing its subclasses, ``read_words`` (and so
+    ``parse_text``) one naming the text. No reader memoises a failure."""
 
 
 class UnknownSyllable(ParseFailure):

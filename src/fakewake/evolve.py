@@ -63,9 +63,9 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     """Search for fuzzy words of ``wake_text`` against ``oracle``.
 
     Deterministic given (wake word, configs, seed, oracle seed). When the
-    oracle fails, the ``OracleFailure`` carries the archive of every word
-    answered before it, and ``generations_run`` counts the complete
-    generations.
+    oracle fails or the search is interrupted, the ``OracleFailure`` or
+    ``KeyboardInterrupt`` carries the archive of every word answered before
+    it, and ``generations_run`` counts the complete generations.
     """
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
@@ -80,53 +80,56 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
                   else g2p(wake_text))
     population = seed_genomes(wake_word, cfg.population_size, rng)
 
-    for generation in range(1, cfg.generations + 1):
-        texts = [decode_text(genome) for genome in population]
-        unseen = list(dict.fromkeys(t for t in texts if t not in cache))
-        try:
-            for text, wakes in zip(unseen, wake_counts(oracle, unseen,
-                                                       cfg.trials)):
-                cache[text] = Objectives(
-                    wakes / cfg.trials,
-                    _dissimilarity(text, wake_units, dist_cfg))
-                archive.query_count += cfg.trials
-        except OracleFailure as exc:
-            exc.partial_archive = archive
-            raise
-        finally:
-            # after a failure, the population up to its first unanswered word
-            for genome, text in zip(population, texts):
-                if text not in cache:
-                    break
-                _record(archive, genome, text, cache[text], generation, cfg)
-        archive.generations_run = generation
+    try:
+        for generation in range(1, cfg.generations + 1):
+            texts = [decode_text(genome) for genome in population]
+            unseen = list(dict.fromkeys(t for t in texts if t not in cache))
+            try:
+                for text, wakes in zip(unseen, wake_counts(oracle, unseen,
+                                                           cfg.trials)):
+                    cache[text] = Objectives(
+                        wakes / cfg.trials,
+                        _dissimilarity(text, wake_units, dist_cfg))
+                    archive.query_count += cfg.trials
+            finally:
+                # after a stop, the population up to its first unanswered
+                # word
+                for genome, text in zip(population, texts):
+                    if text not in cache:
+                        break
+                    _record(archive, genome, text, cache[text], generation,
+                            cfg)
+            archive.generations_run = generation
 
-        objectives = [cache[text] for text in texts]
-        front = non_dominated_front(objectives)
-        if len(front) >= 2:
-            parents = [population[i] for i in front]
-        else:
-            ranked = sorted(range(len(objectives)),
-                            key=lambda i: (-objectives[i].wake_rate,
-                                           -objectives[i].dissimilarity))
-            parents = [population[i] for i in ranked[:2]]
-        if generation == cfg.generations:
-            break
-
-        next_pop: list[Genome] = list(parents[:cfg.population_size]) \
-            if cfg.elitism else []
-        while len(next_pop) < cfg.population_size:
-            i = int(rng.integers(len(parents)))
-            j = int(rng.integers(len(parents)))
-            p1, p2 = parents[i], parents[j]
-            if rng.random() < variation.crossover_rate:
-                c1, c2 = crossover(p1, p2, rng)
+            objectives = [cache[text] for text in texts]
+            front = non_dominated_front(objectives)
+            if len(front) >= 2:
+                parents = [population[i] for i in front]
             else:
-                c1, c2 = p1, p2
-            for child in (c1, c2):
-                if len(next_pop) < cfg.population_size:
-                    next_pop.append(mutate(child, variation, rng))
-        population = next_pop
+                ranked = sorted(range(len(objectives)),
+                                key=lambda i: (-objectives[i].wake_rate,
+                                               -objectives[i].dissimilarity))
+                parents = [population[i] for i in ranked[:2]]
+            if generation == cfg.generations:
+                break
+
+            next_pop: list[Genome] = list(parents[:cfg.population_size]) \
+                if cfg.elitism else []
+            while len(next_pop) < cfg.population_size:
+                i = int(rng.integers(len(parents)))
+                j = int(rng.integers(len(parents)))
+                p1, p2 = parents[i], parents[j]
+                if rng.random() < variation.crossover_rate:
+                    c1, c2 = crossover(p1, p2, rng)
+                else:
+                    c1, c2 = p1, p2
+                for child in (c1, c2):
+                    if len(next_pop) < cfg.population_size:
+                        next_pop.append(mutate(child, variation, rng))
+            population = next_pop
+    except (OracleFailure, KeyboardInterrupt) as exc:
+        exc.partial_archive = archive
+        raise
     return archive
 
 

@@ -7,6 +7,9 @@ articulatory features (+1 present / 0 unmarked / -1 absent); its
 ``embedding``) hold every pairwise feature distance. Conversion is
 lexicon-first with a rule fallback so any letter string gets a deterministic
 pronunciation. Word boundaries are kept as ``BOUNDARY`` markers.
+``G2P.read`` is the one reading of a text: ``g2p`` reads phonemes through it
+and ``embedding`` the pieces of its word lists, each from a run table built
+once per process.
 """
 from __future__ import annotations
 
@@ -122,31 +125,38 @@ class G2P:
             if prev is None or cand < prev:
                 rules[grapheme] = cand
         self.rules = rules
-        self._phones = {g: tuple(phones) for g, (_, phones) in rules.items()}
         graphemes = sorted((g for g in rules if g), key=lambda g: (-len(g), g))
         self._pattern = re.compile(
             "|".join([*map(re.escape, graphemes), "(?s:.)"]))
+        self.phone_runs = self.runs(tuple)
 
-    def token(self, token: str) -> list[str]:
-        if token in self.lexicon:
-            return list(self.lexicon[token])
-        phones: list[str] = []
-        rule = self._phones.get
-        for grapheme in self._pattern.findall(token):
-            match = rule(grapheme)
-            if match:
-                phones.extend(match)
-        return phones
+    def runs(self, run):
+        """A run table for ``read``: ``run`` of the phoneme tuple of each
+        lexicon token, of each rule grapheme and of the word boundary."""
+        graphemes = {g: run(tuple(phones))
+                     for g, (_, phones) in self.rules.items()}
+        graphemes[BOUNDARY] = run((BOUNDARY,))
+        return ({token: run(tuple(phones))
+                 for token, phones in self.lexicon.items()}, graphemes)
 
-    def word(self, word: LetterWord | str) -> PhonemeSequence:
-        text = word.symbols if isinstance(word, LetterWord) else word
-        tokens = text.split()
-        out: list[str] = []
-        for idx, tok in enumerate(tokens):
-            if idx:
-                out.append(BOUNDARY)
-            out.extend(self.token(tok))
-        return out
+    def read(self, text: str, table, add) -> None:
+        """Pass ``add`` the runs of ``text``'s pronunciation from ``table``
+        (see ``runs``), in order: per whitespace-separated token its
+        lexicon entry, or else each pattern match that has a run, and the
+        boundary between tokens."""
+        tokens, graphemes = table
+        findall = self._pattern.findall
+        for k, token in enumerate(text.split()):
+            if k:
+                add(graphemes[BOUNDARY])
+            run = tokens.get(token)
+            if run is not None:
+                add(run)
+                continue
+            for match in findall(token):
+                run = graphemes.get(match)
+                if run is not None:
+                    add(run)
 
 
 @lru_cache(maxsize=None)
@@ -156,5 +166,9 @@ def g2p_converter() -> G2P:
 
 def g2p(word: LetterWord | str) -> PhonemeSequence:
     """Deterministic pronunciation of a letter string; empty input -> []."""
-    return g2p_converter().word(word)
+    converter = g2p_converter()
+    phones: PhonemeSequence = []
+    converter.read(word.symbols if isinstance(word, LetterWord) else word,
+                   converter.phone_runs, phones.extend)
+    return phones
 

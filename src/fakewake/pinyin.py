@@ -12,7 +12,8 @@ holds at most 24 x 37 x 4 entries. ``parse_syllable`` is keyed on the text as
 given, so it holds one entry per distinct spelling in the input (digit or
 diacritic tone, case, NFC or NFD); each entry maps to the one shared frozen
 ``Syllable``. Neither caches a failure: an invalid triple or a bad spelling
-raises on every call.
+raises on every call. ``embedding`` memoises each parsed spelling's piece
+by the same rule.
 """
 from __future__ import annotations
 

@@ -2,15 +2,22 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import shutil
+import signal
+import subprocess
 import sys
+import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from fakewake.archive import FuzzyArchive
 from fakewake.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_config(path, **extra):
@@ -603,6 +610,63 @@ def test_external_oracle_surplus_reply_exits_3(tmp_path, capsys):
                  "--output", str(tmp_path / "out")]) == 3
     assert "replied to no query" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+
+@pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130),
+                                          (signal.SIGTERM, 143)])
+def test_interrupted_generate_keeps_the_partial_archive(tmp_path, signum,
+                                                        code):
+    """A signal to ``generate`` while its oracle is answering the second
+    word: the exit code of the signal, one ``interrupted:`` line, and the
+    archive and summary that an oracle failing at that word leaves (exit
+    3), with no manifest."""
+    stub = tmp_path / "stub.py"
+    marker = tmp_path / "second-word"
+    answer = "    print('1' if 'k' in line else '0', flush=True)\n"
+    # answers the first word's 5 trials, then closes
+    stub.write_text("import sys\n"
+                    "for n, line in enumerate(sys.stdin):\n" + answer +
+                    "    if n == 4:\n"
+                    "        break\n")
+    config = write_config(tmp_path / "config.json")
+    oracle = f"exec:{sys.executable} {stub}"
+    failed = tmp_path / "failed"
+    assert main(["generate", "--config", str(config), "--oracle", oracle,
+                 "--output", str(failed)]) == 3
+    # answers the first word, then waits at the second word's first line
+    stub.write_text("import sys, time\n"
+                    "for n, line in enumerate(sys.stdin):\n"
+                    "    if n == 5:\n"
+                    f"        open({str(marker)!r}, 'w').close()\n"
+                    "        time.sleep(60)\n" + answer)
+    out = tmp_path / "interrupted"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fakewake.cli", "generate", "--config",
+         str(config), "--oracle", oracle, "--output", str(out)],
+        env=dict(os.environ, PYTHONPATH=SRC), stderr=subprocess.PIPE,
+        text=True,
+        # a process started with SIGINT ignored keeps ignoring it, and
+        # Python then installs no KeyboardInterrupt handler
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signum)
+        _, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == code
+    assert [line for line in err.splitlines()
+            if line.startswith("interrupted:")] == [err.strip()]
+    assert sorted(p.name for p in out.iterdir()) == ["archive.json",
+                                                      "summary.tsv"]
+    for name in ("archive.json", "summary.tsv"):
+        assert (out / name).read_bytes() == (failed / name).read_bytes()
+    partial = FuzzyArchive.load(out / "archive.json")
+    assert partial.query_count == 5 and partial.generations_run == 0
 
 
 def test_failed_rerun_leaves_no_manifest_of_the_earlier_run(small_run,

@@ -11,11 +11,12 @@ from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
                                 encode_units, mds_embed, parse_text,
                                 read_words, word_units)
 from fakewake.errors import ParseFailure, TooManyUnits
-from fakewake.phonemes import ALPHABET, LetterWord, inventory
+from fakewake.phonemes import (ALPHABET, BOUNDARY, LetterWord,
+                               g2p_converter, inventory)
 from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
-from tests.test_phonemes import bits, numpy_rows
+from tests.test_phonemes import bits, numpy_rows, pattern_word
 
 
 def test_mds_identical_points():
@@ -418,6 +419,27 @@ chinese_text = (
 some_text = english_text | chinese_text
 
 
+def per_word_read(text, language):
+    """``parse_text`` before ``read_words``: the per-word English reader
+    (``pattern_word``) or ``parse_pinyin``, then each unit's row; or the
+    failure's type and message."""
+    try:
+        if language == "zh":
+            tables = unit_tables()
+            units = [unit for syl in parse_pinyin(text).syllables
+                     for unit in (("initial",
+                                   tables.initial_by_index[syl.initial]),
+                                  ("final", tables.final_by_index[syl.final]))]
+            spoken = text.split()
+        else:
+            spoken = pattern_word(g2p_converter(), LetterWord(text).symbols)
+            units = [("phoneme", p) for p in spoken if p != BOUNDARY]
+    except ParseFailure as exc:
+        return ParseFailure, f"{text!r} does not parse as {language}: {exc}"
+    unit_row = embedding_table().unit_row
+    return units, spoken, [unit_row[unit] for unit in units]
+
+
 def scalar_read(text, language):
     try:
         units, spoken = parse_text(text, language)
@@ -436,22 +458,59 @@ def batch_read(pieces):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(some_text, max_size=12), st.sampled_from(["en", "zh"]),
-       st.integers(1, 5))
+@given(st.lists(some_text, max_size=12), st.sampled_from(["en", "zh"]))
 @example(["", " ", "  a  b ", "Alexa", "a1", "a\tb", "alexa", "alexa"],
-         "en", 3)
+         "en")
 @example(["", "   ", "xiǎo dù", "xiao du", "xiǎo\tdù", "xiǎo qqq1",
-          "ni3"], "zh", 2)
-def test_read_words_equals_parse_text(texts, language, block):
-    """Every text, across block boundaries and repeated texts: the same
-    units, pronunciation and unit rows as ``parse_text``, or the same
-    ``ParseFailure`` message."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embedding, "READ_BLOCK", block)
-        read = list(read_words(iter(texts), language))
+          "ni3"], "zh")
+def test_read_words_equals_parse_text(texts, language):
+    """Every text, repeated texts included: ``read_words`` and
+    ``parse_text`` give the units, pronunciation and unit rows of the
+    per-word reader, or the same ``ParseFailure`` message."""
+    read = list(read_words(iter(texts), language))
     assert [text for text, _ in read] == texts
     for text, pieces in read:
-        assert batch_read(pieces) == scalar_read(text, language)
+        expected = per_word_read(text, language)
+        assert batch_read(pieces) == expected
+        assert scalar_read(text, language) == expected
+
+
+def test_reading_again_builds_no_piece(monkeypatch):
+    """Each language's pieces are built once per process: reading words a
+    second time, as a list or one text at a time, builds none."""
+    words = {"en": ["alexa", "hey siri", "kitten", "qu tion eigh"],
+             "zh": ["xiǎo dù", "nǐ hǎo", "ni3 hao3"]}
+    first = {language: list(read_words(texts, language))
+             for language, texts in words.items()}
+    built = []
+    init = embedding.Piece.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+    monkeypatch.setattr(embedding.Piece, "__init__", counted)
+    for language, texts in words.items():
+        again = list(read_words(texts, language))
+        assert [[p.phones for p in pieces] for _, pieces in again] == \
+            [[p.phones for p in pieces] for _, pieces in first[language]]
+        for text in texts:
+            parse_text(text, language)
+    assert built == []
+
+
+@pytest.mark.parametrize("text", ["xiǎo qqq1", "xiao", "xiǎo dǚ", ""])
+def test_bad_syllable_fails_alike_on_every_call(text):
+    """A text that does not parse is not memoised: every call raises
+    (``parse_text``) or yields (``read_words``) the same failure."""
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(ParseFailure) as failure:
+            parse_text(text, "zh")
+        messages.add(str(failure.value))
+        [(_, pieces)] = read_words([text], "zh")
+        assert isinstance(pieces, ParseFailure)
+        messages.add(str(pieces))
+    assert messages == {per_word_read(text, "zh")[1]}
 
 
 @settings(max_examples=200, deadline=None)

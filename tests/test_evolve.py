@@ -200,6 +200,31 @@ def test_oracle_failure_partial_archive_is_exact(budget):
                                 if c["word"] in evaluated]
 
 
+class InterruptingOracle(FlakyOracle):
+    """Raises ``KeyboardInterrupt`` where ``FlakyOracle`` fails."""
+
+    def query(self, word, trials=1):
+        try:
+            return super().query(word, trials)
+        except OracleFailure:
+            raise KeyboardInterrupt from None
+
+
+@settings(max_examples=25, deadline=None)
+@given(budget=st.integers(1, 150))
+@example(budget=29)
+@example(budget=97)
+def test_interrupt_partial_archive_equals_the_oracle_failure_one(budget):
+    """An interrupt at a query leaves the archive that an oracle failure
+    at the same query leaves."""
+    with pytest.raises(OracleFailure) as failure:
+        small_run(FlakyOracle(budget), generations=6)
+    with pytest.raises(KeyboardInterrupt) as interrupt:
+        small_run(InterruptingOracle(budget), generations=6)
+    assert interrupt.value.partial_archive.to_json() == \
+        failure.value.partial_archive.to_json()
+
+
 class QueryOnly:
     """Exposes only ``query``, so the search queries word by word."""
 

@@ -193,15 +193,14 @@ CRAFTED = ("\r\n  kit \r\n\nHello\n\tmop\t\nfoo bar\nfoo\tbar\n"
 @pytest.mark.parametrize("language, slots", [("en", SLOTS), ("en", 6),
                                              ("zh", 4), ("zh", 2)])
 @pytest.mark.parametrize("limit", [None, 3])
-@pytest.mark.parametrize("block", [1, 4, 1024])
+@pytest.mark.parametrize("copies", [1, 4, 1024])
 def test_load_collective_equals_the_per_line_reference(
-        tmp_path, monkeypatch, language, slots, limit, block):
+        tmp_path, language, slots, limit, copies):
     """Blank lines, CRLF, surrounding spaces, tabs, uppercase, words too
-    long for the slots, bad syllables and ``limit``, across blocks."""
-    from fakewake import embedding
-    monkeypatch.setattr(embedding, "READ_BLOCK", block)
+    long for the slots, bad syllables and ``limit``, in ``copies`` copies
+    of the file: a repeated line reads the same from the warm memos."""
     path = tmp_path / "collective.txt"
-    path.write_bytes(CRAFTED.encode("utf-8"))
+    path.write_bytes((CRAFTED * copies).encode("utf-8"))
     texts, features = per_line_collective(path, language, slots, limit)
     assert texts
     rows = load_collective(language, slots, limit=limit, path=path)

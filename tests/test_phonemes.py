@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakewake.dataio import data_path, read_tsv, read_weight_rows
+from fakewake.embedding import parse_text, read_words
 from fakewake.errors import ParseFailure, UnknownPhoneme
 from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, FeatureTable,
                                LetterWord, g2p, g2p_converter, inventory)
@@ -139,10 +140,12 @@ def test_cost_rows_are_the_distance_matrix():
             assert row[INV.index[q]] == INV.distance(p, q)
 
 
-# ------------------------------------------------ width-loop reference
-# G2P.token before the compiled pattern: at each position, try the rule
-# graphemes by width from the longest rule down; a character no rule
-# matches contributes nothing. The pattern must reproduce it exactly.
+# ------------------------------------------------ per-word references
+# The width loop is g2p before the compiled pattern: at each position, try
+# the rule graphemes by width from the longest rule down; a character no
+# rule matches contributes nothing. ``pattern_token``/``pattern_word`` are
+# the per-word reader the package had before ``G2P.read`` (``G2P.token``
+# and ``G2P.word``). The package's readers must reproduce both exactly.
 
 def width_loop_token(conv, token):
     if token in conv.lexicon:
@@ -165,11 +168,59 @@ def width_loop_token(conv, token):
     return phones
 
 
+def pattern_token(conv, token):
+    if token in conv.lexicon:
+        return list(conv.lexicon[token])
+    phones = []
+    for grapheme in conv._pattern.findall(token):
+        match = conv.rules.get(grapheme)
+        if match:
+            phones.extend(match[1])
+    return phones
+
+
+def pattern_word(conv, text, token=pattern_token):
+    """Each whitespace-separated token read alone, ``BOUNDARY`` between
+    tokens."""
+    out = []
+    for idx, tok in enumerate(text.split()):
+        if idx:
+            out.append(BOUNDARY)
+        out.extend(token(conv, tok))
+    return out
+
+
+def width_loop_word(conv, text):
+    return pattern_word(conv, text, width_loop_token)
+
+
+def read_phones(conv, text):
+    """``G2P.read`` of ``text`` through the converter's phoneme table."""
+    phones = []
+    conv.read(text, conv.phone_runs, phones.extend)
+    return phones
+
+
+def read_pronunciations(texts):
+    """Each text's pronunciation as ``read_words`` and ``parse_text`` give
+    it, or None where it does not parse."""
+    out = []
+    for text, pieces in read_words(texts, "en"):
+        if isinstance(pieces, ParseFailure):
+            out.append(None)
+            continue
+        spoken = [p for piece in pieces for p in piece.phones]
+        assert parse_text(text, "en")[1] == spoken
+        out.append(spoken)
+    return out
+
+
 @pytest.fixture(scope="module")
 def rules_only():
     """A converter that reads every token by the rules."""
     conv = G2P()
     conv.lexicon = {}
+    conv.phone_runs = conv.runs(tuple)
     return conv
 
 
@@ -180,10 +231,15 @@ def test_token_equals_width_loop_on_lexicon_and_collective(rules_only):
         lines = [line.strip() for line in fh]
     for line in lines:
         tokens.update(line.split())
-    for token in sorted(tokens) + lines:
-        assert conv.token(token) == width_loop_token(conv, token), token
-        assert rules_only.token(token) == \
-            width_loop_token(rules_only, token), token
+    texts = sorted(tokens) + lines
+    expected = [width_loop_word(conv, text) for text in texts]
+    assert [pattern_word(conv, text) for text in texts] == expected
+    assert [g2p(text) for text in texts] == expected
+    assert read_pronunciations(texts) == [
+        phones if text else None for text, phones in zip(texts, expected)]
+    for text in texts:
+        assert read_phones(rules_only, text) == \
+            width_loop_word(rules_only, text), text
     for line in lines[:500]:
         if line:
             assert g2p(line) == g2p(LetterWord(line))
@@ -192,13 +248,15 @@ def test_token_equals_width_loop_on_lexicon_and_collective(rules_only):
 @settings(max_examples=300)
 @given(st.text(alphabet=ALPHABET, max_size=24))
 def test_token_equals_width_loop_on_letter_strings(rules_only, text):
-    assert rules_only.token(text) == width_loop_token(rules_only, text)
-    for token in text.split():
-        assert g2p_converter().token(token) == \
-            width_loop_token(g2p_converter(), token)
+    assert read_phones(rules_only, text) == width_loop_word(rules_only, text)
+    expected = width_loop_word(g2p_converter(), text)
+    assert g2p(text) == expected
+    assert read_pronunciations([text]) == [expected if text else None]
 
 
 def test_token_skips_characters_no_rule_starts():
+    """``g2p`` reads any string; a character no rule starts with reads as
+    nothing."""
     conv = g2p_converter()
     for text in ("a-b", "ab3c", "x\ny", "é", ""):
-        assert conv.token(text) == width_loop_token(conv, text)
+        assert g2p(text) == width_loop_word(conv, text)
