@@ -65,7 +65,7 @@ def _build_oracle(cfg: RunConfig, seed: int):
                 f"exec:{block.command}")
     target = block.target or cfg.wake_word
     weights = block.unit_weights
-    if weights is None and block.decisive_unit is not None:
+    if block.decisive_unit is not None:   # the block allows one of the two
         n = len(_parse_units(target, cfg.language))
         heavy = block.decisive_unit
         if heavy >= n:   # the block checks that it is nonnegative
@@ -292,8 +292,7 @@ def cmd_mitigate(args) -> int:
     from .archive import Bucket, bucket
     from .explain import ArchiveWords, rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
-                           screening_coverage, strengthen, train_original,
-                           unit_set)
+                           screening_coverage, strengthen, train_original)
 
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
@@ -331,8 +330,7 @@ def cmd_mitigate(args) -> int:
     # screening coverage needs the proxy's decisive-unit ranking
     _, _, factor_sets = _proxy(cfg, words, seed)
     ranked = rank_decisive_units(factor_sets)
-    unit_sets = [unit_set(units) for units in words.fuzzy.units]
-    coverage = {str(n): screening_coverage(unit_sets, ranked, n)
+    coverage = {str(n): screening_coverage(words.fuzzy.units, ranked, n)
                 for n in range(1, block.screening_top_n + 1)}
 
     report = {

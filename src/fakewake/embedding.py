@@ -88,17 +88,12 @@ class EmbeddingTable:
             for kind, weights in zip(symbols, weight_rows)}
         self.tables["phoneme"] = inventory()
 
-        # each unit's row of ``unit_vectors``, row 0 the zero padding;
-        # ``units[kind][symbol]`` is the one (kind, symbol) tuple that all
-        # unit lists share (``word_units`` makes its own only for a symbol
-        # the table lacks, which encoding then rejects as before)
+        # each (kind, symbol) unit's row of ``unit_vectors``, row 0 the
+        # zero padding
         self.unit_row: dict[tuple[str, str], int] = {}
-        self.units: dict[str, dict[str, tuple[str, str]]] = {}
         for kind, table in self.tables.items():
-            units = self.units[kind] = {}
             for sym in table.index:
-                unit = units[sym] = (kind, sym)
-                self.unit_row[unit] = len(self.unit_row) + 1
+                self.unit_row[kind, sym] = len(self.unit_row) + 1
 
     @cached_property
     def unit_vectors(self) -> np.ndarray:
@@ -162,14 +157,10 @@ def word_units(word: ChineseWord | LetterWord) -> list[tuple[str, str]]:
     if isinstance(word, LetterWord):
         return parse_text(word.symbols, "en")[0]
     table = unit_tables()
-    shared = embedding_table().units
-    initials, finals = shared["initial"], shared["final"]
     units = []
     for syl in word.syllables:
-        ini = table.initial_by_index[syl.initial]
-        fin = table.final_by_index[syl.final]
-        units.append(initials.get(ini) or ("initial", ini))
-        units.append(finals.get(fin) or ("final", fin))
+        units.append(("initial", table.initial_by_index[syl.initial]))
+        units.append(("final", table.final_by_index[syl.final]))
     return units
 
 
@@ -206,9 +197,8 @@ class Piece:
 def _letter_pieces():
     """The ``G2P`` run table of ``Piece``s: a run's phonemes, without the
     word boundary, are its units."""
-    shared = embedding_table().units["phoneme"]
     return g2p_converter().runs(lambda phones: Piece(phones, tuple(
-        shared.get(p) or ("phoneme", p) for p in phones if p != BOUNDARY)))
+        ("phoneme", p) for p in phones if p != BOUNDARY)))
 
 
 @lru_cache(maxsize=None)

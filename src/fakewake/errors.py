@@ -46,11 +46,8 @@ class BothEmpty(FakewakeError):
 # --- oracle ------------------------------------------------------------------
 
 class OracleFailure(FakewakeError):
-    """The wake oracle failed; a partial archive may be attached."""
-
-    def __init__(self, *args, partial_archive=None):
-        super().__init__(*args)
-        self.partial_archive = partial_archive
+    """The wake oracle failed; the search attaches the archive of the words
+    answered before it as ``partial_archive``."""
 
 
 class ProtocolError(OracleFailure):

@@ -19,7 +19,7 @@ import numpy as np
 from .archive import FuzzyArchive
 from .embedding import embedding_table, encode_rows, parse_text, read_words
 from .errors import (DegenerateData, EmptyClass, NoPositiveContributions,
-                     ParseFailure, TooFewSamples)
+                     ParseFailure, TooFewSamples, TooManyUnits)
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import english_genome_length
 from .params import LENGTH_RATIO, ExplainConfig, GBDTParams
@@ -78,7 +78,8 @@ def parse_words(texts: list[str], language: str, slots: int,
                 label: int) -> Dataset:
     """Parse the texts at once (``read_words``) and encode the list as one
     matrix, every word labelled ``label``. The first text that does not
-    parse raises the ``ParseFailure`` naming it."""
+    parse raises the ``ParseFailure`` naming it; if all parse, the first
+    with more units than ``slots`` raises a ``TooManyUnits`` naming it."""
     pronunciations, units, rows = [], [], []
     for _, pieces in read_words(texts, language):
         if isinstance(pieces, ParseFailure):
@@ -86,6 +87,11 @@ def parse_words(texts: list[str], language: str, slots: int,
         pronunciations.append([p for piece in pieces for p in piece.phones])
         units.append([u for piece in pieces for u in piece.units])
         rows.append([r for piece in pieces for r in piece.rows])
+    for text, word in zip(texts, rows):
+        if len(word) > slots:
+            raise TooManyUnits(f"explain.slots = {slots} is too small: "
+                               f"{text!r} has {len(word)} units, which "
+                               f"exceed {slots} slots")
     return Dataset(list(texts), encode_rows(rows, slots),
                    np.full(len(units), label, dtype=int), pronunciations,
                    units)
@@ -344,7 +350,7 @@ def explain_archive(words: ArchiveWords, model: TreeEnsemble,
     if not fuzzy.texts:
         return []
     kept = np.flatnonzero(model.predict_proba(fuzzy.features) >= 0.5)
-    contributions = shap_values(model, fuzzy.features[kept]).contributions
+    contributions = shap_values(model, fuzzy.features[kept])
     out = []
     for phi, i in zip(contributions, kept.tolist()):
         try:

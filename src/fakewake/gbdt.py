@@ -73,9 +73,6 @@ class Tree:
         self.value = np.asarray(self.value, dtype=float)
         self.cover = np.asarray(self.cover, dtype=float)
 
-    def is_leaf(self, node: int) -> bool:
-        return bool(self.feature[node] < 0)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of each row of the matrix x. The root compares one
         column for all the rows, every other internal node splits only the
@@ -102,16 +99,15 @@ class Tree:
             stack.append((left[node], rows.compress(go)))
         return out
 
-    def expected_value(self) -> float:
-        """Cover-weighted mean output (the empty-coalition expectation)."""
-        return self._mean_below(0)
 
-    def _mean_below(self, node: int) -> float:
-        if self.is_leaf(node):
-            return self.value[node]
-        wl = self.cover[self.left[node]] / self.cover[node]
-        return (wl * self._mean_below(self.left[node])
-                + (1 - wl) * self._mean_below(self.right[node]))
+def check_matrix(model: "TreeEnsemble", x) -> np.ndarray:
+    """x as a float matrix of ``model.n_features`` columns; any other shape
+    raises ``ShapeMismatch``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != model.n_features:
+        raise ShapeMismatch(f"expected a matrix of {model.n_features} "
+                            f"features per row, got shape {x.shape}")
+    return x
 
 
 @dataclass
@@ -123,10 +119,7 @@ class TreeEnsemble:
 
     def margin(self, x: np.ndarray) -> np.ndarray:
         """Log-odds of each row of the matrix x."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 2 or x.shape[1] != self.n_features:
-            raise ShapeMismatch(f"expected a matrix of {self.n_features} "
-                                f"features per row, got shape {x.shape}")
+        x = check_matrix(self, x)
         # trees add one after another from zero and the base score comes
         # last, the same additions as base + sum(per-tree values)
         total = np.zeros(len(x))

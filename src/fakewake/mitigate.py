@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dataio import data_path
-from .embedding import encode_rows, encode_units, read_words
+from .embedding import encode_rows, read_words
 from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      ParseFailure)
 from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
@@ -52,8 +52,8 @@ def assemble_triple(words: ArchiveWords, block: MitigateConfig, seed: int = 0,
                     length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
     archive = words.archive
     conventional = synthesize_conventional(
-        archive.wake_word, words.wake[0], archive.language, words.slots,
-        block, seed=seed, length_ratio=length_ratio)
+        archive.wake_word, archive.language, words.slots, block, seed=seed,
+        length_ratio=length_ratio)
     fuzzy = replace(words.fuzzy,
                     labels=np.zeros(len(words.fuzzy), dtype=int))
     collective = load_collective(archive.language, words.slots,
@@ -70,21 +70,22 @@ class MitigationReport:
     fuzzy_rate: float
 
 
-def synthesize_conventional(wake_word: str, wake_units: list[tuple[str, str]],
-                            language: str, slots: int, block: MitigateConfig,
-                            seed: int = 0, length_ratio: float = LENGTH_RATIO,
+def synthesize_conventional(wake_word: str, language: str, slots: int,
+                            block: MitigateConfig, seed: int = 0,
+                            length_ratio: float = LENGTH_RATIO,
                             ) -> ConventionalDataset:
-    """Positives: the features of the wake word's ``wake_units`` with Gaussian
-    jitter emulating speaker variation. Negatives: random valid words, as
-    long as the search's genomes (``length_ratio`` sizes English ones).
-    Split 3/4 train per class (ceiling), remainder test."""
+    """Positives: the wake word's features with Gaussian jitter emulating
+    speaker variation. Negatives: random valid words, as long as the
+    search's genomes (``length_ratio`` sizes English ones). Split 3/4 train
+    per class (ceiling), remainder test."""
     n_pos, n_neg = block.n_pos, block.n_neg
     rng = np.random.default_rng(seed)
-    base = encode_units([wake_units], slots)[0]
+    wake = parse_words([wake_word], language, slots, 1)
+    base = wake.features[0]
     # jitter only the occupied slots; padding stays exactly zero like any
     # real word encoding
     occupied = np.zeros(base.shape)
-    occupied[:2 * len(wake_units)] = 1.0
+    occupied[:2 * len(wake.units[0])] = 1.0
     # one draw reads the stream row by row, as n_pos one-row draws would
     noise = rng.normal(0.0, block.jitter, size=(n_pos, base.size))
     positives = Dataset([wake_word] * n_pos, base + occupied * noise,
@@ -189,20 +190,14 @@ def fuzzy_rate(model: TreeEnsemble, collective: Dataset) -> float:
     return accepted / len(collective)
 
 
-def unit_set(units: list[tuple[str, str]]) -> frozenset[tuple[str, str]]:
-    """The distinct (kind, symbol) units of a word's unit sequence, what
-    screening looks at."""
-    return frozenset(units)
-
-
-def screening_coverage(unit_sets: list[frozenset[tuple[str, str]]],
+def screening_coverage(words: list[list[tuple[str, str]]],
                        ranked_units: list[RankedUnit], top_n: int) -> float:
-    """Fraction of fuzzy words (given by their ``unit_set``) the screening
-    decision escalates to a heavier recognizer, that is words containing at
-    least one of the top-n decisive units (same unit symbol at any
-    position)."""
-    if not unit_sets:
+    """Fraction of fuzzy words (given by their (kind, symbol) unit lists)
+    the screening decision escalates to a heavier recognizer, that is words
+    containing at least one of the top-n decisive units (same kind and
+    symbol at any position)."""
+    if not words:
         return 0.0
     top = {(u.kind, u.symbol) for u in ranked_units[:top_n]}
-    hits = sum(bool(units & top) for units in unit_sets)
-    return hits / len(unit_sets)
+    hits = sum(not top.isdisjoint(units) for units in words)
+    return hits / len(words)

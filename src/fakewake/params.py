@@ -117,6 +117,10 @@ class OracleConfig:
         if not 0 <= self.decisive_weight <= 1:
             raise ValueError("decisive_weight must be in [0, 1]")
         if self.unit_weights is not None:
+            if self.decisive_unit is not None:
+                # the shortcut would be ignored
+                raise ValueError("set unit_weights or decisive_unit, not "
+                                 "both")
             # the count needs the target, which SimulatedDetector parses
             if any(w < 0 for w in self.unit_weights):
                 raise ValueError("unit_weights must be nonnegative")

@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import mul, sub
 
 from .dataio import read_tsv, read_weight_rows
-from .errors import ParseFailure, UnknownPhoneme
+from .errors import ParseFailure
 
 BOUNDARY = " "
 
@@ -78,22 +78,6 @@ class FeatureTable:
                 gap = sum(map(mul, map(abs, map(sub, x, feats[j])),
                               self.weights))
                 row[j] = self.rows[j][i] = gap / scale
-
-    def symbols(self) -> list[str]:
-        return sorted(self.index)
-
-    def distance(self, p: str, q: str) -> float:
-        """The distance between p and q; a symbol the table lacks raises
-        ``UnknownPhoneme``."""
-        try:
-            i = self.index[p]
-        except KeyError:
-            raise UnknownPhoneme(p) from None
-        try:
-            j = self.index[q]
-        except KeyError:
-            raise UnknownPhoneme(q) from None
-        return self.rows[i][j]
 
 
 @lru_cache(maxsize=None)

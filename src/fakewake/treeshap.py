@@ -2,8 +2,9 @@
 
 Path-dependent formulation: absent features are marginalized by descending
 both branches weighted by training covers, so no background dataset is
-needed. Attributions live in margin (log-odds) space and satisfy
-``base_value + sum(contributions) == margin(x)`` exactly.
+needed. Attributions live in margin (log-odds) space: with the base value
+``phi0`` (the ensemble's base score plus each tree's cover-weighted mean
+leaf value), ``phi0 + sum(contributions) == margin(x)`` exactly.
 
 The samples come as a matrix, one per row, explained in one call. Per
 tree, the recursion runs once per distinct pattern of split decisions among
@@ -28,21 +29,9 @@ in term order, as a per-term loop does.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .gbdt import Tree, TreeEnsemble
-
-
-@dataclass(frozen=True)
-class ShapExplanation:
-    """Attributions of a matrix of samples: sample i has the row
-    ``contributions[i]`` (one value per feature, margin space) and the
-    margin ``margin[i]``."""
-    contributions: np.ndarray
-    base_value: float
-    margin: np.ndarray
+from .gbdt import Tree, TreeEnsemble, check_matrix
 
 
 class _Path:
@@ -228,17 +217,14 @@ def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray,
         np.add.at(flat, cells.ravel(), values[pattern_of[rows]].ravel())
 
 
-def shap_values(model: TreeEnsemble, x: np.ndarray) -> ShapExplanation:
+def shap_values(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
     """Per-feature contributions of each row of the matrix x, summed over
-    all trees, and each row's margin."""
-    margin = model.margin(x)    # checks the shape
-    x = np.asarray(x, dtype=float)
+    all trees: one row per sample, one column per feature."""
+    x = check_matrix(model, x)
     phi = np.zeros(x.shape)
-    base = model.base_score
     # the terms of each (tree structure, decision pattern), for this call:
     # trees of one ensemble often share a structure and differ in value
     terms_of: dict = {}
     for tree in model.trees:
         _add_tree_shap(tree, x, phi, terms_of)
-        base += tree.expected_value()
-    return ShapExplanation(contributions=phi, base_value=base, margin=margin)
+    return phi

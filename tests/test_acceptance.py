@@ -24,14 +24,15 @@ from fakewake.genome import (ChineseGenome, VariationConfig, encode_english,
                              english_genome_length, random_genome)
 from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
                                screening_coverage, strengthen,
-                               train_original, unit_set)
+                               train_original)
 from fakewake.oracle import SimulatedDetector
 from fakewake.params import MitigateConfig
 from fakewake.phonemes import BOUNDARY, inventory
 from fakewake.treeshap import shap_values
 from tests.conftest import ALEXA_WEIGHTS
 from tests.test_genome import decode_chinese
-from tests.test_treeshap import brute_force_shap, random_ensemble
+from tests.test_phonemes import table_distance, table_symbols
+from tests.test_treeshap import base_value, brute_force_shap, random_ensemble
 
 SLOTS = default_slots("en", "alexa")
 
@@ -50,7 +51,7 @@ def _brute_force_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return inventory().distance(a, b)
+        return table_distance(inventory(), a, b)
 
     m, n = len(w1), len(w2)
     best = math.inf
@@ -66,7 +67,7 @@ def _brute_force_english(w1, w2, cfg=DistanceConfig()):
 
 def test_criterion_1_distance_correctness():
     rng = np.random.default_rng(101)
-    symbols = inventory().symbols() + [BOUNDARY]
+    symbols = table_symbols(inventory()) + [BOUNDARY]
     start = time.perf_counter()
     worst = 0.0
     for _ in range(1000):
@@ -134,15 +135,12 @@ def test_criterion_3_shapley_exactness():
     for _ in range(50):
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x[None])
+        phi = shap_values(ensemble, x[None])[0]
         expected = brute_force_shap(ensemble, x)
-        worst_shap = max(worst_shap,
-                         float(np.max(np.abs(explanation.contributions[0]
-                                             - expected))))
+        worst_shap = max(worst_shap, float(np.max(np.abs(phi - expected))))
         worst_identity = max(worst_identity,
-                             abs(explanation.base_value
-                                 + explanation.contributions[0].sum()
-                                 - explanation.margin[0]))
+                             abs(base_value(ensemble) + phi.sum()
+                                 - ensemble.margin(x[None])[0]))
     report(3, "shapley-exactness",
            worst_shap <= 1e-9 and worst_identity <= 1e-9,
            f"max |shap err| {worst_shap:.2e}, max identity err "
@@ -252,8 +250,7 @@ def test_criterion_8_screening_coverage(desk_run):
     dataset = build_dataset(fixture, seed=7)
     model = train_gbdt(dataset.features, dataset.labels)
     ranked = rank_decisive_units(explain_archive(fixture, model))
-    fuzzy_words = [unit_set(units) for units in fixture.fuzzy.units]
-    top3 = screening_coverage(fuzzy_words, ranked, 3)
+    top3 = screening_coverage(fixture.fuzzy.units, ranked, 3)
 
     monotone = True
     for seed in (7, 8, 9):   # several corpora, including the fixture
@@ -269,8 +266,8 @@ def test_criterion_8_screening_coverage(desk_run):
         proxy = train_gbdt(ds.features, ds.labels)
         corpus_ranked = rank_decisive_units(
             explain_archive(corpus_words, proxy))
-        words = [unit_set(units) for units in corpus_words.fuzzy.units]
-        series = [screening_coverage(words, corpus_ranked, n)
+        series = [screening_coverage(corpus_words.fuzzy.units,
+                                     corpus_ranked, n)
                   for n in range(1, 8)]
         monotone &= series == sorted(series)
     report(8, "screening-coverage", top3 >= 0.90 and monotone,

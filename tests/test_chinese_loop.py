@@ -9,7 +9,7 @@ from fakewake.explain import (ArchiveWords, build_dataset, cross_validate, defau
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
 from fakewake.genome import VariationConfig, encode_chinese
-from fakewake.mitigate import screening_coverage, unit_set
+from fakewake.mitigate import screening_coverage
 from fakewake.oracle import SimulatedDetector
 from fakewake.pinyin import parse_pinyin
 
@@ -63,7 +63,7 @@ def test_zh_decisive_units_recover_heavy_final(zh_archive):
     groups = {e.group.value for e in grouping.entries}
     assert groups <= {"high", "medium", "low"}
 
-    words = [unit_set(units) for units in zh_words.fuzzy.units]
-    coverage = [screening_coverage(words, ranked, n) for n in (1, 2, 3)]
+    coverage = [screening_coverage(zh_words.fuzzy.units, ranked, n)
+                for n in (1, 2, 3)]
     assert coverage == sorted(coverage)
     assert coverage[-1] >= 0.8

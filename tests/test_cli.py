@@ -208,6 +208,10 @@ OUT_OF_RANGE = [
     ("generate", {"oracle": {"kind": "exec", "command": "  "}}, "oracle"),
     ("generate", {"oracle": {"kind": "exec", "command": "cat\0"}},
      "oracle"),
+    # the shortcut would be ignored next to explicit weights
+    ("generate", {"oracle": {"unit_weights": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1],
+                             "decisive_unit": 3}},
+     "unit_weights or decisive_unit"),
 ]
 # indices of the OUT_OF_RANGE cases that only generate rejects: the count
 # of unit_weights and the upper bound of decisive_unit need the parsed target
@@ -215,7 +219,7 @@ LIBRARY_CHECKED = {7, 35}
 # Every other case runs in every command. The ids number the cases in list
 # order (extra<i>), and the cases at these indices were listed here last,
 # so that the ids the others already had stay the same.
-LISTED_LAST = {1, 2, 3, 5, 8}
+LISTED_LAST = {1, 2, 3, 5, 8, 39}
 EVERY_COMMAND = [
     (extra, key) for i, (_, extra, key) in sorted(
         enumerate(OUT_OF_RANGE), key=lambda case: case[0] in LISTED_LAST)
@@ -249,6 +253,30 @@ def test_config_checks_run_in_every_command(small_run, tmp_path, capsys,
                                             command, extra, key):
     """Every block is checked at load, whichever command reads it."""
     assert_rejected(small_run, tmp_path, capsys, command, extra, key)
+
+
+@pytest.mark.parametrize("command", ["explain", "mitigate"])
+def test_too_few_slots_names_the_key_and_the_word(small_run, tmp_path,
+                                                  capsys, command):
+    """An explain.slots below a word's unit count exits 2 naming the key,
+    its value and the first word that does not fit: the first such fuzzy
+    word for explain, the wake word (six units) for mitigate, which
+    encodes it first."""
+    from fakewake.embedding import parse_text
+
+    root, _, out = small_run
+    archive = FuzzyArchive.load(out / "archive.json")
+    word = "alexa" if command == "mitigate" else next(
+        c.word for c in archive.sorted_candidates()
+        if len(parse_text(c.word, "en")[0]) > 3)
+    config = write_config(tmp_path / "config.json", explain={"slots": 3})
+    capsys.readouterr()
+    assert main([command, "--config", str(config),
+                 "--archive", str(out / "archive.json"),
+                 "--output", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "explain.slots = 3" in err and repr(word) in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_collective_not_utf8_exits_2(small_run, tmp_path, capsys):

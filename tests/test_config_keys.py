@@ -63,7 +63,9 @@ LIVE = {
     "oracle.kind": ("generate", "archive.json", EN_EXEC_READY, "exec"),
     "oracle.command": ("generate", "archive.json", EN_EXEC, stub("l")),
     "oracle.target": ("generate", "archive.json", EN, "alexis"),
-    "oracle.unit_weights": ("generate", "archive.json", EN,
+    # unit_weights and decisive_unit exclude each other
+    "oracle.unit_weights": ("generate", "archive.json",
+                            with_key(EN, "oracle.decisive_unit", None),
                             [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]),
     "oracle.decisive_unit": ("generate", "archive.json", EN, 1),
     "oracle.decisive_weight": ("generate", "archive.json", EN, 0.9),

@@ -14,8 +14,9 @@ from fakewake.genome import (ChineseGenome, decode_text, random_genome,
 from fakewake.phonemes import BOUNDARY, g2p, inventory
 from fakewake.pinyin import parse_pinyin
 from tests.test_genome import decode_chinese
+from tests.test_phonemes import table_distance, table_symbols
 
-SYMS = inventory().symbols()
+SYMS = table_symbols(inventory())
 
 
 def brute_force_english(w1, w2, cfg=DistanceConfig()):
@@ -27,7 +28,7 @@ def brute_force_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return inventory().distance(a, b)
+        return table_distance(inventory(), a, b)
 
     best = math.inf
     for k in range(min(m, n) + 1):
@@ -81,7 +82,7 @@ def loop_english(w1, w2, cfg=DistanceConfig()):
             return 0.0
         if a == BOUNDARY or b == BOUNDARY:
             return cfg.space_cost
-        return inventory().distance(a, b)
+        return table_distance(inventory(), a, b)
 
     m, n = len(w1), len(w2)
     prev = [float(j) for j in range(n + 1)]
@@ -140,7 +141,7 @@ def test_english_single_deletion():
 
 
 def test_english_substitution_arithmetic():
-    d = inventory().distance("S", "Z")
+    d = table_distance(inventory(), "S", "Z")
     assert english_dist(["S"], ["Z"]) == pytest.approx(min(2 * d, 2.0) / 2)
 
 

@@ -16,7 +16,8 @@ from fakewake.phonemes import (ALPHABET, BOUNDARY, LetterWord,
 from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
-from tests.test_phonemes import bits, numpy_rows, pattern_word
+from tests.test_phonemes import (bits, numpy_rows, pattern_word,
+                                 table_distance, table_symbols)
 
 
 def test_mds_identical_points():
@@ -73,8 +74,9 @@ def test_mds_rejects_asymmetric():
 def test_phoneme_embedding_correlation():
     emb = embedding_table()
     inv = inventory()
-    syms = inv.symbols()
-    dist = np.array([[inv.distance(a, b) for b in syms] for a in syms])
+    syms = table_symbols(inv)
+    dist = np.array([[table_distance(inv, a, b) for b in syms]
+                     for a in syms])
     coords = np.array([emb.unit_vec("phoneme", s) for s in syms])
     rebuilt = np.linalg.norm(coords[:, None] - coords[None, :], axis=2)
     upper = np.triu_indices(len(syms), k=1)
@@ -84,11 +86,11 @@ def test_phoneme_embedding_correlation():
 
 def test_every_unit_embedded():
     emb = embedding_table()
-    assert len(emb.units["initial"]) == 24
-    assert len(emb.units["final"]) == 37
-    assert len(emb.units["phoneme"]) == 39
-    for kind, units in emb.units.items():
-        for sym in units:
+    assert len(emb.tables["initial"].index) == 24
+    assert len(emb.tables["final"].index) == 37
+    assert len(emb.tables["phoneme"].index) == 39
+    for kind, table in emb.tables.items():
+        for sym in table.index:
             assert emb.unit_vec(kind, sym).shape == (2,)
 
 
@@ -295,7 +297,7 @@ def test_unit_table_equals_the_per_kind_build(reference):
     assert emb.unit_vectors.shape == (101, 2)
     assert emb.unit_vectors[0].tobytes() == np.zeros(2).tobytes()
     for kind, (vectors, index, dist) in reference.items():
-        assert list(emb.units[kind]) == list(vectors)
+        assert [s for k, s in emb.unit_row if k == kind] == list(vectors)
         for a, vec in vectors.items():
             assert emb.unit_vec(kind, a).tobytes() == vec.tobytes()
             assert emb.unit_vectors[emb.unit_row[kind, a]].tobytes() == \
@@ -324,8 +326,8 @@ def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
                                            fresh_tables):
     """The phoneme table and its embedding come out the same when the
     feature file lists the phonemes in reverse order."""
-    syms = inventory().symbols()
-    distances = {(p, q): inventory().distance(p, q)
+    syms = table_symbols(inventory())
+    distances = {(p, q): table_distance(inventory(), p, q)
                  for p in syms for q in syms}
     vectors = {p: embedding_table().unit_vec("phoneme", p).tobytes()
                for p in syms}
@@ -343,7 +345,7 @@ def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
     assert [row[0] for row in read_tsv("phoneme_features.tsv")] == syms[::-1]
     assert list(inventory().index) == syms
     for (p, q), d in distances.items():
-        assert inventory().distance(p, q) == d
+        assert table_distance(inventory(), p, q) == d
     for p, vec in vectors.items():
         assert embedding_table().unit_vec("phoneme", p).tobytes() == vec
 

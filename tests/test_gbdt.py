@@ -74,7 +74,7 @@ def test_min_leaf_respected():
     model = train_gbdt(x, y, GBDTParams(n_trees=3, depth=3, min_leaf=2))
     for tree in model.trees:
         for node in range(len(tree.feature)):
-            if tree.is_leaf(node):
+            if tree.feature[node] < 0:
                 assert tree.cover[node] >= 2
 
 
@@ -101,7 +101,7 @@ def test_monotone_leaf_raise():
     before = model.predict_proba(sample)[0]
     tree = model.trees[0]
     node = 0
-    while not tree.is_leaf(node):
+    while tree.feature[node] >= 0:
         node = tree.right[node] \
             if sample[0, tree.feature[node]] > tree.threshold[node] \
             else tree.left[node]

@@ -12,8 +12,7 @@ from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from fakewake.mitigate import (DETECTOR_PARAMS, assemble_triple, evaluate,
                                fuzzy_rate, load_collective,
                                screening_coverage, strengthen,
-                               synthesize_conventional, train_original,
-                               unit_set)
+                               synthesize_conventional, train_original)
 from fakewake.params import MitigateConfig
 from tests.test_explain import make_archive
 
@@ -26,8 +25,7 @@ def units(text, language="en"):
 
 
 def synthesize(block=BLOCK, seed=0):
-    return synthesize_conventional("alexa", units("alexa"), "en", SLOTS,
-                                   block, seed=seed)
+    return synthesize_conventional("alexa", "en", SLOTS, block, seed=seed)
 
 
 def test_synthesize_shapes_and_split():
@@ -226,7 +224,7 @@ def ranked_units(symbols):
 
 
 def test_screening_coverage_monotone_and_full():
-    words = [unit_set(units(w)) for w in ("kit", "tok", "mop", "fun")]
+    words = [units(w) for w in ("kit", "tok", "mop", "fun")]
     ranked = ranked_units(["K", "M", "F", "T", "AA", "IH", "AH", "N", "P", "UH"])
     values = [screening_coverage(words, ranked, n)
               for n in range(1, len(ranked) + 1)]
@@ -239,23 +237,29 @@ def test_screening_coverage_monotone_and_full():
 
 def test_screening_symbol_at_any_position():
     ranked = ranked_units(["K"])
-    assert screening_coverage([unit_set(units("akka"))], ranked, 1) == 1.0
-    assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
+    assert screening_coverage([units("akka")], ranked, 1) == 1.0
+    assert screening_coverage([units("mom")], ranked, 1) == 0.0
 
 
 def test_should_escalate():
     """The screening decision for one word: escalate iff it holds a top-n
     decisive unit."""
     ranked = ranked_units(["K"])
-    assert screening_coverage([unit_set(units("kit"))], ranked, 1) == 1.0
-    assert screening_coverage([unit_set(units("mom"))], ranked, 1) == 0.0
+    assert screening_coverage([units("kit")], ranked, 1) == 1.0
+    assert screening_coverage([units("mom")], ranked, 1) == 0.0
 
 
-def test_unit_set_keeps_kind_and_symbol():
-    assert unit_set(units("kit")) == {("phoneme", "K"), ("phoneme", "IH"),
-                                     ("phoneme", "T")}
-    zh = unit_set(units("xiǎo dù xiǎo dù", "zh"))
-    assert ("final", "iao") in zh and ("initial", "d") in zh
+def test_screening_coverage_keeps_kind_and_symbol():
+    """A word's unit list counts for a top unit of the same kind and
+    symbol; a unit of another kind with the same symbol does not."""
+    kit, zh = units("kit"), units("xiǎo dù xiǎo dù", "zh")
+    assert kit == [("phoneme", "K"), ("phoneme", "IH"), ("phoneme", "T")]
+    for word, kind, symbol in ((kit, "phoneme", "K"), (zh, "final", "iao"),
+                               (zh, "initial", "d")):
+        for other in ("phoneme", "initial", "final"):
+            ranked = [RankedUnit(symbol, other, 1.0, 1)]
+            assert screening_coverage([word], ranked, 1) == \
+                (1.0 if other == kind else 0.0)
 
 
 def test_assemble_triple_drops_known_words(tmp_path):

@@ -3,6 +3,7 @@
 here and not only in a traced run. A reduced pipeline then runs under the
 shims, which must change no output byte and must yield every per-layer
 metric."""
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -99,3 +100,39 @@ def test_traced_pipeline_writes_the_untraced_bytes(tmp_path):
     assert metrics["evolve.fuzzy_yield"] > 0
     assert metrics["mitigate.collective_rows"] == 200
     assert metrics["gbdt.trees"] > 0
+
+
+def fakewake_imports(tree):
+    """(module, name) of each name an abstract syntax tree imports from
+    fakewake, in any scope; the name is None for a module import."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("fakewake"):
+            found += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names
+                      if alias.name.startswith("fakewake")]
+    return found
+
+
+def test_every_benchmark_import_resolves():
+    """Each name perfbench/run.py (its functions and the SETUP_CODE its
+    set-up interpreters run included) and perfbench/oracle_stub.py import
+    from the package exists, so that a rename fails here and not only in
+    a benchmark run."""
+    found = []
+    for name in ("run.py", "oracle_stub.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        found += fakewake_imports(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "SETUP_CODE"
+                    for t in node.targets):
+                found += fakewake_imports(ast.parse(node.value.value))
+    # the scan reaches SETUP_CODE, write_collective and the stub
+    assert {("fakewake.cli", None), ("fakewake.pinyin", "render_syllable"),
+            ("fakewake.embedding", "word_units")} <= set(found)
+    for module_name, name in found:
+        module = importlib.import_module(module_name)
+        assert name is None or hasattr(module, name), (module_name, name)

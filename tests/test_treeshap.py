@@ -11,11 +11,29 @@ from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
 from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
 
 
-def identity_holds(explanation):
-    """Local accuracy: base value plus contributions is the margin (within
-    1e-9), for every row."""
-    gap = (explanation.base_value + explanation.contributions.sum(axis=1)
-           - explanation.margin)
+def mean_below(tree, node=0):
+    """Cover-weighted mean leaf value below a node; at the root, the tree's
+    empty-coalition expectation."""
+    if tree.feature[node] < 0:
+        return tree.value[node]
+    wl = tree.cover[tree.left[node]] / tree.cover[node]
+    return (wl * mean_below(tree, tree.left[node])
+            + (1 - wl) * mean_below(tree, tree.right[node]))
+
+
+def base_value(ensemble):
+    """phi0: the base score plus each tree's empty-coalition expectation."""
+    base = ensemble.base_score
+    for tree in ensemble.trees:
+        base += mean_below(tree)
+    return base
+
+
+def identity_holds(ensemble, x, contributions):
+    """Local accuracy: phi0 plus a row's contributions is its margin
+    (within 1e-9), for every row of x."""
+    gap = (base_value(ensemble) + contributions.sum(axis=1)
+           - ensemble.margin(x))
     return bool(np.all(np.abs(gap) <= 1e-9))
 
 
@@ -47,7 +65,7 @@ def random_tree(rng, n_features, depth):
 
 
 def conditional_expectation(tree, x, subset, node=0):
-    if tree.is_leaf(node):
+    if tree.feature[node] < 0:
         return tree.value[node]
     feat = tree.feature[node]
     if feat in subset:
@@ -100,20 +118,19 @@ def test_single_stump_closed_form():
                 value=[0.0, -2.0, 3.0], cover=[10.0, 5.0, 5.0])
     ensemble = TreeEnsemble(trees=[tree], base_score=0.0, n_features=3)
     x = np.array([[0.0, 1.0, 0.0]])        # routes right
-    explanation = shap_values(ensemble, x)
-    assert explanation.contributions[0, 1] == pytest.approx(3.0 - 0.5)
-    assert explanation.contributions[0, 0] == 0.0
-    assert explanation.contributions[0, 2] == 0.0
-    assert explanation.base_value == pytest.approx(0.5)
+    phi = shap_values(ensemble, x)
+    assert phi[0, 1] == pytest.approx(3.0 - 0.5)
+    assert phi[0, 0] == 0.0
+    assert phi[0, 2] == 0.0
+    assert base_value(ensemble) == pytest.approx(0.5)
 
 
 def test_identity_holds():
     rng = np.random.default_rng(0)
     for _ in range(10):
         ensemble = random_ensemble(rng)
-        x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x[None])
-        assert identity_holds(explanation)
+        x = rng.normal(size=(1, ensemble.n_features))
+        assert identity_holds(ensemble, x, shap_values(ensemble, x))
 
 
 def test_matches_brute_force_random_ensembles():
@@ -121,9 +138,9 @@ def test_matches_brute_force_random_ensembles():
     for _ in range(15):
         ensemble = random_ensemble(rng)
         x = rng.normal(size=ensemble.n_features)
-        explanation = shap_values(ensemble, x[None])
+        phi = shap_values(ensemble, x[None])
         expected = brute_force_shap(ensemble, x)
-        assert np.max(np.abs(explanation.contributions[0] - expected)) <= 1e-9
+        assert np.max(np.abs(phi[0] - expected)) <= 1e-9
 
 
 def test_repeated_feature_on_path():
@@ -136,10 +153,10 @@ def test_repeated_feature_on_path():
     ensemble = TreeEnsemble(trees=[tree], base_score=0.0, n_features=2)
     for x0 in (-2.0, -0.5, 1.0):
         x = np.array([x0, 0.0])
-        explanation = shap_values(ensemble, x[None])
+        phi = shap_values(ensemble, x[None])
         expected = brute_force_shap(ensemble, x)
-        assert np.allclose(explanation.contributions[0], expected, atol=1e-12)
-        assert identity_holds(explanation)
+        assert np.allclose(phi[0], expected, atol=1e-12)
+        assert identity_holds(ensemble, x[None], phi)
 
 
 def test_trained_model_attributions():
@@ -147,9 +164,9 @@ def test_trained_model_attributions():
     x = rng.normal(size=(80, 6))
     y = (x[:, 2] > 0).astype(int)
     model = train_gbdt(x, y, GBDTParams(n_trees=10, depth=2))
-    explanation = shap_values(model, x[:1])
-    assert identity_holds(explanation)
-    assert np.argmax(np.abs(explanation.contributions[0])) == 2
+    phi = shap_values(model, x[:1])
+    assert identity_holds(model, x[:1], phi)
+    assert np.argmax(np.abs(phi[0])) == 2
 
 
 def test_shape_mismatch():
@@ -167,7 +184,7 @@ def loop_tree_shap(tree, x, phi):
     def recurse(node, path, pz, po, pi):
         path = path.copy()
         _extend(path, pz, po, pi)
-        if tree.is_leaf(node):
+        if tree.feature[node] < 0:
             for i in range(1, len(path.d)):
                 weight = _unwound_sum(path, i)
                 phi[path.d[i]] += weight * (path.o[i] - path.z[i]) \
@@ -208,24 +225,18 @@ def test_batch_equals_per_row_recursion():
             rows[:4] = rng.choice(thresholds, size=(4, f))
         x = np.vstack([rows, rows[:6]])
         batch = shap_values(ensemble, x)
-        margins = ensemble.margin(x)
         for i, row in enumerate(x):
             phi = np.zeros(f)
             for tree in ensemble.trees:
                 loop_tree_shap(tree, row, phi)
-            assert batch.contributions[i].tolist() == phi.tolist()
-            single = shap_values(ensemble, row[None])
-            assert single.contributions[0].tolist() == phi.tolist()
-            assert single.base_value == batch.base_value
-            assert single.margin[0] == batch.margin[i] == margins[i]
-        assert identity_holds(batch)
+            assert batch[i].tolist() == phi.tolist()
+            assert shap_values(ensemble, row[None])[0].tolist() == phi.tolist()
+        assert identity_holds(ensemble, x, batch)
 
 
 def test_batch_of_no_rows():
     ensemble = random_ensemble(np.random.default_rng(2), n_features=3)
-    batch = shap_values(ensemble, np.zeros((0, 3)))
-    assert batch.contributions.shape == (0, 3)
-    assert batch.margin.shape == (0,)
+    assert shap_values(ensemble, np.zeros((0, 3))).shape == (0, 3)
 
 
 def test_batch_equals_per_row_recursion_on_deep_trees():
@@ -244,8 +255,8 @@ def test_batch_equals_per_row_recursion_on_deep_trees():
         phi = np.zeros(3)
         for tree in ensemble.trees:
             loop_tree_shap(tree, row, phi)
-        assert batch.contributions[i].tolist() == phi.tolist()
-    assert identity_holds(batch)
+        assert batch[i].tolist() == phi.tolist()
+    assert identity_holds(ensemble, x, batch)
 
 
 def search_tree(nodes, rng, feature, lo, hi, depth):
@@ -293,7 +304,7 @@ def test_rows_that_differ_only_in_the_first_decisions():
     for i, row in enumerate(x):
         phi = np.zeros(2)
         loop_tree_shap(tree, row, phi)
-        assert batch.contributions[i].tolist() == phi.tolist()
+        assert batch[i].tolist() == phi.tolist()
 
 
 def assert_equals_per_row_recursion(ensemble, x):
@@ -302,7 +313,7 @@ def assert_equals_per_row_recursion(ensemble, x):
         phi = np.zeros(ensemble.n_features)
         for tree in ensemble.trees:
             loop_tree_shap(tree, row, phi)
-        assert batch.contributions[i].tolist() == phi.tolist()
+        assert batch[i].tolist() == phi.tolist()
 
 
 def with_values(tree, rng):
@@ -381,30 +392,13 @@ def test_tree_terms_run_once_per_structure_and_pattern(monkeypatch):
     assert len(runs) == len(distinct) < per_tree
     second = shap_values(ensemble, x)
     assert len(runs) == 2 * len(distinct)
-    assert second.contributions.tolist() == first.contributions.tolist()
+    assert second.tolist() == first.tolist()
     assert_equals_per_row_recursion(ensemble, x)
 
 
-def mean_below(tree, node=0):
-    """The recursive walk ``Tree.expected_value`` replaced."""
-    if tree.is_leaf(node):
-        return tree.value[node]
-    wl = tree.cover[tree.left[node]] / tree.cover[node]
-    return (wl * mean_below(tree, tree.left[node])
-            + (1 - wl) * mean_below(tree, tree.right[node]))
-
-
-def test_expected_value_equals_recursive_walk():
-    rng = np.random.default_rng(13)
-    for _ in range(30):
-        tree = random_tree(rng, 4, int(rng.integers(0, 7)))
-        assert tree.expected_value() == mean_below(tree)
-
-
 def test_shap_values_leaves_no_reference_cycles():
-    """Neither the TreeSHAP walk nor ``Tree.expected_value`` builds a
-    self-referencing closure: with the cyclic collector off, one call
-    leaves nothing for it to reclaim."""
+    """The TreeSHAP walk builds no self-referencing closure: with the
+    cyclic collector off, one call leaves nothing for it to reclaim."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(60, 4))
     y = (x[:, 0] + x[:, 1] > 0).astype(int)
@@ -416,3 +410,21 @@ def test_shap_values_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_shap_values_computes_no_prediction(monkeypatch):
+    """The attributions read the trees' structure and leaf values only: a
+    call runs no ``TreeEnsemble.margin`` and no ``Tree.predict``."""
+    rng = np.random.default_rng(6)
+    ensemble = random_ensemble(rng, n_features=4, n_trees=5, depth=3)
+    x = rng.normal(size=(20, 4)).round(0)
+    expected = shap_values(ensemble, x).tolist()
+
+    def no_prediction(*args, **kwargs):
+        raise AssertionError("shap_values ran a prediction")
+
+    monkeypatch.setattr(TreeEnsemble, "margin", no_prediction)
+    monkeypatch.setattr(Tree, "predict", no_prediction)
+    assert shap_values(ensemble, x).tolist() == expected
+    with pytest.raises(ShapeMismatch):
+        shap_values(ensemble, x[:, :3])
