@@ -88,10 +88,6 @@ class FuzzyArchive:
     query_count: int = 0
     generations_run: int = 0
 
-    def add(self, cand: FuzzyCandidate):
-        if cand.word not in self.candidates:
-            self.candidates[cand.word] = cand
-
     def sorted_candidates(self) -> list[FuzzyCandidate]:
         return sorted(self.candidates.values(),
                       key=lambda c: (-c.objectives.dissimilarity, c.word))

@@ -41,17 +41,10 @@ def _load_archive(path):
 
 
 def _wake_genome(cfg: RunConfig):
-    from .genome import encode_chinese, encode_english, english_genome_length
-    from .phonemes import LetterWord
-    from .pinyin import parse_pinyin
+    from .genome import wake_genome
 
-    word = cfg.wake_word
     try:
-        if cfg.language == "zh":
-            return encode_chinese(parse_pinyin(word))
-        LetterWord(word)   # symbols outside a-z/space fail here
-        length = english_genome_length(word, cfg.length_ratio)
-        return encode_english(word, length)
+        return wake_genome(cfg.language, cfg.wake_word, cfg.length_ratio)
     except FakewakeError as exc:
         raise ConfigError(f"wake word not parseable: {exc}") from exc
 

@@ -46,8 +46,8 @@ class BothEmpty(FakewakeError):
 # --- oracle ------------------------------------------------------------------
 
 class OracleFailure(FakewakeError):
-    """The wake oracle failed; the search attaches the archive of the words
-    answered before it as ``partial_archive``."""
+    """The wake oracle failed; the search attaches its live archive, every
+    word answered before the failure, as ``partial_archive``."""
 
 
 class ProtocolError(OracleFailure):

@@ -3,8 +3,9 @@ dissimilarity) and variation, filling a ``FuzzyArchive``.
 
 Evaluations are memoized per word text, so the oracle sees each distinct
 candidate at most once (k trials). Each generation's unseen words go to the
-oracle together, in order of first appearance. The current front always
-survives unmutated, which keeps archive growth monotone.
+oracle together, in order of first appearance, and each enters the archive
+as it is answered, with the first genome that decoded to it. The current
+front always survives unmutated, which keeps archive growth monotone.
 """
 from __future__ import annotations
 
@@ -64,8 +65,8 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
 
     Deterministic given (wake word, configs, seed, oracle seed). When the
     oracle fails or the search is interrupted, the ``OracleFailure`` or
-    ``KeyboardInterrupt`` carries the archive of every word answered before
-    it, and ``generations_run`` counts the complete generations.
+    ``KeyboardInterrupt`` carries the live archive, every word answered
+    before it, and ``generations_run`` counts the complete generations.
     """
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
@@ -83,22 +84,25 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     try:
         for generation in range(1, cfg.generations + 1):
             texts = [decode_text(genome) for genome in population]
-            unseen = list(dict.fromkeys(t for t in texts if t not in cache))
-            try:
-                for text, wakes in zip(unseen, wake_counts(oracle, unseen,
-                                                           cfg.trials)):
-                    cache[text] = Objectives(
-                        wakes / cfg.trials,
-                        _dissimilarity(text, wake_units, dist_cfg))
-                    archive.query_count += cfg.trials
-            finally:
-                # after a stop, the population up to its first unanswered
-                # word
-                for genome, text in zip(population, texts):
-                    if text not in cache:
-                        break
-                    _record(archive, genome, text, cache[text], generation,
-                            cfg)
+            # unseen text -> its first genome, in order of first appearance
+            unseen: dict[str, Genome] = {}
+            for genome, text in zip(population, texts):
+                if text not in cache:
+                    unseen.setdefault(text, genome)
+            for (text, genome), wakes in zip(
+                    unseen.items(), wake_counts(oracle, list(unseen),
+                                                cfg.trials)):
+                obj = cache[text] = Objectives(
+                    wakes / cfg.trials,
+                    _dissimilarity(text, wake_units, dist_cfg))
+                archive.query_count += cfg.trials
+                if (obj.wake_rate >= cfg.fuzzy_threshold
+                        and obj.dissimilarity > 0):
+                    archive.candidates[text] = FuzzyCandidate(
+                        text, tuple(genome), obj, generation)
+                elif obj.wake_rate == 0.0:
+                    archive.rejected[text] = EvaluatedWord(
+                        text, obj.wake_rate, obj.dissimilarity, generation)
             archive.generations_run = generation
 
             objectives = [cache[text] for text in texts]
@@ -131,15 +135,4 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         exc.partial_archive = archive
         raise
     return archive
-
-
-def _record(archive: FuzzyArchive, genome: Genome, text: str, obj: Objectives,
-            generation: int, cfg: EvolveConfig):
-    if not text:
-        return
-    if obj.wake_rate >= cfg.fuzzy_threshold and obj.dissimilarity > 0:
-        archive.add(FuzzyCandidate(text, tuple(genome), obj, generation))
-    elif obj.wake_rate == 0.0 and text not in archive.rejected:
-        archive.rejected[text] = EvaluatedWord(
-            text, obj.wake_rate, obj.dissimilarity, generation)
 

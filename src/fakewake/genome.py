@@ -19,8 +19,9 @@ import numpy as np
 from .embedding import embedding_table
 from .errors import LengthMismatch
 from .params import LENGTH_RATIO, VariationConfig
-from .phonemes import ALPHABET
-from .pinyin import ChineseWord, is_valid_pair, render_units, unit_tables
+from .phonemes import ALPHABET, LetterWord
+from .pinyin import (ChineseWord, is_valid_pair, parse_pinyin, render_units,
+                     unit_tables)
 
 
 class ChineseGenome(tuple):
@@ -95,6 +96,16 @@ def encode_english(text: str, length: int | None = None) -> EnglishGenome:
 
 def english_genome_length(wake_word: str, ratio: float = LENGTH_RATIO) -> int:
     return math.floor(ratio * len(wake_word))
+
+
+def wake_genome(language: str, wake_word: str, length_ratio: float) -> Genome:
+    """The genome of ``wake_word``: its syllables for zh, else its letters
+    padded to ``english_genome_length``; an unparseable word raises."""
+    if language == "zh":
+        return encode_chinese(parse_pinyin(wake_word))
+    LetterWord(wake_word)   # symbols outside a-z/space fail here
+    return encode_english(wake_word,
+                          english_genome_length(wake_word, length_ratio))
 
 
 def decode_text(genome: "Genome") -> str:

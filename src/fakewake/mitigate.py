@@ -23,8 +23,7 @@ from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                      ParseFailure)
 from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
 from .gbdt import TreeEnsemble, train_gbdt
-from .genome import (ChineseGenome, EnglishGenome, decode_text,
-                     english_genome_length, random_genome)
+from .genome import decode_text, random_genome, wake_genome
 from .params import DETECTOR_PARAMS, LENGTH_RATIO, GBDTParams, MitigateConfig
 
 
@@ -90,12 +89,10 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     noise = rng.normal(0.0, block.jitter, size=(n_pos, base.size))
     positives = Dataset([wake_word] * n_pos, base + occupied * noise,
                         np.ones(n_pos, dtype=int))
-    kind = ChineseGenome if language == "zh" else EnglishGenome
-    length = 3 * len(wake_word.split()) if language == "zh" \
-        else english_genome_length(wake_word, length_ratio)
+    genes = wake_genome(language, wake_word, length_ratio)
     texts = []
     while len(texts) < n_neg:
-        text = decode_text(random_genome(kind, length, rng))
+        text = decode_text(random_genome(type(genes), len(genes), rng))
         if not text or text == wake_word:
             continue
         texts.append(text)

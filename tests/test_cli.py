@@ -607,6 +607,23 @@ def test_external_oracle_generate(tmp_path):
     assert all("k" in c.word for c in archive.candidates.values())
 
 
+def test_exec_stub_archive_equals_the_sim_archive(small_run, tmp_path):
+    """``generate`` through the line-protocol stub, which answers word by
+    word, writes the ``--oracle sim`` archive apart from ``run.oracle``."""
+    _, config, sim_out = small_run
+    stub = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_stub.py"
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--oracle",
+                 f"exec:{sys.executable} {stub} --language en --wake-word "
+                 "alexa --decisive-unit 3 --decisive-weight 0.6 --seed 1003",
+                 "--output", str(out)]) == 0
+    archives = [json.loads((d / "archive.json").read_text())
+                for d in (sim_out, out)]
+    assert [a["run"].pop("oracle") for a in archives][0] == "sim"
+    assert archives[0]["candidates"]
+    assert archives[0] == archives[1]
+
+
 def test_external_oracle_failure_exits_3(tmp_path, capsys):
     stub = tmp_path / "stub.py"
     stub.write_text("import sys; sys.exit(0)\n")

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fakewake.archive import Bucket, bucket
 from fakewake.evolve import (EvolveConfig, FuzzyArchive, Objectives,
                              non_dominated_front, run)
 from fakewake.genome import VariationConfig, decode_text, encode_english
+from fakewake.oracle import wake_counts
 from tests.conftest import make_detector, run_search
 
 
@@ -334,3 +336,62 @@ def test_run_with_front_verification(monkeypatch):
                          generations=5, trials=5)
     assert archive.generations_run == 5
     assert len(calls) == 5
+
+
+def test_each_archived_word_is_recorded_once(monkeypatch):
+    """On the fixture search every archived or rejected word's record is
+    built exactly once, when the oracle answers it."""
+    import fakewake.evolve as evolve_mod
+
+    built = {"candidates": 0, "rejected": 0}
+
+    def counting(cls, key):
+        def build(*args):
+            built[key] += 1
+            return cls(*args)
+        return build
+
+    monkeypatch.setattr(evolve_mod, "FuzzyCandidate",
+                        counting(evolve_mod.FuzzyCandidate, "candidates"))
+    monkeypatch.setattr(evolve_mod, "EvaluatedWord",
+                        counting(evolve_mod.EvaluatedWord, "rejected"))
+    archive = run_search()
+    assert built == {"candidates": 295, "rejected": 388}
+    assert len(archive.candidates) == 295 and len(archive.rejected) == 388
+
+
+@settings(max_examples=30, deadline=None)
+@given(population=st.integers(4, 12), generations=st.integers(1, 5),
+       trials=st.integers(1, 5), seed=st.integers(0, 10**6),
+       detector_seed=st.integers(0, 10**6), batched=st.booleans())
+def test_archive_generation_is_the_generation_first_sent(
+        population, generations, trials, seed, detector_seed, batched):
+    """Each archived and rejected word carries the generation in which the
+    search first sent it to the oracle, by ``query_many`` or word by word,
+    and a candidate's genome decodes to its word."""
+    import fakewake.evolve as evolve_mod
+
+    sent = []      # the words of each generation's oracle call
+
+    def recording(oracle, words, trials):
+        sent.append(list(words))
+        return wake_counts(oracle, words, trials)
+
+    detector = make_detector(detector_seed)
+    with mock.patch.object(evolve_mod, "wake_counts", recording):
+        archive = run(encode_english("alexa", 7), "alexa",
+                      detector if batched else QueryOnly(detector),
+                      EvolveConfig(population_size=population,
+                                   generations=generations, trials=trials),
+                      VariationConfig(), DistanceConfig(), seed=seed)
+    first_sent = {}
+    for generation, words in enumerate(sent, start=1):
+        for word in words:
+            assert word not in first_sent
+            first_sent[word] = generation
+    assert len(sent) == archive.generations_run == generations
+    for word, cand in archive.candidates.items():
+        assert cand.generation_found == first_sent[word]
+        assert decode_text(cand.genome) == word
+    for word, rejected in archive.rejected.items():
+        assert rejected.generation == first_sent[word]

@@ -8,7 +8,7 @@ from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
                              crossover, decode_text, encode_chinese,
                              encode_english, english_genome_length, mutate,
                              nearest_valid_final, random_genome,
-                             repair_chinese, seed_genomes)
+                             repair_chinese, seed_genomes, wake_genome)
 from fakewake.pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
 from tests.test_pinyin import render_word
 
@@ -294,3 +294,15 @@ def test_seed_genomes_minimum():
     with pytest.raises(ValueError):
         seed_genomes(encode_english("alexa", 7), 2,
                      np.random.default_rng(0))
+
+
+def test_wake_genome_shapes():
+    """An English wake word's letters padded to its genome length; a
+    Mandarin one's three genes per syllable."""
+    en = wake_genome("en", "alexa", 1.5)
+    assert type(en) is EnglishGenome and len(en) == 7
+    assert en == encode_english("alexa", english_genome_length("alexa"))
+    assert decode_text(en) == "alexa"
+    zh = wake_genome("zh", "xiǎo dù xiǎo dù", 1.5)
+    assert type(zh) is ChineseGenome and len(zh) == 12
+    assert zh == encode_chinese(parse_pinyin("xiǎo dù xiǎo dù"))
