@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, checked, write_reference
 from .dataio import atomic_write, write_json
-from .errors import ConfigError, FakewakeError, OracleFailure
+from .errors import ConfigError, FakewakeError, OracleFailure, ParseFailure
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,35 +46,8 @@ def _wake_genome(cfg: RunConfig):
 
     try:
         return wake_genome(cfg.language, cfg.wake_word, cfg.length_ratio)
-    except FakewakeError as exc:
+    except ParseFailure as exc:
         raise ConfigError(f"wake word not parseable: {exc}") from exc
-
-
-def _build_oracle(cfg: RunConfig, seed: int):
-    from .oracle import ExternalOracle, SimulatedDetector, _parse_units
-
-    block = cfg.oracle
-    if block.kind == "exec":
-        return (ExternalOracle(block.command, block.timeout),
-                f"exec:{block.command}")
-    target = block.target or cfg.wake_word
-    weights = block.unit_weights
-    if block.decisive_unit is not None:   # the block allows one of the two
-        n = len(_parse_units(target, cfg.language))
-        heavy = block.decisive_unit
-        if heavy >= n:   # the block checks that it is nonnegative
-            raise ConfigError(f"decisive_unit out of range 0..{n - 1}")
-        w = block.decisive_weight
-        rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
-        weights = [w if i == heavy else rest for i in range(n)]
-    oracle_seed = block.seed if block.seed is not None else seed + 1000
-    with checked("oracle"):
-        return SimulatedDetector(
-            target=target, language=cfg.language,
-            unit_weights=None if weights is None else tuple(weights),
-            threshold=block.threshold, temperature=block.temperature,
-            substitution_floor=block.substitution_floor, seed=oracle_seed,
-        ), "sim"
 
 
 def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
@@ -136,11 +110,14 @@ def cmd_generate(args) -> int:
     import signal
 
     from .evolve import run
+    from .oracle import build_oracle
 
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
     wake = _wake_genome(cfg)
-    oracle, oracle_spec = _build_oracle(cfg, seed)
+    with checked("oracle"):
+        oracle, oracle_spec = build_oracle(cfg.oracle, cfg.language,
+                                           cfg.wake_word, seed)
     sigterm = signal.signal(signal.SIGTERM, _terminate)
     try:
         out = _out_dir(args)
@@ -215,11 +192,7 @@ def cmd_explain(args) -> int:
         "difference_spread": grouping.spread,
         "mean_difference": grouping.mean_difference,
         "separation": separation,
-        "top_units": [
-            {"symbol": u.symbol, "kind": u.kind,
-             "contribution": u.contribution, "words": u.words}
-            for u in ranked[:10]
-        ],
+        "top_units": [asdict(u) for u in ranked[:10]],
     }
     out = _out_dir(args)
     model.save(out / "model.json")
@@ -278,8 +251,6 @@ def _separation_report(model, dataset, wake_spoken) -> dict:
 # ------------------------------------------------------------------ mitigate
 
 def cmd_mitigate(args) -> int:
-    from dataclasses import asdict
-
     import numpy as np
 
     from .archive import Bucket, bucket
@@ -304,6 +275,8 @@ def cmd_mitigate(args) -> int:
     try:
         # parses the wake word first, so a bad one fails before any work
         triple = assemble_triple(words, block, seed, cfg.length_ratio)
+    except ConfigError:
+        raise   # a data table
     except (OSError, UnicodeDecodeError) as exc:   # or not UTF-8
         raise ConfigError(f"mitigate.collective_path: {exc}") from exc
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
@@ -389,18 +362,10 @@ def _write_datasets(out: Path, conventional, fuzzy, collective):
 # ---------------------------------------------------------------- dist etc.
 
 def cmd_dist(args) -> int:
-    from .distance import chinese_dist, english_dist
-    from .phonemes import LetterWord, g2p
-    from .pinyin import parse_pinyin
+    from .distance import objective
 
     cfg = RunConfig.load(args.config, _overrides(args))
-    if cfg.language == "zh":
-        value = chinese_dist(parse_pinyin(args.word1), parse_pinyin(args.word2),
-                             cfg.distance)
-    else:
-        words = [LetterWord(w) for w in (args.word1, args.word2)]
-        value = english_dist(g2p(words[0]), g2p(words[1]), cfg.distance)
-    print(value)
+    print(objective(args.word2, cfg.language, cfg.distance)(args.word1))
     return EXIT_OK
 
 

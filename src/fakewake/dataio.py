@@ -2,7 +2,8 @@
 every output file.
 
 Every table ships under ``fakewake/data/``; the ``FAKEWAKE_DATA_DIR``
-environment variable points loaders at an alternative directory.
+environment variable points loaders at an alternative directory. A missing
+or inconsistent table raises a ``ConfigError`` naming the file.
 """
 from __future__ import annotations
 
@@ -11,6 +12,8 @@ import os
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
+
+from .errors import ConfigError, MissingDataFile
 
 _BUNDLED = Path(__file__).parent / "data"
 # json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False), in chunks
@@ -28,8 +31,18 @@ def data_dir() -> Path:
 def data_path(name: str) -> Path:
     path = data_dir() / name
     if not path.exists():
-        raise FileNotFoundError(f"data file not found: {path}")
+        raise MissingDataFile(f"data file not found: {path}")
     return path
+
+
+def check_symbols(kind: str, symbols, name: str, known, source: str):
+    """Raise ``ConfigError`` at the first of ``symbols`` (of the ``kind``
+    that data file ``name`` uses) outside ``known``, the symbols of data
+    file ``source``."""
+    for sym in symbols:
+        if sym not in known:
+            raise ConfigError(f"{kind} {sym!r} of {data_path(name)} is not "
+                              f"in {data_path(source)}")
 
 
 def read_tsv(name: str) -> list[list[str]]:

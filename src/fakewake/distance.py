@@ -1,4 +1,4 @@
-"""The two dissimilarity objectives.
+"""The two dissimilarity objectives, and the search's ``objective``.
 
 Chinese: mean of tanh-normalized per-character embedding distances, bounded
 in [0,1). English: minimum-cost alignment of phoneme sequences where
@@ -8,14 +8,14 @@ phoneme distance, normalized by the combined length; bounded in [0,1].
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from .embedding import character_distance
 from .errors import BothEmpty, LengthMismatch, UnknownPhoneme
 from .params import DistanceConfig
-from .phonemes import BOUNDARY, PhonemeSequence, inventory
-from .pinyin import ChineseWord
+from .phonemes import BOUNDARY, LetterWord, PhonemeSequence, g2p, inventory
+from .pinyin import ChineseWord, parse_pinyin
 
 if TYPE_CHECKING:
     import numpy as np
@@ -93,6 +93,18 @@ def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
     space = cfg.space_cost
     return _alignment(len(w1), len(w2),
                       (_cost_row(inv, a, w2, cols, space) for a in w1))
+
+
+def objective(target: str, language: str,
+              cfg: DistanceConfig) -> Callable[[str], float]:
+    """``text -> dissimilarity`` to ``target``, parsed once here: the
+    ``chinese_dist`` or ``english_dist`` (of pronunciations) of the text and
+    the target. Text that does not parse raises ``ParseFailure``."""
+    if language == "zh":
+        wake = parse_pinyin(target)
+        return lambda text: chinese_dist(parse_pinyin(text), wake, cfg)
+    wake = g2p(LetterWord(target))
+    return lambda text: english_dist(g2p(LetterWord(text)), wake, cfg)
 
 
 def levenshtein_many(seqs: Sequence[Sequence],

@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .dataio import read_tsv, read_weight_rows
+from .dataio import check_symbols, read_tsv, read_weight_rows
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
                        g2p_converter, inventory)
@@ -86,6 +86,11 @@ class EmbeddingTable:
         self.tables: dict[str, FeatureTable] = {
             kind: FeatureTable(symbols[kind], features[kind], weights[1:])
             for kind, weights in zip(symbols, weight_rows)}
+        units = unit_tables()
+        for kind, index in (("initial", units.initial_index),
+                            ("final", units.final_index)):
+            check_symbols(kind, index, "pinyin_units.tsv",
+                          self.tables[kind].index, "pinyin_unit_features.tsv")
         self.tables["phoneme"] = inventory()
 
         # each (kind, symbol) unit's row of ``unit_vectors``, row 0 the

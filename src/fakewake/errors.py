@@ -6,7 +6,11 @@ class FakewakeError(Exception):
 
 
 class ConfigError(FakewakeError):
-    """Invalid run configuration (CLI exit code 2)."""
+    """Invalid run configuration or data table (CLI exit code 2)."""
+
+
+class MissingDataFile(ConfigError, FileNotFoundError):
+    """A data table is not in the data directory."""
 
 
 # --- phonetics ---------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Multi-objective search loop: Pareto selection over (wake rate,
-dissimilarity) and variation, filling a ``FuzzyArchive``.
+"""Multi-objective search: Pareto selection over (oracle wake rate,
+``distance.objective``) and variation fills a ``FuzzyArchive``.
 
 Evaluations are memoized per word text, so the oracle sees each distinct
 candidate at most once (k trials). Each generation's unseen words go to the
@@ -15,13 +15,11 @@ from dataclasses import asdict
 import numpy as np
 
 from .archive import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
-from .distance import chinese_dist, english_dist
+from .distance import objective
 from .errors import OracleFailure
 from .genome import Genome, crossover, decode_text, mutate, seed_genomes
 from .oracle import WakeOracle, wake_counts
 from .params import DistanceConfig, EvolveConfig, VariationConfig
-from .phonemes import PhonemeSequence, g2p
-from .pinyin import ChineseWord, parse_pinyin
 
 
 def non_dominated_front(objectives: list[Objectives]) -> list[int]:
@@ -50,13 +48,6 @@ def non_dominated_front(objectives: list[Objectives]) -> list[int]:
     return sorted(front)
 
 
-def _dissimilarity(text: str, wake_units: PhonemeSequence | ChineseWord,
-                   dist_cfg: DistanceConfig) -> float:
-    if isinstance(wake_units, ChineseWord):
-        return chinese_dist(parse_pinyin(text), wake_units, dist_cfg)
-    return english_dist(g2p(text), wake_units, dist_cfg)
-
-
 def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         cfg: EvolveConfig, variation: VariationConfig,
         dist_cfg: DistanceConfig, seed: int,
@@ -76,9 +67,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     )
     # an all-space English genome decodes to "", which is never queried
     cache: dict[str, Objectives] = {"": Objectives(0.0, 0.0)}
-    # parsed once; the distances do not modify their operands
-    wake_units = (parse_pinyin(wake_text) if wake_word.language == "zh"
-                  else g2p(wake_text))
+    dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
     population = seed_genomes(wake_word, cfg.population_size, rng)
 
     try:
@@ -92,9 +81,8 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
             for (text, genome), wakes in zip(
                     unseen.items(), wake_counts(oracle, list(unseen),
                                                 cfg.trials)):
-                obj = cache[text] = Objectives(
-                    wakes / cfg.trials,
-                    _dissimilarity(text, wake_units, dist_cfg))
+                obj = cache[text] = Objectives(wakes / cfg.trials,
+                                               dissimilarity(text))
                 archive.query_count += cfg.trials
                 if (obj.wake_rate >= cfg.fuzzy_threshold
                         and obj.dissimilarity > 0):

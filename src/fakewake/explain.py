@@ -349,7 +349,7 @@ def explain_archive(words: ArchiveWords, model: TreeEnsemble,
     fuzzy = words.fuzzy
     if not fuzzy.texts:
         return []
-    kept = np.flatnonzero(model.predict_proba(fuzzy.features) >= 0.5)
+    kept = np.flatnonzero(model.predict(fuzzy.features) == 1)
     contributions = shap_values(model, fuzzy.features[kept])
     out = []
     for phi, i in zip(contributions, kept.tolist()):

@@ -2,9 +2,10 @@
 
 ``WakeOracle`` is the minimal interface the search loop needs: one query
 runs a word's activation trials and returns how many woke the detector.
-``SimulatedDetector`` is a configurable stand-in with hidden per-unit weights
-for desk-scale experiments; ``ExternalOracle`` adapts any line-oriented
-subprocess (e.g. driving real hardware) to the same interface.
+``build_oracle`` makes one from a config's ``oracle`` block: a
+``SimulatedDetector``, a stand-in with hidden per-unit weights for
+desk-scale experiments, or an ``ExternalOracle``, which adapts any
+line-oriented subprocess (e.g. driving real hardware).
 
 The search loop asks for a generation's new words at once through
 ``wake_counts``. An oracle with a ``query_many`` answers them in one call;
@@ -416,3 +417,31 @@ class ExternalOracle:
 
     def __exit__(self, *exc_info):
         self.close()
+
+
+def build_oracle(block: OracleConfig, language: str, wake_word: str,
+                 seed: int) -> tuple[WakeOracle, str]:
+    """The oracle of a config's ``oracle`` block and the spec string the
+    archive records. An ``exec`` oracle (``exec:<command>``) reads only
+    ``command`` and ``timeout``. A ``sim`` one is a ``SimulatedDetector`` of
+    ``target`` (default the wake word) seeded with ``seed`` (default the run
+    seed + 1000); a ``decisive_unit`` past the target's last unit raises
+    ``ValueError``."""
+    if block.kind == "exec":
+        return (ExternalOracle(block.command, block.timeout),
+                f"exec:{block.command}")
+    target = block.target or wake_word
+    weights = block.unit_weights
+    if block.decisive_unit is not None:   # the block allows one of the two
+        n = len(_parse_units(target, language))
+        if block.decisive_unit >= n:   # the block checks that it is >= 0
+            raise ValueError(f"decisive_unit out of range 0..{n - 1}")
+        w = block.decisive_weight
+        rest = (1.0 - w) / (n - 1) if n > 1 else 0.0
+        weights = [w if i == block.decisive_unit else rest for i in range(n)]
+    return SimulatedDetector(
+        target=target, language=language,
+        unit_weights=None if weights is None else tuple(weights),
+        threshold=block.threshold, temperature=block.temperature,
+        substitution_floor=block.substitution_floor,
+        seed=block.seed if block.seed is not None else seed + 1000), "sim"

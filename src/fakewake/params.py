@@ -85,7 +85,9 @@ DETECTOR_PARAMS = GBDTParams(n_trees=96, depth=1, learning_rate=0.5, min_leaf=2)
 class OracleConfig:
     """The simulated detector (``sim``) wakes in a trial with probability
     logistic((score - threshold) / temperature), and any unit substitution
-    costs at least the floor; ``exec`` runs an external command."""
+    costs at least the floor; ``exec`` runs an external command and reads
+    only ``command`` and ``timeout`` (a manifest still records every key
+    as loaded)."""
     kind: str = "sim"
     command: str | None = None        # external oracle command line (exec)
     timeout: float = 30.0             # seconds for one exec oracle reply

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
 
-from .dataio import read_tsv, read_weight_rows
+from .dataio import check_symbols, read_tsv, read_weight_rows
 from .errors import ParseFailure
 
 BOUNDARY = " "
@@ -102,8 +102,13 @@ class G2P:
             token: phones.split()
             for token, phones in read_tsv("lexicon.tsv")
         }
+        rows = read_tsv("g2p_rules.tsv")
+        for name, runs in (("lexicon.tsv", self.lexicon.values()),
+                           ("g2p_rules.tsv", (r[1].split() for r in rows))):
+            check_symbols("phoneme", (p for run in runs for p in run), name,
+                          inventory().index, "phoneme_features.tsv")
         rules: dict[str, tuple[int, list[str]]] = {}
-        for grapheme, phones, priority in read_tsv("g2p_rules.tsv"):
+        for grapheme, phones, priority in rows:
             prev = rules.get(grapheme)
             cand = (int(priority), phones.split())
             if prev is None or cand < prev:

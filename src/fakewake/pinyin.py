@@ -21,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dataio import read_tsv
+from .dataio import check_symbols, read_tsv
 from .errors import InvalidCombination, UnknownSyllable
 
 ZERO_INITIAL = "-"
@@ -84,9 +84,14 @@ class UnitTables:
         self.final_by_index = finals
         self.initial_index = {s: i for i, s in initials.items()}
         self.final_index = {s: i for i, s in finals.items()}
+        pairs = read_tsv("pinyin_validity.tsv")
+        for kind, column, index in (("initial", 0, self.initial_index),
+                                    ("final", 1, self.final_index)):
+            check_symbols(kind, (pair[column] for pair in pairs),
+                          "pinyin_validity.tsv", index, "pinyin_units.tsv")
         self.valid_pairs = frozenset(
             (self.initial_index[ini], self.final_index[fin])
-            for ini, fin in read_tsv("pinyin_validity.tsv")
+            for ini, fin in pairs
         )
         # valid finals per initial, ascending index (repair tie-break order)
         self.finals_for_initial: dict[int, tuple[int, ...]] = {}
@@ -166,7 +171,7 @@ def parse_pinyin(text: str) -> ChineseWord:
 
 
 # Tone mark goes on a/e if present, on the o of "ou", else on the last vowel.
-_MARKS = {1: "̄", 2: "́", 3: "̌", 4: "̀"}
+_MARKS = {tone: mark for mark, tone in _TONE_MARKS.items()}
 
 
 def _mark_tone(base: str, tone: int) -> str:

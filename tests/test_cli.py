@@ -580,6 +580,104 @@ def test_dist_rejects_symbols_outside_the_alphabet(word1, word2, bad, capsys):
     assert f"symbols outside a-z/space: {bad}" in captured.err
 
 
+def test_dist_prints_pinned_mandarin_value(capsys):
+    assert main(["dist", "--language", "zh", "xiǎo dù", "xiāo tù"]) == 0
+    assert capsys.readouterr().out == "0.015204153464452478\n"
+
+
+@pytest.mark.parametrize("word1, word2", [("xāng dù", "xiǎo dù"),
+                                          ("xiǎo dù", "xiao du")])
+def test_dist_rejects_invalid_pinyin(word1, word2, capsys):
+    assert main(["dist", "--language", "zh", word1, word2]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_decisive_unit_past_the_target_names_the_oracle_block(tmp_path,
+                                                              capsys):
+    config = write_config(tmp_path / "config.json",
+                          oracle={"decisive_unit": 6})
+    assert main(["generate", "--config", str(config),
+                 "--output", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "config error: oracle: decisive_unit out of range 0..5\n"
+    assert not (tmp_path / "o").exists()
+
+
+def appended(row):
+    return lambda text: text + row + "\n"
+
+
+ZH_WORD = ["--language", "zh", "lóng dà"]
+RULE_QQ = ("g2p_rules.tsv", appended("q\tQQ\t0"))
+LEXICON_QQ = ("lexicon.tsv", appended("zork\tQQ AH"))
+VALIDITY_ZZ = ("pinyin_validity.tsv", appended("zz\tong"))
+NO_ONG_ROW = ("pinyin_unit_features.tsv", lambda text: "".join(
+    line for line in text.splitlines(True)
+    if not line.startswith("final\tong\t")))
+QQ, ZZ, ONG = ("config error: phoneme 'QQ' of ",
+               "config error: initial 'zz' of ",
+               "config error: final 'ong' of ")
+MISSING = "config error: data file not found: "
+# case: (data file, its edit or None for a directory without the tables,
+# command, the message's start); the message names the data file
+BAD_TABLES = {
+    "rule-phoneme": (*RULE_QQ, ["generate"], QQ),
+    "lexicon-phoneme-validate": (*LEXICON_QQ, ["validate", "zork"], QQ),
+    "lexicon-phoneme-dist": (*LEXICON_QQ, ["dist", "zork", "alexa"], QQ),
+    "lexicon-phoneme-generate": (*LEXICON_QQ,
+                                 ["generate", "--wake-word", "zork"], QQ),
+    "validity-initial-validate": (*VALIDITY_ZZ, ["validate", *ZH_WORD], ZZ),
+    "validity-initial-dist": (*VALIDITY_ZZ, ["dist", *ZH_WORD, "lóng dà"],
+                              ZZ),
+    "validity-initial-generate": (*VALIDITY_ZZ,
+                                  ["generate", "--language", "zh",
+                                   "--wake-word", "xiǎo dù"], ZZ),
+    "features-final-row": (*NO_ONG_ROW, ["dist", *ZH_WORD, "lóng dà"], ONG),
+    "missing-validate": ("lexicon.tsv", None, ["validate", "alexa"],
+                         MISSING),
+    "missing-generate": ("lexicon.tsv", None, ["generate"], MISSING),
+    "missing-dist-zh": ("pinyin_units.tsv", None,
+                        ["dist", *ZH_WORD, "lóng dà"], MISSING),
+    "missing-mitigate": ("lexicon.tsv", None, ["mitigate", "--archive"],
+                         MISSING),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
+    """A data table that is missing, or that names a symbol its companion
+    table lacks, exits 2 with a message naming the file, before any
+    output: never a traceback, a silently wrong pronunciation, or a
+    relabelled message (``mitigate`` once blamed a missing table on
+    ``mitigate.collective_path``)."""
+    from fakewake.dataio import _BUNDLED
+
+    name, edit, argv, start = BAD_TABLES[case]
+    alt = tmp_path / "data"
+    if edit is None:
+        alt.mkdir()
+    else:
+        shutil.copytree(_BUNDLED, alt)
+        table = alt / name
+        table.write_text(edit(table.read_text(encoding="utf-8")),
+                         encoding="utf-8")
+    if argv[0] in ("generate", "mitigate"):
+        _, config, out = small_run
+        if argv[-1] == "--archive":
+            argv = [*argv, str(out / "archive.json")]
+        argv = [*argv, "--config", str(config), "--output",
+                str(tmp_path / "o")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "fakewake.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(alt)),
+        capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1
+    assert str(alt / name) in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 def test_validate_command(capsys):
     assert main(["validate", "--language", "zh", "xiǎo ài tóng xué"]) == 0
     out = capsys.readouterr().out

@@ -213,3 +213,33 @@ def test_key_changes_its_named_output(outputs, collective, key):
     assert changed != base
     assert (outputs(command, base) / output).read_bytes() != \
         (outputs(command, changed) / output).read_bytes()
+
+
+# the keys only the simulated detector reads, each with a new value;
+# unit_weights and decisive_unit exclude each other, so both change
+SIM_ONLY = {
+    "oracle.target": "alexis",
+    "oracle.unit_weights": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1],
+    "oracle.decisive_unit": None,
+    "oracle.decisive_weight": 0.9,
+    "oracle.threshold": 0.6,
+    "oracle.temperature": 0.1,
+    "oracle.substitution_floor": 0.5,
+    "oracle.seed": 1004,
+}
+
+
+def test_exec_oracle_reads_only_command_and_timeout(outputs):
+    """With ``oracle.kind: exec`` the eight simulated-detector keys, all
+    changed at once, leave the archive byte for byte; the manifest still
+    records the block as loaded."""
+    changed = EN_EXEC
+    for key, value in SIM_ONLY.items():
+        assert with_key(EN_EXEC, key, value) != EN_EXEC, key
+        changed = with_key(changed, key, value)
+    base, other = outputs("generate", EN_EXEC), outputs("generate", changed)
+    assert (base / "archive.json").read_bytes() == \
+        (other / "archive.json").read_bytes()
+    snapshot = json.loads((other / "run_manifest.json").read_text())
+    assert {key: snapshot["config"]["oracle"][key.split(".")[1]]
+            for key in SIM_ONLY} == SIM_ONLY

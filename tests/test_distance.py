@@ -6,9 +6,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fakewake.distance import (DistanceConfig, _alignment, chinese_dist,
-                               english_dist, levenshtein_many)
+                               english_dist, levenshtein_many, objective)
 from fakewake.embedding import character_distance
-from fakewake.errors import BothEmpty, LengthMismatch, UnknownPhoneme
+from fakewake.errors import (BothEmpty, LengthMismatch, ParseFailure,
+                             UnknownPhoneme)
 from fakewake.genome import (ChineseGenome, decode_text, random_genome,
                              repair_chinese)
 from fakewake.phonemes import BOUNDARY, g2p, inventory
@@ -297,3 +298,45 @@ def test_levenshtein_baseline():
     assert levenshtein_many([], "").shape == (0,)
     with pytest.raises(BothEmpty):
         levenshtein_many(["a", ""], "")
+
+
+english_words = st.text("abcdefghijklmnopqrstuvwxyz ", min_size=1,
+                        max_size=12).filter(str.strip)
+
+
+@given(english_words, english_words, st.sampled_from([1.0, 0.5]))
+@settings(max_examples=100, deadline=None)
+@example("alexa", "ileksur", 1.0)
+@example("hey siri", "hay  sorry ", 0.5)
+def test_english_objective_is_english_dist_of_g2p(text, target, space_cost):
+    cfg = DistanceConfig(space_cost=space_cost)
+    assert objective(target, "en", cfg)(text) == \
+        english_dist(g2p(text), g2p(target), cfg)
+
+
+@given(st.data(), st.integers(1, 4))
+@settings(max_examples=60, deadline=None)
+def test_chinese_objective_is_chinese_dist_of_parses(data, characters):
+    genes = chinese_genes(characters)
+    text, target = (decode_text(repair_chinese(ChineseGenome(data.draw(genes))))
+                    for _ in range(2))
+    cfg = DistanceConfig(normalizer=data.draw(st.sampled_from([100.0, 7.0])))
+    assert objective(target, "zh", cfg)(text) == \
+        chinese_dist(parse_pinyin(text), parse_pinyin(target), cfg)
+
+
+@pytest.mark.parametrize("language, target, text", [
+    ("en", "alexa", "al3xa"),
+    ("en", "alexa", ""),
+    ("en", "alexa", "Alexa"),
+    ("en", "al3xa", "alexa"),
+    ("zh", "xiǎo dù", "xāng dù"),
+    ("zh", "xiǎo dù", " "),
+    ("zh", "xiǎo", "xiao"),
+])
+def test_objective_raises_parse_failure_on_invalid_text(language, target,
+                                                       text):
+    """Invalid text raises, whether it is the scored text or the target,
+    which is parsed when the objective is built."""
+    with pytest.raises(ParseFailure):
+        objective(target, language, DistanceConfig())(text)

@@ -7,12 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fakewake.embedding import embedding_table
+from fakewake.embedding import embedding_table, word_units
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
 from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_seed,
-                             default_rng_random, first_random, wake_counts)
+                             build_oracle, default_rng_random, first_random,
+                             wake_counts)
 from fakewake.params import OracleConfig
+from fakewake.phonemes import LetterWord
+from fakewake.pinyin import parse_pinyin
 
 
 class AlwaysOracle:
@@ -387,3 +390,55 @@ def test_external_oracle_process_exit(tmp_path):
 def test_external_oracle_bad_command():
     with pytest.raises(OracleFailure):
         ExternalOracle("/nonexistent/not-a-binary")
+
+
+def test_build_oracle_exec_reads_only_command_and_timeout(tmp_path):
+    """An exec block gives an ``ExternalOracle`` of its command and timeout
+    and the spec ``exec:<command>``; it never parses the target, so even
+    one that does not parse, with a decisive unit past its end, builds."""
+    command = make_stub(tmp_path)
+    block = OracleConfig(kind="exec", command=command, timeout=7.0,
+                         target="al3xa!", decisive_unit=40, seed=5)
+    oracle, spec = build_oracle(block, "en", "alexa", 3)
+    with oracle:
+        assert isinstance(oracle, ExternalOracle)
+        assert (oracle.command, oracle.timeout) == (command, 7.0)
+        assert oracle.query("ki") == 1
+    assert spec == f"exec:{command}"
+
+
+def test_build_oracle_sim_defaults_and_keys():
+    """The target defaults to the wake word and the oracle seed to the run
+    seed + 1000; every key that is set reaches the detector."""
+    detector, spec = build_oracle(OracleConfig(), "en", "alexa", 7)
+    assert spec == "sim" and isinstance(detector, SimulatedDetector)
+    assert (detector.target, detector.language, detector.seed) == \
+        ("alexa", "en", 1007)
+    assert detector.unit_weights == SimulatedDetector("alexa").unit_weights
+    weights = [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]
+    block = OracleConfig(target="alexa", unit_weights=weights, seed=5,
+                         threshold=0.6, temperature=0.1,
+                         substitution_floor=0.5)
+    detector, _ = build_oracle(block, "en", "alexis", 7)
+    assert (detector.target, detector.seed, detector.unit_weights,
+            detector.threshold, detector.temperature,
+            detector.substitution_floor) == \
+        ("alexa", 5, tuple(weights), 0.6, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("language, wake, unit", [
+    ("en", "alexa", 3), ("zh", "xiǎo dù xiǎo dù", 1)])
+def test_build_oracle_decisive_weights(language, wake, unit):
+    """The decisive-unit shortcut gives the weights of the formula the
+    perfbench fixtures use: ``decisive_weight`` on the unit and equal
+    shares of the rest on the others. One past the last unit raises."""
+    word = parse_pinyin(wake) if language == "zh" else LetterWord(wake)
+    n = len(word_units(word))
+    expected = tuple(0.6 if i == unit else (1.0 - 0.6) / (n - 1)
+                     for i in range(n))
+    block = OracleConfig(decisive_unit=unit, decisive_weight=0.6)
+    detector, _ = build_oracle(block, language, wake, 1)
+    assert detector.unit_weights == expected
+    with pytest.raises(ValueError) as exc:
+        build_oracle(OracleConfig(decisive_unit=n), language, wake, 1)
+    assert str(exc.value) == f"decisive_unit out of range 0..{n - 1}"
