@@ -45,6 +45,21 @@ def check_symbols(kind: str, symbols, name: str, known, source: str):
                               f"in {data_path(source)}")
 
 
+def check_rows(name: str, rows, width: int | None = None,
+               kinds: tuple[str, ...] | None = None):
+    """Raise ``ConfigError`` at the first row of data file ``name`` that
+    does not have ``width`` columns, or whose first column (its kind) is
+    not one of ``kinds``."""
+    for row in rows:
+        if width is not None and len(row) != width:
+            line = "\t".join(row)
+            raise ConfigError(f"row {line!r} of {data_path(name)} has "
+                              f"{len(row)} columns, not {width}")
+        if kinds is not None and row[0] not in kinds:
+            raise ConfigError(f"kind {row[0]!r} of {data_path(name)} is not "
+                              f"{' or '.join(kinds)}")
+
+
 def read_tsv(name: str) -> list[list[str]]:
     """All non-comment rows of a bundled TSV, split on tabs."""
     rows = []

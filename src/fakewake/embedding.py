@@ -22,11 +22,12 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .dataio import check_symbols, read_tsv, read_weight_rows
+from .dataio import check_rows, check_symbols, read_tsv, read_weight_rows
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
                        g2p_converter, inventory)
-from .pinyin import ChineseWord, Syllable, parse_syllable, unit_tables
+from .pinyin import (UNIT_KINDS, ChineseWord, Syllable, parse_syllable,
+                     unit_tables)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -76,12 +77,13 @@ class EmbeddingTable:
     units. The vectors are derived on first use; the rest needs no numpy."""
 
     def __init__(self):
-        symbols = {"initial": [], "final": []}
-        features = {"initial": [], "final": []}
-        for row in read_tsv("pinyin_unit_features.tsv"):
-            kind = "initial" if row[0] == "initial" else "final"
-            symbols[kind].append(row[1])
-            features[kind].append(row[2:])
+        symbols = {kind: [] for kind in UNIT_KINDS}
+        features = {kind: [] for kind in UNIT_KINDS}
+        rows = read_tsv("pinyin_unit_features.tsv")
+        check_rows("pinyin_unit_features.tsv", rows, kinds=UNIT_KINDS)
+        for kind, symbol, *values in rows:
+            symbols[kind].append(symbol)
+            features[kind].append(values)
         weight_rows = read_weight_rows("pinyin_unit_features.tsv")
         self.tables: dict[str, FeatureTable] = {
             kind: FeatureTable(symbols[kind], features[kind], weights[1:])

@@ -3,9 +3,12 @@
 
 Evaluations are memoized per word text, so the oracle sees each distinct
 candidate at most once (k trials). Each generation's unseen words go to the
-oracle together, in order of first appearance, and each enters the archive
-as it is answered, with the first genome that decoded to it. The current
-front always survives unmutated, which keeps archive growth monotone.
+oracle in one ``query_many`` call, in order of first appearance; their
+dissimilarities are taken while the oracle works, and each word enters the
+archive as its count arrives, with the first genome that decoded to it.
+Only genomes that the previous generation did not hold are decoded. The
+current front always survives unmutated, which keeps archive growth
+monotone.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from .archive import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
 from .distance import objective
 from .errors import OracleFailure
 from .genome import Genome, crossover, decode_text, mutate, seed_genomes
-from .oracle import WakeOracle, wake_counts
+from .oracle import WakeOracle
 from .params import DistanceConfig, EvolveConfig, VariationConfig
 
 
@@ -69,20 +72,28 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     cache: dict[str, Objectives] = {"": Objectives(0.0, 0.0)}
     dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
     population = seed_genomes(wake_word, cfg.population_size, rng)
+    texts_of: dict[Genome, str] = {}   # the previous generation's decodes
 
     try:
         for generation in range(1, cfg.generations + 1):
-            texts = [decode_text(genome) for genome in population]
+            previous, texts_of = texts_of, {}
+            for genome in population:
+                if genome not in texts_of:
+                    text = previous.get(genome)
+                    texts_of[genome] = (decode_text(genome) if text is None
+                                        else text)
+            texts = [texts_of[genome] for genome in population]
             # unseen text -> its first genome, in order of first appearance
             unseen: dict[str, Genome] = {}
-            for genome, text in zip(population, texts):
+            for genome, text in texts_of.items():
                 if text not in cache:
                     unseen.setdefault(text, genome)
-            for (text, genome), wakes in zip(
-                    unseen.items(), wake_counts(oracle, list(unseen),
-                                                cfg.trials)):
-                obj = cache[text] = Objectives(wakes / cfg.trials,
-                                               dissimilarity(text))
+            # the oracle works on the words while their distances are taken
+            counts = oracle.query_many(list(unseen), cfg.trials)
+            gaps = [dissimilarity(text) for text in unseen]
+            for (text, genome), gap, wakes in zip(unseen.items(), gaps,
+                                                  counts):
+                obj = cache[text] = Objectives(wakes / cfg.trials, gap)
                 archive.query_count += cfg.trials
                 if (obj.wake_rate >= cfg.fuzzy_threshold
                         and obj.dissimilarity > 0):

@@ -1,17 +1,17 @@
 """Black-box wake-detector abstraction.
 
-``WakeOracle`` is the minimal interface the search loop needs: one query
-runs a word's activation trials and returns how many woke the detector.
-``build_oracle`` makes one from a config's ``oracle`` block: a
-``SimulatedDetector``, a stand-in with hidden per-unit weights for
-desk-scale experiments, or an ``ExternalOracle``, which adapts any
-line-oriented subprocess (e.g. driving real hardware).
+``WakeOracle`` is the minimal interface the search loop needs: one call
+takes a generation's new words and yields, word by word in order, how many
+of each word's activation trials woke the detector. ``build_oracle`` makes
+one from a config's ``oracle`` block: a ``SimulatedDetector``, a stand-in
+with hidden per-unit weights for desk-scale experiments, or an
+``ExternalOracle``, which adapts any line-oriented subprocess (e.g. driving
+real hardware). Both also answer one word through ``query``.
 
-The search loop asks for a generation's new words at once through
-``wake_counts``. An oracle with a ``query_many`` answers them in one call;
-any other, ``ExternalOracle`` included, is queried word by word, so the exec
-line protocol is the same as for single queries. ``SimulatedDetector`` seeds
-each trial from a hash of (seed, trial, word) and draws the first uniform of
+``ExternalOracle.query_many`` sends all of a call's lines when it is called
+and reads the replies as its iterator is advanced, so the caller's own work
+falls between the send and the reads. ``SimulatedDetector`` seeds each
+trial from a hash of (seed, trial, word) and draws the first uniform of
 ``np.random.default_rng`` of that seed. ``query`` computes each draw with
 numpy's integer arithmetic in plain Python (``first_random``), and
 ``query_many`` computes all of a batch's draws in one vectorised pass of it
@@ -30,7 +30,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterator, Protocol
+from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 from .embedding import embedding_table, parse_text
 from .errors import OracleFailure, OracleTimeout, ParseFailure, ProtocolError
@@ -41,24 +41,9 @@ if TYPE_CHECKING:
 
 
 class WakeOracle(Protocol):
-    def query(self, word: str, trials: int = 1) -> int:
-        """Wakes in ``trials`` activation trials of the given word text."""
-
-
-def wake_counts(oracle: WakeOracle, words: list[str],
-                trials: int) -> Iterator[int]:
-    """Each word's wakes in ``trials`` trials, in order.
-
-    An oracle with a ``query_many`` answers every word in one call; any other
-    is queried word by word, so when it fails at a word the counts of the
-    words before it have been yielded.
-    """
-    query_many = getattr(oracle, "query_many", None)
-    if query_many is not None:
-        yield from query_many(words, trials)
-    else:
-        for word in words:
-            yield oracle.query(word, trials)
+    def query_many(self, words: list[str],
+                   trials: int = 1) -> Iterable[int]:
+        """Each word's wakes in ``trials`` activation trials, in order."""
 
 
 def _parse_units(word: str, language: str) -> list[tuple[str, str]]:
@@ -324,16 +309,18 @@ class ExternalOracle:
     """Adapter for an external detector process.
 
     Wire protocol: one candidate word per line on stdin; one reply line on
-    stdout, ``1`` for wake and ``0`` for no wake. A query's ``trials`` lines
-    go out in one write and are answered in order; each reply must arrive
-    within ``timeout`` seconds. A handle has no lock, so only one thread at
-    a time may query it. Any failure (a timeout, the end of the output, a
-    reply other than ``0`` or ``1``) stops the process, so a reply that
-    was never read cannot answer a later query. Output waiting when a query
-    starts answers no query and is a protocol error; a surplus reply that
-    arrives only after that check is read as an answer to the new query,
-    which the protocol cannot tell apart. Stdout is read with ``select``,
-    so it must be a pipe.
+    stdout, ``1`` for wake and ``0`` for no wake. ``query_many`` sends a
+    call's lines, ``trials`` copies of each word's, in one write (or, past
+    what the pipe holds, in writes interleaved with the reads), and the
+    replies come back in order, each within ``timeout`` seconds of the
+    previous one. A handle has no lock, so only one thread at a time may
+    query it. Any failure (a timeout, the end of the output, a reply other
+    than ``0`` or ``1``) stops the process, so a reply that was never read
+    cannot answer a later query. Output waiting when a query starts answers
+    no query and is a protocol error; a surplus reply that arrives only
+    after that check is read as an answer to the new query, which the
+    protocol cannot tell apart. Stdout is read with ``select``, so it must
+    be a pipe.
     """
 
     def __init__(self, command: str,
@@ -349,55 +336,111 @@ class ExternalOracle:
             )
         except OSError as exc:
             raise OracleFailure(f"cannot start oracle process: {exc}") from exc
+        self._stdin = self._proc.stdin.fileno()
+        os.set_blocking(self._stdin, False)   # see ``_send``
         self._stdout = self._proc.stdout.fileno()
-        self._pending = b""           # read but not yet consumed
+        self._unsent = memoryview(b"")  # lines not yet taken by the pipe
+        self._lines: list[bytes] = []   # reply lines read, from ``_next`` on
+        self._next = 0                  # not yet consumed
+        self._partial = b""             # read after the last newline
+        self._deadline = None           # of the next reply; None: unread
 
     def query(self, word: str, trials: int = 1) -> int:
+        return next(self.query_many([word], trials))
+
+    def query_many(self, words: list[str], trials: int = 1) -> Iterator[int]:
+        """Send every line of ``words`` now, and return an iterator of
+        each word's wakes in ``trials`` trials, read as it is advanced. No
+        words need no process."""
+        if not words:
+            return iter(())
         if self._proc.poll() is not None:
             raise OracleFailure("oracle process has exited")
         try:
             self._check_idle()
-            self._proc.stdin.write(f"{word}\n".encode() * trials)
-            self._proc.stdin.flush()
-            return sum(self._reply(word) for _ in range(trials))
-        except BrokenPipeError as exc:
-            self.close()
-            raise OracleFailure(f"cannot write to oracle: {exc}") from exc
+            self._unsent = memoryview(
+                "".join([f"{word}\n" * trials for word in words]).encode())
+            self._deadline = None
+            self._send()
         except BaseException:
-            # replies left unread must never answer a later query
             self.close()
             raise
+        return self._counts(words, trials)
+
+    def _counts(self, words: list[str], trials: int) -> Iterator[int]:
+        owed = len(words)
+        try:
+            for word in words:
+                while len(self._lines) - self._next < trials:
+                    self._read(word)
+                replies = self._lines[self._next:self._next + trials]
+                self._next += trials
+                wakes = replies.count(b"1")
+                if wakes + replies.count(b"0") != trials:
+                    wakes = sum(map(_wake, replies))
+                owed -= 1
+                yield wakes
+        except BaseException as exc:
+            # ``zip`` leaves the iterator suspended after its last word,
+            # which owes no reply; replies left unread must never answer a
+            # later query
+            if owed or not isinstance(exc, GeneratorExit):
+                self.close()
+            raise
+
+    def _send(self):
+        """Write as much of the unsent lines as the pipe takes now. The
+        pipe does not block, so a full one never waits on a process that
+        is itself waiting for its replies to be read. Once the process
+        has closed its input, the rest is dropped: the replies it sent
+        before still count, and the reads then meet the end of output."""
+        try:
+            while self._unsent:
+                self._unsent = self._unsent[os.write(self._stdin,
+                                                     self._unsent):]
+        except BlockingIOError:
+            pass
+        except BrokenPipeError:
+            self._unsent = memoryview(b"")
+
+    def _read(self, word: str):
+        """Read until at least one more reply line is buffered, sending the
+        unsent lines as the pipe takes them."""
+        import select
+        if self._deadline is None:
+            self._deadline = time.monotonic() + self.timeout
+        while True:
+            wait = max(self._deadline - time.monotonic(), 0.0)
+            readable, writable, _ = select.select(
+                [self._stdout], [self._stdin] if self._unsent else [], [],
+                wait)
+            if writable:
+                self._send()
+            if readable:
+                chunk = os.read(self._stdout, 65536)
+                if not chunk:
+                    raise OracleFailure("oracle process closed its output")
+                *lines, self._partial = (self._partial + chunk).split(b"\n")
+                if lines:
+                    self._lines = self._lines[self._next:] + lines
+                    self._next = 0
+                    self._deadline = time.monotonic() + self.timeout
+                    return
+            elif not writable:
+                raise OracleTimeout(
+                    f"no reply within {self.timeout}s for {word!r}")
 
     def _check_idle(self):
         """Raise if output is waiting that no query asked for."""
         import select
-        if not self._pending and select.select([self._stdout], [], [], 0)[0]:
-            self._pending = os.read(self._stdout, 65536)
-            if not self._pending:
+        waiting = b"\n".join([*self._lines[self._next:], self._partial])
+        if not waiting and select.select([self._stdout], [], [], 0)[0]:
+            waiting = os.read(self._stdout, 65536)
+            if not waiting:
                 raise OracleFailure("oracle process closed its output")
-        if self._pending:
+        if waiting:
             raise ProtocolError(f"oracle replied to no query: "
-                                f"{self._pending.decode(errors='replace')!r}")
-
-    def _reply(self, word: str) -> int:
-        """The next reply line as 1 (wake) or 0."""
-        import select
-        deadline = time.monotonic() + self.timeout
-        while (end := self._pending.find(b"\n")) < 0:
-            wait = deadline - time.monotonic()
-            if wait <= 0 or not select.select([self._stdout], [], [], wait)[0]:
-                raise OracleTimeout(
-                    f"no reply within {self.timeout}s for {word!r}")
-            chunk = os.read(self._stdout, 65536)
-            if not chunk:
-                raise OracleFailure("oracle process closed its output")
-            self._pending += chunk
-        reply = self._pending[:end].strip()
-        self._pending = self._pending[end + 1:]
-        if reply in (b"0", b"1"):
-            return int(reply == b"1")
-        raise ProtocolError(
-            f"unexpected oracle reply: {reply.decode(errors='replace')!r}")
+                                f"{waiting.decode(errors='replace')!r}")
 
     def close(self):
         import subprocess
@@ -412,11 +455,14 @@ class ExternalOracle:
             with suppress(OSError):
                 pipe.close()
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc_info):
-        self.close()
+def _wake(reply: bytes) -> int:
+    """A reply line as 1 (wake) or 0."""
+    reply = reply.strip()
+    if reply in (b"0", b"1"):
+        return int(reply == b"1")
+    raise ProtocolError(
+        f"unexpected oracle reply: {reply.decode(errors='replace')!r}")
 
 
 def build_oracle(block: OracleConfig, language: str, wake_word: str,

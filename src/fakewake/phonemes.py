@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
 
-from .dataio import check_symbols, read_tsv, read_weight_rows
+from .dataio import check_rows, check_symbols, read_tsv, read_weight_rows
 from .errors import ParseFailure
 
 BOUNDARY = " "
@@ -98,11 +98,11 @@ class G2P:
     with is consumed by the catch-all and contributes nothing."""
 
     def __init__(self):
-        self.lexicon = {
-            token: phones.split()
-            for token, phones in read_tsv("lexicon.tsv")
-        }
+        lexicon = read_tsv("lexicon.tsv")
         rows = read_tsv("g2p_rules.tsv")
+        check_rows("lexicon.tsv", lexicon, width=2)
+        check_rows("g2p_rules.tsv", rows, width=3)
+        self.lexicon = {token: phones.split() for token, phones in lexicon}
         for name, runs in (("lexicon.tsv", self.lexicon.values()),
                            ("g2p_rules.tsv", (r[1].split() for r in rows))):
             check_symbols("phoneme", (p for run in runs for p in run), name,

@@ -21,10 +21,12 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dataio import check_symbols, read_tsv
+from .dataio import check_rows, check_symbols, read_tsv
 from .errors import InvalidCombination, UnknownSyllable
 
 ZERO_INITIAL = "-"
+# the kinds of the unit tables' rows
+UNIT_KINDS = ("initial", "final")
 
 _TONE_MARKS = {
     "̄": 1,  # macron
@@ -75,11 +77,10 @@ class UnitTables:
     def __init__(self):
         initials: dict[int, str] = {}
         finals: dict[int, str] = {}
-        for kind, idx, sym in read_tsv("pinyin_units.tsv"):
-            if kind == "initial":
-                initials[int(idx)] = sym
-            elif kind == "final":
-                finals[int(idx)] = sym
+        rows = read_tsv("pinyin_units.tsv")
+        check_rows("pinyin_units.tsv", rows, width=3, kinds=UNIT_KINDS)
+        for kind, idx, sym in rows:
+            (initials if kind == "initial" else finals)[int(idx)] = sym
         self.initial_by_index = initials
         self.final_by_index = finals
         self.initial_index = {s: i for i, s in initials.items()}

@@ -12,7 +12,9 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fakewake.archive import FuzzyArchive
 from fakewake.cli import main
@@ -608,6 +610,11 @@ def appended(row):
     return lambda text: text + row + "\n"
 
 
+def misspelled(row_start, typo):
+    """The first row that starts with ``row_start`` starts with ``typo``."""
+    return lambda text: text.replace("\n" + row_start, "\n" + typo, 1)
+
+
 ZH_WORD = ["--language", "zh", "lóng dà"]
 RULE_QQ = ("g2p_rules.tsv", appended("q\tQQ\t0"))
 LEXICON_QQ = ("lexicon.tsv", appended("zork\tQQ AH"))
@@ -634,6 +641,16 @@ BAD_TABLES = {
                                   ["generate", "--language", "zh",
                                    "--wake-word", "xiǎo dù"], ZZ),
     "features-final-row": (*NO_ONG_ROW, ["dist", *ZH_WORD, "lóng dà"], ONG),
+    "lexicon-row-width": ("lexicon.tsv", appended("zork"),
+                          ["validate", "alexa"],
+                          "config error: row 'zork' of "),
+    "features-kind": ("pinyin_unit_features.tsv",
+                      misspelled("initial\tb\t", "inital\tb\t"),
+                      ["dist", *ZH_WORD, "xiǎo dù"],
+                      "config error: kind 'inital' of "),
+    "units-kind": ("pinyin_units.tsv", misspelled("final\t", "fnal\t"),
+                   ["dist", *ZH_WORD, "xiǎo dù"],
+                   "config error: kind 'fnal' of "),
     "missing-validate": ("lexicon.tsv", None, ["validate", "alexa"],
                          MISSING),
     "missing-generate": ("lexicon.tsv", None, ["generate"], MISSING),
@@ -646,11 +663,11 @@ BAD_TABLES = {
 
 @pytest.mark.parametrize("case", sorted(BAD_TABLES))
 def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
-    """A data table that is missing, or that names a symbol its companion
-    table lacks, exits 2 with a message naming the file, before any
-    output: never a traceback, a silently wrong pronunciation, or a
-    relabelled message (``mitigate`` once blamed a missing table on
-    ``mitigate.collective_path``)."""
+    """A data table that is missing, has a row of the wrong width or kind,
+    or names a symbol its companion table lacks, exits 2 with a message
+    naming the file, before any output: never a traceback, a silently
+    wrong pronunciation, or a relabelled message (``mitigate`` once blamed
+    a missing table on ``mitigate.collective_path``)."""
     from fakewake.dataio import _BUNDLED
 
     name, edit, argv, start = BAD_TABLES[case]
@@ -737,6 +754,74 @@ def test_external_oracle_failure_exits_3(tmp_path, capsys):
                 if line.startswith("oracle failure:")]) == 1
     partial = json.loads((out / "archive.json").read_text())
     assert partial["run"]["generations_run"] == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, width=64), max_size=40)
+       | st.lists(st.integers(0, 50).map(float), max_size=40))
+@example([])
+@example([0.25, 0.75])
+@example([-0.0])
+@example([-0.0, -0.0])
+def test_median_equals_np_median(values):
+    """``cli._median`` is ``np.median`` bit for bit, over odd and even
+    sizes; its inputs hold no NaN."""
+    from fakewake.cli import _median
+
+    xs = np.array(values, dtype=float)
+    got = _median(xs)
+    if not values:
+        assert got is None
+    else:
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.median(xs).tobytes()
+
+
+CUT_STUB = """
+import sys
+limit, log = int(sys.argv[1]), open(sys.argv[2], "a")
+for n, line in enumerate(sys.stdin):
+    if n == limit:
+        sys.exit(0)
+    log.write(line)
+    log.flush()
+    print(1 if "k" in line or "s" in line else 0, flush=True)
+"""
+
+
+def test_oracle_exit_keeps_exactly_the_words_read(tmp_path, capsys):
+    """A stub that exits after 153 replies, some way into generation 2,
+    makes ``generate`` exit 3. The partial archive then holds the 30 words
+    whose five replies were read, as the full run records them."""
+    stub = tmp_path / "cut.py"
+    stub.write_text(CUT_STUB)
+    config = write_config(tmp_path / "config.json")
+
+    def generate(limit, out):
+        log = tmp_path / f"{out}.log"
+        code = main(["generate", "--config", str(config), "--oracle",
+                     f"exec:{sys.executable} {stub} {limit} {log}",
+                     "--output", str(tmp_path / out)])
+        return (code, json.loads((tmp_path / out / "archive.json")
+                                 .read_text()), log.read_text().split("\n"))
+
+    code, full, sent = generate(10**9, "full")
+    assert code == 0
+    assert len(sent) > 200
+    capsys.readouterr()
+    code, partial, _ = generate(153, "cut")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("oracle failure: ")
+    read = set(sent[:150:5])
+    assert len(read) == 30 and sent[:150] == [w for w in sent[:150:5]
+                                              for _ in range(5)]
+    assert partial["run"]["query_count"] == 150
+    assert 1 <= partial["run"]["generations_run"] < \
+        full["run"]["generations_run"]
+    for key in ("candidates", "rejected"):
+        assert partial[key] == [c for c in full[key] if c["word"] in read]
+    assert partial["candidates"] and partial["rejected"]
+    assert not (tmp_path / "cut" / "run_manifest.json").exists()
 
 
 def test_external_oracle_surplus_reply_exits_3(tmp_path, capsys):

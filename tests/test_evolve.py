@@ -1,5 +1,4 @@
 import functools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from fakewake.archive import Bucket, bucket
 from fakewake.evolve import (EvolveConfig, FuzzyArchive, Objectives,
                              non_dominated_front, run)
 from fakewake.genome import VariationConfig, decode_text, encode_english
-from fakewake.oracle import wake_counts
 from tests.conftest import make_detector, run_search
 
 
@@ -86,7 +84,16 @@ def test_bucket_below_threshold():
         bucket(0.04)
 
 
-class ConstantOracle:
+class WordByWord:
+    """A test double's ``query_many``: its ``query`` of each word, called
+    as the search reads the word's count."""
+
+    def query_many(self, words, trials=1):
+        for word in words:
+            yield self.query(word, trials)
+
+
+class ConstantOracle(WordByWord):
     def __init__(self, value):
         self.value = value
         self.queries = 0
@@ -135,7 +142,7 @@ def test_run_deterministic():
     assert a.to_json() == b.to_json()
 
 
-class FlakyOracle:
+class FlakyOracle(WordByWord):
     """Fails after a fixed number of trials."""
 
     def __init__(self, budget):
@@ -227,8 +234,9 @@ def test_interrupt_partial_archive_equals_the_oracle_failure_one(budget):
         failure.value.partial_archive.to_json()
 
 
-class QueryOnly:
-    """Exposes only ``query``, so the search queries word by word."""
+class QueryOnly(WordByWord):
+    """Answers ``query_many`` through the oracle's ``query``, word by
+    word."""
 
     def __init__(self, oracle):
         self.query = oracle.query
@@ -246,7 +254,7 @@ def test_batched_search_equals_per_word_search(seed):
     assert batched.to_json() == search(QueryOnly).to_json()
 
 
-class VowelOracle:
+class VowelOracle(WordByWord):
     """Wakes on every trial of a vowel; records the words it is asked."""
 
     def __init__(self):
@@ -360,6 +368,18 @@ def test_each_archived_word_is_recorded_once(monkeypatch):
     assert len(archive.candidates) == 295 and len(archive.rejected) == 388
 
 
+class Recording:
+    """Passes ``query_many`` on, recording the words of each call."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.sent = []
+
+    def query_many(self, words, trials=1):
+        self.sent.append(list(words))
+        return self.oracle.query_many(words, trials)
+
+
 @settings(max_examples=30, deadline=None)
 @given(population=st.integers(4, 12), generations=st.integers(1, 5),
        trials=st.integers(1, 5), seed=st.integers(0, 10**6),
@@ -367,23 +387,16 @@ def test_each_archived_word_is_recorded_once(monkeypatch):
 def test_archive_generation_is_the_generation_first_sent(
         population, generations, trials, seed, detector_seed, batched):
     """Each archived and rejected word carries the generation in which the
-    search first sent it to the oracle, by ``query_many`` or word by word,
-    and a candidate's genome decodes to its word."""
-    import fakewake.evolve as evolve_mod
-
-    sent = []      # the words of each generation's oracle call
-
-    def recording(oracle, words, trials):
-        sent.append(list(words))
-        return wake_counts(oracle, words, trials)
-
+    search first sent it to the oracle, whether the oracle answers
+    ``query_many`` in one batch or word by word, and a candidate's genome
+    decodes to its word."""
     detector = make_detector(detector_seed)
-    with mock.patch.object(evolve_mod, "wake_counts", recording):
-        archive = run(encode_english("alexa", 7), "alexa",
-                      detector if batched else QueryOnly(detector),
-                      EvolveConfig(population_size=population,
-                                   generations=generations, trials=trials),
-                      VariationConfig(), DistanceConfig(), seed=seed)
+    oracle = Recording(detector if batched else QueryOnly(detector))
+    archive = run(encode_english("alexa", 7), "alexa", oracle,
+                  EvolveConfig(population_size=population,
+                               generations=generations, trials=trials),
+                  VariationConfig(), DistanceConfig(), seed=seed)
+    sent = oracle.sent
     first_sent = {}
     for generation, words in enumerate(sent, start=1):
         for word in words:

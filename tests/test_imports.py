@@ -142,6 +142,8 @@ def test_proxy_commands_load_no_search(run_dir, command):
                         "--output", str(root / command)])
     assert {"explain", "gbdt", "archive"} <= modules
     assert not modules & {"oracle", "evolve", "subprocess"}
+    # the separation medians are taken without np.median, which loads it
+    assert "numpy.ma" not in modules
 
 
 @pytest.mark.parametrize("argv", [

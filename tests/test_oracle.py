@@ -2,40 +2,41 @@ import math
 import shlex
 import sys
 import textwrap
+from contextlib import closing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fakewake.distance import DistanceConfig
 from fakewake.embedding import embedding_table, word_units
 from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
+from fakewake.evolve import EvolveConfig, run
+from fakewake.genome import VariationConfig, encode_english
 from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_seed,
-                             build_oracle, default_rng_random, first_random,
-                             wake_counts)
+                             build_oracle, default_rng_random, first_random)
 from fakewake.params import OracleConfig
 from fakewake.phonemes import LetterWord
 from fakewake.pinyin import parse_pinyin
 
 
-class AlwaysOracle:
-    def __init__(self, value):
-        self.value = value
-        self.queries = 0
-
-    def query(self, word, trials=1):
-        self.queries += trials
-        return trials if self.value else 0
+def always(reply):
+    """An exec oracle that answers every line with ``reply``."""
+    return closing(ExternalOracle(
+        f"{sys.executable} -c 'import sys\nfor _ in sys.stdin: "
+        f"print({reply}, flush=True)'", timeout=5.0))
 
 
 def test_wake_rate_always_true():
-    oracle = AlwaysOracle(True)
-    assert list(wake_counts(oracle, ["alexa", "lexa"], 10)) == [10, 10]
-    assert oracle.queries == 20
+    with always(1) as oracle:
+        assert list(oracle.query_many(["alexa", "lexa"], 10)) == [10, 10]
 
 
 def test_wake_rate_always_false():
-    assert list(wake_counts(AlwaysOracle(False), ["alexa"], 10)) == [0]
+    with always(0) as oracle:
+        assert list(oracle.query_many(["alexa"], 10)) == [0]
 
 
 def logistic(z):
@@ -234,29 +235,6 @@ def test_query_many_scores_each_word_once(monkeypatch):
     assert sorted(scored) == ["alehsa", "alexa", "alexu"]
 
 
-class CallLog:
-    def __init__(self):
-        self.calls = []
-
-    def query(self, word, trials=1):
-        self.calls.append(("query", word, trials))
-        return trials
-
-
-class BatchCallLog(CallLog):
-    def query_many(self, words, trials=1):
-        self.calls.append(("query_many", list(words), trials))
-        return [trials] * len(words)
-
-
-def test_wake_counts_batches_only_where_the_oracle_can():
-    for oracle, calls in (
-            (CallLog(), [("query", "ki", 3), ("query", "ao", 3)]),
-            (BatchCallLog(), [("query_many", ["ki", "ao"], 3)])):
-        assert list(wake_counts(oracle, ["ki", "ao"], 3)) == [3, 3]
-        assert oracle.calls == calls
-
-
 STUB = textwrap.dedent("""
     import sys
     for line in sys.stdin:
@@ -279,13 +257,13 @@ def make_stub(tmp_path, name="stub.py"):
 
 
 def test_external_oracle_wire_protocol(tmp_path):
-    with ExternalOracle(make_stub(tmp_path)) as oracle:
+    with closing(ExternalOracle(make_stub(tmp_path))) as oracle:
         assert oracle.query("ki") == 1
         assert oracle.query("ao") == 0
 
 
 def test_external_oracle_counts_wakes_in_a_batch(tmp_path):
-    with ExternalOracle(make_stub(tmp_path)) as oracle:
+    with closing(ExternalOracle(make_stub(tmp_path))) as oracle:
         assert oracle.query("ki", 5) == 5
         assert oracle.query("ao", 3) == 0
         assert oracle.query("ki") == 1
@@ -302,7 +280,8 @@ def test_external_oracle_writes_batch_before_reading(tmp_path):
         while chunk := os.read(0, 65536):
             os.write(1, b"0\\n" * chunk.count(b"\\n"))
     """))
-    with ExternalOracle(f"{sys.executable} {path}", timeout=5.0) as oracle:
+    command = f"{sys.executable} {path}"
+    with closing(ExternalOracle(command, timeout=5.0)) as oracle:
         assert oracle.query("ki", 10) == 10
 
 
@@ -317,7 +296,7 @@ def test_external_oracle_bad_reply_mid_batch(tmp_path, bad):
             print(sys.argv[1] if n == 2 else "1", flush=True)
     """))
     command = f"{sys.executable} {path} {shlex.quote(bad)}"
-    with ExternalOracle(command, timeout=5.0) as oracle:
+    with closing(ExternalOracle(command, timeout=5.0)) as oracle:
         with pytest.raises(ProtocolError):
             oracle.query("ki", 5)
         with pytest.raises(OracleFailure) as excinfo:
@@ -326,13 +305,13 @@ def test_external_oracle_bad_reply_mid_batch(tmp_path, bad):
 
 
 def test_external_oracle_protocol_error(tmp_path):
-    with ExternalOracle(make_stub(tmp_path)) as oracle:
+    with closing(ExternalOracle(make_stub(tmp_path))) as oracle:
         with pytest.raises(ProtocolError):
             oracle.query("weird")
 
 
 def test_external_oracle_timeout(tmp_path):
-    with ExternalOracle(make_stub(tmp_path), timeout=0.3) as oracle:
+    with closing(ExternalOracle(make_stub(tmp_path), timeout=0.3)) as oracle:
         with pytest.raises(OracleTimeout):
             oracle.query("slow")
 
@@ -349,7 +328,8 @@ def test_external_oracle_late_reply_is_not_misattributed(tmp_path):
             print("1" if n == 0 else "0")
             sys.stdout.flush()
     """))
-    with ExternalOracle(f"{sys.executable} {path}", timeout=0.2) as oracle:
+    command = f"{sys.executable} {path}"
+    with closing(ExternalOracle(command, timeout=0.2)) as oracle:
         with pytest.raises(OracleTimeout):
             oracle.query("first")
         for word in ("second", "third"):
@@ -370,7 +350,8 @@ def test_external_oracle_unrequested_reply_is_a_protocol_error(tmp_path):
     # never answer the query for "zzz", which the stub never wakes on
     path = tmp_path / "double.py"
     path.write_text(DOUBLE)
-    with ExternalOracle(f"{sys.executable} {path}", timeout=5.0) as oracle:
+    command = f"{sys.executable} {path}"
+    with closing(ExternalOracle(command, timeout=5.0)) as oracle:
         assert oracle.query("ki") == 1
         with pytest.raises(ProtocolError, match="replied to no query"):
             oracle.query("zzz", 3)
@@ -380,7 +361,7 @@ def test_external_oracle_unrequested_reply_is_a_protocol_error(tmp_path):
 
 
 def test_external_oracle_process_exit(tmp_path):
-    with ExternalOracle(make_stub(tmp_path), timeout=2.0) as oracle:
+    with closing(ExternalOracle(make_stub(tmp_path), timeout=2.0)) as oracle:
         with pytest.raises(OracleFailure):
             oracle.query("crash")
         with pytest.raises(OracleFailure):
@@ -392,6 +373,98 @@ def test_external_oracle_bad_command():
         ExternalOracle("/nonexistent/not-a-binary")
 
 
+PERF_STUB = (Path(__file__).resolve().parents[1] / "perfbench"
+             / "oracle_stub.py")
+FIXTURE_BLOCK = OracleConfig(decisive_unit=3, decisive_weight=0.6, seed=1003)
+
+
+def perf_stub():
+    """The line-protocol stub behind ``FIXTURE_BLOCK``'s detector."""
+    return closing(ExternalOracle(
+        f"{sys.executable} {PERF_STUB} --language en --wake-word alexa "
+        "--decisive-unit 3 --decisive-weight 0.6 --seed 1003"))
+
+
+def test_query_many_past_the_pipe_buffer_equals_per_word_queries():
+    """A population of 1,000 words at 10 trials sends more than the 64 KiB
+    a pipe holds, so the writes interleave with the reads; every count
+    equals the detector's ``query`` of the word."""
+    rng = np.random.default_rng(5)
+    words = list(dict.fromkeys(
+        "".join(rng.choice(list("abcdeklsx"), 7)) for _ in range(1100)))
+    words = words[:1000]
+    assert len(words) == 1000
+    assert sum(len(w) + 1 for w in words) * 10 > 65536
+    detector, _ = build_oracle(FIXTURE_BLOCK, "en", "alexa", 0)
+    expected = [detector.query(word, 10) for word in words]
+    assert 0 < sum(expected) < 10 * len(words)
+    with perf_stub() as oracle:
+        assert list(oracle.query_many(words, 10)) == expected
+
+
+def test_query_many_reads_while_it_writes(tmp_path):
+    """Both directions past what a pipe holds: 210 KB of lines go out while
+    the stub writes 410 KB of padded replies. A parent that wrote all its
+    lines before reading would block on its full stdin while the stub
+    blocks on its full stdout."""
+    path = tmp_path / "padded.py"
+    path.write_text(textwrap.dedent("""
+        import sys
+        for line in sys.stdin:
+            print(("1" if "k" in line else "0").ljust(40), flush=True)
+    """))
+    words = [f"{'k' if n % 3 else 'a'}{n:019d}" for n in range(1000)]
+    command = f"{sys.executable} {path}"
+    with closing(ExternalOracle(command, timeout=5.0)) as oracle:
+        assert list(oracle.query_many(words, 10)) == \
+            [10 if "k" in word else 0 for word in words]
+
+
+def test_query_many_again_after_zip_stops_reading(tmp_path):
+    """``zip`` stops at its shorter input and leaves the counts suspended
+    after the last word; closing them then owes no reply and keeps the
+    process. Closed with a reply owed, they stop it."""
+    with closing(ExternalOracle(make_stub(tmp_path), timeout=5.0)) as oracle:
+        words = ["ki", "ao"]
+        counts = oracle.query_many(words, 2)
+        assert [n for _, n in zip(words, counts)] == [2, 0]
+        counts.close()
+        assert list(oracle.query_many(["ao", "ki"], 3)) == [0, 3]
+        counts = oracle.query_many(words, 2)
+        assert next(counts) == 2
+        counts.close()
+        with pytest.raises(OracleFailure):
+            oracle.query("ki")
+
+
+def test_each_reply_has_its_own_timeout(tmp_path):
+    """Each reply comes 0.6 s after the previous one against a timeout of
+    1 s: the three take 1.8 s, and none times out."""
+    path = tmp_path / "slow.py"
+    path.write_text(textwrap.dedent("""
+        import sys, time
+        for line in sys.stdin:
+            time.sleep(0.6)
+            print(1, flush=True)
+    """))
+    command = f"{sys.executable} {path}"
+    with closing(ExternalOracle(command, timeout=1.0)) as oracle:
+        assert list(oracle.query_many(["a", "b", "c"], 1)) == [1, 1, 1]
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_exec_stub_search_equals_the_sim_search(seed):
+    def search(oracle):
+        return run(encode_english("alexa", 7), "alexa", oracle,
+                   EvolveConfig(population_size=20, generations=6, trials=5),
+                   VariationConfig(), DistanceConfig(), seed=seed).to_json()
+
+    sim = search(build_oracle(FIXTURE_BLOCK, "en", "alexa", seed)[0])
+    assert sim["candidates"]
+    with perf_stub() as oracle:
+        assert search(oracle) == sim
+
+
 def test_build_oracle_exec_reads_only_command_and_timeout(tmp_path):
     """An exec block gives an ``ExternalOracle`` of its command and timeout
     and the spec ``exec:<command>``; it never parses the target, so even
@@ -400,7 +473,7 @@ def test_build_oracle_exec_reads_only_command_and_timeout(tmp_path):
     block = OracleConfig(kind="exec", command=command, timeout=7.0,
                          target="al3xa!", decisive_unit=40, seed=5)
     oracle, spec = build_oracle(block, "en", "alexa", 3)
-    with oracle:
+    with closing(oracle):
         assert isinstance(oracle, ExternalOracle)
         assert (oracle.command, oracle.timeout) == (command, 7.0)
         assert oracle.query("ki") == 1
