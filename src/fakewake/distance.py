@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from functools import cache
 from typing import TYPE_CHECKING
 
 from .embedding import character_distance
@@ -86,37 +85,26 @@ def _alignment(m: int, n: int, cost_rows) -> float:
     return prev[n] / (m + n)
 
 
-def _cost_rows(w2: PhonemeSequence,
-               cfg: DistanceConfig) -> Callable[[str], list[float]]:
-    """``a -> _cost_row`` of ``a`` against ``w2``."""
-    inv = inventory()
-    cols = [None if b == BOUNDARY else inv.index.get(b) for b in w2]
-    return lambda a: _cost_row(inv, a, w2, cols, cfg.space_cost)
-
-
 def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
                  cfg: DistanceConfig = DistanceConfig()) -> float:
     """Minimum (deletions + insertions + 2 * substitution distances) / (m+n)."""
-    return _alignment(len(w1), len(w2), map(_cost_rows(w2, cfg), w1))
+    inv = inventory()
+    cols = [None if b == BOUNDARY else inv.index.get(b) for b in w2]
+    space = cfg.space_cost
+    return _alignment(len(w1), len(w2),
+                      (_cost_row(inv, a, w2, cols, space) for a in w1))
 
 
 def objective(target: str, language: str,
               cfg: DistanceConfig) -> Callable[[str], float]:
     """``text -> dissimilarity`` to ``target``, parsed once here: the
     ``chinese_dist`` or ``english_dist`` (of pronunciations) of the text and
-    the target. Text that does not parse raises ``ParseFailure``. The
-    English one computes each phoneme's cost row against the target once,
-    on its first use."""
+    the target. Text that does not parse raises ``ParseFailure``."""
     if language == "zh":
         wake = parse_pinyin(target)
         return lambda text: chinese_dist(parse_pinyin(text), wake, cfg)
     wake = g2p(LetterWord(target))
-    cost_row = cache(_cost_rows(wake, cfg))
-
-    def english(text: str) -> float:
-        word = g2p(LetterWord(text))
-        return _alignment(len(word), len(wake), map(cost_row, word))
-    return english
+    return lambda text: english_dist(g2p(LetterWord(text)), wake, cfg)
 
 
 def levenshtein_many(seqs: Sequence[Sequence],

@@ -6,8 +6,7 @@ candidate at most once (k trials). Each generation's unseen words go to the
 oracle in one ``query_many`` call, in order of first appearance; their
 dissimilarities are taken while the oracle works, and each word enters the
 archive as its count arrives, with the first genome that decoded to it.
-Only genomes that the previous generation did not hold are decoded. The
-current front always survives unmutated, which keeps archive growth
+The current front always survives unmutated, which keeps archive growth
 monotone.
 """
 from __future__ import annotations
@@ -72,20 +71,13 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     cache: dict[str, Objectives] = {"": Objectives(0.0, 0.0)}
     dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
     population = seed_genomes(wake_word, cfg.population_size, rng)
-    texts_of: dict[Genome, str] = {}   # the previous generation's decodes
 
     try:
         for generation in range(1, cfg.generations + 1):
-            previous, texts_of = texts_of, {}
-            for genome in population:
-                if genome not in texts_of:
-                    text = previous.get(genome)
-                    texts_of[genome] = (decode_text(genome) if text is None
-                                        else text)
-            texts = [texts_of[genome] for genome in population]
+            texts = [decode_text(genome) for genome in population]
             # unseen text -> its first genome, in order of first appearance
             unseen: dict[str, Genome] = {}
-            for genome, text in texts_of.items():
+            for genome, text in zip(population, texts):
                 if text not in cache:
                     unseen.setdefault(text, genome)
             # the oracle works on the words while their distances are taken

@@ -2,9 +2,7 @@
 
 Chinese genomes hold (initial, final, tone) triples per character; English
 genomes hold one value per letter slot with 27 meaning space. All operators
-are pure functions of their inputs and the supplied RNG stream. A genome
-from outside is checked gene by gene when it is built; the children that
-the operators build from in-range genes are not checked again.
+are pure functions of their inputs and the supplied RNG stream.
 
 A Chinese genome's text is rendered triple by triple through the memo of
 ``pinyin.render_units``. Repair takes the nearest valid final of each
@@ -75,12 +73,6 @@ class EnglishGenome(tuple):
 Genome = ChineseGenome | EnglishGenome
 
 
-def _child(kind: type, genes) -> Genome:
-    """A genome of ``kind`` from int genes an operator drew or copied inside
-    their ranges, built without ``__new__``'s conversion and check."""
-    return tuple.__new__(kind, genes)
-
-
 def _triples(genes):
     return ((genes[i], genes[i + 1], genes[i + 2]) for i in range(0, len(genes), 3))
 
@@ -149,7 +141,7 @@ def repair_chinese(g: ChineseGenome) -> ChineseGenome:
         ini, fin = genes[i], genes[i + 1]
         if not is_valid_pair(ini, fin):
             genes[i + 1] = nearest_valid_final(ini, fin)
-    return g if genes == list(g) else _child(ChineseGenome, genes)
+    return g if genes == list(g) else ChineseGenome(genes)
 
 
 def _repaired(genome: Genome) -> Genome:
@@ -165,7 +157,7 @@ def mutate(g: Genome, cfg: VariationConfig, rng: np.random.Generator) -> Genome:
         if flip:
             lo, hi = g.gene_range(i)
             genes[i] = int(rng.integers(lo, hi + 1))
-    return _repaired(_child(type(g), genes))
+    return _repaired(type(g)(genes))
 
 
 def crossover(g1: Genome, g2: Genome,
@@ -176,8 +168,8 @@ def crossover(g1: Genome, g2: Genome,
     if len(g1) == 1:
         return _repaired(g1), _repaired(g2)
     cut = int(rng.integers(1, len(g1)))
-    c1 = _child(type(g1), g1[:cut] + g2[cut:])
-    c2 = _child(type(g1), g2[:cut] + g1[cut:])
+    c1 = type(g1)(g1[:cut] + g2[cut:])
+    c2 = type(g1)(g2[:cut] + g1[cut:])
     return _repaired(c1), _repaired(c2)
 
 

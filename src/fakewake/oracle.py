@@ -316,11 +316,13 @@ class ExternalOracle:
     previous one. A handle has no lock, so only one thread at a time may
     query it. Any failure (a timeout, the end of the output, a reply other
     than ``0`` or ``1``) stops the process, so a reply that was never read
-    cannot answer a later query. Output waiting when a query starts answers
-    no query and is a protocol error; a surplus reply that arrives only
-    after that check is read as an answer to the new query, which the
-    protocol cannot tell apart. Stdout is read with ``select``, so it must
-    be a pipe.
+    cannot answer a later query. A reply answers no query, and is a
+    protocol error, if more replies are buffered than the call still owes,
+    or if it is waiting when a call starts or after its last reply is read.
+    Replies carry no word, so a count yielded before a surplus reply was
+    read may already be shifted by it, and a surplus reply that arrives
+    after the last of those checks answers the next call's first line.
+    Stdout is read with ``select``, so it must be a pipe.
     """
 
     def __init__(self, command: str,
@@ -375,11 +377,18 @@ class ExternalOracle:
                     self._read(word)
                 replies = self._lines[self._next:self._next + trials]
                 self._next += trials
-                wakes = replies.count(b"1")
-                if wakes + replies.count(b"0") != trials:
-                    wakes = sum(map(_wake, replies))
                 owed -= 1
-                yield wakes
+                # a word's count is yielded only while no more replies are
+                # buffered than the words after it owe, and the last one
+                # only while no output at all is waiting
+                surplus = len(self._lines) - self._next - owed * trials
+                if surplus > 0:
+                    raise ProtocolError(
+                        f"oracle replied to no query: {surplus} more "
+                        f"line(s) than were sent")
+                if not owed:
+                    self._check_idle()
+                yield sum(map(_wake, replies))
         except BaseException as exc:
             # ``zip`` leaves the iterator suspended after its last word,
             # which owes no reply; replies left unread must never answer a
@@ -431,13 +440,13 @@ class ExternalOracle:
                     f"no reply within {self.timeout}s for {word!r}")
 
     def _check_idle(self):
-        """Raise if output is waiting that no query asked for."""
+        """Raise if output is waiting that no query asked for. The end of
+        the output is left to the next read, so the words whose replies
+        were read keep their counts."""
         import select
         waiting = b"\n".join([*self._lines[self._next:], self._partial])
         if not waiting and select.select([self._stdout], [], [], 0)[0]:
             waiting = os.read(self._stdout, 65536)
-            if not waiting:
-                raise OracleFailure("oracle process closed its output")
         if waiting:
             raise ProtocolError(f"oracle replied to no query: "
                                 f"{waiting.decode(errors='replace')!r}")

@@ -840,6 +840,54 @@ def test_external_oracle_surplus_reply_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out" / "run_manifest.json").exists()
 
 
+# Each read holds one generation: its lines go out in one write below
+# PIPE_BUF, which arrives whole. Every read's replies go out in one write, each
+# twice from the read numbered argv[1] on.
+DOUBLING_STUB = """
+import os, sys
+double_from, reads, rest = int(sys.argv[1]), 0, b""
+while chunk := os.read(0, 65536):
+    reads += 1
+    *lines, rest = (rest + chunk).split(b"\\n")
+    copies = 2 if reads >= double_from else 1
+    os.write(1, b"".join((b"1\\n" if b"k" in line or b"s" in line
+                          else b"0\\n") * copies for line in lines))
+"""
+
+
+@pytest.mark.parametrize("double_from, generations", [(1, 1), (2, 6)])
+def test_surplus_replies_fail_the_generation_they_reach(
+        tmp_path, capsys, double_from, generations):
+    """From generation ``double_from`` on, the stub answers every line
+    twice. ``generate`` exits 3 before it records a word of that
+    generation, even when it is the last one, and the partial archive holds
+    the earlier generations' words as the full run records them."""
+    stub = tmp_path / "doubling.py"
+    stub.write_text(DOUBLING_STUB)
+    config = write_config(tmp_path / "config.json", evolve={
+        "population_size": 20, "generations": generations, "trials": 5})
+
+    def generate(first_doubled, out):
+        code = main(["generate", "--config", str(config), "--oracle",
+                     f"exec:{sys.executable} {stub} {first_doubled}",
+                     "--output", str(tmp_path / out)])
+        return code, json.loads((tmp_path / out / "archive.json").read_text())
+
+    code, full = generate(10**9, "full")
+    assert code == 0
+    capsys.readouterr()
+    code, partial = generate(double_from, "doubled")
+    assert code == 3
+    assert "replied to no query" in capsys.readouterr().err
+    assert not (tmp_path / "doubled" / "run_manifest.json").exists()
+    for key in ("candidates", "rejected"):
+        assert partial[key] == [c for c in full[key]
+                                if c["generation"] < double_from]
+    records = partial["candidates"] + partial["rejected"]
+    assert partial["run"]["query_count"] == 5 * len(records)
+    assert bool(records) == (double_from > 1)
+
+
 @pytest.mark.parametrize("signum, code", [(signal.SIGINT, 130),
                                           (signal.SIGTERM, 143)])
 def test_interrupted_generate_keeps_the_partial_archive(tmp_path, signum,

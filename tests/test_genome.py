@@ -1,8 +1,5 @@
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import fakewake.genome
 from fakewake.embedding import embedding_table
@@ -181,41 +178,6 @@ def test_crossover_length_mismatch():
     with pytest.raises(LengthMismatch):
         crossover(encode_english("ab"), encode_english("abc"),
                   np.random.default_rng(0))
-
-
-def operator_children(kind, length, seed, rate):
-    """Children of crossover, mutate and (Chinese) the repair of a genome
-    of raw genes, from one seeded stream."""
-    rng = np.random.default_rng(seed)
-    parents = [random_genome(kind, length, rng) for _ in range(2)]
-    children = [*crossover(*parents, rng),
-                mutate(parents[0], VariationConfig(mutation_rate=rate), rng)]
-    if kind is ChineseGenome:
-        ranges = ChineseGenome.RANGES
-        children.append(repair_chinese(ChineseGenome(
-            [int(rng.integers(lo, hi + 1))
-             for lo, hi in (ranges[i % 3] for i in range(length))])))
-    return children
-
-
-@settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from([ChineseGenome, EnglishGenome]),
-       units=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
-       rate=st.floats(0, 1))
-def test_operator_children_equal_the_checked_construction(kind, units, seed,
-                                                          rate):
-    """Children built without ``__new__``'s check equal, in type and genes,
-    those the checked constructor builds from the same draws, and hold
-    plain ints."""
-    length = 3 * units if kind is ChineseGenome else units
-    fast = operator_children(kind, length, seed, rate)
-    with mock.patch.object(fakewake.genome, "_child",
-                           lambda k, genes: k(genes)):
-        checked = operator_children(kind, length, seed, rate)
-    for child, reference in zip(fast, checked, strict=True):
-        assert type(child) is type(reference) is kind
-        assert child == reference
-        assert all(type(gene) is int for gene in child)
 
 
 def test_repair_valid_unchanged():

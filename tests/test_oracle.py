@@ -2,6 +2,7 @@ import math
 import shlex
 import sys
 import textwrap
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -346,18 +347,56 @@ DOUBLE = textwrap.dedent("""
 
 
 def test_external_oracle_unrequested_reply_is_a_protocol_error(tmp_path):
-    # every reply comes twice, in one write; the surplus reply to "ki" must
-    # never answer the query for "zzz", which the stub never wakes on
+    # every reply comes twice, in one write; the surplus reply to "ki" is
+    # buffered when its count would be yielded, so it fails that query and
+    # never answers the query for "zzz", which the stub never wakes on
     path = tmp_path / "double.py"
     path.write_text(DOUBLE)
     command = f"{sys.executable} {path}"
     with closing(ExternalOracle(command, timeout=5.0)) as oracle:
-        assert oracle.query("ki") == 1
         with pytest.raises(ProtocolError, match="replied to no query"):
-            oracle.query("zzz", 3)
+            oracle.query("ki")
         with pytest.raises(OracleFailure) as excinfo:
             oracle.query("zzz")
         assert excinfo.type is OracleFailure
+
+
+@pytest.mark.parametrize("words", [["ki"], ["ki", "ao", "ki"]])
+def test_surplus_replies_in_a_call_are_a_protocol_error(tmp_path, words):
+    # the whole call's replies, the first line's twice, in one write: the
+    # surplus is buffered before the first count is yielded
+    path = tmp_path / "surplus.py"
+    path.write_text(textwrap.dedent("""
+        import os
+        lines = os.read(0, 65536).split(b"\\n")[:-1]
+        os.write(1, b"1\\n" + b"".join(b"1\\n" if b"k" in line else b"0\\n"
+                                      for line in lines))
+        os.read(0, 1)
+    """))
+    with closing(ExternalOracle(f"{sys.executable} {path}",
+                                timeout=5.0)) as oracle:
+        counts = oracle.query_many(words, 3)
+        with pytest.raises(ProtocolError, match="replied to no query"):
+            next(counts)
+
+
+def test_reply_between_calls_is_a_protocol_error(tmp_path):
+    # the stub sends one more line a while after its reply: the next call
+    # finds it waiting and fails before it sends a line
+    path = tmp_path / "late_extra.py"
+    path.write_text(textwrap.dedent("""
+        import sys, time
+        for line in sys.stdin:
+            print(1, flush=True)
+            time.sleep(0.3)
+            print(1, flush=True)
+    """))
+    with closing(ExternalOracle(f"{sys.executable} {path}",
+                                timeout=5.0)) as oracle:
+        assert oracle.query("ki") == 1
+        time.sleep(1.0)
+        with pytest.raises(ProtocolError, match="replied to no query"):
+            oracle.query_many(["ao"], 1)
 
 
 def test_external_oracle_process_exit(tmp_path):
