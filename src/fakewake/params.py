@@ -110,8 +110,8 @@ class OracleConfig:
             if not shlex.split(self.command or "") or "\0" in self.command:
                 raise ValueError("kind 'exec' requires a command line, got "
                                  f"{self.command!r}")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < self.timeout <= 1e6:   # select() overflows near 1e10
+            raise ValueError("timeout must be in (0, 1e6] seconds")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.decisive_unit is not None and self.decisive_unit < 0:

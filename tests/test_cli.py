@@ -214,6 +214,9 @@ OUT_OF_RANGE = [
     ("generate", {"oracle": {"unit_weights": [0.5, 0.1, 0.1, 0.1, 0.1, 0.1],
                              "decisive_unit": 3}},
      "unit_weights or decisive_unit"),
+    # past about 1e10 s, select() overflows instead of waiting
+    ("generate", {"oracle": {"kind": "exec", "command": "cat",
+                             "timeout": 1e12}}, "timeout"),
 ]
 # indices of the OUT_OF_RANGE cases that only generate rejects: the count
 # of unit_weights and the upper bound of decisive_unit need the parsed target
@@ -221,7 +224,7 @@ LIBRARY_CHECKED = {7, 35}
 # Every other case runs in every command. The ids number the cases in list
 # order (extra<i>), and the cases at these indices were listed here last,
 # so that the ids the others already had stay the same.
-LISTED_LAST = {1, 2, 3, 5, 8, 39}
+LISTED_LAST = {1, 2, 3, 5, 8, 39, 40}
 EVERY_COMMAND = [
     (extra, key) for i, (_, extra, key) in sorted(
         enumerate(OUT_OF_RANGE), key=lambda case: case[0] in LISTED_LAST)
@@ -737,6 +740,51 @@ def test_exec_stub_archive_equals_the_sim_archive(small_run, tmp_path):
     assert [a["run"].pop("oracle") for a in archives][0] == "sim"
     assert archives[0]["candidates"]
     assert archives[0] == archives[1]
+
+
+def test_exec_reads_yield_once_before_waiting(small_run, tmp_path,
+                                              monkeypatch):
+    """An exec ``generate`` yields the CPU only inside
+    ``ExternalOracle._read``, at most once per call, and writes the archive
+    of a run whose yields were not counted."""
+    from fakewake.oracle import ExternalOracle
+
+    _, config, _ = small_run
+    stub = Path(__file__).resolve().parents[1] / "perfbench" / "oracle_stub.py"
+    oracle = (f"exec:{sys.executable} {stub} --language en --wake-word alexa "
+              "--decisive-unit 3 --decisive-weight 0.6 --seed 1003")
+
+    def archive(out):
+        assert main(["generate", "--config", str(config), "--oracle", oracle,
+                     "--output", str(tmp_path / out)]) == 0
+        return (tmp_path / out / "archive.json").read_bytes()
+
+    plain = archive("plain")
+    reads = []              # the yields of each read call
+    outside = []            # yields made outside a read call
+    reading = [False]
+    read, sched_yield = ExternalOracle._read, os.sched_yield
+
+    def counted_read(self, word):
+        reads.append(0)
+        reading[0] = True
+        try:
+            return read(self, word)
+        finally:
+            reading[0] = False
+
+    def counted_yield():
+        if reading[0]:
+            reads[-1] += 1
+        else:
+            outside.append(1)
+        sched_yield()
+
+    monkeypatch.setattr(ExternalOracle, "_read", counted_read)
+    monkeypatch.setattr(os, "sched_yield", counted_yield)
+    assert archive("counted") == plain
+    assert not outside
+    assert reads and max(reads) == 1
 
 
 def test_external_oracle_failure_exits_3(tmp_path, capsys):

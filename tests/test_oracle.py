@@ -1,4 +1,5 @@
 import math
+import random
 import shlex
 import sys
 import textwrap
@@ -202,6 +203,18 @@ def test_first_random_matches_numpy(seeds):
     draws = [first_random(s) for s in seeds]
     assert draws == [np.random.default_rng(s).random() for s in seeds]
     assert draws == default_rng_random(seeds).tolist()
+
+
+def test_first_random_matches_the_batch_draw_on_many_seeds():
+    """The straight-line scalar draw equals the vectorised one on 20,000
+    random seeds, the edge seeds, seeds whose high word is 0 and seeds with
+    the top bit set."""
+    rng = random.Random(33)
+    seeds = [rng.getrandbits(64) for _ in range(20000)]
+    seeds += EDGE_SEEDS + [s >> 32 for s in seeds[:1000]]
+    seeds += [s | 1 << 63 for s in seeds[:1000]]
+    assert [first_random(s) for s in seeds] == \
+        default_rng_random(seeds).tolist()
 
 
 @settings(max_examples=40, deadline=None)
