@@ -11,16 +11,16 @@ real hardware). Both also answer one word through ``query``.
 ``ExternalOracle.query_many`` sends all of a call's lines when it is called
 and reads the replies as its iterator is advanced, so the caller's own work
 falls between the send and the reads, and yields the CPU once before each
-wait, so a process sharing it answers a run of lines per read.
+wait, so an oracle process sharing the CPU answers a run of lines per read.
 ``SimulatedDetector`` seeds each trial from a hash of (seed, trial, word)
 and draws the first uniform of ``np.random.default_rng`` of that seed.
-``query`` computes each draw with numpy's integer arithmetic, straight-line
-in plain Python (``first_random``), and ``query_many`` all of a batch's
-draws in one vectorised pass of it (``default_rng_random``), so both equal
-numpy's outcomes bit for bit without building a generator. Only
-``query_many`` and ``default_rng_random`` import numpy, and
-``ExternalOracle`` imports the process modules it needs when it is built,
-so a process that only answers ``query`` loads none of them.
+``query`` computes each draw with numpy's integer arithmetic in plain Python
+(``first_random``), and ``query_many`` computes all of a batch's draws in
+one vectorised pass of it (``default_rng_random``), so both equal numpy's
+outcomes bit for bit without building a generator. Only ``query_many`` and
+``default_rng_random`` import numpy, and ``ExternalOracle`` imports the
+process modules it needs when it is built, so a process that only answers
+``query`` loads none of them.
 """
 from __future__ import annotations
 
@@ -85,22 +85,15 @@ def _hash_steps(init: int, mult: int, steps: int) -> tuple[tuple[int, int], ...]
     return tuple(pairs)
 
 
-# mix_entropy: one step per pool word, then 3 per source word (4 sources),
-# each source mixed into the other three words in turn
+# mix_entropy: one step per pool word, then 3 per source word (4 sources)
 _POOL_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)
+# the (source, destination) pool words of each of the 12 mixing steps
+_MIX_STEPS = tuple(zip(((src, dst) for src in range(4) for dst in range(4)
+                        if dst != src), _POOL_STEPS[4:]))
 # generate_state(4, uint64): one step per output uint32
 _STATE_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
-
-# The scalar draw's constants: step k of a chain xors with its k-th constant
-# and multiplies by the next, which the following step xors with.
-(_H0, _H1, _H2, _H3, _H4, _H5, _H6, _H7, _H8, _H9, _H10, _H11, _H12, _H13,
- _H14, _H15, _H16) = (*(xor for xor, _ in _POOL_STEPS), _POOL_STEPS[-1][1])
-_S0, _S1, _S2, _S3, _S4, _S5, _S6, _S7, _S8 = (
-    *(xor for xor, _ in _STATE_STEPS), _STATE_STEPS[-1][1])
-# pool words 2 and 3 hash a seed's zero high words
-_P2, _P3 = (h ^ h >> 16 for h in (_H2 * _H3 & _M32, _H3 * _H4 & _M32))
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Seeding steps the LCG, adds the state, steps again, and random() steps once
@@ -112,36 +105,23 @@ _PCG_MULT_PLUS_1 = _PCG_MULT + 1
 def first_random(seed: int) -> float:
     """``np.random.default_rng(seed).random()``, bit for bit, for a seed in
     [0, 2**64)."""
-    L, R, M = _MIX_L, _MIX_R, _M32   # the mix multipliers, the 32-bit mask
     # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
-    p0 = (h := (seed & M ^ _H0) * _H1 & M) ^ h >> 16
-    p1 = (h := (seed >> 32 ^ _H1) * _H2 & M) ^ h >> 16
-    # each mixing step hashes a source word (h), mixes it into another (m)
-    p1 = (m := L * p1 - R * ((h := (p0 ^ _H4) * _H5 & M) ^ h >> 16) & M) ^ m >> 16
-    p2 = (m := L * _P2 - R * ((h := (p0 ^ _H5) * _H6 & M) ^ h >> 16) & M) ^ m >> 16
-    p3 = (m := L * _P3 - R * ((h := (p0 ^ _H6) * _H7 & M) ^ h >> 16) & M) ^ m >> 16
-    p0 = (m := L * p0 - R * ((h := (p1 ^ _H7) * _H8 & M) ^ h >> 16) & M) ^ m >> 16
-    p2 = (m := L * p2 - R * ((h := (p1 ^ _H8) * _H9 & M) ^ h >> 16) & M) ^ m >> 16
-    p3 = (m := L * p3 - R * ((h := (p1 ^ _H9) * _H10 & M) ^ h >> 16) & M) ^ m >> 16
-    p0 = (m := L * p0 - R * ((h := (p2 ^ _H10) * _H11 & M) ^ h >> 16) & M) ^ m >> 16
-    p1 = (m := L * p1 - R * ((h := (p2 ^ _H11) * _H12 & M) ^ h >> 16) & M) ^ m >> 16
-    p3 = (m := L * p3 - R * ((h := (p2 ^ _H12) * _H13 & M) ^ h >> 16) & M) ^ m >> 16
-    p0 = (m := L * p0 - R * ((h := (p3 ^ _H13) * _H14 & M) ^ h >> 16) & M) ^ m >> 16
-    p1 = (m := L * p1 - R * ((h := (p3 ^ _H14) * _H15 & M) ^ h >> 16) & M) ^ m >> 16
-    p2 = (m := L * p2 - R * ((h := (p3 ^ _H15) * _H16 & M) ^ h >> 16) & M) ^ m >> 16
-    # the state words hash the pool twice over
-    w0 = (h := (p0 ^ _S0) * _S1 & M) ^ h >> 16
-    w1 = (h := (p1 ^ _S1) * _S2 & M) ^ h >> 16
-    w2 = (h := (p2 ^ _S2) * _S3 & M) ^ h >> 16
-    w3 = (h := (p3 ^ _S3) * _S4 & M) ^ h >> 16
-    w4 = (h := (p0 ^ _S4) * _S5 & M) ^ h >> 16
-    w5 = (h := (p1 ^ _S5) * _S6 & M) ^ h >> 16
-    w6 = (h := (p2 ^ _S6) * _S7 & M) ^ h >> 16
-    w7 = (h := (p3 ^ _S7) * _S8 & M) ^ h >> 16
-    # uint64 k is w(2k) | w(2k + 1) << 32; the state is (u0 << 64 | u1) and
-    # the stream (u2 << 64 | u3), whose increment is (stream << 1) | 1
-    init = w1 << 96 | w0 << 64 | w3 << 32 | w2
-    inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 | 1
+    pool = []
+    for word, (xor, mult) in zip((seed & _M32, seed >> 32, 0, 0), _POOL_STEPS):
+        word = (word ^ xor) * mult & _M32
+        pool.append(word ^ word >> 16)
+    for (src, dst), (xor, mult) in _MIX_STEPS:
+        hashed = (pool[src] ^ xor) * mult & _M32
+        mixed = _MIX_L * pool[dst] - _MIX_R * (hashed ^ hashed >> 16) & _M32
+        pool[dst] = mixed ^ mixed >> 16
+    words = []
+    for word, (xor, mult) in zip(pool + pool, _STATE_STEPS):
+        word = (word ^ xor) * mult & _M32
+        words.append(word ^ word >> 16)
+    # uint64 k is words[2k] | words[2k + 1] << 32; the state is (u0 << 64 |
+    # u1) and the stream (u2 << 64 | u3), whose increment is (stream << 1) | 1
+    init = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
+    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 | 1
     state = (inc + init) * _PCG_MULT_SQ + inc * _PCG_MULT_PLUS_1 & _M128
     # XSL-RR output, then random()'s 53-bit double
     upper = state >> 64
@@ -345,8 +325,9 @@ class ExternalOracle:
     read may already be shifted by it, and a surplus reply that arrives
     after the last of those checks answers the next call's first line.
     Stdout is read with ``select``, so it must be a pipe. Each wait for
-    replies starts with one ``os.sched_yield``, so on a shared CPU the
-    process answers a run of lines per read; no timeout changes.
+    replies starts with one ``os.sched_yield``: an oracle process on the
+    same CPU then answers a run of lines per read. One on another CPU, or
+    a device, gains nothing from it. No timeout changes.
     """
 
     def __init__(self, command: str,

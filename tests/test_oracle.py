@@ -206,7 +206,7 @@ def test_first_random_matches_numpy(seeds):
 
 
 def test_first_random_matches_the_batch_draw_on_many_seeds():
-    """The straight-line scalar draw equals the vectorised one on 20,000
+    """The scalar draw equals the vectorised one on 20,000
     random seeds, the edge seeds, seeds whose high word is 0 and seeds with
     the top bit set."""
     rng = random.Random(33)
