@@ -19,7 +19,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, checked, write_reference
-from .dataio import atomic_write, write_json
+from .dataio import atomic_write, data_path, write_json
 from .errors import ConfigError, FakewakeError, OracleFailure, ParseFailure
 
 EXIT_OK = 0
@@ -290,10 +290,10 @@ def cmd_mitigate(args) -> int:
     try:
         # parses the wake word first, so a bad one fails before any work
         triple = assemble_triple(words, block, seed, cfg.length_ratio)
-    except ConfigError:
-        raise   # a data table
     except (OSError, UnicodeDecodeError) as exc:   # or not UTF-8
-        raise ConfigError(f"mitigate.collective_path: {exc}") from exc
+        key = "mitigate.collective_path: " if block.collective_path else ""
+        path = block.collective_path or data_path("collective.txt")
+        raise ConfigError(f"{key}{path}: {exc}") from exc
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
 
@@ -380,6 +380,8 @@ def cmd_dist(args) -> int:
     from .distance import objective
 
     cfg = RunConfig.load(args.config, _overrides(args))
+    if cfg.language == "en" and "" in {args.word1.strip(), args.word2.strip()}:
+        raise ParseFailure("an English word needs a letter")
     print(objective(args.word2, cfg.language, cfg.distance)(args.word1))
     return EXIT_OK
 
@@ -390,6 +392,8 @@ def cmd_validate(args) -> int:
 
     cfg = RunConfig.load(args.config, _overrides(args))
     word = args.word
+    if cfg.language == "en" and not word.strip():   # g2p reads no phoneme
+        raise ParseFailure("an English word needs a letter")
     if cfg.language == "zh":
         parsed = parse_pinyin(word)
         tables = unit_tables()

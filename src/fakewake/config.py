@@ -68,6 +68,12 @@ def _convert(value, kind: type, key: str):
     raise ConfigError(f"{key} must be {kind.__name__}, got {value!r}")
 
 
+def _object(pairs) -> dict:
+    """A config file's JSON object; a key it repeats has the value ``...``."""
+    keys = [key for key, _ in pairs]
+    return {k: ... if keys.count(k) > 1 else v for k, v in pairs}
+
+
 def _merge(base: dict, override, path: str = "") -> dict:
     if not isinstance(override, dict):
         raise ConfigError(f"{path.rstrip('.') or 'config'} must be an "
@@ -75,6 +81,8 @@ def _merge(base: dict, override, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         dotted = path + key
+        if value is ...:   # a key its object repeats (``_object``)
+            raise ConfigError(f"repeated config key: {dotted}")
         if key not in base:
             raise ConfigError(f"unknown config key: {dotted}")
         if isinstance(base[key], dict):
@@ -151,7 +159,7 @@ class RunConfig:
         if path is not None:
             try:
                 with open(path, encoding="utf-8") as fh:
-                    doc = _merge(doc, json.load(fh))
+                    doc = _merge(doc, json.load(fh, object_pairs_hook=_object))
             except FileNotFoundError as exc:
                 raise ConfigError(f"config file not found: {path}") from exc
             except (OSError, ValueError) as exc:

@@ -1,9 +1,10 @@
-"""Location and parsing of the bundled TSV data files, and the writers of
+"""Location and reading of the bundled TSV data files, and the writers of
 every output file.
 
 Every table ships under ``fakewake/data/``; the ``FAKEWAKE_DATA_DIR``
-environment variable points loaders at an alternative directory. A missing
-or inconsistent table raises a ``ConfigError`` naming the file.
+environment variable points loaders at an alternative directory. Each is
+read by ``read_table`` alone; a missing, malformed or inconsistent table
+raises a ``ConfigError`` naming the file.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import json
 import os
 from contextlib import contextmanager
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, MissingDataFile
@@ -45,41 +47,54 @@ def check_symbols(kind: str, symbols, name: str, known, source: str):
                               f"in {data_path(source)}")
 
 
-def check_rows(name: str, rows, width: int | None = None,
-               kinds: tuple[str, ...] | None = None):
-    """Raise ``ConfigError`` at the first row of data file ``name`` that
-    does not have ``width`` columns, or whose first column (its kind) is
-    not one of ``kinds``."""
-    for row in rows:
-        if width is not None and len(row) != width:
-            line = "\t".join(row)
-            raise ConfigError(f"row {line!r} of {data_path(name)} has "
-                              f"{len(row)} columns, not {width}")
-        if kinds is not None and row[0] not in kinds:
-            raise ConfigError(f"kind {row[0]!r} of {data_path(name)} is not "
-                              f"{' or '.join(kinds)}")
+def read_table(name: str, *columns, key=(0,), weighted: bool = False):
+    """The rows of data table ``name``, as tuples of the values ``columns``
+    (``str``, ``int``, ``str.split`` or a tuple of kinds) make of the leading
+    cells, then a ``weighted`` row's features; and each kind's weights.
+    ``key``'s columns (each tuple's, if a list) are unique. Other text
+    raises a ``ConfigError`` naming the line (README, "Data files")."""
+    path = data_path(name)
 
-
-def read_tsv(name: str) -> list[list[str]]:
-    """All non-comment rows of a bundled TSV, split on tabs."""
-    rows = []
-    with open(data_path(name), encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+    def fail(why: str, what: str = ""):
+        raise ConfigError(f"{what or 'row ' + repr(line)} of {path}:{n} {why}")
+    keys = [(itemgetter(*cols), {})
+            for cols in (key if isinstance(key, list) else [key])]
+    lead, rows, weights_of, kind_of, block = len(columns), [], {}, {}, None
+    for n, line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = line.decode("utf-8")
+            cells = line.split("\t")
+            if weighted and cells[0] == "#weight":
+                block = n, tuple(map(int, cells[lead:]))
+            if not line or line[0] == "#":
                 continue
-            rows.append(line.split("\t"))
-    return rows
-
-
-def read_weight_rows(name: str) -> list[list[str]]:
-    """The ``#weight`` comment rows of a table, in file order."""
-    rows = []
-    with open(data_path(name), encoding="utf-8") as fh:
-        for line in fh:
-            if line.startswith("#weight\t"):
-                rows.append(line.rstrip("\n").split("\t")[1:])
-    return rows
+            if len(cells) != (width := lead + len(block[1]) if block
+                              else lead):
+                fail(f"has {len(cells)} columns, not {width}")
+            row = []
+            for cell, conv in zip(cells, columns):
+                if not cell.strip():
+                    fail("has a blank cell")
+                if type(conv) is tuple and cell not in conv:
+                    fail(f"is not {' or '.join(conv)}", f"kind {cell!r}")
+                row.append(cell if type(conv) is tuple else conv(cell))
+            for get, first in keys:
+                if (value := get(row)) in first:
+                    fail(f"repeats line {first[value]}", f"key {value!r}")
+                first[value] = n
+            if weighted:
+                if not block or not any(block[1]) or min(block[1]) < 0:
+                    fail("is under no #weight row of weights >= 0, not all 0")
+                kind = row[0] if type(columns[0]) is tuple else None
+                if kind_of.setdefault(block[0], kind) != kind or \
+                        weights_of.setdefault(kind, block) is not block:
+                    fail("is not under the one #weight row of its kind")
+                row.append(tuple(map(int, cells[lead:])))
+        except ValueError as exc:
+            fail("is not UTF-8" if isinstance(exc, UnicodeDecodeError)
+                 else "has a cell that is not an integer")
+        rows.append(tuple(row))
+    return rows, {kind: block[1] for kind, block in weights_of.items()}
 
 
 @contextmanager

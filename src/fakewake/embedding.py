@@ -22,7 +22,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
-from .dataio import check_rows, check_symbols, read_tsv, read_weight_rows
+from .dataio import check_symbols, read_table
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
                        g2p_converter, inventory)
@@ -74,20 +74,16 @@ def mds_embed(dist) -> np.ndarray:
 class EmbeddingTable:
     """Every unit's 2-D vector in one table, and per kind (initial / final /
     phoneme) the ``FeatureTable`` of feature-space distances between its
-    units. The vectors are derived on first use; the rest needs no numpy."""
+    units, the pinyin ones each under its own ``#weight`` row. The vectors
+    are derived on first use; the rest needs no numpy."""
 
     def __init__(self):
-        symbols = {kind: [] for kind in UNIT_KINDS}
-        features = {kind: [] for kind in UNIT_KINDS}
-        rows = read_tsv("pinyin_unit_features.tsv")
-        check_rows("pinyin_unit_features.tsv", rows, kinds=UNIT_KINDS)
-        for kind, symbol, *values in rows:
-            symbols[kind].append(symbol)
-            features[kind].append(values)
-        weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+        rows, weights = read_table("pinyin_unit_features.tsv", UNIT_KINDS,
+                                   str, key=(0, 1), weighted=True)
         self.tables: dict[str, FeatureTable] = {
-            kind: FeatureTable(symbols[kind], features[kind], weights[1:])
-            for kind, weights in zip(symbols, weight_rows)}
+            kind: FeatureTable([row[1:] for row in rows if row[0] == kind],
+                               weights.get(kind, ()))
+            for kind in UNIT_KINDS}
         units = unit_tables()
         for kind, index in (("initial", units.initial_index),
                             ("final", units.final_index)):
@@ -95,12 +91,10 @@ class EmbeddingTable:
                           self.tables[kind].index, "pinyin_unit_features.tsv")
         self.tables["phoneme"] = inventory()
 
-        # each (kind, symbol) unit's row of ``unit_vectors``, row 0 the
-        # zero padding
-        self.unit_row: dict[tuple[str, str], int] = {}
-        for kind, table in self.tables.items():
-            for sym in table.index:
-                self.unit_row[kind, sym] = len(self.unit_row) + 1
+        # each unit's row of ``unit_vectors``, after row 0, the padding
+        every_unit = [(kind, sym) for kind, table in self.tables.items()
+                      for sym in table.index]
+        self.unit_row = {unit: row for row, unit in enumerate(every_unit, 1)}
 
     @cached_property
     def unit_vectors(self) -> np.ndarray:

@@ -9,7 +9,7 @@ class ConfigError(FakewakeError):
     """Invalid run configuration or data table (CLI exit code 2)."""
 
 
-class MissingDataFile(ConfigError, FileNotFoundError):
+class MissingDataFile(ConfigError):
     """A data table is not in the data directory."""
 
 

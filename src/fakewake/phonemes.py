@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, sub
 
-from .dataio import check_rows, check_symbols, read_tsv, read_weight_rows
+from .dataio import check_symbols, read_table
 from .errors import ParseFailure
 
 BOUNDARY = " "
@@ -54,38 +54,31 @@ class FeatureTable:
     weighted Hamming distance between ternary feature rows, normalized to
     [0, 1].
 
-    ``index`` maps each symbol to its position in the given order, and
-    ``rows[index[p]][index[q]]`` is the distance between p and q. Features
-    and weights are integers, so each distance is one exact integer sum of
-    |x - y| * w over the features, divided once by 2 * sum(w): the same
-    double as numpy's ``|x - y| / 2.0 @ w / sum(w)``, bit for bit."""
+    ``index`` maps each symbol to its position among the (symbol, features)
+    ``rows``, and ``rows[index[p]][index[q]]`` becomes the distance between
+    p and q. Features and weights are integers, as ``read_table`` gives
+    them, so each distance is one exact integer sum of |x - y| * w over
+    the features, divided once by 2 * sum(w): the same double as numpy's
+    ``|x - y| / 2.0 @ w / sum(w)``, bit for bit."""
 
-    def __init__(self, symbols, features, weights):
-        self.weights = [int(w) for w in weights]
-        self.index = {sym: i for i, sym in enumerate(symbols)}
-        feats = []
-        for sym, row in zip(symbols, features):
-            values = [int(v) for v in row]
-            if len(values) != len(self.weights):
-                raise ValueError(f"feature row length mismatch for {sym}")
-            feats.append(values)
-        scale = 2 * sum(self.weights)
+    def __init__(self, rows, weights):
+        self.index = {sym: i for i, (sym, _) in enumerate(rows)}
+        feats = [values for _, values in rows]
+        scale = 2 * sum(weights)
         # the upper triangle, mirrored; the diagonal stays 0.0
         self.rows: list[list[float]] = [[0.0] * len(feats) for _ in feats]
         for i, x in enumerate(feats):
             row = self.rows[i]
             for j in range(i + 1, len(feats)):
-                gap = sum(map(mul, map(abs, map(sub, x, feats[j])),
-                              self.weights))
+                gap = sum(map(mul, map(abs, map(sub, x, feats[j])), weights))
                 row[j] = self.rows[j][i] = gap / scale
 
 
 @lru_cache(maxsize=None)
 def inventory() -> FeatureTable:
-    """The phoneme table, its rows in symbol order."""
-    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
-    return FeatureTable([row[0] for row in rows], [row[1:] for row in rows],
-                        read_weight_rows("phoneme_features.tsv")[0])
+    """The phoneme table of ``phoneme_features.tsv``, in symbol order."""
+    rows, weights = read_table("phoneme_features.tsv", str, weighted=True)
+    return FeatureTable(sorted(rows), weights.get(None, ()))
 
 
 class G2P:
@@ -98,23 +91,17 @@ class G2P:
     with is consumed by the catch-all and contributes nothing."""
 
     def __init__(self):
-        lexicon = read_tsv("lexicon.tsv")
-        rows = read_tsv("g2p_rules.tsv")
-        check_rows("lexicon.tsv", lexicon, width=2)
-        check_rows("g2p_rules.tsv", rows, width=3)
-        self.lexicon = {token: phones.split() for token, phones in lexicon}
+        self.lexicon = dict(read_table("lexicon.tsv", str, str.split)[0])
+        rows, _ = read_table("g2p_rules.tsv", str, str.split, int, key=(0, 2))
         for name, runs in (("lexicon.tsv", self.lexicon.values()),
-                           ("g2p_rules.tsv", (r[1].split() for r in rows))):
+                           ("g2p_rules.tsv", (r[1] for r in rows))):
             check_symbols("phoneme", (p for run in runs for p in run), name,
                           inventory().index, "phoneme_features.tsv")
-        rules: dict[str, tuple[int, list[str]]] = {}
-        for grapheme, phones, priority in rows:
-            prev = rules.get(grapheme)
-            cand = (int(priority), phones.split())
-            if prev is None or cand < prev:
-                rules[grapheme] = cand
-        self.rules = rules
-        graphemes = sorted((g for g in rules if g), key=lambda g: (-len(g), g))
+        self.rules = rules = {}   # grapheme -> (priority, phones)
+        for grapheme, phones, priority in rows:   # the lowest priority wins
+            rules[grapheme] = min(rules.get(grapheme, (priority, phones)),
+                                  (priority, phones))
+        graphemes = sorted(rules, key=lambda g: (-len(g), g))
         self._pattern = re.compile(
             "|".join([*map(re.escape, graphemes), "(?s:.)"]))
         self.phone_runs = self.runs(tuple)

@@ -21,7 +21,7 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dataio import check_rows, check_symbols, read_tsv
+from .dataio import check_symbols, data_dir, read_table
 from .errors import InvalidCombination, UnknownSyllable
 
 ZERO_INITIAL = "-"
@@ -72,34 +72,30 @@ class ChineseWord:
 
 
 class UnitTables:
-    """Index <-> symbol maps for initials and finals plus the validity set."""
+    """Index <-> symbol maps for initials and finals, each unique per kind,
+    plus the validity set."""
 
     def __init__(self):
-        initials: dict[int, str] = {}
-        finals: dict[int, str] = {}
-        rows = read_tsv("pinyin_units.tsv")
-        check_rows("pinyin_units.tsv", rows, width=3, kinds=UNIT_KINDS)
-        for kind, idx, sym in rows:
-            (initials if kind == "initial" else finals)[int(idx)] = sym
-        self.initial_by_index = initials
-        self.final_by_index = finals
-        self.initial_index = {s: i for i, s in initials.items()}
-        self.final_index = {s: i for i, s in finals.items()}
-        pairs = read_tsv("pinyin_validity.tsv")
+        rows, _ = read_table("pinyin_units.tsv", UNIT_KINDS, int, str,
+                             key=[(0, 1), (0, 2)])
+        self.initial_by_index, self.final_by_index = (
+            {idx: sym for k, idx, sym in rows if k == kind}
+            for kind in UNIT_KINDS)
+        self.initial_index, self.final_index = (
+            {s: i for i, s in by_index.items()}
+            for by_index in (self.initial_by_index, self.final_by_index))
+        pairs, _ = read_table("pinyin_validity.tsv", str, str, key=(0, 1))
         for kind, column, index in (("initial", 0, self.initial_index),
                                     ("final", 1, self.final_index)):
             check_symbols(kind, (pair[column] for pair in pairs),
                           "pinyin_validity.tsv", index, "pinyin_units.tsv")
         self.valid_pairs = frozenset(
             (self.initial_index[ini], self.final_index[fin])
-            for ini, fin in pairs
-        )
+            for ini, fin in pairs)
         # valid finals per initial, ascending index (repair tie-break order)
-        self.finals_for_initial: dict[int, tuple[int, ...]] = {}
-        for i in initials:
-            self.finals_for_initial[i] = tuple(
-                sorted(f for (ini, f) in self.valid_pairs if ini == i)
-            )
+        self.finals_for_initial: dict[int, tuple[int, ...]] = {
+            i: tuple(sorted(f for ini, f in self.valid_pairs if ini == i))
+            for i in self.initial_by_index}
 
 
 @lru_cache(maxsize=None)
@@ -138,14 +134,9 @@ def _strip_tone(syllable: str) -> tuple[str, int | None]:
 def _split_units(base: str) -> tuple[int, int]:
     """Decompose a toneless syllable into (initial index, final index)."""
     table = unit_tables()
-    candidates = []
-    if len(base) > 2 and base[:2] in table.initial_index:
-        candidates.append((base[:2], base[2:]))
-    if len(base) > 1 and base[:1] in table.initial_index:
-        candidates.append((base[:1], base[1:]))
-    candidates.append((ZERO_INITIAL, base))
-    for ini, rest in candidates:
-        if rest in table.final_index:
+    for ini, rest in ((base[:2], base[2:]), (base[:1], base[1:]),
+                      (ZERO_INITIAL, base)):   # no final is blank
+        if ini in table.initial_index and rest in table.final_index:
             return table.initial_index[ini], table.final_index[rest]
     raise UnknownSyllable(f"cannot decompose syllable {base!r}")
 
@@ -159,7 +150,8 @@ def parse_syllable(text: str) -> Syllable:
         raise UnknownSyllable("empty syllable")
     initial, final = _split_units(base)
     if not is_valid_pair(initial, final):
-        raise InvalidCombination(f"unpronounceable syllable: {text!r}")
+        raise InvalidCombination(f"unpronounceable syllable: {text!r} (no "
+                                 f"pair of {data_dir()}/pinyin_validity.tsv)")
     return Syllable(initial, final, tone)
 
 

@@ -2,10 +2,29 @@ import json
 
 import pytest
 
+from fakewake.dataio import data_path
 from fakewake.distance import DistanceConfig
 from fakewake.evolve import EvolveConfig, run
 from fakewake.genome import VariationConfig, encode_english, english_genome_length
 from fakewake.oracle import SimulatedDetector
+
+def raw_rows(name: str) -> list[list[str]]:
+    """Every row of a data table as its cells, unconverted and unchecked:
+    the lines that are neither blank nor comments, split on tabs. A
+    reference independent of ``read_table``."""
+    with open(data_path(name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [line.split("\t") for line in lines
+            if line and not line.startswith("#")]
+
+
+def raw_weight_rows(name: str) -> list[list[str]]:
+    """The cells after ``#weight`` of each ``#weight`` row, in file order."""
+    with open(data_path(name), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    return [line.split("\t")[1:] for line in lines
+            if line.startswith("#weight\t")]
+
 
 # hidden decisive weight 0.6 on the K unit of alexa (AH L EH K S AH)
 ALEXA_WEIGHTS = (0.08, 0.08, 0.08, 0.6, 0.08, 0.08)

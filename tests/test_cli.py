@@ -292,6 +292,27 @@ def test_collective_not_utf8_exits_2(small_run, tmp_path, capsys):
                     "mitigate.collective_path")
 
 
+def test_bundled_collective_not_utf8_names_the_file(small_run, tmp_path,
+                                                    capsys, monkeypatch):
+    """A collective of the data directory that is not UTF-8 is named as
+    the file, not blamed on ``mitigate.collective_path``, which is unset."""
+    from fakewake.dataio import _BUNDLED
+
+    _, config, out = small_run
+    alt = tmp_path / "data"
+    shutil.copytree(_BUNDLED, alt)
+    (alt / "collective.txt").write_bytes(b"alexa\n\xff\xfe\n")
+    monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
+    capsys.readouterr()
+    assert main(["mitigate", "--config", str(config), "--archive",
+                 str(out / "archive.json"), "--output",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {alt / 'collective.txt'}: ")
+    assert "collective_path" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, explain, key", [
     ("explain", {"folds": 1}, "explain: folds"),
     ("explain", {"beta": 0}, "explain: beta"),
@@ -574,15 +595,18 @@ def test_dist_prints_pinned_english_values(word1, word2, printed, capsys):
     ("Al-exa", "alexa", "['-', 'A']"),
     ("alexa", "alèxa", "['è']"),
     ("ALEXA", "alexa", "['A', 'E', 'L', 'X']"),
+    (" ", "alexa", None),
+    ("alexa", "   ", None),
 ])
 def test_dist_rejects_symbols_outside_the_alphabet(word1, word2, bad, capsys):
-    """Every symbol of an English word must be a-z or space, as in
-    ``validate``: g2p would drop any other one and print a distance
-    anyway."""
+    """Every symbol of an English word must be a-z or space, and one at
+    least a letter, as in ``validate``: g2p would drop any other one, or
+    read spaces alone as no phoneme, and print a distance anyway."""
     assert main(["dist", word1, word2]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"symbols outside a-z/space: {bad}" in captured.err
+    assert (f"symbols outside a-z/space: {bad}" if bad
+            else "an English word needs a letter") in captured.err
 
 
 def test_dist_prints_pinned_mandarin_value(capsys):
@@ -698,6 +722,162 @@ def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
     assert not (tmp_path / "o").exists()
 
 
+def run_on_tables(argv, data, tmp_path):
+    """``fakewake`` with ``argv`` in a subprocess, on the data tables of
+    directory ``data``; ``generate`` runs on a reduced config."""
+    if argv[0] == "generate":
+        config = write_config(tmp_path / "config.json", evolve={
+            "population_size": 10, "generations": 1, "trials": 3})
+        argv = [*argv, "--config", str(config), "--output",
+                str(tmp_path / "o")]
+    return subprocess.run(
+        [sys.executable, "-m", "fakewake.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(data)),
+        capture_output=True, text=True, timeout=120)
+
+
+def line_edited(n, edit):
+    """Line ``n`` (from 1) of a table replaced by ``edit`` of it."""
+    def apply(text):
+        lines = text.split("\n")
+        lines[n - 1] = edit(lines[n - 1])
+        return "\n".join(lines)
+    return apply
+
+
+def final_row_in_initial_block(text):
+    """The row of final ``a``, padded to the initials' width, as line 4."""
+    row = next(line for line in text.split("\n")
+               if line.startswith("final\ta\t"))
+    return line_edited(4, lambda line: row + "\t-1" * 4 + "\n" + line)(text)
+
+
+EN_VALIDATE, EN_DIST = ["validate", "alexa"], ["dist", "alexa", "alexis"]
+ZH_VALIDATE = ["validate", "--language", "zh", "xiǎo dù"]
+ZH_DIST = ["dist", "--language", "zh", "lóng dà", "xiǎo dù"]
+AH_ROW = "AH" + "\t1\t-1\t1\t1\t1" + "\t-1" * 9 + "\t0\t1\t-1\t-1"
+# case: (data file, its edit, command, the line named, the reason)
+MALFORMED_TABLES = {
+    "lexicon-key": ("lexicon.tsv", appended("alexa\tAH L EH K S AH"),
+                    EN_VALIDATE, 58, "key 'alexa' of"),
+    "rules-key": ("g2p_rules.tsv", appended("a\tAE\t1"), EN_VALIDATE, 66,
+                  "key ('a', 1) of"),
+    "phonemes-key": ("phoneme_features.tsv", appended(AH_ROW), EN_DIST, 42,
+                     "key 'AH' of"),
+    "units-key": ("pinyin_units.tsv", appended("initial\t1\tbb"),
+                  ZH_VALIDATE, 63, "key ('initial', 1) of"),
+    "validity-key": ("pinyin_validity.tsv", appended("-\ta"), ZH_VALIDATE,
+                     412, "key ('-', 'a') of"),
+    "features-key": ("pinyin_unit_features.tsv",
+                     appended("final\ta" + "\t1" * 11), ZH_DIST, 66,
+                     "key ('final', 'a') of"),
+    "rules-priority": ("g2p_rules.tsv", misspelled("tion\tSH AH N\t0",
+                                                   "tion\tSH AH N\tzero"),
+                       EN_VALIDATE, 4, "row 'tion\\tSH AH N\\tzero' of"),
+    "phonemes-weight-cell": ("phoneme_features.tsv",
+                             misspelled("#weight\t2\t", "#weight\ttwo\t"),
+                             EN_DIST, 2, "row '#weight\\ttwo\\t2\\t"),
+    "phonemes-zero-weights": ("phoneme_features.tsv",
+                              line_edited(2, lambda line: "\t".join(
+                                  ["#weight"] + ["0"] * 18)),
+                              EN_DIST, 3, "row 'AA\\t1\\t-1"),
+    "features-weight-width": ("pinyin_unit_features.tsv",
+                              line_edited(28, lambda line:
+                                          line.rsplit("\t", 1)[0]),
+                              ZH_DIST, 29, "row 'final\\ta\\t1\\t0"),
+    "features-final-in-initial-block": ("pinyin_unit_features.tsv",
+                                        final_row_in_initial_block, ZH_DIST,
+                                        4, "row 'final\\ta\\t"),
+    "lexicon-not-utf8": ("lexicon.tsv",
+                         lambda text: text.encode().replace(b"alarm",
+                                                            b"al\xffrm"),
+                         EN_DIST, 2, "row b'al\\xffrm\\t"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_malformed_table_exits_2_naming_the_line(tmp_path, case):
+    """A repeated key in any table, a cell that does not convert, a
+    ``#weight`` row of the wrong width or of zero weights, a row under
+    another kind's ``#weight`` row and text that is not UTF-8 each exit 2
+    with one line naming the file and the line, before any output."""
+    from fakewake.dataio import _BUNDLED
+
+    name, edit, argv, line, reason = MALFORMED_TABLES[case]
+    alt = tmp_path / "data"
+    shutil.copytree(_BUNDLED, alt)
+    text = edit((alt / name).read_text(encoding="utf-8"))
+    (alt / name).write_bytes(text if isinstance(text, bytes)
+                             else text.encode("utf-8"))
+    proc = run_on_tables(argv, alt, tmp_path)
+    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert f"{alt / name}:{line} " in proc.stderr
+    assert proc.stderr.startswith(f"config error: {reason}")
+
+
+# each table, and the commands that read it
+READ_BY = {
+    "lexicon.tsv": [EN_VALIDATE, EN_DIST, ["generate"]],
+    "g2p_rules.tsv": [EN_VALIDATE, EN_DIST, ["generate"]],
+    "phoneme_features.tsv": [EN_DIST, ["generate"], ZH_DIST],
+    "pinyin_units.tsv": [ZH_VALIDATE, ZH_DIST],
+    "pinyin_validity.tsv": [ZH_VALIDATE, ZH_DIST],
+    "pinyin_unit_features.tsv": [ZH_DIST],
+}
+
+
+@st.composite
+def mutated_tables(draw):
+    """A table and a command that reads it, and the table's text with one
+    row (a ``#weight`` row too) mutated: a cell dropped, added, blanked,
+    made a non-number or swapped with another, or the row duplicated,
+    deleted or truncated."""
+    from fakewake.dataio import _BUNDLED
+
+    name = draw(st.sampled_from(sorted(READ_BY)))
+    argv = draw(st.sampled_from(READ_BY[name]))
+    lines = (_BUNDLED / name).read_text(encoding="utf-8").split("\n")
+    n = draw(st.sampled_from([i for i, line in enumerate(lines) if line and (
+        not line.startswith("#") or line.startswith("#weight\t"))]))
+    cells = lines[n].split("\t")
+    col, other = (draw(st.integers(0, len(cells) - 1)) for _ in range(2))
+    mutation = draw(st.sampled_from(["drop", "add", "blank", "non-number",
+                                     "swap", "duplicate", "delete",
+                                     "truncate"]))
+    if mutation in ("drop", "add", "blank", "non-number"):
+        value = draw(st.sampled_from(["x", "1.5", "zero", "-"]))
+        cells[col:col + 1] = {"drop": [], "add": [value, cells[col]],
+                              "blank": [""], "non-number": [value]}[mutation]
+    elif mutation == "swap":
+        cells[col], cells[other] = cells[other], cells[col]
+    new = {"duplicate": [lines[n]] * 2, "delete": []}.get(
+        mutation, ["\t".join(cells)])
+    if mutation == "truncate":
+        new = [lines[n][:draw(st.integers(0, len(lines[n]) - 1))]]
+    return name, argv, "\n".join(lines[:n] + new + lines[n + 1:])
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=mutated_tables())
+def test_mutated_table_exits_0_or_2_naming_it(tmp_path_factory, case):
+    """Any single-row mutation of any table runs through a command that
+    reads it to exit 0 or exit 2 with one line naming the table: never a
+    traceback."""
+    from fakewake.dataio import _BUNDLED
+
+    name, argv, text = case
+    root = tmp_path_factory.mktemp("mutated")
+    shutil.copytree(_BUNDLED, root / "data")
+    (root / "data" / name).write_text(text, encoding="utf-8")
+    proc = run_on_tables(argv, root / "data", root)
+    assert proc.returncode in (0, 2), proc.stderr
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 2:
+        assert proc.stderr.count("\n") == 1
+        assert str(root / "data" / name) in proc.stderr, proc.stderr
+
+
 def test_validate_command(capsys):
     assert main(["validate", "--language", "zh", "xiǎo ài tóng xué"]) == 0
     out = capsys.readouterr().out
@@ -705,6 +885,10 @@ def test_validate_command(capsys):
     assert main(["validate", "hey siri"]) == 0
     assert "HH EY | S IH R IY" in capsys.readouterr().out
     assert main(["validate", "--language", "zh", "xāng"]) == 2
+    capsys.readouterr()
+    assert main(["validate", " "]) == 2
+    assert capsys.readouterr() == ("", "error: an English word needs a "
+                                   "letter\n")
 
 
 def test_external_oracle_generate(tmp_path):

@@ -96,6 +96,26 @@ def test_blocks_default_to_their_dataclasses():
         assert getattr(cfg.oracle, key) == getattr(sim, key)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"seed": 1, "evolve": {"generations": 2, "population_size": 10}, '
+     '"evolve": {"generations": 3}}', "evolve"),
+    ('{"seed": 1, "evolve": {"generations": 2, "population_size": 10, '
+     '"generations": 3}}', "evolve.generations"),
+])
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys, text, key):
+    """A key a JSON object repeats is refused, not read as its last
+    value."""
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    with pytest.raises(ConfigError, match=f"^repeated config key: {key}$"):
+        RunConfig.load(config)
+    assert main(["generate", "--config", str(config),
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: repeated config key: {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataclass_range_error_is_a_config_error():
     with pytest.raises(ConfigError, match="^evolve: population_size"):
         RunConfig.load(overrides={"evolve": {"population_size": 2}})

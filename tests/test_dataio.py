@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fakewake import dataio
+from fakewake.errors import MissingDataFile
 
 JSON_DOCS = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -23,20 +24,23 @@ def test_env_override(monkeypatch, tmp_path):
     (alt / "lexicon.tsv").write_text("# token\tphonemes\nzzz\tZ\n")
     monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
     assert dataio.data_dir() == alt
-    rows = dataio.read_tsv("lexicon.tsv")
-    assert rows == [["zzz", "Z"]]
+    assert dataio.read_table("lexicon.tsv", str, str.split) == \
+        ([("zzz", ["Z"])], {})
 
 
 def test_missing_file_raises(monkeypatch, tmp_path):
     monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(tmp_path))
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(MissingDataFile, match="data file not found: "):
         dataio.data_path("lexicon.tsv")
 
 
 def test_weight_rows_parsed():
-    rows = dataio.read_weight_rows("phoneme_features.tsv")
-    assert len(rows) == 1
-    assert all(float(w) > 0 for w in rows[0])
+    rows, weights = dataio.read_table("phoneme_features.tsv", str,
+                                      weighted=True)
+    assert list(weights) == [None]
+    assert len(weights[None]) == 18
+    assert all(type(w) is int and w > 0 for w in weights[None])
+    assert all(len(values) == 18 for _, values in rows)
 
 
 def test_interrupted_write_keeps_previous_file(tmp_path):

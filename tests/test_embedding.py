@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fakewake.dataio import data_dir, data_path, read_tsv, read_weight_rows
+from fakewake.dataio import data_dir, data_path
 from fakewake import embedding
 from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
                                 embedding_table, encode_features,
@@ -16,6 +16,7 @@ from fakewake.phonemes import (ALPHABET, BOUNDARY, LetterWord,
 from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
+from tests.conftest import raw_rows, raw_weight_rows
 from tests.test_phonemes import (bits, numpy_rows, pattern_word,
                                  table_distance, table_symbols)
 
@@ -245,12 +246,12 @@ def per_kind_tables():
     """kind -> (symbol -> vector, symbol -> index, distance matrix)."""
     symbols = {"initial": [], "final": []}
     features = {"initial": [], "final": []}
-    for row in read_tsv("pinyin_unit_features.tsv"):
+    for row in raw_rows("pinyin_unit_features.tsv"):
         kind = "initial" if row[0] == "initial" else "final"
         symbols[kind].append(row[1])
         features[kind].append(np.array([int(v) for v in row[2:]],
                                        dtype=float))
-    weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+    weight_rows = raw_weight_rows("pinyin_unit_features.tsv")
     tables = {}
     for kind, weights in zip(("initial", "final"), weight_rows):
         weights = np.array([float(w) for w in weights[1:]])
@@ -259,11 +260,11 @@ def per_kind_tables():
         vectors = {s: v * UNIT_SCALE for s, v in zip(syms, mds_embed(dist))}
         tables[kind] = vectors, {s: i for i, s in enumerate(syms)}, dist
     # phonemes in symbol order, whatever the order of the file's rows
-    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
+    rows = sorted(raw_rows("phoneme_features.tsv"), key=lambda row: row[0])
     syms = [row[0] for row in rows]
     feats = [np.array([int(v) for v in row[1:]], dtype=float) for row in rows]
     weights = np.array([float(w) for w in
-                        read_weight_rows("phoneme_features.tsv")[0]])
+                        raw_weight_rows("phoneme_features.tsv")[0]])
     dist = pairwise_distances(feats, weights)
     tables["phoneme"] = ({s: v for s, v in zip(syms, mds_embed(dist))},
                          {s: i for i, s in enumerate(syms)}, dist)
@@ -278,11 +279,11 @@ def reference():
 def test_unit_feature_rows_equal_the_numpy_matrix():
     symbols = {"initial": [], "final": []}
     features = {"initial": [], "final": []}
-    for row in read_tsv("pinyin_unit_features.tsv"):
+    for row in raw_rows("pinyin_unit_features.tsv"):
         kind = "initial" if row[0] == "initial" else "final"
         symbols[kind].append(row[1])
         features[kind].append(row[2:])
-    weight_rows = read_weight_rows("pinyin_unit_features.tsv")
+    weight_rows = raw_weight_rows("pinyin_unit_features.tsv")
     emb = embedding_table()
     for kind, weights in zip(("initial", "final"), weight_rows):
         table = emb.tables[kind]
@@ -342,7 +343,7 @@ def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
     monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
     inventory.cache_clear()
     embedding_table.cache_clear()
-    assert [row[0] for row in read_tsv("phoneme_features.tsv")] == syms[::-1]
+    assert [row[0] for row in raw_rows("phoneme_features.tsv")] == syms[::-1]
     assert list(inventory().index) == syms
     for (p, q), d in distances.items():
         assert table_distance(inventory(), p, q) == d
@@ -403,7 +404,7 @@ def test_parse_text_fails_only_with_parse_failure(text):
 # ------------------------------------------------ batch reader
 # read_words and parse_words against one parse_text per text
 
-LEXICON = [token for token, _ in read_tsv("lexicon.tsv")]
+LEXICON = [token for token, _ in raw_rows("lexicon.tsv")]
 SYLLABLES = sorted({render_units(ini, fin, tone)
                     for ini, fin in sorted(unit_tables().valid_pairs)[::7]
                     for tone in (1, 3, 4)})

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fakewake.dataio import data_path, read_tsv, read_weight_rows
+from fakewake.dataio import data_path
 from fakewake.distance import english_dist
 from fakewake.embedding import parse_text, read_words
 from fakewake.errors import ParseFailure, UnknownPhoneme
 from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, FeatureTable,
                                LetterWord, g2p, g2p_converter, inventory)
+from tests.conftest import raw_rows, raw_weight_rows
 
 INV = inventory()
 
@@ -49,11 +50,11 @@ def test_distance_symmetric_bounded(p, q):
 
 def test_distance_maximal_for_opposite_vectors():
     # vectors at +1 and -1 on every feature are at distance exactly 1
-    weights = INV.weights
+    weights = [int(w) for w in raw_weight_rows("phoneme_features.tsv")[0]]
     gaps = [1.0] * len(weights)
     assert sum(w * g for w, g in zip(weights, gaps)) / sum(weights) == 1.0
-    opposite = FeatureTable(["p", "q"], [[1] * len(weights),
-                                         [-1] * len(weights)], weights)
+    opposite = FeatureTable([("p", [1] * len(weights)),
+                             ("q", [-1] * len(weights))], weights)
     assert table_distance(opposite, "p", "q") == 1.0
 
 
@@ -70,8 +71,8 @@ def bits(rows) -> list[list[str]]:
 
 
 def test_rows_equal_the_numpy_matrix():
-    rows = sorted(read_tsv("phoneme_features.tsv"), key=lambda row: row[0])
-    weights = read_weight_rows("phoneme_features.tsv")[0]
+    rows = sorted(raw_rows("phoneme_features.tsv"), key=lambda row: row[0])
+    weights = raw_weight_rows("phoneme_features.tsv")[0]
     assert bits(INV.rows) == bits(numpy_rows([row[1:] for row in rows],
                                              weights))
 
@@ -84,7 +85,7 @@ def test_rows_equal_the_numpy_matrix():
 def test_rows_equal_the_numpy_matrix_on_random_tables(table):
     features, weights = table
     symbols = [f"s{i}" for i in range(len(features))]
-    rows = FeatureTable(symbols, features, weights).rows
+    rows = FeatureTable(list(zip(symbols, features)), weights).rows
     assert bits(rows) == bits(numpy_rows(features, weights))
 
 
