@@ -50,9 +50,10 @@ def check_symbols(kind: str, symbols, name: str, known, source: str):
 def read_table(name: str, *columns, key=(0,), weighted: bool = False):
     """The rows of data table ``name``, as tuples of the values ``columns``
     (``str``, ``int``, ``str.split`` or a tuple of kinds) make of the leading
-    cells, then a ``weighted`` row's features; and each kind's weights.
-    ``key``'s columns (each tuple's, if a list) are unique. Other text
-    raises a ``ConfigError`` naming the line (README, "Data files")."""
+    cells, then a ``weighted`` row's features (-1, 0 or 1); and each kind's
+    weights. ``key``'s columns (each tuple's, if a list) are unique. Other
+    text, or a file that cannot be read, raises a ``ConfigError`` naming it
+    (README, "Data files")."""
     path = data_path(name)
 
     def fail(why: str, what: str = ""):
@@ -60,7 +61,11 @@ def read_table(name: str, *columns, key=(0,), weighted: bool = False):
     keys = [(itemgetter(*cols), {})
             for cols in (key if isinstance(key, list) else [key])]
     lead, rows, weights_of, kind_of, block = len(columns), [], {}, {}, None
-    for n, line in enumerate(path.read_bytes().splitlines(), 1):
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    for n, line in enumerate(lines, 1):
         try:
             line = line.decode("utf-8")
             cells = line.split("\t")
@@ -89,7 +94,10 @@ def read_table(name: str, *columns, key=(0,), weighted: bool = False):
                 if kind_of.setdefault(block[0], kind) != kind or \
                         weights_of.setdefault(kind, block) is not block:
                     fail("is not under the one #weight row of its kind")
-                row.append(tuple(map(int, cells[lead:])))
+                features = tuple(map(int, cells[lead:]))
+                if not set(features) <= {-1, 0, 1}:
+                    fail("has a feature that is not -1, 0 or 1")
+                row.append(features)
         except ValueError as exc:
             fail("is not UTF-8" if isinstance(exc, UnicodeDecodeError)
                  else "has a cell that is not an integer")

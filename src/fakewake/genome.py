@@ -25,18 +25,17 @@ from .pinyin import (ChineseWord, is_valid_pair, parse_pinyin, render_units,
 
 
 class ChineseGenome(tuple):
-    """3n genes: per character an initial, a final and a tone."""
+    """3n genes: per character an initial, a final and a tone, each in its
+    range of ``unit_tables().gene_ranges``."""
 
     language = "zh"
-    # (lowest, highest) value of the initial (0 is the zero initial), final
-    # and tone genes
-    RANGES = ((0, 23), (1, 37), (1, 4))
 
     def __new__(cls, genes):
         genes = tuple(int(g) for g in genes)
         if not genes or len(genes) % 3:
             raise ValueError("Chinese genome length must be a positive multiple of 3")
-        (ini_lo, ini_hi), (fin_lo, fin_hi), (tone_lo, tone_hi) = cls.RANGES
+        (ini_lo, ini_hi), (fin_lo, fin_hi), (tone_lo, tone_hi) = \
+            unit_tables().gene_ranges
         for ini, fin, tone in _triples(genes):
             if not ini_lo <= ini <= ini_hi:
                 raise ValueError(f"initial gene out of range: {ini}")
@@ -47,7 +46,7 @@ class ChineseGenome(tuple):
         return super().__new__(cls, genes)
 
     def gene_range(self, position: int) -> tuple[int, int]:
-        return self.RANGES[position % 3]
+        return unit_tables().gene_ranges[position % 3]
 
 
 class EnglishGenome(tuple):
@@ -175,7 +174,7 @@ def crossover(g1: Genome, g2: Genome,
 
 def random_genome(kind: type, length: int, rng: np.random.Generator) -> Genome:
     if kind is ChineseGenome:
-        ranges = ChineseGenome.RANGES
+        ranges = unit_tables().gene_ranges
         genes = [int(rng.integers(lo, hi + 1))
                  for lo, hi in (ranges[i % 3] for i in range(length))]
         return repair_chinese(ChineseGenome(genes))

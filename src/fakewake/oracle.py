@@ -14,13 +14,14 @@ falls between the send and the reads, and yields the CPU once before each
 wait, so an oracle process sharing the CPU answers a run of lines per read.
 ``SimulatedDetector`` seeds each trial from a hash of (seed, trial, word)
 and draws the first uniform of ``np.random.default_rng`` of that seed.
-``query`` computes each draw with numpy's integer arithmetic in plain Python
-(``first_random``), and ``query_many`` computes all of a batch's draws in
-one vectorised pass of it (``default_rng_random``), so both equal numpy's
-outcomes bit for bit without building a generator. Only ``query_many`` and
-``default_rng_random`` import numpy, and ``ExternalOracle`` imports the
-process modules it needs when it is built, so a process that only answers
-``query`` loads none of them.
+numpy's seeding arithmetic is written once, in ``_first_uniform``, and runs
+on a Python int for ``query`` (``first_random``) or on a uint64 array for all
+of a ``query_many`` batch at once (``default_rng_random``), so both equal
+numpy's draws bit for bit without building a generator; ``query_many`` of
+no words draws nothing. Only ``query_many`` and ``default_rng_random``
+import numpy, and ``ExternalOracle`` imports the process modules it needs
+when it is built, so a process that only answers ``query`` loads none of
+them.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ import os
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable, Iterator, Protocol
 
 from .embedding import embedding_table, parse_text
@@ -66,9 +65,7 @@ def _trial_seed(seed: int, word: str, trial: int) -> int:
 # numpy seeds PCG64 through SeedSequence: a 4-word uint32 pool is hash-mixed
 # from the seed's two 32-bit words, and 8 words drawn from it form the PCG64
 # state and stream (O'Neill 2014). Every hash step xors and multiplies by a
-# constant that does not depend on the data, so the constants are listed here,
-# once for the scalar draw and the vectorised one. In the vectorised one,
-# Python int operands keep the arrays' dtype (uint32 or uint64), which wraps.
+# constant that does not depend on the data, so the constants are listed here.
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -97,14 +94,18 @@ _MIX_R = 0x4973F715
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # Seeding steps the LCG, adds the state, steps again, and random() steps once
-# more: state = (inc + init) * MULT**2 + inc * (MULT + 1), mod 2**128.
+# more: state = init * MULT**2 + inc * (MULT**2 + MULT + 1), mod 2**128.
 _PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _M128
-_PCG_MULT_PLUS_1 = _PCG_MULT + 1
+_PCG_INC_MULT = _PCG_MULT_SQ + _PCG_MULT + 1 & _M128
 
 
-def first_random(seed: int) -> float:
-    """``np.random.default_rng(seed).random()``, bit for bit, for a seed in
-    [0, 2**64)."""
+def _first_uniform(seed, wide=None, narrow=None):
+    """The first ``random()`` of ``np.random.default_rng(seed)`` for an int
+    ``seed``, or of each seed of a uint64 array, whose Python int operands
+    take its dtype. Every step masks to the width numpy computes in, so the
+    same expressions serve both; only the 128-bit LCG needs more than 64
+    bits, which ``wide`` gives an array's four state words (as Python ints)
+    and ``narrow`` takes back."""
     # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
     pool = []
     for word, (xor, mult) in zip((seed & _M32, seed >> 32, 0, 0), _POOL_STEPS):
@@ -120,69 +121,24 @@ def first_random(seed: int) -> float:
         words.append(word ^ word >> 16)
     # uint64 k is words[2k] | words[2k + 1] << 32; the state is (u0 << 64 |
     # u1) and the stream (u2 << 64 | u3), whose increment is (stream << 1) | 1
-    init = words[1] << 96 | words[0] << 64 | words[3] << 32 | words[2]
-    inc = (words[5] << 96 | words[4] << 64 | words[7] << 32 | words[6]) << 1 | 1
-    state = (inc + init) * _PCG_MULT_SQ + inc * _PCG_MULT_PLUS_1 & _M128
+    u = (words[0] | words[1] << 32, words[2] | words[3] << 32,
+         words[4] | words[5] << 32, words[6] | words[7] << 32)
+    u0, u1, u2, u3 = wide(u) if wide else u
+    inc = (u2 << 64 | u3) << 1 | 1
+    state = (u0 << 64 | u1) * _PCG_MULT_SQ + inc * _PCG_INC_MULT & _M128
+    upper, lower = state >> 64, state & _M64
+    if narrow:
+        upper, lower = narrow(upper), narrow(lower)
     # XSL-RR output, then random()'s 53-bit double
-    upper = state >> 64
-    xored = upper ^ state & _M64
+    xored = upper ^ lower
     rot = upper >> 58
-    return ((xored >> rot | xored << (64 - rot) & _M64) >> 11) * 2.0**-53
+    return ((xored >> rot | xored << (64 - rot & 63) & _M64) >> 11) * 2.0**-53
 
 
-# The same arithmetic for many seeds at once, on rows of uint32 and uint64
-# arrays; a 128-bit number is four rows of 32-bit limbs.
-@lru_cache(maxsize=None)
-def _batch_constants() -> SimpleNamespace:
-    """The constant arrays of ``default_rng_random``, built on its first
-    call."""
-    import numpy as np
-
-    def limbs(x: int) -> np.ndarray:
-        """The four 32-bit limbs of ``x`` mod 2**128, least significant
-        first."""
-        return np.array([x >> (32 * i) & _M32 for i in range(4)],
-                        dtype=np.uint64)
-
-    pool_xor, pool_mul = np.array(_POOL_STEPS, dtype=np.uint32).T[..., None]
-    state_xor, state_mul = np.array(_STATE_STEPS,
-                                    dtype=np.uint32).T[..., None]
-    # Sum the 4x4 limb products a_i * b_j of a multiplication into columns:
-    # the low half of a product goes to column i + j, the high half to
-    # i + j + 1.
-    low, high = (
-        np.array([[int(i + j + shift == k) for i in range(4)
-                   for j in range(4)] for k in range(4)], dtype=np.uint64)
-        for shift in (0, 1))
-    return SimpleNamespace(
-        pool_xor=pool_xor, pool_mul=pool_mul, state_xor=state_xor,
-        state_mul=state_mul, mult_sq=limbs(_PCG_MULT_SQ),
-        mult_plus_1=limbs(_PCG_MULT_PLUS_1), low_column=low,
-        high_column=high)
-
-
-def _hash(words: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    words = (words ^ xor) * mult
-    return words ^ (words >> 16)
-
-
-def _times(limbs: np.ndarray, const: np.ndarray) -> np.ndarray:
-    """Column sums of ``limbs * const`` mod 2**128, each below 2**35."""
-    tables = _batch_constants()
-    products = (limbs[:, None, :] * const[None, :, None]).reshape(16, -1)
-    columns = tables.high_column @ (products >> 32)
-    products &= _M32
-    columns += tables.low_column @ products
-    return columns
-
-
-def _carry(limbs: np.ndarray) -> np.ndarray:
-    """Normalise column sums to 32-bit limbs, dropping the carry out."""
-    for i in range(3):
-        limbs[i + 1] += limbs[i] >> 32
-        limbs[i] &= _M32
-    limbs[3] &= _M32
-    return limbs
+def first_random(seed: int) -> float:
+    """``np.random.default_rng(seed).random()``, bit for bit, for a seed in
+    [0, 2**64)."""
+    return _first_uniform(seed)
 
 
 def default_rng_random(seeds) -> np.ndarray:
@@ -190,37 +146,9 @@ def default_rng_random(seeds) -> np.ndarray:
     array, bit for bit, for seeds in [0, 2**64)."""
     import numpy as np
 
-    tables = _batch_constants()
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
-    pool = np.zeros((4, len(seeds)), dtype=np.uint32)
-    pool[0] = seeds & _M32
-    pool[1] = seeds >> 32
-    pool = _hash(pool, tables.pool_xor[:4], tables.pool_mul[:4])
-    for src in range(4):
-        dst = [d for d in range(4) if d != src]
-        step = 4 + 3 * src
-        hashed = _hash(pool[src], tables.pool_xor[step:step + 3],
-                       tables.pool_mul[step:step + 3])
-        mixed = _MIX_L * pool[dst] - _MIX_R * hashed
-        pool[dst] = mixed ^ (mixed >> 16)
-    words = _hash(np.concatenate([pool, pool]), tables.state_xor,
-                  tables.state_mul).astype(np.uint64)
-    # uint64 k of the state is words[2k] | words[2k + 1] << 32; the state
-    # is (u0 << 64 | u1) and the stream (u2 << 64 | u3), as 32-bit limbs
-    init = words[[2, 3, 0, 1]]
-    stream = words[[6, 7, 4, 5]]
-    inc = np.empty_like(stream)                      # (stream << 1) | 1
-    inc[0] = (stream[0] << 1 | 1) & _M32
-    inc[1:] = (stream[1:] << 1 | stream[:-1] >> 31) & _M32
-    state = _carry(_times(_carry(inc + init), tables.mult_sq)
-                   + _times(inc, tables.mult_plus_1))
-    # XSL-RR output, then random()'s 53-bit double
-    upper = state[3] << 32 | state[2]
-    xored = upper ^ (state[1] << 32 | state[0])
-    rot = upper >> 58
-    out = xored >> rot | xored << ((64 - rot) & 63)
-    return (out >> 11).astype(np.float64) * 2.0**-53
+    return _first_uniform(np.asarray(seeds, dtype=np.uint64),
+                          lambda u: np.array(u).astype(object),
+                          lambda half: half.astype(np.uint64))
 
 
 @dataclass
@@ -294,7 +222,10 @@ class SimulatedDetector:
 
     def query_many(self, words: list[str], trials: int = 1) -> list[int]:
         """``[self.query(w, trials) for w in words]``, with the same results
-        and trial counters, drawing every trial in one vectorised pass."""
+        and trial counters, drawing every trial in one vectorised pass. No
+        words draw nothing."""
+        if not words:
+            return []
         import numpy as np
 
         seeds, probs = [], []

@@ -21,8 +21,8 @@ import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dataio import check_symbols, data_dir, read_table
-from .errors import InvalidCombination, UnknownSyllable
+from .dataio import check_symbols, data_dir, data_path, read_table
+from .errors import ConfigError, InvalidCombination, UnknownSyllable
 
 ZERO_INITIAL = "-"
 # the kinds of the unit tables' rows
@@ -72,8 +72,9 @@ class ChineseWord:
 
 
 class UnitTables:
-    """Index <-> symbol maps for initials and finals, each unique per kind,
-    plus the validity set."""
+    """Index <-> symbol maps for initials and finals, each unique per kind
+    and one unbroken run of indices, plus the gene ranges and the validity
+    set."""
 
     def __init__(self):
         rows, _ = read_table("pinyin_units.tsv", UNIT_KINDS, int, str,
@@ -84,6 +85,14 @@ class UnitTables:
         self.initial_index, self.final_index = (
             {s: i for i, s in by_index.items()}
             for by_index in (self.initial_by_index, self.final_by_index))
+        # (lowest, highest) value of the initial, final and tone genes
+        runs = sorted(self.initial_by_index), sorted(self.final_by_index)
+        for kind, run in zip(UNIT_KINDS, runs):
+            if not run or run != list(range(run[0], run[-1] + 1)):
+                path = data_path("pinyin_units.tsv")
+                raise ConfigError(f"{kind} indices of {path} are not one "
+                                  f"unbroken run")
+        self.gene_ranges = (*((run[0], run[-1]) for run in runs), (1, 4))
         pairs, _ = read_table("pinyin_validity.tsv", str, str, key=(0, 1))
         for kind, column, index in (("initial", 0, self.initial_index),
                                     ("final", 1, self.final_index)):

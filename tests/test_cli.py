@@ -653,8 +653,10 @@ QQ, ZZ, ONG = ("config error: phoneme 'QQ' of ",
                "config error: initial 'zz' of ",
                "config error: final 'ong' of ")
 MISSING = "config error: data file not found: "
-# case: (data file, its edit or None for a directory without the tables,
-# command, the message's start); the message names the data file
+UNREADABLE = "config error: cannot read "
+A_DIRECTORY = "the table is a directory"
+# case: (data file, its edit, None for a directory without the tables or
+# A_DIRECTORY, command, the message's start); the message names the file
 BAD_TABLES = {
     "rule-phoneme": (*RULE_QQ, ["generate"], QQ),
     "lexicon-phoneme-validate": (*LEXICON_QQ, ["validate", "zork"], QQ),
@@ -685,16 +687,30 @@ BAD_TABLES = {
                         ["dist", *ZH_WORD, "lóng dà"], MISSING),
     "missing-mitigate": ("lexicon.tsv", None, ["mitigate", "--archive"],
                          MISSING),
+    "phonemes-feature-value": ("phoneme_features.tsv",
+                               misspelled("AH\t1\t", "AH\t5\t"),
+                               ["dist", "alexa", "ileksur"],
+                               "config error: row 'AH\\t5\\t"),
+    "units-index-run": ("pinyin_units.tsv",
+                        misspelled("final\t37\t", "final\t38\t"),
+                        ["dist", *ZH_WORD, "xiǎo dù"],
+                        "config error: final indices of "),
+    "unreadable-validate": ("lexicon.tsv", A_DIRECTORY, ["validate", "alexa"],
+                            UNREADABLE),
+    "unreadable-mitigate": ("lexicon.tsv", A_DIRECTORY,
+                            ["mitigate", "--archive"], UNREADABLE),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_TABLES))
 def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
-    """A data table that is missing, has a row of the wrong width or kind,
-    or names a symbol its companion table lacks, exits 2 with a message
-    naming the file, before any output: never a traceback, a silently
-    wrong pronunciation, or a relabelled message (``mitigate`` once blamed
-    a missing table on ``mitigate.collective_path``)."""
+    """A data table that is missing or cannot be read, has a row of the
+    wrong width or kind or a feature other than -1, 0 or 1, has a gap in a
+    kind's unit indices, or names a symbol its companion table lacks, exits
+    2 with a message naming the file, before any output: never a
+    traceback, a silently wrong pronunciation, or a relabelled message
+    (``mitigate`` once blamed a missing or unreadable table on the
+    collective)."""
     from fakewake.dataio import _BUNDLED
 
     name, edit, argv, start = BAD_TABLES[case]
@@ -704,8 +720,12 @@ def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
     else:
         shutil.copytree(_BUNDLED, alt)
         table = alt / name
-        table.write_text(edit(table.read_text(encoding="utf-8")),
-                         encoding="utf-8")
+        if edit is A_DIRECTORY:
+            table.unlink()
+            table.mkdir()
+        else:
+            table.write_text(edit(table.read_text(encoding="utf-8")),
+                             encoding="utf-8")
     if argv[0] in ("generate", "mitigate"):
         _, config, out = small_run
         if argv[-1] == "--archive":
@@ -720,6 +740,29 @@ def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
     assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1
     assert str(alt / name) in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+def test_generate_draws_genes_in_the_ranges_of_the_unit_table(tmp_path):
+    """A unit table without the last final, ``vn`` (index 37), bounds the
+    final genes at 36: a larger Mandarin search then runs to the end, where
+    a fixed range of 1..37 once met the missing final in repair."""
+    from fakewake.dataio import _BUNDLED
+
+    alt = tmp_path / "data"
+    shutil.copytree(_BUNDLED, alt)
+    for name, row in (("pinyin_units.tsv", "final\t37\tvn\n"),
+                      ("pinyin_unit_features.tsv", "final\tvn\t")):
+        lines = (alt / name).read_text(encoding="utf-8").splitlines(True)
+        kept = [line for line in lines if not line.startswith(row)]
+        assert len(kept) == len(lines) - 1
+        (alt / name).write_text("".join(kept), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fakewake.cli", "generate", "--language",
+         "zh", "--wake-word", "xiǎo dù", "--seed", "3", "--population",
+         "100", "--generations", "10", "--output", str(tmp_path / "o")],
+        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(alt)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def run_on_tables(argv, data, tmp_path):

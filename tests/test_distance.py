@@ -13,7 +13,7 @@ from fakewake.errors import (BothEmpty, LengthMismatch, ParseFailure,
 from fakewake.genome import (ChineseGenome, decode_text, random_genome,
                              repair_chinese)
 from fakewake.phonemes import BOUNDARY, g2p, inventory
-from fakewake.pinyin import parse_pinyin
+from fakewake.pinyin import parse_pinyin, unit_tables
 from tests.test_genome import decode_chinese
 from tests.test_phonemes import table_distance, table_symbols
 
@@ -194,7 +194,7 @@ def test_chinese_symmetric_bounded_random():
 def chinese_genes(characters):
     """Genes of ``characters`` characters, each gene drawn from its range."""
     triple = st.tuples(*(st.integers(lo, hi)
-                         for lo, hi in ChineseGenome.RANGES))
+                         for lo, hi in unit_tables().gene_ranges))
     return st.lists(triple, min_size=characters, max_size=characters).map(
         lambda triples: [gene for t in triples for gene in t])
 

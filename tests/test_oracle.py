@@ -206,15 +206,16 @@ def test_first_random_matches_numpy(seeds):
 
 
 def test_first_random_matches_the_batch_draw_on_many_seeds():
-    """The scalar draw equals the vectorised one on 20,000
-    random seeds, the edge seeds, seeds whose high word is 0 and seeds with
-    the top bit set."""
+    """The scalar draw, the vectorised one and numpy's own generator agree
+    on 20,000 random seeds, the edge seeds, seeds whose high word is 0 and
+    seeds with the top bit set."""
     rng = random.Random(33)
     seeds = [rng.getrandbits(64) for _ in range(20000)]
     seeds += EDGE_SEEDS + [s >> 32 for s in seeds[:1000]]
     seeds += [s | 1 << 63 for s in seeds[:1000]]
-    assert [first_random(s) for s in seeds] == \
-        default_rng_random(seeds).tolist()
+    draws = [first_random(s) for s in seeds]
+    assert draws == default_rng_random(seeds).tolist()
+    assert draws == [np.random.default_rng(s).random() for s in seeds]
 
 
 @settings(max_examples=40, deadline=None)
@@ -234,6 +235,20 @@ def test_query_many_equals_per_word_queries(words, trials, before):
     assert batched.query_many(words, trials) == \
         [single.query(w, trials) for w in words]
     assert batched._trial_counts == single._trial_counts
+
+
+@pytest.mark.parametrize("trials", [1, 10])
+def test_query_many_of_no_words_draws_nothing(monkeypatch, trials):
+    det = SimulatedDetector(target="alexa", seed=1)
+    det.query("alexa", 3)
+    counts = dict(det._trial_counts)
+
+    def no_draw(seeds):
+        raise AssertionError("drew for no words")
+
+    monkeypatch.setattr("fakewake.oracle.default_rng_random", no_draw)
+    assert det.query_many([], trials) == []
+    assert det._trial_counts == counts
 
 
 def test_query_many_scores_each_word_once(monkeypatch):
