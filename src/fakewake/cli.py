@@ -13,6 +13,7 @@ the pipeline modules it runs when it starts.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from dataclasses import asdict
@@ -119,10 +120,15 @@ def cmd_generate(args) -> int:
         oracle, oracle_spec = build_oracle(cfg.oracle, cfg.language,
                                            cfg.wake_word, seed)
     sigterm = signal.signal(signal.SIGTERM, _terminate)
+    trace = None
     try:
+        if args.trace:
+            trace = _open_trace(args.trace)
         out = _out_dir(args)
         archive = run(wake, cfg.wake_word, oracle, cfg.evolve, cfg.variation,
-                      cfg.distance, seed, oracle_spec=oracle_spec)
+                      cfg.distance, seed, oracle_spec=oracle_spec,
+                      trace=None if trace is None else
+                      lambda line: trace.write(json.dumps(line) + "\n"))
     except (OracleFailure, KeyboardInterrupt) as exc:
         # the archive of every word answered before the stop; no manifest
         partial = getattr(exc, "partial_archive", None)
@@ -140,6 +146,8 @@ def cmd_generate(args) -> int:
         signal.signal(signal.SIGTERM, sigterm)
         if hasattr(oracle, "close"):
             oracle.close()
+        if trace is not None:
+            trace.close()
     _write_archive(out, archive)
     _write_manifest(out, "generate", cfg, seed,
                     {"query_count": archive.query_count,
@@ -147,6 +155,16 @@ def cmd_generate(args) -> int:
     print(f"{len(archive.candidates)} fuzzy words archived "
           f"({archive.query_count} oracle queries) -> {out}")
     return EXIT_OK
+
+
+def _open_trace(path: str):
+    """The ``--trace`` file, opened for one JSON line per generation and
+    line-buffered, so a long search can be followed as it runs."""
+    try:
+        return open(path, "w", encoding="utf-8", buffering=1)
+    except OSError as exc:
+        raise ConfigError(f"cannot write trace file {path}: "
+                          f"{exc.strerror}") from exc
 
 
 def _write_archive(out: Path, archive):
@@ -452,6 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", help="sim or exec:<command>")
     p.add_argument("--generations", type=int)
     p.add_argument("--population", type=int)
+    p.add_argument("--trace", metavar="FILE.jsonl",
+                   help="write one JSON line of search progress per "
+                        "generation to this file")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("explain", help="train the proxy and extract factors")

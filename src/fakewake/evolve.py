@@ -7,7 +7,12 @@ oracle in one ``query_many`` call, in order of first appearance; their
 dissimilarities are taken while the oracle works, and each word enters the
 archive as its count arrives, with the first genome that decoded to it.
 The current front always survives unmutated, which keeps archive growth
-monotone.
+monotone. Under elitism, once the front holds the whole population the
+next population is this one: every later generation would decode the same
+texts, send no word and make no draw, so the search stops there.
+
+An optional ``trace`` callable receives one dict per generation (see
+``run``), for a sidecar that leaves the search's outputs untouched.
 """
 from __future__ import annotations
 
@@ -50,16 +55,43 @@ def non_dominated_front(objectives: list[Objectives]) -> list[int]:
     return sorted(front)
 
 
+def hypervolume(points) -> float:
+    """Area dominated by (wake rate, dissimilarity) points, both maximised,
+    above the reference point (0, 0): one sweep by dissimilarity
+    descending."""
+    area = reached = 0.0
+    for wake_rate, gap in sorted(points, key=lambda p: -p[1]):
+        if wake_rate > reached:
+            area += (wake_rate - reached) * gap
+            reached = wake_rate
+    return area
+
+
+def _counts(archive: FuzzyArchive) -> dict:
+    return {"fuzzy": len(archive.candidates),
+            "rejected": len(archive.rejected),
+            "queries": archive.query_count}
+
+
 def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
         cfg: EvolveConfig, variation: VariationConfig,
         dist_cfg: DistanceConfig, seed: int,
-        oracle_spec: str = "sim") -> FuzzyArchive:
+        oracle_spec: str = "sim", trace=None) -> FuzzyArchive:
     """Search for fuzzy words of ``wake_text`` against ``oracle``.
 
     Deterministic given (wake word, configs, seed, oracle seed). When the
     oracle fails or the search is interrupted, the ``OracleFailure`` or
     ``KeyboardInterrupt`` carries the live archive, every word answered
     before it, and ``generations_run`` counts the complete generations.
+
+    ``trace``, when given, is called with one dict per generation: the
+    generation, the ``new_words`` sent and the ``cache_hits`` (population
+    members that needed no query of their own), the front's size, its
+    distinct objective points and its ``hypervolume``, the ``fuzzy`` and
+    ``rejected`` counts and the ``queries`` so far, and ``fixed_point``,
+    true where the search stops at its fixed point. On an oracle failure or
+    an interrupt it is called once more, with the generation in progress,
+    the words answered since the last call, the counts, and ``stopped``.
     """
     rng = np.random.default_rng(seed)
     archive = FuzzyArchive(
@@ -72,6 +104,8 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
     dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
     population = seed_genomes(wake_word, cfg.population_size, rng)
 
+    # the last generation passed to trace, and the queries it reported
+    traced = traced_queries = 0
     try:
         for generation in range(1, cfg.generations + 1):
             texts = [decode_text(genome) for genome in population]
@@ -105,7 +139,21 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
                                 key=lambda i: (-objectives[i].wake_rate,
                                                -objectives[i].dissimilarity))
                 parents = [population[i] for i in ranked[:2]]
-            if generation == cfg.generations:
+            # the front is the whole population, which elitism carries over
+            # unchanged: each later generation would repeat this one
+            fixed_point = cfg.elitism and len(parents) >= cfg.population_size
+            if trace is not None:
+                points = {(objectives[i].wake_rate,
+                           objectives[i].dissimilarity) for i in front}
+                trace({"generation": generation, "new_words": len(unseen),
+                       "cache_hits": len(texts) - len(unseen),
+                       "front_size": len(front),
+                       "front_points": len(points),
+                       "hypervolume": hypervolume(points),
+                       **_counts(archive), "fixed_point": fixed_point})
+                traced, traced_queries = generation, archive.query_count
+            if fixed_point or generation == cfg.generations:
+                archive.generations_run = cfg.generations
                 break
 
             next_pop: list[Genome] = list(parents[:cfg.population_size]) \
@@ -124,6 +172,13 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
             population = next_pop
     except (OracleFailure, KeyboardInterrupt) as exc:
         exc.partial_archive = archive
+        if trace is not None:
+            answered = (archive.query_count - traced_queries) // cfg.trials
+            trace({"generation": traced + 1, "new_words": answered,
+                   **_counts(archive),
+                   "stopped": ("oracle failure"
+                               if isinstance(exc, OracleFailure)
+                               else "interrupt")})
         raise
     return archive
 

@@ -217,7 +217,8 @@ def decisive_factors(phi: np.ndarray, units: list[UnitRef],
     """Units owning features of the shortest positive-contribution prefix
     whose share of all positive contributions reaches beta, given one
     word's contributions ``phi`` (a row of ``shap_values``)."""
-    positive = [(j, float(phi[j])) for j in range(len(phi)) if phi[j] > 0]
+    values = phi.tolist()
+    positive = [(j, c) for j, c in enumerate(values) if c > 0]
     if not positive:
         raise NoPositiveContributions("no feature pushes toward fuzzy")
     positive.sort(key=lambda item: (-item[1], item[0]))
@@ -233,7 +234,7 @@ def decisive_factors(phi: np.ndarray, units: list[UnitRef],
     for j in chosen:
         slot = j // 2
         if slot < len(units):
-            per_unit[slot] = per_unit.get(slot, 0.0) + float(phi[j])
+            per_unit[slot] = per_unit.get(slot, 0.0) + values[j]
     factors = [DecisiveFactor(units[slot], contribution)
                for slot, contribution in sorted(
                    per_unit.items(), key=lambda kv: (-kv[1], kv[0]))]

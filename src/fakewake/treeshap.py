@@ -16,16 +16,18 @@ a 1-D ``np.unique``.
 
 The recursion reads a tree's ``feature``, ``left``, ``right`` and ``cover``
 and the decision pattern, and a leaf's ``value`` only as the last factor of
-each of its terms, ``weight * (o - z) * value``. So one call memoises each
-(structure, pattern)'s terms as (feature, ``weight * (o - z)``, leaf) and
-multiplies by the tree's own leaf values afterwards, the same two
-multiplications in the same order: boosted trees grown on one dataset
-often share a structure and differ only in their values (the 50 trees of
-the en proxy have two structures, the zh one 19), and those trees share
-the recursion. The memo lives for one ``shap_values`` call. Each group of
-rows whose terms name the same features in the same order receives them in
-one ``np.add.at``, which applies the additions to each cell one at a time
-in term order, as a per-term loop does.
+each of its terms, ``weight * (o - z) * value``. Boosted trees grown on one
+dataset often share a structure and differ only in their values (the 50
+trees of the en proxy have two structures, the zh one 19), so one call
+memoises two things. Each routing, ``Tree.routing``, gets its decision
+matrix and pattern codes once, for every tree of the call that routes that
+way. Each (structure, pattern) gets its terms once, as (feature,
+``weight * (o - z)``, leaf), and each tree multiplies them by its own leaf
+values afterwards, the same two multiplications in the same order. The
+memos live for one ``shap_values`` call. Each group of rows whose terms
+name the same features in the same order receives them in one
+``np.add.at``, which applies the additions to each cell one at a time in
+term order, as a per-term loop does.
 """
 from __future__ import annotations
 
@@ -158,21 +160,13 @@ def _tree_terms(tree: Tree, goes_left: list[bool]
 _PACK = 31   # decisions per chunk of a pattern code
 
 
-def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray,
-                   terms_of: dict):
-    """Add one tree's attributions for every row of x to the rows of phi.
-
-    The recursion reads a sample only through its decision at each internal
-    node, so it runs once per distinct decision pattern, in any order: no
-    row of phi gets additions from two patterns. Its terms are looked up in
-    ``terms_of`` by the tree's structure and the pattern, and computed and
-    stored there on a miss. The rows of patterns whose terms name the same
-    features in the same order then receive their terms together in one
-    ``np.add.at``, which adds each cell's terms in the recursion's order:
-    every row sees exactly the additions a per-row run makes."""
+def _decision_patterns(tree: Tree, x: np.ndarray
+                       ) -> tuple[list[int], np.ndarray, list[bytes],
+                                  np.ndarray]:
+    """The rows of x grouped by their decisions at the tree's internal
+    nodes: the internal nodes, the distinct patterns (one decision row
+    each), their bytes, and each row's pattern number."""
     inner = np.flatnonzero(tree.feature >= 0)
-    if not len(inner) or not len(x):
-        return      # a lone leaf attributes nothing; no rows, nothing to add
     decisions = x[:, tree.feature[inner]] <= tree.threshold[inner]
     # each row's pattern as an integer code: the decisions go into the code
     # _PACK nodes at a time, and the codes are renumbered densely (below the
@@ -186,17 +180,41 @@ def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray,
             pattern_of << chunk.shape[1] | bits,
             return_index=True, return_inverse=True)
     patterns = decisions[first]
+    return (inner.tolist(), patterns, [p.tobytes() for p in patterns],
+            pattern_of)
+
+
+def _add_tree_shap(tree: Tree, x: np.ndarray, phi: np.ndarray,
+                   terms_of: dict, patterns_of: dict):
+    """Add one tree's attributions for every row of x to the rows of phi.
+
+    The recursion reads a sample only through its decision at each internal
+    node, so it runs once per distinct decision pattern, in any order: no
+    row of phi gets additions from two patterns. The patterns are looked up
+    in ``patterns_of`` by the tree's routing, and the terms in ``terms_of``
+    by its structure and the pattern; each is computed and stored on a
+    miss. The rows of patterns whose terms name the same features in the
+    same order then receive their terms together in one ``np.add.at``,
+    which adds each cell's terms in the recursion's order: every row sees
+    exactly the additions a per-row run makes."""
+    if tree.feature[0] < 0 or not len(x):
+        return      # a lone leaf attributes nothing; no rows, nothing to add
+    routing = tree.routing()
+    grouped = patterns_of.get(routing)
+    if grouped is None:
+        grouped = patterns_of[routing] = _decision_patterns(tree, x)
+    inner, patterns, pattern_keys, pattern_of = grouped
     structure = (tree.feature.tobytes(), tree.left.tobytes(),
                  tree.right.tobytes(), tree.cover.tobytes())
     goes_left = [False] * len(tree.feature)
     group_of: dict[tuple[int, ...], int] = {}   # dims -> group number
     group = np.empty(len(patterns), dtype=np.int64)
     factors, leaves = [], []
-    for p, pattern in enumerate(patterns):
-        key = (structure, pattern.tobytes())
+    for p, pattern in enumerate(pattern_keys):
+        key = (structure, pattern)
         terms = terms_of.get(key)
         if terms is None:
-            for node, left in zip(inner.tolist(), pattern.tolist()):
+            for node, left in zip(inner, patterns[p].tolist()):
                 goes_left[node] = left
             terms = terms_of[key] = _tree_terms(tree, goes_left)
         dims, pattern_factors, pattern_leaves = terms
@@ -222,9 +240,11 @@ def shap_values(model: TreeEnsemble, x: np.ndarray) -> np.ndarray:
     all trees: one row per sample, one column per feature."""
     x = check_matrix(model, x)
     phi = np.zeros(x.shape)
-    # the terms of each (tree structure, decision pattern), for this call:
-    # trees of one ensemble often share a structure and differ in value
+    # the decision patterns of each tree routing and the terms of each
+    # (tree structure, decision pattern), for this call: trees of one
+    # ensemble often share a routing and a structure and differ in value
     terms_of: dict = {}
+    patterns_of: dict = {}
     for tree in model.trees:
-        _add_tree_shap(tree, x, phi, terms_of)
+        _add_tree_shap(tree, x, phi, terms_of, patterns_of)
     return phi

@@ -91,6 +91,69 @@ def test_generate_deterministic(small_run, tmp_path):
         (out2 / "summary.tsv").read_bytes()
 
 
+def read_trace(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def assert_trace_matches_archive(lines, archive, trials=5):
+    """The new words of the trace's lines times trials are the archive's
+    queries, and its last line counts what the archive holds."""
+    run = archive["run"]
+    assert trials * sum(line["new_words"] for line in lines) == \
+        run["query_count"]
+    last = lines[-1]
+    assert (last["fuzzy"], last["rejected"], last["queries"]) == (
+        len(archive["candidates"]), len(archive["rejected"]),
+        run["query_count"])
+
+
+def test_generate_trace_leaves_the_outputs_alone(small_run, tmp_path):
+    """``--trace`` writes one JSON line per generation to its own file, and
+    every output is byte-identical to an untraced run's."""
+    root, config, out = small_run
+    traced, trace = tmp_path / "traced", tmp_path / "trace.jsonl"
+    assert main(["generate", "--config", str(config), "--output",
+                 str(traced), "--trace", str(trace)]) == 0
+    assert sorted(p.name for p in traced.iterdir()) == \
+        sorted(p.name for p in out.iterdir())
+    for path in out.iterdir():
+        assert (traced / path.name).read_bytes() == path.read_bytes()
+    lines = read_trace(trace)
+    archive = json.loads((out / "archive.json").read_text())
+    assert [line["generation"] for line in lines] == \
+        list(range(1, len(lines) + 1))
+    assert lines[-1]["fixed_point"] or len(lines) == 6
+    assert_trace_matches_archive(lines, archive)
+
+
+def test_generate_trace_of_an_oracle_exit(tmp_path):
+    """On exit 3 the trace's last line names the stop and counts what the
+    partial archive holds."""
+    stub = tmp_path / "cut.py"
+    stub.write_text(CUT_STUB)
+    config = write_config(tmp_path / "config.json")
+    trace = tmp_path / "trace.jsonl"
+    assert main(["generate", "--config", str(config), "--oracle",
+                 f"exec:{sys.executable} {stub} 153 {tmp_path / 'log'}",
+                 "--output", str(tmp_path / "cut"),
+                 "--trace", str(trace)]) == 3
+    lines = read_trace(trace)
+    partial = json.loads((tmp_path / "cut" / "archive.json").read_text())
+    assert lines[-1]["stopped"] == "oracle failure"
+    assert lines[-1]["generation"] == partial["run"]["generations_run"] + 1
+    assert_trace_matches_archive(lines, partial)
+    assert partial["run"]["query_count"] == 150
+
+
+def test_unwritable_trace_exits_2_before_any_output(tmp_path, capsys):
+    config = write_config(tmp_path / "config.json")
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(config), "--output", str(out),
+                 "--trace", str(tmp_path / "missing" / "t.jsonl")]) == 2
+    assert "cannot write trace file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_explain_and_mitigate(small_run, tmp_path):
     root, config, out = small_run
     exp = tmp_path / "exp"

@@ -1,15 +1,19 @@
 import functools
+import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fakewake.distance import DistanceConfig
+from fakewake.distance import DistanceConfig, objective
 from fakewake.errors import BelowFuzzyThreshold, OracleFailure
-from fakewake.archive import Bucket, bucket
+from fakewake.archive import (Bucket, EvaluatedWord, FuzzyCandidate, bucket)
 from fakewake.evolve import (EvolveConfig, FuzzyArchive, Objectives,
-                             non_dominated_front, run)
-from fakewake.genome import VariationConfig, decode_text, encode_english
+                             hypervolume, non_dominated_front, run)
+from fakewake.genome import (VariationConfig, crossover, decode_text,
+                             encode_english, english_genome_length, mutate,
+                             seed_genomes)
 from tests.conftest import make_detector, run_search
 
 
@@ -103,12 +107,12 @@ class ConstantOracle(WordByWord):
         return trials if self.value else 0
 
 
-def small_run(oracle, seed=3, **kwargs):
+def small_run(oracle, seed=3, trace=None, **kwargs):
     cfg = dict(population_size=12, generations=4, trials=5)
     cfg.update(kwargs)
     wake = encode_english("alexa", 7)
     return run(wake, "alexa", oracle, EvolveConfig(**cfg), VariationConfig(),
-               DistanceConfig(), seed=seed)
+               DistanceConfig(), seed=seed, trace=trace)
 
 
 def test_always_true_archives_everything_but_wake_word():
@@ -389,22 +393,194 @@ def test_archive_generation_is_the_generation_first_sent(
     """Each archived and rejected word carries the generation in which the
     search first sent it to the oracle, whether the oracle answers
     ``query_many`` in one batch or word by word, and a candidate's genome
-    decodes to its word."""
-    detector = make_detector(detector_seed)
-    oracle = Recording(detector if batched else QueryOnly(detector))
-    archive = run(encode_english("alexa", 7), "alexa", oracle,
-                  EvolveConfig(population_size=population,
-                               generations=generations, trials=trials),
-                  VariationConfig(), DistanceConfig(), seed=seed)
-    sent = oracle.sent
+    decodes to its word. The search sends what the full loop sends, one
+    call per generation, up to its fixed point, and every call the full
+    loop makes after it is empty."""
+    cfg = EvolveConfig(population_size=population, generations=generations,
+                       trials=trials)
+    calls = []
+
+    def record(detector):
+        calls.append(Recording(detector if batched
+                               else QueryOnly(detector)))
+        return calls[-1]
+
+    archive, _, reference = both_searches(cfg, seed, detector_seed, record)
+    sent, full = calls[0].sent, calls[1].sent
+    assert len(full) == archive.generations_run == generations
+    assert sent == full[:len(sent)]
+    assert not any(full[len(sent):])
     first_sent = {}
     for generation, words in enumerate(sent, start=1):
         for word in words:
             assert word not in first_sent
             first_sent[word] = generation
-    assert len(sent) == archive.generations_run == generations
     for word, cand in archive.candidates.items():
         assert cand.generation_found == first_sent[word]
         assert decode_text(cand.genome) == word
     for word, rejected in archive.rejected.items():
         assert rejected.generation == first_sent[word]
+
+
+# ------------------------------------------------ the fixed-point stop
+
+def full_loop_run(wake_word, wake_text, oracle, cfg, variation, dist_cfg,
+                  seed):
+    """``run`` without the fixed-point stop, kept as the reference: every
+    one of ``cfg.generations`` generations decodes its population and calls
+    ``query_many``, even once the population no longer changes."""
+    rng = np.random.default_rng(seed)
+    archive = FuzzyArchive(
+        wake_word=wake_text, language=wake_word.language, seed=seed,
+        config={**asdict(cfg), **asdict(variation)}, oracle_spec="sim")
+    cache = {"": Objectives(0.0, 0.0)}
+    dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
+    population = seed_genomes(wake_word, cfg.population_size, rng)
+    for generation in range(1, cfg.generations + 1):
+        texts = [decode_text(genome) for genome in population]
+        unseen = {}
+        for genome, text in zip(population, texts):
+            if text not in cache:
+                unseen.setdefault(text, genome)
+        counts = oracle.query_many(list(unseen), cfg.trials)
+        for (text, genome), wakes in zip(unseen.items(), counts):
+            obj = cache[text] = Objectives(wakes / cfg.trials,
+                                           dissimilarity(text))
+            archive.query_count += cfg.trials
+            if (obj.wake_rate >= cfg.fuzzy_threshold
+                    and obj.dissimilarity > 0):
+                archive.candidates[text] = FuzzyCandidate(
+                    text, tuple(genome), obj, generation)
+            elif obj.wake_rate == 0.0:
+                archive.rejected[text] = EvaluatedWord(
+                    text, obj.wake_rate, obj.dissimilarity, generation)
+        archive.generations_run = generation
+        objectives = [cache[text] for text in texts]
+        front = non_dominated_front(objectives)
+        if len(front) >= 2:
+            parents = [population[i] for i in front]
+        else:
+            ranked = sorted(range(len(objectives)),
+                            key=lambda i: (-objectives[i].wake_rate,
+                                           -objectives[i].dissimilarity))
+            parents = [population[i] for i in ranked[:2]]
+        if generation == cfg.generations:
+            break
+        next_pop = list(parents[:cfg.population_size]) \
+            if cfg.elitism else []
+        while len(next_pop) < cfg.population_size:
+            i = int(rng.integers(len(parents)))
+            j = int(rng.integers(len(parents)))
+            p1, p2 = parents[i], parents[j]
+            if rng.random() < variation.crossover_rate:
+                c1, c2 = crossover(p1, p2, rng)
+            else:
+                c1, c2 = p1, p2
+            for child in (c1, c2):
+                if len(next_pop) < cfg.population_size:
+                    next_pop.append(mutate(child, variation, rng))
+        population = next_pop
+    return archive
+
+
+def both_searches(cfg, seed, detector_seed, wrap=lambda oracle: oracle):
+    """The search with the stop, traced, and the full-loop reference on the
+    same detector: (archive, trace lines, reference archive)."""
+    wake = encode_english("alexa", english_genome_length("alexa"))
+    lines = []
+    archive = run(wake, "alexa", wrap(make_detector(detector_seed)), cfg,
+                  VariationConfig(), DistanceConfig(), seed=seed,
+                  trace=lines.append)
+    reference = full_loop_run(wake, "alexa",
+                              wrap(make_detector(detector_seed)), cfg,
+                              VariationConfig(), DistanceConfig(), seed)
+    return archive, lines, reference
+
+
+def assert_trace_ends_at(lines, archive, trials):
+    """The trace gates: one line per generation from 1, new words times
+    trials summing to the queries, and the last line's counts those of the
+    archive."""
+    assert [line["generation"] for line in lines] == \
+        list(range(1, len(lines) + 1))
+    assert trials * sum(line["new_words"] for line in lines) == \
+        archive.query_count
+    last = lines[-1]
+    assert (last["fuzzy"], last["rejected"], last["queries"]) == (
+        len(archive.candidates), len(archive.rejected), archive.query_count)
+
+
+@settings(max_examples=40, deadline=None)
+@given(population=st.integers(4, 16), generations=st.integers(1, 40),
+       seed=st.integers(0, 10**6), detector_seed=st.integers(0, 10**6),
+       elitism=st.booleans())
+def test_stop_at_the_fixed_point_keeps_the_full_loop_archive(
+        population, generations, seed, detector_seed, elitism):
+    """With the stop the archive equals the full loop's, byte for byte,
+    traced or not. Under elitism the stop fires on the first generation
+    whose front is the whole population, and the trace ends there; without
+    elitism every generation runs."""
+    cfg = EvolveConfig(population_size=population, generations=generations,
+                       trials=3, elitism=elitism)
+    archive, lines, reference = both_searches(cfg, seed, detector_seed)
+    assert archive.to_json() == reference.to_json()
+    untraced = run(encode_english("alexa", english_genome_length("alexa")),
+                   "alexa", make_detector(detector_seed), cfg,
+                   VariationConfig(), DistanceConfig(), seed=seed)
+    assert untraced.to_json() == archive.to_json()
+    assert_trace_ends_at(lines, archive, 3)
+    for line in lines:
+        assert line["new_words"] + line["cache_hits"] == population
+        assert line["fixed_point"] == (elitism
+                                       and line["front_size"] == population)
+    assert not any(line["fixed_point"] for line in lines[:-1])
+    if not lines[-1]["fixed_point"]:
+        assert len(lines) == generations
+
+
+def test_fixture_search_stops_at_its_fixed_point():
+    """The fixture search (population 100, 50 generations) reaches its fixed
+    point well before generation 50, and its archive and query count are
+    the full loop's."""
+    archive, lines, reference = both_searches(EvolveConfig(), 7, 1007)
+    assert archive.to_json() == reference.to_json()
+    assert lines[-1]["fixed_point"] and len(lines) < 50
+    assert archive.generations_run == 50
+    assert_trace_ends_at(lines, archive, EvolveConfig().trials)
+    assert (len(archive.candidates), len(archive.rejected)) == (295, 388)
+    # elitism keeps the front, so the area it dominates never shrinks
+    areas = [line["hypervolume"] for line in lines]
+    assert areas == sorted(areas) and areas[-1] > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(budget=st.integers(1, 150))
+@example(budget=29)
+@example(budget=97)
+def test_trace_of_a_stopped_search_ends_with_its_partial_archive(budget):
+    """On an oracle failure or an interrupt the trace gets one more line:
+    the generation in progress, the words answered in it, the partial
+    archive's counts and why the search stopped."""
+    for oracle, error, stopped in (
+            (FlakyOracle(budget), OracleFailure, "oracle failure"),
+            (InterruptingOracle(budget), KeyboardInterrupt, "interrupt")):
+        lines = []
+        with pytest.raises(error) as excinfo:
+            small_run(oracle, generations=6, trace=lines.append)
+        partial = excinfo.value.partial_archive
+        assert_trace_ends_at(lines, partial, 5)
+        assert lines[-1]["stopped"] == stopped
+        assert lines[-1]["generation"] == partial.generations_run + 1
+        assert not any("stopped" in line for line in lines[:-1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)),
+                max_size=8))
+def test_hypervolume_is_the_area_of_the_dominated_cells(points):
+    """On a grid of tenths, the swept area equals the count of unit cells
+    that some point dominates."""
+    cells = {(w, d) for wake, gap in points
+             for w in range(wake) for d in range(gap)}
+    area = hypervolume([(wake / 10, gap / 10) for wake, gap in points])
+    assert math.isclose(area, len(cells) / 100, abs_tol=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fakewake import gbdt
 from fakewake.errors import DegenerateData, ShapeMismatch
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
+from tests.conftest import draw_rows, draw_shared_routings
 
 
 def test_separable_1d_perfect_train_accuracy():
@@ -350,38 +351,10 @@ def level_walk(tree, x):
     return tree.value[node]
 
 
-def draw_tree(data, n_features, cuts):
-    """A tree in pre-order splitting on thresholds from ``cuts``: up to 7
-    levels, either full or with each node split by a coin, so lone leaves,
-    stumps and deep trees all come up."""
-    depth = data.draw(st.integers(0, 7), label="depth")
-    full = data.draw(st.booleans(), label="full")
-    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
-                             "value", "cover")}
-
-    def build(level):
-        node = len(nodes["feature"])
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                           ("right", -1), ("value", 0.0), ("cover", 1.0)):
-            nodes[key].append(blank)
-        if level < depth and (full or data.draw(st.booleans())):
-            nodes["feature"][node] = data.draw(
-                st.integers(0, n_features - 1))
-            nodes["threshold"][node] = data.draw(st.sampled_from(cuts))
-            nodes["left"][node] = build(level + 1)
-            nodes["right"][node] = build(level + 1)
-        else:
-            nodes["value"][node] = data.draw(st.floats(-4, 4))
-        return node
-
-    build(0)
-    return gbdt.Tree(**nodes)
-
-
 def assert_predicts_row_walks(model, x):
     """Each tree's leaf values equal the per-row walk's and the level
-    walk's, and margin and predict_proba equal the per-row sums, bit for
-    bit."""
+    walk's, and margin, predict_proba and predict equal the per-row sums,
+    bit for bit."""
     trees = model.to_json()["trees"]
     for tree, ref in zip(model.trees, trees):
         walked = [loop_predict_one(ref, row) for row in x]
@@ -389,30 +362,78 @@ def assert_predicts_row_walks(model, x):
         assert level_walk(tree, x).tolist() == walked
     walks = [model.base_score + sum(loop_predict_one(t, row) for t in trees)
              for row in x]
+    probabilities = [1.0 / (1.0 + math.exp(-m)) for m in walks]
     assert model.margin(x).tolist() == walks
-    assert model.predict_proba(x).tolist() == [1.0 / (1.0 + math.exp(-m))
-                                               for m in walks]
+    assert model.predict_proba(x).tolist() == probabilities
+    assert model.predict(x).tolist() == [int(p >= 0.5)
+                                         for p in probabilities]
+
+
+def walks_per_call(model, x):
+    """The routings ``Tree.leaves`` walked in each of one margin, one
+    predict_proba and one predict call on x."""
+    walked = []
+    leaves = gbdt.Tree.leaves
+
+    def spy(tree, rows):
+        walked[-1].append(tree.routing())
+        return leaves(tree, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gbdt.Tree, "leaves", spy)
+        for call in (model.margin, model.predict_proba, model.predict):
+            walked.append([])
+            call(x)
+    return walked
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_node_routing_equals_row_walks(data):
-    """Rows hold thresholds themselves, NaN (every comparison false: it
-    goes right) and +-inf, some rows twice, and there may be no rows."""
+    """Trees that repeat a routing with their own values: every call walks
+    each distinct routing once, and its results equal the per-row walk's,
+    bit for bit. Trees may be lone leaves; rows hold thresholds themselves,
+    NaN (every comparison false: it goes right) and +-inf, some rows twice,
+    and there may be no rows."""
     f = data.draw(st.integers(1, 4), label="features")
     cuts = data.draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
                      label="cuts")
-    model = TreeEnsemble(base_score=data.draw(st.floats(-2, 2)),
-                         n_features=f)
-    for _ in range(data.draw(st.integers(0, 5), label="trees")):
-        model.trees.append(draw_tree(data, f, cuts))
-    pool = cuts + [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0]
-    rows = data.draw(st.lists(st.lists(st.sampled_from(pool), min_size=f,
-                                       max_size=f), max_size=12),
-                     label="rows")
-    x = np.array(rows, dtype=float).reshape(len(rows), f)
-    x = np.vstack([x, x[:data.draw(st.integers(0, len(x)))]])
+    model = draw_shared_routings(data, f, cuts)
+    x = draw_rows(data, f, cuts)
+    distinct = {tree.routing() for tree in model.trees}
+    for walked in walks_per_call(model, x):
+        assert len(walked) == len(set(walked)) == len(distinct)
     assert_predicts_row_walks(model, x)
+
+
+@pytest.mark.parametrize("routings, uses, live", [(47, 2, 47), (200, 1, 1)])
+def test_margin_keeps_few_small_leaf_arrays(routings, uses, live):
+    """The leaves of a routing take one byte a row on trees of up to 256
+    nodes, and go once its last tree has added its values. 47 interleaved
+    stump routings used twice each (a strengthened detector has 47) hold
+    47 bytes a row, not 47 * 8; 200 routings used one after another hold
+    one array at a time."""
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(5600, 28)).round(1)
+    stumps = [gbdt.Tree(feature=[k % 28, -1, -1],
+                        threshold=[float(rng.choice(x[:, k % 28])), 0.0, 0.0],
+                        left=[1, -1, -1], right=[2, -1, -1],
+                        value=[0.0, 1.0, 2.0], cover=[2.0, 1.0, 1.0])
+              for k in range(routings)]
+    model = TreeEnsemble(base_score=0.5, n_features=28,
+                         trees=stumps * uses)
+    assert stumps[0].leaves(x).dtype == np.uint8
+    expected = model.margin(x)
+    tracemalloc.start()
+    try:
+        assert model.margin(x).tolist() == expected.tolist()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one byte a row per live routing, and room for the sums and the walk
+    assert peak < len(x) * (live + 16 * 8)
 
 
 def test_stump_ensemble_on_thousands_of_rows():

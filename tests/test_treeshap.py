@@ -4,11 +4,13 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fakewake import treeshap
 from fakewake.errors import ShapeMismatch
 from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
 from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
+from tests.conftest import draw_rows, draw_shared_routings
 
 
 def mean_below(tree, node=0):
@@ -396,6 +398,35 @@ def test_tree_terms_run_once_per_structure_and_pattern(monkeypatch):
     assert_equals_per_row_recursion(ensemble, x)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_trees_sharing_a_routing_equal_the_unshared_recursion(data):
+    """Trees that repeat a routing with their own values and covers: the
+    decision patterns are grouped once per distinct routing of a call that
+    has an internal node and rows, and every row's attributions equal the
+    per-row, per-tree recursion's, bit for bit, lone leaves, NaN, +-inf and
+    empty matrices included."""
+    f = data.draw(st.integers(1, 4), label="features")
+    cuts = data.draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4),
+                     label="cuts")
+    ensemble = draw_shared_routings(data, f, cuts, max_depth=5)
+    x = draw_rows(data, f, cuts)
+    grouped = []
+    patterns = treeshap._decision_patterns
+
+    def spy(tree, rows):
+        grouped.append(tree.routing())
+        return patterns(tree, rows)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(treeshap, "_decision_patterns", spy)
+        assert_equals_per_row_recursion(ensemble, x)
+    routings = {tree.routing() for tree in ensemble.trees
+                if tree.feature[0] >= 0}
+    assert len(grouped) == len(set(grouped)) == (len(routings) if len(x)
+                                                 else 0)
+
+
 def test_shap_values_leaves_no_reference_cycles():
     """The TreeSHAP walk builds no self-referencing closure: with the
     cyclic collector off, one call leaves nothing for it to reclaim."""
@@ -414,7 +445,8 @@ def test_shap_values_leaves_no_reference_cycles():
 
 def test_shap_values_computes_no_prediction(monkeypatch):
     """The attributions read the trees' structure and leaf values only: a
-    call runs no ``TreeEnsemble.margin`` and no ``Tree.predict``."""
+    call runs no ``TreeEnsemble.margin``, no ``Tree.predict`` and no
+    ``Tree.leaves``."""
     rng = np.random.default_rng(6)
     ensemble = random_ensemble(rng, n_features=4, n_trees=5, depth=3)
     x = rng.normal(size=(20, 4)).round(0)
@@ -425,6 +457,7 @@ def test_shap_values_computes_no_prediction(monkeypatch):
 
     monkeypatch.setattr(TreeEnsemble, "margin", no_prediction)
     monkeypatch.setattr(Tree, "predict", no_prediction)
+    monkeypatch.setattr(Tree, "leaves", no_prediction)
     assert shap_values(ensemble, x).tolist() == expected
     with pytest.raises(ShapeMismatch):
         shap_values(ensemble, x[:, :3])
