@@ -5,12 +5,16 @@ Every table ships under ``fakewake/data/``; the ``FAKEWAKE_DATA_DIR``
 environment variable points loaders at an alternative directory. Each is
 read by ``read_table`` alone; a missing, malformed or inconsistent table
 raises a ``ConfigError`` naming the file.
+
+Everything built from the tables is held by a ``table_memo``: the tables of
+``data_dir()`` are read on first use and held until ``clear_tables()``.
 """
 from __future__ import annotations
 
 import json
 import os
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -23,6 +27,23 @@ _JSON = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
 # encoder chunks joined per write: as fast as one write of the whole text,
 # without holding every chunk of a large document at once
 _JSON_GROUP = 1024
+# every table_memo, for clear_tables
+_MEMOS = []
+
+
+def table_memo(fn):
+    """``fn`` memoised per argument tuple until ``clear_tables()``: the form
+    of every function whose results derive from the data tables."""
+    memo = lru_cache(maxsize=None)(fn)
+    _MEMOS.append(memo)
+    return memo
+
+
+def clear_tables() -> None:
+    """Empty every ``table_memo``, so that the next use reads the tables of
+    ``data_dir()`` again."""
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 def data_dir() -> Path:

@@ -2,9 +2,10 @@
 encoding used by all classifiers, the per-character distance for the
 Chinese objective, and ``read_words``, the one reading of word texts as
 their units and pronunciations (``parse_text`` reads one text with it).
-Each language's reader tables are built once per process: the ``G2P`` run
-table of English ``Piece``s on the first read, and a syllable's piece on
-its spelling's first parse.
+Each language's reader tables are built from the tables of ``data_dir()``
+on first use and held until ``dataio.clear_tables()``: the ``G2P`` run table
+of English ``Piece``s on the first read, and a syllable's piece on its
+spelling's first parse.
 
 Initial/final coordinates are scaled by ``UNIT_SCALE`` so character distances
 land in the working range of the tanh normalization (constant A = 100);
@@ -19,10 +20,10 @@ from __future__ import annotations
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .dataio import check_symbols, read_table
+from .dataio import check_symbols, read_table, table_memo
 from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
                        g2p_converter, inventory)
@@ -125,12 +126,12 @@ class EmbeddingTable:
         return table.rows[table.index[a]][table.index[b]]
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def embedding_table() -> EmbeddingTable:
     return EmbeddingTable()
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def _index_gap(kind: str, a: int, b: int) -> float:
     """``unit_gap`` between an initial or final pair given by index."""
     tables = unit_tables()
@@ -194,7 +195,7 @@ class Piece:
         self.rows = tuple(unit_row[unit] for unit in units)
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def _letter_pieces():
     """The ``G2P`` run table of ``Piece``s: a run's phonemes, without the
     word boundary, are its units."""
@@ -202,7 +203,7 @@ def _letter_pieces():
         ("phoneme", p) for p in phones if p != BOUNDARY)))
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def _syllable(part: str) -> Piece:
     """The piece of one syllable spelling; one that does not parse raises,
     on every call, as ``parse_syllable`` does."""
@@ -235,9 +236,10 @@ def read_words(texts: Iterable[str], language: str,
     naming the text.
 
     Each rule grapheme, lexicon token and syllable spelling that parses is
-    one ``Piece`` per process: the English ones are built on the first
-    English read, a syllable's on its spelling's first parse; a failure is
-    not memoised. ``texts`` is read lazily, one text at a time."""
+    one ``Piece`` until ``dataio.clear_tables()``: the English ones are
+    built on the first English read, a syllable's on its spelling's first
+    parse; a failure is not memoised. ``texts`` is read lazily, one text at
+    a time."""
     for text in texts:
         try:
             pieces = _read(text, language)

@@ -12,10 +12,10 @@ bounded by the inventory: at most 24 x 37 pairs.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
+from .dataio import table_memo
 from .embedding import embedding_table
 from .errors import LengthMismatch
 from .params import LENGTH_RATIO, VariationConfig
@@ -116,7 +116,7 @@ def decode_text(genome: "Genome") -> str:
     return " ".join("".join([ALPHABET[g - 1] for g in genome]).split())
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def nearest_valid_final(initial: int, final: int) -> int:
     """The valid final for ``initial`` whose embedding is nearest that of
     ``final``; ties break to the lowest final index."""

@@ -8,17 +8,17 @@ articulatory features (+1 present / 0 unmarked / -1 absent); its
 lexicon-first with a rule fallback so any letter string gets a deterministic
 pronunciation. Word boundaries are kept as ``BOUNDARY`` markers.
 ``G2P.read`` is the one reading of a text: ``g2p`` reads phonemes through it
-and ``embedding`` the pieces of its word lists, each from a run table built
-once per process.
+and ``embedding`` the pieces of its word lists, each from a run table. The
+tables of ``data_dir()`` are read on first use, and what is built from them
+is held until ``dataio.clear_tables()``.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import mul, sub
 
-from .dataio import check_symbols, read_table
+from .dataio import check_symbols, read_table, table_memo
 from .errors import ParseFailure
 
 BOUNDARY = " "
@@ -74,7 +74,7 @@ class FeatureTable:
                 row[j] = self.rows[j][i] = gap / scale
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def inventory() -> FeatureTable:
     """The phoneme table of ``phoneme_features.tsv``, in symbol order."""
     rows, weights = read_table("phoneme_features.tsv", str, weighted=True)
@@ -135,7 +135,7 @@ class G2P:
                     add(run)
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def g2p_converter() -> G2P:
     return G2P()
 

@@ -5,12 +5,14 @@ A syllable is an (initial, final, tone) triple over the shipped inventories:
 lexicographic order, and tones 1-4. The written forms treat ``y``/``w`` as
 initials and use ``v`` for ``ü``.
 
-Both directions between text and triples are memoised, filled lazily on
-first use, because a run parses and renders the same few hundred syllables
-tens of thousands of times. ``render_units`` is keyed on the triple, so it
-holds at most 24 x 37 x 4 entries. ``parse_syllable`` is keyed on the text as
-given, so it holds one entry per distinct spelling in the input (digit or
-diacritic tone, case, NFC or NFD); each entry maps to the one shared frozen
+The tables of ``data_dir()`` are read on first use and held, with every
+memo built from them, until ``dataio.clear_tables()``. Both directions
+between text and triples are memoised, filled lazily on first use, because
+a run parses and renders the same few hundred syllables tens of thousands
+of times. ``render_units`` is keyed on the triple, so it holds at most
+24 x 37 x 4 entries. ``parse_syllable`` is keyed on the text as given, so it
+holds one entry per distinct spelling in the input (digit or diacritic
+tone, case, NFC or NFD); each entry maps to the one shared frozen
 ``Syllable``. Neither caches a failure: an invalid triple or a bad spelling
 raises on every call. ``embedding`` memoises each parsed spelling's piece
 by the same rule.
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .dataio import check_symbols, data_dir, data_path, read_table
+from .dataio import (check_symbols, data_dir, data_path, read_table,
+                     table_memo)
 from .errors import ConfigError, InvalidCombination, UnknownSyllable
 
 ZERO_INITIAL = "-"
@@ -105,9 +107,15 @@ class UnitTables:
         self.finals_for_initial: dict[int, tuple[int, ...]] = {
             i: tuple(sorted(f for ini, f in self.valid_pairs if ini == i))
             for i in self.initial_by_index}
+        for i, finals in self.finals_for_initial.items():
+            if not finals:   # repair would have no final to choose
+                raise ConfigError(
+                    f"initial {self.initial_by_index[i]!r} of "
+                    f"{data_path('pinyin_units.tsv')} is in no pair of "
+                    f"{data_path('pinyin_validity.tsv')}")
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def unit_tables() -> UnitTables:
     return UnitTables()
 
@@ -150,7 +158,7 @@ def _split_units(base: str) -> tuple[int, int]:
     raise UnknownSyllable(f"cannot decompose syllable {base!r}")
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def parse_syllable(text: str) -> Syllable:
     base, tone = _strip_tone(text.strip().lower())
     if tone is None:
@@ -195,7 +203,7 @@ def _mark_tone(base: str, tone: int) -> str:
     return unicodedata.normalize("NFC", marked)
 
 
-@lru_cache(maxsize=None)
+@table_memo
 def render_units(initial: int, final: int, tone: int) -> str:
     """Tone-marked spelling of the syllable (initial, final, tone); raises
     like ``Syllable`` on an out-of-range or unpronounceable triple."""

@@ -1,11 +1,12 @@
 import json
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from fakewake.dataio import data_path
+from fakewake.dataio import clear_tables, data_path
 from fakewake.distance import DistanceConfig
 from fakewake.evolve import EvolveConfig, run
 from fakewake.gbdt import Tree, TreeEnsemble
@@ -29,6 +30,21 @@ def raw_weight_rows(name: str) -> list[list[str]]:
         lines = fh.read().splitlines()
     return [line.split("\t")[1:] for line in lines
             if line.startswith("#weight\t")]
+
+
+@contextmanager
+def tables_from(data):
+    """The data tables of directory ``data`` for the block:
+    ``FAKEWAKE_DATA_DIR`` points at it, and every table memo is emptied on
+    entry and again on exit, so nothing built from ``data`` outlives the
+    block."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("FAKEWAKE_DATA_DIR", str(data))
+        clear_tables()
+        try:
+            yield
+        finally:
+            clear_tables()
 
 
 # hidden decisive weight 0.6 on the K unit of alexa (AH L EH K S AH)

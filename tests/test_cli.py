@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
@@ -9,7 +10,7 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fakewake.archive import FuzzyArchive
 from fakewake.cli import main
+from tests.conftest import tables_from
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -356,7 +358,7 @@ def test_collective_not_utf8_exits_2(small_run, tmp_path, capsys):
 
 
 def test_bundled_collective_not_utf8_names_the_file(small_run, tmp_path,
-                                                    capsys, monkeypatch):
+                                                    capsys):
     """A collective of the data directory that is not UTF-8 is named as
     the file, not blamed on ``mitigate.collective_path``, which is unset."""
     from fakewake.dataio import _BUNDLED
@@ -365,11 +367,11 @@ def test_bundled_collective_not_utf8_names_the_file(small_run, tmp_path,
     alt = tmp_path / "data"
     shutil.copytree(_BUNDLED, alt)
     (alt / "collective.txt").write_bytes(b"alexa\n\xff\xfe\n")
-    monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
     capsys.readouterr()
-    assert main(["mitigate", "--config", str(config), "--archive",
-                 str(out / "archive.json"), "--output",
-                 str(tmp_path / "o")]) == 2
+    with tables_from(alt):
+        assert main(["mitigate", "--config", str(config), "--archive",
+                     str(out / "archive.json"), "--output",
+                     str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {alt / 'collective.txt'}: ")
     assert "collective_path" not in err
@@ -706,12 +708,15 @@ def misspelled(row_start, typo):
 
 
 ZH_WORD = ["--language", "zh", "lóng dà"]
+ZH_GENERATE = ["generate", "--language", "zh", "--wake-word", "xiǎo dù"]
 RULE_QQ = ("g2p_rules.tsv", appended("q\tQQ\t0"))
 LEXICON_QQ = ("lexicon.tsv", appended("zork\tQQ AH"))
 VALIDITY_ZZ = ("pinyin_validity.tsv", appended("zz\tong"))
 NO_ONG_ROW = ("pinyin_unit_features.tsv", lambda text: "".join(
     line for line in text.splitlines(True)
     if not line.startswith("final\tong\t")))
+NO_F_PAIR = ("pinyin_validity.tsv", lambda text: "".join(
+    line for line in text.splitlines(True) if not line.startswith("f\t")))
 QQ, ZZ, ONG = ("config error: phoneme 'QQ' of ",
                "config error: initial 'zz' of ",
                "config error: final 'ong' of ")
@@ -729,10 +734,11 @@ BAD_TABLES = {
     "validity-initial-validate": (*VALIDITY_ZZ, ["validate", *ZH_WORD], ZZ),
     "validity-initial-dist": (*VALIDITY_ZZ, ["dist", *ZH_WORD, "lóng dà"],
                               ZZ),
-    "validity-initial-generate": (*VALIDITY_ZZ,
-                                  ["generate", "--language", "zh",
-                                   "--wake-word", "xiǎo dù"], ZZ),
+    "validity-initial-generate": (*VALIDITY_ZZ, ZH_GENERATE, ZZ),
     "features-final-row": (*NO_ONG_ROW, ["dist", *ZH_WORD, "lóng dà"], ONG),
+    # the search once drew initial f and repaired it to no final
+    "validity-no-final-generate": (*NO_F_PAIR, ZH_GENERATE,
+                                   "config error: initial 'f' of "),
     "lexicon-row-width": ("lexicon.tsv", appended("zork"),
                           ["validate", "alexa"],
                           "config error: row 'zork' of "),
@@ -765,15 +771,43 @@ BAD_TABLES = {
 }
 
 
+def in_process(argv, data):
+    """``main(argv)`` on the data tables of directory ``data``: its exit
+    code, stdout and stderr. An exception ``main`` does not turn into an
+    exit code propagates, where the command would print a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with tables_from(data), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def entry_point(argv, data):
+    """``in_process``'s result through ``python -m fakewake.cli``."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fakewake.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(data)),
+        capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 @pytest.mark.parametrize("case", sorted(BAD_TABLES))
 def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
     """A data table that is missing or cannot be read, has a row of the
     wrong width or kind or a feature other than -1, 0 or 1, has a gap in a
-    kind's unit indices, or names a symbol its companion table lacks, exits
-    2 with a message naming the file, before any output: never a
-    traceback, a silently wrong pronunciation, or a relabelled message
-    (``mitigate`` once blamed a missing or unreadable table on the
-    collective)."""
+    kind's unit indices, names a symbol its companion table lacks, or
+    gives an initial no final, exits 2 with a message naming the file,
+    before any output: never a traceback, a silently wrong pronunciation,
+    or a relabelled message (``mitigate`` once blamed a missing or
+    unreadable table on the collective)."""
+    assert_bad_table(small_run, tmp_path, case, in_process)
+
+
+def test_bad_data_table_through_the_entry_point(small_run, tmp_path):
+    """The same check of one case through the real entry point."""
+    assert_bad_table(small_run, tmp_path, "rule-phoneme", entry_point)
+
+
+def assert_bad_table(small_run, tmp_path, case, run):
     from fakewake.dataio import _BUNDLED
 
     name, edit, argv, start = BAD_TABLES[case]
@@ -795,13 +829,10 @@ def test_bad_data_table_exits_2_naming_the_file(small_run, tmp_path, case):
             argv = [*argv, str(out / "archive.json")]
         argv = [*argv, "--config", str(config), "--output",
                 str(tmp_path / "o")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fakewake.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(alt)),
-        capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr.startswith(start) and proc.stderr.count("\n") == 1
-    assert str(alt / name) in proc.stderr
+    code, out, err = run(argv, alt)
+    assert (code, out) == (2, "")
+    assert err.startswith(start) and err.count("\n") == 1
+    assert str(alt / name) in err
     assert not (tmp_path / "o").exists()
 
 
@@ -819,27 +850,22 @@ def test_generate_draws_genes_in_the_ranges_of_the_unit_table(tmp_path):
         kept = [line for line in lines if not line.startswith(row)]
         assert len(kept) == len(lines) - 1
         (alt / name).write_text("".join(kept), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "fakewake.cli", "generate", "--language",
-         "zh", "--wake-word", "xiǎo dù", "--seed", "3", "--population",
-         "100", "--generations", "10", "--output", str(tmp_path / "o")],
-        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(alt)),
-        capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = in_process(
+        ["generate", "--language", "zh", "--wake-word", "xiǎo dù", "--seed",
+         "3", "--population", "100", "--generations", "10", "--output",
+         str(tmp_path / "o")], alt)
+    assert code == 0, err
 
 
 def run_on_tables(argv, data, tmp_path):
-    """``fakewake`` with ``argv`` in a subprocess, on the data tables of
-    directory ``data``; ``generate`` runs on a reduced config."""
+    """``in_process`` of ``argv`` on the data tables of directory ``data``;
+    ``generate`` runs on a reduced config."""
     if argv[0] == "generate":
         config = write_config(tmp_path / "config.json", evolve={
             "population_size": 10, "generations": 1, "trials": 3})
         argv = [*argv, "--config", str(config), "--output",
                 str(tmp_path / "o")]
-    return subprocess.run(
-        [sys.executable, "-m", "fakewake.cli", *argv],
-        env=dict(os.environ, PYTHONPATH=SRC, FAKEWAKE_DATA_DIR=str(data)),
-        capture_output=True, text=True, timeout=120)
+    return in_process(argv, data)
 
 
 def line_edited(n, edit):
@@ -915,11 +941,11 @@ def test_malformed_table_exits_2_naming_the_line(tmp_path, case):
     text = edit((alt / name).read_text(encoding="utf-8"))
     (alt / name).write_bytes(text if isinstance(text, bytes)
                              else text.encode("utf-8"))
-    proc = run_on_tables(argv, alt, tmp_path)
-    assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
-    assert proc.stderr.count("\n") == 1
-    assert f"{alt / name}:{line} " in proc.stderr
-    assert proc.stderr.startswith(f"config error: {reason}")
+    code, out, err = run_on_tables(argv, alt, tmp_path)
+    assert (code, out) == (2, ""), err
+    assert err.count("\n") == 1
+    assert f"{alt / name}:{line} " in err
+    assert err.startswith(f"config error: {reason}")
 
 
 # each table, and the commands that read it
@@ -927,9 +953,9 @@ READ_BY = {
     "lexicon.tsv": [EN_VALIDATE, EN_DIST, ["generate"]],
     "g2p_rules.tsv": [EN_VALIDATE, EN_DIST, ["generate"]],
     "phoneme_features.tsv": [EN_DIST, ["generate"], ZH_DIST],
-    "pinyin_units.tsv": [ZH_VALIDATE, ZH_DIST],
-    "pinyin_validity.tsv": [ZH_VALIDATE, ZH_DIST],
-    "pinyin_unit_features.tsv": [ZH_DIST],
+    "pinyin_units.tsv": [ZH_VALIDATE, ZH_DIST, ZH_GENERATE],
+    "pinyin_validity.tsv": [ZH_VALIDATE, ZH_DIST, ZH_GENERATE],
+    "pinyin_unit_features.tsv": [ZH_DIST, ZH_GENERATE],
 }
 
 
@@ -976,12 +1002,12 @@ def test_mutated_table_exits_0_or_2_naming_it(tmp_path_factory, case):
     root = tmp_path_factory.mktemp("mutated")
     shutil.copytree(_BUNDLED, root / "data")
     (root / "data" / name).write_text(text, encoding="utf-8")
-    proc = run_on_tables(argv, root / "data", root)
-    assert proc.returncode in (0, 2), proc.stderr
-    assert "Traceback" not in proc.stderr
-    if proc.returncode == 2:
-        assert proc.stderr.count("\n") == 1
-        assert str(root / "data" / name) in proc.stderr, proc.stderr
+    code, _, err = run_on_tables(argv, root / "data", root)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1
+        assert str(root / "data" / name) in err, err
 
 
 def test_validate_command(capsys):

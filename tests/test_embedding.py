@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fakewake.dataio import data_dir, data_path
 from fakewake import embedding
-from fakewake.embedding import (UNIT_SCALE, _index_gap, character_distance,
+from fakewake.embedding import (UNIT_SCALE, character_distance,
                                 embedding_table, encode_features,
                                 encode_units, mds_embed, parse_text,
                                 read_words, word_units)
@@ -16,7 +16,7 @@ from fakewake.phonemes import (ALPHABET, BOUNDARY, LetterWord,
 from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
-from tests.conftest import raw_rows, raw_weight_rows
+from tests.conftest import raw_rows, raw_weight_rows, tables_from
 from tests.test_phonemes import (bits, numpy_rows, pattern_word,
                                  table_distance, table_symbols)
 
@@ -310,21 +310,7 @@ def test_unit_table_equals_the_per_kind_build(reference):
                     float(np.linalg.norm(vec - other))
 
 
-@pytest.fixture
-def fresh_tables():
-    """Clears the cached phoneme and unit tables before and after a test
-    that loads them from another data directory."""
-    def clear():
-        inventory.cache_clear()
-        embedding_table.cache_clear()
-        _index_gap.cache_clear()
-    clear()
-    yield
-    clear()
-
-
-def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
-                                           fresh_tables):
+def test_phoneme_row_order_does_not_matter(tmp_path):
     """The phoneme table and its embedding come out the same when the
     feature file lists the phonemes in reverse order."""
     syms = table_symbols(inventory())
@@ -340,15 +326,14 @@ def test_phoneme_row_order_does_not_matter(tmp_path, monkeypatch,
     rows = [line for line in lines if line.strip()
             and not line.startswith("#")]
     table.write_text("".join(comments + rows[::-1]), encoding="utf-8")
-    monkeypatch.setenv("FAKEWAKE_DATA_DIR", str(alt))
-    inventory.cache_clear()
-    embedding_table.cache_clear()
-    assert [row[0] for row in raw_rows("phoneme_features.tsv")] == syms[::-1]
-    assert list(inventory().index) == syms
-    for (p, q), d in distances.items():
-        assert table_distance(inventory(), p, q) == d
-    for p, vec in vectors.items():
-        assert embedding_table().unit_vec("phoneme", p).tobytes() == vec
+    with tables_from(alt):
+        assert [row[0] for row in raw_rows("phoneme_features.tsv")] == \
+            syms[::-1]
+        assert list(inventory().index) == syms
+        for (p, q), d in distances.items():
+            assert table_distance(inventory(), p, q) == d
+        for p, vec in vectors.items():
+            assert embedding_table().unit_vec("phoneme", p).tobytes() == vec
 
 
 def reference_character_distance(reference, a, b, tone_penalty):
@@ -479,8 +464,9 @@ def test_read_words_equals_parse_text(texts, language):
 
 
 def test_reading_again_builds_no_piece(monkeypatch):
-    """Each language's pieces are built once per process: reading words a
-    second time, as a list or one text at a time, builds none."""
+    """Each language's pieces are built once until ``clear_tables()``:
+    reading words a second time, as a list or one text at a time, builds
+    none."""
     words = {"en": ["alexa", "hey siri", "kitten", "qu tion eigh"],
              "zh": ["xiǎo dù", "nǐ hǎo", "ni3 hao3"]}
     first = {language: list(read_words(texts, language))

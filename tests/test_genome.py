@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fakewake.genome
+from fakewake.dataio import data_dir
 from fakewake.embedding import embedding_table
 from fakewake.errors import InvalidCombination, LengthMismatch
 from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
@@ -10,6 +11,7 @@ from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
                              nearest_valid_final, random_genome,
                              repair_chinese, seed_genomes, wake_genome)
 from fakewake.pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
+from tests.conftest import tables_from
 from tests.test_pinyin import render_word
 
 T = unit_tables()
@@ -245,9 +247,8 @@ class _TiedFinals:
 @pytest.fixture
 def tied_embedding(monkeypatch):
     monkeypatch.setattr(fakewake.genome, "embedding_table", _TiedFinals)
-    nearest_valid_final.cache_clear()
-    yield _TiedFinals()
-    nearest_valid_final.cache_clear()
+    with tables_from(data_dir()):
+        yield _TiedFinals()
 
 
 def test_repair_memo_breaks_exact_ties_to_the_lowest_index(tied_embedding):
