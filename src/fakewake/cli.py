@@ -20,7 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .config import RunConfig, checked, write_reference
-from .dataio import atomic_write, data_path, write_json
+from .dataio import atomic_write, write_json
 from .errors import ConfigError, FakewakeError, OracleFailure, ParseFailure
 
 EXIT_OK = 0
@@ -28,18 +28,6 @@ EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 EXIT_INTERRUPTED = 128 + 2    # SIGINT
 EXIT_TERMINATED = 128 + 15    # SIGTERM
-
-
-def _load_archive(path):
-    from .archive import FuzzyArchive
-
-    try:
-        return FuzzyArchive.load(path)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"archive not found: {path}") from exc
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"archive {path} is not readable: {exc!r}") \
-            from exc
 
 
 def _wake_genome(cfg: RunConfig):
@@ -51,12 +39,25 @@ def _wake_genome(cfg: RunConfig):
         raise ConfigError(f"wake word not parseable: {exc}") from exc
 
 
-def _slots(cfg: RunConfig, language: str, wake_word: str) -> int:
-    from .explain import default_slots
+def _archive_words(cfg: RunConfig, path):
+    """The archive at ``path`` as ``ArchiveWords``. Its language and wake
+    word are the run's: they set the default slots and replace the
+    config's in ``cfg``, so the manifest records them."""
+    from .archive import FuzzyArchive
+    from .explain import ArchiveWords, default_slots
 
+    try:
+        archive = FuzzyArchive.load(path)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"archive not found: {path}") from exc
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"archive {path} is not readable: {exc!r}") \
+            from exc
+    cfg.language, cfg.wake_word = archive.language, archive.wake_word
+    cfg.raw.update(language=archive.language, wake_word=archive.wake_word)
     slots = cfg.explain.slots
-    return slots if slots is not None else default_slots(
-        language, wake_word, cfg.length_ratio)
+    return ArchiveWords(archive, slots if slots is not None else default_slots(
+        archive.language, archive.wake_word, cfg.length_ratio))
 
 
 def _check_output(path: str):
@@ -184,15 +185,12 @@ def _write_archive(out: Path, archive):
 # ------------------------------------------------------------------- explain
 
 def cmd_explain(args) -> int:
-    from .explain import (ArchiveWords, cross_validate, group_factors,
-                          rank_decisive_units)
+    from .explain import cross_validate, group_factors, rank_decisive_units
 
     cfg = RunConfig.load(args.config, _overrides(args))
-    archive = _load_archive(args.archive)
-    slots = _slots(cfg, archive.language, archive.wake_word)
-    words = ArchiveWords(archive, slots)
+    words = _archive_words(cfg, args.archive)
     wake_units, wake_spoken = words.wake   # fails before any work
-    seed = cfg.seed if cfg.seed is not None else archive.seed
+    seed = cfg.seed if cfg.seed is not None else words.archive.seed
 
     dataset, model, factor_sets = _proxy(cfg, words, seed)
     accuracy = cross_validate(dataset, cfg.proxy, folds=cfg.explain.folds,
@@ -204,7 +202,7 @@ def cmd_explain(args) -> int:
     report = {
         "cv_accuracy": accuracy,
         "samples": {"fuzzy": dataset.count(1), "non_fuzzy": dataset.count(0)},
-        "slots": slots,
+        "slots": words.slots,
         "beta": cfg.explain.beta,
         "explained_words": len(factor_sets),
         "difference_spread": grouping.spread,
@@ -287,13 +285,14 @@ def cmd_mitigate(args) -> int:
     import numpy as np
 
     from .archive import Bucket, bucket
-    from .explain import ArchiveWords, rank_decisive_units
+    from .explain import rank_decisive_units
     from .mitigate import (assemble_triple, evaluate, fuzzy_rate,
                            screening_coverage, strengthen, train_original)
 
     cfg = RunConfig.load(args.config, _overrides(args))
     seed = cfg.require_seed()
-    archive = _load_archive(args.archive)
+    words = _archive_words(cfg, args.archive)
+    archive = words.archive
     if not archive.candidates:
         raise ConfigError("archive has no fuzzy words")
     block, params = cfg.mitigate, cfg.detector
@@ -303,15 +302,8 @@ def cmd_mitigate(args) -> int:
     is_high = [bucket(cand.objectives.wake_rate) is Bucket.HIGH
                for cand in archive.sorted_candidates()]
 
-    words = ArchiveWords(archive, _slots(cfg, archive.language,
-                                         archive.wake_word))
-    try:
-        # parses the wake word first, so a bad one fails before any work
-        triple = assemble_triple(words, block, seed, cfg.length_ratio)
-    except (OSError, UnicodeDecodeError) as exc:   # or not UTF-8
-        key = "mitigate.collective_path: " if block.collective_path else ""
-        path = block.collective_path or data_path("collective.txt")
-        raise ConfigError(f"{key}{path}: {exc}") from exc
+    # parses the wake word first, so a bad one fails before any work
+    triple = assemble_triple(words, block, seed, cfg.length_ratio)
     conventional, fuzzy, collective = (triple.conventional, triple.fuzzy,
                                        triple.collective)
 
@@ -426,27 +418,34 @@ def cmd_validate(args) -> int:
 
 # ------------------------------------------------------------------- parser
 
+# Each override flag's dest is the dotted config key it sets.
+OVERRIDES = {
+    "--language": dict(dest="language", choices=["en", "zh"]),
+    "--wake-word": dict(dest="wake_word"),
+    "--seed": dict(dest="seed", type=int),
+    "--oracle": dict(dest="oracle", help="sim or exec:<command>"),
+    "--generations": dict(dest="evolve.generations", type=int, metavar="N"),
+    "--population": dict(dest="evolve.population_size", type=int,
+                         metavar="N"),
+}
+
+
 def _overrides(args) -> dict:
+    """The config keys of the override flags given, an empty value
+    included; ``--oracle`` is parsed into its block."""
     out: dict = {}
-    if getattr(args, "language", None):
-        out["language"] = args.language
-    if getattr(args, "wake_word", None):
-        out["wake_word"] = args.wake_word
-    if getattr(args, "seed", None) is not None:
-        out["seed"] = args.seed
-    oracle = getattr(args, "oracle", None)
-    if oracle:
-        if oracle == "sim":
-            out["oracle"] = {"kind": "sim"}
-        elif oracle.startswith("exec:"):
-            out["oracle"] = {"kind": "exec", "command": oracle[5:]}
-        else:
-            raise ConfigError(f"--oracle must be 'sim' or 'exec:<command>', "
-                              f"got {oracle!r}")
-    if getattr(args, "generations", None) is not None:
-        out.setdefault("evolve", {})["generations"] = args.generations
-    if getattr(args, "population", None) is not None:
-        out.setdefault("evolve", {})["population_size"] = args.population
+    for spec in OVERRIDES.values():
+        value = getattr(args, spec["dest"], None)
+        if value is None:
+            continue
+        block, _, key = spec["dest"].rpartition(".")
+        if key == "oracle":
+            if value != "sim" and not value.startswith("exec:"):
+                raise ConfigError(f"--oracle must be 'sim' or "
+                                  f"'exec:<command>', got {value!r}")
+            value = ({"kind": "sim"} if value == "sim"
+                     else {"kind": "exec", "command": value[5:]})
+        (out.setdefault(block, {}) if block else out)[key] = value
     return out
 
 
@@ -456,45 +455,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Fuzzy wake-word laboratory: generate, explain, mitigate.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
+    def command(name, func, help, overrides, output=True):
+        """A subcommand with ``--config``, the flags of the config keys it
+        reads and, for a pipeline stage, ``--output``."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--language", choices=["en", "zh"])
-        p.add_argument("--wake-word", dest="wake_word")
-        p.add_argument("--seed", type=int)
+        for flag in overrides:
+            p.add_argument(flag, **OVERRIDES[flag])
         if output:
             p.add_argument("--output", default="out",
                            help="output directory (default: ./out)")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="search for fuzzy words")
-    common(p)
-    p.add_argument("--oracle", help="sim or exec:<command>")
-    p.add_argument("--generations", type=int)
-    p.add_argument("--population", type=int)
+    p = command("generate", cmd_generate, "search for fuzzy words",
+                list(OVERRIDES))
     p.add_argument("--trace", metavar="FILE.jsonl",
                    help="write one JSON line of search progress per "
                         "generation to this file")
-    p.set_defaults(func=cmd_generate)
+    # the archive gives the language and the wake word
+    for name, func, help in (
+            ("explain", cmd_explain, "train the proxy and extract factors"),
+            ("mitigate", cmd_mitigate, "screening coverage and strengthening")):
+        command(name, func, help, ["--seed"]).add_argument(
+            "--archive", required=True, help="archive.json from generate")
 
-    p = sub.add_parser("explain", help="train the proxy and extract factors")
-    common(p)
-    p.add_argument("--archive", required=True, help="archive.json from generate")
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("mitigate", help="screening coverage and strengthening")
-    common(p)
-    p.add_argument("--archive", required=True, help="archive.json from generate")
-    p.set_defaults(func=cmd_mitigate)
-
-    p = sub.add_parser("dist", help="distance between two words")
-    common(p, output=False)
+    p = command("dist", cmd_dist, "distance between two words",
+                ["--language"], output=False)
     p.add_argument("word1")
     p.add_argument("word2")
-    p.set_defaults(func=cmd_dist)
-
-    p = sub.add_parser("validate", help="check a word against the language")
-    common(p, output=False)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_validate)
+    command("validate", cmd_validate, "check a word against the language",
+            ["--language"], output=False).add_argument("word")
     return parser
 
 

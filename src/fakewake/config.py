@@ -8,7 +8,9 @@ each value's type and converts it to the type of its default (of its
 ``NULLABLE`` entry where the default is null), then builds every block
 once, so a value out of range fails the load whatever the command.
 Commands read the built blocks and write the full resolved snapshot into
-their run manifest so any output can be reproduced bit-exactly.
+their run manifest so any output can be reproduced bit-exactly. ``explain``
+and ``mitigate`` run on an archive's language and wake word, so theirs
+holds the archive's in place of the config's.
 """
 from __future__ import annotations
 

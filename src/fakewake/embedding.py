@@ -28,7 +28,7 @@ from .errors import ParseFailure, TooManyUnits, UnknownSyllable
 from .phonemes import (ALPHABET, BOUNDARY, FeatureTable, LetterWord,
                        g2p_converter, inventory)
 from .pinyin import (UNIT_KINDS, ChineseWord, Syllable, parse_syllable,
-                     unit_tables)
+                     render_syllable, unit_tables)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -171,7 +171,8 @@ def parse_text(text: str, language: str) -> tuple[list[tuple[str, str]],
     """A word given as text, parsed once (``read_words`` of that one text):
     its units (``word_units``) and its pronunciation, the sequence the
     edit-distance baseline compares (the g2p phonemes with word boundaries
-    for English, the syllables for Chinese). Text that does not parse
+    for English, the syllables' canonical spellings for Chinese, so that
+    ``xiao3`` and ``xiǎo`` read alike). Text that does not parse
     raises ``ParseFailure`` naming it."""
     [(_, pieces)] = read_words((text,), language)
     if isinstance(pieces, ParseFailure):
@@ -205,10 +206,12 @@ def _letter_pieces():
 
 @table_memo
 def _syllable(part: str) -> Piece:
-    """The piece of one syllable spelling; one that does not parse raises,
-    on every call, as ``parse_syllable`` does."""
-    return Piece((part,), tuple(word_units(
-        ChineseWord((parse_syllable(part),)))))
+    """The piece of one syllable spelling, pronounced as the syllable's
+    canonical spelling (``render_syllable``); one that does not parse
+    raises, on every call, as ``parse_syllable`` does."""
+    syllable = parse_syllable(part)
+    return Piece((render_syllable(syllable),),
+                 tuple(word_units(ChineseWord((syllable,)))))
 
 
 _LETTERS = re.compile(f"[{re.escape(ALPHABET)}]+")

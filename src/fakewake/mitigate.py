@@ -13,14 +13,15 @@ or rows of it cut by ``take``, to the detector in one call.
 from __future__ import annotations
 
 import math
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dataio import data_path
 from .embedding import encode_rows, read_words
-from .errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
-                     ParseFailure)
+from .errors import (ConfigError, EmptyCollective, EmptyFuzzySet,
+                     EmptyTestSet, ParseFailure)
 from .explain import ArchiveWords, Dataset, RankedUnit, parse_words
 from .gbdt import TreeEnsemble, train_gbdt
 from .genome import decode_text, random_genome, wake_genome
@@ -39,25 +40,30 @@ class DatasetTriple:
     fuzzy: Dataset                       # archive words, labeled negative
     collective: Dataset                  # large dictionary, unlabeled usage
 
-    def __post_init__(self):
-        # collective stays disjoint from the other two by word text
-        known = {*self.conventional.train.texts,
-                 *self.conventional.test.texts, *self.fuzzy.texts}
-        self.collective = self.collective.take(
-            [text not in known for text in self.collective.texts])
+
+def word_key(text: str, spoken: Iterable[str], language: str) -> str:
+    """A word apart from its spelling, given its text and pronunciation:
+    its syllables, tone included, for Chinese (the pronunciation is their
+    canonical spellings), its letters with single spaces for English."""
+    return " ".join(spoken if language == "zh" else text.split())
 
 
 def assemble_triple(words: ArchiveWords, block: MitigateConfig, seed: int = 0,
                     length_ratio: float = LENGTH_RATIO) -> DatasetTriple:
+    """The three sets; the collective keeps none of the words of the other
+    two, however spelled (``word_key``)."""
     archive = words.archive
     conventional = synthesize_conventional(
         archive.wake_word, archive.language, words.slots, block, seed=seed,
         length_ratio=length_ratio)
     fuzzy = replace(words.fuzzy,
                     labels=np.zeros(len(words.fuzzy), dtype=int))
+    known = {word_key(text, spoken, archive.language)
+             for rows in (conventional.train, conventional.test, fuzzy)
+             for text, spoken in zip(rows.texts, rows.pronunciations)}
     collective = load_collective(archive.language, words.slots,
                                  limit=block.collective_limit,
-                                 path=block.collective_path)
+                                 path=block.collective_path, known=known)
     return DatasetTriple(conventional, fuzzy, collective)
 
 
@@ -88,12 +94,15 @@ def synthesize_conventional(wake_word: str, language: str, slots: int,
     # one draw reads the stream row by row, as n_pos one-row draws would
     noise = rng.normal(0.0, block.jitter, size=(n_pos, base.size))
     positives = Dataset([wake_word] * n_pos, base + occupied * noise,
-                        np.ones(n_pos, dtype=int))
+                        np.ones(n_pos, dtype=int), wake.pronunciations * n_pos,
+                        wake.units * n_pos)
     genes = wake_genome(language, wake_word, length_ratio)
+    # a decoded text is spelled as its key is
+    wake_key = word_key(wake_word, wake.pronunciations[0], language)
     texts = []
     while len(texts) < n_neg:
         text = decode_text(random_genome(type(genes), len(genes), rng))
-        if not text or text == wake_word:
+        if not text or text == wake_key:
             continue
         texts.append(text)
     negatives = parse_words(texts, language, slots, 0)
@@ -130,31 +139,44 @@ def strengthen(fuzzy: Dataset, conventional_train: Dataset,
 
 
 def load_collective(language: str, slots: int, limit: int | None = None,
-                    path=None) -> Dataset:
-    """The shipped dictionary as feature rows, all labelled 0; words that
-    do not parse in the language or are too long for the slot budget are
-    skipped."""
+                    path=None, known: Container[str] = ()) -> Dataset:
+    """The shipped dictionary, or the file at ``path``, as feature rows, all
+    labelled 0, each word as its file spells it; words that do not parse in
+    the language or are too long for the slot budget are skipped. Of the
+    first ``limit`` usable words, those whose ``word_key`` is in ``known``
+    are dropped. A file that cannot be read as UTF-8 text raises a
+    ``ConfigError`` naming it."""
+    key = "mitigate.collective_path: " if path else ""
     path = path or data_path("collective.txt")
     texts: list[str] = []
+    usable = 0
 
     def usable_rows(lines):
         # each usable line's unit rows, read as the encoder takes them, so
         # that no more than one line's rows are alive at a time
+        nonlocal usable
         for text, pieces in read_words(lines, language):
             if isinstance(pieces, ParseFailure):
                 continue
             rows = [r for piece in pieces for r in piece.rows]
             if len(rows) > slots:
                 continue
-            texts.append(text)
-            yield rows
-            if limit is not None and len(texts) >= limit:
+            usable += 1
+            spoken = (p for piece in pieces for p in piece.phones)
+            if word_key(text, spoken, language) not in known:
+                texts.append(text)
+                yield rows
+            if usable == limit:
                 return
 
-    with open(path, encoding="utf-8") as fh:
-        features = encode_rows(
-            usable_rows(word for word in map(str.strip, fh) if word), slots)
-    if not texts:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            features = encode_rows(
+                usable_rows(word for word in map(str.strip, fh) if word),
+                slots)
+    except (OSError, UnicodeDecodeError) as exc:   # or not UTF-8
+        raise ConfigError(f"{key}{path}: {exc}") from exc
+    if not usable:
         raise EmptyCollective(f"no usable words in {path}")
     return Dataset(texts, features, np.zeros(len(texts), dtype=int))
 

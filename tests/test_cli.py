@@ -1273,10 +1273,18 @@ def test_interrupted_generate_keeps_the_partial_archive(tmp_path, signum,
     failed = tmp_path / "failed"
     assert main(["generate", "--config", str(config), "--oracle", oracle,
                  "--output", str(failed)]) == 3
-    # answers the first word, then waits at the second word's first line
-    stub.write_text("import sys, time\n"
+    # answers the first word, then waits at the second word's first line.
+    # generate sends a generation's lines before it reads any reply, so the
+    # marker waits until those replies have left the pipe (FIONREAD on the
+    # stub's stdout reads 0): the signal then lands after the first count
+    stub.write_text("import fcntl, struct, sys, termios, time\n"
+                    "def unread():\n"
+                    "    return struct.unpack('i', fcntl.ioctl(\n"
+                    "        1, termios.FIONREAD, bytes(4)))[0]\n"
                     "for n, line in enumerate(sys.stdin):\n"
                     "    if n == 5:\n"
+                    "        while unread():\n"
+                    "            time.sleep(0.01)\n"
                     f"        open({str(marker)!r}, 'w').close()\n"
                     "        time.sleep(60)\n" + answer)
     out = tmp_path / "interrupted"
@@ -1416,6 +1424,152 @@ def test_bad_oracle_flag_exits_2(tmp_path):
     config = write_config(tmp_path / "config.json")
     assert main(["generate", "--config", str(config), "--oracle", "nova",
                  "--output", str(tmp_path / "out")]) == 2
+
+
+# Each command takes the flags of the config keys it reads: explain and
+# mitigate read the language and the wake word from the archive, dist and
+# validate no seed and no wake word.
+FLAGS = {
+    "generate": ["--config", "--language", "--wake-word", "--seed",
+                 "--output", "--oracle", "--generations", "--population",
+                 "--trace"],
+    "explain": ["--config", "--seed", "--output", "--archive"],
+    "mitigate": ["--config", "--seed", "--output", "--archive"],
+    "dist": ["--config", "--language"],
+    "validate": ["--config", "--language"],
+}
+
+
+def test_each_command_has_the_flags_of_the_keys_it_reads():
+    import argparse
+
+    from fakewake.cli import build_parser
+
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: sorted(flag for flag in parser._option_string_actions
+                          if flag.startswith("--") and flag != "--help")
+             for name, parser in commands.items()}
+    assert flags == {name: sorted(f) for name, f in FLAGS.items()}
+    assert sum(map(len, flags.values())) == 21
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in ("explain", "mitigate", "dist", "validate")
+    for flag, value in (("--language", "zh"), ("--wake-word", "alexa"),
+                        ("--seed", "1"))
+    if flag not in FLAGS[command]])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(
+        small_run, tmp_path, capsys, command, flag, value):
+    root, config, out = small_run
+    argv = [command, "--config", str(config)]
+    if command in ("dist", "validate"):
+        argv += ["alexa", "alexi"][:2 if command == "dist" else 1]
+    else:
+        argv += ["--archive", str(out / "archive.json"),
+                 "--output", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as exit:
+        main([*argv, flag, value])
+    assert exit.value.code == 2
+    assert f"error: unrecognized arguments: {flag} {value}" in \
+        capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--wake-word", "config error: wake_word must be nonempty with single "
+                    "spaces between its parts, got ''"),
+    ("--oracle", "config error: --oracle must be 'sim' or "
+                 "'exec:<command>', got ''")])
+def test_an_empty_flag_value_is_a_config_error(tmp_path, capsys, flag,
+                                               message):
+    """An override flag given an empty value sets its key to it, so the
+    run stops instead of going on with the config's value."""
+    config = write_config(tmp_path / "config.json")
+    assert main(["generate", "--config", str(config), flag, "",
+                 "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == message + "\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_generate_flags_set_their_dotted_keys(tmp_path):
+    """Each override flag sets the config key its dest names, as the
+    manifest records."""
+    out = tmp_path / "out"
+    assert main(["generate", "--language", "zh", "--wake-word", "xiǎo dù",
+                 "--seed", "4", "--oracle", "sim", "--generations", "2",
+                 "--population", "8", "--output", str(out)]) == 0
+    config = json.loads((out / "run_manifest.json").read_text())["config"]
+    assert (config["language"], config["wake_word"], config["seed"]) == \
+        ("zh", "xiǎo dù", 4)
+    assert config["oracle"]["kind"] == "sim"
+    assert (config["evolve"]["generations"],
+            config["evolve"]["population_size"]) == (2, 8)
+
+
+def test_explain_and_mitigate_record_the_archive_language_and_wake_word(
+        zh_run, tmp_path):
+    """The archive's language and wake word are the run's, so the manifest
+    records them, not the config's defaults; every other key is as the
+    config loaded it."""
+    from fakewake.config import RunConfig
+
+    root, config, out = zh_run
+    archive = str(out / "archive.json")
+    # mitigate needs a Mandarin collective; no language or wake word
+    block = tmp_path / "mitigate.json"
+    block.write_text(json.dumps({"mitigate": json.loads(
+        config.read_text())["mitigate"]}))
+    runs = {"explain": (["--archive", archive], None),
+            "mitigate": (["--config", str(block), "--seed", "9",
+                          "--archive", archive], block)}
+    for command, (argv, path) in runs.items():
+        assert main([command, *argv, "--output", str(tmp_path / command)]) \
+            == 0
+        manifest = json.loads(
+            (tmp_path / command / "run_manifest.json").read_text())
+        expected = RunConfig.load(path, None if path is None
+                                  else {"seed": 9}).snapshot()
+        expected.update(language="zh", wake_word="xiǎo dù")
+        assert manifest["config"] == expected
+
+
+def digit_spelling(text):
+    """A Mandarin word with each syllable spelled with a tone digit."""
+    from fakewake.pinyin import ZERO_INITIAL, parse_pinyin, unit_tables
+
+    tables = unit_tables()
+    initial = lambda s: tables.initial_by_index[s.initial].replace(
+        ZERO_INITIAL, "")
+    return " ".join(f"{initial(s)}{tables.final_by_index[s.final]}{s.tone}"
+                    for s in parse_pinyin(text).syllables)
+
+
+def test_a_wake_word_spelled_with_digits_explains_alike(zh_run, tmp_path):
+    """An archive whose wake word is spelled with tone digits gives the
+    reports of its tone-marked twin: a syllable's pronunciation is its
+    canonical spelling, so the edit-distance baseline reads ``xiao3`` as
+    ``xiǎo``."""
+    root, config, out = zh_run
+    doc = json.loads((out / "archive.json").read_text())
+    assert doc["run"]["wake_word"] == "xiǎo dù"
+    doc["run"]["wake_word"] = digit_spelling("xiǎo dù")
+    assert doc["run"]["wake_word"] == "xiao3 du4"
+    digits = tmp_path / "digits.json"
+    digits.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    for command, report in (("explain", "explain_report.json"),
+                            ("mitigate", "mitigation_report.json")):
+        for name, archive in (("marks", out / "archive.json"),
+                              ("digits", digits)):
+            assert main([command, "--config", str(config), "--archive",
+                         str(archive), "--output",
+                         str(tmp_path / command / name)]) == 0
+        assert (tmp_path / command / "digits" / report).read_bytes() == \
+            (tmp_path / command / "marks" / report).read_bytes()
+    separation = json.loads((tmp_path / "explain" / "digits" /
+                             "explain_report.json").read_text())["separation"]
+    assert separation["levenshtein"]["fuzzy_median"] < 1.0
 
 
 class ParseSpy:

@@ -418,7 +418,8 @@ def per_word_read(text, language):
                      for unit in (("initial",
                                    tables.initial_by_index[syl.initial]),
                                   ("final", tables.final_by_index[syl.final]))]
-            spoken = text.split()
+            spoken = [render_syllable(syl)
+                      for syl in parse_pinyin(text).syllables]
         else:
             spoken = pattern_word(g2p_converter(), LetterWord(text).symbols)
             units = [("phoneme", p) for p in spoken if p != BOUNDARY]

@@ -52,6 +52,18 @@ def test_synthesize_jitter_only_occupied_slots():
     assert np.all(pos[:, 12:] == 0.0)    # alexa has 6 units = 12 features
 
 
+def test_synthesize_draws_no_spelling_of_the_wake_word():
+    """No negative is the wake word, however the wake word is spelled: a
+    drawn ``nǐ`` is ``ni3``, so it is drawn again (seed 0 draws it
+    twice)."""
+    conv = synthesize_conventional("ni3", "zh", 2, MitigateConfig(
+        n_pos=8, n_neg=3000), seed=0)
+    negatives = [text for part in (conv.train, conv.test)
+                 for text in part.take(part.labels == 0).texts]
+    assert len(negatives) == 3000
+    assert "nǐ" not in negatives
+
+
 def test_synthesize_deterministic():
     a = synthesize(seed=5)
     b = synthesize(seed=5)
@@ -284,6 +296,31 @@ def test_assemble_triple_drops_known_words(tmp_path):
     expected = encode_units([units(w) for w in fresh], SLOTS)
     assert np.array_equal(triple.collective.features, expected)
     assert triple.collective.labels.tolist() == [0] * len(fresh)
+
+
+@pytest.mark.parametrize("language, wake_word, fuzzy, lines, kept", [
+    ("zh", "xiao3 du4", "xiǎo tù",
+     ["xiǎo dù", "XIAO3  DU4", "xiao3 tu4", "xiǎo\ttù", "xiāo dù",
+      "nǐ  hǎo", "xiao3 du3"],
+     ["xiāo dù", "nǐ  hǎo", "xiao3 du3"]),
+    ("en", "alexa", "ka f",
+     ["ka  f", "alexa", "kaf", "ka fa"], ["kaf", "ka fa"])])
+def test_assemble_triple_drops_known_words_however_spelled(
+        tmp_path, language, wake_word, fuzzy, lines, kept):
+    """The collective drops a known word in any spelling: a Mandarin word
+    by its syllables, tone included, an English one by its letters with
+    single spaces. Every other word keeps its file's spelling."""
+    archive = make_archive([fuzzy], [], language)
+    archive.wake_word = wake_word
+    slots = default_slots(language, wake_word)
+    path = tmp_path / "collective.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    triple = assemble_triple(
+        ArchiveWords(archive, slots), MitigateConfig(
+            n_pos=8, n_neg=8, collective_path=str(path)), seed=1)
+    assert triple.collective.texts == kept
+    expected = encode_units([units(w, language) for w in kept], slots)
+    assert np.array_equal(triple.collective.features, expected)
 
 
 def test_closed_loop_mitigation(fixture_archive):
