@@ -32,6 +32,18 @@ that, a new shape serves only the tree that built it. After each tree the
 margins move by the leaf values of the rows training sent to each leaf,
 which is what ``predict`` gives: both route with ``x[:, f] <= threshold``.
 
+The prefix sums are the search's largest cost, and each feature's is one
+chain of additions, each waiting on the one before. A shape therefore keeps
+its presorted rows two features to a lane, and the gradients gathered
+through them are summed as ``complex128``, one feature in each component:
+one ``np.add.accumulate`` runs two chains per pass. A complex add is an
+IEEE add of the real parts and one of the imaginary parts, and accumulate
+copies the first element and adds the rest in order, as ``np.cumsum`` does
+along one float row, so each prefix sum keeps its bits. The leaf sums stay
+two float ``np.sum`` calls: ``np.sum`` adds in pairwise blocks, and it
+blocks a complex array other than a float one, so the gradients and
+hessians summed as one complex array mostly differ in the last bit.
+
 Prediction takes a matrix with one sample per row and ``n_features``
 columns. ``Tree.leaves`` routes it through a tree node by node: the root
 compares one column for all the rows, each internal node splits only the
@@ -203,14 +215,15 @@ class TreeEnsemble:
 
 
 # Bytes of arrays the shapes of one train_gbdt call may hold (each shape's
-# own arrays, summed). The memo needs 0.52 MB on the en proxy (683 x 28, 50
+# own arrays, summed). The memo needs 0.53 MB on the en proxy (683 x 28, 50
 # or 100 trees of depth 3) and 1.26 MB on the zh one (878 x 16, 50 trees),
 # 2.51 MB at 100 zh trees, so the budget holds the default proxies with room
-# to spare. On 2000 x 30 continuous noise, 100 trees of depth 3 would keep
-# 1,003 shapes and 321 MB, nearly all of them reached once; under the
-# budget they keep 37 shapes, 7.8 MB, and train no slower than the search
-# without a memo (min of 7, interleaved: 0.83 against 0.88 s, and 0.58
-# against 0.74 s in a second run; 2-vCPU Xeon VM, numpy 2.4.6).
+# to spare. On 2000 x 30 standard normal noise (numpy seed 3), 100 trees of
+# depth 3 would keep 867 shapes and 323 MB, nearly all of them reached
+# once; under the budget they keep 17 shapes, 5.6 MB, and train about as
+# fast as with no memo (min of 7, interleaved, three runs: 0.67, 0.63 and
+# 0.64 s against 0.62, 0.64 and 0.62 s; one CPU of a shared 2-vCPU VM,
+# numpy 2.4.6). MB here are 2**20 bytes.
 MEMO_BYTES = 8 * 2**20
 
 
@@ -218,23 +231,33 @@ class _Shape:
     """What a node's row set alone fixes, for every tree that reaches it.
 
     ``rows`` ascending. A node that may split and has a valid cut also has
-    its live features (those that still have one), ``sorted_rows`` (row j:
-    the rows in the stable ascending order of feature ``live[j]``) and its
-    valid cuts, feature-major: for cut k, the live index ``feats[k]``, the
-    position ``flat[k]`` in ``sorted_rows.ravel()`` it falls after, the
-    ``counts[k]`` rows left of it, the ``rest[k]`` right of it and its
-    ``thresholds[k]``, the midpoint of the two values it falls between, or
-    the lower value where the midpoint rounds up to the upper one.
-    ``children`` maps a cut index to the child shapes of that split;
+    its live features (those that still have one) and ``pairs``, their
+    presorted rows two features to a lane: ``pairs[j, :, 0]`` holds the
+    rows in the stable ascending order of feature ``live[2 * j]`` and
+    ``pairs[j, :, 1]`` those of ``live[2 * j + 1]``; with an odd number of
+    live features the last lane's second half repeats its first, and no
+    cut reads it. Viewed as ``complex128``, the gradients gathered through
+    ``pairs`` hold one feature in each component, and one
+    ``np.add.accumulate`` along the rows gives every feature's prefix sums
+    with the bits of a float ``np.cumsum`` (see the module docstring).
+    ``ends[j]`` is the position, in the gathered array flattened, of live
+    feature j's total.
+
+    The valid cuts are feature-major: for cut k, the live index
+    ``feats[k]``, the position ``flat[k]`` of the prefix sum it falls
+    after, the ``counts[k]`` rows left of it, the ``rest[k]`` right of it
+    and its ``thresholds[k]``, the midpoint of the two values it falls
+    between, or the lower value where the midpoint rounds up to the upper
+    one. ``children`` maps a cut index to the child shapes of that split;
     ``kept`` says whether the memo holds the shape.
     """
 
-    __slots__ = ("rows", "live", "sorted_rows", "feats", "flat", "counts",
+    __slots__ = ("rows", "live", "pairs", "ends", "feats", "flat", "counts",
                  "rest", "thresholds", "children", "kept", "nbytes")
 
     def __init__(self, rows: np.ndarray):
         self.rows = rows
-        self.live = self.sorted_rows = self.feats = None
+        self.live = self.pairs = self.feats = None
         self.children: dict[int, tuple[_Shape, _Shape]] = {}
         self.kept = False
         self.nbytes = rows.nbytes
@@ -243,7 +266,7 @@ class _Shape:
                sorted_x: np.ndarray, min_leaf: int):
         """Find the valid cuts, given the node's live features in the
         layout of ``sorted_rows`` and ``sorted_x`` (row j: feature
-        ``live[j]``'s values in that order).
+        ``live[j]``'s rows and values in its order).
 
         A cut after sorted position i is valid when the values on either
         side of it differ and each side keeps at least ``min_leaf`` rows. A
@@ -261,10 +284,23 @@ class _Shape:
         if not has_cut.all():
             live, sorted_rows, low, high, valid = (
                 a[has_cut] for a in (live, sorted_rows, low, high, valid))
+        # lane j: live features 2j and 2j + 1; an odd count leaves a last
+        # lane of the last feature twice
+        half = len(live) // 2
+        self.pairs = np.empty((len(live) - half, n, 2),
+                              dtype=sorted_rows.dtype)
+        lanes = self.pairs.transpose(0, 2, 1)
+        lanes[:, 0] = sorted_rows[0::2]
+        lanes[:half, 1] = sorted_rows[1::2]
+        lanes[half:, 1] = sorted_rows[-1]
         feats, cuts = np.nonzero(valid)
         cuts += lo
-        self.live, self.sorted_rows, self.feats = live, sorted_rows, feats
-        self.flat = feats * n + cuts
+        self.live, self.feats = live, feats
+        # where live feature k's prefix sum through sorted position 0 sits
+        k = np.arange(len(live))
+        first = k // 2 * 2 * n + k % 2
+        self.flat = first.take(feats) + 2 * cuts
+        self.ends = first + 2 * (n - 1)
         self.counts = cuts + 1
         self.rest = n - self.counts
         low, high = low[valid], high[valid]
@@ -273,8 +309,17 @@ class _Shape:
         # upper value; the lower one then splits the rows at the cut
         self.thresholds = np.where(mid == high, low, mid)
         self.nbytes += sum(a.nbytes for a in (
-            live, sorted_rows, feats, self.flat, self.counts, self.rest,
-            self.thresholds))
+            live, self.pairs, self.ends, feats, self.flat, self.counts,
+            self.rest, self.thresholds))
+
+    def prefix_sums(self, grad: np.ndarray) -> np.ndarray:
+        """``grad`` in the layout of ``pairs``, each lane summed along its
+        rows: ``take(flat)`` gives each valid cut's left sum and
+        ``take(ends)`` each live feature's total."""
+        prefix = grad.take(self.pairs)
+        lanes = prefix.view(np.complex128)[..., 0]
+        np.add.accumulate(lanes, axis=1, out=lanes)
+        return prefix
 
     def best_cut(self, grad: np.ndarray) -> int | None:
         """Index of the valid cut with the largest residual variance
@@ -283,9 +328,8 @@ class _Shape:
         if self.feats is None:
             return None
         feats, n = self.feats, len(self.rows)
-        prefix = grad.take(self.sorted_rows)
-        np.cumsum(prefix, axis=1, out=prefix)
-        total = prefix[:, -1]
+        prefix = self.prefix_sums(grad)
+        total = prefix.take(self.ends)
         # gain = left_sum**2 / counts + right_sum**2 / (n - counts) - total**2 / n,
         # evaluated in place and in that order. total**2 is taken one Python
         # float at a time: a scalar ** 2 goes through pow() and an array
@@ -302,7 +346,7 @@ class _Shape:
         squares = np.array([t ** 2 for t in total.tolist()])
         squares /= n
         gain -= squares.take(feats)
-        best = int(np.argmax(gain))
+        best = int(gain.argmax())
         return best if gain[best] > _MIN_GAIN else None
 
 
@@ -364,8 +408,13 @@ class _ShapeMemo:
         shape = _Shape(rows)
         if self._searchable(shape, depth):
             live = parent.live
-            keep = goes[parent.sorted_rows].ravel()
-            sorted_rows = np.compress(keep, parent.sorted_rows).reshape(
+            # row j: the parent's rows in the order of live feature j, read
+            # from its lanes (a last lane's repeat left out), then the rows
+            # of this node in that order
+            parent_rows = parent.pairs.transpose(0, 2, 1).reshape(
+                -1, len(parent.rows))[:len(live)]
+            keep = goes[parent_rows].ravel()
+            sorted_rows = np.compress(keep, parent_rows).reshape(
                 len(live), len(rows))
             sorted_x = self.xt.take(live[:, None] * self.xt.shape[1]
                                     + sorted_rows)
@@ -395,7 +444,7 @@ def _grow_tree(memo: _ShapeMemo, grad: np.ndarray, hess: np.ndarray,
         cut = shape.best_cut(grad)
         if cut is None:
             leaf = params.learning_rate * float(
-                grad[rows].sum() / (hess[rows].sum() + _REG_LAMBDA))
+                grad.take(rows).sum() / (hess.take(rows).sum() + _REG_LAMBDA))
             feature.append(-1)
             threshold.append(0.0)
             value.append(leaf)

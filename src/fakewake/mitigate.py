@@ -144,11 +144,13 @@ def load_collective(language: str, slots: int, limit: int | None = None,
     labelled 0, each word as its file spells it; words that do not parse in
     the language or are too long for the slot budget are skipped. Of the
     first ``limit`` usable words, those whose ``word_key`` is in ``known``
-    are dropped. A file that cannot be read as UTF-8 text raises a
-    ``ConfigError`` naming it."""
+    or is an earlier word's are dropped, so each word keeps its first
+    spelling in the file. A file that cannot be read as UTF-8 text raises
+    a ``ConfigError`` naming it."""
     key = "mitigate.collective_path: " if path else ""
     path = path or data_path("collective.txt")
     texts: list[str] = []
+    kept: set[str] = set()
     usable = 0
 
     def usable_rows(lines):
@@ -163,7 +165,10 @@ def load_collective(language: str, slots: int, limit: int | None = None,
                 continue
             usable += 1
             spoken = (p for piece in pieces for p in piece.phones)
-            if word_key(text, spoken, language) not in known:
+            word = word_key(text, spoken, language)
+            if word not in known and word not in kept:
+                # a text that is its own key is held as is: no new string
+                kept.add(text if text == word else word)
                 texts.append(text)
                 yield rows
             if usable == limit:

@@ -303,11 +303,17 @@ def test_node_without_any_cut_is_a_leaf():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_split_search_equals_loop_reference(data):
+    """Columns of integers 0-3 or of continuous values rounded to 0.1, up
+    to 7 of them, so that nodes keep odd and even numbers of live
+    features as columns turn constant on their rows."""
     n = data.draw(st.integers(4, 24), label="rows")
-    f = data.draw(st.integers(1, 4), label="features")
-    x = np.array(data.draw(st.lists(
-        st.lists(st.integers(0, 3), min_size=f, max_size=f),
-        min_size=n, max_size=n), label="x"), dtype=float)
+    f = data.draw(st.integers(1, 7), label="features")
+    tenths = st.floats(-3, 3).map(lambda v: round(v, 1))
+    columns = [data.draw(st.lists(tenths if continuous else st.integers(0, 3),
+                                  min_size=n, max_size=n), label="column")
+               for continuous in data.draw(st.lists(
+                   st.booleans(), min_size=f, max_size=f), label="kinds")]
+    x = np.array(columns, dtype=float).T
     y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
                                     max_size=n), label="y"))
     assume(2 <= y.sum() <= n - 2)
@@ -315,6 +321,46 @@ def test_split_search_equals_loop_reference(data):
                         learning_rate=0.3,
                         min_leaf=data.draw(st.integers(1, n // 2)))
     assert_grows_loop_trees(x, y, params)
+
+
+# sums that round away the smaller term, signed zeros and subnormals
+AWKWARD_GRADIENTS = (1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324,
+                     2.5e-310, -2.5e-310)
+
+
+def float_bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_two_lane_prefix_sums_equal_each_feature_cumsum(data):
+    """Every cut's left sum and every live feature's total, read from the
+    two-lane prefix sums through ``flat`` and ``ends``, have the bits of a
+    float ``np.cumsum`` of that feature's gradients in its order, whether
+    the live count fills the last lane or pads it."""
+    live = data.draw(st.integers(1, 9), label="live")
+    n = data.draw(st.integers(2, 30), label="rows")
+    gradient = st.one_of(
+        st.sampled_from(AWKWARD_GRADIENTS),
+        st.builds(lambda m, e: m * 10.0 ** e,
+                  st.floats(-10, 10), st.integers(-20, 20)))
+    grad = np.array(data.draw(st.lists(gradient, min_size=n, max_size=n),
+                              label="grad"))
+    sorted_rows = np.array(data.draw(st.lists(
+        st.permutations(range(n)), min_size=live, max_size=live),
+        label="orders"))
+    shape = gbdt._Shape(np.arange(n))
+    # distinct values in every order, so every position is a valid cut
+    sorted_x = np.tile(np.arange(n, dtype=float), (live, 1))
+    shape.search(np.arange(live), sorted_rows, sorted_x, min_leaf=1)
+    assert shape.pairs.shape == ((live + 1) // 2, n, 2)
+    prefix = shape.prefix_sums(grad)
+    cumsums = [np.cumsum(grad[rows]) for rows in sorted_rows]
+    assert float_bits(prefix.take(shape.flat)) == float_bits(
+        np.concatenate([c[:-1] for c in cumsums]))
+    assert float_bits(prefix.take(shape.ends)) == float_bits(
+        [c[-1] for c in cumsums])
 
 
 def test_batch_predict_equals_row_walk():

@@ -12,7 +12,8 @@ from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from fakewake.mitigate import (DETECTOR_PARAMS, assemble_triple, evaluate,
                                fuzzy_rate, load_collective,
                                screening_coverage, strengthen,
-                               synthesize_conventional, train_original)
+                               synthesize_conventional, train_original,
+                               word_key)
 from fakewake.params import MitigateConfig
 from tests.test_explain import make_archive
 
@@ -173,24 +174,49 @@ def test_load_collective_zh_english_only_is_empty(tmp_path):
         load_collective("zh", 4, path=path)
 
 
+@pytest.mark.parametrize("language, lines, limit, kept", [
+    ("zh", ["nǐ hǎo", "ni3 hao3", "nǐ  hǎo"], None, ["nǐ hǎo"]),
+    ("zh", ["ni3 hao3", "nǐ hǎo", "xiǎo dù"], None, ["ni3 hao3", "xiǎo dù"]),
+    ("zh", ["nǐ hǎo", "ni3 hao3", "xiǎo dù"], 2, ["nǐ hǎo"]),
+    ("en", ["a b", "a  b"], None, ["a b"]),
+    ("en", ["a b", "a  b", "kit"], 2, ["a b"])])
+def test_load_collective_keeps_one_spelling_per_word(tmp_path, language,
+                                                     lines, limit, kept):
+    """A word spelled twice in the collective is one row, its first
+    spelling; a repeat counts towards ``limit`` as a known word does."""
+    slots = 4 if language == "zh" else SLOTS
+    path = tmp_path / "collective.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = load_collective(language, slots, limit=limit, path=path)
+    assert rows.texts == kept
+    expected = encode_units([units(w, language) for w in kept], slots)
+    assert np.array_equal(rows.features, expected)
+
+
 def per_line_collective(path, language, slots, limit=None):
     """load_collective before the batch reader: one ``parse_text`` per
-    stripped non-blank line, skipping what does not parse or fit."""
-    texts, parsed = [], []
+    stripped non-blank line, skipping what does not parse or fit and, of
+    the first ``limit`` lines that do, each repeat of a word."""
+    texts, parsed, keys = [], [], set()
+    usable = 0
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             word = line.strip()
             if not word:
                 continue
             try:
-                word_units, _ = parse_text(word, language)
+                word_units, spoken = parse_text(word, language)
             except ParseFailure:
                 continue
             if len(word_units) > slots:
                 continue
-            texts.append(word)
-            parsed.append(word_units)
-            if limit is not None and len(texts) >= limit:
+            usable += 1
+            key = word_key(word, spoken, language)
+            if key not in keys:
+                keys.add(key)
+                texts.append(word)
+                parsed.append(word_units)
+            if usable == limit:
                 break
     return texts, encode_units(parsed, slots)
 
@@ -208,7 +234,8 @@ def test_load_collective_equals_the_per_line_reference(
         tmp_path, language, slots, limit, copies):
     """Blank lines, CRLF, surrounding spaces, tabs, uppercase, words too
     long for the slots, bad syllables and ``limit``, in ``copies`` copies
-    of the file: a repeated line reads the same from the warm memos."""
+    of the file: a repeated line reads the same word from the warm memos,
+    so it is dropped."""
     path = tmp_path / "collective.txt"
     path.write_bytes((CRAFTED * copies).encode("utf-8"))
     texts, features = per_line_collective(path, language, slots, limit)
