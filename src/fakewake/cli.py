@@ -392,7 +392,7 @@ def cmd_dist(args) -> int:
     cfg = RunConfig.load(args.config, _overrides(args))
     if cfg.language == "en" and "" in {args.word1.strip(), args.word2.strip()}:
         raise ParseFailure("an English word needs a letter")
-    print(objective(args.word2, cfg.language, cfg.distance)(args.word1))
+    print(objective(args.word2, cfg.language, cfg.distance)([args.word1])[0])
     return EXIT_OK
 
 

@@ -4,6 +4,14 @@ Chinese: mean of tanh-normalized per-character embedding distances, bounded
 in [0,1). English: minimum-cost alignment of phoneme sequences where
 deletions and insertions cost 1 and substituting p for q costs twice their
 phoneme distance, normalized by the combined length; bounded in [0,1].
+
+``objective`` scores a list of texts, as the search does once per
+generation. For English, two or more pronunciations share one alignment
+table (``_alignments``) with one cost row per distinct phoneme, and every
+cell takes the per-pair ``_alignment``'s additions and comparisons, so each
+value has the same bits; ``levenshtein_many`` runs the same table with 0/2
+cost rows. Only ``_alignments`` imports numpy, so a one-text call, such as
+the ``dist`` command, takes the per-pair path and loads no numpy.
 """
 from __future__ import annotations
 
@@ -95,16 +103,94 @@ def english_dist(w1: PhonemeSequence, w2: PhonemeSequence,
                       (_cost_row(inv, a, w2, cols, space) for a in w1))
 
 
+def english_many(seqs: Sequence[PhonemeSequence], w2: PhonemeSequence,
+                 cfg: DistanceConfig = DistanceConfig()) -> list[float]:
+    """``[english_dist(w1, w2, cfg) for w1 in seqs]``: the same floats, and
+    the error of the first sequence that has one. Two or more sequences
+    share one table (``_alignments``) with one cost row per distinct
+    symbol; one or none take the per-pair path, which loads no numpy."""
+    if len(seqs) < 2:
+        return [english_dist(w1, w2, cfg) for w1 in seqs]
+    inv = inventory()
+    cols = [None if b == BOUNDARY else inv.index.get(b) for b in w2]
+    code = _codes(seqs)
+    rows, faults = [], {}
+    for a in code:
+        try:
+            rows.append(_cost_row(inv, a, w2, cols, cfg.space_cost))
+        except UnknownPhoneme as exc:
+            faults[a] = exc
+    if faults:   # english_dist raises at the first symbol that has one
+        raise faults[next(a for w1 in seqs for a in w1 if a in faults)]
+    return _alignments(seqs, len(w2), code, rows).tolist()
+
+
 def objective(target: str, language: str,
-              cfg: DistanceConfig) -> Callable[[str], float]:
-    """``text -> dissimilarity`` to ``target``, parsed once here: the
-    ``chinese_dist`` or ``english_dist`` (of pronunciations) of the text and
-    the target. Text that does not parse raises ``ParseFailure``."""
+              cfg: DistanceConfig) -> Callable[[Sequence[str]], list[float]]:
+    """``texts -> [dissimilarity to target of each text]``, the target
+    parsed once here: the ``chinese_dist`` or ``english_dist`` (of
+    pronunciations, through ``english_many``) of each text and the target.
+    Text that does not parse raises ``ParseFailure``."""
     if language == "zh":
         wake = parse_pinyin(target)
-        return lambda text: chinese_dist(parse_pinyin(text), wake, cfg)
+        return lambda texts: [chinese_dist(parse_pinyin(text), wake, cfg)
+                              for text in texts]
     wake = g2p(LetterWord(target))
-    return lambda text: english_dist(g2p(LetterWord(text)), wake, cfg)
+    return lambda texts: english_many(
+        [g2p(LetterWord(text)) for text in texts], wake, cfg)
+
+
+def _codes(seqs: Sequence[Sequence]) -> dict:
+    """Each distinct symbol of ``seqs`` -> 0, 1, ..., in order of first
+    appearance."""
+    return {a: k for k, a in enumerate(dict.fromkeys(
+        a for s in seqs for a in s))}
+
+
+def _alignments(seqs: Sequence[Sequence], n: int, code: dict,
+                cost_rows) -> np.ndarray:
+    """``_alignment`` of each of ``seqs`` with one n-symbol sequence, as a
+    float64 array: ``code`` (of ``_codes``) maps every symbol of ``seqs``
+    to its row of ``cost_rows``, the n costs of substituting it for each
+    symbol. An empty sequence raises ``BothEmpty`` where n is 0.
+
+    One table for all the sequences: each cell of row i takes the same
+    additions and comparisons as in ``_alignment``, for every sequence at
+    once, and a sequence's value is read at its last row."""
+    import numpy as np
+
+    costs = np.array(cost_rows, dtype=float).reshape(len(code), n)
+    count = len(seqs)
+    lengths = np.array([len(s) for s in seqs], dtype=np.intp)
+    if n == 0 and not lengths.all():
+        raise BothEmpty("cannot compare two empty sequences")
+    width = int(lengths.max(initial=0))
+    symbols = np.zeros((width, count), dtype=np.intp)
+    symbols.T[np.arange(width) < lengths[:, None]] = [
+        code[a] for s in seqs for a in s]
+    # subs[i][j]: the cost of substituting each sequence's symbol i for
+    # symbol j; prev and cur: two rows of the table, one cell per line
+    subs = costs.T.take(symbols, axis=1).transpose(1, 0, 2)
+    prev = np.repeat(np.arange(n + 1, dtype=float)[:, None], count, axis=1)
+    cur = np.empty_like(prev)
+    prev_cells, cur_cells = list(prev), list(cur)
+    up, step = np.empty((n, count)), np.empty(count)
+    # ends[i]: the last cell of row i, a value for the sequences of length i
+    ends = np.empty((width + 1, count))
+    ends[0] = n
+    for i in range(1, width + 1):
+        # best = diag + cost, then the up path if it is smaller
+        best = subs[i - 1]
+        best += prev[:-1]
+        np.minimum(best, np.add(prev[1:], 1.0, out=up), out=best)
+        left = cur_cells[0]
+        left.fill(i)
+        for cost, cell in zip(best, cur_cells[1:]):   # then the left path
+            left = np.minimum(cost, np.add(left, 1.0, out=step), out=cell)
+        ends[i] = left
+        prev, cur = cur, prev
+        prev_cells, cur_cells = cur_cells, prev_cells
+    return ends[lengths, np.arange(count)] / (lengths + n)
 
 
 def levenshtein_many(seqs: Sequence[Sequence],
@@ -115,36 +201,10 @@ def levenshtein_many(seqs: Sequence[Sequence],
     phoneme-weighted objective. A pair of empty sequences raises
     ``BothEmpty``.
 
-    One table for all the sequences: each cell of row i takes the same
-    additions and comparisons as in ``_alignment``, for every sequence at
-    once, and a sequence's value is read at its last row. Every cell holds
-    a whole number, so each sum is exact."""
-    import numpy as np
-
-    n = len(target)
-    lengths = np.array([len(s) for s in seqs], dtype=np.int64)
-    if n == 0 and not lengths.all():
-        raise BothEmpty("cannot compare two empty sequences")
-    # symbols as codes, equal where the symbols are: the target's distinct
-    # ones 0, 1, ..., any other -1
-    code = {sym: k for k, sym in enumerate(dict.fromkeys(target))}
-    want = np.array([code[sym] for sym in target], dtype=np.int64)
-    width = int(lengths.max(initial=0))
-    symbols = np.full((len(seqs), width), -1, dtype=np.int64)
-    symbols[np.arange(width) < lengths[:, None]] = [
-        code.get(sym, -1) for s in seqs for sym in s]
-    prev = np.tile(np.arange(n + 1, dtype=float), (len(seqs), 1))
-    cur = np.empty_like(prev)
-    last = np.where(lengths == 0, float(n), 0.0)
-    for i in range(1, width + 1):
-        # best = diag + cost, then the up path if it is smaller
-        best = np.where(symbols[:, i - 1, None] == want, 0.0, 2.0)
-        best += prev[:, :-1]
-        np.minimum(best, prev[:, 1:] + 1.0, out=best)
-        cur[:, 0] = i
-        for j in range(1, n + 1):   # then the left path
-            np.minimum(best[:, j - 1], cur[:, j - 1] + 1.0, out=cur[:, j])
-        ends = lengths == i
-        last[ends] = cur[ends, n]
-        prev, cur = cur, prev
-    return last / (lengths + n)
+    ``_alignments`` with cost rows of 0.0 where the symbols are equal and
+    2.0 elsewhere: every cell holds a whole number, so each sum is
+    exact."""
+    code = _codes(seqs)
+    return _alignments(seqs, len(target), code,
+                       [[0.0 if a == b else 2.0 for b in target]
+                        for a in code])

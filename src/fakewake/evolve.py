@@ -4,8 +4,9 @@
 Evaluations are memoized per word text, so the oracle sees each distinct
 candidate at most once (k trials). Each generation's unseen words go to the
 oracle in one ``query_many`` call, in order of first appearance; their
-dissimilarities are taken while the oracle works, and each word enters the
-archive as its count arrives, with the first genome that decoded to it.
+dissimilarities are taken in one call of the objective while the oracle
+works, and each word enters the archive as its count arrives, with the
+first genome that decoded to it.
 The current front always survives unmutated, which keeps archive growth
 monotone. Under elitism, once the front holds the whole population the
 next population is this one: every later generation would decode the same
@@ -116,7 +117,7 @@ def run(wake_word: Genome, wake_text: str, oracle: WakeOracle,
                     unseen.setdefault(text, genome)
             # the oracle works on the words while their distances are taken
             counts = oracle.query_many(list(unseen), cfg.trials)
-            gaps = [dissimilarity(text) for text in unseen]
+            gaps = dissimilarity(list(unseen))
             for (text, genome), gap, wakes in zip(unseen.items(), gaps,
                                                   counts):
                 obj = cache[text] = Objectives(wakes / cfg.trials, gap)

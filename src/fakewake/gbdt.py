@@ -358,7 +358,9 @@ class _ShapeMemo:
         self.xt = np.ascontiguousarray(x.T)   # row f: column f of x
         self.params = params
         # row f of order: the stable ascending sort of column f, and row f
-        # of sorted_x the column in that order
+        # of sorted_x the column in that order. Only the root's search
+        # reads them: they go once the memo keeps the root shape, and
+        # serve every tree's root search if it cannot
         self.order = np.argsort(self.xt, axis=1, kind="stable")
         self.sorted_x = np.take_along_axis(self.xt, self.order, axis=1)
         self.nbytes = 0
@@ -382,6 +384,7 @@ class _ShapeMemo:
                          self.sorted_x, self.params.min_leaf)
         if self._keep(shape):
             self.root = shape
+            self.order = self.sorted_x = None
         return shape
 
     def _searchable(self, shape: _Shape, depth: int) -> bool:

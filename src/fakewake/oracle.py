@@ -18,10 +18,13 @@ numpy's seeding arithmetic is written once, in ``_first_uniform``, and runs
 on a Python int for ``query`` (``first_random``) or on a uint64 array for all
 of a ``query_many`` batch at once (``default_rng_random``), so both equal
 numpy's draws bit for bit without building a generator; ``query_many`` of
-no words draws nothing. Only ``query_many`` and ``default_rng_random``
-import numpy, and ``ExternalOracle`` imports the process modules it needs
-when it is built, so a process that only answers ``query`` loads none of
-them.
+no words draws nothing. Only the 128-bit LCG step differs between the two,
+and is passed in: ``_lcg_int`` on Python ints, ``_lcg_lanes`` on uint64
+arrays from 32-bit half products with an explicit carry. Only
+``query_many`` and ``default_rng_random`` import numpy, and
+``ExternalOracle`` imports the process modules it needs when it is built,
+so a process that only answers ``query``, such as a stand-in detector
+started once per search, pays for none of them.
 """
 from __future__ import annotations
 
@@ -97,15 +100,18 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # more: state = init * MULT**2 + inc * (MULT**2 + MULT + 1), mod 2**128.
 _PCG_MULT_SQ = _PCG_MULT * _PCG_MULT & _M128
 _PCG_INC_MULT = _PCG_MULT_SQ + _PCG_MULT + 1 & _M128
+# the two multipliers' 64-bit words, for ``_lcg_lanes``
+_SQ_HI, _SQ_LO = divmod(_PCG_MULT_SQ, 1 << 64)
+_INC_HI, _INC_LO = divmod(_PCG_INC_MULT, 1 << 64)
 
 
-def _first_uniform(seed, wide=None, narrow=None):
+def _first_uniform(seed, lcg):
     """The first ``random()`` of ``np.random.default_rng(seed)`` for an int
     ``seed``, or of each seed of a uint64 array, whose Python int operands
     take its dtype. Every step masks to the width numpy computes in, so the
-    same expressions serve both; only the 128-bit LCG needs more than 64
-    bits, which ``wide`` gives an array's four state words (as Python ints)
-    and ``narrow`` takes back."""
+    same expressions serve both, except the 128-bit LCG step: ``lcg`` takes
+    the four seeded 64-bit words and returns the stepped state's upper and
+    lower words (``_lcg_int`` or ``_lcg_lanes``)."""
     # SeedSequence pool; a seed below 2**32 mixes like a high word of 0
     pool = []
     for word, (xor, mult) in zip((seed & _M32, seed >> 32, 0, 0), _POOL_STEPS):
@@ -120,25 +126,57 @@ def _first_uniform(seed, wide=None, narrow=None):
         word = (word ^ xor) * mult & _M32
         words.append(word ^ word >> 16)
     # uint64 k is words[2k] | words[2k + 1] << 32; the state is (u0 << 64 |
-    # u1) and the stream (u2 << 64 | u3), whose increment is (stream << 1) | 1
-    u = (words[0] | words[1] << 32, words[2] | words[3] << 32,
-         words[4] | words[5] << 32, words[6] | words[7] << 32)
-    u0, u1, u2, u3 = wide(u) if wide else u
-    inc = (u2 << 64 | u3) << 1 | 1
-    state = (u0 << 64 | u1) * _PCG_MULT_SQ + inc * _PCG_INC_MULT & _M128
-    upper, lower = state >> 64, state & _M64
-    if narrow:
-        upper, lower = narrow(upper), narrow(lower)
+    # u1) and the stream (u2 << 64 | u3)
+    upper, lower = lcg(words[0] | words[1] << 32, words[2] | words[3] << 32,
+                       words[4] | words[5] << 32, words[6] | words[7] << 32)
     # XSL-RR output, then random()'s 53-bit double
     xored = upper ^ lower
     rot = upper >> 58
     return ((xored >> rot | xored << (64 - rot & 63) & _M64) >> 11) * 2.0**-53
 
 
+def _lcg_int(u0: int, u1: int, u2: int, u3: int) -> tuple[int, int]:
+    """The (upper, lower) words of the state ``_first_uniform`` steps to,
+    in Python ints: state = init * MULT**2 + inc * (MULT**2 + MULT + 1),
+    mod 2**128, where the increment is (stream << 1) | 1."""
+    inc = (u2 << 64 | u3) << 1 | 1
+    state = (u0 << 64 | u1) * _PCG_MULT_SQ + inc * _PCG_INC_MULT & _M128
+    return state >> 64, state & _M64
+
+
+def _mul_lanes(x, c: int):
+    """The (high, low) uint64 words of each 128-bit product of the uint64
+    array ``x`` and the 64-bit constant ``c``, from its four 32-bit half
+    products."""
+    x1, x0 = x >> 32, x & _M32
+    c1, c0 = c >> 32, c & _M32
+    low, cross, cross2 = x0 * c0, x0 * c1, x1 * c0
+    # each term is below 2**32, so the middle sum cannot overflow
+    middle = (low >> 32) + (cross & _M32) + (cross2 & _M32)
+    high = x1 * c1 + (cross >> 32) + (cross2 >> 32) + (middle >> 32)
+    return high, middle << 32 | low & _M32
+
+
+def _lcg_lanes(u0, u1, u2, u3):
+    """``_lcg_int`` of uint64 arrays, word for word. Mod 2**128, a product
+    of two 128-bit numbers is the full product of their low words plus, in
+    the upper word, the low words of the two cross products; the two
+    products' lower words are added with an explicit carry. Every array
+    operation wraps mod 2**64."""
+    inc_hi, inc_lo = u2 << 1 | u3 >> 63, u3 << 1 | 1
+    high, low = _mul_lanes(u1, _SQ_LO)
+    inc_high, inc_low = _mul_lanes(inc_lo, _INC_LO)
+    lower = low + inc_low
+    upper = (high + u0 * _SQ_LO + u1 * _SQ_HI
+             + inc_high + inc_hi * _INC_LO + inc_lo * _INC_HI
+             + (lower < low))
+    return upper, lower
+
+
 def first_random(seed: int) -> float:
     """``np.random.default_rng(seed).random()``, bit for bit, for a seed in
     [0, 2**64)."""
-    return _first_uniform(seed)
+    return _first_uniform(seed, _lcg_int)
 
 
 def default_rng_random(seeds) -> np.ndarray:
@@ -146,9 +184,7 @@ def default_rng_random(seeds) -> np.ndarray:
     array, bit for bit, for seeds in [0, 2**64)."""
     import numpy as np
 
-    return _first_uniform(np.asarray(seeds, dtype=np.uint64),
-                          lambda u: np.array(u).astype(object),
-                          lambda half: half.astype(np.uint64))
+    return _first_uniform(np.asarray(seeds, dtype=np.uint64), _lcg_lanes)
 
 
 @dataclass

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fakewake.distance import (DistanceConfig, _alignment, chinese_dist,
-                               english_dist, levenshtein_many, objective)
+                               english_dist, english_many, levenshtein_many,
+                               objective)
 from fakewake.embedding import character_distance
 from fakewake.errors import (BothEmpty, LengthMismatch, ParseFailure,
                              UnknownPhoneme)
@@ -310,8 +311,64 @@ english_words = st.text("abcdefghijklmnopqrstuvwxyz ", min_size=1,
 @example("hey siri", "hay  sorry ", 0.5)
 def test_english_objective_is_english_dist_of_g2p(text, target, space_cost):
     cfg = DistanceConfig(space_cost=space_cost)
-    assert objective(target, "en", cfg)(text) == \
-        english_dist(g2p(text), g2p(target), cfg)
+    assert objective(target, "en", cfg)([text]) == \
+        [english_dist(g2p(text), g2p(target), cfg)]
+
+
+def float_outcome(fn):
+    """``fn()``'s floats as hex, so -0.0 and 0.0 differ, or its error."""
+    try:
+        return [value.hex() for value in fn()]
+    except (BothEmpty, UnknownPhoneme) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# pronunciations that are empty, boundary-only, end in a boundary or hold
+# a symbol outside the inventory
+pronunciation = st.lists(st.sampled_from(SYMS[:12] + [BOUNDARY, "QQ"]),
+                         max_size=7) | st.sampled_from(
+    [[], [BOUNDARY], [BOUNDARY, BOUNDARY], ["K", BOUNDARY], ["QQ"]])
+
+
+def with_repeats(items, max_size=12):
+    """Lists of up to ``max_size`` of ``items``, often repeating one."""
+    return st.lists(items, min_size=1, max_size=6).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool) | items,
+                              max_size=max_size))
+
+
+@given(with_repeats(pronunciation), pronunciation,
+       st.sampled_from([1.0, 0.5, 0.3]))
+@settings(max_examples=300, deadline=None)
+@example([], g2p("alexa"), 1.0)
+@example([["K"], []], [], 1.0)
+@example([[], ["K"]], [], 0.3)
+@example([["K", "AH"], ["K", "QQ", "XX"], ["XX"]], g2p("alexa"), 1.0)
+@example([["K"], [BOUNDARY], ["QQ"]], ["QQ", "K"], 0.5)
+@example([[BOUNDARY, BOUNDARY], ["K", BOUNDARY], [], ["K"], ["K"]],
+         ["K", BOUNDARY, "AH"], 0.3)
+def test_english_many_equals_the_per_pair_reference(seqs, target,
+                                                    space_cost):
+    """0-12 pronunciations score bit for bit as ``english_dist`` of each
+    with the target, through the one table, and raise the per-pair loop's
+    first error: the same ``UnknownPhoneme``, naming the same symbol, or
+    ``BothEmpty``."""
+    cfg = DistanceConfig(space_cost=space_cost)
+    assert float_outcome(lambda: english_many(seqs, target, cfg)) == \
+        float_outcome(lambda: [english_dist(s, target, cfg) for s in seqs])
+
+
+@given(with_repeats(english_words), english_words,
+       st.sampled_from([1.0, 0.5, 0.3]))
+@settings(max_examples=100, deadline=None)
+@example(["alexa", "ileksur", "alexa"], "alexa", 1.0)
+def test_english_objective_of_a_list_is_english_dist_of_each(
+        texts, target, space_cost):
+    """The search's call: a generation's texts, repeats among them."""
+    cfg = DistanceConfig(space_cost=space_cost)
+    assert float_outcome(lambda: objective(target, "en", cfg)(texts)) == \
+        float_outcome(lambda: [english_dist(g2p(t), g2p(target), cfg)
+                               for t in texts])
 
 
 @given(st.data(), st.integers(1, 4))
@@ -321,8 +378,8 @@ def test_chinese_objective_is_chinese_dist_of_parses(data, characters):
     text, target = (decode_text(repair_chinese(ChineseGenome(data.draw(genes))))
                     for _ in range(2))
     cfg = DistanceConfig(normalizer=data.draw(st.sampled_from([100.0, 7.0])))
-    assert objective(target, "zh", cfg)(text) == \
-        chinese_dist(parse_pinyin(text), parse_pinyin(target), cfg)
+    assert objective(target, "zh", cfg)([text]) == \
+        [chinese_dist(parse_pinyin(text), parse_pinyin(target), cfg)]
 
 
 @pytest.mark.parametrize("language, target, text", [
@@ -339,4 +396,4 @@ def test_objective_raises_parse_failure_on_invalid_text(language, target,
     """Invalid text raises, whether it is the scored text or the target,
     which is parsed when the objective is built."""
     with pytest.raises(ParseFailure):
-        objective(target, language, DistanceConfig())(text)
+        objective(target, language, DistanceConfig())([text])

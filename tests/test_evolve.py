@@ -445,7 +445,7 @@ def full_loop_run(wake_word, wake_text, oracle, cfg, variation, dist_cfg,
         counts = oracle.query_many(list(unseen), cfg.trials)
         for (text, genome), wakes in zip(unseen.items(), counts):
             obj = cache[text] = Objectives(wakes / cfg.trials,
-                                           dissimilarity(text))
+                                           dissimilarity([text])[0])
             archive.query_count += cfg.trials
             if (obj.wake_rate >= cfg.fuzzy_threshold
                     and obj.dissimilarity > 0):

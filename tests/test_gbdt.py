@@ -610,3 +610,31 @@ def test_memo_stays_within_its_budget(monkeypatch):
     unbounded = train_gbdt(x, y, params)
     assert spy.memos[-1].nbytes > budget
     assert bounded.to_json() == unbounded.to_json()
+
+
+def test_memo_drops_the_column_orders_once_it_keeps_the_root(monkeypatch):
+    """Only the root's search reads ``order`` and ``sorted_x``: a memo that
+    keeps the root shape holds neither after the first tree, and one that
+    cannot keep it searches the root of every tree from them. The models
+    are equal."""
+    x, y = noise_data(rows=300, features=8)
+    params = GBDTParams(n_trees=6, depth=3)
+    spy = MemoSpy(monkeypatch)
+    grow = gbdt._grow_tree
+    held = []
+
+    def after_each_tree(memo, *args):
+        tree = grow(memo, *args)
+        held.append((memo.root is not None, memo.order is not None,
+                     memo.sorted_x is not None))
+        return tree
+
+    monkeypatch.setattr(gbdt, "_grow_tree", after_each_tree)
+    kept = train_gbdt(x, y, params)
+    assert held == [(True, False, False)] * 6
+    held.clear()
+    monkeypatch.setattr(gbdt, "MEMO_BYTES", 0)
+    rebuilt = train_gbdt(x, y, params)
+    assert held == [(False, True, True)] * 6
+    assert spy.trees == 12
+    assert kept.to_json() == rebuilt.to_json()

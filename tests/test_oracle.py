@@ -17,8 +17,10 @@ from fakewake.errors import (OracleFailure, OracleTimeout, ParseFailure,
                              ProtocolError)
 from fakewake.evolve import EvolveConfig, run
 from fakewake.genome import VariationConfig, encode_english
-from fakewake.oracle import (ExternalOracle, SimulatedDetector, _trial_seed,
-                             build_oracle, default_rng_random, first_random)
+from fakewake.oracle import (_INC_LO, _SQ_LO, ExternalOracle,
+                             SimulatedDetector, _lcg_int, _lcg_lanes,
+                             _trial_seed, build_oracle, default_rng_random,
+                             first_random)
 from fakewake.params import OracleConfig
 from fakewake.phonemes import LetterWord
 from fakewake.pinyin import parse_pinyin
@@ -216,6 +218,41 @@ def test_first_random_matches_the_batch_draw_on_many_seeds():
     draws = [first_random(s) for s in seeds]
     assert draws == default_rng_random(seeds).tolist()
     assert draws == [np.random.default_rng(s).random() for s in seeds]
+
+
+M64 = 2**64 - 1
+# a state word whose product with the squared multiplier's low word is
+# 2**64 - 1: the lower words of the LCG step then carry for every stream
+CARRY_WORD = M64 * pow(_SQ_LO, -1, 2**64) & M64
+STATE_WORD = st.integers(0, M64) | st.sampled_from(
+    [0, 1, M64, 2**63, 2**63 - 1, 2**32 - 1, 2**32, CARRY_WORD])
+
+
+def carries(u1: int, u3: int) -> bool:
+    """Whether the lower words of the LCG step's two products sum past
+    2**64."""
+    inc_lo = (u3 << 1 | 1) & M64
+    return (u1 * _SQ_LO & M64) + (inc_lo * _INC_LO & M64) > M64
+
+
+# all-zero, all-ones and top-bit words, then two states that carry
+EDGE_STATES = [(0, 0, 0, 0), (M64,) * 4, (2**63,) * 4,
+               (M64, CARRY_WORD, 2**63, 0), (0, CARRY_WORD, M64, M64)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(*[STATE_WORD] * 4), min_size=1, max_size=16))
+@example(EDGE_STATES)
+def test_lcg_lanes_equals_the_int_step(states):
+    """The uint64-lane LCG step gives the Python-int one's upper and
+    lower words, word for word, on the edge words and on lower words whose
+    sum carries."""
+    assert all(carries(u1, u3) for _, u1, _, u3 in EDGE_STATES[3:])
+    upper, lower = _lcg_lanes(*(np.array(words, dtype=np.uint64)
+                                for words in zip(*states)))
+    assert upper.dtype == lower.dtype == np.uint64
+    assert list(zip(upper.tolist(), lower.tolist())) == \
+        [_lcg_int(*state) for state in states]
 
 
 @settings(max_examples=40, deadline=None)
