@@ -29,8 +29,8 @@ depends on its gradients: the prefix sums, the gains at the cached cuts, the
 ``argmax`` and the leaf sums, with the same expressions in the same order.
 The memo lives for one call and holds at most ``MEMO_BYTES`` of arrays; past
 that, a new shape serves only the tree that built it. After each tree the
-margins move by the leaf values of the rows training sent to each leaf,
-which is what ``predict`` gives: both route with ``x[:, f] <= threshold``.
+margins move by the value of the leaf training sent each row to, the
+leaf ``Tree.leaves`` finds: both route with ``x[:, f] <= threshold``.
 
 The prefix sums are the search's largest cost, and each feature's is one
 chain of additions, each waiting on the one before. A shape therefore keeps
@@ -120,10 +120,6 @@ class Tree:
             stack.append((right[node], rows.compress(~go)))
             stack.append((left[node], rows.compress(go)))
         return out
-
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Leaf value of each row of the matrix x."""
-        return self.value.take(self.leaves(x))
 
 
 def check_matrix(model: "TreeEnsemble", x) -> np.ndarray:

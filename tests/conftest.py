@@ -12,6 +12,7 @@ from fakewake.evolve import EvolveConfig, run
 from fakewake.gbdt import Tree, TreeEnsemble
 from fakewake.genome import VariationConfig, encode_english, english_genome_length
 from fakewake.oracle import SimulatedDetector
+from tests.reference import NODE_KEYS, add_node
 
 
 def raw_rows(name: str) -> list[list[str]]:
@@ -63,10 +64,37 @@ def run_search(seed: int = 7, detector_seed: int = 1007, **evolve_kwargs):
                VariationConfig(), DistanceConfig(), seed=seed)
 
 
+def assert_trace_ends_at(lines, archive, trials):
+    """The trace gates: one line per generation from 1, new words times
+    trials summing to the queries, and the last line's counts those of the
+    archive."""
+    assert [line["generation"] for line in lines] == \
+        list(range(1, len(lines) + 1))
+    assert trials * sum(line["new_words"] for line in lines) == \
+        archive.query_count
+    last = lines[-1]
+    assert (last["fuzzy"], last["rejected"], last["queries"]) == (
+        len(archive.candidates), len(archive.rejected), archive.query_count)
+
+
 @pytest.fixture(scope="session")
 def fixture_archive():
     """The closed-loop search fixture: defaults, seed 7."""
     return run_search()
+
+
+def write_config(path, **extra):
+    """A small alexa run's config file, with the blocks of ``extra``."""
+    doc = {
+        "wake_word": "alexa",
+        "language": "en",
+        "seed": 3,
+        "oracle": {"decisive_unit": 3, "decisive_weight": 0.6, "seed": 1003},
+        "evolve": {"population_size": 20, "generations": 6, "trials": 5},
+    }
+    doc.update(extra)
+    path.write_text(json.dumps(doc))
+    return path
 
 
 @pytest.fixture(scope="session")
@@ -87,14 +115,10 @@ def draw_tree(data, n_features, cuts, max_depth=7):
     lone leaves, stumps and deep trees all come up."""
     depth = data.draw(st.integers(0, max_depth), label="depth")
     full = data.draw(st.booleans(), label="full")
-    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
-                             "value", "cover")}
+    nodes = {k: [] for k in NODE_KEYS}
 
     def build(level):
-        node = len(nodes["feature"])
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                           ("right", -1), ("value", 0.0), ("cover", 1.0)):
-            nodes[key].append(blank)
+        node = add_node(nodes)
         if level < depth and (full or data.draw(st.booleans())):
             nodes["feature"][node] = data.draw(
                 st.integers(0, n_features - 1))
@@ -142,3 +166,33 @@ def draw_shared_routings(data, n_features, cuts, max_depth=7):
             tree.right.copy(), np.where(tree.feature < 0, value, 0.0),
             cover))
     return model
+
+
+def random_tree(rng, n_features, depth):
+    """Random binary tree with consistent integer covers."""
+    nodes = {k: [] for k in NODE_KEYS}
+
+    def build(d, cover):
+        idx = add_node(nodes, cover)
+        if d < depth and cover >= 2 and rng.random() < 0.85:
+            nodes["feature"][idx] = int(rng.integers(n_features))
+            nodes["threshold"][idx] = float(rng.normal())
+            left_cover = float(int(rng.integers(1, int(cover))))
+            nodes["left"][idx] = build(d + 1, left_cover)
+            nodes["right"][idx] = build(d + 1, cover - left_cover)
+        else:
+            nodes["value"][idx] = float(rng.normal())
+        return idx
+
+    build(0, float(int(rng.integers(20, 120))))
+    return Tree(**nodes)
+
+
+def random_ensemble(rng, n_features=None, n_trees=None, depth=None):
+    n_features = n_features or int(rng.integers(2, 11))
+    ensemble = TreeEnsemble(base_score=float(rng.normal()),
+                            n_features=n_features)
+    for _ in range(n_trees or int(rng.integers(1, 6))):
+        ensemble.trees.append(random_tree(rng, n_features,
+                                          depth or int(rng.integers(1, 4))))
+    return ensemble

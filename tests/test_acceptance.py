@@ -3,36 +3,28 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 complete.
 """
-import itertools
-import json
-import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fakewake.cli import main as cli_main
-from fakewake.distance import DistanceConfig, chinese_dist, english_dist
-from fakewake.evolve import (EvolveConfig, Objectives, non_dominated_front,
-                             run)
+from fakewake.distance import chinese_dist, english_dist
+from fakewake.evolve import Objectives, non_dominated_front
 from fakewake.explain import (ArchiveWords, build_dataset, cross_validate,
                               default_slots, explain_archive,
                               rank_decisive_units)
 from fakewake.gbdt import train_gbdt
-from fakewake.genome import (ChineseGenome, VariationConfig, encode_english,
-                             english_genome_length, random_genome)
+from fakewake.genome import ChineseGenome, random_genome
 from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
                                screening_coverage, strengthen,
                                train_original)
-from fakewake.oracle import SimulatedDetector
 from fakewake.params import MitigateConfig
 from fakewake.phonemes import BOUNDARY, inventory
 from fakewake.treeshap import shap_values
-from tests.conftest import ALEXA_WEIGHTS
-from tests.test_genome import decode_chinese
-from tests.test_phonemes import table_distance, table_symbols
-from tests.test_treeshap import base_value, brute_force_shap, random_ensemble
+from tests.conftest import random_ensemble, run_search
+from tests.reference import (base_value, brute_force_english,
+                             brute_force_front, brute_force_shap,
+                             decode_chinese, run_stages, table_symbols)
 
 SLOTS = default_slots("en", "alexa")
 
@@ -45,26 +37,6 @@ def report(number, name, ok, details):
 
 # --------------------------------------------------------------- criterion 1
 
-def _brute_force_english(w1, w2, cfg=DistanceConfig()):
-    def unit(a, b):
-        if a == b:
-            return 0.0
-        if a == BOUNDARY or b == BOUNDARY:
-            return cfg.space_cost
-        return table_distance(inventory(), a, b)
-
-    m, n = len(w1), len(w2)
-    best = math.inf
-    for k in range(min(m, n) + 1):
-        for left in itertools.combinations(range(m), k):
-            for right in itertools.combinations(range(n), k):
-                cost = (m - k) + (n - k) + 2.0 * sum(
-                    unit(w1[i], w2[j]) for i, j in zip(left, right))
-                if cost < best:
-                    best = cost
-    return best / (m + n)
-
-
 def test_criterion_1_distance_correctness():
     rng = np.random.default_rng(101)
     symbols = table_symbols(inventory()) + [BOUNDARY]
@@ -76,7 +48,7 @@ def test_criterion_1_distance_correctness():
         w1 = [symbols[i] for i in rng.integers(len(symbols), size=m)]
         w2 = [symbols[i] for i in rng.integers(len(symbols), size=n)]
         got = english_dist(w1, w2)
-        want = _brute_force_english(w1, w2)
+        want = brute_force_english(w1, w2)
         worst = max(worst, abs(got - want))
     english_exact = worst <= 1e-12
 
@@ -96,16 +68,6 @@ def test_criterion_1_distance_correctness():
 
 # --------------------------------------------------------------- criterion 2
 
-def _brute_force_front(wake, diss):
-    out = []
-    for i in range(len(wake)):
-        ge = (wake >= wake[i]) & (diss >= diss[i])
-        gt = (wake > wake[i]) | (diss > diss[i])
-        if not np.any(ge & gt):
-            out.append(i)
-    return out
-
-
 def test_criterion_2_pareto_correctness():
     rng = np.random.default_rng(202)
     start = time.perf_counter()
@@ -120,7 +82,7 @@ def test_criterion_2_pareto_correctness():
             diss = rng.random(200)
         objs = [Objectives(float(a), float(b)) for a, b in zip(wake, diss)]
         got = non_dominated_front(objs)
-        want = _brute_force_front(wake, diss)
+        want = brute_force_front(objs)
         all_equal &= got == want
     elapsed = time.perf_counter() - start
     report(2, "pareto-correctness", all_equal and elapsed < 2.0,
@@ -151,13 +113,9 @@ def test_criterion_3_shapley_exactness():
 
 @pytest.fixture(scope="module")
 def desk_run():
-    detector = SimulatedDetector(target="alexa", language="en",
-                                 unit_weights=ALEXA_WEIGHTS, seed=1007)
-    wake = encode_english("alexa", english_genome_length("alexa"))
     start = time.perf_counter()
-    archive = run(wake, "alexa", detector,
-                  EvolveConfig(population_size=100, generations=50, trials=10),
-                  VariationConfig(), DistanceConfig(), seed=7)
+    archive = run_search(7, 1007, population_size=100, generations=50,
+                         trials=10)
     elapsed = time.perf_counter() - start
     return archive, elapsed
 
@@ -185,13 +143,7 @@ def test_criterion_5_proxy_classifier(desk_run):
 def test_criterion_6_closed_loop_explanation():
     hits = 0
     for seed in range(1, 11):
-        detector = SimulatedDetector(target="alexa", language="en",
-                                     unit_weights=ALEXA_WEIGHTS,
-                                     seed=1000 + seed)
-        wake = encode_english("alexa", english_genome_length("alexa"))
-        archive = run(wake, "alexa", detector, EvolveConfig(),
-                      VariationConfig(), DistanceConfig(), seed=seed)
-        words = ArchiveWords(archive, SLOTS)
+        words = ArchiveWords(run_search(seed, 1000 + seed), SLOTS)
         dataset = build_dataset(words, seed=seed)
         model = train_gbdt(dataset.features, dataset.labels)
         ranked = rank_decisive_units(explain_archive(words, model, beta=0.8))
@@ -254,13 +206,7 @@ def test_criterion_8_screening_coverage(desk_run):
 
     monotone = True
     for seed in (7, 8, 9):   # several corpora, including the fixture
-        detector = SimulatedDetector(target="alexa", language="en",
-                                     unit_weights=ALEXA_WEIGHTS,
-                                     seed=1000 + seed)
-        wake = encode_english("alexa", english_genome_length("alexa"))
-        corpus = run(wake, "alexa", detector, EvolveConfig(),
-                     VariationConfig(), DistanceConfig(), seed=seed) \
-            if seed != 7 else archive
+        corpus = run_search(seed, 1000 + seed) if seed != 7 else archive
         corpus_words = ArchiveWords(corpus, SLOTS)
         ds = build_dataset(corpus_words, seed=seed)
         proxy = train_gbdt(ds.features, ds.labels)
@@ -277,34 +223,22 @@ def test_criterion_8_screening_coverage(desk_run):
 
 # --------------------------------------------------------------- criterion 9
 
-def _pipeline(config_path, root: Path) -> dict:
-    gen, exp, mit = root / "gen", root / "exp", root / "mit"
-    assert cli_main(["generate", "--config", str(config_path),
-                     "--output", str(gen)]) == 0
-    archive = str(gen / "archive.json")
-    assert cli_main(["explain", "--config", str(config_path),
-                     "--archive", archive, "--output", str(exp)]) == 0
-    assert cli_main(["mitigate", "--config", str(config_path),
-                     "--archive", archive, "--output", str(mit)]) == 0
-    return {
-        "archive": gen / "archive.json",
-        "summary": gen / "summary.tsv",
-        "model": exp / "model.json",
-        "explain_report": exp / "explain_report.json",
-        "factors": exp / "factors.tsv",
-        "grouping": exp / "grouping.tsv",
-        "mitigation_report": mit / "mitigation_report.json",
-        "mitigation_table": mit / "mitigation_report.txt",
-        "detector_original": mit / "detector_original.json",
-        "detector_strengthened": mit / "detector_strengthened.json",
-    }
+# the outputs compared, by their path under the run's root
+OUTPUTS = ("generate/archive.json", "generate/summary.tsv",
+           "explain/model.json", "explain/explain_report.json",
+           "explain/factors.tsv", "explain/grouping.tsv",
+           "mitigate/mitigation_report.json", "mitigate/mitigation_report.txt",
+           "mitigate/detector_original.json",
+           "mitigate/detector_strengthened.json")
 
 
 def test_criterion_9_determinism(fixture_config, tmp_path):
-    first = _pipeline(fixture_config, tmp_path / "a")
-    second = _pipeline(fixture_config, tmp_path / "b")
-    mismatched = [name for name in first
-                  if first[name].read_bytes() != second[name].read_bytes()]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for root in runs:
+        assert set(run_stages(fixture_config, root).values()) == {0}
+    mismatched = [name for name in OUTPUTS
+                  if (runs[0] / name).read_bytes()
+                  != (runs[1] / name).read_bytes()]
     report(9, "determinism", not mismatched,
            "byte-identical archive, summary, model, reports and detectors"
            if not mismatched else f"files differ: {mismatched}")

@@ -1,5 +1,4 @@
 """End-to-end search, explanation, and screening on a Mandarin wake word."""
-import numpy as np
 import pytest
 
 from fakewake.distance import DistanceConfig

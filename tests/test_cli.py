@@ -1,10 +1,7 @@
-import hashlib
-import importlib
 import io
 import json
 import math
 import os
-import pkgutil
 import shutil
 import signal
 import subprocess
@@ -19,22 +16,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from fakewake.archive import FuzzyArchive
 from fakewake.cli import main
-from tests.conftest import tables_from
+from tests.conftest import assert_trace_ends_at, tables_from, write_config
+from tests.reference import digests, rebind, run_stages
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def write_config(path, **extra):
-    doc = {
-        "wake_word": "alexa",
-        "language": "en",
-        "seed": 3,
-        "oracle": {"decisive_unit": 3, "decisive_weight": 0.6, "seed": 1003},
-        "evolve": {"population_size": 20, "generations": 6, "trials": 5},
-    }
-    doc.update(extra)
-    path.write_text(json.dumps(doc))
-    return path
 
 
 @pytest.fixture(scope="module")
@@ -97,18 +82,6 @@ def read_trace(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def assert_trace_matches_archive(lines, archive, trials=5):
-    """The new words of the trace's lines times trials are the archive's
-    queries, and its last line counts what the archive holds."""
-    run = archive["run"]
-    assert trials * sum(line["new_words"] for line in lines) == \
-        run["query_count"]
-    last = lines[-1]
-    assert (last["fuzzy"], last["rejected"], last["queries"]) == (
-        len(archive["candidates"]), len(archive["rejected"]),
-        run["query_count"])
-
-
 def test_generate_trace_leaves_the_outputs_alone(small_run, tmp_path):
     """``--trace`` writes one JSON line per generation to its own file, and
     every output is byte-identical to an untraced run's."""
@@ -121,11 +94,8 @@ def test_generate_trace_leaves_the_outputs_alone(small_run, tmp_path):
     for path in out.iterdir():
         assert (traced / path.name).read_bytes() == path.read_bytes()
     lines = read_trace(trace)
-    archive = json.loads((out / "archive.json").read_text())
-    assert [line["generation"] for line in lines] == \
-        list(range(1, len(lines) + 1))
     assert lines[-1]["fixed_point"] or len(lines) == 6
-    assert_trace_matches_archive(lines, archive)
+    assert_trace_ends_at(lines, FuzzyArchive.load(out / "archive.json"), 5)
 
 
 def test_generate_trace_of_an_oracle_exit(tmp_path):
@@ -140,11 +110,11 @@ def test_generate_trace_of_an_oracle_exit(tmp_path):
                  "--output", str(tmp_path / "cut"),
                  "--trace", str(trace)]) == 3
     lines = read_trace(trace)
-    partial = json.loads((tmp_path / "cut" / "archive.json").read_text())
+    partial = FuzzyArchive.load(tmp_path / "cut" / "archive.json")
     assert lines[-1]["stopped"] == "oracle failure"
-    assert lines[-1]["generation"] == partial["run"]["generations_run"] + 1
-    assert_trace_matches_archive(lines, partial)
-    assert partial["run"]["query_count"] == 150
+    assert lines[-1]["generation"] == partial.generations_run + 1
+    assert_trace_ends_at(lines, partial, 5)
+    assert partial.query_count == 150
 
 
 def test_unwritable_trace_exits_2_before_any_output(tmp_path, capsys):
@@ -158,35 +128,28 @@ def test_unwritable_trace_exits_2_before_any_output(tmp_path, capsys):
 
 def test_explain_and_mitigate(small_run, tmp_path):
     root, config, out = small_run
-    exp = tmp_path / "exp"
-    code = main(["explain", "--config", str(config),
-                 "--archive", str(out / "archive.json"),
-                 "--output", str(exp)])
-    assert code == 0
-    report = json.loads((exp / "explain_report.json").read_text())
+    for stage in ("explain", "mitigate"):
+        assert main([stage, "--config", str(config), "--archive",
+                     str(out / "archive.json"),
+                     "--output", str(tmp_path / stage)]) == 0
+    assert {f"explain/{name}" for name in ("model.json", "factors.tsv",
+                                           "grouping.tsv")} \
+        | {f"mitigate/datasets/{name}" for name in (
+            "conventional/train.tsv", "conventional/test.tsv", "fuzzy.tsv",
+            "collective.txt")} <= set(digests(tmp_path))
+    report = json.loads(
+        (tmp_path / "explain" / "explain_report.json").read_text())
     assert "cv_accuracy" in report
     assert report["separation"]["dissimilarity_score"]["non_fuzzy_median"] \
         > report["separation"]["dissimilarity_score"]["fuzzy_median"]
-    assert (exp / "model.json").exists()
-    assert (exp / "factors.tsv").exists()
-    assert (exp / "grouping.tsv").exists()
-
-    mit = tmp_path / "mit"
-    code = main(["mitigate", "--config", str(config),
-                 "--archive", str(out / "archive.json"),
-                 "--output", str(mit)])
-    assert code == 0
-    report = json.loads((mit / "mitigation_report.json").read_text())
+    report = json.loads(
+        (tmp_path / "mitigate" / "mitigation_report.json").read_text())
     for side in ("original", "strengthened"):
         for metric in ("false_positive_rate", "false_negative_rate",
                        "accuracy", "fuzzy_rate"):
             assert metric in report[side]
     assert report["strengthened"]["fuzzy_rate"] < \
         report["original"]["fuzzy_rate"]
-    assert (mit / "datasets" / "conventional" / "train.tsv").exists()
-    assert (mit / "datasets" / "conventional" / "test.tsv").exists()
-    assert (mit / "datasets" / "fuzzy.tsv").exists()
-    assert (mit / "datasets" / "collective.txt").exists()
 
 
 def test_generate_requires_seed(tmp_path):
@@ -218,13 +181,7 @@ def test_length_ratio_reaches_explain_and_mitigate(tmp_path):
                                   "trials": 5},
                           explain={"n_trees": 10, "folds": 2},
                           mitigate={"collective_limit": 200})
-    archive = str(tmp_path / "gen" / "archive.json")
-    assert main(["generate", "--config", str(config),
-                 "--output", str(tmp_path / "gen")]) == 0
-    assert main(["explain", "--config", str(config), "--archive", archive,
-                 "--output", str(tmp_path / "exp")]) == 0
-    assert main(["mitigate", "--config", str(config), "--archive", archive,
-                 "--output", str(tmp_path / "mit")]) == 0
+    assert set(run_stages(config, tmp_path).values()) == {0}
 
 
 OUT_OF_RANGE = [
@@ -1340,20 +1297,6 @@ class InjectedFault(Exception):
     """Raised in place of one output write."""
 
 
-def rebind(monkeypatch, original, replacement):
-    """Put ``replacement`` wherever a fakewake module binds ``original``.
-    Every module of the package is imported first: one loaded while the
-    replacement is in place would bind it and keep it."""
-    import fakewake
-    for info in pkgutil.iter_modules(fakewake.__path__):
-        importlib.import_module(f"fakewake.{info.name}")
-    for name, module in list(sys.modules.items()):
-        if name == "fakewake" or name.startswith("fakewake."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, replacement)
-
-
 def fail_write(monkeypatch, k):
     """Make the ``k``-th ``atomic_write`` of the process raise
     ``InjectedFault`` instead of opening its file; returns the list of
@@ -1372,11 +1315,6 @@ def fail_write(monkeypatch, k):
 
     rebind(monkeypatch, original, failing)
     return paths
-
-
-def digests(tree):
-    return {str(p.relative_to(tree)): hashlib.sha256(p.read_bytes()).digest()
-            for p in sorted(tree.rglob("*")) if p.is_file()}
 
 
 @pytest.mark.parametrize("command, writes", [("generate", 4), ("explain", 6),

@@ -1,13 +1,11 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fakewake.distance import (DistanceConfig, _alignment, chinese_dist,
-                               english_dist, english_many, levenshtein_many,
-                               objective)
+from fakewake.distance import (DistanceConfig, chinese_dist, english_dist,
+                               english_many, levenshtein_many, objective)
 from fakewake.embedding import character_distance
 from fakewake.errors import (BothEmpty, LengthMismatch, ParseFailure,
                              UnknownPhoneme)
@@ -15,31 +13,11 @@ from fakewake.genome import (ChineseGenome, decode_text, random_genome,
                              repair_chinese)
 from fakewake.phonemes import BOUNDARY, g2p, inventory
 from fakewake.pinyin import parse_pinyin, unit_tables
-from tests.test_genome import decode_chinese
-from tests.test_phonemes import table_distance, table_symbols
+from tests.reference import (brute_force_english, decode_chinese,
+                             loop_english, loop_levenshtein, table_distance,
+                             table_symbols)
 
 SYMS = table_symbols(inventory())
-
-
-def brute_force_english(w1, w2, cfg=DistanceConfig()):
-    """Exhaustive minimum over all monotone alignments."""
-    m, n = len(w1), len(w2)
-
-    def unit(a, b):
-        if a == b:
-            return 0.0
-        if a == BOUNDARY or b == BOUNDARY:
-            return cfg.space_cost
-        return table_distance(inventory(), a, b)
-
-    best = math.inf
-    for k in range(min(m, n) + 1):
-        for left in itertools.combinations(range(m), k):
-            for right in itertools.combinations(range(n), k):
-                cost = (m - k) + (n - k) + 2.0 * sum(
-                    unit(w1[i], w2[j]) for i, j in zip(left, right))
-                best = min(best, cost)
-    return best / (m + n)
 
 
 seq = st.lists(st.sampled_from(SYMS + [BOUNDARY]), min_size=0, max_size=6)
@@ -75,33 +53,15 @@ def test_english_append_monotone(w1, w2, p):
     assert after <= before + 1e-12
 
 
-def loop_english(w1, w2, cfg=DistanceConfig()):
-    """english_dist before the inventory's cost rows: one distance lookup
-    per cell of the alignment table. The cost rows must reproduce it
-    exactly, errors included."""
-    def unit(a, b):
-        if a == b:
-            return 0.0
-        if a == BOUNDARY or b == BOUNDARY:
-            return cfg.space_cost
-        return table_distance(inventory(), a, b)
-
-    m, n = len(w1), len(w2)
-    prev = [float(j) for j in range(n + 1)]
-    for i in range(1, m + 1):
-        cur = [float(i)] + [0.0] * n
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + 2.0 * unit(w1[i - 1], w2[j - 1])
-            cur[j] = min(sub, prev[j] + 1.0, cur[j - 1] + 1.0)
-        prev = cur
-    return prev[n] / (m + n)
-
-
-def outcome(fn, *args):
+def outcome(fn):
+    """``fn()``'s float, or each of its floats, as hex, so that -0.0 and 0.0
+    differ, or its error."""
     try:
-        return fn(*args)
-    except UnknownPhoneme as exc:
-        return ("UnknownPhoneme", str(exc))
+        value = fn()
+    except (BothEmpty, UnknownPhoneme) as exc:
+        return (type(exc).__name__, str(exc))
+    return value.hex() if isinstance(value, float) else [v.hex()
+                                                         for v in value]
 
 
 seq_with_unknown = st.lists(st.sampled_from(SYMS + [BOUNDARY, "QQ", "XX"]),
@@ -113,8 +73,8 @@ seq_with_unknown = st.lists(st.sampled_from(SYMS + [BOUNDARY, "QQ", "XX"]),
 def test_english_equals_per_cell_loop(w1, w2, space_cost):
     assume(w1 or w2)
     cfg = DistanceConfig(space_cost=space_cost)
-    assert outcome(english_dist, w1, w2, cfg) == \
-        outcome(loop_english, w1, w2, cfg)
+    assert outcome(lambda: english_dist(w1, w2, cfg)) == \
+        outcome(lambda: loop_english(w1, w2, cfg))
 
 
 def test_english_unknown_phoneme_in_either_sequence():
@@ -227,29 +187,6 @@ def test_config_validation():
         DistanceConfig(space_cost=1.5)
 
 
-def levenshtein_dist(s1, s2) -> float:
-    """The scalar edit-distance baseline, the reference of
-    ``levenshtein_many``: the shared alignment with substitutions of
-    unequal symbols costing 2."""
-    return _alignment(len(s1), len(s2),
-                      ([0.0 if a == b else 2.0 for b in s2] for a in s1))
-
-
-def integer_levenshtein(s1, s2):
-    """levenshtein_dist before the shared alignment: integer cells."""
-    m, n = len(s1), len(s2)
-    if m + n == 0:
-        raise BothEmpty("cannot compare two empty sequences")
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        cur = [i] + [0] * n
-        for j in range(1, n + 1):
-            sub = prev[j - 1] + (0 if s1[i - 1] == s2[j - 1] else 2)
-            cur[j] = min(sub, prev[j] + 1, cur[j - 1] + 1)
-        prev = cur
-    return prev[n] / (m + n)
-
-
 lev_seq = st.lists(st.sampled_from(SYMS[:5] + [BOUNDARY, "xiǎo", "dù"]),
                    max_size=9) | st.text(alphabet="ab ", max_size=9)
 
@@ -261,12 +198,9 @@ lev_seq = st.lists(st.sampled_from(SYMS[:5] + [BOUNDARY, "xiǎo", "dù"]),
 @example([BOUNDARY, BOUNDARY], [])
 @example("", "")
 def test_levenshtein_equals_the_integer_recurrence(s1, s2):
-    def outcome(fn):
-        try:
-            return fn(s1, s2)
-        except BothEmpty as exc:
-            return ("BothEmpty", str(exc))
-    assert outcome(levenshtein_dist) == outcome(integer_levenshtein)
+    """One pair scores as the loop, whose cells are whole numbers."""
+    assert outcome(lambda: levenshtein_many([s1], s2)) == \
+        outcome(lambda: [loop_levenshtein(s1, s2)])
 
 
 @given(st.lists(lev_seq, max_size=8), lev_seq)
@@ -278,19 +212,10 @@ def test_levenshtein_equals_the_integer_recurrence(s1, s2):
 @example([[BOUNDARY, "dù"], ["dù", BOUNDARY, BOUNDARY]], [BOUNDARY, "dù"])
 @example(["ab ", "", " ba"], "a b")
 def test_levenshtein_many_equals_the_scalar_baseline(seqs, target):
-    """Bit for bit, and the same ``BothEmpty`` when some sequence and the
-    target are both empty."""
-    def outcome(fn):
-        try:
-            return fn()
-        except BothEmpty as exc:
-            return ("BothEmpty", str(exc))
-    batch = outcome(lambda: levenshtein_many(seqs, target))
-    scalar = outcome(lambda: [levenshtein_dist(s, target) for s in seqs])
-    if isinstance(batch, np.ndarray):
-        assert batch.dtype == np.float64 and batch.shape == (len(seqs),)
-        batch = batch.tolist()
-    assert batch == scalar
+    """Bit for bit, as a float64 array, and the same ``BothEmpty`` when some
+    sequence and the target are both empty."""
+    assert outcome(lambda: levenshtein_many(seqs, target)) == \
+        outcome(lambda: [loop_levenshtein(s, target) for s in seqs])
 
 
 def test_levenshtein_baseline():
@@ -313,14 +238,6 @@ def test_english_objective_is_english_dist_of_g2p(text, target, space_cost):
     cfg = DistanceConfig(space_cost=space_cost)
     assert objective(target, "en", cfg)([text]) == \
         [english_dist(g2p(text), g2p(target), cfg)]
-
-
-def float_outcome(fn):
-    """``fn()``'s floats as hex, so -0.0 and 0.0 differ, or its error."""
-    try:
-        return [value.hex() for value in fn()]
-    except (BothEmpty, UnknownPhoneme) as exc:
-        return (type(exc).__name__, str(exc))
 
 
 # pronunciations that are empty, boundary-only, end in a boundary or hold
@@ -354,8 +271,8 @@ def test_english_many_equals_the_per_pair_reference(seqs, target,
     first error: the same ``UnknownPhoneme``, naming the same symbol, or
     ``BothEmpty``."""
     cfg = DistanceConfig(space_cost=space_cost)
-    assert float_outcome(lambda: english_many(seqs, target, cfg)) == \
-        float_outcome(lambda: [english_dist(s, target, cfg) for s in seqs])
+    assert outcome(lambda: english_many(seqs, target, cfg)) == \
+        outcome(lambda: [english_dist(s, target, cfg) for s in seqs])
 
 
 @given(with_repeats(english_words), english_words,
@@ -366,8 +283,8 @@ def test_english_objective_of_a_list_is_english_dist_of_each(
         texts, target, space_cost):
     """The search's call: a generation's texts, repeats among them."""
     cfg = DistanceConfig(space_cost=space_cost)
-    assert float_outcome(lambda: objective(target, "en", cfg)(texts)) == \
-        float_outcome(lambda: [english_dist(g2p(t), g2p(target), cfg)
+    assert outcome(lambda: objective(target, "en", cfg)(texts)) == \
+        outcome(lambda: [english_dist(g2p(t), g2p(target), cfg)
                                for t in texts])
 
 

@@ -17,8 +17,8 @@ from fakewake.explain import parse_words
 from fakewake.pinyin import (Syllable, parse_pinyin, render_syllable,
                              render_units, unit_tables)
 from tests.conftest import raw_rows, raw_weight_rows, tables_from
-from tests.test_phonemes import (bits, numpy_rows, pattern_word,
-                                 table_distance, table_symbols)
+from tests.reference import (bits, pattern_word, table_distance,
+                             table_symbols, weighted_hamming)
 
 
 def test_mds_identical_points():
@@ -231,17 +231,6 @@ def test_unit_feature_distance_bounds():
 # vector dict and an (index, distance matrix) pair, each filled by its own
 # loop. The unit table must reproduce every vector and distance bit for bit.
 
-def pairwise_distances(feats, weights):
-    """Weighted Hamming distances between feature rows, a pair at a time."""
-    dist = np.zeros((len(feats), len(feats)))
-    for i in range(len(feats)):
-        for j in range(i + 1, len(feats)):
-            gaps = np.abs(feats[i] - feats[j]) / 2.0
-            dist[i, j] = dist[j, i] = float(np.dot(weights, gaps)
-                                            / weights.sum())
-    return dist
-
-
 def per_kind_tables():
     """kind -> (symbol -> vector, symbol -> index, distance matrix)."""
     symbols = {"initial": [], "final": []}
@@ -249,23 +238,19 @@ def per_kind_tables():
     for row in raw_rows("pinyin_unit_features.tsv"):
         kind = "initial" if row[0] == "initial" else "final"
         symbols[kind].append(row[1])
-        features[kind].append(np.array([int(v) for v in row[2:]],
-                                       dtype=float))
+        features[kind].append(row[2:])
     weight_rows = raw_weight_rows("pinyin_unit_features.tsv")
     tables = {}
     for kind, weights in zip(("initial", "final"), weight_rows):
-        weights = np.array([float(w) for w in weights[1:]])
         syms = symbols[kind]
-        dist = pairwise_distances(features[kind], weights)
+        dist = np.array(weighted_hamming(features[kind], weights[1:]))
         vectors = {s: v * UNIT_SCALE for s, v in zip(syms, mds_embed(dist))}
         tables[kind] = vectors, {s: i for i, s in enumerate(syms)}, dist
     # phonemes in symbol order, whatever the order of the file's rows
     rows = sorted(raw_rows("phoneme_features.tsv"), key=lambda row: row[0])
     syms = [row[0] for row in rows]
-    feats = [np.array([int(v) for v in row[1:]], dtype=float) for row in rows]
-    weights = np.array([float(w) for w in
-                        raw_weight_rows("phoneme_features.tsv")[0]])
-    dist = pairwise_distances(feats, weights)
+    dist = np.array(weighted_hamming(
+        [row[1:] for row in rows], raw_weight_rows("phoneme_features.tsv")[0]))
     tables["phoneme"] = ({s: v for s, v in zip(syms, mds_embed(dist))},
                          {s: i for i, s in enumerate(syms)}, dist)
     return tables
@@ -276,20 +261,12 @@ def reference():
     return per_kind_tables()
 
 
-def test_unit_feature_rows_equal_the_numpy_matrix():
-    symbols = {"initial": [], "final": []}
-    features = {"initial": [], "final": []}
-    for row in raw_rows("pinyin_unit_features.tsv"):
-        kind = "initial" if row[0] == "initial" else "final"
-        symbols[kind].append(row[1])
-        features[kind].append(row[2:])
-    weight_rows = raw_weight_rows("pinyin_unit_features.tsv")
+def test_unit_feature_rows_equal_the_numpy_matrix(reference):
     emb = embedding_table()
-    for kind, weights in zip(("initial", "final"), weight_rows):
-        table = emb.tables[kind]
-        assert list(table.index) == symbols[kind]
-        assert bits(table.rows) == bits(numpy_rows(features[kind],
-                                                   weights[1:]))
+    for kind in ("initial", "final"):
+        _, index, dist = reference[kind]
+        assert list(emb.tables[kind].index) == list(index)
+        assert bits(emb.tables[kind].rows) == bits(dist.tolist())
     assert emb.tables["phoneme"] is inventory()
 
 

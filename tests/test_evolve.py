@@ -6,36 +6,25 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fakewake.distance import DistanceConfig, objective
+from fakewake.distance import DistanceConfig
 from fakewake.errors import BelowFuzzyThreshold, OracleFailure
-from fakewake.archive import (Bucket, EvaluatedWord, FuzzyCandidate, bucket)
+from fakewake.archive import Bucket, bucket
 from fakewake.evolve import (EvolveConfig, FuzzyArchive, Objectives,
                              hypervolume, non_dominated_front, run)
-from fakewake.genome import (VariationConfig, crossover, decode_text,
-                             encode_english, english_genome_length, mutate,
-                             seed_genomes)
-from tests.conftest import make_detector, run_search
-
-
-def dominates(a, b):
-    """Strict Pareto dominance under maximization."""
-    ge = a.wake_rate >= b.wake_rate and a.dissimilarity >= b.dissimilarity
-    gt = a.wake_rate > b.wake_rate or a.dissimilarity > b.dissimilarity
-    return ge and gt
-
-
-def brute_force_front(objectives):
-    out = []
-    for i, a in enumerate(objectives):
-        if not any(dominates(b, a) for j, b in enumerate(objectives) if j != i):
-            out.append(i)
-    return out
+from fakewake.genome import (VariationConfig, decode_text, encode_english,
+                             english_genome_length)
+from tests.conftest import assert_trace_ends_at, make_detector, run_search
+from tests.reference import brute_force_front, full_loop_run
 
 
 def test_dominates_examples():
-    assert dominates(Objectives(0.9, 0.3), Objectives(0.5, 0.1))
-    assert not dominates(Objectives(0.9, 0.1), Objectives(0.5, 0.3))
-    assert not dominates(Objectives(0.5, 0.2), Objectives(0.5, 0.2))
+    """The brute-force front drops a member only where another is at least
+    as good in both objectives and better in one."""
+    assert brute_force_front([Objectives(0.9, 0.3), Objectives(0.5, 0.1)]) \
+        == [0]
+    assert brute_force_front([Objectives(0.9, 0.1), Objectives(0.5, 0.3)]) \
+        == [0, 1]
+    assert brute_force_front([Objectives(0.5, 0.2)] * 2) == [0, 1]
 
 
 def test_front_simple():
@@ -424,65 +413,6 @@ def test_archive_generation_is_the_generation_first_sent(
 
 # ------------------------------------------------ the fixed-point stop
 
-def full_loop_run(wake_word, wake_text, oracle, cfg, variation, dist_cfg,
-                  seed):
-    """``run`` without the fixed-point stop, kept as the reference: every
-    one of ``cfg.generations`` generations decodes its population and calls
-    ``query_many``, even once the population no longer changes."""
-    rng = np.random.default_rng(seed)
-    archive = FuzzyArchive(
-        wake_word=wake_text, language=wake_word.language, seed=seed,
-        config={**asdict(cfg), **asdict(variation)}, oracle_spec="sim")
-    cache = {"": Objectives(0.0, 0.0)}
-    dissimilarity = objective(wake_text, wake_word.language, dist_cfg)
-    population = seed_genomes(wake_word, cfg.population_size, rng)
-    for generation in range(1, cfg.generations + 1):
-        texts = [decode_text(genome) for genome in population]
-        unseen = {}
-        for genome, text in zip(population, texts):
-            if text not in cache:
-                unseen.setdefault(text, genome)
-        counts = oracle.query_many(list(unseen), cfg.trials)
-        for (text, genome), wakes in zip(unseen.items(), counts):
-            obj = cache[text] = Objectives(wakes / cfg.trials,
-                                           dissimilarity([text])[0])
-            archive.query_count += cfg.trials
-            if (obj.wake_rate >= cfg.fuzzy_threshold
-                    and obj.dissimilarity > 0):
-                archive.candidates[text] = FuzzyCandidate(
-                    text, tuple(genome), obj, generation)
-            elif obj.wake_rate == 0.0:
-                archive.rejected[text] = EvaluatedWord(
-                    text, obj.wake_rate, obj.dissimilarity, generation)
-        archive.generations_run = generation
-        objectives = [cache[text] for text in texts]
-        front = non_dominated_front(objectives)
-        if len(front) >= 2:
-            parents = [population[i] for i in front]
-        else:
-            ranked = sorted(range(len(objectives)),
-                            key=lambda i: (-objectives[i].wake_rate,
-                                           -objectives[i].dissimilarity))
-            parents = [population[i] for i in ranked[:2]]
-        if generation == cfg.generations:
-            break
-        next_pop = list(parents[:cfg.population_size]) \
-            if cfg.elitism else []
-        while len(next_pop) < cfg.population_size:
-            i = int(rng.integers(len(parents)))
-            j = int(rng.integers(len(parents)))
-            p1, p2 = parents[i], parents[j]
-            if rng.random() < variation.crossover_rate:
-                c1, c2 = crossover(p1, p2, rng)
-            else:
-                c1, c2 = p1, p2
-            for child in (c1, c2):
-                if len(next_pop) < cfg.population_size:
-                    next_pop.append(mutate(child, variation, rng))
-        population = next_pop
-    return archive
-
-
 def both_searches(cfg, seed, detector_seed, wrap=lambda oracle: oracle):
     """The search with the stop, traced, and the full-loop reference on the
     same detector: (archive, trace lines, reference archive)."""
@@ -495,19 +425,6 @@ def both_searches(cfg, seed, detector_seed, wrap=lambda oracle: oracle):
                               wrap(make_detector(detector_seed)), cfg,
                               VariationConfig(), DistanceConfig(), seed)
     return archive, lines, reference
-
-
-def assert_trace_ends_at(lines, archive, trials):
-    """The trace gates: one line per generation from 1, new words times
-    trials summing to the queries, and the last line's counts those of the
-    archive."""
-    assert [line["generation"] for line in lines] == \
-        list(range(1, len(lines) + 1))
-    assert trials * sum(line["new_words"] for line in lines) == \
-        archive.query_count
-    last = lines[-1]
-    assert (last["fuzzy"], last["rejected"], last["queries"]) == (
-        len(archive.candidates), len(archive.rejected), archive.query_count)
 
 
 @settings(max_examples=40, deadline=None)
@@ -524,9 +441,7 @@ def test_stop_at_the_fixed_point_keeps_the_full_loop_archive(
                        trials=3, elitism=elitism)
     archive, lines, reference = both_searches(cfg, seed, detector_seed)
     assert archive.to_json() == reference.to_json()
-    untraced = run(encode_english("alexa", english_genome_length("alexa")),
-                   "alexa", make_detector(detector_seed), cfg,
-                   VariationConfig(), DistanceConfig(), seed=seed)
+    untraced = run_search(seed, detector_seed, **asdict(cfg))
     assert untraced.to_json() == archive.to_json()
     assert_trace_ends_at(lines, archive, 3)
     for line in lines:

@@ -3,7 +3,6 @@ import pytest
 
 from fakewake.errors import (EmptyClass, NoPositiveContributions,
                              TooFewSamples)
-from fakewake.evolve import EvaluatedWord, FuzzyArchive, FuzzyCandidate, Objectives
 from fakewake.explain import (ArchiveWords, Dataset, UnitRef,
                               build_dataset,
                               cross_validate, decisive_factors, default_slots,
@@ -12,17 +11,7 @@ from fakewake.explain import (ArchiveWords, Dataset, UnitRef,
 from fakewake.embedding import parse_text, word_units
 from fakewake.gbdt import GBDTParams, train_gbdt
 from fakewake.phonemes import LetterWord
-
-
-def make_archive(fuzzy, rejected, language="en"):
-    archive = FuzzyArchive(wake_word="alexa", language=language, seed=0,
-                           config={}, oracle_spec="sim")
-    for i, word in enumerate(fuzzy):
-        archive.candidates[word] = FuzzyCandidate(
-            word, (1,), Objectives(0.9, 0.01 * (i + 1)), 1)
-    for word in rejected:
-        archive.rejected[word] = EvaluatedWord(word, 0.0, 0.3, 1)
-    return archive
+from tests.reference import make_archive
 
 
 def test_build_dataset_preserves_labels():

@@ -8,6 +8,8 @@ from fakewake import gbdt
 from fakewake.errors import DegenerateData, ShapeMismatch
 from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
 from tests.conftest import draw_rows, draw_shared_routings
+from tests.reference import (bits, loop_base, loop_predict_one, loop_train,
+                             walk_margin)
 
 
 def test_separable_1d_perfect_train_accuracy():
@@ -111,98 +113,7 @@ def test_monotone_leaf_raise():
 
 
 # ------------------------------------------------ loop references
-# The per-feature, per-row versions the array core replaced. The array core
-# must reproduce them exactly, so the comparisons use ==, not a tolerance.
-
-def loop_best_split(x_col, grad, order, min_leaf):
-    xs = x_col[order]
-    gs = grad[order]
-    n = len(xs)
-    prefix = np.cumsum(gs)
-    total = prefix[-1]
-    counts = np.arange(1, n)
-    left_sum = prefix[:-1]
-    valid = (xs[1:] != xs[:-1]) & (counts >= min_leaf) & (n - counts >= min_leaf)
-    if not valid.any():
-        return None
-    gain = left_sum ** 2 / counts + (total - left_sum) ** 2 / (n - counts) \
-        - total ** 2 / n
-    gain = np.where(valid, gain, -np.inf)
-    best = int(np.argmax(gain))
-    if gain[best] <= 1e-12:
-        return None
-    low, high = xs[best], xs[best + 1]
-    mid = (low + high) / 2.0
-    return float(gain[best]), (low if mid == high else mid)
-
-
-def loop_grow_tree(x, grad, hess, params):
-    tree = {k: [] for k in ("feature", "threshold", "left", "right",
-                            "value", "cover")}
-
-    def leaf_value(g, h):
-        return params.learning_rate * float(g.sum() / (h.sum() + 1.0))
-
-    def build(rows, depth):
-        node = len(tree["feature"])
-        for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                           ("right", -1), ("value", 0.0)):
-            tree[key].append(blank)
-        tree["cover"].append(float(len(rows)))
-        g, h = grad[rows], hess[rows]
-        if depth >= params.depth or len(rows) < 2 * params.min_leaf:
-            tree["value"][node] = leaf_value(g, h)
-            return node
-        best = None
-        for feat in range(x.shape[1]):
-            col = x[rows, feat]
-            order = np.argsort(col, kind="stable")
-            split = loop_best_split(col, g, order, params.min_leaf)
-            if split and (best is None or split[0] > best[0]):
-                best = (split[0], feat, split[1])
-        if best is None:
-            tree["value"][node] = leaf_value(g, h)
-            return node
-        _, feat, threshold = best
-        mask = x[rows, feat] <= threshold
-        tree["feature"][node] = feat
-        tree["threshold"][node] = threshold
-        tree["left"][node] = build(rows[mask], depth + 1)
-        tree["right"][node] = build(rows[~mask], depth + 1)
-        return node
-
-    build(np.arange(len(x)), 0)
-    return tree
-
-
-def loop_predict_one(tree, row):
-    node = 0
-    while tree["feature"][node] >= 0:
-        if row[tree["feature"][node]] <= tree["threshold"][node]:
-            node = tree["left"][node]
-        else:
-            node = tree["right"][node]
-    return tree["value"][node]
-
-
-def loop_base(y):
-    """train_gbdt's base score. math.log, as there: np.log can differ in the
-    last bit (it does on awkward_data(0)), which moves later leaf values."""
-    pos = float(y.sum())
-    return math.log(pos / (len(y) - pos))
-
-
-def loop_train(x, y, params):
-    base = loop_base(y)
-    margins = np.full(len(y), base)
-    trees = []
-    for _ in range(params.n_trees):
-        prob = 1.0 / (1.0 + np.exp(-margins))
-        tree = loop_grow_tree(x, y - prob, prob * (1.0 - prob), params)
-        trees.append(tree)
-        margins += np.array([loop_predict_one(tree, row) for row in x])
-    return trees
-
+# The array core must reproduce them exactly: ==, not a tolerance.
 
 def awkward_data(seed):
     """Few distinct values per column, a column copied into another (ties
@@ -328,10 +239,6 @@ AWKWARD_GRADIENTS = (1e16, -1e16, 1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324,
                      2.5e-310, -2.5e-310)
 
 
-def float_bits(values) -> list[int]:
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_two_lane_prefix_sums_equal_each_feature_cumsum(data):
@@ -357,10 +264,9 @@ def test_two_lane_prefix_sums_equal_each_feature_cumsum(data):
     assert shape.pairs.shape == ((live + 1) // 2, n, 2)
     prefix = shape.prefix_sums(grad)
     cumsums = [np.cumsum(grad[rows]) for rows in sorted_rows]
-    assert float_bits(prefix.take(shape.flat)) == float_bits(
-        np.concatenate([c[:-1] for c in cumsums]))
-    assert float_bits(prefix.take(shape.ends)) == float_bits(
-        [c[-1] for c in cumsums])
+    assert bits([prefix.take(shape.flat)]) == bits(
+        [np.concatenate([c[:-1] for c in cumsums])])
+    assert bits([prefix.take(shape.ends)]) == bits([[c[-1] for c in cumsums]])
 
 
 def test_batch_predict_equals_row_walk():
@@ -369,45 +275,18 @@ def test_batch_predict_equals_row_walk():
     y = (x[:, 1] - x[:, 3] > 0).astype(int)
     model = train_gbdt(x, y, GBDTParams(n_trees=15, depth=3))
     probe = np.vstack([x, rng.normal(size=(40, 5)), x[:5]])
-    margins = model.margin(probe)
-    trees = model.to_json()["trees"]
-    for row, margin in zip(probe, margins.tolist()):
-        walk = model.base_score + sum(loop_predict_one(t, row) for t in trees)
-        assert margin == walk
-        assert model.margin(row[None]).tolist() == [walk]
-    proba = model.predict_proba(probe)
-    assert proba.tolist() == [model.predict_proba(row[None])[0]
-                              for row in probe]
-    assert model.predict(probe).tolist() == [model.predict(row[None])[0]
-                                             for row in probe]
-
-
-def level_walk(tree, x):
-    """The level-at-a-time walk ``Tree.predict`` replaced, kept as a second
-    exact reference: the rows still moving descend one level per step."""
-    node = np.zeros(len(x), dtype=np.int64)
-    moving = np.arange(len(x))
-    while moving.size:
-        at = node[moving]
-        feat = tree.feature[at]
-        inner = feat >= 0
-        moving, at, feat = moving[inner], at[inner], feat[inner]
-        go_left = x[moving, feat] <= tree.threshold[at]
-        node[moving] = np.where(go_left, tree.left[at], tree.right[at])
-    return tree.value[node]
+    assert_predicts_row_walks(model, probe)
+    for call in (model.margin, model.predict_proba, model.predict):
+        assert call(probe).tolist() == [call(row[None])[0] for row in probe]
 
 
 def assert_predicts_row_walks(model, x):
-    """Each tree's leaf values equal the per-row walk's and the level
-    walk's, and margin, predict_proba and predict equal the per-row sums,
-    bit for bit."""
-    trees = model.to_json()["trees"]
-    for tree, ref in zip(model.trees, trees):
-        walked = [loop_predict_one(ref, row) for row in x]
-        assert tree.predict(x).tolist() == walked
-        assert level_walk(tree, x).tolist() == walked
-    walks = [model.base_score + sum(loop_predict_one(t, row) for t in trees)
-             for row in x]
+    """Each tree's leaf values equal the per-row walk's, and margin,
+    predict_proba and predict equal the per-row sums, bit for bit."""
+    for tree, ref in zip(model.trees, model.to_json()["trees"]):
+        assert tree.value.take(tree.leaves(x)).tolist() == \
+            [loop_predict_one(ref, row) for row in x]
+    walks = walk_margin(model, x).tolist()
     probabilities = [1.0 / (1.0 + math.exp(-m)) for m in walks]
     assert model.margin(x).tolist() == walks
     assert model.predict_proba(x).tolist() == probabilities
@@ -503,7 +382,7 @@ def test_stump_ensemble_on_thousands_of_rows():
 
 class MemoSpy:
     """Counts the shapes train_gbdt builds, keeps its memos and checks each
-    tree's leaf-routed margin update against ``tree.predict``."""
+    tree's leaf-routed margin update against ``Tree.leaves``."""
 
     def __init__(self, monkeypatch):
         self.shapes = 0
@@ -524,7 +403,8 @@ class MemoSpy:
 
         def checked_grow(memo, grad, hess, update):
             tree = grow(memo, grad, hess, update)
-            assert update.tolist() == tree.predict(memo.xt.T).tolist()
+            assert update.tolist() == \
+                tree.value.take(tree.leaves(memo.xt.T)).tolist()
             spy.trees += 1
             return tree
 

@@ -10,19 +10,12 @@ from fakewake.genome import (ChineseGenome, EnglishGenome, VariationConfig,
                              encode_english, english_genome_length, mutate,
                              nearest_valid_final, random_genome,
                              repair_chinese, seed_genomes, wake_genome)
-from fakewake.pinyin import ChineseWord, Syllable, parse_pinyin, unit_tables
+from fakewake.pinyin import parse_pinyin, unit_tables
 from tests.conftest import tables_from
-from tests.test_pinyin import render_word
+from tests.reference import decode_chinese, render_word
 
 T = unit_tables()
 CFG = VariationConfig()
-
-
-def decode_chinese(g: ChineseGenome) -> ChineseWord:
-    """The genome's word, one syllable per (initial, final, tone) triple;
-    an unpronounceable pair raises ``InvalidCombination``."""
-    return ChineseWord(tuple(Syllable(*g[i:i + 3])
-                             for i in range(0, len(g), 3)))
 
 
 def test_decode_chinese_baidu():

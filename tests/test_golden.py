@@ -12,13 +12,12 @@ default of the run configuration.
 """
 import hashlib
 import json
-import random
 
 import pytest
 
 from fakewake.cli import main
 from fakewake.config import write_reference
-from fakewake.pinyin import Syllable, render_syllable, unit_tables
+from tests.reference import run_stages, zh_collective
 
 ZH_CONFIG = {
     "wake_word": "xiǎo dù xiǎo dù",
@@ -103,37 +102,27 @@ ZH_STAGE_GOLDEN = {
 }
 
 
-def _zh_collective(path, seed=31, size=300):
-    pairs = sorted(unit_tables().valid_pairs)
-    rng = random.Random(seed)
-    words = set()
-    while len(words) < size:
-        words.add(" ".join(
-            render_syllable(Syllable(*rng.choice(pairs), rng.randint(1, 4)))
-            for _ in range(4)))
-    lines = sorted(words) + ["xāng dù xiǎo dù", "xiao du xiao du"]
-    path.write_text("".join(w + "\n" for w in lines), encoding="utf-8")
-
-
 def test_zh_explain_and_mitigate_match_golden_digests(tmp_path):
     collective = tmp_path / "collective.txt"
-    _zh_collective(collective)
+    zh_collective(collective)
     config = tmp_path / "zh.json"
     config.write_text(json.dumps({
         **ZH_CONFIG,
         "explain": {"folds": 3, "n_trees": 10},
         "mitigate": {"collective_path": str(collective)},
     }))
-    archive = tmp_path / "generate" / "archive.json"
-    assert main(["generate", "--config", str(config),
-                 "--output", str(archive.parent)]) == 0
-    for stage, files in ZH_STAGE_GOLDEN.items():
-        out = tmp_path / stage
-        assert main([stage, "--config", str(config), "--seed", "5",
-                     "--archive", str(archive), "--output", str(out)]) == 0
+    assert_stages_match(config, tmp_path, ZH_STAGE_GOLDEN)
+
+
+def assert_stages_match(config, root, golden, label=""):
+    """The three stages run on ``config``, the last two with seed 5, and
+    the outputs of the last two have their ``golden`` digests."""
+    assert set(run_stages(config, root, seed=5).values()) == {0}
+    for stage, files in golden.items():
         for name, digest in files.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
-                == digest, f"{stage}/{name}"
+            assert hashlib.sha256((root / stage / name).read_bytes()
+                                  ).hexdigest() == digest, \
+                f"{label}{stage}/{name}"
 
 
 # The English fixture on a small proxy (10 trees, 3 folds), and on a deeper
@@ -208,25 +197,10 @@ EN_STAGE_GOLDEN = {
 }
 
 
-@pytest.fixture(scope="module")
-def en_archive(fixture_config, tmp_path_factory):
-    out = tmp_path_factory.mktemp("en_generate")
-    assert main(["generate", "--config", str(fixture_config),
-                 "--output", str(out)]) == 0
-    return out / "archive.json"
-
-
 @pytest.mark.parametrize("proxy", sorted(EN_STAGE_CONFIGS))
-def test_en_explain_and_mitigate_match_golden_digests(proxy, en_archive,
-                                                      fixture_config,
+def test_en_explain_and_mitigate_match_golden_digests(proxy, fixture_config,
                                                       tmp_path):
     config = tmp_path / "en.json"
     config.write_text(json.dumps({**json.loads(fixture_config.read_text()),
                                   **EN_STAGE_CONFIGS[proxy]}))
-    for stage, files in EN_STAGE_GOLDEN[proxy].items():
-        out = tmp_path / stage
-        assert main([stage, "--config", str(config), "--seed", "5",
-                     "--archive", str(en_archive), "--output", str(out)]) == 0
-        for name, digest in files.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
-                == digest, f"{proxy}/{stage}/{name}"
+    assert_stages_match(config, tmp_path, EN_STAGE_GOLDEN[proxy], f"{proxy}/")

@@ -16,6 +16,7 @@ import fakewake
 from fakewake.cli import main
 from fakewake.embedding import parse_text
 from fakewake.oracle import SimulatedDetector
+from tests.conftest import write_config
 
 SRC = str(Path(fakewake.__file__).resolve().parents[1])
 
@@ -43,15 +44,9 @@ def run_main(argv) -> set[str]:
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     root = tmp_path_factory.mktemp("imports")
-    config = root / "config.json"
-    config.write_text(json.dumps({
-        "wake_word": "alexa",
-        "seed": 3,
-        "oracle": {"decisive_unit": 3, "decisive_weight": 0.6, "seed": 1003},
-        "evolve": {"population_size": 20, "generations": 6, "trials": 5},
-        "explain": {"folds": 3, "n_trees": 5},
-        "mitigate": {"collective_limit": 300},
-    }))
+    config = write_config(root / "config.json",
+                          explain={"folds": 3, "n_trees": 5},
+                          mitigate={"collective_limit": 300})
     assert main(["generate", "--config", str(config),
                  "--output", str(root / "gen")]) == 0
     return root, config

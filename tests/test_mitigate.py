@@ -6,16 +6,13 @@ from fakewake.errors import (EmptyCollective, EmptyFuzzySet, EmptyTestSet,
                              ParseFailure)
 from fakewake.embedding import encode_units
 from fakewake.explain import (ArchiveWords, Dataset, RankedUnit,
-                              build_dataset, default_slots, explain_archive,
-                              parse_text, rank_decisive_units)
-from fakewake.gbdt import GBDTParams, TreeEnsemble, train_gbdt
-from fakewake.mitigate import (DETECTOR_PARAMS, assemble_triple, evaluate,
-                               fuzzy_rate, load_collective,
-                               screening_coverage, strengthen,
-                               synthesize_conventional, train_original,
-                               word_key)
+                              default_slots, parse_text)
+from fakewake.mitigate import (assemble_triple, evaluate, fuzzy_rate,
+                               load_collective, screening_coverage,
+                               strengthen, synthesize_conventional,
+                               train_original, word_key)
 from fakewake.params import MitigateConfig
-from tests.test_explain import make_archive
+from tests.reference import make_archive
 
 SLOTS = default_slots("en", "alexa")
 BLOCK = MitigateConfig()

@@ -14,6 +14,9 @@ from pathlib import Path
 
 import pytest
 
+from tests.conftest import write_config
+from tests.reference import digests, run_stages
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -57,36 +60,26 @@ def test_traced_pipeline_writes_the_untraced_bytes(tmp_path):
     import fakewake
     for info in pkgutil.iter_modules(fakewake.__path__):
         importlib.import_module(f"fakewake.{info.name}")
-    from fakewake.cli import main
+    from fakewake.cli import main as cli_main
 
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "wake_word": "alexa", "seed": 3,
-        "oracle": {"decisive_unit": 3, "decisive_weight": 0.6, "seed": 1003},
-        "evolve": {"population_size": 20, "generations": 6, "trials": 5},
-        "explain": {"n_trees": 5, "folds": 2},
-        "mitigate": {"collective_limit": 200, "detector": {"n_trees": 10}},
-    }))
+    config = write_config(tmp_path / "config.json",
+                          explain={"n_trees": 5, "folds": 2},
+                          mitigate={"collective_limit": 200,
+                                    "detector": {"n_trees": 10}})
     out = tmp_path / "out"
 
-    def pipeline(call):
+    def pipeline(main=None):
         shutil.rmtree(out, ignore_errors=True)
-        for stage in ("generate", "explain", "mitigate"):
-            argv = [stage, "--config", str(config),
-                    "--output", str(out / stage)]
-            if stage != "generate":
-                argv += ["--archive", str(out / "generate" / "archive.json")]
-            assert call(stage, argv) == 0
-        return {str(p.relative_to(out)): p.read_bytes()
-                for p in sorted(out.rglob("*")) if p.is_file()}
+        assert set(run_stages(config, out, main=main).values()) == {0}
+        return digests(out)
 
-    untraced = pipeline(lambda stage, argv: main(argv))
+    untraced = pipeline()
     spans = load_spans()
     tracer = spans.Tracer()
     tracer.install()
     try:
-        traced = pipeline(lambda stage, argv: tracer.stage(stage, stage, main,
-                                                           argv))
+        traced = pipeline(lambda argv: tracer.stage(argv[0], argv[0],
+                                                    cli_main, argv))
     finally:
         tracer.uninstall()
     assert traced == untraced

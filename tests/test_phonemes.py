@@ -1,6 +1,3 @@
-import itertools
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,22 +8,10 @@ from fakewake.errors import ParseFailure, UnknownPhoneme
 from fakewake.phonemes import (ALPHABET, BOUNDARY, G2P, FeatureTable,
                                LetterWord, g2p, g2p_converter, inventory)
 from tests.conftest import raw_rows, raw_weight_rows
+from tests.reference import (bits, pattern_word, table_distance,
+                             table_symbols, weighted_hamming)
 
 INV = inventory()
-
-
-def table_symbols(table):
-    """A ``FeatureTable``'s symbols, sorted."""
-    return sorted(table.index)
-
-
-def table_distance(table, p, q):
-    """The distance between symbols p and q of a ``FeatureTable``; a symbol
-    it lacks raises ``UnknownPhoneme`` naming it, p first."""
-    for sym in (p, q):
-        if sym not in table.index:
-            raise UnknownPhoneme(sym)
-    return table.rows[table.index[p]][table.index[q]]
 
 
 SYMBOLS = table_symbols(INV)
@@ -58,22 +43,10 @@ def test_distance_maximal_for_opposite_vectors():
     assert table_distance(opposite, "p", "q") == 1.0
 
 
-def numpy_rows(features, weights) -> list[list[float]]:
-    """The distance matrix as numpy computed it when the table held one."""
-    m = np.asarray([[int(v) for v in row] for row in features], dtype=float)
-    w = np.array([float(x) for x in weights])
-    return (np.abs(m[:, None] - m[None]) / 2.0 @ w / w.sum()).tolist()
-
-
-def bits(rows) -> list[list[str]]:
-    """Each value's exact bits, so that 0.0 and -0.0 differ."""
-    return [[value.hex() for value in row] for row in rows]
-
-
 def test_rows_equal_the_numpy_matrix():
     rows = sorted(raw_rows("phoneme_features.tsv"), key=lambda row: row[0])
     weights = raw_weight_rows("phoneme_features.tsv")[0]
-    assert bits(INV.rows) == bits(numpy_rows([row[1:] for row in rows],
+    assert bits(INV.rows) == bits(weighted_hamming([row[1:] for row in rows],
                                              weights))
 
 
@@ -86,7 +59,7 @@ def test_rows_equal_the_numpy_matrix_on_random_tables(table):
     features, weights = table
     symbols = [f"s{i}" for i in range(len(features))]
     rows = FeatureTable(list(zip(symbols, features)), weights).rows
-    assert bits(rows) == bits(numpy_rows(features, weights))
+    assert bits(rows) == bits(weighted_hamming(features, weights))
 
 
 def test_voicing_smaller_than_class_change():
@@ -161,9 +134,8 @@ def test_cost_rows_are_the_distance_matrix():
 # ------------------------------------------------ per-word references
 # The width loop is g2p before the compiled pattern: at each position, try
 # the rule graphemes by width from the longest rule down; a character no
-# rule matches contributes nothing. ``pattern_token``/``pattern_word`` are
-# the per-word reader the package had before ``G2P.read`` (``G2P.token``
-# and ``G2P.word``). The package's readers must reproduce both exactly.
+# rule matches contributes nothing. The package's readers must reproduce
+# it and ``pattern_word`` exactly.
 
 def width_loop_token(conv, token):
     if token in conv.lexicon:
@@ -184,28 +156,6 @@ def width_loop_token(conv, token):
         phones.extend(conv.rules[match][1])
         i += len(match)
     return phones
-
-
-def pattern_token(conv, token):
-    if token in conv.lexicon:
-        return list(conv.lexicon[token])
-    phones = []
-    for grapheme in conv._pattern.findall(token):
-        match = conv.rules.get(grapheme)
-        if match:
-            phones.extend(match[1])
-    return phones
-
-
-def pattern_word(conv, text, token=pattern_token):
-    """Each whitespace-separated token read alone, ``BOUNDARY`` between
-    tokens."""
-    out = []
-    for idx, tok in enumerate(text.split()):
-        if idx:
-            out.append(BOUNDARY)
-        out.extend(token(conv, tok))
-    return out
 
 
 def width_loop_word(conv, text):

@@ -7,13 +7,9 @@ from fakewake.errors import InvalidCombination, UnknownSyllable
 from fakewake.pinyin import (ChineseWord, Syllable, is_valid_pair,
                              parse_pinyin, parse_syllable, render_syllable,
                              render_units, unit_tables)
+from tests.reference import render_word
 
 T = unit_tables()
-
-
-def render_word(word):
-    """The word's syllables rendered one by one, joined by spaces."""
-    return " ".join(render_syllable(s) for s in word.syllables)
 
 
 def units(syllable):

@@ -1,6 +1,4 @@
 import gc
-from itertools import combinations
-from math import factorial
 
 import numpy as np
 import pytest
@@ -9,26 +7,11 @@ from hypothesis import given, settings, strategies as st
 from fakewake import treeshap
 from fakewake.errors import ShapeMismatch
 from fakewake.gbdt import GBDTParams, Tree, TreeEnsemble, train_gbdt
-from fakewake.treeshap import _extend, _Path, _unwind, _unwound_sum, shap_values
-from tests.conftest import draw_rows, draw_shared_routings
-
-
-def mean_below(tree, node=0):
-    """Cover-weighted mean leaf value below a node; at the root, the tree's
-    empty-coalition expectation."""
-    if tree.feature[node] < 0:
-        return tree.value[node]
-    wl = tree.cover[tree.left[node]] / tree.cover[node]
-    return (wl * mean_below(tree, tree.left[node])
-            + (1 - wl) * mean_below(tree, tree.right[node]))
-
-
-def base_value(ensemble):
-    """phi0: the base score plus each tree's empty-coalition expectation."""
-    base = ensemble.base_score
-    for tree in ensemble.trees:
-        base += mean_below(tree)
-    return base
+from fakewake.treeshap import shap_values
+from tests.conftest import (draw_rows, draw_shared_routings, random_ensemble,
+                            random_tree)
+from tests.reference import (NODE_KEYS, add_node, base_value,
+                             brute_force_shap, shap_rows)
 
 
 def identity_holds(ensemble, x, contributions):
@@ -37,80 +20,6 @@ def identity_holds(ensemble, x, contributions):
     gap = (base_value(ensemble) + contributions.sum(axis=1)
            - ensemble.margin(x))
     return bool(np.all(np.abs(gap) <= 1e-9))
-
-
-def random_tree(rng, n_features, depth):
-    """Random binary tree with consistent integer covers."""
-    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
-                             "value", "cover")}
-
-    def build(d, cover):
-        idx = len(nodes["feature"])
-        nodes["feature"].append(-1)
-        nodes["threshold"].append(0.0)
-        nodes["left"].append(-1)
-        nodes["right"].append(-1)
-        nodes["value"].append(0.0)
-        nodes["cover"].append(cover)
-        if d < depth and cover >= 2 and rng.random() < 0.85:
-            nodes["feature"][idx] = int(rng.integers(n_features))
-            nodes["threshold"][idx] = float(rng.normal())
-            left_cover = float(int(rng.integers(1, int(cover))))
-            nodes["left"][idx] = build(d + 1, left_cover)
-            nodes["right"][idx] = build(d + 1, cover - left_cover)
-        else:
-            nodes["value"][idx] = float(rng.normal())
-        return idx
-
-    build(0, float(int(rng.integers(20, 120))))
-    return Tree(**nodes)
-
-
-def conditional_expectation(tree, x, subset, node=0):
-    if tree.feature[node] < 0:
-        return tree.value[node]
-    feat = tree.feature[node]
-    if feat in subset:
-        child = tree.left[node] if x[feat] <= tree.threshold[node] \
-            else tree.right[node]
-        return conditional_expectation(tree, x, subset, child)
-    w_left = tree.cover[tree.left[node]] / tree.cover[node]
-    return (w_left * conditional_expectation(tree, x, subset, tree.left[node])
-            + (1 - w_left) * conditional_expectation(tree, x, subset,
-                                                     tree.right[node]))
-
-
-def brute_force_shap(ensemble, x):
-    """Exhaustive-subset Shapley per tree (null players drop out)."""
-    phi = np.zeros(ensemble.n_features)
-    for tree in ensemble.trees:
-        feats = sorted({f for f in tree.feature if f >= 0})
-        m = len(feats)
-        if m == 0:
-            continue
-        values = {}
-        for r in range(m + 1):
-            for subset in combinations(feats, r):
-                values[frozenset(subset)] = conditional_expectation(
-                    tree, x, set(subset))
-        for j in feats:
-            others = [f for f in feats if f != j]
-            for r in range(m):
-                weight = factorial(r) * factorial(m - r - 1) / factorial(m)
-                for subset in combinations(others, r):
-                    s = frozenset(subset)
-                    phi[j] += weight * (values[s | {j}] - values[s])
-    return phi
-
-
-def random_ensemble(rng, n_features=None, n_trees=None, depth=None):
-    n_features = n_features or int(rng.integers(2, 11))
-    ensemble = TreeEnsemble(base_score=float(rng.normal()),
-                            n_features=n_features)
-    for _ in range(n_trees or int(rng.integers(1, 6))):
-        ensemble.trees.append(random_tree(rng, n_features,
-                                          depth or int(rng.integers(1, 4))))
-    return ensemble
 
 
 def test_single_stump_closed_form():
@@ -179,40 +88,6 @@ def test_shape_mismatch():
         shap_values(ensemble, np.zeros(4))
 
 
-# The per-row recursion the batch path replaced, kept as the reference: it
-# reads x directly at every node. Batch results must equal it exactly.
-
-def loop_tree_shap(tree, x, phi):
-    def recurse(node, path, pz, po, pi):
-        path = path.copy()
-        _extend(path, pz, po, pi)
-        if tree.feature[node] < 0:
-            for i in range(1, len(path.d)):
-                weight = _unwound_sum(path, i)
-                phi[path.d[i]] += weight * (path.o[i] - path.z[i]) \
-                    * float(tree.value[node])
-            return
-        feat = int(tree.feature[node])
-        if x[feat] <= tree.threshold[node]:
-            hot, cold = int(tree.left[node]), int(tree.right[node])
-        else:
-            hot, cold = int(tree.right[node]), int(tree.left[node])
-        iz = io = 1.0
-        found = -1
-        for i in range(1, len(path.d)):
-            if path.d[i] == feat:
-                found = i
-                break
-        if found >= 0:
-            iz, io = path.z[found], path.o[found]
-            path = _unwind(path, found)
-        cover = float(tree.cover[node])
-        recurse(hot, path, iz * float(tree.cover[hot]) / cover, io, feat)
-        recurse(cold, path, iz * float(tree.cover[cold]) / cover, 0.0, feat)
-
-    recurse(0, _Path(), 1.0, 1.0, -1)
-
-
 def test_batch_equals_per_row_recursion():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -226,13 +101,9 @@ def test_batch_equals_per_row_recursion():
         if thresholds:
             rows[:4] = rng.choice(thresholds, size=(4, f))
         x = np.vstack([rows, rows[:6]])
-        batch = shap_values(ensemble, x)
-        for i, row in enumerate(x):
-            phi = np.zeros(f)
-            for tree in ensemble.trees:
-                loop_tree_shap(tree, row, phi)
-            assert batch[i].tolist() == phi.tolist()
-            assert shap_values(ensemble, row[None])[0].tolist() == phi.tolist()
+        batch = assert_equals_per_row_recursion(ensemble, x)
+        for row, phi in zip(x, batch.tolist()):
+            assert shap_values(ensemble, row[None])[0].tolist() == phi
         assert identity_holds(ensemble, x, batch)
 
 
@@ -252,12 +123,7 @@ def test_batch_equals_per_row_recursion_on_deep_trees():
             ensemble.trees.append(tree)
     rows = rng.normal(size=(50, 3)).round(1)
     x = np.vstack([rows, rows[:10]])
-    batch = shap_values(ensemble, x)
-    for i, row in enumerate(x):
-        phi = np.zeros(3)
-        for tree in ensemble.trees:
-            loop_tree_shap(tree, row, phi)
-        assert batch[i].tolist() == phi.tolist()
+    batch = assert_equals_per_row_recursion(ensemble, x)
     assert identity_holds(ensemble, x, batch)
 
 
@@ -265,11 +131,7 @@ def search_tree(nodes, rng, feature, lo, hi, depth):
     """Append, in pre-order, a full tree of the given depth that splits
     integer values lo..hi-1 of one feature in halves; covers count the
     values under each node."""
-    node = len(nodes["feature"])
-    for key, blank in (("feature", -1), ("threshold", 0.0), ("left", -1),
-                       ("right", -1), ("value", 0.0)):
-        nodes[key].append(blank)
-    nodes["cover"].append(float(hi - lo))
+    node = add_node(nodes, float(hi - lo))
     if depth == 0:
         nodes["value"][node] = float(rng.normal())
         return node
@@ -288,13 +150,9 @@ def test_rows_that_differ_only_in_the_first_decisions():
     share every decision from node 32 on and differ only among the first
     32, which a code that kept all 95 bits in one int64 would lose."""
     rng = np.random.default_rng(4)
-    nodes = {k: [] for k in ("feature", "threshold", "left", "right",
-                             "value", "cover")}
-    nodes["feature"].append(1)
-    nodes["threshold"].append(0.5)
-    for key in ("left", "right", "value"):
-        nodes[key].append(0.0 if key == "value" else -1)
-    nodes["cover"].append(96.0)
+    nodes = {k: [] for k in NODE_KEYS}
+    add_node(nodes, 96.0)
+    nodes["feature"][0], nodes["threshold"][0] = 1, 0.5
     nodes["left"][0] = search_tree(nodes, rng, 0, 0, 32, 5)
     nodes["right"][0] = search_tree(nodes, rng, 1, 0, 64, 6)
     tree = Tree(**nodes)
@@ -302,20 +160,15 @@ def test_rows_that_differ_only_in_the_first_decisions():
     ensemble = TreeEnsemble(base_score=0.0, n_features=2, trees=[tree])
     x = np.array([[v, 0.0] for v in range(32)]
                  + [[v % 32, v] for v in range(1, 64, 5)], dtype=float)
-    batch = shap_values(ensemble, x)
-    for i, row in enumerate(x):
-        phi = np.zeros(2)
-        loop_tree_shap(tree, row, phi)
-        assert batch[i].tolist() == phi.tolist()
+    assert_equals_per_row_recursion(ensemble, x)
 
 
 def assert_equals_per_row_recursion(ensemble, x):
+    """The batch attributions equal the per-row, per-tree recursion's, bit
+    for bit; returns them."""
     batch = shap_values(ensemble, x)
-    for i, row in enumerate(x):
-        phi = np.zeros(ensemble.n_features)
-        for tree in ensemble.trees:
-            loop_tree_shap(tree, row, phi)
-        assert batch[i].tolist() == phi.tolist()
+    assert batch.tolist() == shap_rows(ensemble, x).tolist()
+    return batch
 
 
 def with_values(tree, rng):
@@ -445,8 +298,7 @@ def test_shap_values_leaves_no_reference_cycles():
 
 def test_shap_values_computes_no_prediction(monkeypatch):
     """The attributions read the trees' structure and leaf values only: a
-    call runs no ``TreeEnsemble.margin``, no ``Tree.predict`` and no
-    ``Tree.leaves``."""
+    call runs no ``TreeEnsemble.margin`` and no ``Tree.leaves``."""
     rng = np.random.default_rng(6)
     ensemble = random_ensemble(rng, n_features=4, n_trees=5, depth=3)
     x = rng.normal(size=(20, 4)).round(0)
@@ -456,7 +308,6 @@ def test_shap_values_computes_no_prediction(monkeypatch):
         raise AssertionError("shap_values ran a prediction")
 
     monkeypatch.setattr(TreeEnsemble, "margin", no_prediction)
-    monkeypatch.setattr(Tree, "predict", no_prediction)
     monkeypatch.setattr(Tree, "leaves", no_prediction)
     assert shap_values(ensemble, x).tolist() == expected
     with pytest.raises(ShapeMismatch):
