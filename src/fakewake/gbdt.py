@@ -27,10 +27,11 @@ make 310 nodes from 11 of them). So each call memoises these as a shape per
 path of splits from the root, and each tree redoes only the work that
 depends on its gradients: the prefix sums, the gains at the cached cuts, the
 ``argmax`` and the leaf sums, with the same expressions in the same order.
-The memo lives for one call and holds at most ``MEMO_BYTES`` of arrays; past
-that, a new shape serves only the tree that built it. After each tree the
-margins move by the value of the leaf training sent each row to, the
-leaf ``Tree.leaves`` finds: both route with ``x[:, f] <= threshold``.
+The memo lives for one call and holds the root, plus other shapes while the
+total stays within ``MEMO_BYTES``; past that, a new shape serves only the
+tree that built it. After each tree the margins move by the value of the
+leaf training sent each row to, the leaf ``Tree.leaves`` finds: both route
+with ``x[:, f] <= threshold``.
 
 The prefix sums are the search's largest cost, and each feature's is one
 chain of additions, each waiting on the one before. A shape therefore keeps
@@ -210,15 +211,16 @@ class TreeEnsemble:
             return cls.from_json(json.load(fh))
 
 
-# Bytes of arrays the shapes of one train_gbdt call may hold (each shape's
-# own arrays, summed). The memo needs 0.53 MB on the en proxy (683 x 28, 50
-# or 100 trees of depth 3) and 1.26 MB on the zh one (878 x 16, 50 trees),
-# 2.51 MB at 100 zh trees, so the budget holds the default proxies with room
-# to spare. On 2000 x 30 standard normal noise (numpy seed 3), 100 trees of
-# depth 3 would keep 867 shapes and 323 MB, nearly all of them reached
-# once; under the budget they keep 17 shapes, 5.6 MB, and train about as
-# fast as with no memo (min of 7, interleaved, three runs: 0.67, 0.63 and
-# 0.64 s against 0.62, 0.64 and 0.62 s; one CPU of a shared 2-vCPU VM,
+# Bytes of arrays the shapes of one train_gbdt call may hold (each shape's own
+# arrays, summed): the root, whatever its size (about 48 bytes a matrix cell),
+# plus other shapes while the total stays within it. The memo needs 0.53 MB on
+# the en proxy (683 x 28, 50 or 100 trees of depth 3) and 1.26 MB on the zh one
+# (878 x 16, 50 trees), 2.51 MB at 100 zh trees, so the budget holds the
+# default proxies with room to spare. On 2000 x 30 standard normal noise (numpy
+# seed 3), 100 trees of depth 3 would keep 867 shapes and 323 MB, nearly all of
+# them reached once; under the budget they keep 17 shapes, 5.6 MB, and train
+# about as fast as with no memo (min of 7, interleaved, three runs: 0.67, 0.63
+# and 0.64 s against 0.62, 0.64 and 0.62 s; one CPU of a shared 2-vCPU VM,
 # numpy 2.4.6). MB here are 2**20 bytes.
 MEMO_BYTES = 8 * 2**20
 
@@ -258,11 +260,11 @@ class _Shape:
         self.kept = False
         self.nbytes = rows.nbytes
 
-    def search(self, live: np.ndarray, sorted_rows: np.ndarray,
-               sorted_x: np.ndarray, min_leaf: int):
-        """Find the valid cuts, given the node's live features in the
-        layout of ``sorted_rows`` and ``sorted_x`` (row j: feature
-        ``live[j]``'s rows and values in its order).
+    def search(self, xt: np.ndarray, live: np.ndarray,
+               sorted_rows: np.ndarray, min_leaf: int):
+        """Find the valid cuts, given the node's live features and
+        ``sorted_rows`` (row j: the node's rows in the order of feature
+        ``live[j]``), whose values it reads from ``xt`` (row f: column f).
 
         A cut after sorted position i is valid when the values on either
         side of it differ and each side keeps at least ``min_leaf`` rows. A
@@ -272,6 +274,7 @@ class _Shape:
         n = len(self.rows)
         # cuts after positions lo..hi-1 leave min_leaf rows on each side
         lo, hi = min_leaf - 1, n - min_leaf
+        sorted_x = xt.take(live[:, None] * xt.shape[1] + sorted_rows)
         low, high = sorted_x[:, lo:hi], sorted_x[:, lo + 1:hi + 1]
         valid = high != low
         has_cut = valid.any(axis=1)
@@ -348,19 +351,20 @@ class _Shape:
 
 class _ShapeMemo:
     """The shapes of one train_gbdt call, as a tree of splits from the
-    root shape, holding at most ``MEMO_BYTES`` bytes of arrays."""
+    root shape, which is searched once, here. It holds the root, plus
+    other shapes while the total stays within ``MEMO_BYTES``."""
 
     def __init__(self, x: np.ndarray, params: GBDTParams):
         self.xt = np.ascontiguousarray(x.T)   # row f: column f of x
         self.params = params
-        # row f of order: the stable ascending sort of column f, and row f
-        # of sorted_x the column in that order. Only the root's search
-        # reads them: they go once the memo keeps the root shape, and
-        # serve every tree's root search if it cannot
-        self.order = np.argsort(self.xt, axis=1, kind="stable")
-        self.sorted_x = np.take_along_axis(self.xt, self.order, axis=1)
-        self.nbytes = 0
-        self.root = None
+        self.root = _Shape(np.arange(len(x)))
+        if self._searchable(self.root, 0):
+            # row f: the stable ascending sort of column f
+            order = np.argsort(self.xt, axis=1, kind="stable")
+            self.root.search(self.xt, np.arange(len(order)), order,
+                             params.min_leaf)
+        self.root.kept = True
+        self.nbytes = self.root.nbytes
 
     def _keep(self, *shapes: _Shape) -> bool:
         size = sum(s.nbytes for s in shapes)
@@ -370,18 +374,6 @@ class _ShapeMemo:
         for s in shapes:
             s.kept = True
         return True
-
-    def root_shape(self) -> _Shape:
-        if self.root is not None:
-            return self.root
-        shape = _Shape(np.arange(self.xt.shape[1]))
-        if self._searchable(shape, 0):
-            shape.search(np.arange(len(self.order)), self.order,
-                         self.sorted_x, self.params.min_leaf)
-        if self._keep(shape):
-            self.root = shape
-            self.order = self.sorted_x = None
-        return shape
 
     def _searchable(self, shape: _Shape, depth: int) -> bool:
         return (depth < self.params.depth
@@ -415,9 +407,7 @@ class _ShapeMemo:
             keep = goes[parent_rows].ravel()
             sorted_rows = np.compress(keep, parent_rows).reshape(
                 len(live), len(rows))
-            sorted_x = self.xt.take(live[:, None] * self.xt.shape[1]
-                                    + sorted_rows)
-            shape.search(live, sorted_rows, sorted_x, self.params.min_leaf)
+            shape.search(self.xt, live, sorted_rows, self.params.min_leaf)
         return shape
 
 
@@ -430,7 +420,7 @@ def _grow_tree(memo: _ShapeMemo, grad: np.ndarray, hess: np.ndarray,
     # a stack, not a recursive closure: that would be a reference cycle
     # keeping the memo alive until the garbage collector runs. Left on top,
     # so nodes are numbered in pre-order.
-    stack = [(memo.root_shape(), 0, None, 0)]
+    stack = [(memo.root, 0, None, 0)]
     while stack:
         shape, depth, side, parent = stack.pop()
         node = len(feature)

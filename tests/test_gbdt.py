@@ -258,9 +258,9 @@ def test_two_lane_prefix_sums_equal_each_feature_cumsum(data):
         st.permutations(range(n)), min_size=live, max_size=live),
         label="orders"))
     shape = gbdt._Shape(np.arange(n))
-    # distinct values in every order, so every position is a valid cut
-    sorted_x = np.tile(np.arange(n, dtype=float), (live, 1))
-    shape.search(np.arange(live), sorted_rows, sorted_x, min_leaf=1)
+    # row j read in order j is 0..n-1, so every position is a valid cut
+    xt = np.argsort(sorted_rows, axis=1).astype(float)
+    shape.search(xt, np.arange(live), sorted_rows, min_leaf=1)
     assert shape.pairs.shape == ((live + 1) // 2, n, 2)
     prefix = shape.prefix_sums(grad)
     cumsums = [np.cumsum(grad[rows]) for rows in sorted_rows]
@@ -492,29 +492,28 @@ def test_memo_stays_within_its_budget(monkeypatch):
     assert bounded.to_json() == unbounded.to_json()
 
 
-def test_memo_drops_the_column_orders_once_it_keeps_the_root(monkeypatch):
-    """Only the root's search reads ``order`` and ``sorted_x``: a memo that
-    keeps the root shape holds neither after the first tree, and one that
-    cannot keep it searches the root of every tree from them. The models
-    are equal."""
+def test_memo_searches_the_root_once_per_call(monkeypatch):
+    """The memo keeps its root whatever the budget, so the root's search
+    runs once per train_gbdt call; at a budget of 0 the root is all the
+    memo holds. The models are equal."""
     x, y = noise_data(rows=300, features=8)
     params = GBDTParams(n_trees=6, depth=3)
     spy = MemoSpy(monkeypatch)
-    grow = gbdt._grow_tree
-    held = []
+    search = gbdt._Shape.search
+    roots = []
 
-    def after_each_tree(memo, *args):
-        tree = grow(memo, *args)
-        held.append((memo.root is not None, memo.order is not None,
-                     memo.sorted_x is not None))
-        return tree
+    def count_roots(shape, xt, *args):
+        roots.append(len(shape.rows) == xt.shape[1])
+        search(shape, xt, *args)
 
-    monkeypatch.setattr(gbdt, "_grow_tree", after_each_tree)
+    monkeypatch.setattr(gbdt._Shape, "search", count_roots)
     kept = train_gbdt(x, y, params)
-    assert held == [(True, False, False)] * 6
-    held.clear()
+    assert sum(roots) == 1
+    roots.clear()
     monkeypatch.setattr(gbdt, "MEMO_BYTES", 0)
     rebuilt = train_gbdt(x, y, params)
-    assert held == [(False, True, True)] * 6
+    assert sum(roots) == 1
+    memo = spy.memos[-1]
+    assert memo.nbytes == memo.root.nbytes
     assert spy.trees == 12
     assert kept.to_json() == rebuilt.to_json()
